@@ -231,6 +231,10 @@ class EncryptedIndex:
         if len(blob) < 6:
             raise ValueError("encrypted index blob too short")
         orient_b, unmasked_b, dim = struct.unpack_from("<BBI", blob)
+        if orient_b not in (0, 1):
+            raise ValueError(f"orientation byte must be 0 or 1, got {orient_b}")
+        if unmasked_b not in (0, 1):
+            raise ValueError(f"unmasked byte must be 0 or 1, got {unmasked_b}")
         body = blob[6:]
         expect = PART_COUNT * dim * 8
         if len(body) != expect:

@@ -29,6 +29,26 @@ from .crypto import TosSecrets
 from .protocol import ErrorCode, Frame, MsgType, ProtocolError
 
 
+_U16 = 0xFFFF
+_U32 = 0xFFFFFFFF
+
+# Inclusive (low, high) per config field; high is the width of the field
+# on the wire (key bundle header, token count, offer capacity, TCP port).
+_CONFIG_BOUNDS: dict[str, tuple[int, int | None]] = {
+    "filter_bits": (2, _U32),
+    "n_hashes": (1, _U32),
+    "id_bits": (1, _U32),
+    "time_bits": (1, _U32),
+    "time_slots": (1, _U32),
+    "max_items": (1, _U32),
+    "default_capacity": (1, _U16),
+    "path_limit": (1, None),
+    "match_threshold": (0, None),
+    "tokens_per_bundle": (1, _U16),
+    "port": (0, _U16),
+}
+
+
 @dataclass
 class ServiceConfig:
     """Deployment parameters, loadable from a key=value text file."""
@@ -44,6 +64,13 @@ class ServiceConfig:
     match_threshold: int = 0  # pending requests that auto-trigger a round; 0 = manual
     tokens_per_bundle: int = 32
     port: int = 7370
+
+    def __post_init__(self) -> None:
+        for name, (low, high) in _CONFIG_BOUNDS.items():
+            value = getattr(self, name)
+            if not (low <= value and (high is None or value <= high)):
+                limit = f">= {low}" if high is None else f"in [{low}, {high}]"
+                raise ValueError(f"{name} must be {limit}, got {value}")
 
     @property
     def cell_vector_bits(self) -> int:
@@ -170,7 +197,6 @@ class TosServer:
         self.transfer_offers: dict[str, transfer.TransferOffer] = {}
         self.transfer_requests: dict[str, transfer.TransferRequest] = {}
         self.notifications: dict[str, list] = {}
-        self.match_log: list[DirectMatchRecord | TransferMatchRecord] = []
         self._counter = 0
         self._id_rng = sysrandom
 
@@ -208,6 +234,8 @@ class TosServer:
             )
         if idx.dim != dim:
             raise ProtocolError(ErrorCode.BAD_DIMENSION, f"index dim {idx.dim}, expected {dim}")
+        if not np.isfinite(idx.parts).all():
+            raise ProtocolError(ErrorCode.MALFORMED, "index parts must be finite")
         return idx
 
     def handle_submit_offer(self, frame: Frame) -> bytes:
@@ -326,14 +354,22 @@ class TosServer:
                 )
             )
             records.append(DirectMatchRecord(match.request_id, match.offer_id, match.case))
-        self.match_log.extend(records)
         return records
 
     def run_transfer_matching(self) -> list[TransferMatchRecord]:
+        """Serve pending requests in arrival order over one batched pinning.
+
+        Every pick-up and drop-off is matched against the graph in one
+        GEMM up front; each search then keeps only the rows still active,
+        so seats consumed earlier in the round count as before.
+        """
         records = []
-        for request_id in list(self.transfer_requests):
-            request = self.transfer_requests[request_id]
-            outcome = transfer.search(self.graph, request, self.config.path_limit)
+        pending = list(self.transfer_requests.items())
+        hits = self.graph.pin([q for _, r in pending for q in (r.pickup, r.dropoff)])
+        for i, (request_id, request) in enumerate(pending):
+            outcome = transfer.search(
+                self.graph, request, self.config.path_limit, pins=hits[2 * i : 2 * i + 2]
+            )
             if outcome.selected is None:
                 continue
             path = outcome.selected
@@ -353,7 +389,6 @@ class TosServer:
                     protocol.TransferNotification(oid, [oid], [request.contact], [])
                 )
             records.append(TransferMatchRecord(request_id, path, outcome.truncated))
-        self.match_log.extend(records)
         return records
 
     def run_matching(self) -> list[DirectMatchRecord | TransferMatchRecord]:

@@ -15,6 +15,17 @@ request pins source nodes (cells matching the pick-up index) and
 destination nodes (matching the drop-off index); path search honors the
 rider's preference over traversed cells and transfers.
 
+The graph keeps every node's unmasked column-form index as one row of a
+contiguous (N, 8*dim) matrix, in insertion order, grown by doubling, with
+an active-row mask that exhaustion clears. Inserting an offer compares
+its row-form indexes against that matrix in one GEMM. A matching round
+pins every pending request in one GEMM too (TransferGraph.pin) and hands
+each search its two hit rows; search ANDs them with the active mask as it
+stands, so offers exhausted earlier in the round drop out exactly as if
+each request had been pinned on its own. The weighted adjacency of each
+band pass is cached per graph and dropped whenever an insert or an
+exhaustion changes the edges.
+
 Preference passes run a multi-source Dijkstra that records every
 equal-cost predecessor, then enumerate all minimal simple paths. The
 primary metric is weighted 1 and the other 0 in the set-defining pass, so
@@ -33,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import crypto
+from . import crypto, kernels
 from .crypto import EncryptedIndex, TosSecrets, UserKeySet
 
 INTEGER_TOL = 0.5
@@ -238,10 +249,22 @@ class TransferGraph:
         self.transfer_adj: dict[NodeId, set[NodeId]] = {}
         self.capacity: dict[str, int] = {}
         self.exhausted: set[str] = set()
+        # Columnar store: row r holds the flattened plus index of _row_ids[r].
+        self._row_ids: list[NodeId] = []
+        self._offer_rows: dict[str, range] = {}
+        self._plus = np.empty((0, 0))
+        self._active = np.zeros(0, dtype=bool)
+        # (route, transfer) weights -> weighted adjacency; cleared on every edge change
+        self.adjacency_cache: dict[tuple[float, float], dict] = {}
 
     @property
     def match_target(self) -> int:
         return self.id_bits + 1
+
+    @property
+    def active_mask(self) -> np.ndarray:
+        """One flag per stored row: False once the row's offer is exhausted."""
+        return self._active[: len(self._row_ids)]
 
     def active_nodes(self) -> list[TransferNode]:
         return [n for n in self.nodes.values() if n.offer_id not in self.exhausted]
@@ -264,14 +287,59 @@ class TransferGraph:
             return "transfer"
         raise KeyError(f"no edge {u} -> {v}")
 
+    def _hits(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), N) flags: which stored plus rows each row-form query matches."""
+        sims = kernels.cross_dots(rows, self._plus[: len(self._row_ids)])
+        return np.abs(sims - self.match_target) < INTEGER_TOL
+
+    def pin(self, queries: list[EncryptedIndex]) -> np.ndarray:
+        """Match unmasked row-form queries against every stored row, active or not.
+
+        Returns a (len(queries), N) boolean array. The similarities do not
+        change while the graph only loses active rows, so a round pins all
+        its requests once and masks the result per search.
+        """
+        for q in queries:
+            if not q.unmasked or q.orientation != "row":
+                raise ValueError("pinning queries must be unmasked row-form indexes")
+        if not queries or not self._row_ids:
+            return np.zeros((len(queries), len(self._row_ids)), dtype=bool)
+        return self._hits(np.stack([q.flat() for q in queries]))
+
+    def pinned(self, hits: np.ndarray) -> list[NodeId]:
+        """Active nodes among one row of pin() hits, in insertion order."""
+        if hits.shape != (len(self._row_ids),):
+            raise ValueError(f"pin row covers {hits.shape} rows, graph holds {len(self._row_ids)}")
+        return [self._row_ids[j] for j in np.flatnonzero(hits & self.active_mask)]
+
+    def _append_rows(self, rows: np.ndarray) -> range:
+        start = len(self._row_ids)
+        stop = start + len(rows)
+        if stop > len(self._plus):
+            size = max(stop, 2 * len(self._plus), 64)
+            plus = np.empty((size, rows.shape[1]))
+            active = np.zeros(size, dtype=bool)
+            if start:
+                plus[:start] = self._plus[:start]
+                active[:start] = self._active[:start]
+            self._plus, self._active = plus, active
+        self._plus[start:stop] = rows
+        self._active[start:stop] = True
+        return range(start, stop)
+
     def add_offer(self, offer: TransferOffer, secrets: TosSecrets) -> int:
         """Unmask and insert one offer; returns the number of transfer edges added.
 
-        Incremental by construction: only the new cells are compared
-        against the existing active nodes.
+        Incremental by construction: the new cells' row-form indexes are
+        compared in one GEMM against the columnar store of column-form
+        rows, masked to the active ones; then the new column-form rows are
+        appended to the store.
         """
         if offer.offer_id in self.capacity:
             raise ValueError(f"offer id {offer.offer_id!r} already in graph")
+        for c in offer.cells:
+            if c.plus.orientation != "column" or c.minus.orientation != "row":
+                raise ValueError("transfer cells need column-form plus and row-form minus")
         plus_blobs = [c.plus.to_bytes() for c in offer.cells]
         plus = crypto.unmask_indices([c.plus for c in offer.cells], secrets)
         minus = crypto.unmask_indices([c.minus for c in offer.cells], secrets)
@@ -279,34 +347,37 @@ class TransferGraph:
             TransferNode(offer.offer_id, pos, plus[pos], minus[pos], plus_blobs[pos])
             for pos in range(len(offer.cells))
         ]
-        existing = self.active_nodes()
         added = 0
-        if existing:
-            # One batched kernel call: new row-form against existing column-form.
-            sims = crypto.similarity_matrix(
-                [n.minus for n in new_nodes], [n.plus for n in existing]
-            )
-            hits = np.abs(sims - self.match_target) < INTEGER_TOL
+        if self.active_mask.any():
+            hits = self._hits(np.stack([n.minus.flat() for n in new_nodes])) & self.active_mask
             for i, j in zip(*np.nonzero(hits)):
                 u = new_nodes[int(i)].node_id
-                v = existing[int(j)].node_id
+                v = self._row_ids[int(j)]
                 self.transfer_adj.setdefault(u, set()).add(v)
                 self.transfer_adj.setdefault(v, set()).add(u)
                 added += 1
+        rows = self._append_rows(np.stack([n.plus.flat() for n in new_nodes]))
+        self._offer_rows[offer.offer_id] = rows
         for node in new_nodes:
             self.nodes[node.node_id] = node
+            self._row_ids.append(node.node_id)
         for pos in range(len(offer.cells) - 1):
             self.route_succ[(offer.offer_id, pos)] = (offer.offer_id, pos + 1)
         self.capacity[offer.offer_id] = offer.capacity
+        self.adjacency_cache.clear()
         return added
 
     def remove_offer_edges(self, offer_id: str) -> None:
         """Drop every edge incident to an exhausted offer; nodes remain."""
         self.exhausted.add(offer_id)
-        for node_id in [nid for nid in self.nodes if nid[0] == offer_id]:
+        rows = self._offer_rows.get(offer_id, range(0))
+        self._active[rows.start : rows.stop] = False
+        for pos in range(len(rows)):
+            node_id = (offer_id, pos)
             self.route_succ.pop(node_id, None)
             for other in self.transfer_adj.pop(node_id, set()):
                 self.transfer_adj[other].discard(node_id)
+        self.adjacency_cache.clear()
 
 
 def build_graph(offers: list[TransferOffer], secrets: TosSecrets, id_bits: int) -> TransferGraph:
@@ -354,9 +425,15 @@ def assign_weights(graph: TransferGraph, preference: Preference) -> list[dict[st
 def _weighted_adjacency(
     graph: TransferGraph, weights: dict[str, float]
 ) -> dict[NodeId, list[tuple[NodeId, float]]]:
-    adj: dict[NodeId, list[tuple[NodeId, float]]] = {}
-    for node_id in graph.nodes:
-        adj[node_id] = [(v, weights[kind]) for v, kind in graph.neighbors(node_id)]
+    """Weighted out-edges of every node, cached on the graph per weighting."""
+    key = (weights["route"], weights["transfer"])
+    adj = graph.adjacency_cache.get(key)
+    if adj is None:
+        adj = {
+            node_id: [(v, weights[kind]) for v, kind in graph.neighbors(node_id)]
+            for node_id in graph.nodes
+        }
+        graph.adjacency_cache[key] = adj
     return adj
 
 
@@ -514,25 +591,23 @@ def find_paths(
     return SearchOutcome(selected, candidates, sources, destinations, truncated)
 
 
-def _matching_nodes(graph: TransferGraph, query: EncryptedIndex) -> list[NodeId]:
-    active = graph.active_nodes()
-    if not active:
-        return []
-    sims = crypto.similarity_matrix([query], [n.plus for n in active])[0]
-    target = graph.match_target
-    return [active[j].node_id for j in range(len(active)) if abs(sims[j] - target) < INTEGER_TOL]
-
-
 def search(
     graph: TransferGraph,
     request: TransferRequest,
     limit: int = DEFAULT_PATH_LIMIT,
+    pins: np.ndarray | None = None,
 ) -> SearchOutcome:
-    """Match a rider: pin source/destination nodes, then run the preference."""
+    """Match a rider: pin source/destination nodes, then run the preference.
+
+    pins is the request's two rows of graph.pin() (pick-up, drop-off),
+    computed earlier in the round; without it the request is pinned here.
+    """
     if not (request.pickup.unmasked and request.dropoff.unmasked):
         raise ValueError("search requires an unmasked request")
-    sources = _matching_nodes(graph, request.pickup)
-    destinations = _matching_nodes(graph, request.dropoff)
+    if pins is None:
+        pins = graph.pin([request.pickup, request.dropoff])
+    sources = graph.pinned(pins[0])
+    destinations = graph.pinned(pins[1])
     return find_paths(graph, sources, destinations, request.preference, limit)
 
 

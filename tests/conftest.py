@@ -1,19 +1,8 @@
-from types import SimpleNamespace
-
-import numpy as np
 import pytest
 
-from ridecloak import crypto
 from ridecloak.direct import SummaryConfig
 from ridecloak.service import RideService, ServiceConfig
-
-SMALL_CONFIG = dict(
-    filter_bits=320, n_hashes=4, id_bits=6, time_bits=4,
-    time_slots=48, max_items=60,
-)
-
-# one roll-up line per acceptance check, echoed after the test summary
-ACCEPTANCE_LINES = []
+from support import ACCEPTANCE_LINES, SMALL_CONFIG, make_crypto_env
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -21,22 +10,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance results")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-def make_crypto_env(dim: int, seed: int) -> SimpleNamespace:
-    rng = np.random.default_rng(seed)
-    master = crypto.generate_master_key(dim, rng)
-    secrets = crypto.generate_tos_secrets(dim, rng)
-    deriver = crypto.KeyDeriver(master, secrets)
-    return SimpleNamespace(
-        dim=dim,
-        rng=rng,
-        master=master,
-        secrets=secrets,
-        deriver=deriver,
-        driver=deriver.derive("driver", rng),
-        rider=deriver.derive("rider", rng),
-    )
 
 
 @pytest.fixture(scope="session")

@@ -155,6 +155,20 @@ def transfer_graph_edges(routes):
     return route_edges, transfer_edges
 
 
+def pinned_nodes(routes, exhausted, cell):
+    """Nodes of non-exhausted offers at exactly this (cell, interval), in route order.
+
+    routes: {offer_id: [(cell, interval), ...]} in insertion order.
+    """
+    return [
+        (oid, pos)
+        for oid, cells in routes.items()
+        if oid not in exhausted
+        for pos, pair in enumerate(cells)
+        if pair == cell
+    ]
+
+
 def _simple_paths(adjacency, sources, destinations):
     """Every simple path from any source to any destination, with its weight.
 

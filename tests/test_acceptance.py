@@ -10,9 +10,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import conftest
 import oracles
-from conftest import SMALL_CONFIG, make_crypto_env
+import support
+from support import SMALL_CONFIG, make_crypto_env
 from ridecloak import bloom, crypto, direct, service, sim, transfer
 from ridecloak.client import LoopbackTransport, ServiceClient
 from ridecloak.direct import MatchCase, OfferSpec, RequestSpec, SummaryConfig
@@ -25,7 +25,7 @@ TOL = 1e-3
 
 def report(number, ok, detail):
     line = f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}"
-    conftest.ACCEPTANCE_LINES.append(line)
+    support.ACCEPTANCE_LINES.append(line)
     print(line)
     assert ok, line
 

@@ -183,6 +183,9 @@ def test_encrypted_index_byte_round_trip(knn64):
     np.testing.assert_array_equal(back.parts, idx.parts)
     with pytest.raises(ValueError):
         crypto.EncryptedIndex.from_bytes(idx.to_bytes()[:-1])
+    for head in (b"\x02\x00", b"\x07\x00", b"\x00\x02"):
+        with pytest.raises(ValueError, match="byte must be 0 or 1"):
+            crypto.EncryptedIndex.from_bytes(head + idx.to_bytes()[2:])
 
 
 def test_key_material_round_trips(tmp_path, knn64):

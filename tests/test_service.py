@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import SMALL_CONFIG
+from support import SMALL_CONFIG
 from ridecloak import crypto, protocol, service, transfer
 from ridecloak.client import (
     LoopbackTransport,
@@ -209,6 +209,87 @@ def test_transfer_offer_needs_two_cells(small_service):
     reply, _ = protocol.decode_frame(small_service.dispatch(frame))
     code, message = protocol.decode_error(reply.payload)
     assert code is ErrorCode.BAD_STATE and "2 cells" in message
+
+
+def server_state(svc):
+    srv = svc.server
+    return (
+        set(srv.unused_tokens), set(srv.direct_offers), set(srv.direct_requests),
+        set(srv.transfer_offers), set(srv.transfer_requests), set(srv.graph.nodes),
+        srv.graph.edge_count(), srv._counter,
+    )
+
+
+def corrupt_nonfinite(blob, value):
+    parts = np.frombuffer(blob[6:], dtype="<f8").copy()
+    parts[len(parts) // 2] = value
+    return blob[:6] + parts.astype("<f8").tobytes()
+
+
+def corrupt_orientation(blob, _value):
+    return bytes([7]) + blob[1:]
+
+
+def corrupted_frames(driver, rider, corrupt, value):
+    """A direct offer, a transfer offer and a transfer request, each with one bad blob."""
+    rng = np.random.default_rng(9)
+    reg, rreg = driver.registration, rider.registration
+    keys = reg.keysets["direct-driver"]
+    direct_blob = protocol.index_blob(crypto.encrypt_index(np.zeros(keys.dim), keys, rng))
+    direct = protocol.DirectOfferPayload(
+        1, (MatchCase.AREA,), b"", [direct_blob] * 3 + [corrupt(direct_blob, value)]
+    )
+    offer = transfer.build_transfer_offer(
+        "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
+        reg.bundle.id_bits, reg.bundle.time_bits, 2, rng,
+    )
+    cells = [(protocol.index_blob(c.plus), protocol.index_blob(c.minus)) for c in offer.cells]
+    cells[1] = (corrupt(cells[1][0], value), cells[1][1])
+    request = transfer.build_transfer_request(
+        "local", (1, 1), (2, 1), rreg.keysets["transfer-rider"],
+        rreg.bundle.id_bits, rreg.bundle.time_bits, rng=rng,
+    )
+    routed = protocol.TransferRequestPayload(
+        contact=b"", preference=transfer.DEFAULT_PREFERENCE,
+        pickup=protocol.index_blob(request.pickup),
+        dropoff=corrupt(protocol.index_blob(request.dropoff), value),
+    )
+    return [
+        protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
+                              protocol.encode_submit_offer(direct)),
+        protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
+                              protocol.encode_submit_offer(protocol.TransferOfferPayload(2, b"", cells))),
+        protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(),
+                              protocol.encode_submit_request(routed)),
+    ]
+
+
+@pytest.mark.parametrize("corrupt, value", [
+    (corrupt_nonfinite, np.nan),
+    (corrupt_nonfinite, np.inf),
+    (corrupt_nonfinite, -np.inf),
+    (corrupt_orientation, None),
+])
+def test_impossible_ciphertexts_rejected_without_state_change(small_service, corrupt, value):
+    driver, rider = make_clients(small_service)
+    driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
+    for frame in corrupted_frames(driver, rider, corrupt, value):
+        before = server_state(small_service)
+        reply_bytes = small_service.dispatch(frame)
+        assert protocol.decode_frame(reply_bytes)[1] == b""
+        assert error_code(reply_bytes) is ErrorCode.MALFORMED
+        assert server_state(small_service) == before
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tokens_per_bundle", 70000), ("tokens_per_bundle", 0), ("filter_bits", 1),
+    ("default_capacity", 65536), ("path_limit", 0), ("match_threshold", -1), ("port", 70000),
+])
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig(**{field: value})
+    with pytest.raises(ValueError, match=field):
+        ServiceConfig.from_text(f"{field} = {value}\n")
 
 
 def test_junk_bytes_are_malformed(small_service):

@@ -1,10 +1,13 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
 import oracles
-from ridecloak import transfer
+from support import SMALL_CONFIG
+from ridecloak import crypto, transfer
+from ridecloak.service import ServiceConfig, TosServer, TransferMatchRecord
 from ridecloak.transfer import (
     Preference,
     PreferenceKind,
@@ -410,6 +413,168 @@ def test_update_graph_consumes_capacity(transfer_env):
 
     third = transfer.find_paths(graph, sources, dests, pref)
     assert third.selected is None and third.candidates == []
+
+
+def brute_force_pins(graph, query):
+    """Per-request pinning: one similarity per active node, in node order."""
+    return [
+        n.node_id
+        for n in graph.active_nodes()
+        if abs(crypto.match_similarity(query, n.plus) - graph.match_target) < transfer.INTEGER_TOL
+    ]
+
+
+def uncached_adjacency(graph, weights):
+    return {
+        nid: [(v, weights[kind]) for v, kind in graph.neighbors(nid)] for nid in graph.nodes
+    }
+
+
+def unmasked_queries(env, cells, seed):
+    vectors = np.stack([transfer.encode_cell(c, t, env.id_bits, env.time_bits) for c, t in cells])
+    rng = np.random.default_rng(seed)
+    return crypto.unmask_indices(crypto.encrypt_indices(vectors, env.minus, rng), env.secrets)
+
+
+def test_store_matches_brute_force_after_inserts_and_exhaustions(transfer_env):
+    """Store pinning equals a per-node loop, and edges link only live offers."""
+    env = transfer_env
+    rng = np.random.default_rng(61)
+    graph = TransferGraph(env.id_bits)
+    routes, exhausted = {}, set()
+    probes = [(c, t) for c in range(6) for t in range(2)]
+    for step in range(30):
+        if routes and rng.random() < 0.3:
+            oid = list(routes)[int(rng.integers(0, len(routes)))]
+            graph.remove_offer_edges(oid)
+            exhausted.add(oid)
+        else:
+            oid = f"o{step}"
+            length = int(rng.integers(2, 6))
+            cells = [(int(rng.integers(0, 6)), int(rng.integers(0, 2))) for _ in range(length)]
+            graph.add_offer(make_offer(env, oid, cells, seed=step), env.secrets)
+            routes[oid] = cells
+        live = {oid: cells for oid, cells in routes.items() if oid not in exhausted}
+        assert graph_edge_sets(graph) == oracles.transfer_graph_edges(live)
+        queries = unmasked_queries(env, probes, seed=step)
+        hits = graph.pin(queries)
+        assert hits.shape == (len(probes), len(graph.nodes))
+        for probe, query, row in zip(probes, queries, hits):
+            want = oracles.pinned_nodes(routes, exhausted, probe)
+            assert graph.pinned(row) == want
+            assert brute_force_pins(graph, query) == want
+    assert exhausted and len(routes) > len(exhausted)
+
+
+def test_stale_pins_rejected(transfer_env):
+    env = transfer_env
+    graph = make_graph(env, {"a": [(1, 0), (2, 0)]})
+    (query,) = unmasked_queries(env, [(1, 0)], seed=3)
+    hits = graph.pin([query])
+    assert graph.pinned(hits[0]) == [("a", 0)]
+    graph.add_offer(make_offer(env, "b", [(1, 0), (3, 0)], seed=4), env.secrets)
+    with pytest.raises(ValueError, match="rows"):
+        graph.pinned(hits[0])
+    with pytest.raises(ValueError, match="row-form"):
+        graph.pin([make_offer(env, "c", [(1, 0), (2, 0)]).cells[0].plus])
+
+
+def test_adjacency_cache_follows_inserts_and_exhaustion(transfer_env):
+    env = transfer_env
+    graph = make_graph(env, {"a": [(1, 0), (2, 0), (3, 0)], "b": [(2, 0), (4, 0)]})
+    cells = {"route": 1.0, "transfer": 0.0}
+    hops = {"route": 0.0, "transfer": 1.0}
+    first = transfer._weighted_adjacency(graph, cells)
+    assert transfer._weighted_adjacency(graph, cells) is first
+    assert first == uncached_adjacency(graph, cells)
+    assert transfer._weighted_adjacency(graph, hops) == uncached_adjacency(graph, hops)
+
+    graph.add_offer(make_offer(env, "c", [(3, 0), (4, 0)], seed=5), env.secrets)
+    inserted = transfer._weighted_adjacency(graph, cells)
+    assert inserted is not first and ("c", 0) in inserted
+    assert inserted == uncached_adjacency(graph, cells)
+    assert transfer._weighted_adjacency(graph, hops) == uncached_adjacency(graph, hops)
+
+    graph.remove_offer_edges("a")
+    exhausted = transfer._weighted_adjacency(graph, cells)
+    assert exhausted is not inserted and exhausted[("a", 0)] == []
+    assert exhausted == uncached_adjacency(graph, cells)
+    assert transfer._weighted_adjacency(graph, hops) == uncached_adjacency(graph, hops)
+
+
+ROUND_PREFERENCES = [
+    "min-cells", "min-transfers", "min-cells-transfers", "max-cells:6",
+    "max-transfers:1", "min-transfers-max-cells:7", "min-cells-max-transfers:1",
+    "max-cells-transfers:8,1",
+]
+
+
+def grid_walk(rng, side=4):
+    cell = int(rng.integers(0, side * side))
+    interval = int(rng.integers(0, 2))
+    walk = [cell]
+    for _ in range(int(rng.integers(2, 6))):
+        row, col = divmod(walk[-1], side)
+        steps = [(row + dr, col + dc) for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0))]
+        steps = [(r, c) for r, c in steps if 0 <= r < side and 0 <= c < side]
+        row, col = steps[int(rng.integers(0, len(steps)))]
+        walk.append(row * side + col)
+    return [(c, interval) for c in walk]
+
+
+def reference_round(graph, requests, limit):
+    """Serve requests one at a time: per-request pinning, adjacency rebuilt per pass."""
+    records = []
+    for request_id, request in requests.items():
+        outcome = transfer.find_paths(
+            graph,
+            brute_force_pins(graph, request.pickup),
+            brute_force_pins(graph, request.dropoff),
+            request.preference,
+            limit,
+        )
+        if outcome.selected is None:
+            continue
+        transfer.update_graph(graph, outcome.selected)
+        records.append(TransferMatchRecord(request_id, outcome.selected, outcome.truncated))
+    return records
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_round_matching_equals_per_request_reference(transfer_env, monkeypatch, seed):
+    env = transfer_env
+    rng = np.random.default_rng(700 + seed)
+    server = TosServer(ServiceConfig(**SMALL_CONFIG), env.secrets, env.secrets, 1, 0)
+    stops = []
+    for i in range(12):
+        cells = grid_walk(rng)
+        offer = make_offer(env, f"o{i}", cells, capacity=int(rng.integers(1, 3)), seed=100 * seed + i)
+        server.graph.add_offer(offer, env.secrets)
+        server.transfer_offers[offer.offer_id] = offer
+        stops.extend(cells)
+    for j in range(20):
+        pickup, dropoff = (stops[int(k)] for k in rng.integers(0, len(stops), 2))
+        request = build_transfer_request(
+            f"r{j}", pickup, dropoff, env.minus, env.id_bits, env.time_bits,
+            Preference.parse(ROUND_PREFERENCES[j % len(ROUND_PREFERENCES)]),
+            rng=np.random.default_rng(1000 * seed + j),
+        )
+        request.pickup, request.dropoff = crypto.unmask_indices(
+            [request.pickup, request.dropoff], env.secrets
+        )
+        server.transfer_requests[request.request_id] = request
+    graph = copy.deepcopy(server.graph)
+    requests = dict(server.transfer_requests)
+
+    got = server.run_transfer_matching()
+    with monkeypatch.context() as patch:
+        patch.setattr(transfer, "_weighted_adjacency", uncached_adjacency)
+        want = reference_round(graph, requests, server.config.path_limit)
+    assert got == want
+    assert server.graph.exhausted == graph.exhausted
+    assert server.graph.capacity == graph.capacity
+    # the round served riders and exhausted offers part-way through
+    assert got and server.graph.exhausted
 
 
 def test_update_graph_unknown_offer(transfer_env):
