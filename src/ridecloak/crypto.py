@@ -386,8 +386,14 @@ def encrypt_index(vec: np.ndarray, keys: UserKeySet, rng: np.random.Generator) -
     return encrypt_indices(vec[None, :], keys, rng)[0]
 
 
-def unmask_indices(indexes: list[EncryptedIndex], secrets: TosSecrets) -> list[EncryptedIndex]:
-    """Apply the server secrets to a batch of same-orientation indexes."""
+def unmask_indices(
+    indexes: list[EncryptedIndex], secrets: TosSecrets, out: list[np.ndarray] | None = None
+) -> list[EncryptedIndex]:
+    """Apply the server secrets to a batch of same-orientation indexes.
+
+    With `out`, one (8, dim) array per index, the cleared parts are
+    written there and the returned indexes are views of them.
+    """
     if not indexes:
         return []
     orientation = indexes[0].orientation
@@ -404,11 +410,12 @@ def unmask_indices(indexes: list[EncryptedIndex], secrets: TosSecrets) -> list[E
         cleared = stacked @ secrets.index_mask.T
     else:
         cleared = stacked @ secrets.query_mask_inv
-    out = []
-    for j, idx in enumerate(indexes):
-        block = cleared[j * PART_COUNT : (j + 1) * PART_COUNT]
-        out.append(EncryptedIndex(orientation, block, unmasked=True))
-    return out
+    blocks = cleared.reshape(len(indexes), PART_COUNT, secrets.dim)
+    if out is not None:
+        for dst, block in zip(out, blocks, strict=True):
+            dst[...] = block
+        blocks = out
+    return [EncryptedIndex(orientation, block, unmasked=True) for block in blocks]
 
 
 def unmask_index(index: EncryptedIndex, secrets: TosSecrets) -> EncryptedIndex:

@@ -14,7 +14,9 @@ checking, on unmasked indexes only:
     extended: driver drop-off cell on the rider's route
 
 Integer-valued gates are tested within +-0.5, which absorbs the numeric
-noise of the encryption round trip.
+noise of the encryption round trip. The server keeps its offers and pending
+requests in two columnar pools (`OfferPool`, `RequestPool`) that
+`match_all` reads in place.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import crypto
+from . import crypto, kernels
 from .bloom import BloomFilter, slot_vector
 from .crypto import EncryptedIndex, TosSecrets, UserKeySet
 
@@ -244,68 +246,241 @@ def unmask_requests(requests: list[DirectRequest], secrets: TosSecrets) -> list[
     ]
 
 
-def _hit(value: float, target: float) -> bool:
-    return abs(value - target) < INTEGER_TOL
+def _hits(values: np.ndarray, target: float) -> np.ndarray:
+    return np.abs(values - target) < INTEGER_TOL
+
+
+# Index kinds, in the order of DirectOffer.indexes() / DirectRequest.indexes().
+PICKUP, DROPOFF, ROUTE, TIME = range(4)
+_CASES = tuple(MatchCase)  # a case's code is its position here
+POOL_ROWS = 16  # rows a new pool allocates; it doubles whenever it fills up
+
+
+class _Pool:
+    """Unmasked ciphertexts of stored submissions, one row per submission.
+
+    `kinds[kind]` is one contiguous (rows, 8*dim) float64 matrix per index
+    kind, so a matching round's GEMMs read the used prefix in place.
+    `live` marks the rows that hold a current submission and `seq` their
+    arrival order. A freed row keeps its stale ciphertext, masked out by
+    `live`, until the next submission overwrites it or the pool is
+    cleared.
+    """
+
+    orientation = ""
+    _row_arrays = ("live", "seq")  # per-row arrays that grow and clear with `kinds`
+
+    def __init__(self, dim: int, rows: int = POOL_ROWS):
+        self.dim = dim
+        self.kinds = [np.zeros((rows, crypto.PART_COUNT * dim)) for _ in range(4)]
+        self.live = np.zeros(rows, dtype=bool)
+        self.seq = np.zeros(rows, dtype=np.int64)
+        self.ids: list[str | None] = [None] * rows
+        self.used = 0  # rows [0, used) were written since the last clear
+        self._free: list[int] = []
+        self._arrivals = 0
+
+    @classmethod
+    def of(cls, items: list) -> "_Pool":
+        """A pool holding already unmasked offers or requests, in list order."""
+        dim = items[0].pickup.dim
+        pool = cls(dim, rows=len(items))
+        for item in items:
+            indexes = item.indexes()
+            for idx in indexes:
+                if not idx.unmasked or idx.orientation != cls.orientation or idx.dim != dim:
+                    raise ValueError(
+                        f"{cls.__name__} takes unmasked {cls.orientation}-form indexes of dim {dim}"
+                    )
+            row = pool.next_row()
+            for part, idx in zip(pool.row_parts(row), indexes):
+                part[...] = idx.parts
+            pool._admit(row, item)
+        return pool
+
+    def __len__(self) -> int:
+        return int(self.open_rows().sum())
+
+    def open_rows(self) -> np.ndarray:
+        """Mask over the used prefix of the rows a matching round may pair."""
+        return self.live[: self.used]
+
+    def next_row(self) -> int:
+        """Row the next submission is written into; the pool grows if full."""
+        if self._free:
+            return self._free[-1]
+        if self.used == len(self.live):
+            self._grow()
+        return self.used
+
+    def row_parts(self, row: int) -> list[np.ndarray]:
+        """(8, dim) views of one row's pick-up, drop-off, route and time parts."""
+        return [m[row].reshape(crypto.PART_COUNT, self.dim) for m in self.kinds]
+
+    def indexes(self, row: int) -> list[EncryptedIndex]:
+        return [EncryptedIndex(self.orientation, p, unmasked=True) for p in self.row_parts(row)]
+
+    def add(self, row: int, item_id: str) -> None:
+        """Make `row`, as returned by `next_row`, the newest live row."""
+        if self._free and self._free[-1] == row:
+            self._free.pop()
+        elif row == self.used:
+            self.used += 1
+        else:
+            raise ValueError(f"row {row} is not the pool's next row")
+        self.live[row] = True
+        self.seq[row] = self._arrivals
+        self._arrivals += 1
+        self.ids[row] = item_id
+
+    def _grow(self) -> None:
+        rows = 2 * len(self.live)
+        for k, old in enumerate(self.kinds):  # one kind at a time keeps the copy peak small
+            self.kinds[k] = np.zeros((rows, old.shape[1]))
+            self.kinds[k][: self.used] = old[: self.used]
+            del old
+        for name in self._row_arrays:
+            old = getattr(self, name)
+            new = np.zeros((rows, *old.shape[1:]), dtype=old.dtype)
+            new[: len(old)] = old
+            setattr(self, name, new)
+        self.ids.extend([None] * (rows - len(self.ids)))
+
+    def clear(self) -> None:
+        """Empty the pool in place, zeroing every row used since the last clear."""
+        for m in self.kinds:
+            m[: self.used] = 0.0
+        for name in self._row_arrays:
+            getattr(self, name)[: self.used] = 0
+        self.ids = [None] * len(self.ids)
+        self.used = 0
+        self._free.clear()
+        self._arrivals = 0
+
+
+class OfferPool(_Pool):
+    """Stored offers, with each row's seats left and accepted cases.
+
+    `cases[row]` lists the codes of the accepted drop-off cases in the
+    driver's order, padded with -1.
+    """
+
+    orientation = "column"
+    _row_arrays = ("live", "seq", "remaining", "cases")
+
+    def __init__(self, dim: int, rows: int = POOL_ROWS):
+        super().__init__(dim, rows)
+        self.remaining = np.zeros(rows, dtype=np.int64)
+        self.cases = np.zeros((rows, len(_CASES)), dtype=np.int8)
+
+    def add(self, row: int, offer_id: str, capacity: int, cases) -> None:
+        # a repeated case can never decide a match, so only first mentions count
+        codes = list(dict.fromkeys(_CASES.index(c) for c in cases))
+        super().add(row, offer_id)
+        self.remaining[row] = capacity
+        self.cases[row] = codes + [-1] * (len(_CASES) - len(codes))
+
+    def _admit(self, row: int, offer: DirectOffer) -> None:
+        self.add(row, offer.offer_id, offer.capacity, offer.cases)
+
+    def open_rows(self) -> np.ndarray:
+        return self.live[: self.used] & (self.remaining[: self.used] > 0)
+
+
+class RequestPool(_Pool):
+    """Pending requests; a row freed by a match takes the next request."""
+
+    orientation = "row"
+
+    def _admit(self, row: int, request: DirectRequest) -> None:
+        self.add(row, request.request_id)
+
+    def release(self, row: int) -> None:
+        self.live[row] = False
+        self.ids[row] = None
+        self._free.append(row)
+
+
+@dataclass(eq=False)
+class PoolEntry:
+    """A stored submission: its contact blob and the pool row of its indexes."""
+
+    pool: _Pool
+    row: int
+    contact: bytes = b""
+
+    def indexes(self) -> list[EncryptedIndex]:
+        """Views of the pool row, so no ciphertext is held twice."""
+        return self.pool.indexes(self.row)
+
+
+def _gated_pairs(
+    offers: OfferPool, requests: RequestPool, n_hashes: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(request row, offer row, case code) of every open pair that passes all gates.
+
+    Time and pick-up are two GEMMs over the used prefixes; the drop-off
+    cases are row-wise dots on the pairs that survive them, so the server
+    learns no case similarity of a pair that fails a gate.
+    """
+    q, o = requests.kinds, offers.kinds
+    nr, no = requests.used, offers.used
+    ok = requests.open_rows()[:, None] & offers.open_rows()[None, :]
+    ok &= _hits(kernels.cross_dots(q[TIME][:nr], o[TIME][:no]), 1.0)
+    ok &= _hits(kernels.cross_dots(q[PICKUP][:nr], o[PICKUP][:no]), n_hashes)
+    ri, oj = np.nonzero(ok)
+    hit = np.stack([  # (case code, pair)
+        _hits(kernels.paired_dots(q[DROPOFF][ri], o[DROPOFF][oj]), n_hashes),
+        _hits(kernels.paired_dots(q[DROPOFF][ri], o[ROUTE][oj]), n_hashes),
+        _hits(kernels.paired_dots(q[ROUTE][ri], o[DROPOFF][oj]), n_hashes),
+    ])
+    order = offers.cases[oj]  # (pair, rank) -> case code, -1 past the last
+    accept = (order >= 0) & hit[order, np.arange(len(oj))[:, None]]
+    found = accept.any(axis=1)
+    codes = order[np.arange(len(oj)), accept.argmax(axis=1)]
+    return ri[found], oj[found], codes[found]
+
+
+def match_all(
+    offers: OfferPool | list[DirectOffer],
+    requests: RequestPool | list[DirectRequest],
+    n_hashes: int,
+) -> list[DirectMatch]:
+    """Greedy assignment: requests in arrival order, first feasible offer.
+
+    Offers are tried in arrival order and each serves at most its seats
+    left. Lists of unmasked offers and requests are loaded into pools
+    first. The pools are only read.
+    """
+    if not offers or not requests:
+        return []
+    if not isinstance(offers, OfferPool):
+        offers = OfferPool.of(offers)
+    if not isinstance(requests, RequestPool):
+        requests = RequestPool.of(requests)
+    if offers.dim != requests.dim:
+        raise ValueError(f"dim mismatch: offers {offers.dim}, requests {requests.dim}")
+    ri, oj, codes = _gated_pairs(offers, requests, n_hashes)
+    order = np.lexsort((offers.seq[oj], requests.seq[ri]))
+    seats: dict[int, int] = {}
+    served: set[int] = set()
+    matches = []
+    for r, o, code in zip(ri[order].tolist(), oj[order].tolist(), codes[order].tolist()):
+        left = seats.get(o, int(offers.remaining[o]))
+        if r in served or left <= 0:
+            continue
+        seats[o] = left - 1
+        served.add(r)
+        matches.append(DirectMatch(requests.ids[r], offers.ids[o], _CASES[code]))
+    return matches
 
 
 def match_pair(
     offer: DirectOffer, request: DirectRequest, n_hashes: int
 ) -> MatchCase | None:
-    """First acceptable drop-off case for one offer/request pair, if any."""
-    if not _hit(crypto.match_similarity(request.time, offer.time), 1.0):
-        return None
-    if not _hit(crypto.match_similarity(request.pickup, offer.pickup), n_hashes):
-        return None
-    for case in offer.cases:
-        if case is MatchCase.AREA:
-            value = crypto.match_similarity(request.dropoff, offer.dropoff)
-        elif case is MatchCase.ROUTE:
-            value = crypto.match_similarity(request.dropoff, offer.route)
-        else:
-            value = crypto.match_similarity(request.route, offer.dropoff)
-        if _hit(value, n_hashes):
-            return case
-    return None
+    """First acceptable drop-off case for one offer/request pair, if any.
 
-
-def match_all(
-    offers: list[DirectOffer], requests: list[DirectRequest], n_hashes: int
-) -> list[DirectMatch]:
-    """Greedy assignment: requests in arrival order, first feasible offer.
-
-    Each offer serves at most its capacity. All pair similarities are
-    computed in batched kernel calls up front; the greedy loop then only
-    reads them.
+    A one-pair round of `match_all`, so an offer without seats never matches.
     """
-    if not offers or not requests:
-        return []
-    time_s = crypto.similarity_matrix([r.time for r in requests], [o.time for o in offers])
-    pick_s = crypto.similarity_matrix([r.pickup for r in requests], [o.pickup for o in offers])
-    case_s = {
-        MatchCase.AREA: crypto.similarity_matrix(
-            [r.dropoff for r in requests], [o.dropoff for o in offers]
-        ),
-        MatchCase.ROUTE: crypto.similarity_matrix(
-            [r.dropoff for r in requests], [o.route for o in offers]
-        ),
-        MatchCase.EXTENDED: crypto.similarity_matrix(
-            [r.route for r in requests], [o.dropoff for o in offers]
-        ),
-    }
-    remaining = {o.offer_id: o.capacity for o in offers}
-    matches = []
-    for i, request in enumerate(requests):
-        for j, offer in enumerate(offers):
-            if remaining[offer.offer_id] <= 0:
-                continue
-            if not (_hit(time_s[i, j], 1.0) and _hit(pick_s[i, j], n_hashes)):
-                continue
-            case = next(
-                (c for c in offer.cases if _hit(case_s[c][i, j], n_hashes)), None
-            )
-            if case is None:
-                continue
-            remaining[offer.offer_id] -= 1
-            matches.append(DirectMatch(request.request_id, offer.offer_id, case))
-            break
-    return matches
+    matches = match_all([offer], [request], n_hashes)
+    return matches[0].case if matches else None

@@ -20,7 +20,7 @@ import hashlib
 import secrets as sysrandom
 import socketserver
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 
 # Inclusive (low, high) per config field; high is the width of the field
-# on the wire (key bundle header, token count, offer capacity, TCP port).
+# on the wire (key bundle header, token count, TCP port).
 _CONFIG_BOUNDS: dict[str, tuple[int, int | None]] = {
     "filter_bits": (2, _U32),
     "n_hashes": (1, _U32),
@@ -41,7 +41,6 @@ _CONFIG_BOUNDS: dict[str, tuple[int, int | None]] = {
     "time_bits": (1, _U32),
     "time_slots": (1, _U32),
     "max_items": (1, _U32),
-    "default_capacity": (1, _U16),
     "path_limit": (1, None),
     "match_threshold": (0, None),
     "tokens_per_bundle": (1, _U16),
@@ -59,7 +58,6 @@ class ServiceConfig:
     time_bits: int = 25
     time_slots: int = 48
     max_items: int = 60
-    default_capacity: int = 5
     path_limit: int = 10_000
     match_threshold: int = 0  # pending requests that auto-trigger a round; 0 = manual
     tokens_per_bundle: int = 32
@@ -190,9 +188,10 @@ class TosServer:
         self.epoch = epoch
         self.salt = salt
         self.unused_tokens: set[bytes] = set()
-        self.direct_offers: dict[str, direct.DirectOffer] = {}
-        self.direct_remaining: dict[str, int] = {}
-        self.direct_requests: dict[str, direct.DirectRequest] = {}
+        self.offer_pool = direct.OfferPool(config.filter_bits)
+        self.request_pool = direct.RequestPool(config.filter_bits)
+        self.direct_offers: dict[str, direct.PoolEntry] = {}
+        self.direct_requests: dict[str, direct.PoolEntry] = {}
         self.graph = transfer.TransferGraph(config.id_bits)
         self.transfer_offers: dict[str, transfer.TransferOffer] = {}
         self.transfer_requests: dict[str, transfer.TransferRequest] = {}
@@ -207,11 +206,18 @@ class TosServer:
         self._counter += 1
         return f"{prefix}{self._counter}-{self._id_rng.token_hex(4)}"
 
-    def _consume_token(self, token: bytes) -> None:
+    @property
+    def direct_remaining(self) -> dict[str, int]:
+        """Seats left per stored direct offer."""
+        seats = self.offer_pool.remaining
+        return {oid: int(seats[e.row]) for oid, e in self.direct_offers.items()}
+
+    def _check_token(self, token: bytes) -> bytes:
+        """Digest of an unused token; the caller discards it once the submission is stored."""
         digest = _token_digest(token)
         if digest not in self.unused_tokens:
             raise ProtocolError(ErrorCode.BAD_TOKEN, "unknown or already-used token")
-        self.unused_tokens.discard(digest)
+        return digest
 
     def _check_epoch(self, frame: Frame) -> None:
         if frame.epoch != self.epoch:
@@ -240,6 +246,7 @@ class TosServer:
 
     def handle_submit_offer(self, frame: Frame) -> bytes:
         self._check_epoch(frame)
+        token = self._check_token(frame.token)
         payload = protocol.decode_submit_offer(frame.payload)
         if isinstance(payload, protocol.DirectOfferPayload):
             if payload.capacity < 1:
@@ -248,14 +255,12 @@ class TosServer:
                 raise ProtocolError(ErrorCode.BAD_STATE, "offer must accept at least one case")
             dims = self.config.filter_bits
             indexes = [self._decode_index(b, "column", dims) for b in payload.indexes]
+            pool = self.offer_pool
+            row = pool.next_row()
+            crypto.unmask_indices(indexes, self.secrets_direct, out=pool.row_parts(row))
             offer_id = self._assign_id("do")
-            offer = direct.DirectOffer(
-                offer_id, payload.capacity, payload.cases, *indexes, contact=payload.contact
-            )
-            unmasked = direct.unmask_offers([offer], self.secrets_direct)[0]
-            self._consume_token(frame.token)
-            self.direct_offers[offer_id] = unmasked
-            self.direct_remaining[offer_id] = payload.capacity
+            pool.add(row, offer_id, payload.capacity, payload.cases)
+            self.direct_offers[offer_id] = direct.PoolEntry(pool, row, payload.contact)
         else:
             if payload.capacity < 1:
                 raise ProtocolError(ErrorCode.BAD_STATE, "capacity must be >= 1")
@@ -271,24 +276,26 @@ class TosServer:
             ]
             offer_id = self._assign_id("to")
             offer = transfer.TransferOffer(offer_id, payload.capacity, cells, payload.contact)
-            self._consume_token(frame.token)
             self.graph.add_offer(offer, self.secrets_transfer)
             self.transfer_offers[offer_id] = offer
+        self.unused_tokens.discard(token)
         return protocol.encode_frame(
             MsgType.SUBMIT_OFFER, self.epoch, protocol.ZERO_TOKEN, protocol.encode_ack(offer_id)
         )
 
     def handle_submit_request(self, frame: Frame) -> bytes:
         self._check_epoch(frame)
+        token = self._check_token(frame.token)
         payload = protocol.decode_submit_request(frame.payload)
         if isinstance(payload, protocol.DirectRequestPayload):
             dims = self.config.filter_bits
             indexes = [self._decode_index(b, "row", dims) for b in payload.indexes]
+            pool = self.request_pool
+            row = pool.next_row()
+            crypto.unmask_indices(indexes, self.secrets_direct, out=pool.row_parts(row))
             request_id = self._assign_id("dr")
-            request = direct.DirectRequest(request_id, *indexes, contact=payload.contact)
-            unmasked = direct.unmask_requests([request], self.secrets_direct)[0]
-            self._consume_token(frame.token)
-            self.direct_requests[request_id] = unmasked
+            pool.add(row, request_id)
+            self.direct_requests[request_id] = direct.PoolEntry(pool, row, payload.contact)
         else:
             dims = self.config.cell_vector_bits
             pickup = self._decode_index(payload.pickup, "row", dims)
@@ -298,8 +305,8 @@ class TosServer:
             request = transfer.TransferRequest(
                 request_id, cleared[0], cleared[1], payload.preference, payload.contact
             )
-            self._consume_token(frame.token)
             self.transfer_requests[request_id] = request
+        self.unused_tokens.discard(token)
         pending = len(self.direct_requests) + len(self.transfer_requests)
         if self.config.match_threshold and pending >= self.config.match_threshold:
             self.run_matching()
@@ -331,18 +338,13 @@ class TosServer:
     # -- matching -------------------------------------------------------------
 
     def run_direct_matching(self) -> list[DirectMatchRecord]:
-        offers = [
-            replace(o, capacity=self.direct_remaining[o.offer_id])
-            for o in self.direct_offers.values()
-            if self.direct_remaining[o.offer_id] > 0
-        ]
-        requests = list(self.direct_requests.values())
-        matches = direct.match_all(offers, requests, self.config.n_hashes)
+        matches = direct.match_all(self.offer_pool, self.request_pool, self.config.n_hashes)
         records = []
         for match in matches:
             offer = self.direct_offers[match.offer_id]
             request = self.direct_requests.pop(match.request_id)
-            self.direct_remaining[match.offer_id] -= 1
+            self.offer_pool.remaining[offer.row] -= 1
+            self.request_pool.release(request.row)
             self._queue(
                 protocol.DirectNotification(
                     match.request_id, match.offer_id, match.case, offer.contact
@@ -395,14 +397,19 @@ class TosServer:
         return [*self.run_direct_matching(), *self.run_transfer_matching()]
 
     def apply_rotation(self, epoch: int, salt: int) -> protocol.EpochAnnounce:
-        """New epoch: drop all pending trip state; tokens stay valid."""
+        """New epoch: drop all pending trip state; tokens stay valid.
+
+        The direct pools are emptied in place: their used rows are zeroed,
+        and their allocation is kept for the next epoch.
+        """
         purged_offers = len(self.direct_offers) + len(self.transfer_offers)
         purged_requests = len(self.direct_requests) + len(self.transfer_requests)
         self.epoch = epoch
         self.salt = salt
         self.direct_offers.clear()
-        self.direct_remaining.clear()
         self.direct_requests.clear()
+        self.offer_pool.clear()
+        self.request_pool.clear()
         self.transfer_offers.clear()
         self.transfer_requests.clear()
         self.graph = transfer.TransferGraph(self.config.id_bits)

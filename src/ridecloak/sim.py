@@ -553,7 +553,6 @@ class ExperimentConfig:
             time_bits=self.time_bits,
             time_slots=self.time_slots,
             max_items=self.max_items,
-            default_capacity=self.capacity,
             path_limit=self.path_limit,
             tokens_per_bundle=tokens_per_bundle,
         )

@@ -2,7 +2,9 @@
 
 Everything here recomputes expected results from plain values (ints, sets,
 tuples) without calling into the package, so a product regression cannot
-hide inside the oracle. Several functions freeze design decisions (hash
+hide inside the oracle. The one exception, `direct_greedy_reference`,
+reads the ciphertext arrays of unmasked package objects, but does its own
+arithmetic on them with numpy. Several functions freeze design decisions (hash
 preimage layout, sizing formula, weight epsilon): if a refactor changes
 those, a test fails here first.
 """
@@ -13,6 +15,8 @@ import hashlib
 import itertools
 import math
 import struct
+
+import numpy as np
 
 DAY_SECONDS = 86400
 
@@ -105,6 +109,59 @@ def summary_case(offer, request, time_slots, bits, n_hashes, epoch, salt):
         if case == "extended" and len(bit_set(o_drop) & bit_set(r_route)) == n_hashes:
             return case
     return None
+
+
+def summary_gates(offer, request, time_slots, bits, n_hashes, epoch, salt):
+    """Whether a pair passes the time and pick-up gates on raw summary bits."""
+    o_pick, _drop, _route, o_depart, _cap, _cases = offer
+    r_pick, _drop, _route, r_time = request
+    if slot_of(r_time, time_slots) != slot_of(o_depart, time_slots):
+        return False
+    picked = summary_bits([r_pick], bits, n_hashes, epoch, salt)
+    return len(picked & summary_bits(o_pick, bits, n_hashes, epoch, salt)) == n_hashes
+
+
+def direct_greedy_reference(offers, requests, n_hashes, tol=0.5):
+    """The object-list direct matcher that the pooled one replaced.
+
+    offers and requests are unmasked DirectOffer / DirectRequest objects
+    in arrival order, offers carrying their seats left as `capacity`.
+    Every similarity is one all-pairs product of the stacked (8*dim,)
+    parts. Returns (request_id, offer_id, case) triples in request order.
+    """
+    if not offers or not requests:
+        return []
+
+    def sims(queries, columns):
+        q = np.stack([idx.parts.reshape(-1) for idx in queries])
+        o = np.stack([idx.parts.reshape(-1) for idx in columns])
+        return q @ o.T
+
+    def hit(value, target):
+        return abs(value - target) < tol
+
+    time_s = sims([r.time for r in requests], [o.time for o in offers])
+    pick_s = sims([r.pickup for r in requests], [o.pickup for o in offers])
+    case_s = {
+        "area": sims([r.dropoff for r in requests], [o.dropoff for o in offers]),
+        "route": sims([r.dropoff for r in requests], [o.route for o in offers]),
+        "extended": sims([r.route for r in requests], [o.dropoff for o in offers]),
+    }
+    remaining = {o.offer_id: o.capacity for o in offers}
+    matches = []
+    for i, request in enumerate(requests):
+        for j, offer in enumerate(offers):
+            if remaining[offer.offer_id] <= 0:
+                continue
+            if not (hit(time_s[i, j], 1.0) and hit(pick_s[i, j], n_hashes)):
+                continue
+            case = next((c for c in offer.cases if hit(case_s[c.value][i, j], n_hashes)), None)
+            if case is None:
+                continue
+            remaining[offer.offer_id] -= 1
+            matches.append((request.request_id, offer.offer_id, case))
+            break
+    return matches
 
 
 def greedy_assign(offers, requests, gate):

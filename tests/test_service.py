@@ -213,11 +213,39 @@ def test_transfer_offer_needs_two_cells(small_service):
 
 def server_state(svc):
     srv = svc.server
+    pools = [
+        (p.used, p.live.tobytes(), [m.tobytes() for m in p.kinds])
+        for p in (srv.offer_pool, srv.request_pool)
+    ]
     return (
         set(srv.unused_tokens), set(srv.direct_offers), set(srv.direct_requests),
         set(srv.transfer_offers), set(srv.transfer_requests), set(srv.graph.nodes),
-        srv.graph.edge_count(), srv._counter,
+        srv.graph.edge_count(), srv._counter, pools, srv.direct_remaining,
     )
+
+
+def test_bogus_token_rejected_before_any_work(small_service, monkeypatch):
+    driver, rider = make_clients(small_service)
+    driver.submit_direct_offer(OFFER)
+    rider.submit_direct_request(REQUEST)
+    bogus = bytes(protocol.TOKEN_SIZE)
+    rng = np.random.default_rng(3)
+    keys = rider.registration.keysets["direct-rider"]
+    blob = protocol.index_blob(crypto.encrypt_index(np.zeros(keys.dim), keys, rng))
+    request = protocol.encode_frame(
+        MsgType.SUBMIT_REQUEST, rider.registration.epoch, bogus,
+        protocol.encode_submit_request(protocol.DirectRequestPayload(b"", [blob] * 4)),
+    )
+    unmasked = []
+    real = crypto.unmask_indices
+    monkeypatch.setattr(crypto, "unmask_indices", lambda *a, **k: unmasked.append(1) or real(*a, **k))
+    for frame in (offer_frame(driver, bogus), request):
+        before = server_state(small_service)
+        reply_bytes = small_service.dispatch(frame)
+        assert protocol.decode_frame(reply_bytes)[1] == b""
+        assert error_code(reply_bytes) is ErrorCode.BAD_TOKEN
+        assert server_state(small_service) == before
+    assert unmasked == []
 
 
 def corrupt_nonfinite(blob, value):
@@ -283,7 +311,7 @@ def test_impossible_ciphertexts_rejected_without_state_change(small_service, cor
 
 @pytest.mark.parametrize("field, value", [
     ("tokens_per_bundle", 70000), ("tokens_per_bundle", 0), ("filter_bits", 1),
-    ("default_capacity", 65536), ("path_limit", 0), ("match_threshold", -1), ("port", 70000),
+    ("path_limit", 0), ("match_threshold", -1), ("port", 70000),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
