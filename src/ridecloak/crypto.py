@@ -77,36 +77,6 @@ def _check_square(name: str, mat: np.ndarray, dim: int) -> None:
 
 
 @dataclass
-class SchemeParams:
-    """Dimensions shared by every party of one deployment.
-
-    filter_bits: width of the direct-service location/time vectors.
-    id_bits:     bits of a transfer-service cell identifier.
-    time_bits:   width of the transfer-service time interval one-hot block.
-    """
-
-    filter_bits: int
-    id_bits: int
-    time_bits: int
-    numeric_field: str = "float64"
-
-    def __post_init__(self) -> None:
-        if self.filter_bits < 2:
-            raise ValueError(f"filter_bits must be >= 2, got {self.filter_bits}")
-        if self.id_bits < 1:
-            raise ValueError(f"id_bits must be >= 1, got {self.id_bits}")
-        if self.time_bits < 1:
-            raise ValueError(f"time_bits must be >= 1, got {self.time_bits}")
-        if self.numeric_field != "float64":
-            raise ValueError(f"unsupported numeric field {self.numeric_field!r}")
-
-    @property
-    def cell_vector_bits(self) -> int:
-        """Width of a transfer-service cell vector: id, complement, time block."""
-        return 2 * self.id_bits + self.time_bits
-
-
-@dataclass
 class MasterKey:
     """Authority-held master key for one vector width.
 
@@ -300,16 +270,6 @@ class KeyDeriver:
         else:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
         return UserKeySet(role, master.dim, parts, master.split_pattern.copy())
-
-
-def derive_user_keys(
-    master: MasterKey,
-    secrets: TosSecrets,
-    role: str,
-    rng: np.random.Generator | int,
-) -> UserKeySet:
-    """One-shot derivation; use KeyDeriver directly when deriving many sets."""
-    return KeyDeriver(master, secrets).derive(role, rng)
 
 
 def split_vector(

@@ -1,7 +1,9 @@
-"""Numpy implementations of the matching hot kernels.
+"""The matching hot kernels: inner products of unmasked ciphertext rows.
 
-These are the fallback used when the compiled extension is unavailable,
-and the reference the extension is tested against.
+Every similarity the server computes is a sum of 8-part ciphertext dot
+products; both shapes it needs are numpy reductions here. Callers go
+through the module attribute (kernels.cross_dots(...)) so that a tracer
+can wrap the functions by name.
 """
 
 from __future__ import annotations

@@ -122,28 +122,28 @@ class _Writer:
     def __init__(self) -> None:
         self.buf = bytearray()
 
-    def u8(self, v: int) -> "_Writer":
-        self.buf += struct.pack("<B", v)
+    def _pack(self, fmt: str, v: int) -> "_Writer":
+        try:
+            self.buf += struct.pack(fmt, v)
+        except struct.error:
+            raise ProtocolError(ErrorCode.MALFORMED, f"{v!r} does not fit wire field {fmt}") from None
         return self
+
+    def u8(self, v: int) -> "_Writer":
+        return self._pack("<B", v)
 
     def u16(self, v: int) -> "_Writer":
-        self.buf += struct.pack("<H", v)
-        return self
+        return self._pack("<H", v)
 
     def u32(self, v: int) -> "_Writer":
-        self.buf += struct.pack("<I", v)
-        return self
+        return self._pack("<I", v)
 
     def u64(self, v: int) -> "_Writer":
-        self.buf += struct.pack("<Q", v)
-        return self
-
-    def f64(self, v: float) -> "_Writer":
-        self.buf += struct.pack("<d", v)
-        return self
+        return self._pack("<Q", v)
 
     def blob(self, data: bytes) -> "_Writer":
-        self.buf += struct.pack("<I", len(data)) + data
+        self.u32(len(data))
+        self.buf += data
         return self
 
     def text(self, s: str) -> "_Writer":
@@ -181,9 +181,6 @@ class _Reader:
 
     def u64(self) -> int:
         return self._take("<Q")
-
-    def f64(self) -> float:
-        return self._take("<d")
 
     def blob(self) -> bytes:
         size = self.u32()

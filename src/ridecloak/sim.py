@@ -545,6 +545,16 @@ class ExperimentConfig:
                 f"{self.rows * self.cols} cells do not fit in {self.id_bits} identifier bits"
             )
 
+    def workload(self) -> Workload:
+        """The seeded synthetic workload this configuration describes."""
+        return generate_workload(
+            GridCity(self.rows, self.cols), self.n_offers, self.n_requests, self.seed,
+            self.route_len_range, self.time_slots,
+            hit_rate=self.hit_rate, transfer_rate=self.transfer_rate,
+            capacity=self.capacity, align_slots=self.align_slots,
+            preference=self.preference,
+        )
+
     def service_config(self, tokens_per_bundle: int = 4096) -> ServiceConfig:
         return ServiceConfig(
             filter_bits=self.filter_bits,
@@ -562,7 +572,7 @@ CSV_FIELDS = [
     "scheme", "rows", "cols", "cell_count", "n_offers", "n_requests", "seed",
     "filter_bits", "n_hashes", "time_bits", "preference",
     "search_time_ms", "bytes_per_offer", "bytes_per_request",
-    "success_rate", "vehicle_service_rate", "preference_success_rate", "fpp_events",
+    "success_rate", "vehicle_service_rate", "fpp_events",
 ]
 
 
@@ -584,7 +594,6 @@ class MetricsReport:
     bytes_per_request: float
     success_rate: float
     vehicle_service_rate: float
-    preference_success_rate: float
     fpp_events: int
 
     def row(self) -> dict:
@@ -647,6 +656,58 @@ class ServicePool:
         return trio
 
 
+def submit_offers(
+    wl: Workload, scheme: str, driver: ServiceClient, perm: np.ndarray, time_bits: int
+) -> list[str]:
+    """Submit every offer of a workload, cells translated through perm; returns ids."""
+    if scheme == "direct":
+        return driver.submit_direct_offers([
+            OfferSpec(
+                o.offer_id,
+                tuple(int(perm[c]) for c in o.pickup_cells),
+                tuple(int(perm[c]) for c in o.dropoff_cells),
+                tuple(int(perm[c]) for c in o.route),
+                o.depart_seconds, o.capacity, o.cases,
+            )
+            for o in wl.offers
+        ])
+    return [
+        driver.submit_transfer_offer(
+            [
+                (int(perm[cell]), slot_index(o.time_at(pos), time_bits))
+                for pos, cell in enumerate(o.route)
+            ],
+            o.capacity,
+        )
+        for o in wl.offers
+    ]
+
+
+def submit_requests(
+    wl: Workload, scheme: str, rider: ServiceClient, perm: np.ndarray, time_bits: int
+) -> list[str]:
+    """Submit every request of a workload, cells translated through perm; returns ids."""
+    if scheme == "direct":
+        return rider.submit_direct_requests([
+            RequestSpec(
+                r.request_id,
+                int(perm[r.pickup]),
+                int(perm[r.dropoff]),
+                tuple(int(perm[c]) for c in r.route),
+                r.pickup_seconds,
+            )
+            for r in wl.requests
+        ])
+    return [
+        rider.submit_transfer_request(
+            (int(perm[r.pickup]), slot_index(r.pickup_seconds, time_bits)),
+            (int(perm[r.dropoff]), slot_index(r.dropoff_seconds, time_bits)),
+            r.preference,
+        )
+        for r in wl.requests
+    ]
+
+
 def _ensure_tokens(client: ServiceClient, needed: int) -> None:
     if len(client.registration.tokens) < needed:
         client.register(client.registration.role)
@@ -661,13 +722,7 @@ def run_experiment(
     """Full pipeline for one configuration: submit, match, measure."""
     city = GridCity(config.rows, config.cols)
     if workload is None:
-        workload = generate_workload(
-            city, config.n_offers, config.n_requests, config.seed,
-            config.route_len_range, config.time_slots,
-            hit_rate=config.hit_rate, transfer_rate=config.transfer_rate,
-            capacity=config.capacity, align_slots=config.align_slots,
-            preference=config.preference,
-        )
+        workload = config.workload()
     service, driver, rider = (pool or ServicePool()).acquire(config)
     _ensure_tokens(driver, len(workload.offers))
     _ensure_tokens(rider, len(workload.requests))
@@ -675,49 +730,11 @@ def run_experiment(
     perm = identifier_permutation(city.cell_count, epoch, salt)
 
     sent0 = driver.transport.sent_bytes
-    if config.scheme == "direct":
-        specs = [
-            OfferSpec(
-                o.offer_id,
-                tuple(int(perm[c]) for c in o.pickup_cells),
-                tuple(int(perm[c]) for c in o.dropoff_cells),
-                tuple(int(perm[c]) for c in o.route),
-                o.depart_seconds,
-                o.capacity,
-                o.cases,
-            )
-            for o in workload.offers
-        ]
-        driver.submit_direct_offers(specs)
-    else:
-        for o in workload.offers:
-            cells = [
-                (int(perm[cell]), slot_index(o.time_at(pos), config.time_bits))
-                for pos, cell in enumerate(o.route)
-            ]
-            driver.submit_transfer_offer(cells, o.capacity)
+    submit_offers(workload, config.scheme, driver, perm, config.time_bits)
     offer_bytes = driver.transport.sent_bytes - sent0
 
     sent0 = rider.transport.sent_bytes
-    if config.scheme == "direct":
-        rspecs = [
-            RequestSpec(
-                r.request_id,
-                int(perm[r.pickup]),
-                int(perm[r.dropoff]),
-                tuple(int(perm[c]) for c in r.route),
-                r.pickup_seconds,
-            )
-            for r in workload.requests
-        ]
-        rider.submit_direct_requests(rspecs)
-    else:
-        for r in workload.requests:
-            rider.submit_transfer_request(
-                (int(perm[r.pickup]), slot_index(r.pickup_seconds, config.time_bits)),
-                (int(perm[r.dropoff]), slot_index(r.dropoff_seconds, config.time_bits)),
-                r.preference,
-            )
+    submit_requests(workload, config.scheme, rider, perm, config.time_bits)
     request_bytes = rider.transport.sent_bytes - sent0
 
     start = time.perf_counter()
@@ -727,7 +744,6 @@ def run_experiment(
     matched = len(records)
     n_req = len(workload.requests)
     n_off = len(workload.offers)
-    success = matched / n_req if n_req else 0.0
 
     fpp_events = 0
     if config.scheme == "direct" and n_req and n_off:
@@ -753,9 +769,8 @@ def run_experiment(
         search_time_ms=search_time_ms,
         bytes_per_offer=offer_bytes / n_off if n_off else 0.0,
         bytes_per_request=request_bytes / n_req if n_req else 0.0,
-        success_rate=success,
+        success_rate=matched / n_req if n_req else 0.0,
         vehicle_service_rate=matched / n_off if n_off else 0.0,
-        preference_success_rate=success,
         fpp_events=fpp_events,
     )
 
@@ -784,16 +799,7 @@ def sweep_matrix(
                         n_requests=n_requests, seed=seed,
                     )
                     if wl is None:
-                        wl = generate_workload(
-                            GridCity(config.rows, config.cols),
-                            n_offers, n_requests, seed,
-                            config.route_len_range, config.time_slots,
-                            hit_rate=config.hit_rate,
-                            transfer_rate=config.transfer_rate,
-                            capacity=config.capacity,
-                            align_slots=config.align_slots,
-                            preference=config.preference,
-                        )
+                        wl = config.workload()
                     reports.append(run_experiment(config, workload=wl, pool=pool))
     return reports
 
@@ -828,14 +834,7 @@ def sweep_time_bits(
     reports = []
     for seed in seeds:
         config0 = replace(base, scheme="transfer", seed=seed)
-        wl = generate_workload(
-            GridCity(config0.rows, config0.cols),
-            config0.n_offers, config0.n_requests, seed,
-            config0.route_len_range, config0.time_slots,
-            hit_rate=config0.hit_rate, transfer_rate=config0.transfer_rate,
-            capacity=config0.capacity, align_slots=config0.align_slots,
-            preference=config0.preference,
-        )
+        wl = config0.workload()
         for bits in values:
             config = replace(config0, time_bits=bits)
             reports.append(run_experiment(config, workload=wl, pool=pool))
@@ -853,14 +852,7 @@ def sweep_request_prefixes(
     reports = []
     for seed in seeds:
         config0 = replace(base, seed=seed, n_requests=max(counts))
-        wl = generate_workload(
-            GridCity(config0.rows, config0.cols),
-            config0.n_offers, config0.n_requests, seed,
-            config0.route_len_range, config0.time_slots,
-            hit_rate=config0.hit_rate, transfer_rate=config0.transfer_rate,
-            capacity=config0.capacity, align_slots=config0.align_slots,
-            preference=config0.preference,
-        )
+        wl = config0.workload()
         for count in counts:
             config = replace(config0, n_requests=count)
             reports.append(run_experiment(config, workload=wl.prefix(count), pool=pool))

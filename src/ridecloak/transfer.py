@@ -30,10 +30,7 @@ Preference passes run a multi-source Dijkstra that records every
 equal-cost predecessor, then enumerate all minimal simple paths. The
 primary metric is weighted 1 and the other 0 in the set-defining pass, so
 the candidate set contains every path minimizing the primary count; the
-secondary metric is applied as a tie-break at selection time. The
-documented epsilon weighting (assign_weights) is equivalent for selection
-and is kept for analysis: its minimal-weight set is exactly the
-lexicographic (primary, secondary) minimum.
+secondary metric is applied as a tie-break at selection time.
 """
 
 from __future__ import annotations
@@ -387,11 +384,6 @@ def build_graph(offers: list[TransferOffer], secrets: TosSecrets, id_bits: int) 
     return graph
 
 
-def epsilon_for(graph: TransferGraph) -> float:
-    """Secondary-metric weight small enough never to reorder primary counts."""
-    return 1.0 / (4.0 * (graph.edge_count() + 1))
-
-
 _PRIMARY_OF = {
     PreferenceKind.MIN_CELLS: ("cells",),
     PreferenceKind.MAX_CELLS: ("cells",),
@@ -402,24 +394,6 @@ _PRIMARY_OF = {
     PreferenceKind.MIN_TRANSFERS_MAX_CELLS: ("transfers",),
     PreferenceKind.MIN_CELLS_TRANSFERS: ("cells", "transfers"),
 }
-
-
-def assign_weights(graph: TransferGraph, preference: Preference) -> list[dict[str, float]]:
-    """Edge weightings for each pass of a preference, epsilon on the secondary.
-
-    Returns one {'route': w, 'transfer': w} map per pass. With
-    eps < 1/(2 * edge_count) the minimal-weight paths under such a map are
-    exactly the paths minimizing the primary count with the secondary count
-    as tie-break.
-    """
-    eps = epsilon_for(graph)
-    maps = []
-    for primary in _PRIMARY_OF[preference.kind]:
-        if primary == "cells":
-            maps.append({"route": 1.0, "transfer": eps})
-        else:
-            maps.append({"route": eps, "transfer": 1.0})
-    return maps
 
 
 def _weighted_adjacency(

@@ -79,13 +79,6 @@ def test_match_command_transfer_to_stdout(tmp_path, capsys):
     assert len(rows) == 1 and rows[0]["scheme"] == "transfer"
 
 
-def test_bench_kernels(capsys):
-    assert main(["bench", "kernels", "--repeat", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "active backend:" in out
-    assert "python" in out
-
-
 def test_bench_requests_sweep(tmp_path):
     csv_path = tmp_path / "sweep.csv"
     code = main([
@@ -131,7 +124,7 @@ def test_runtime_errors_return_1(tmp_path, capsys):
     assert "diameter" in capsys.readouterr().err
 
 
-def test_serve_and_submit_round_trip(tmp_path, capsys):
+def serve_and_submit(tmp_path, capsys, scheme):
     wl_path = tmp_path / "wl.txt"
     write_small_workload(wl_path)
     cfg_path = tmp_path / "service.cfg"
@@ -157,7 +150,7 @@ def test_serve_and_submit_round_trip(tmp_path, capsys):
         while True:
             code = main([
                 "submit", "--workload", str(wl_path),
-                "--host", host, "--port", port, "--poll",
+                "--scheme", scheme, "--host", host, "--port", port, "--poll",
             ])
             if code == 0 or time.monotonic() > deadline:
                 break
@@ -165,7 +158,16 @@ def test_serve_and_submit_round_trip(tmp_path, capsys):
         assert code == 0
         out = capsys.readouterr().out
         assert "submitted 3 offers, 4 requests" in out
-        assert out.count("\n") > 1  # full-hit workload yields match notifications
+        # the full-hit workload yields match notifications of the submitted scheme
+        assert f"{scheme.capitalize()}Notification(" in out
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+def test_serve_and_submit_round_trip(tmp_path, capsys):
+    serve_and_submit(tmp_path, capsys, "direct")
+
+
+def test_serve_and_submit_transfer_round_trip(tmp_path, capsys):
+    serve_and_submit(tmp_path, capsys, "transfer")

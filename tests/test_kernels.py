@@ -1,68 +1,36 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from ridecloak import kernels
-from ridecloak.kernels import reference
-
-compiled = pytest.importorskip(
-    "ridecloak.kernels._simcore", reason="compiled kernel extension not built"
-)
 
 
-def test_default_backend_is_numpy():
-    assert kernels.BACKEND == "python"
-    assert kernels.paired_dots is reference.paired_dots
-
-
-def test_paired_dots_matches_reference():
+def test_paired_dots_equals_row_sums():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((37, 29))
     b = rng.standard_normal((37, 29))
-    np.testing.assert_allclose(compiled.paired_dots(a, b), reference.paired_dots(a, b), atol=1e-12)
+    np.testing.assert_allclose(kernels.paired_dots(a, b), (a * b).sum(1), atol=1e-12)
 
 
-def test_cross_dots_matches_reference():
+def test_cross_dots_equals_matmul():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((13, 41))
     b = rng.standard_normal((7, 41))
-    np.testing.assert_allclose(compiled.cross_dots(a, b), reference.cross_dots(a, b), atol=1e-12)
+    np.testing.assert_array_equal(kernels.cross_dots(a, b), a @ b.T)
 
 
-def test_shape_mismatch_raises_in_both_backends():
+def test_kernels_accept_strided_and_integer_inputs():
+    rng = np.random.default_rng(2)
+    a = rng.integers(-3, 4, (6, 10))
+    b = np.asfortranarray(rng.standard_normal((10, 6)).T)
+    np.testing.assert_allclose(kernels.paired_dots(a, b), (a * b).sum(1), atol=1e-12)
+    np.testing.assert_allclose(kernels.cross_dots(a[::2], b), a[::2] @ b.T, atol=1e-12)
+
+
+def test_shape_mismatch_raises():
     a = np.zeros((3, 4))
-    b = np.zeros((3, 5))
-    for impl in (compiled, reference):
-        with pytest.raises(ValueError):
-            impl.paired_dots(a, b)
-        with pytest.raises(ValueError):
-            impl.cross_dots(a, b)
-
-
-def _backend_in_subprocess(value: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, RIDECLOAK_KERNELS=value)
-    return subprocess.run(
-        [sys.executable, "-c", "from ridecloak import kernels; print(kernels.BACKEND)"],
-        env=env, capture_output=True, text=True,
-    )
-
-
-def test_env_forces_compiled_backend():
-    proc = _backend_in_subprocess("compiled")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "compiled"
-
-
-def test_env_forces_python_backend():
-    proc = _backend_in_subprocess("python")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "python"
-
-
-def test_env_rejects_unknown_backend():
-    proc = _backend_in_subprocess("fortran")
-    assert proc.returncode != 0
-    assert "RIDECLOAK_KERNELS" in proc.stderr
+    with pytest.raises(ValueError, match="shape mismatch"):
+        kernels.paired_dots(a, np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        kernels.paired_dots(a, np.zeros((1, 4)))  # einsum alone would broadcast this
+    with pytest.raises(ValueError, match="length mismatch"):
+        kernels.cross_dots(a, np.zeros((3, 5)))

@@ -170,6 +170,16 @@ def test_transfer_request_payload_round_trip(pref):
     assert back == payload
 
 
+@pytest.mark.parametrize("payload", [
+    DirectOfferPayload(-1, (MatchCase.AREA,), b"", [b"x"] * 4),
+    TransferOfferPayload(capacity=2, contact=b"", cells=[(b"x", b"y")] * 65536),
+], ids=["negative-capacity", "too-many-cells"])
+def test_out_of_range_fields_raise_protocol_error(payload):
+    with pytest.raises(ProtocolError) as exc_info:
+        protocol.encode_submit_offer(payload)
+    assert exc_info.value.code is ErrorCode.MALFORMED
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(ProtocolError, match="scheme"):
         protocol.decode_submit_offer(b"\x07")

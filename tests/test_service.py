@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from ridecloak.client import (
     TokenError,
 )
 from ridecloak.direct import MatchCase, OfferSpec, RequestSpec
-from ridecloak.protocol import ErrorCode, MsgType
+from ridecloak.protocol import ErrorCode, MsgType, ProtocolError
 from ridecloak.service import RideService, ServiceConfig, SocketServer
 
 
@@ -170,6 +172,19 @@ def test_out_of_tokens(small_service):
     driver.registration.tokens.clear()
     with pytest.raises(TokenError, match="tokens"):
         driver.submit_direct_offer(OFFER)
+
+
+def test_unencodable_offers_keep_tokens(small_service):
+    driver, _ = make_clients(small_service)
+    tokens = len(driver.registration.tokens)
+    before = server_state(small_service)
+    with pytest.raises(ProtocolError) as direct_exc:
+        driver.submit_direct_offer(replace(OFFER, capacity=65536))
+    with pytest.raises(ProtocolError) as transfer_exc:
+        driver.submit_transfer_offer([(1, 0), (2, 0)], capacity=65536)
+    assert direct_exc.value.code is transfer_exc.value.code is ErrorCode.MALFORMED
+    assert len(driver.registration.tokens) == tokens
+    assert server_state(small_service) == before
 
 
 def test_stale_epoch_rejected(small_service):

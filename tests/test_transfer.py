@@ -164,29 +164,6 @@ def test_incremental_add_equals_batch(transfer_env):
     assert graph_edge_sets(batch) == graph_edge_sets(reordered)
 
 
-def test_epsilon_small_enough(transfer_env):
-    graph = make_graph(transfer_env, {
-        "a": [(1, 0), (2, 0), (3, 0)],
-        "b": [(2, 0), (3, 0)],
-    })
-    edges = graph.edge_count()
-    assert edges > 0
-    eps = transfer.epsilon_for(graph)
-    assert eps == 1.0 / (4.0 * (edges + 1))
-    assert eps < 1.0 / (2.0 * edges)
-
-
-def test_assign_weights_maps(transfer_env):
-    graph = make_graph(transfer_env, {"a": [(1, 0), (2, 0)]})
-    eps = transfer.epsilon_for(graph)
-    maps = transfer.assign_weights(graph, Preference(PreferenceKind.MIN_CELLS))
-    assert maps == [{"route": 1.0, "transfer": eps}]
-    maps = transfer.assign_weights(graph, Preference(PreferenceKind.MIN_TRANSFERS))
-    assert maps == [{"route": eps, "transfer": 1.0}]
-    maps = transfer.assign_weights(graph, Preference(PreferenceKind.MIN_CELLS_TRANSFERS))
-    assert maps == [{"route": 1.0, "transfer": eps}, {"route": eps, "transfer": 1.0}]
-
-
 def test_dijkstra_single_edge():
     dist, preds = transfer.modified_dijkstra({1: [(2, 3.0)], 2: []}, [1])
     assert dist == {1: 0.0, 2: 3.0}
@@ -237,36 +214,6 @@ def random_routes(rng, n_offers=4):
         length = int(rng.integers(2, 6))
         routes[f"d{d}"] = [(int(rng.integers(0, 10)), 0) for _ in range(length)]
     return routes
-
-
-def test_epsilon_weights_give_lexicographic_minima(transfer_env):
-    """Primary-plus-epsilon weighting equals two-level lexicographic ranking."""
-    rng = np.random.default_rng(47)
-    checked = 0
-    for _ in range(12):
-        routes = random_routes(rng)
-        graph = make_graph(transfer_env, routes)
-        route_edges, transfer_edges = oracles.transfer_graph_edges(routes)
-        node_ids = sorted(graph.nodes)
-        sources = [node_ids[int(rng.integers(0, len(node_ids)))]]
-        destinations = [node_ids[int(rng.integers(0, len(node_ids)))]]
-        for kind, primary in (
-            (PreferenceKind.MIN_CELLS, "cells"),
-            (PreferenceKind.MIN_TRANSFERS, "transfers"),
-        ):
-            weights = transfer.assign_weights(graph, Preference(kind))[0]
-            adj = {
-                nid: [(v, weights[kw]) for v, kw in graph.neighbors(nid)]
-                for nid in graph.nodes
-            }
-            dist, preds = transfer.modified_dijkstra(adj, sources)
-            got, _ = transfer.enumerate_paths(preds, dist, sources, destinations)
-            want = oracles.lexicographic_paths(
-                route_edges, transfer_edges, sources, destinations, primary
-            )
-            assert set(got) == want
-            checked += bool(want)
-    assert checked >= 8
 
 
 def test_band_search_matches_brute_force_bands(transfer_env):
