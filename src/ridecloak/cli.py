@@ -10,7 +10,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import crypto
-from .client import ServiceClient, SocketTransport
+from .client import ServerError, ServiceClient, SocketTransport, TokenError
+from .protocol import ProtocolError
 from .service import RideService, ServiceConfig, SocketServer
 from .sim import (
     ExperimentConfig,
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ProtocolError, ServerError, TokenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,8 @@
 A client talks to the service purely through frames. The transport is
 pluggable: LoopbackTransport calls a RideService in process (handy for
 tests and simulation), SocketTransport speaks the same frames over TCP.
-Both count wire bytes so experiments can report communication overhead.
+Both return each reply decoded once, as a Frame, and count wire bytes so
+experiments can report communication overhead.
 """
 
 from __future__ import annotations
@@ -41,11 +42,14 @@ class LoopbackTransport:
         self.sent_bytes = 0
         self.received_bytes = 0
 
-    def request(self, data: bytes) -> bytes:
+    def request(self, data: bytes) -> Frame:
         self.sent_bytes += len(data)
         reply = self.service.dispatch(data)
         self.received_bytes += len(reply)
-        return reply
+        frame, rest = protocol.decode_frame(reply)
+        if rest:
+            raise ProtocolError(ErrorCode.MALFORMED, "trailing bytes in reply")
+        return frame
 
     def close(self) -> None:
         pass
@@ -59,15 +63,14 @@ class SocketTransport:
         self.sent_bytes = 0
         self.received_bytes = 0
 
-    def request(self, data: bytes) -> bytes:
+    def request(self, data: bytes) -> Frame:
         self.sock.sendall(data)
         self.sent_bytes += len(data)
         frame = protocol.read_frame(self.sock)
         if frame is None:
             raise ConnectionError("server closed the connection")
-        reply = protocol.encode_frame(frame.msg_type, frame.epoch, frame.token, frame.payload)
-        self.received_bytes += len(reply)
-        return reply
+        self.received_bytes += protocol.HEADER_SIZE + len(frame.payload)
+        return frame
 
     def close(self) -> None:
         self.sock.close()
@@ -105,10 +108,7 @@ class ServiceClient:
 
     def _request(self, msg_type: MsgType, payload: bytes, token: bytes = protocol.ZERO_TOKEN) -> Frame:
         epoch = self.registration.epoch if self.registration else 0
-        data = protocol.encode_frame(msg_type, epoch, token, payload)
-        frame, rest = protocol.decode_frame(self.transport.request(data))
-        if rest:
-            raise ProtocolError(ErrorCode.MALFORMED, "trailing bytes in reply")
+        frame = self.transport.request(protocol.encode_frame(msg_type, epoch, token, payload))
         if frame.msg_type == MsgType.ERROR:
             code, message = protocol.decode_error(frame.payload)
             raise ServerError(code, message)

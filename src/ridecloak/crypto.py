@@ -41,32 +41,31 @@ class KeyGenerationError(RuntimeError):
     """Raised when no acceptably conditioned matrix is found."""
 
 
-def _random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Draw a well-conditioned uniform [-1, 1] matrix; return (matrix, inverse)."""
+def _well_conditioned(mat: np.ndarray) -> bool:
+    """Whether `mat` is invertible with a 1-norm condition number within COND_LIMIT."""
+    try:
+        inv = np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return False
+    cond = np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1)
+    return bool(np.isfinite(cond) and cond <= COND_LIMIT)
+
+
+def _random_invertible(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a well-conditioned uniform [-1, 1] matrix."""
     for _ in range(MAX_DRAWS):
         cand = rng.uniform(-1.0, 1.0, (dim, dim))
-        try:
-            inv = np.linalg.inv(cand)
-        except np.linalg.LinAlgError:
-            continue
-        cond = np.linalg.norm(cand, 1) * np.linalg.norm(inv, 1)
-        if np.isfinite(cond) and cond <= COND_LIMIT:
-            return cand, inv
+        if _well_conditioned(cand):
+            return cand
     raise KeyGenerationError(f"no invertible {dim}x{dim} draw within {MAX_DRAWS} attempts")
 
 
 def _invertible_shares(total: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Split `total` into two invertible matrices summing to it exactly."""
-    dim = total.shape[0]
     for _ in range(MAX_DRAWS):
-        first, _ = _random_invertible(dim, rng)
+        first = _random_invertible(total.shape[0], rng)
         second = total - first
-        try:
-            inv = np.linalg.inv(second)
-        except np.linalg.LinAlgError:
-            continue
-        cond = np.linalg.norm(second, 1) * np.linalg.norm(inv, 1)
-        if np.isfinite(cond) and cond <= COND_LIMIT:
+        if _well_conditioned(second):
             return first, second
     raise KeyGenerationError("no invertible additive share found")
 
@@ -214,16 +213,16 @@ class EncryptedIndex:
 
 
 def generate_master_key(dim: int, rng: np.random.Generator) -> MasterKey:
-    blend_a, _ = _random_invertible(dim, rng)
-    blend_b, _ = _random_invertible(dim, rng)
-    mask_parts = tuple(_random_invertible(dim, rng)[0] for _ in range(PART_COUNT))
+    blend_a = _random_invertible(dim, rng)
+    blend_b = _random_invertible(dim, rng)
+    mask_parts = tuple(_random_invertible(dim, rng) for _ in range(PART_COUNT))
     split_pattern = rng.integers(0, 2, dim).astype(np.uint8)
     return MasterKey(dim, blend_a, blend_b, mask_parts, split_pattern)
 
 
 def generate_tos_secrets(dim: int, rng: np.random.Generator) -> TosSecrets:
-    query_mask, _ = _random_invertible(dim, rng)
-    index_mask, _ = _random_invertible(dim, rng)
+    query_mask = _random_invertible(dim, rng)
+    index_mask = _random_invertible(dim, rng)
     return TosSecrets(dim, query_mask, index_mask)
 
 

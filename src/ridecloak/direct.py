@@ -15,22 +15,21 @@ checking, on unmasked indexes only:
 
 Integer-valued gates are tested within +-0.5, which absorbs the numeric
 noise of the encryption round trip. The server keeps its offers and pending
-requests in two columnar pools (`OfferPool`, `RequestPool`) that
-`match_all` reads in place.
+requests in two columnar pools (`OfferPool`, `RequestPool`): each masked
+submission enters through the pool's `admit`, which unmasks it straight
+into a row, and `match_all` reads the pools in place.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import crypto, kernels
 from .bloom import BloomFilter, slot_vector
 from .crypto import EncryptedIndex, TosSecrets, UserKeySet
-
-INTEGER_TOL = 0.5
 
 
 class MatchCase(enum.Enum):
@@ -109,10 +108,6 @@ class DirectOffer:
     time: EncryptedIndex
     contact: bytes = b""
 
-    @property
-    def unmasked(self) -> bool:
-        return self.pickup.unmasked
-
     def indexes(self) -> list[EncryptedIndex]:
         return [self.pickup, self.dropoff, self.route, self.time]
 
@@ -125,10 +120,6 @@ class DirectRequest:
     route: EncryptedIndex
     time: EncryptedIndex
     contact: bytes = b""
-
-    @property
-    def unmasked(self) -> bool:
-        return self.pickup.unmasked
 
     def indexes(self) -> list[EncryptedIndex]:
         return [self.pickup, self.dropoff, self.route, self.time]
@@ -223,33 +214,6 @@ def build_request(
     return build_requests([spec], keys, cfg, rng)[0]
 
 
-def unmask_offers(offers: list[DirectOffer], secrets: TosSecrets) -> list[DirectOffer]:
-    """Server-side: apply unmasking secrets to every index of every offer."""
-    if not offers:
-        return []
-    cleared = crypto.unmask_indices([idx for o in offers for idx in o.indexes()], secrets)
-    return [
-        replace(o, pickup=cleared[4 * j], dropoff=cleared[4 * j + 1],
-                route=cleared[4 * j + 2], time=cleared[4 * j + 3])
-        for j, o in enumerate(offers)
-    ]
-
-
-def unmask_requests(requests: list[DirectRequest], secrets: TosSecrets) -> list[DirectRequest]:
-    if not requests:
-        return []
-    cleared = crypto.unmask_indices([idx for r in requests for idx in r.indexes()], secrets)
-    return [
-        replace(r, pickup=cleared[4 * j], dropoff=cleared[4 * j + 1],
-                route=cleared[4 * j + 2], time=cleared[4 * j + 3])
-        for j, r in enumerate(requests)
-    ]
-
-
-def _hits(values: np.ndarray, target: float) -> np.ndarray:
-    return np.abs(values - target) < INTEGER_TOL
-
-
 # Index kinds, in the order of DirectOffer.indexes() / DirectRequest.indexes().
 PICKUP, DROPOFF, ROUTE, TIME = range(4)
 _CASES = tuple(MatchCase)  # a case's code is its position here
@@ -280,38 +244,12 @@ class _Pool:
         self._free: list[int] = []
         self._arrivals = 0
 
-    @classmethod
-    def of(cls, items: list) -> "_Pool":
-        """A pool holding already unmasked offers or requests, in list order."""
-        dim = items[0].pickup.dim
-        pool = cls(dim, rows=len(items))
-        for item in items:
-            indexes = item.indexes()
-            for idx in indexes:
-                if not idx.unmasked or idx.orientation != cls.orientation or idx.dim != dim:
-                    raise ValueError(
-                        f"{cls.__name__} takes unmasked {cls.orientation}-form indexes of dim {dim}"
-                    )
-            row = pool.next_row()
-            for part, idx in zip(pool.row_parts(row), indexes):
-                part[...] = idx.parts
-            pool._admit(row, item)
-        return pool
-
     def __len__(self) -> int:
         return int(self.open_rows().sum())
 
     def open_rows(self) -> np.ndarray:
         """Mask over the used prefix of the rows a matching round may pair."""
         return self.live[: self.used]
-
-    def next_row(self) -> int:
-        """Row the next submission is written into; the pool grows if full."""
-        if self._free:
-            return self._free[-1]
-        if self.used == len(self.live):
-            self._grow()
-        return self.used
 
     def row_parts(self, row: int) -> list[np.ndarray]:
         """(8, dim) views of one row's pick-up, drop-off, route and time parts."""
@@ -320,18 +258,36 @@ class _Pool:
     def indexes(self, row: int) -> list[EncryptedIndex]:
         return [EncryptedIndex(self.orientation, p, unmasked=True) for p in self.row_parts(row)]
 
-    def add(self, row: int, item_id: str) -> None:
-        """Make `row`, as returned by `next_row`, the newest live row."""
-        if self._free and self._free[-1] == row:
+    def _fill(self, indexes: list[EncryptedIndex], secrets: TosSecrets, item_id: str) -> int:
+        """Unmask one submission's four masked indexes into a row made the newest live row.
+
+        The indexes are checked before anything is written, so a rejected
+        submission leaves the pool as it was. A row freed by `release` is
+        reused before the pool grows.
+        """
+        if len(indexes) != len(self.kinds):
+            raise ValueError(f"a submission carries {len(self.kinds)} indexes, got {len(indexes)}")
+        for idx in indexes:
+            if idx.unmasked:
+                raise ValueError("pool rows are unmasked from masked indexes only")
+            if idx.orientation != self.orientation or idx.dim != self.dim:
+                raise ValueError(
+                    f"{type(self).__name__} takes {self.orientation}-form indexes of dim "
+                    f"{self.dim}, got {idx.orientation}-form of dim {idx.dim}"
+                )
+        row = self._free[-1] if self._free else self.used
+        if row == len(self.live):
+            self._grow()
+        crypto.unmask_indices(indexes, secrets, out=self.row_parts(row))
+        if self._free:
             self._free.pop()
-        elif row == self.used:
-            self.used += 1
         else:
-            raise ValueError(f"row {row} is not the pool's next row")
+            self.used += 1
         self.live[row] = True
         self.seq[row] = self._arrivals
         self._arrivals += 1
         self.ids[row] = item_id
+        return row
 
     def _grow(self) -> None:
         rows = 2 * len(self.live)
@@ -373,15 +329,21 @@ class OfferPool(_Pool):
         self.remaining = np.zeros(rows, dtype=np.int64)
         self.cases = np.zeros((rows, len(_CASES)), dtype=np.int8)
 
-    def add(self, row: int, offer_id: str, capacity: int, cases) -> None:
+    def admit(
+        self,
+        indexes: list[EncryptedIndex],
+        secrets: TosSecrets,
+        offer_id: str,
+        capacity: int,
+        cases,
+    ) -> int:
+        """Store one masked offer (pick-up, drop-off, route, time); returns its row."""
         # a repeated case can never decide a match, so only first mentions count
         codes = list(dict.fromkeys(_CASES.index(c) for c in cases))
-        super().add(row, offer_id)
+        row = self._fill(indexes, secrets, offer_id)
         self.remaining[row] = capacity
         self.cases[row] = codes + [-1] * (len(_CASES) - len(codes))
-
-    def _admit(self, row: int, offer: DirectOffer) -> None:
-        self.add(row, offer.offer_id, offer.capacity, offer.cases)
+        return row
 
     def open_rows(self) -> np.ndarray:
         return self.live[: self.used] & (self.remaining[: self.used] > 0)
@@ -392,8 +354,9 @@ class RequestPool(_Pool):
 
     orientation = "row"
 
-    def _admit(self, row: int, request: DirectRequest) -> None:
-        self.add(row, request.request_id)
+    def admit(self, indexes: list[EncryptedIndex], secrets: TosSecrets, request_id: str) -> int:
+        """Store one masked request (pick-up, drop-off, route, time); returns its row."""
+        return self._fill(indexes, secrets, request_id)
 
     def release(self, row: int) -> None:
         self.live[row] = False
@@ -426,13 +389,13 @@ def _gated_pairs(
     q, o = requests.kinds, offers.kinds
     nr, no = requests.used, offers.used
     ok = requests.open_rows()[:, None] & offers.open_rows()[None, :]
-    ok &= _hits(kernels.cross_dots(q[TIME][:nr], o[TIME][:no]), 1.0)
-    ok &= _hits(kernels.cross_dots(q[PICKUP][:nr], o[PICKUP][:no]), n_hashes)
+    ok &= kernels.hits(kernels.cross_dots(q[TIME][:nr], o[TIME][:no]), 1.0)
+    ok &= kernels.hits(kernels.cross_dots(q[PICKUP][:nr], o[PICKUP][:no]), n_hashes)
     ri, oj = np.nonzero(ok)
     hit = np.stack([  # (case code, pair)
-        _hits(kernels.paired_dots(q[DROPOFF][ri], o[DROPOFF][oj]), n_hashes),
-        _hits(kernels.paired_dots(q[DROPOFF][ri], o[ROUTE][oj]), n_hashes),
-        _hits(kernels.paired_dots(q[ROUTE][ri], o[DROPOFF][oj]), n_hashes),
+        kernels.hits(kernels.paired_dots(q[DROPOFF][ri], o[DROPOFF][oj]), n_hashes),
+        kernels.hits(kernels.paired_dots(q[DROPOFF][ri], o[ROUTE][oj]), n_hashes),
+        kernels.hits(kernels.paired_dots(q[ROUTE][ri], o[DROPOFF][oj]), n_hashes),
     ])
     order = offers.cases[oj]  # (pair, rank) -> case code, -1 past the last
     accept = (order >= 0) & hit[order, np.arange(len(oj))[:, None]]
@@ -441,23 +404,16 @@ def _gated_pairs(
     return ri[found], oj[found], codes[found]
 
 
-def match_all(
-    offers: OfferPool | list[DirectOffer],
-    requests: RequestPool | list[DirectRequest],
-    n_hashes: int,
-) -> list[DirectMatch]:
+def match_all(offers: OfferPool, requests: RequestPool, n_hashes: int) -> list[DirectMatch]:
     """Greedy assignment: requests in arrival order, first feasible offer.
 
     Offers are tried in arrival order and each serves at most its seats
-    left. Lists of unmasked offers and requests are loaded into pools
-    first. The pools are only read.
+    left. The pools are only read.
     """
+    if not isinstance(offers, OfferPool) or not isinstance(requests, RequestPool):
+        raise TypeError("match_all takes an OfferPool and a RequestPool")
     if not offers or not requests:
         return []
-    if not isinstance(offers, OfferPool):
-        offers = OfferPool.of(offers)
-    if not isinstance(requests, RequestPool):
-        requests = RequestPool.of(requests)
     if offers.dim != requests.dim:
         raise ValueError(f"dim mismatch: offers {offers.dim}, requests {requests.dim}")
     ri, oj, codes = _gated_pairs(offers, requests, n_hashes)
@@ -473,14 +429,3 @@ def match_all(
         served.add(r)
         matches.append(DirectMatch(requests.ids[r], offers.ids[o], _CASES[code]))
     return matches
-
-
-def match_pair(
-    offer: DirectOffer, request: DirectRequest, n_hashes: int
-) -> MatchCase | None:
-    """First acceptable drop-off case for one offer/request pair, if any.
-
-    A one-pair round of `match_all`, so an offer without seats never matches.
-    """
-    matches = match_all([offer], [request], n_hashes)
-    return matches[0].case if matches else None

@@ -1,14 +1,18 @@
 """The matching hot kernels: inner products of unmasked ciphertext rows.
 
 Every similarity the server computes is a sum of 8-part ciphertext dot
-products; both shapes it needs are numpy reductions here. Callers go
-through the module attribute (kernels.cross_dots(...)) so that a tracer
-can wrap the functions by name.
+products; both shapes it needs are numpy reductions here, next to the
+integer gate that tests them. Callers go through the module attribute
+(kernels.cross_dots(...)) so that a tracer can wrap the functions by name.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Half the spacing of the integer targets: absorbs the numeric noise of
+# the encryption round trip.
+INTEGER_TOL = 0.5
 
 
 def paired_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -33,3 +37,8 @@ def cross_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"length mismatch: {a.shape[1]} vs {b.shape[1]}")
     return a @ b.T
+
+
+def hits(values: np.ndarray, target: float) -> np.ndarray:
+    """Which similarities equal the integer `target`, within INTEGER_TOL."""
+    return np.abs(values - target) < INTEGER_TOL

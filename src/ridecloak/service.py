@@ -29,6 +29,10 @@ from .crypto import TosSecrets
 from .protocol import ErrorCode, Frame, MsgType, ProtocolError
 
 
+# A handler's reply: message type and payload. `RideService.dispatch`
+# frames it with the server's epoch and the zero token.
+Reply = tuple[MsgType, bytes]
+
 _U16 = 0xFFFF
 _U32 = 0xFFFFFFFF
 
@@ -244,7 +248,7 @@ class TosServer:
             raise ProtocolError(ErrorCode.MALFORMED, "index parts must be finite")
         return idx
 
-    def handle_submit_offer(self, frame: Frame) -> bytes:
+    def handle_submit_offer(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
         token = self._check_token(frame.token)
         payload = protocol.decode_submit_offer(frame.payload)
@@ -255,12 +259,11 @@ class TosServer:
                 raise ProtocolError(ErrorCode.BAD_STATE, "offer must accept at least one case")
             dims = self.config.filter_bits
             indexes = [self._decode_index(b, "column", dims) for b in payload.indexes]
-            pool = self.offer_pool
-            row = pool.next_row()
-            crypto.unmask_indices(indexes, self.secrets_direct, out=pool.row_parts(row))
             offer_id = self._assign_id("do")
-            pool.add(row, offer_id, payload.capacity, payload.cases)
-            self.direct_offers[offer_id] = direct.PoolEntry(pool, row, payload.contact)
+            row = self.offer_pool.admit(
+                indexes, self.secrets_direct, offer_id, payload.capacity, payload.cases
+            )
+            self.direct_offers[offer_id] = direct.PoolEntry(self.offer_pool, row, payload.contact)
         else:
             if payload.capacity < 1:
                 raise ProtocolError(ErrorCode.BAD_STATE, "capacity must be >= 1")
@@ -279,23 +282,20 @@ class TosServer:
             self.graph.add_offer(offer, self.secrets_transfer)
             self.transfer_offers[offer_id] = offer
         self.unused_tokens.discard(token)
-        return protocol.encode_frame(
-            MsgType.SUBMIT_OFFER, self.epoch, protocol.ZERO_TOKEN, protocol.encode_ack(offer_id)
-        )
+        return MsgType.SUBMIT_OFFER, protocol.encode_ack(offer_id)
 
-    def handle_submit_request(self, frame: Frame) -> bytes:
+    def handle_submit_request(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
         token = self._check_token(frame.token)
         payload = protocol.decode_submit_request(frame.payload)
         if isinstance(payload, protocol.DirectRequestPayload):
             dims = self.config.filter_bits
             indexes = [self._decode_index(b, "row", dims) for b in payload.indexes]
-            pool = self.request_pool
-            row = pool.next_row()
-            crypto.unmask_indices(indexes, self.secrets_direct, out=pool.row_parts(row))
             request_id = self._assign_id("dr")
-            pool.add(row, request_id)
-            self.direct_requests[request_id] = direct.PoolEntry(pool, row, payload.contact)
+            row = self.request_pool.admit(indexes, self.secrets_direct, request_id)
+            self.direct_requests[request_id] = direct.PoolEntry(
+                self.request_pool, row, payload.contact
+            )
         else:
             dims = self.config.cell_vector_bits
             pickup = self._decode_index(payload.pickup, "row", dims)
@@ -310,30 +310,18 @@ class TosServer:
         pending = len(self.direct_requests) + len(self.transfer_requests)
         if self.config.match_threshold and pending >= self.config.match_threshold:
             self.run_matching()
-        return protocol.encode_frame(
-            MsgType.SUBMIT_REQUEST, self.epoch, protocol.ZERO_TOKEN, protocol.encode_ack(request_id)
-        )
+        return MsgType.SUBMIT_REQUEST, protocol.encode_ack(request_id)
 
-    def handle_poll(self, frame: Frame) -> bytes:
+    def handle_poll(self, frame: Frame) -> Reply:
         subject_ids = protocol.decode_notification_poll(frame.payload)
         notes = []
         for sid in subject_ids:
             notes.extend(self.notifications.pop(sid, []))
-        return protocol.encode_frame(
-            MsgType.MATCH_NOTIFICATION,
-            self.epoch,
-            protocol.ZERO_TOKEN,
-            protocol.encode_notification_batch(notes),
-        )
+        return MsgType.MATCH_NOTIFICATION, protocol.encode_notification_batch(notes)
 
-    def handle_epoch_query(self, frame: Frame) -> bytes:
+    def handle_epoch_query(self, frame: Frame) -> Reply:
         announce = protocol.EpochAnnounce(self.epoch, self.salt)
-        return protocol.encode_frame(
-            MsgType.EPOCH_ANNOUNCE,
-            self.epoch,
-            protocol.ZERO_TOKEN,
-            protocol.encode_epoch_announce(announce),
-        )
+        return MsgType.EPOCH_ANNOUNCE, protocol.encode_epoch_announce(announce)
 
     # -- matching -------------------------------------------------------------
 
@@ -440,14 +428,15 @@ class RideService:
                 frame, rest = protocol.decode_frame(frame_bytes)
                 if rest:
                     raise ProtocolError(ErrorCode.MALFORMED, "trailing bytes after frame")
-                return self._dispatch_frame(frame)
+                msg_type, payload = self._dispatch_frame(frame)
+                return protocol.encode_frame(msg_type, epoch, protocol.ZERO_TOKEN, payload)
             except ProtocolError as exc:
                 payload = protocol.encode_error(exc.code, str(exc))
             except (ValueError, UnicodeDecodeError) as exc:
                 payload = protocol.encode_error(ErrorCode.MALFORMED, str(exc))
             return protocol.encode_frame(MsgType.ERROR, epoch, protocol.ZERO_TOKEN, payload)
 
-    def _dispatch_frame(self, frame: Frame) -> bytes:
+    def _dispatch_frame(self, frame: Frame) -> Reply:
         if frame.msg_type == MsgType.REGISTER_USER:
             role = protocol.decode_register(frame.payload)
             try:
@@ -455,12 +444,7 @@ class RideService:
             except ValueError as exc:
                 raise ProtocolError(ErrorCode.MALFORMED, str(exc)) from None
             self.server.add_token_digests(digests)
-            return protocol.encode_frame(
-                MsgType.KEY_BUNDLE,
-                self.server.epoch,
-                protocol.ZERO_TOKEN,
-                protocol.encode_key_bundle(bundle),
-            )
+            return MsgType.KEY_BUNDLE, protocol.encode_key_bundle(bundle)
         if frame.msg_type == MsgType.SUBMIT_OFFER:
             return self.server.handle_submit_offer(frame)
         if frame.msg_type == MsgType.SUBMIT_REQUEST:

@@ -44,7 +44,6 @@ import numpy as np
 from . import crypto, kernels
 from .crypto import EncryptedIndex, TosSecrets, UserKeySet
 
-INTEGER_TOL = 0.5
 DEFAULT_PATH_LIMIT = 10_000
 
 NodeId = tuple[str, int]
@@ -287,7 +286,7 @@ class TransferGraph:
     def _hits(self, rows: np.ndarray) -> np.ndarray:
         """(len(rows), N) flags: which stored plus rows each row-form query matches."""
         sims = kernels.cross_dots(rows, self._plus[: len(self._row_ids)])
-        return np.abs(sims - self.match_target) < INTEGER_TOL
+        return kernels.hits(sims, self.match_target)
 
     def pin(self, queries: list[EncryptedIndex]) -> np.ndarray:
         """Match unmasked row-form queries against every stored row, active or not.

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ridecloak import crypto
+from ridecloak import crypto, direct
 
 SMALL_CONFIG = dict(
     filter_bits=320, n_hashes=4, id_bits=6, time_bits=4,
@@ -34,3 +34,18 @@ def make_crypto_env(dim: int, seed: int) -> SimpleNamespace:
         driver=deriver.derive("driver", rng),
         rider=deriver.derive("rider", rng),
     )
+
+
+def admit_pools(env, offers, requests):
+    """Direct pools holding client-built, still-masked offers and requests.
+
+    Each one enters through the pool's `admit`, in list order, as the
+    server's own submissions do.
+    """
+    offer_pool = direct.OfferPool(env.dim)
+    for o in offers:
+        offer_pool.admit(o.indexes(), env.secrets, o.offer_id, o.capacity, o.cases)
+    request_pool = direct.RequestPool(env.dim)
+    for r in requests:
+        request_pool.admit(r.indexes(), env.secrets, r.request_id)
+    return offer_pool, request_pool

@@ -114,15 +114,11 @@ def test_criterion_2_direct_matching_equals_gate_oracle(wide_direct_env):
             RequestSpec(r.request_id, r.pickup, r.dropoff, r.route, r.pickup_seconds)
             for r in wl.requests
         ]
-        built_o = direct.unmask_offers(
-            direct.build_offers(ospecs, env.driver, env.cfg, rng), env.secrets
-        )
-        built_r = direct.unmask_requests(
-            direct.build_requests(rspecs, env.rider, env.cfg, rng), env.secrets
-        )
+        built_o = direct.build_offers(ospecs, env.driver, env.cfg, rng)
+        built_r = direct.build_requests(rspecs, env.rider, env.cfg, rng)
         got = [
             (m.request_id, m.offer_id, m.case.value)
-            for m in direct.match_all(built_o, built_r, env.cfg.n_hashes)
+            for m in direct.match_all(*support.admit_pools(env, built_o, built_r), env.cfg.n_hashes)
         ]
 
         cache = {}

@@ -124,6 +124,20 @@ def test_runtime_errors_return_1(tmp_path, capsys):
     assert "diameter" in capsys.readouterr().err
 
 
+def test_wire_errors_return_1(tmp_path, capsys):
+    """A workload the wire cannot carry ends in `error:` and exit 1, not a traceback."""
+    wl_path = tmp_path / "wl.txt"
+    assert main([
+        "workload", "--out", str(wl_path), "--rows", "8", "--cols", "8",
+        "--offers", "3", "--requests", "4", "--min-route", "4", "--max-route", "6",
+        "--capacity", "70000",
+    ]) == 0
+    capsys.readouterr()
+    assert main(["match", "--workload", str(wl_path), *SMALL_ARGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "70000 does not fit wire field" in err
+
+
 def serve_and_submit(tmp_path, capsys, scheme):
     wl_path = tmp_path / "wl.txt"
     write_small_workload(wl_path)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ridecloak import crypto, direct
+from support import admit_pools
+from ridecloak import direct
 from ridecloak.direct import MatchCase, OfferSpec, RequestSpec
 
 
@@ -36,15 +37,17 @@ def request_spec(**kw) -> RequestSpec:
     return RequestSpec(**base)
 
 
+def admitted_case(env, offer, request):
+    """Case of a one-pair round over pools that admitted one masked offer and request."""
+    matches = direct.match_all(*admit_pools(env, [offer], [request]), env.cfg.n_hashes)
+    return matches[0].case if matches else None
+
+
 def pair_case(env, ospec, rspec):
     rng = np.random.default_rng(1234)
-    offer = direct.unmask_offers(
-        [direct.build_offer(ospec, env.driver, env.cfg, rng)], env.secrets
-    )[0]
-    request = direct.unmask_requests(
-        [direct.build_request(rspec, env.rider, env.cfg, rng)], env.secrets
-    )[0]
-    return direct.match_pair(offer, request, env.cfg.n_hashes)
+    offer = direct.build_offer(ospec, env.driver, env.cfg, rng)
+    request = direct.build_request(rspec, env.rider, env.cfg, rng)
+    return admitted_case(env, offer, request)
 
 
 def test_matching_pair_selects_area_case(direct_env):
@@ -99,34 +102,26 @@ def test_fresh_ciphertexts_same_outcome(direct_env):
     a = direct.build_offer(offer_spec(), env.driver, env.cfg, rng)
     b = direct.build_offer(offer_spec(), env.driver, env.cfg, rng)
     assert not np.array_equal(a.pickup.parts, b.pickup.parts)
-    request = direct.unmask_requests(
-        [direct.build_request(request_spec(), env.rider, env.cfg, rng)], env.secrets
-    )[0]
-    for offer in direct.unmask_offers([a, b], env.secrets):
-        assert direct.match_pair(offer, request, env.cfg.n_hashes) is MatchCase.AREA
+    request = direct.build_request(request_spec(), env.rider, env.cfg, rng)
+    for offer in (a, b):
+        assert admitted_case(env, offer, request) is MatchCase.AREA
 
 
 def test_match_all_respects_capacity_and_order(direct_env):
     env = direct_env
     rng = np.random.default_rng(6)
-    offers = direct.unmask_offers(
-        direct.build_offers(
-            [
-                offer_spec(offer_id="first", capacity=1),
-                offer_spec(offer_id="second", capacity=2),
-            ],
-            env.driver, env.cfg, rng,
-        ),
-        env.secrets,
+    offers = direct.build_offers(
+        [
+            offer_spec(offer_id="first", capacity=1),
+            offer_spec(offer_id="second", capacity=2),
+        ],
+        env.driver, env.cfg, rng,
     )
-    requests = direct.unmask_requests(
-        direct.build_requests(
-            [request_spec(request_id=f"r{i}") for i in range(4)],
-            env.rider, env.cfg, rng,
-        ),
-        env.secrets,
+    requests = direct.build_requests(
+        [request_spec(request_id=f"r{i}") for i in range(4)],
+        env.rider, env.cfg, rng,
     )
-    got = direct.match_all(offers, requests, env.cfg.n_hashes)
+    got = direct.match_all(*admit_pools(env, offers, requests), env.cfg.n_hashes)
     assert [(m.request_id, m.offer_id) for m in got] == [
         ("r0", "first"),
         ("r1", "second"),
@@ -136,7 +131,9 @@ def test_match_all_respects_capacity_and_order(direct_env):
 
 
 def test_match_all_empty_inputs(direct_env):
-    assert direct.match_all([], [], 4) == []
+    assert direct.match_all(*admit_pools(direct_env, [], []), 4) == []
+    with pytest.raises(TypeError, match="OfferPool"):
+        direct.match_all([], [], 4)
 
 
 def test_build_validation(direct_env):
@@ -156,15 +153,6 @@ def test_build_validation(direct_env):
         direct.build_offer(offer_spec(), env.rider, env.cfg, rng)
     with pytest.raises(ValueError, match="rider"):
         direct.build_request(request_spec(), env.driver, env.cfg, rng)
-
-
-def test_masked_indexes_rejected(direct_env):
-    env = direct_env
-    rng = np.random.default_rng(2)
-    offer = direct.build_offer(offer_spec(), env.driver, env.cfg, rng)
-    request = direct.build_request(request_spec(), env.rider, env.cfg, rng)
-    with pytest.raises(ValueError, match="unmasked"):
-        direct.match_pair(offer, request, env.cfg.n_hashes)
 
 
 def random_scenario(seed, n_offers=6, n_requests=14, universe=40):
@@ -212,12 +200,8 @@ def encrypt_scenario(env, offers, requests):
         for oid, f in offers
     ]
     rspecs = [RequestSpec(rid, f[0], f[1], f[2], f[3]) for rid, f in requests]
-    built_o = direct.unmask_offers(
-        direct.build_offers(ospecs, env.driver, env.cfg, rng), env.secrets
-    )
-    built_r = direct.unmask_requests(
-        direct.build_requests(rspecs, env.rider, env.cfg, rng), env.secrets
-    )
+    built_o = direct.build_offers(ospecs, env.driver, env.cfg, rng)
+    built_r = direct.build_requests(rspecs, env.rider, env.cfg, rng)
     return built_o, built_r
 
 
@@ -229,7 +213,7 @@ def test_match_all_agrees_with_plain_oracle(direct_env, seed):
     built_o, built_r = encrypt_scenario(env, offers, requests)
     got = [
         (m.request_id, m.offer_id, m.case.value)
-        for m in direct.match_all(built_o, built_r, env.cfg.n_hashes)
+        for m in direct.match_all(*admit_pools(env, built_o, built_r), env.cfg.n_hashes)
     ]
     gate = lambda o, r: oracles.summary_case(
         o, r, env.cfg.time_slots, env.cfg.bits, env.cfg.n_hashes, env.cfg.epoch, env.cfg.salt
@@ -245,7 +229,7 @@ def test_pair_gate_agrees_with_summary_oracle(direct_env):
     built_o, built_r = encrypt_scenario(env, offers, requests)
     for (oid, ofacts), built_offer in zip(offers, built_o):
         for (rid, rfacts), built_request in zip(requests, built_r):
-            got = direct.match_pair(built_offer, built_request, env.cfg.n_hashes)
+            got = admitted_case(env, built_offer, built_request)
             want = oracles.summary_case(
                 ofacts, rfacts, env.cfg.time_slots, env.cfg.bits,
                 env.cfg.n_hashes, env.cfg.epoch, env.cfg.salt,

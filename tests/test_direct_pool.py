@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from support import SMALL_CONFIG
-from ridecloak import direct, kernels, protocol
+from support import SMALL_CONFIG, admit_pools
+from ridecloak import crypto, direct, kernels, protocol
 from ridecloak.client import LoopbackTransport, ServiceClient
 from ridecloak.direct import MatchCase, OfferSpec, RequestSpec
 from ridecloak.protocol import DirectNotification, MsgType
@@ -24,13 +24,12 @@ class RecordingTransport(LoopbackTransport):
         self.log = log
 
     def request(self, data):
-        reply = super().request(data)
+        answer = super().request(data)
         sent, _ = protocol.decode_frame(data)
-        answer, _ = protocol.decode_frame(reply)
         if sent.msg_type in (MsgType.SUBMIT_OFFER, MsgType.SUBMIT_REQUEST) \
                 and answer.msg_type is sent.msg_type:
             self.log.append((sent.msg_type, protocol.decode_ack(answer.payload), sent.payload))
-        return reply
+        return answer
 
 
 class ReferenceServer:
@@ -46,19 +45,22 @@ class ReferenceServer:
         self.seats = {}
         self.requests = {}  # pending id -> unmasked DirectRequest, arrival order
 
+    def unmask(self, blobs):
+        return crypto.unmask_indices([protocol.index_from_blob(b) for b in blobs], self.secrets)
+
     def ingest(self, log):
         for msg_type, item_id, payload in log:
             if msg_type is MsgType.SUBMIT_OFFER:
                 p = protocol.decode_submit_offer(payload)
-                indexes = [protocol.index_from_blob(b) for b in p.indexes]
-                offer = direct.DirectOffer(item_id, p.capacity, p.cases, *indexes, p.contact)
-                self.offers[item_id] = direct.unmask_offers([offer], self.secrets)[0]
+                self.offers[item_id] = direct.DirectOffer(
+                    item_id, p.capacity, p.cases, *self.unmask(p.indexes), p.contact
+                )
                 self.seats[item_id] = p.capacity
             else:
                 p = protocol.decode_submit_request(payload)
-                indexes = [protocol.index_from_blob(b) for b in p.indexes]
-                request = direct.DirectRequest(item_id, *indexes, p.contact)
-                self.requests[item_id] = direct.unmask_requests([request], self.secrets)[0]
+                self.requests[item_id] = direct.DirectRequest(
+                    item_id, *self.unmask(p.indexes), p.contact
+                )
         log.clear()
 
     def round(self):
@@ -170,8 +172,7 @@ def test_case_similarities_only_for_gated_open_pairs(direct_env, monkeypatch):
     env = direct_env
     offers, requests = random_scenario(11, n_offers=8, n_requests=16)
     built_o, built_r = encrypt_scenario(env, offers, requests)
-    offer_pool = direct.OfferPool.of(built_o)
-    request_pool = direct.RequestPool.of(built_r)
+    offer_pool, request_pool = admit_pools(env, built_o, built_r)
     open_o, open_r = set(range(len(offers))), set(range(len(requests)))
     gated = [
         (i, j) for i, (_, rf) in enumerate(requests) for j, (_, of) in enumerate(offers)
@@ -201,20 +202,56 @@ def test_pool_growth_and_row_reuse(direct_env):
     _, built_r = encrypt_scenario(env, [], requests)
     pool = direct.RequestPool(env.cfg.bits, rows=2)
     for k, request in enumerate(built_r):
-        row = pool.next_row()
-        for part, idx in zip(pool.row_parts(row), request.indexes()):
-            part[...] = idx.parts
-        pool.add(row, request.request_id)
+        assert pool.admit(request.indexes(), env.secrets, request.request_id) == k
     assert len(pool.live) == 8 and pool.used == 5 and len(pool) == 5
     for k, request in enumerate(built_r):
         got = pool.indexes(k)
-        assert all(np.array_equal(a.parts, b.parts) for a, b in zip(got, request.indexes()))
+        want = crypto.unmask_indices(request.indexes(), env.secrets)
+        assert all(np.array_equal(a.parts, b.parts) for a, b in zip(got, want))
     pool.release(1)
-    assert len(pool) == 4 and pool.next_row() == 1
-    pool.add(pool.next_row(), "late")
+    assert len(pool) == 4 and pool.admit(built_r[0].indexes(), env.secrets, "late") == 1
     assert pool.ids[1] == "late" and pool.seq[1] > pool.seq[4] and pool.used == 5
-    with pytest.raises(ValueError, match="next row"):
-        pool.add(3, "clash")
+
+
+def pool_state(pool):
+    return (
+        pool.used, pool.live.tobytes(), list(pool.ids), list(pool._free),
+        [m.tobytes() for m in pool.kinds],
+    )
+
+
+def test_pool_rejects_bad_submissions_without_state_change(direct_env):
+    """A rejected submission neither writes a row, nor takes a free one, nor grows the pool."""
+    env = direct_env
+    offers, requests = random_scenario(5, n_offers=3, n_requests=3)
+    built_o, built_r = encrypt_scenario(env, offers, requests)
+    offer_pool = direct.OfferPool(env.cfg.bits, rows=2)
+    request_pool = direct.RequestPool(env.cfg.bits, rows=2)
+    for o, r in zip(built_o[:2], built_r[:2]):  # both pools full: one more row would grow them
+        offer_pool.admit(o.indexes(), env.secrets, o.offer_id, o.capacity, o.cases)
+        request_pool.admit(r.indexes(), env.secrets, r.request_id)
+    admits = [
+        (offer_pool, built_o[2].indexes(), built_r[2].indexes(),
+         lambda ix: offer_pool.admit(ix, env.secrets, "bad", 1, direct.DEFAULT_CASES)),
+        (request_pool, built_r[2].indexes(), built_o[2].indexes(),
+         lambda ix: request_pool.admit(ix, env.secrets, "bad")),
+    ]
+    for free_row in (False, True):
+        if free_row:
+            request_pool.release(0)
+        for pool, good, other_form, admit in admits:
+            bad = {
+                "already unmasked": crypto.unmask_indices(good, env.secrets),
+                "wrong orientation": other_form,
+                "wrong width": [replace(ix, parts=ix.parts[:, :-1]) for ix in good],
+                "three indexes": good[:3],
+            }
+            for name, indexes in bad.items():
+                before = pool_state(pool)
+                with pytest.raises(ValueError):
+                    admit(indexes)
+                assert pool_state(pool) == before, name
+    assert request_pool.admit(built_r[2].indexes(), env.secrets, "late") == 0
 
 
 def test_rotation_zeroes_both_pools(small_service):

@@ -1,4 +1,6 @@
+from contextlib import contextmanager
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -469,6 +471,81 @@ def test_socket_server_round_trip(small_service):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+class CountingRandom:
+    """Stand-in for the `secrets` module whose tokens and ids count up, so
+    two services built from one seed reply byte for byte alike."""
+
+    def __init__(self):
+        self.n = 0
+
+    def token_bytes(self, size):
+        self.n += 1
+        return self.n.to_bytes(size, "big")
+
+    def token_hex(self, size):
+        return self.token_bytes(size).hex()
+
+
+@contextmanager
+def loopback(svc):
+    yield LoopbackTransport(svc)
+
+
+@contextmanager
+def over_socket(svc):
+    server = SocketServer(svc, host="127.0.0.1", port=0)
+    thread = server.serve_in_thread()
+    try:
+        with SocketTransport(*server.server_address) as transport:
+            yield transport
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def recorded_session(monkeypatch, connect):
+    """Replies, sent bytes and received bytes of one fixed session."""
+    monkeypatch.setattr(service, "sysrandom", CountingRandom())
+    svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=11)
+    replies = []
+    with connect(svc) as transport:
+        recorder = SimpleNamespace(
+            request=lambda data: replies.append(transport.request(data)) or replies[-1]
+        )
+        driver = ServiceClient(recorder, rng=1)
+        rider = ServiceClient(recorder, rng=2)
+        driver.register("driver")
+        rider.register("rider")
+        offer_id = driver.submit_direct_offer(OFFER)
+        request_id = rider.submit_direct_request(REQUEST)
+        driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
+        rider.submit_transfer_request((1, 1), (3, 1))
+        svc.run_matching()
+        assert rider.poll([request_id]) and driver.poll([offer_id])
+        driver.sync_epoch()
+        error = recorder.request(protocol.encode_frame(MsgType.KEY_BUNDLE, 1, protocol.ZERO_TOKEN, b""))
+        assert error.msg_type is MsgType.ERROR
+        return replies, transport.sent_bytes, transport.received_bytes
+
+
+def test_socket_and_loopback_transports_agree(monkeypatch):
+    """Each transport returns every reply decoded, and both count the same wire bytes."""
+    replies, sent, received = recorded_session(monkeypatch, loopback)
+    assert recorded_session(monkeypatch, over_socket) == (replies, sent, received)
+    assert received == sum(protocol.HEADER_SIZE + len(f.payload) for f in replies)
+    assert {f.msg_type for f in replies} == {
+        MsgType.KEY_BUNDLE, MsgType.SUBMIT_OFFER, MsgType.SUBMIT_REQUEST,
+        MsgType.MATCH_NOTIFICATION, MsgType.EPOCH_ANNOUNCE, MsgType.ERROR,
+    }
+
+
+def test_loopback_rejects_trailing_reply_bytes(small_service):
+    stub = SimpleNamespace(dispatch=lambda data: small_service.dispatch(data) + b"\x00")
+    with pytest.raises(ProtocolError, match="trailing"):
+        ServiceClient(LoopbackTransport(stub)).register("rider")
 
 
 def test_no_plaintext_trip_state_on_server(small_service):

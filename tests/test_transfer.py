@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from support import SMALL_CONFIG
-from ridecloak import crypto, transfer
+from ridecloak import crypto, kernels, transfer
 from ridecloak.service import ServiceConfig, TosServer, TransferMatchRecord
 from ridecloak.transfer import (
     Preference,
@@ -367,7 +367,7 @@ def brute_force_pins(graph, query):
     return [
         n.node_id
         for n in graph.active_nodes()
-        if abs(crypto.match_similarity(query, n.plus) - graph.match_target) < transfer.INTEGER_TOL
+        if abs(crypto.match_similarity(query, n.plus) - graph.match_target) < kernels.INTEGER_TOL
     ]
 
 
