@@ -139,13 +139,23 @@ class ServiceClient:
         if frame.msg_type != MsgType.KEY_BUNDLE:
             raise ProtocolError(ErrorCode.BAD_STATE, f"expected KEY_BUNDLE, got {frame.msg_type.name}")
         bundle = protocol.decode_key_bundle(frame.payload)
+        widths = {
+            "direct": bundle.filter_bits,
+            "transfer": 2 * bundle.id_bits + bundle.time_bits,
+        }
         keysets = {}
         for name, blob in bundle.keysets.items():
             keys = crypto.key_material_from_bytes(blob)
             if not isinstance(keys, UserKeySet):
                 raise ProtocolError(ErrorCode.BAD_STATE, f"bundle entry {name!r} is not a user key set")
+            scheme = name.split("-", 1)[0]
+            if scheme in widths and keys.dim != widths[scheme]:
+                raise ProtocolError(
+                    ErrorCode.BAD_STATE,
+                    f"bundle entry {name!r} has width {keys.dim}, expected {widths[scheme]}",
+                )
             keysets[name] = keys
-        bundle.keysets = {}  # parsed into matrices above; don't hold the blobs too
+        bundle.keysets = {}  # parsed into matrices above; don't hold views of the frame
         self.registration = Registration(
             role, bundle.epoch, bundle.salt, keysets, list(bundle.tokens), bundle
         )

@@ -156,6 +156,8 @@ class UserKeySet:
             _check_square(f"parts[{i}]", part, self.dim)
         if self.split_pattern.shape != (self.dim,):
             raise ValueError("split_pattern width mismatch")
+        if not np.isin(self.split_pattern, (0, 1)).all():
+            raise ValueError("split_pattern must be 0/1")
 
 
 @dataclass
@@ -248,23 +250,39 @@ class KeyDeriver:
     def _rider_bases(self) -> tuple[np.ndarray, ...]:
         return tuple(part @ self.secrets.query_mask for part in self.master.mask_parts)
 
-    def derive(self, role: str, rng: np.random.Generator | int) -> UserKeySet:
+    def derive(
+        self,
+        role: str,
+        rng: np.random.Generator | int,
+        out: tuple[np.ndarray, ...] | None = None,
+    ) -> UserKeySet:
+        """A fresh key set for `role`.
+
+        With `out`, eight (dim, dim) float64 arrays, each part is computed
+        straight into its array and the key set's parts are those arrays.
+        """
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
+        if out is None:
+            out = (None,) * PART_COUNT
+        elif len(out) != PART_COUNT:
+            raise ValueError(f"expected {PART_COUNT} output parts, got {len(out)}")
         master = self.master
         if role == "driver":
             share_a = _invertible_shares(master.blend_a_inv, rng)
             share_b = _invertible_shares(master.blend_b_inv, rng)
             shares = share_a + share_b
             parts = tuple(
-                self._driver_bases[i] @ shares[_DRIVER_SHARE_ORDER[i]] for i in range(PART_COUNT)
+                np.matmul(self._driver_bases[i], shares[_DRIVER_SHARE_ORDER[i]], out=out[i])
+                for i in range(PART_COUNT)
             )
         elif role == "rider":
             share_a = _invertible_shares(master.blend_a, rng)
             share_b = _invertible_shares(master.blend_b, rng)
             shares = share_a + share_b
             parts = tuple(
-                shares[_RIDER_SHARE_ORDER[i]] @ self._rider_bases[i] for i in range(PART_COUNT)
+                np.matmul(shares[_RIDER_SHARE_ORDER[i]], self._rider_bases[i], out=out[i])
+                for i in range(PART_COUNT)
             )
         else:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
@@ -423,6 +441,7 @@ _FILE_DRIVER = b"D"
 _FILE_RIDER = b"R"
 _FILE_MASTER = b"M"
 _FILE_SECRETS = b"T"
+_KEYFILE_HEAD = struct.Struct("<4scIB")
 
 
 def _pack_mats(mats: list[np.ndarray]) -> bytes:
@@ -444,8 +463,30 @@ def key_material_to_bytes(obj: UserKeySet | MasterKey | TosSecrets) -> bytes:
         tail = b""
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    header = KEYFILE_MAGIC + role + struct.pack("<IB", obj.dim, len(mats))
+    header = _KEYFILE_HEAD.pack(KEYFILE_MAGIC, role, obj.dim, len(mats))
     return header + _pack_mats(mats) + tail
+
+
+def user_key_file_size(dim: int) -> int:
+    """Byte length of the key file of a width-`dim` user key set."""
+    return _KEYFILE_HEAD.size + PART_COUNT * dim * dim * 8 + dim
+
+
+def user_key_file(
+    slot: np.ndarray, role: str, dim: int
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Lay out a user key set's key file in the uint8 buffer `slot`.
+
+    Writes the header and returns writable views of the eight parts, as
+    (dim, dim) little-endian float64 arrays, and of the split pattern, for
+    the caller to fill. The part views need not be aligned.
+    """
+    size = user_key_file_size(dim)
+    if slot.shape != (size,):
+        raise ValueError(f"user key file of width {dim} takes {size} bytes, got {slot.shape}")
+    _KEYFILE_HEAD.pack_into(slot, 0, KEYFILE_MAGIC, _ROLE_BYTES[role], dim, PART_COUNT)
+    parts = slot[_KEYFILE_HEAD.size : size - dim].view("<f8").reshape(PART_COUNT, dim, dim)
+    return tuple(parts), slot[size - dim :]
 
 
 def save_key_material(path: str, obj: UserKeySet | MasterKey | TosSecrets) -> None:
@@ -453,33 +494,44 @@ def save_key_material(path: str, obj: UserKeySet | MasterKey | TosSecrets) -> No
         fh.write(key_material_to_bytes(obj))
 
 
-def key_material_from_bytes(blob: bytes) -> UserKeySet | MasterKey | TosSecrets:
-    if blob[:4] != KEYFILE_MAGIC:
-        raise ValueError(f"bad key file magic: {blob[:4]!r}")
-    role = blob[4:5]
-    dim, count = struct.unpack_from("<IB", blob, 5)
-    offset = 10
-    mats = []
-    for _ in range(count):
-        end = offset + dim * dim * 8
-        mats.append(np.frombuffer(blob[offset:end], dtype="<f8").reshape(dim, dim).copy())
-        offset = end
+def key_material_from_bytes(blob: bytes | memoryview) -> UserKeySet | MasterKey | TosSecrets:
+    """Key material from a whole key file held in any bytes-like object.
+
+    Each matrix is copied once out of `blob`, into an aligned array (a
+    GEMM with an unaligned key operand is several times slower). Driver
+    parts are stored so that `part.T`, the operand `encrypt_indices`
+    multiplies by, is C-contiguous.
+    """
+    if len(blob) < _KEYFILE_HEAD.size:
+        raise ValueError(f"key file too short: {len(blob)} bytes")
+    magic, role, dim, count = _KEYFILE_HEAD.unpack_from(blob)
+    if magic != KEYFILE_MAGIC:
+        raise ValueError(f"bad key file magic: {magic!r}")
     if role in (_FILE_DRIVER, _FILE_RIDER):
-        if count != PART_COUNT:
-            raise ValueError(f"user key file must hold {PART_COUNT} parts, got {count}")
-        pattern = np.frombuffer(blob[offset : offset + dim], dtype=np.uint8).copy()
-        role_name = "driver" if role == _FILE_DRIVER else "rider"
-        return UserKeySet(role_name, dim, tuple(mats), pattern)
+        kind, expect = "user key file", PART_COUNT
+    elif role == _FILE_MASTER:
+        kind, expect = "master key file", PART_COUNT + 2
+    elif role == _FILE_SECRETS:
+        kind, expect = "secrets file", 2
+    else:
+        raise ValueError(f"unknown key file role byte {role!r}")
+    if count != expect:
+        raise ValueError(f"{kind} must hold {expect} parts, got {count}")
+    pattern_len = 0 if role == _FILE_SECRETS else dim
+    size = _KEYFILE_HEAD.size + count * dim * dim * 8 + pattern_len
+    if len(blob) != size:
+        raise ValueError(f"{kind} of width {dim} must be {size} bytes, got {len(blob)}")
+    stored = np.frombuffer(blob, "<f8", count * dim * dim, _KEYFILE_HEAD.size)
+    stored = stored.reshape(count, dim, dim)
+    pattern = np.frombuffer(blob, np.uint8, pattern_len, size - pattern_len).copy()
+    if role == _FILE_DRIVER:
+        return UserKeySet("driver", dim, tuple(m.T.copy().T for m in stored), pattern)
+    mats = [m.copy() for m in stored]
+    if role == _FILE_RIDER:
+        return UserKeySet("rider", dim, tuple(mats), pattern)
     if role == _FILE_MASTER:
-        if count != PART_COUNT + 2:
-            raise ValueError(f"master key file must hold {PART_COUNT + 2} parts, got {count}")
-        pattern = np.frombuffer(blob[offset : offset + dim], dtype=np.uint8).copy()
         return MasterKey(dim, mats[0], mats[1], tuple(mats[2:]), pattern)
-    if role == _FILE_SECRETS:
-        if count != 2:
-            raise ValueError(f"secrets file must hold 2 parts, got {count}")
-        return TosSecrets(dim, mats[0], mats[1])
-    raise ValueError(f"unknown key file role byte {role!r}")
+    return TosSecrets(dim, mats[0], mats[1])
 
 
 def load_key_material(path: str) -> UserKeySet | MasterKey | TosSecrets:

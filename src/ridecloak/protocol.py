@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .crypto import EncryptedIndex
 from .direct import MatchCase
@@ -24,6 +26,7 @@ HEADER_SIZE = 4 + 1 + 8 + 32
 TOKEN_SIZE = 32
 ZERO_TOKEN = b"\x00" * TOKEN_SIZE
 MAX_FRAME_SIZE = 1024 * 1024 * 1024  # key bundles carry dense matrices and get big
+_FRAME_HEAD = struct.Struct("<IBQ")  # length, msg_type, epoch; the token follows
 
 
 class MsgType(enum.IntEnum):
@@ -52,23 +55,33 @@ class ProtocolError(Exception):
 
 @dataclass(frozen=True)
 class Frame:
+    """One decoded frame; `payload` is a view of the buffer it was decoded from."""
+
     msg_type: MsgType
     epoch: int
     token: bytes
-    payload: bytes
+    payload: memoryview
 
 
-def encode_frame(msg_type: MsgType, epoch: int, token: bytes, payload: bytes) -> bytes:
+def _frame_header(msg_type: MsgType, epoch: int, token: bytes, payload_size: int) -> bytes:
     if len(token) != TOKEN_SIZE:
         raise ValueError(f"token must be {TOKEN_SIZE} bytes, got {len(token)}")
-    body = struct.pack("<BQ", int(msg_type), epoch) + token + payload
-    if len(body) > MAX_FRAME_SIZE:
-        raise ValueError(f"frame too large: {len(body)} bytes")
-    return struct.pack("<I", len(body)) + body
+    length = HEADER_SIZE - 4 + payload_size
+    if length > MAX_FRAME_SIZE:
+        raise ValueError(f"frame too large: {length} bytes")
+    return _FRAME_HEAD.pack(length, int(msg_type), epoch) + token
 
 
-def decode_frame(data: bytes) -> tuple[Frame, bytes]:
-    """Decode one frame from a buffer; returns (frame, remaining bytes)."""
+def encode_frame(msg_type: MsgType, epoch: int, token: bytes, payload: bytes | memoryview) -> bytes:
+    return _frame_header(msg_type, epoch, token, len(payload)) + payload
+
+
+def decode_frame(data: bytes | memoryview) -> tuple[Frame, memoryview]:
+    """Decode one frame from a buffer; returns (frame, remaining bytes).
+
+    The payload and the remainder are views of `data`, not copies.
+    """
+    data = memoryview(data)
     if len(data) < 4:
         raise ProtocolError(ErrorCode.MALFORMED, "short frame header")
     (length,) = struct.unpack_from("<I", data)
@@ -76,46 +89,49 @@ def decode_frame(data: bytes) -> tuple[Frame, bytes]:
         raise ProtocolError(ErrorCode.MALFORMED, f"bad frame length {length}")
     if len(data) < 4 + length:
         raise ProtocolError(ErrorCode.MALFORMED, "truncated frame")
-    msg_b, epoch = struct.unpack_from("<BQ", data, 4)
+    _, msg_b, epoch = _FRAME_HEAD.unpack_from(data)
     try:
         msg_type = MsgType(msg_b)
     except ValueError:
         raise ProtocolError(ErrorCode.MALFORMED, f"unknown message type {msg_b}") from None
-    token = data[13 : 13 + TOKEN_SIZE]
-    payload = data[13 + TOKEN_SIZE : 4 + length]
+    token = bytes(data[13:HEADER_SIZE])
+    payload = data[HEADER_SIZE : 4 + length]
     return Frame(msg_type, epoch, token, payload), data[4 + length :]
 
 
 def read_frame(sock) -> Frame | None:
-    """Read one frame from a socket; None on clean EOF."""
-    head = _read_exact(sock, 4)
-    if head is None:
+    """Read one frame from a socket; None on clean EOF.
+
+    The frame is received into one buffer, allocated once its length is
+    known, and the payload is a view of it.
+    """
+    head = bytearray(4)
+    if not _recv_exact(sock, memoryview(head)):
         return None
     (length,) = struct.unpack("<I", head)
     if length < HEADER_SIZE - 4 or length > MAX_FRAME_SIZE:
         raise ProtocolError(ErrorCode.MALFORMED, f"bad frame length {length}")
-    body = _read_exact(sock, length)
-    if body is None:
+    # numpy, not bytearray: large numpy buffers get huge pages where the
+    # host offers them, which makes filling a key bundle much cheaper
+    buf = memoryview(np.empty(4 + length, dtype=np.uint8))
+    buf[:4] = head
+    if not _recv_exact(sock, buf[4:]):
         raise ProtocolError(ErrorCode.MALFORMED, "connection closed mid-frame")
-    frame, rest = decode_frame(head + body)
-    if rest:
-        raise ProtocolError(ErrorCode.MALFORMED, "trailing bytes after frame")
+    frame, _ = decode_frame(buf)
     return frame
 
 
-def _read_exact(sock, count: int) -> bytes | None:
-    """Read exactly `count` bytes; None on EOF before the first byte."""
-    chunks = []
+def _recv_exact(sock, buf: memoryview) -> bool:
+    """Fill `buf` from the socket; False on EOF before the first byte."""
     got = 0
-    while got < count:
-        chunk = sock.recv(count - got)
-        if not chunk:
+    while got < len(buf):
+        n = sock.recv_into(buf[got:])
+        if not n:
             if got == 0:
-                return None
+                return False
             raise ProtocolError(ErrorCode.MALFORMED, "connection closed mid-frame")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+        got += n
+    return True
 
 
 class _Writer:
@@ -158,8 +174,10 @@ class _Writer:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads fields off a payload; everything but `view` comes out as a copy."""
+
+    def __init__(self, data: bytes | memoryview):
+        self.data = memoryview(data)
         self.pos = 0
 
     def _take(self, fmt: str):
@@ -182,7 +200,8 @@ class _Reader:
     def u64(self) -> int:
         return self._take("<Q")
 
-    def blob(self) -> bytes:
+    def view(self) -> memoryview:
+        """A length-prefixed blob as a view of the payload."""
         size = self.u32()
         if self.pos + size > len(self.data):
             raise ProtocolError(ErrorCode.MALFORMED, "blob underrun")
@@ -190,13 +209,16 @@ class _Reader:
         self.pos += size
         return out
 
+    def blob(self) -> bytes:
+        return bytes(self.view())
+
     def text(self) -> str:
         return self.blob().decode("utf-8")
 
     def raw(self, size: int) -> bytes:
         if self.pos + size > len(self.data):
             raise ProtocolError(ErrorCode.MALFORMED, "payload underrun")
-        out = self.data[self.pos : self.pos + size]
+        out = bytes(self.data[self.pos : self.pos + size])
         self.pos += size
         return out
 
@@ -243,34 +265,61 @@ class KeyBundle:
     time_bits: int
     time_slots: int
     max_items: int
-    keysets: dict[str, bytes]  # name -> key material blob
+    keysets: dict[str, bytes | memoryview]  # name -> key material blob
     tokens: list[bytes]
 
 
-def encode_key_bundle(b: KeyBundle) -> bytes:
-    w = (
-        _Writer()
-        .u64(b.epoch)
-        .u64(b.salt)
-        .u32(b.filter_bits)
-        .u32(b.n_hashes)
-        .u32(b.id_bits)
-        .u32(b.time_bits)
-        .u32(b.time_slots)
-        .u32(b.max_items)
-    )
-    w.u8(len(b.keysets))
-    for name, blob in b.keysets.items():
-        w.text(name).blob(blob)
+def key_bundle_frame(
+    epoch: int, b: KeyBundle, sizes: dict[str, int]
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Lay out a whole KEY_BUNDLE reply frame in one buffer, key sets unwritten.
+
+    `sizes` names the key sets in wire order with each blob's length;
+    `b.keysets` is not read. Everything else is written: the frame header
+    (with `epoch` and the zero token), the bundle fields, the names, the
+    blob lengths and the tokens. Returns the frame and, per name, a
+    writable uint8 view of the slot its blob goes in.
+    """
+    w = _Writer().u64(b.epoch).u64(b.salt)
+    for value in (b.filter_bits, b.n_hashes, b.id_bits, b.time_bits, b.time_slots, b.max_items):
+        w.u32(value)
+    w.u8(len(sizes))
+    pieces: list[bytes | str] = []  # field bytes, or the name of a blob slot
+    for name, size in sizes.items():
+        pieces += [w.text(name).u32(size).bytes(), name]
+        w = _Writer()
     w.u16(len(b.tokens))
     for token in b.tokens:
         if len(token) != TOKEN_SIZE:
             raise ValueError("token size")
         w.raw(token)
-    return w.bytes()
+    pieces.append(w.bytes())
+    payload_size = sum(sizes[p] if isinstance(p, str) else len(p) for p in pieces)
+    # numpy, not bytearray: see read_frame
+    frame = np.empty(HEADER_SIZE + payload_size, dtype=np.uint8)
+    head = _frame_header(MsgType.KEY_BUNDLE, epoch, ZERO_TOKEN, payload_size)
+    frame[:HEADER_SIZE] = np.frombuffer(head, dtype=np.uint8)
+    slots = {}
+    pos = HEADER_SIZE
+    for piece in pieces:
+        if isinstance(piece, str):
+            slots[piece] = frame[pos : pos + sizes[piece]]
+            pos += sizes[piece]
+        else:
+            frame[pos : pos + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
+            pos += len(piece)
+    return frame, slots
 
 
-def decode_key_bundle(payload: bytes) -> KeyBundle:
+def encode_key_bundle(b: KeyBundle) -> bytes:
+    frame, slots = key_bundle_frame(0, b, {name: len(blob) for name, blob in b.keysets.items()})
+    for name, blob in b.keysets.items():
+        slots[name][:] = np.frombuffer(blob, dtype=np.uint8)
+    return frame[HEADER_SIZE:].tobytes()
+
+
+def decode_key_bundle(payload: bytes | memoryview) -> KeyBundle:
+    """Decode a KEY_BUNDLE payload; the key-set blobs are views of it."""
     r = _Reader(payload)
     epoch, salt = r.u64(), r.u64()
     filter_bits, n_hashes, id_bits, time_bits, time_slots, max_items = (
@@ -279,7 +328,7 @@ def decode_key_bundle(payload: bytes) -> KeyBundle:
     keysets = {}
     for _ in range(r.u8()):
         name = r.text()
-        keysets[name] = r.blob()
+        keysets[name] = r.view()
     tokens = [r.raw(TOKEN_SIZE) for _ in range(r.u16())]
     r.done()
     return KeyBundle(

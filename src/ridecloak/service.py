@@ -123,19 +123,24 @@ class TrustedAuthority:
         self._deriver_direct = crypto.KeyDeriver(self.master_direct, self.secrets_direct)
         self._deriver_transfer = crypto.KeyDeriver(self.master_transfer, self.secrets_transfer)
 
-    def register(self, role: str) -> tuple[protocol.KeyBundle, list[bytes]]:
-        """Fresh key sets and single-use tokens; returns (bundle, token digests)."""
+    def register(self, role: str) -> tuple[np.ndarray, list[bytes]]:
+        """Fresh key sets and single-use tokens as one KEY_BUNDLE reply frame.
+
+        Returns (frame, token digests). The frame is laid out first, and
+        each key set is derived straight into its slot, so every key byte
+        is written once.
+        """
         if role == "driver":
-            keysets = {
-                "direct-driver": self._deriver_direct.derive("driver", self._rng),
-                "transfer-plus": self._deriver_transfer.derive("driver", self._rng),
-                "transfer-minus": self._deriver_transfer.derive("rider", self._rng),
-            }
+            plan = (
+                ("direct-driver", self._deriver_direct, "driver"),
+                ("transfer-plus", self._deriver_transfer, "driver"),
+                ("transfer-minus", self._deriver_transfer, "rider"),
+            )
         elif role == "rider":
-            keysets = {
-                "direct-rider": self._deriver_direct.derive("rider", self._rng),
-                "transfer-rider": self._deriver_transfer.derive("rider", self._rng),
-            }
+            plan = (
+                ("direct-rider", self._deriver_direct, "rider"),
+                ("transfer-rider", self._deriver_transfer, "rider"),
+            )
         else:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
         tokens = [sysrandom.token_bytes(protocol.TOKEN_SIZE) for _ in range(self.config.tokens_per_bundle)]
@@ -149,10 +154,15 @@ class TrustedAuthority:
             time_bits=cfg.time_bits,
             time_slots=cfg.time_slots,
             max_items=cfg.max_items,
-            keysets={name: crypto.key_material_to_bytes(ks) for name, ks in keysets.items()},
+            keysets={},
             tokens=tokens,
         )
-        return bundle, [_token_digest(t) for t in tokens]
+        sizes = {name: crypto.user_key_file_size(d.master.dim) for name, d, _ in plan}
+        frame, slots = protocol.key_bundle_frame(self.epoch, bundle, sizes)
+        for name, deriver, key_role in plan:
+            parts, pattern = crypto.user_key_file(slots[name], key_role, deriver.master.dim)
+            pattern[:] = deriver.derive(key_role, self._rng, out=parts).split_pattern
+        return frame, [_token_digest(t) for t in tokens]
 
     def rotate(self) -> tuple[int, int]:
         """Advance the epoch with a fresh salt."""
@@ -420,7 +430,7 @@ class RideService:
         )
         self._lock = threading.RLock()
 
-    def dispatch(self, frame_bytes: bytes) -> bytes:
+    def dispatch(self, frame_bytes: bytes) -> bytes | memoryview:
         """Handle one frame, always returning exactly one reply frame."""
         with self._lock:
             epoch = self.server.epoch
@@ -428,6 +438,10 @@ class RideService:
                 frame, rest = protocol.decode_frame(frame_bytes)
                 if rest:
                     raise ProtocolError(ErrorCode.MALFORMED, "trailing bytes after frame")
+                if frame.msg_type == MsgType.REGISTER_USER:
+                    # The one reply not framed here: the authority derives the
+                    # key sets straight into a whole KEY_BUNDLE frame.
+                    return memoryview(self._register(frame))
                 msg_type, payload = self._dispatch_frame(frame)
                 return protocol.encode_frame(msg_type, epoch, protocol.ZERO_TOKEN, payload)
             except ProtocolError as exc:
@@ -436,15 +450,16 @@ class RideService:
                 payload = protocol.encode_error(ErrorCode.MALFORMED, str(exc))
             return protocol.encode_frame(MsgType.ERROR, epoch, protocol.ZERO_TOKEN, payload)
 
+    def _register(self, frame: Frame) -> np.ndarray:
+        role = protocol.decode_register(frame.payload)
+        try:
+            reply, digests = self.authority.register(role)
+        except ValueError as exc:
+            raise ProtocolError(ErrorCode.MALFORMED, str(exc)) from None
+        self.server.add_token_digests(digests)
+        return reply
+
     def _dispatch_frame(self, frame: Frame) -> Reply:
-        if frame.msg_type == MsgType.REGISTER_USER:
-            role = protocol.decode_register(frame.payload)
-            try:
-                bundle, digests = self.authority.register(role)
-            except ValueError as exc:
-                raise ProtocolError(ErrorCode.MALFORMED, str(exc)) from None
-            self.server.add_token_digests(digests)
-            return MsgType.KEY_BUNDLE, protocol.encode_key_bundle(bundle)
         if frame.msg_type == MsgType.SUBMIT_OFFER:
             return self.server.handle_submit_offer(frame)
         if frame.msg_type == MsgType.SUBMIT_REQUEST:
@@ -480,6 +495,8 @@ class _FrameHandler(socketserver.BaseRequestHandler):
                 protocol.encode_frame(frame.msg_type, frame.epoch, frame.token, frame.payload)
             )
             try:
+                # one write per reply: a header and payload sent apart can
+                # stall on Nagle's algorithm plus the peer's delayed ACK
                 self.request.sendall(reply)
             except OSError:
                 return

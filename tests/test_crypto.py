@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from ridecloak import crypto
 
 TOL = 1e-3
@@ -251,3 +252,54 @@ def test_batched_and_single_encrypt_agree(knn64):
     )
     for j, q in enumerate(cleared):
         assert abs(crypto.match_similarity(q, offer) - 1.0) <= TOL
+
+
+def test_derive_into_unaligned_key_file_slot(knn64):
+    """Deriving into a key-file slot writes the key file of a fresh derive."""
+    size = crypto.user_key_file_size(knn64.dim)
+    for role in ("driver", "rider"):
+        fresh = knn64.deriver.derive(role, np.random.default_rng(9))
+        buf = np.zeros(size + 3, dtype=np.uint8)
+        slot = buf[3:]
+        parts, pattern = crypto.user_key_file(slot, role, knn64.dim)
+        keys = knn64.deriver.derive(role, np.random.default_rng(9), out=parts)
+        pattern[:] = keys.split_pattern
+        assert not parts[0].flags.aligned
+        assert all(np.shares_memory(k, p) for k, p in zip(keys.parts, parts))
+        assert slot.tobytes() == crypto.key_material_to_bytes(fresh)
+        assert slot.tobytes() == oracles.user_key_file(role, fresh.parts, fresh.split_pattern)
+    with pytest.raises(ValueError, match="output parts"):
+        knn64.deriver.derive("rider", 0, out=parts[:7])
+    with pytest.raises(ValueError, match="bytes"):
+        crypto.user_key_file(buf, "rider", knn64.dim)
+
+
+def test_key_blob_must_be_exact_and_patterns_binary(knn64):
+    for obj in (knn64.master, knn64.secrets, knn64.driver, knn64.rider):
+        blob = crypto.key_material_to_bytes(obj)
+        for bad in (blob + b"garbage", blob + b"\x00", blob[:-1], blob[:9]):
+            with pytest.raises(ValueError):
+                crypto.key_material_from_bytes(bad)
+    blob = bytearray(crypto.key_material_to_bytes(knn64.rider))
+    blob[-1] = 7
+    with pytest.raises(ValueError, match="0/1"):
+        crypto.key_material_from_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="0/1"):
+        crypto.UserKeySet("rider", knn64.dim, knn64.rider.parts, np.full(knn64.dim, 7, np.uint8))
+
+
+def test_loaded_driver_parts_multiply_as_contiguous_transposes(knn64):
+    """Loaded driver parts have C-contiguous transposes and give the same ciphertexts."""
+    driver = crypto.key_material_from_bytes(crypto.key_material_to_bytes(knn64.driver))
+    rider = crypto.key_material_from_bytes(crypto.key_material_to_bytes(knn64.rider))
+    assert all(p.T.flags.c_contiguous for p in driver.parts)
+    assert all(p.flags.c_contiguous for p in rider.parts)
+    vecs = np.random.default_rng(3).integers(0, 2, (6, knn64.dim)).astype(float)
+    got = np.stack([idx.parts for idx in crypto.encrypt_indices(vecs, driver, np.random.default_rng(4))])
+    first, second = crypto.split_vector(
+        vecs, knn64.driver.split_pattern, "driver", np.random.default_rng(4)
+    )
+    want = np.stack(
+        [(first if i < 4 else second) @ k.T for i, k in enumerate(knn64.driver.parts)], axis=1
+    )
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())

@@ -1,4 +1,6 @@
 import socket
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +79,27 @@ def test_read_frame_over_socket():
         assert protocol.read_frame(b) is None
     finally:
         b.close()
+
+
+def test_read_frame_holds_one_copy_of_a_large_frame():
+    """An N-byte frame is received into one N-byte buffer; the payload is a view of it."""
+    payload = bytes(range(256)) * (8 * 4096)
+    data = protocol.encode_frame(MsgType.KEY_BUNDLE, 2, ZERO_TOKEN, payload)
+    a, b = socket.socketpair()
+    sender = threading.Thread(target=a.sendall, args=(data,))
+    tracemalloc.start()
+    try:
+        sender.start()
+        frame = protocol.read_frame(b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        sender.join(timeout=30)
+        a.close()
+        b.close()
+    assert not sender.is_alive()
+    assert isinstance(frame.payload, memoryview) and frame.payload == payload
+    assert peak <= 1.05 * len(data) + 64 * 1024
 
 
 def test_read_frame_mid_stream_eof():

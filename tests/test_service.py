@@ -1,3 +1,5 @@
+import struct
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from types import SimpleNamespace
@@ -543,7 +545,7 @@ def test_socket_and_loopback_transports_agree(monkeypatch):
 
 
 def test_loopback_rejects_trailing_reply_bytes(small_service):
-    stub = SimpleNamespace(dispatch=lambda data: small_service.dispatch(data) + b"\x00")
+    stub = SimpleNamespace(dispatch=lambda data: bytes(small_service.dispatch(data)) + b"\x00")
     with pytest.raises(ProtocolError, match="trailing"):
         ServiceClient(LoopbackTransport(stub)).register("rider")
 
@@ -568,3 +570,139 @@ def test_no_plaintext_trip_state_on_server(small_service):
         if isinstance(obj, forbidden)
     ]
     assert hits == []
+
+
+def register_frame(role):
+    return protocol.encode_frame(
+        MsgType.REGISTER_USER, 1, protocol.ZERO_TOKEN, protocol.encode_register(role)
+    )
+
+
+def test_register_reply_matches_independent_encoding(monkeypatch):
+    """The one-buffer KEY_BUNDLE reply is byte for byte the documented layout."""
+    config = ServiceConfig(**SMALL_CONFIG)
+    monkeypatch.setattr(service, "sysrandom", CountingRandom())
+    svc = RideService(config, seed=21)
+    rng = np.random.default_rng(21)
+    twin = service.TrustedAuthority(config, rng)  # the same draws as svc.authority
+    direct = crypto.KeyDeriver(twin.master_direct, twin.secrets_direct)
+    cells = crypto.KeyDeriver(twin.master_transfer, twin.secrets_transfer)
+    plans = {
+        "driver": [
+            ("direct-driver", direct, "driver"),
+            ("transfer-plus", cells, "driver"),
+            ("transfer-minus", cells, "rider"),
+        ],
+        "rider": [("direct-rider", direct, "rider"), ("transfer-rider", cells, "rider")],
+    }
+    tokens = CountingRandom()
+    fields = (1, twin.salt, config.filter_bits, config.n_hashes, config.id_bits,
+              config.time_bits, config.time_slots, config.max_items)
+    for role in ("driver", "rider", "driver"):
+        reply = svc.dispatch(register_frame(role))
+        keysets = []
+        for name, deriver, key_role in plans[role]:
+            keys = deriver.derive(key_role, rng)
+            keysets.append((name, oracles.user_key_file(key_role, keys.parts, keys.split_pattern)))
+        expected = oracles.key_bundle_frame(
+            1, fields, keysets,
+            [tokens.token_bytes(protocol.TOKEN_SIZE) for _ in range(config.tokens_per_bundle)],
+        )
+        assert bytes(reply) == expected
+
+
+def buffer_bytes(obj):
+    """Size of the whole buffer `obj` is or views; 0 for anything else."""
+    while True:
+        if isinstance(obj, memoryview):
+            obj = obj.obj
+        elif isinstance(obj, np.ndarray) and obj.base is not None:
+            obj = obj.base
+        else:
+            break
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    return len(obj) if isinstance(obj, (bytes, bytearray)) else 0
+
+
+def test_register_builds_its_reply_in_one_buffer():
+    svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=3)
+    for role in ("driver", "rider"):
+        svc.dispatch(register_frame(role))  # fill the lazy key caches first
+    for role in ("driver", "rider"):
+        request = register_frame(role)
+        tracemalloc.start()
+        try:
+            reply = svc.dispatch(request)
+            _, peak = tracemalloc.get_traced_memory()
+            size = len(reply)
+            del reply
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * size
+        assert left < 0.01 * size
+        reply = svc.dispatch(request)
+        held = [
+            type(obj).__name__
+            for obj in oracles.reachable_instances(svc)
+            if buffer_bytes(obj) >= len(reply)
+        ]
+        assert held == []
+
+
+def reframed(reply, payload):
+    """`reply`'s header with `payload` and the length fixed up to match."""
+    head = bytes(reply[4 : protocol.HEADER_SIZE])
+    return struct.pack("<I", len(head) + len(payload)) + head + payload
+
+
+def corrupt_key_bundles(reply):
+    """KEY_BUNDLE replies cut short, padded, or with a bad first key set."""
+    data = bytes(reply)
+    payload = data[protocol.HEADER_SIZE :]
+    out = [data[: len(data) * k // 8] for k in range(8)] + [data + b"\x00"]
+    out += [reframed(reply, payload[: len(payload) * k // 8]) for k in range(8)]
+    out.append(reframed(reply, payload + b"\x00"))
+    # the first key set's blob: 41 bytes of fields and count, then the name
+    (name_len,) = struct.unpack_from("<I", payload, 41)
+    at = 45 + name_len
+    (blob_len,) = struct.unpack_from("<I", payload, at)
+    blob_end = at + 4 + blob_len
+    for blob_delta, body in ((1, payload[:blob_end] + b"\x00"), (-1, payload[: blob_end - 1])):
+        head = payload[:at] + struct.pack("<I", blob_len + blob_delta)
+        out.append(reframed(reply, head + body[at + 4 :] + payload[blob_end:]))
+    bad_pattern = bytearray(payload)
+    bad_pattern[blob_end - 1] = 7
+    out.append(reframed(reply, bytes(bad_pattern)))
+    return out
+
+
+def test_register_refuses_corrupt_key_bundles(small_service):
+    (rider,) = make_clients(small_service, roles=("rider",))
+    before = rider.registration
+    tokens = list(before.tokens)
+    reply = small_service.dispatch(register_frame("rider"))
+    for bad in corrupt_key_bundles(reply):
+        rider.transport = LoopbackTransport(SimpleNamespace(dispatch=lambda data, bad=bad: bad))
+        with pytest.raises((ProtocolError, ValueError)):
+            rider.register("rider")
+        assert rider.registration is before and before.tokens == tokens
+
+
+def test_register_refuses_key_sets_of_the_wrong_width(small_service, knn64):
+    (rider,) = make_clients(small_service, roles=("rider",))
+    before = rider.registration
+    cfg = small_service.config
+    fields = (before.epoch, before.salt, cfg.filter_bits, cfg.n_hashes, cfg.id_bits,
+              cfg.time_bits, cfg.time_slots, cfg.max_items)
+    good = {name: crypto.key_material_to_bytes(keys) for name, keys in before.keysets.items()}
+    narrow = crypto.key_material_to_bytes(knn64.rider)
+    for name in good:
+        keysets = [(n, narrow if n == name else blob) for n, blob in good.items()]
+        bad = oracles.key_bundle_frame(before.epoch, fields, keysets, [bytes(32)])
+        rider.transport = LoopbackTransport(SimpleNamespace(dispatch=lambda data, bad=bad: bad))
+        with pytest.raises(ProtocolError, match="width") as err:
+            rider.register("rider")
+        assert err.value.code is ErrorCode.BAD_STATE
+        assert rider.registration is before
