@@ -139,6 +139,12 @@ class ServiceClient:
         if frame.msg_type != MsgType.KEY_BUNDLE:
             raise ProtocolError(ErrorCode.BAD_STATE, f"expected KEY_BUNDLE, got {frame.msg_type.name}")
         bundle = protocol.decode_key_bundle(frame.payload)
+        expected = dict(protocol.ROLE_KEY_SETS[role])
+        if bundle.keysets.keys() != expected.keys():
+            raise ProtocolError(
+                ErrorCode.BAD_STATE,
+                f"a {role} bundle holds {sorted(expected)}, got {sorted(bundle.keysets)}",
+            )
         widths = {
             "direct": bundle.filter_bits,
             "transfer": 2 * bundle.id_bits + bundle.time_bits,
@@ -148,8 +154,13 @@ class ServiceClient:
             keys = crypto.key_material_from_bytes(blob)
             if not isinstance(keys, UserKeySet):
                 raise ProtocolError(ErrorCode.BAD_STATE, f"bundle entry {name!r} is not a user key set")
+            if keys.role != expected[name]:
+                raise ProtocolError(
+                    ErrorCode.BAD_STATE,
+                    f"bundle entry {name!r} holds {keys.role} keys, expected {expected[name]}",
+                )
             scheme = name.split("-", 1)[0]
-            if scheme in widths and keys.dim != widths[scheme]:
+            if keys.dim != widths[scheme]:
                 raise ProtocolError(
                     ErrorCode.BAD_STATE,
                     f"bundle entry {name!r} has width {keys.dim}, expected {widths[scheme]}",

@@ -233,6 +233,18 @@ _ROLE_CODE = {"driver": 0, "rider": 1}
 _ROLE_NAME = {v: k for k, v in _ROLE_CODE.items()}
 _SCHEME_CODE = {"direct": 0, "transfer": 1}
 _SCHEME_NAME = {v: k for k, v in _SCHEME_CODE.items()}
+# The key sets a registration carries, per registered role, in wire order:
+# (name, role the key set is derived for). A name starts with its scheme.
+# A driver encrypts transfer cells twice: column form with driver keys
+# ("transfer-plus") and row form with rider keys ("transfer-minus").
+ROLE_KEY_SETS: dict[str, tuple[tuple[str, str], ...]] = {
+    "driver": (
+        ("direct-driver", "driver"),
+        ("transfer-plus", "driver"),
+        ("transfer-minus", "rider"),
+    ),
+    "rider": (("direct-rider", "rider"), ("transfer-rider", "rider")),
+}
 _CASE_CODE = {MatchCase.AREA: 0, MatchCase.ROUTE: 1, MatchCase.EXTENDED: 2}
 _CASE_NAME = {v: k for k, v in _CASE_CODE.items()}
 _PREF_CODE = {kind: i for i, kind in enumerate(PreferenceKind)}

@@ -16,6 +16,7 @@ in-process loopback transport and the socket server drive.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import secrets as sysrandom
 import socketserver
@@ -130,19 +131,12 @@ class TrustedAuthority:
         each key set is derived straight into its slot, so every key byte
         is written once.
         """
-        if role == "driver":
-            plan = (
-                ("direct-driver", self._deriver_direct, "driver"),
-                ("transfer-plus", self._deriver_transfer, "driver"),
-                ("transfer-minus", self._deriver_transfer, "rider"),
-            )
-        elif role == "rider":
-            plan = (
-                ("direct-rider", self._deriver_direct, "rider"),
-                ("transfer-rider", self._deriver_transfer, "rider"),
-            )
-        else:
-            raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
+        try:
+            plan = protocol.ROLE_KEY_SETS[role]
+        except KeyError:
+            raise ValueError(f"role must be 'driver' or 'rider', got {role!r}") from None
+        derivers = {"direct": self._deriver_direct, "transfer": self._deriver_transfer}
+        plan = [(name, derivers[name.split("-", 1)[0]], key_role) for name, key_role in plan]
         tokens = [sysrandom.token_bytes(protocol.TOKEN_SIZE) for _ in range(self.config.tokens_per_bundle)]
         cfg = self.config
         bundle = protocol.KeyBundle(
@@ -445,10 +439,16 @@ class RideService:
                 msg_type, payload = self._dispatch_frame(frame)
                 return protocol.encode_frame(msg_type, epoch, protocol.ZERO_TOKEN, payload)
             except ProtocolError as exc:
-                payload = protocol.encode_error(exc.code, str(exc))
+                return self.error_reply(exc)
             except (ValueError, UnicodeDecodeError) as exc:
-                payload = protocol.encode_error(ErrorCode.MALFORMED, str(exc))
-            return protocol.encode_frame(MsgType.ERROR, epoch, protocol.ZERO_TOKEN, payload)
+                return self.error_reply(ProtocolError(ErrorCode.MALFORMED, str(exc)))
+
+    def error_reply(self, exc: ProtocolError) -> bytes:
+        """The ERROR frame answering a frame that failed to decode or to apply."""
+        with self._lock:
+            epoch = self.server.epoch
+        payload = protocol.encode_error(exc.code, str(exc))
+        return protocol.encode_frame(MsgType.ERROR, epoch, protocol.ZERO_TOKEN, payload)
 
     def _register(self, frame: Frame) -> np.ndarray:
         role = protocol.decode_register(frame.payload)
@@ -487,7 +487,12 @@ class _FrameHandler(socketserver.BaseRequestHandler):
         while True:
             try:
                 frame = protocol.read_frame(self.request)
-            except (ProtocolError, ConnectionError, OSError):
+            except ProtocolError as exc:
+                # the stream is out of step: answer once, then hang up
+                with contextlib.suppress(OSError):
+                    self.request.sendall(self.server.ride_service.error_reply(exc))
+                return
+            except OSError:
                 return
             if frame is None:
                 return

@@ -22,9 +22,10 @@ its row-form indexes against that matrix in one GEMM. A matching round
 pins every pending request in one GEMM too (TransferGraph.pin) and hands
 each search its two hit rows; search ANDs them with the active mask as it
 stands, so offers exhausted earlier in the round drop out exactly as if
-each request had been pinned on its own. The weighted adjacency of each
-band pass is cached per graph and dropped whenever an insert or an
-exhaustion changes the edges.
+each request had been pinned on its own. A band pass reads each node's
+weighted out-edges from the graph when Dijkstra visits it, so it costs
+the nodes it reaches, and the graph holds no derived state that an insert
+or an exhaustion must invalidate.
 
 Preference passes run a multi-source Dijkstra that records every
 equal-cost predecessor, then enumerate all minimal simple paths. The
@@ -250,8 +251,6 @@ class TransferGraph:
         self._offer_rows: dict[str, range] = {}
         self._plus = np.empty((0, 0))
         self._active = np.zeros(0, dtype=bool)
-        # (route, transfer) weights -> weighted adjacency; cleared on every edge change
-        self.adjacency_cache: dict[tuple[float, float], dict] = {}
 
     @property
     def match_target(self) -> int:
@@ -360,7 +359,6 @@ class TransferGraph:
         for pos in range(len(offer.cells) - 1):
             self.route_succ[(offer.offer_id, pos)] = (offer.offer_id, pos + 1)
         self.capacity[offer.offer_id] = offer.capacity
-        self.adjacency_cache.clear()
         return added
 
     def remove_offer_edges(self, offer_id: str) -> None:
@@ -373,7 +371,6 @@ class TransferGraph:
             self.route_succ.pop(node_id, None)
             for other in self.transfer_adj.pop(node_id, set()):
                 self.transfer_adj[other].discard(node_id)
-        self.adjacency_cache.clear()
 
 
 def build_graph(offers: list[TransferOffer], secrets: TosSecrets, id_bits: int) -> TransferGraph:
@@ -395,23 +392,33 @@ _PRIMARY_OF = {
 }
 
 
-def _weighted_adjacency(
-    graph: TransferGraph, weights: dict[str, float]
-) -> dict[NodeId, list[tuple[NodeId, float]]]:
-    """Weighted out-edges of every node, cached on the graph per weighting."""
-    key = (weights["route"], weights["transfer"])
-    adj = graph.adjacency_cache.get(key)
-    if adj is None:
-        adj = {
-            node_id: [(v, weights[kind]) for v, kind in graph.neighbors(node_id)]
-            for node_id in graph.nodes
-        }
-        graph.adjacency_cache[key] = adj
-    return adj
+class _WeightedEdges:
+    """Weighted out-edges of a graph's nodes, read from it on each lookup."""
+
+    __slots__ = ("graph", "weights")
+
+    def __init__(self, graph: TransferGraph, weights: dict[str, float]):
+        self.graph = graph
+        self.weights = weights
+
+    def __contains__(self, node: NodeId) -> bool:
+        return node in self.graph.nodes
+
+    def get(self, node: NodeId, default=None):
+        """`node`'s out-edges in `graph.neighbors` order, or `default` off the graph."""
+        if node not in self.graph.nodes:
+            return default
+        weights = self.weights
+        return [(v, weights[kind]) for v, kind in self.graph.neighbors(node)]
+
+
+def _weighted_adjacency(graph: TransferGraph, weights: dict[str, float]) -> _WeightedEdges:
+    """Weighted out-edges of every node, as a view Dijkstra reads per visited node."""
+    return _WeightedEdges(graph, weights)
 
 
 def modified_dijkstra(
-    adj: dict[NodeId, list[tuple[NodeId, float]]],
+    adj: dict[NodeId, list[tuple[NodeId, float]]] | _WeightedEdges,
     sources: list[NodeId],
 ) -> tuple[dict[NodeId, float], dict[NodeId, list[NodeId]]]:
     """Multi-source Dijkstra keeping every equal-cost predecessor.
@@ -420,6 +427,9 @@ def modified_dijkstra(
     list; relaxation that exactly ties appends. Weights must be
     non-negative; zero weights are fine because enumeration walks simple
     paths only.
+
+    `adj` maps a node to its (successor, weight) out-edges: a dict, or the
+    view `_weighted_adjacency` returns. Only `in` and `get` are used.
     """
     dist: dict[NodeId, float] = {}
     preds: dict[NodeId, list[NodeId]] = {}

@@ -1,0 +1,78 @@
+"""The verdict rule of tools/bench_pairs.py, on synthetic numbers only."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+verdict = bench_pairs.verdict
+
+PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR 0.0375
+
+
+def test_clear_gain_needs_nine_wins_in_ten():
+    faster = [p - 0.3 for p in PARENT]
+    assert verdict(PARENT, faster, "lower", 0.25) == ("gain", 10)
+    one_loss = faster[:9] + [PARENT[9] + 0.01]
+    assert verdict(PARENT, one_loss, "lower", 0.25) == ("gain", 9)
+    two_losses = faster[:8] + [PARENT[8] + 0.01, PARENT[9] + 0.01]
+    assert verdict(PARENT, two_losses, "lower", 0.25) == ("within bound", 8)
+
+
+def test_ties_count_for_neither_side():
+    faster = [p - 0.3 for p in PARENT[:8]] + PARENT[8:]
+    assert verdict(PARENT, faster, "lower", 0.25) == ("within bound", 8)
+
+
+def test_gain_must_exceed_the_parents_quartile_spread():
+    # wins every pair, but by less than the parent's own IQR
+    barely = [p - 0.01 for p in PARENT]
+    assert verdict(PARENT, barely, "lower", 0.25) == ("within bound", 10)
+
+
+def test_direction_follows_better():
+    higher = [p + 0.3 for p in PARENT]
+    assert verdict(PARENT, higher, "higher", 0.25) == ("gain", 10)
+    assert verdict(PARENT, higher, "lower", 0.25) == ("worse", 0)
+    lower = [p - 0.3 for p in PARENT]
+    assert verdict(PARENT, lower, "higher", 0.25) == ("worse", 0)
+
+
+def test_worse_only_beyond_the_bound():
+    slower = [p * 1.2 for p in PARENT]
+    assert verdict(PARENT, slower, "lower", 0.25) == ("within bound", 0)
+    assert verdict(PARENT, slower, "lower", 0.1) == ("worse", 0)
+
+
+def test_wide_spread_is_unresolved_unless_every_run_is_better():
+    noisy = [1.0, 2.0, 0.5, 1.5, 0.8, 1.2, 0.6, 1.8, 0.9, 1.1]
+    assert verdict(noisy, list(noisy), "lower", 0.25) == ("unresolved", 0)
+    # below every parent run, but by less than the parent's IQR: no gain,
+    # yet not unresolved either
+    wide = [1.0, 1.0, 1.0, 1.1, 1.5, 1.5, 1.9, 2.0, 2.0, 2.0]
+    assert verdict(wide, [0.9] * 10, "lower", 0.25) == ("within bound", 10)
+    # wins every pair, yet one change run reads above the parent's lowest
+    assert verdict(wide, [0.9] * 9 + [1.05], "lower", 0.25) == ("unresolved", 10)
+
+
+def test_constant_metrics_are_within_bound():
+    wire = [6105.56] * 10
+    assert verdict(wire, list(wire), "lower", 0.1) == ("within bound", 0)
+
+
+def test_rejects_unpaired_runs_and_unknown_direction():
+    with pytest.raises(ValueError):
+        verdict(PARENT, PARENT[:9], "lower", 0.25)
+    with pytest.raises(ValueError):
+        verdict([], [], "lower", 0.25)
+    with pytest.raises(ValueError):
+        verdict(PARENT, PARENT, "faster", 0.25)
+
+
+def test_parse_seeds():
+    assert bench_pairs.parse_seeds("701-705") == [701, 702, 703, 704, 705]
+    assert bench_pairs.parse_seeds("701,703") == [701, 703]

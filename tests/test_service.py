@@ -1,3 +1,4 @@
+import socket
 import struct
 import tracemalloc
 from contextlib import contextmanager
@@ -544,6 +545,23 @@ def test_socket_and_loopback_transports_agree(monkeypatch):
     }
 
 
+def test_socket_server_answers_an_unreadable_frame_once_then_closes(small_service):
+    unknown_type = struct.pack("<IBQ", protocol.HEADER_SIZE - 4, 99, 1) + protocol.ZERO_TOKEN
+    short_length = b"\x2d\x00\x00"  # three of the four length bytes, then EOF
+    with over_socket(small_service) as transport:
+        address = transport.sock.getpeername()
+        for data in (unknown_type, short_length):
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(data)
+                sock.shutdown(socket.SHUT_WR)
+                reply = protocol.read_frame(sock)
+                assert reply.msg_type is MsgType.ERROR
+                assert protocol.decode_error(reply.payload)[0] is ErrorCode.MALFORMED
+                assert protocol.read_frame(sock) is None
+        # the server still serves well-formed connections
+        ServiceClient(transport, rng=9).register("rider")
+
+
 def test_loopback_rejects_trailing_reply_bytes(small_service):
     stub = SimpleNamespace(dispatch=lambda data: bytes(small_service.dispatch(data)) + b"\x00")
     with pytest.raises(ProtocolError, match="trailing"):
@@ -703,6 +721,39 @@ def test_register_refuses_key_sets_of_the_wrong_width(small_service, knn64):
         bad = oracles.key_bundle_frame(before.epoch, fields, keysets, [bytes(32)])
         rider.transport = LoopbackTransport(SimpleNamespace(dispatch=lambda data, bad=bad: bad))
         with pytest.raises(ProtocolError, match="width") as err:
+            rider.register("rider")
+        assert err.value.code is ErrorCode.BAD_STATE
+        assert rider.registration is before
+
+
+def test_register_refuses_bundles_without_their_roles_key_sets(small_service):
+    rider, driver = make_clients(small_service, roles=("rider", "driver"))
+    before = rider.registration
+    cfg = small_service.config
+    fields = (before.epoch, before.salt, cfg.filter_bits, cfg.n_hashes, cfg.id_bits,
+              cfg.time_bits, cfg.time_slots, cfg.max_items)
+    blobs = {
+        name: crypto.key_material_to_bytes(keys)
+        for reg in (rider.registration, driver.registration)
+        for name, keys in reg.keysets.items()
+    }
+    names = [name for name, _ in protocol.ROLE_KEY_SETS["rider"]]
+    assert names == ["direct-rider", "transfer-rider"]
+    cases = [  # (error, [(name, whose blob it carries)])
+        ("holds", [("direct-rider", "direct-rider")]),
+        ("holds", [(n, n) for n in names] + [("direct-driver", "direct-driver")]),
+        ("driver keys", [("direct-rider", "direct-driver"), ("transfer-rider", "transfer-rider")]),
+        ("driver keys", [("direct-rider", "direct-rider"), ("transfer-rider", "transfer-plus")]),
+        (None, [(n, n) for n in names]),
+    ]
+    for match, entries in cases:
+        keysets = [(name, blobs[source]) for name, source in entries]
+        reply = oracles.key_bundle_frame(before.epoch, fields, keysets, [bytes(32)])
+        rider.transport = LoopbackTransport(SimpleNamespace(dispatch=lambda data, r=reply: r))
+        if match is None:
+            assert list(rider.register("rider").keysets) == names
+            continue
+        with pytest.raises(ProtocolError, match=match) as err:
             rider.register("rider")
         assert err.value.code is ErrorCode.BAD_STATE
         assert rider.registration is before

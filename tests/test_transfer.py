@@ -426,27 +426,35 @@ def test_stale_pins_rejected(transfer_env):
         graph.pin([make_offer(env, "c", [(1, 0), (2, 0)]).cells[0].plus])
 
 
-def test_adjacency_cache_follows_inserts_and_exhaustion(transfer_env):
+def assert_view_equals_uncached(graph, weights):
+    view = transfer._weighted_adjacency(graph, weights)
+    want = uncached_adjacency(graph, weights)
+    assert all(node in view for node in want)
+    assert {node: view.get(node) for node in want} == want
+
+
+def test_adjacency_view_follows_inserts_and_exhaustion(transfer_env):
     env = transfer_env
     graph = make_graph(env, {"a": [(1, 0), (2, 0), (3, 0)], "b": [(2, 0), (4, 0)]})
     cells = {"route": 1.0, "transfer": 0.0}
     hops = {"route": 0.0, "transfer": 1.0}
-    first = transfer._weighted_adjacency(graph, cells)
-    assert transfer._weighted_adjacency(graph, cells) is first
-    assert first == uncached_adjacency(graph, cells)
-    assert transfer._weighted_adjacency(graph, hops) == uncached_adjacency(graph, hops)
+    assert_view_equals_uncached(graph, cells)
+    assert_view_equals_uncached(graph, hops)
+    view = transfer._weighted_adjacency(graph, cells)
+    assert ("c", 0) not in view and view.get(("c", 0), ()) == ()
 
     graph.add_offer(make_offer(env, "c", [(3, 0), (4, 0)], seed=5), env.secrets)
-    inserted = transfer._weighted_adjacency(graph, cells)
-    assert inserted is not first and ("c", 0) in inserted
-    assert inserted == uncached_adjacency(graph, cells)
-    assert transfer._weighted_adjacency(graph, hops) == uncached_adjacency(graph, hops)
+    # a view taken before the insert reads the new node's edges
+    assert ("c", 0) in view
+    assert view.get(("c", 0)) == uncached_adjacency(graph, cells)[("c", 0)]
+    assert_view_equals_uncached(graph, cells)
+    assert_view_equals_uncached(graph, hops)
 
     graph.remove_offer_edges("a")
-    exhausted = transfer._weighted_adjacency(graph, cells)
-    assert exhausted is not inserted and exhausted[("a", 0)] == []
-    assert exhausted == uncached_adjacency(graph, cells)
-    assert transfer._weighted_adjacency(graph, hops) == uncached_adjacency(graph, hops)
+    assert view.get(("a", 0)) == []
+    assert_view_equals_uncached(graph, cells)
+    assert_view_equals_uncached(graph, hops)
+    assert ("zz", 0) not in view and view.get(("zz", 0), "none") == "none"
 
 
 ROUND_PREFERENCES = [
