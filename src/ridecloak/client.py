@@ -114,11 +114,13 @@ class ServiceClient:
             raise ServerError(code, message)
         return frame
 
-    def _take_token(self) -> bytes:
+    def _submit(self, msg_type: MsgType, payload: bytes) -> str:
+        """Send one encoded submission under a fresh token; returns the server's id."""
         reg = self._registered()
         if not reg.tokens:
             raise TokenError("no submission tokens left; register again for more")
-        return reg.tokens.pop()
+        frame = self._request(msg_type, payload, reg.tokens.pop())
+        return protocol.decode_ack(frame.payload)
 
     def _registered(self) -> Registration:
         if self.registration is None:
@@ -199,36 +201,16 @@ class ServiceClient:
     def submit_direct_offers(self, specs: list[OfferSpec]) -> list[str]:
         """Encrypt offers in one batch, submit one frame each; returns server ids."""
         offers = direct.build_offers(specs, self._keys("direct-driver"), self.summary_config, self.rng)
-        ids = []
-        for spec, offer in zip(specs, offers):
-            payload = protocol.encode_submit_offer(
-                protocol.DirectOfferPayload(
-                    capacity=spec.capacity,
-                    cases=tuple(spec.cases),
-                    contact=spec.contact,
-                    indexes=[protocol.index_blob(ix) for ix in offer.indexes()],
-                )
-            )
-            frame = self._request(MsgType.SUBMIT_OFFER, payload, self._take_token())
-            ids.append(protocol.decode_ack(frame.payload))
-        return ids
+        return [self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(o)) for o in offers]
 
     def submit_direct_offer(self, spec: OfferSpec) -> str:
         return self.submit_direct_offers([spec])[0]
 
     def submit_direct_requests(self, specs: list[RequestSpec]) -> list[str]:
         requests = direct.build_requests(specs, self._keys("direct-rider"), self.summary_config, self.rng)
-        ids = []
-        for spec, request in zip(specs, requests):
-            payload = protocol.encode_submit_request(
-                protocol.DirectRequestPayload(
-                    contact=spec.contact,
-                    indexes=[protocol.index_blob(ix) for ix in request.indexes()],
-                )
-            )
-            frame = self._request(MsgType.SUBMIT_REQUEST, payload, self._take_token())
-            ids.append(protocol.decode_ack(frame.payload))
-        return ids
+        return [
+            self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(r)) for r in requests
+        ]
 
     def submit_direct_request(self, spec: RequestSpec) -> str:
         return self.submit_direct_requests([spec])[0]
@@ -250,18 +232,7 @@ class ServiceClient:
             self.rng,
             contact,
         )
-        payload = protocol.encode_submit_offer(
-            protocol.TransferOfferPayload(
-                capacity=capacity,
-                contact=contact,
-                cells=[
-                    (protocol.index_blob(c.plus), protocol.index_blob(c.minus))
-                    for c in offer.cells
-                ],
-            )
-        )
-        frame = self._request(MsgType.SUBMIT_OFFER, payload, self._take_token())
-        return protocol.decode_ack(frame.payload)
+        return self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(offer))
 
     def submit_transfer_request(
         self,
@@ -286,16 +257,7 @@ class ServiceClient:
             self.rng,
             contact,
         )
-        payload = protocol.encode_submit_request(
-            protocol.TransferRequestPayload(
-                contact=contact,
-                preference=preference,
-                pickup=protocol.index_blob(request.pickup),
-                dropoff=protocol.index_blob(request.dropoff),
-            )
-        )
-        frame = self._request(MsgType.SUBMIT_REQUEST, payload, self._take_token())
-        return protocol.decode_ack(frame.payload)
+        return self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(request))
 
     # -- notifications ----------------------------------------------------------
 

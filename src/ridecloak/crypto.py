@@ -198,7 +198,7 @@ class EncryptedIndex:
         return head + self.parts.astype("<f8").tobytes()
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "EncryptedIndex":
+    def from_bytes(cls, blob: bytes | memoryview) -> "EncryptedIndex":
         if len(blob) < 6:
             raise ValueError("encrypted index blob too short")
         orient_b, unmasked_b, dim = struct.unpack_from("<BBI", blob)
@@ -369,7 +369,9 @@ def unmask_indices(
     """Apply the server secrets to a batch of same-orientation indexes.
 
     With `out`, one (8, dim) array per index, the cleared parts are
-    written there and the returned indexes are views of them.
+    written there and the returned indexes are views of them. Cleared
+    parts that are not all finite (a ciphertext near the float64 limit
+    overflows) raise ValueError before anything is written.
     """
     if not indexes:
         return []
@@ -382,11 +384,14 @@ def unmask_indices(
         if idx.dim != secrets.dim:
             raise ValueError(f"index dim {idx.dim} != secrets dim {secrets.dim}")
     stacked = np.concatenate([idx.parts for idx in indexes], axis=0)
-    if orientation == "column":
-        # Parts are stored as rows, so the left-multiplication transposes.
-        cleared = stacked @ secrets.index_mask.T
-    else:
-        cleared = stacked @ secrets.query_mask_inv
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        if orientation == "column":
+            # Parts are stored as rows, so the left-multiplication transposes.
+            cleared = stacked @ secrets.index_mask.T
+        else:
+            cleared = stacked @ secrets.query_mask_inv
+    if not np.isfinite(cleared).all():
+        raise ValueError("unmasked index parts are not finite")
     blocks = cleared.reshape(len(indexes), PART_COUNT, secrets.dim)
     if out is not None:
         for dst, block in zip(out, blocks, strict=True):

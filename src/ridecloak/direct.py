@@ -276,9 +276,13 @@ class _Pool:
                     f"{self.dim}, got {idx.orientation}-form of dim {idx.dim}"
                 )
         row = self._free[-1] if self._free else self.used
-        if row == len(self.live):
+        if row < len(self.live):
+            crypto.unmask_indices(indexes, secrets, out=self.row_parts(row))
+        else:  # full: grow only once the submission has unmasked cleanly
+            cleared = crypto.unmask_indices(indexes, secrets)
             self._grow()
-        crypto.unmask_indices(indexes, secrets, out=self.row_parts(row))
+            for dst, idx in zip(self.row_parts(row), cleared):
+                dst[...] = idx.parts
         if self._free:
             self._free.pop()
         else:

@@ -19,8 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crypto import EncryptedIndex
-from .direct import MatchCase
-from .transfer import Preference, PreferenceKind
+from .direct import DirectOffer, DirectRequest, MatchCase
+from .transfer import (
+    Preference,
+    PreferenceKind,
+    TransferCellCipher,
+    TransferOffer,
+    TransferRequest,
+)
 
 HEADER_SIZE = 4 + 1 + 8 + 32
 TOKEN_SIZE = 32
@@ -169,6 +175,9 @@ class _Writer:
         self.buf += data
         return self
 
+    def index(self, idx: EncryptedIndex) -> "_Writer":
+        return self.blob(idx.to_bytes())
+
     def bytes(self) -> bytes:
         return bytes(self.buf)
 
@@ -221,6 +230,18 @@ class _Reader:
         out = bytes(self.data[self.pos : self.pos + size])
         self.pos += size
         return out
+
+    def index(self) -> EncryptedIndex:
+        try:
+            return EncryptedIndex.from_bytes(self.view())
+        except ValueError as exc:
+            raise ProtocolError(ErrorCode.MALFORMED, f"bad index blob: {exc}") from None
+
+    def case(self) -> MatchCase:
+        code = self.u8()
+        if code not in _CASE_NAME:
+            raise ProtocolError(ErrorCode.MALFORMED, f"unknown case code {code}")
+        return _CASE_NAME[code]
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -349,107 +370,70 @@ def decode_key_bundle(payload: bytes | memoryview) -> KeyBundle:
     )
 
 
-@dataclass
-class DirectOfferPayload:
-    capacity: int
-    cases: tuple[MatchCase, ...]
-    contact: bytes
-    indexes: list[bytes]  # pickup, dropoff, route, time
-
-
-@dataclass
-class TransferOfferPayload:
-    capacity: int
-    contact: bytes
-    cells: list[tuple[bytes, bytes]]  # (plus, minus) index blobs
-
-
-def encode_submit_offer(payload: DirectOfferPayload | TransferOfferPayload) -> bytes:
+def encode_submit_offer(offer: DirectOffer | TransferOffer) -> bytes:
+    """SUBMIT_OFFER payload; the offer id stays client-side."""
     w = _Writer()
-    if isinstance(payload, DirectOfferPayload):
-        w.u8(_SCHEME_CODE["direct"]).u16(payload.capacity)
-        w.u8(len(payload.cases))
-        for case in payload.cases:
+    if isinstance(offer, DirectOffer):
+        w.u8(_SCHEME_CODE["direct"]).u16(offer.capacity).u8(len(offer.cases))
+        for case in offer.cases:
             w.u8(_CASE_CODE[case])
-        w.blob(payload.contact)
-        if len(payload.indexes) != 4:
-            raise ValueError("direct offer carries 4 indexes")
-        for blob in payload.indexes:
-            w.blob(blob)
+        w.blob(offer.contact)
+        for idx in offer.indexes():
+            w.index(idx)
     else:
-        w.u8(_SCHEME_CODE["transfer"]).u16(payload.capacity)
-        w.blob(payload.contact)
-        w.u16(len(payload.cells))
-        for plus, minus in payload.cells:
-            w.blob(plus).blob(minus)
+        w.u8(_SCHEME_CODE["transfer"]).u16(offer.capacity).blob(offer.contact)
+        w.u16(len(offer.cells))
+        for cell in offer.cells:
+            w.index(cell.plus).index(cell.minus)
     return w.bytes()
 
 
-def decode_submit_offer(payload: bytes) -> DirectOfferPayload | TransferOfferPayload:
+def decode_submit_offer(payload: bytes | memoryview) -> DirectOffer | TransferOffer:
+    """The submitted offer, with an empty id and its indexes as sent."""
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         capacity = r.u16()
-        ncases = r.u8()
-        cases = []
-        for _ in range(ncases):
-            code = r.u8()
-            if code not in _CASE_NAME:
-                raise ProtocolError(ErrorCode.MALFORMED, f"unknown case code {code}")
-            cases.append(_CASE_NAME[code])
+        cases = tuple(r.case() for _ in range(r.u8()))
         contact = r.blob()
-        indexes = [r.blob() for _ in range(4)]
+        indexes = [r.index() for _ in range(4)]
         r.done()
-        return DirectOfferPayload(capacity, tuple(cases), contact, indexes)
+        return DirectOffer("", capacity, cases, *indexes, contact)
     if scheme == _SCHEME_CODE["transfer"]:
         capacity = r.u16()
         contact = r.blob()
-        cells = [(r.blob(), r.blob()) for _ in range(r.u16())]
+        cells = [TransferCellCipher(r.index(), r.index()) for _ in range(r.u16())]
         r.done()
-        return TransferOfferPayload(capacity, contact, cells)
+        return TransferOffer("", capacity, cells, contact)
     raise ProtocolError(ErrorCode.MALFORMED, f"unknown scheme code {scheme}")
 
 
-@dataclass
-class DirectRequestPayload:
-    contact: bytes
-    indexes: list[bytes]  # pickup, dropoff, route, time
-
-
-@dataclass
-class TransferRequestPayload:
-    contact: bytes
-    preference: Preference
-    pickup: bytes
-    dropoff: bytes
-
-
-def encode_submit_request(payload: DirectRequestPayload | TransferRequestPayload) -> bytes:
+def encode_submit_request(request: DirectRequest | TransferRequest) -> bytes:
+    """SUBMIT_REQUEST payload; the request id stays client-side."""
     w = _Writer()
-    if isinstance(payload, DirectRequestPayload):
-        w.u8(_SCHEME_CODE["direct"]).blob(payload.contact)
-        if len(payload.indexes) != 4:
-            raise ValueError("direct request carries 4 indexes")
-        for blob in payload.indexes:
-            w.blob(blob)
+    if isinstance(request, DirectRequest):
+        w.u8(_SCHEME_CODE["direct"]).blob(request.contact)
+        for idx in request.indexes():
+            w.index(idx)
     else:
-        pref = payload.preference
-        w.u8(_SCHEME_CODE["transfer"]).blob(payload.contact)
+        pref = request.preference
+        w.u8(_SCHEME_CODE["transfer"]).blob(request.contact)
         w.u8(_PREF_CODE[pref.kind])
         w.u32(_NO_LIMIT if pref.cells_limit is None else pref.cells_limit)
         w.u32(_NO_LIMIT if pref.transfers_limit is None else pref.transfers_limit)
-        w.blob(payload.pickup).blob(payload.dropoff)
+        w.index(request.pickup).index(request.dropoff)
     return w.bytes()
 
 
-def decode_submit_request(payload: bytes) -> DirectRequestPayload | TransferRequestPayload:
+def decode_submit_request(payload: bytes | memoryview) -> DirectRequest | TransferRequest:
+    """The submitted request, with an empty id and its indexes as sent."""
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         contact = r.blob()
-        indexes = [r.blob() for _ in range(4)]
+        indexes = [r.index() for _ in range(4)]
         r.done()
-        return DirectRequestPayload(contact, indexes)
+        return DirectRequest("", *indexes, contact)
     if scheme == _SCHEME_CODE["transfer"]:
         contact = r.blob()
         kind_code = r.u8()
@@ -457,7 +441,7 @@ def decode_submit_request(payload: bytes) -> DirectRequestPayload | TransferRequ
             raise ProtocolError(ErrorCode.MALFORMED, f"unknown preference code {kind_code}")
         cells_limit = r.u32()
         transfers_limit = r.u32()
-        pickup, dropoff = r.blob(), r.blob()
+        pickup, dropoff = r.index(), r.index()
         r.done()
         try:
             pref = Preference(
@@ -467,7 +451,7 @@ def decode_submit_request(payload: bytes) -> DirectRequestPayload | TransferRequ
             )
         except ValueError as exc:
             raise ProtocolError(ErrorCode.MALFORMED, str(exc)) from None
-        return TransferRequestPayload(contact, pref, pickup, dropoff)
+        return TransferRequest("", pickup, dropoff, pref, contact)
     raise ProtocolError(ErrorCode.MALFORMED, f"unknown scheme code {scheme}")
 
 
@@ -522,7 +506,7 @@ def decode_notification(payload: bytes) -> DirectNotification | TransferNotifica
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         subject, peer = r.text(), r.text()
-        case = _CASE_NAME[r.u8()]
+        case = r.case()
         contact = r.blob()
         r.done()
         return DirectNotification(subject, peer, case, contact)
@@ -594,18 +578,11 @@ def encode_error(code: ErrorCode, message: str) -> bytes:
 
 def decode_error(payload: bytes) -> tuple[ErrorCode, str]:
     r = _Reader(payload)
-    code = ErrorCode(r.u16())
+    code = r.u16()
     message = r.text()
     r.done()
-    return code, message
-
-
-def index_blob(index: EncryptedIndex) -> bytes:
-    return index.to_bytes()
-
-
-def index_from_blob(blob: bytes) -> EncryptedIndex:
     try:
-        return EncryptedIndex.from_bytes(blob)
-    except ValueError as exc:
-        raise ProtocolError(ErrorCode.MALFORMED, f"bad index blob: {exc}") from None
+        return ErrorCode(code), message
+    except ValueError:
+        raise ProtocolError(ErrorCode.MALFORMED, f"unknown error code {code}") from None
+

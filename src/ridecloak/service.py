@@ -27,6 +27,7 @@ import numpy as np
 
 from . import crypto, direct, protocol, transfer
 from .crypto import TosSecrets
+from .direct import DirectMatch as DirectMatchRecord
 from .protocol import ErrorCode, Frame, MsgType, ProtocolError
 
 
@@ -166,13 +167,6 @@ class TrustedAuthority:
 
 
 @dataclass
-class DirectMatchRecord:
-    request_id: str
-    offer_id: str
-    case: direct.MatchCase
-
-
-@dataclass
 class TransferMatchRecord:
     request_id: str
     path: transfer.PathResult
@@ -210,9 +204,14 @@ class TosServer:
     def add_token_digests(self, digests: list[bytes]) -> None:
         self.unused_tokens.update(digests)
 
-    def _assign_id(self, prefix: str) -> str:
+    def _next_id(self, prefix: str) -> str:
+        """The id of the submission being stored; `_stored` takes its number."""
+        return f"{prefix}{self._counter + 1}-{self._id_rng.token_hex(4)}"
+
+    def _stored(self, token: bytes) -> None:
+        """A submission is stored: spend its token and its id number."""
+        self.unused_tokens.discard(token)
         self._counter += 1
-        return f"{prefix}{self._counter}-{self._id_rng.token_hex(4)}"
 
     @property
     def direct_remaining(self) -> dict[str, int]:
@@ -238,8 +237,7 @@ class TosServer:
 
     # -- ingestion ------------------------------------------------------------
 
-    def _decode_index(self, blob: bytes, orientation: str, dim: int) -> crypto.EncryptedIndex:
-        idx = protocol.index_from_blob(blob)
+    def _check_index(self, idx: crypto.EncryptedIndex, orientation: str, dim: int) -> None:
         if idx.unmasked:
             raise ProtocolError(ErrorCode.BAD_STATE, "submissions must not be pre-unmasked")
         if idx.orientation != orientation:
@@ -250,67 +248,57 @@ class TosServer:
             raise ProtocolError(ErrorCode.BAD_DIMENSION, f"index dim {idx.dim}, expected {dim}")
         if not np.isfinite(idx.parts).all():
             raise ProtocolError(ErrorCode.MALFORMED, "index parts must be finite")
-        return idx
 
     def handle_submit_offer(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
         token = self._check_token(frame.token)
-        payload = protocol.decode_submit_offer(frame.payload)
-        if isinstance(payload, protocol.DirectOfferPayload):
-            if payload.capacity < 1:
-                raise ProtocolError(ErrorCode.BAD_STATE, "capacity must be >= 1")
-            if not payload.cases:
+        offer = protocol.decode_submit_offer(frame.payload)
+        if offer.capacity < 1:
+            raise ProtocolError(ErrorCode.BAD_STATE, "capacity must be >= 1")
+        if isinstance(offer, direct.DirectOffer):
+            if not offer.cases:
                 raise ProtocolError(ErrorCode.BAD_STATE, "offer must accept at least one case")
-            dims = self.config.filter_bits
-            indexes = [self._decode_index(b, "column", dims) for b in payload.indexes]
-            offer_id = self._assign_id("do")
+            for idx in offer.indexes():
+                self._check_index(idx, "column", self.config.filter_bits)
+            offer_id = self._next_id("do")
             row = self.offer_pool.admit(
-                indexes, self.secrets_direct, offer_id, payload.capacity, payload.cases
+                offer.indexes(), self.secrets_direct, offer_id, offer.capacity, offer.cases
             )
-            self.direct_offers[offer_id] = direct.PoolEntry(self.offer_pool, row, payload.contact)
+            self.direct_offers[offer_id] = direct.PoolEntry(self.offer_pool, row, offer.contact)
         else:
-            if payload.capacity < 1:
-                raise ProtocolError(ErrorCode.BAD_STATE, "capacity must be >= 1")
-            if len(payload.cells) < 2:
+            if len(offer.cells) < 2:
                 raise ProtocolError(ErrorCode.BAD_STATE, "transfer offer needs >= 2 cells")
             dims = self.config.cell_vector_bits
-            cells = [
-                transfer.TransferCellCipher(
-                    self._decode_index(plus, "column", dims),
-                    self._decode_index(minus, "row", dims),
-                )
-                for plus, minus in payload.cells
-            ]
-            offer_id = self._assign_id("to")
-            offer = transfer.TransferOffer(offer_id, payload.capacity, cells, payload.contact)
+            for cell in offer.cells:
+                self._check_index(cell.plus, "column", dims)
+                self._check_index(cell.minus, "row", dims)
+            offer.offer_id = offer_id = self._next_id("to")
             self.graph.add_offer(offer, self.secrets_transfer)
             self.transfer_offers[offer_id] = offer
-        self.unused_tokens.discard(token)
+        self._stored(token)
         return MsgType.SUBMIT_OFFER, protocol.encode_ack(offer_id)
 
     def handle_submit_request(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
         token = self._check_token(frame.token)
-        payload = protocol.decode_submit_request(frame.payload)
-        if isinstance(payload, protocol.DirectRequestPayload):
-            dims = self.config.filter_bits
-            indexes = [self._decode_index(b, "row", dims) for b in payload.indexes]
-            request_id = self._assign_id("dr")
-            row = self.request_pool.admit(indexes, self.secrets_direct, request_id)
+        request = protocol.decode_submit_request(frame.payload)
+        if isinstance(request, direct.DirectRequest):
+            for idx in request.indexes():
+                self._check_index(idx, "row", self.config.filter_bits)
+            request_id = self._next_id("dr")
+            row = self.request_pool.admit(request.indexes(), self.secrets_direct, request_id)
             self.direct_requests[request_id] = direct.PoolEntry(
-                self.request_pool, row, payload.contact
+                self.request_pool, row, request.contact
             )
         else:
-            dims = self.config.cell_vector_bits
-            pickup = self._decode_index(payload.pickup, "row", dims)
-            dropoff = self._decode_index(payload.dropoff, "row", dims)
-            cleared = crypto.unmask_indices([pickup, dropoff], self.secrets_transfer)
-            request_id = self._assign_id("tr")
-            request = transfer.TransferRequest(
-                request_id, cleared[0], cleared[1], payload.preference, payload.contact
+            for idx in (request.pickup, request.dropoff):
+                self._check_index(idx, "row", self.config.cell_vector_bits)
+            request.pickup, request.dropoff = crypto.unmask_indices(
+                [request.pickup, request.dropoff], self.secrets_transfer
             )
+            request.request_id = request_id = self._next_id("tr")
             self.transfer_requests[request_id] = request
-        self.unused_tokens.discard(token)
+        self._stored(token)
         pending = len(self.direct_requests) + len(self.transfer_requests)
         if self.config.match_threshold and pending >= self.config.match_threshold:
             self.run_matching()
@@ -331,7 +319,6 @@ class TosServer:
 
     def run_direct_matching(self) -> list[DirectMatchRecord]:
         matches = direct.match_all(self.offer_pool, self.request_pool, self.config.n_hashes)
-        records = []
         for match in matches:
             offer = self.direct_offers[match.offer_id]
             request = self.direct_requests.pop(match.request_id)
@@ -347,8 +334,7 @@ class TosServer:
                     match.offer_id, match.request_id, match.case, request.contact
                 )
             )
-            records.append(DirectMatchRecord(match.request_id, match.offer_id, match.case))
-        return records
+        return matches
 
     def run_transfer_matching(self) -> list[TransferMatchRecord]:
         """Serve pending requests in arrival order over one batched pinning.

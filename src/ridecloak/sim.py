@@ -15,7 +15,7 @@ import hashlib
 import io
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -207,40 +207,45 @@ def workload_from_text(text: str) -> Workload:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        kind, _, rest = line.partition(" ")
-        if kind == "grid":
-            rows, cols, seed_kv = rest.split()
-            city = GridCity(int(rows), int(cols))
-            seed = int(seed_kv.split("=", 1)[1])
-            continue
-        ident, _, rest = rest.partition(" ")
-        kv = dict(item.split("=", 1) for item in rest.split())
-        if kind == "offer":
-            offers.append(
-                PlainOffer(
-                    ident,
-                    tuple(int(c) for c in kv["cells"].split(",")),
-                    float(kv["depart"]),
-                    float(kv["dwell"]),
-                    int(kv["capacity"]),
-                    tuple(MatchCase(c) for c in kv["cases"].split(",")),
-                    int(kv["span"]),
+        try:
+            kind, _, rest = line.partition(" ")
+            if kind == "grid":
+                rows, cols, seed_kv = rest.split()
+                city = GridCity(int(rows), int(cols))
+                seed = int(seed_kv.split("=", 1)[1])
+                continue
+            ident, _, rest = rest.partition(" ")
+            kv = dict(item.split("=", 1) for item in rest.split())
+            if kind == "offer":
+                offers.append(
+                    PlainOffer(
+                        ident,
+                        tuple(int(c) for c in kv["cells"].split(",")),
+                        float(kv["depart"]),
+                        float(kv["dwell"]),
+                        int(kv["capacity"]),
+                        tuple(MatchCase(c) for c in kv["cases"].split(",")),
+                        int(kv["span"]),
+                    )
                 )
-            )
-        elif kind == "request":
-            requests.append(
-                PlainRequest(
-                    ident,
-                    int(kv["pickup"]),
-                    int(kv["dropoff"]),
-                    tuple(int(c) for c in kv["route"].split(",")),
-                    float(kv["t_pick"]),
-                    float(kv["t_drop"]),
-                    Preference.parse(kv["pref"]),
+            elif kind == "request":
+                requests.append(
+                    PlainRequest(
+                        ident,
+                        int(kv["pickup"]),
+                        int(kv["dropoff"]),
+                        tuple(int(c) for c in kv["route"].split(",")),
+                        float(kv["t_pick"]),
+                        float(kv["t_drop"]),
+                        Preference.parse(kv["pref"]),
+                    )
                 )
-            )
-        else:
-            raise ValueError(f"workload line {lineno}: unknown record {kind!r}")
+            else:
+                raise ValueError(f"unknown record {kind!r}")
+        except KeyError as exc:
+            raise ValueError(f"workload line {lineno}: missing field {exc}") from None
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"workload line {lineno}: {exc}") from None
     if city is None:
         raise ValueError("workload text has no grid line")
     return Workload(city, seed, offers, requests)
@@ -568,14 +573,6 @@ class ExperimentConfig:
         )
 
 
-CSV_FIELDS = [
-    "scheme", "rows", "cols", "cell_count", "n_offers", "n_requests", "seed",
-    "filter_bits", "n_hashes", "time_bits", "preference",
-    "search_time_ms", "bytes_per_offer", "bytes_per_request",
-    "success_rate", "vehicle_service_rate", "fpp_events",
-]
-
-
 @dataclass
 class MetricsReport:
     scheme: str
@@ -598,6 +595,9 @@ class MetricsReport:
 
     def row(self) -> dict:
         return {name: getattr(self, name) for name in CSV_FIELDS}
+
+
+CSV_FIELDS = [f.name for f in fields(MetricsReport)]
 
 
 def write_metrics_csv(stream, reports: list[MetricsReport]) -> None:

@@ -138,6 +138,14 @@ def test_wire_errors_return_1(tmp_path, capsys):
     assert err.startswith("error:") and "70000 does not fit wire field" in err
 
 
+def test_workload_file_errors_return_1(tmp_path, capsys):
+    """A workload record with a missing field ends in `error:` and exit 1, not a traceback."""
+    wl_path = tmp_path / "wl.txt"
+    wl_path.write_text("grid 8 8 seed=1\noffer o1 cells=1,2,3 depart=100.0\n", encoding="utf-8")
+    assert main(["match", "--workload", str(wl_path), *SMALL_ARGS]) == 1
+    assert capsys.readouterr().err == "error: workload line 2: missing field 'dwell'\n"
+
+
 def serve_and_submit(tmp_path, capsys, scheme):
     wl_path = tmp_path / "wl.txt"
     write_small_workload(wl_path)

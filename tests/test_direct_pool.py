@@ -45,21 +45,21 @@ class ReferenceServer:
         self.seats = {}
         self.requests = {}  # pending id -> unmasked DirectRequest, arrival order
 
-    def unmask(self, blobs):
-        return crypto.unmask_indices([protocol.index_from_blob(b) for b in blobs], self.secrets)
+    def unmask(self, indexes):
+        return crypto.unmask_indices(indexes, self.secrets)
 
     def ingest(self, log):
         for msg_type, item_id, payload in log:
             if msg_type is MsgType.SUBMIT_OFFER:
                 p = protocol.decode_submit_offer(payload)
                 self.offers[item_id] = direct.DirectOffer(
-                    item_id, p.capacity, p.cases, *self.unmask(p.indexes), p.contact
+                    item_id, p.capacity, p.cases, *self.unmask(p.indexes()), p.contact
                 )
                 self.seats[item_id] = p.capacity
             else:
                 p = protocol.decode_submit_request(payload)
                 self.requests[item_id] = direct.DirectRequest(
-                    item_id, *self.unmask(p.indexes), p.contact
+                    item_id, *self.unmask(p.indexes()), p.contact
                 )
         log.clear()
 
@@ -245,6 +245,7 @@ def test_pool_rejects_bad_submissions_without_state_change(direct_env):
                 "wrong orientation": other_form,
                 "wrong width": [replace(ix, parts=ix.parts[:, :-1]) for ix in good],
                 "three indexes": good[:3],
+                "overflowing parts": [replace(ix, parts=np.full_like(ix.parts, 1e308)) for ix in good],
             }
             for name, indexes in bad.items():
                 before = pool_state(pool)

@@ -1,38 +1,47 @@
 import socket
+import struct
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from ridecloak import crypto, protocol
-from ridecloak.direct import MatchCase
+from ridecloak.client import ServiceClient
+from ridecloak.crypto import EncryptedIndex
+from ridecloak.direct import DirectOffer, DirectRequest, MatchCase
 from ridecloak.protocol import (
     DirectNotification,
-    DirectOfferPayload,
-    DirectRequestPayload,
     EpochAnnounce,
     ErrorCode,
+    Frame,
     KeyBundle,
     MsgType,
     Preference,
     PreferenceKind,
     ProtocolError,
     TransferNotification,
-    TransferOfferPayload,
-    TransferRequestPayload,
     ZERO_TOKEN,
 )
+from ridecloak.transfer import TransferCellCipher, TransferOffer, TransferRequest
 
 
-def sample_index_blobs(count=4, dim=16, seed=0):
+def sample_indexes(count=4, dim=16, seed=0, role="rider"):
     rng = np.random.default_rng(seed)
     master = crypto.generate_master_key(dim, rng)
     secrets = crypto.generate_tos_secrets(dim, rng)
-    keys = crypto.KeyDeriver(master, secrets).derive("rider", rng)
-    return [
-        crypto.encrypt_index(np.zeros(dim), keys, rng).to_bytes() for _ in range(count)
-    ]
+    keys = crypto.KeyDeriver(master, secrets).derive(role, rng)
+    return [crypto.encrypt_index(np.zeros(dim), keys, rng) for _ in range(count)]
+
+
+def oracle_blobs(indexes):
+    """Index blobs laid out by the independent encoder."""
+    return [oracles.encrypted_index(ix.orientation, ix.unmasked, ix.parts) for ix in indexes]
+
+
+def same_indexes(a, b):
+    return [ix.to_bytes() for ix in a] == [ix.to_bytes() for ix in b]
 
 
 def test_frame_round_trip():
@@ -149,35 +158,45 @@ def test_key_bundle_round_trip(knn64):
 
 
 def test_direct_offer_payload_round_trip():
-    payload = DirectOfferPayload(
-        capacity=3,
-        cases=(MatchCase.ROUTE, MatchCase.AREA),
-        contact=b"call-me",
-        indexes=sample_index_blobs(),
+    offer = DirectOffer(
+        "o7", 3, (MatchCase.ROUTE, MatchCase.AREA), *sample_indexes(role="driver"), b"call-me"
     )
-    back = protocol.decode_submit_offer(protocol.encode_submit_offer(payload))
-    assert back == payload
-    with pytest.raises(ValueError, match="4 indexes"):
-        protocol.encode_submit_offer(
-            DirectOfferPayload(1, (MatchCase.AREA,), b"", sample_index_blobs(3))
+    payload = protocol.encode_submit_offer(offer)
+    assert payload == oracles.direct_offer_payload(
+        3, ["route", "area"], b"call-me", oracle_blobs(offer.indexes())
+    )
+    back = protocol.decode_submit_offer(payload)
+    assert isinstance(back, DirectOffer) and back.offer_id == ""
+    assert (back.capacity, back.cases, back.contact) == (3, offer.cases, b"call-me")
+    assert same_indexes(back.indexes(), offer.indexes())
+    with pytest.raises(ProtocolError, match="underrun"):  # a direct offer carries 4 indexes
+        protocol.decode_submit_offer(
+            oracles.direct_offer_payload(1, ["area"], b"", oracle_blobs(offer.indexes())[:3])
         )
 
 
 def test_transfer_offer_payload_round_trip():
-    blobs = sample_index_blobs(6)
-    payload = TransferOfferPayload(
-        capacity=2,
-        contact=b"",
-        cells=[(blobs[0], blobs[1]), (blobs[2], blobs[3]), (blobs[4], blobs[5])],
+    plus = sample_indexes(3, role="driver")
+    minus = sample_indexes(3, seed=1)
+    offer = TransferOffer("local", 2, [TransferCellCipher(p, m) for p, m in zip(plus, minus)])
+    payload = protocol.encode_submit_offer(offer)
+    assert payload == oracles.transfer_offer_payload(
+        2, b"", list(zip(oracle_blobs(plus), oracle_blobs(minus)))
     )
-    back = protocol.decode_submit_offer(protocol.encode_submit_offer(payload))
-    assert back == payload
+    back = protocol.decode_submit_offer(payload)
+    assert isinstance(back, TransferOffer) and back.offer_id == ""
+    assert (back.capacity, back.contact, len(back.cells)) == (2, b"", 3)
+    assert same_indexes([c.plus for c in back.cells], plus)
+    assert same_indexes([c.minus for c in back.cells], minus)
 
 
 def test_direct_request_payload_round_trip():
-    payload = DirectRequestPayload(contact=b"r", indexes=sample_index_blobs(seed=1))
-    back = protocol.decode_submit_request(protocol.encode_submit_request(payload))
-    assert back == payload
+    request = DirectRequest("r1", *sample_indexes(seed=1), b"r")
+    payload = protocol.encode_submit_request(request)
+    assert payload == oracles.direct_request_payload(b"r", oracle_blobs(request.indexes()))
+    back = protocol.decode_submit_request(payload)
+    assert isinstance(back, DirectRequest) and back.request_id == ""
+    assert back.contact == b"r" and same_indexes(back.indexes(), request.indexes())
 
 
 @pytest.mark.parametrize("pref", [
@@ -187,19 +206,29 @@ def test_direct_request_payload_round_trip():
     Preference(PreferenceKind.MAX_CELLS_TRANSFERS, cells_limit=12, transfers_limit=2),
 ])
 def test_transfer_request_payload_round_trip(pref):
-    blobs = sample_index_blobs(2, seed=2)
-    payload = TransferRequestPayload(b"c", pref, blobs[0], blobs[1])
-    back = protocol.decode_submit_request(protocol.encode_submit_request(payload))
-    assert back == payload
+    pickup, dropoff = sample_indexes(2, seed=2)
+    request = TransferRequest("local", pickup, dropoff, pref, b"c")
+    payload = protocol.encode_submit_request(request)
+    assert payload == oracles.transfer_request_payload(
+        b"c", pref.kind.value, pref.cells_limit, pref.transfers_limit,
+        *oracle_blobs([pickup, dropoff]),
+    )
+    back = protocol.decode_submit_request(payload)
+    assert isinstance(back, TransferRequest) and back.request_id == ""
+    assert (back.preference, back.contact) == (pref, b"c")
+    assert same_indexes([back.pickup, back.dropoff], [pickup, dropoff])
 
 
-@pytest.mark.parametrize("payload", [
-    DirectOfferPayload(-1, (MatchCase.AREA,), b"", [b"x"] * 4),
-    TransferOfferPayload(capacity=2, contact=b"", cells=[(b"x", b"y")] * 65536),
+_ZERO_INDEX = EncryptedIndex("column", np.zeros((crypto.PART_COUNT, 1)))
+
+
+@pytest.mark.parametrize("offer", [
+    DirectOffer("", -1, (MatchCase.AREA,), *[_ZERO_INDEX] * 4),
+    TransferOffer("", 2, [TransferCellCipher(_ZERO_INDEX, _ZERO_INDEX)] * 65536),
 ], ids=["negative-capacity", "too-many-cells"])
-def test_out_of_range_fields_raise_protocol_error(payload):
+def test_out_of_range_fields_raise_protocol_error(offer):
     with pytest.raises(ProtocolError) as exc_info:
-        protocol.encode_submit_offer(payload)
+        protocol.encode_submit_offer(offer)
     assert exc_info.value.code is ErrorCode.MALFORMED
 
 
@@ -214,7 +243,7 @@ def test_unknown_scheme_rejected():
 
 def test_payload_underruns_rejected():
     payload = protocol.encode_submit_offer(
-        DirectOfferPayload(1, (MatchCase.AREA,), b"contact", sample_index_blobs(seed=3))
+        DirectOffer("", 1, (MatchCase.AREA,), *sample_indexes(seed=3), b"contact")
     )
     with pytest.raises(ProtocolError, match="underrun"):
         protocol.decode_submit_offer(payload[:-3])
@@ -229,7 +258,7 @@ def test_notification_round_trips():
     direct = DirectNotification("r4", "o2", MatchCase.EXTENDED, b"ping")
     assert protocol.decode_notification(protocol.encode_notification(direct)) == direct
     handoff = TransferNotification(
-        "r9", ["o1", "o5"], [b"a", b"b"], [sample_index_blobs(1, seed=4)[0]]
+        "r9", ["o1", "o5"], [b"a", b"b"], [sample_indexes(1, seed=4)[0].to_bytes()]
     )
     assert protocol.decode_notification(protocol.encode_notification(handoff)) == handoff
     batch = [direct, handoff]
@@ -252,11 +281,56 @@ def test_error_round_trip():
     assert protocol.decode_error(payload) == (ErrorCode.STALE_EPOCH, "epoch 3 is over")
 
 
-def test_index_blob_round_trip(knn64):
+def test_encrypted_index_round_trip(knn64):
     rng = np.random.default_rng(11)
     idx = crypto.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
-    back = protocol.index_from_blob(protocol.index_blob(idx))
+    payload = protocol.encode_submit_request(DirectRequest("", idx, idx, idx, idx))
+    back = protocol.decode_submit_request(payload).pickup
     assert back.orientation == idx.orientation
     np.testing.assert_array_equal(back.parts, idx.parts)
-    with pytest.raises(ProtocolError, match="blob"):
-        protocol.index_from_blob(b"\x01\x02\x03")
+    with pytest.raises(ProtocolError, match="blob") as exc_info:
+        protocol.decode_submit_request(oracles.direct_request_payload(b"", [b"\x01\x02\x03"] * 4))
+    assert exc_info.value.code is ErrorCode.MALFORMED
+
+
+def _note_with_case_code(code):
+    good = protocol.encode_notification(DirectNotification("r4", "o2", MatchCase.AREA, b""))
+    at = 1 + 4 + len("r4") + 4 + len("o2")  # scheme, then the two ids
+    return good[:at] + bytes([code]) + good[at + 1 :]
+
+
+BAD_CASE_NOTE = _note_with_case_code(9)
+BAD_CASE_BATCH = struct.pack("<HI", 1, len(BAD_CASE_NOTE)) + BAD_CASE_NOTE
+
+
+@pytest.mark.parametrize("decode, payload", [
+    (protocol.decode_notification, BAD_CASE_NOTE),
+    (protocol.decode_notification_batch, BAD_CASE_BATCH),
+    (protocol.decode_error, struct.pack("<HI", 99, 0)),
+    (protocol.decode_error, struct.pack("<HI", 0, 0)),
+], ids=["case-code", "case-code-in-batch", "error-code-99", "error-code-0"])
+def test_client_decoders_reject_unknown_codes(decode, payload):
+    with pytest.raises(ProtocolError, match="unknown") as exc_info:
+        decode(payload)
+    assert exc_info.value.code is ErrorCode.MALFORMED
+
+
+class _CannedTransport:
+    """Answers every request with one fixed reply frame."""
+
+    def __init__(self, msg_type, payload):
+        self.reply = Frame(msg_type, 0, ZERO_TOKEN, memoryview(payload))
+
+    def request(self, data):
+        return self.reply
+
+
+@pytest.mark.parametrize("msg_type, payload", [
+    (MsgType.MATCH_NOTIFICATION, BAD_CASE_BATCH),
+    (MsgType.ERROR, struct.pack("<HI", 99, 0)),
+], ids=["notification", "error"])
+def test_poll_on_a_corrupt_reply_raises_protocol_error(msg_type, payload):
+    client = ServiceClient(_CannedTransport(msg_type, payload))
+    with pytest.raises(ProtocolError) as exc_info:
+        client.poll(["r1"])
+    assert exc_info.value.code is ErrorCode.MALFORMED

@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from support import SMALL_CONFIG
@@ -18,7 +20,7 @@ from ridecloak.client import (
     SocketTransport,
     TokenError,
 )
-from ridecloak.direct import MatchCase, OfferSpec, RequestSpec
+from ridecloak.direct import DirectOffer, DirectRequest, MatchCase, OfferSpec, RequestSpec
 from ridecloak.protocol import ErrorCode, MsgType, ProtocolError
 from ridecloak.service import RideService, ServiceConfig, SocketServer
 
@@ -134,14 +136,12 @@ def offer_frame(driver, token, dim=None, epoch=None):
         master = crypto.generate_master_key(dim, rng)
         secrets = crypto.generate_tos_secrets(dim, rng)
         keys = crypto.KeyDeriver(master, secrets).derive("driver", rng)
-    blob = protocol.index_blob(crypto.encrypt_index(np.zeros(keys.dim), keys, rng))
+    idx = crypto.encrypt_index(np.zeros(keys.dim), keys, rng)
     return protocol.encode_frame(
         MsgType.SUBMIT_OFFER,
         driver.registration.epoch if epoch is None else epoch,
         token,
-        protocol.encode_submit_offer(
-            protocol.DirectOfferPayload(1, (MatchCase.AREA,), b"", [blob] * 4)
-        ),
+        protocol.encode_submit_offer(DirectOffer("", 1, (MatchCase.AREA,), *[idx] * 4)),
     )
 
 
@@ -206,12 +206,10 @@ def test_wrong_dimension_rejected(small_service):
     master = crypto.generate_master_key(64, rng)
     secrets = crypto.generate_tos_secrets(64, rng)
     keys = crypto.KeyDeriver(master, secrets).derive("driver", rng)
-    blob = protocol.index_blob(crypto.encrypt_index(np.zeros(64), keys, rng))
+    idx = crypto.encrypt_index(np.zeros(64), keys, rng)
     frame = protocol.encode_frame(
         MsgType.SUBMIT_OFFER, driver.registration.epoch, driver.registration.tokens.pop(),
-        protocol.encode_submit_offer(
-            protocol.DirectOfferPayload(1, (MatchCase.AREA,), b"", [blob] * 4)
-        ),
+        protocol.encode_submit_offer(DirectOffer("", 1, (MatchCase.AREA,), *[idx] * 4)),
     )
     reply, _ = protocol.decode_frame(small_service.dispatch(frame))
     code, _ = protocol.decode_error(reply.payload)
@@ -220,11 +218,14 @@ def test_wrong_dimension_rejected(small_service):
 
 def test_transfer_offer_needs_two_cells(small_service):
     driver, _ = make_clients(small_service)
+    reg = driver.registration
+    offer = transfer.build_transfer_offer(
+        "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
+        reg.bundle.id_bits, reg.bundle.time_bits, 2, np.random.default_rng(4),
+    )
+    offer.cells = offer.cells[:1]
     frame = protocol.encode_frame(
-        MsgType.SUBMIT_OFFER, driver.registration.epoch, driver.registration.tokens.pop(),
-        protocol.encode_submit_offer(
-            protocol.TransferOfferPayload(capacity=2, contact=b"", cells=[(b"x", b"y")])
-        ),
+        MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(), protocol.encode_submit_offer(offer)
     )
     reply, _ = protocol.decode_frame(small_service.dispatch(frame))
     code, message = protocol.decode_error(reply.payload)
@@ -251,10 +252,10 @@ def test_bogus_token_rejected_before_any_work(small_service, monkeypatch):
     bogus = bytes(protocol.TOKEN_SIZE)
     rng = np.random.default_rng(3)
     keys = rider.registration.keysets["direct-rider"]
-    blob = protocol.index_blob(crypto.encrypt_index(np.zeros(keys.dim), keys, rng))
+    idx = crypto.encrypt_index(np.zeros(keys.dim), keys, rng)
     request = protocol.encode_frame(
         MsgType.SUBMIT_REQUEST, rider.registration.epoch, bogus,
-        protocol.encode_submit_request(protocol.DirectRequestPayload(b"", [blob] * 4)),
+        protocol.encode_submit_request(DirectRequest("", *[idx] * 4)),
     )
     unmasked = []
     real = crypto.unmask_indices
@@ -278,37 +279,46 @@ def corrupt_orientation(blob, _value):
     return bytes([7]) + blob[1:]
 
 
+def corrupt_overflow(blob, value):
+    """Every part set to `value`: finite, but past what unmasking can keep finite."""
+    return blob[:6] + np.full((len(blob) - 6) // 8, value, dtype="<f8").tobytes()
+
+
 def corrupted_frames(driver, rider, corrupt, value):
-    """A direct offer, a transfer offer and a transfer request, each with one bad blob."""
+    """A direct offer, a direct request, a transfer offer and a transfer request,
+    each with one bad blob. The payloads are laid out by the oracle encoders,
+    since no index object holds these bytes."""
     rng = np.random.default_rng(9)
     reg, rreg = driver.registration, rider.registration
-    keys = reg.keysets["direct-driver"]
-    direct_blob = protocol.index_blob(crypto.encrypt_index(np.zeros(keys.dim), keys, rng))
-    direct = protocol.DirectOfferPayload(
-        1, (MatchCase.AREA,), b"", [direct_blob] * 3 + [corrupt(direct_blob, value)]
+    keys, rkeys = reg.keysets["direct-driver"], rreg.keysets["direct-rider"]
+    direct_blob = crypto.encrypt_index(np.zeros(keys.dim), keys, rng).to_bytes()
+    direct_offer = oracles.direct_offer_payload(
+        1, ["area"], b"", [direct_blob] * 3 + [corrupt(direct_blob, value)]
+    )
+    rider_blob = crypto.encrypt_index(np.zeros(rkeys.dim), rkeys, rng).to_bytes()
+    direct_request = oracles.direct_request_payload(
+        b"", [rider_blob] * 3 + [corrupt(rider_blob, value)]
     )
     offer = transfer.build_transfer_offer(
         "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
         reg.bundle.id_bits, reg.bundle.time_bits, 2, rng,
     )
-    cells = [(protocol.index_blob(c.plus), protocol.index_blob(c.minus)) for c in offer.cells]
+    cells = [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells]
     cells[1] = (corrupt(cells[1][0], value), cells[1][1])
     request = transfer.build_transfer_request(
         "local", (1, 1), (2, 1), rreg.keysets["transfer-rider"],
         rreg.bundle.id_bits, rreg.bundle.time_bits, rng=rng,
     )
-    routed = protocol.TransferRequestPayload(
-        contact=b"", preference=transfer.DEFAULT_PREFERENCE,
-        pickup=protocol.index_blob(request.pickup),
-        dropoff=corrupt(protocol.index_blob(request.dropoff), value),
+    routed = oracles.transfer_request_payload(
+        b"", transfer.DEFAULT_PREFERENCE.kind.value, None, None,
+        request.pickup.to_bytes(), corrupt(request.dropoff.to_bytes(), value),
     )
     return [
+        protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(), direct_offer),
+        protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), direct_request),
         protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
-                              protocol.encode_submit_offer(direct)),
-        protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
-                              protocol.encode_submit_offer(protocol.TransferOfferPayload(2, b"", cells))),
-        protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(),
-                              protocol.encode_submit_request(routed)),
+                              oracles.transfer_offer_payload(2, b"", cells)),
+        protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), routed),
     ]
 
 
@@ -317,16 +327,113 @@ def corrupted_frames(driver, rider, corrupt, value):
     (corrupt_nonfinite, np.inf),
     (corrupt_nonfinite, -np.inf),
     (corrupt_orientation, None),
+    (corrupt_overflow, 1e307),
 ])
 def test_impossible_ciphertexts_rejected_without_state_change(small_service, corrupt, value):
     driver, rider = make_clients(small_service)
     driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
-    for frame in corrupted_frames(driver, rider, corrupt, value):
+    frames = corrupted_frames(driver, rider, corrupt, value)
+    if corrupt is corrupt_overflow:
+        # only the direct width overflows: a 16-wide transfer cell unmasks to finite parts
+        frames = frames[:2]
+    for frame in frames:
         before = server_state(small_service)
         reply_bytes = small_service.dispatch(frame)
         assert protocol.decode_frame(reply_bytes)[1] == b""
         assert error_code(reply_bytes) is ErrorCode.MALFORMED
         assert server_state(small_service) == before
+
+
+def assert_finite_state(srv):
+    """Every live pool row, active graph store row and stored transfer request is finite."""
+    for pool in (srv.offer_pool, srv.request_pool):
+        live = pool.live[: pool.used]
+        assert all(np.isfinite(m[: pool.used][live]).all() for m in pool.kinds)
+    graph = srv.graph
+    assert np.isfinite(graph._plus[: len(graph._row_ids)][graph.active_mask]).all()
+    for request in srv.transfer_requests.values():
+        assert np.isfinite(request.pickup.parts).all() and np.isfinite(request.dropoff.parts).all()
+
+
+class RecordingLoopback(LoopbackTransport):
+    """Loopback transport that keeps the last frame sent of each message type."""
+
+    def __init__(self, service, sent):
+        super().__init__(service)
+        self.sent = sent
+
+    def request(self, data):
+        self.sent[MsgType(data[4])] = bytes(data)
+        return super().request(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_world():
+    """A service holding one trip of each kind, plus one recorded valid frame per kind."""
+    svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=21)
+    frames, sent = {}, {}
+    driver, rider = (ServiceClient(RecordingLoopback(svc, sent), rng=i) for i in (1, 2))
+    for client, role in ((driver, "driver"), (rider, "rider")):
+        client.register(role)
+        frames[f"register-{role}"] = sent[MsgType.REGISTER_USER]
+    steps = [
+        ("direct-offer", MsgType.SUBMIT_OFFER, lambda: driver.submit_direct_offer(OFFER)),
+        ("direct-request", MsgType.SUBMIT_REQUEST, lambda: rider.submit_direct_request(REQUEST)),
+        ("transfer-offer", MsgType.SUBMIT_OFFER,
+         lambda: driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)),
+        ("transfer-request", MsgType.SUBMIT_REQUEST,
+         lambda: rider.submit_transfer_request((1, 1), (3, 1), contact=b"rider-box")),
+        ("poll", MsgType.MATCH_NOTIFICATION, lambda: rider.poll(["r1", "dr2"])),
+    ]
+    for name, msg_type, step in steps:
+        step()
+        frames[name] = sent[msg_type]
+    keys = rider.registration.keysets["direct-rider"]
+    blob = crypto.encrypt_index(np.zeros(keys.dim), keys, np.random.default_rng(5)).to_bytes()
+    overflow = oracles.direct_request_payload(b"", [corrupt_overflow(blob, 1e307)] * 4)
+    frames["overflow-request"] = protocol.encode_frame(
+        MsgType.SUBMIT_REQUEST, svc.server.epoch, protocol.ZERO_TOKEN, overflow
+    )
+    return SimpleNamespace(service=svc, frames=frames, tokens=iter(range(1, 1 << 62)))
+
+
+FUZZ_FRAMES = [
+    "register-driver", "register-rider", "direct-offer", "direct-request",
+    "transfer-offer", "transfer-request", "poll",
+]
+FUZZ_INPUTS = st.one_of(
+    st.binary(max_size=160),
+    st.tuples(
+        st.sampled_from(FUZZ_FRAMES),
+        st.lists(st.tuples(st.integers(0, 1 << 24), st.integers(0, 255)), min_size=1, max_size=4),
+    ),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(FUZZ_INPUTS)
+@example(("overflow-request", []))
+def test_dispatch_fuzz_one_reply_and_no_state_change_on_error(fuzz_world, case):
+    """Junk and mutated frames: one reply each, no state change on ERROR, finite stored rows."""
+    svc = fuzz_world.service
+    if isinstance(case, bytes):
+        frame = case
+    else:  # a recorded frame with bytes after the header overwritten, under a fresh token
+        name, edits = case
+        frame = bytearray(fuzz_world.frames[name])
+        if frame[4] in (MsgType.SUBMIT_OFFER, MsgType.SUBMIT_REQUEST):
+            token = next(fuzz_world.tokens).to_bytes(protocol.TOKEN_SIZE, "little")
+            svc.server.add_token_digests([service._token_digest(token)])
+            frame[13 : protocol.HEADER_SIZE] = token
+        for pos, byte in edits:
+            frame[protocol.HEADER_SIZE + pos % (len(frame) - protocol.HEADER_SIZE)] = byte
+    before = server_state(svc)
+    reply, rest = protocol.decode_frame(svc.dispatch(bytes(frame)))
+    assert rest == b""
+    if reply.msg_type is MsgType.ERROR:
+        protocol.decode_error(reply.payload)
+        assert server_state(svc) == before
+    assert_finite_state(svc.server)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -414,7 +521,7 @@ def test_transfer_handoff_over_wire(small_service):
     assert note.segment_offers == [ids["d1"], ids["d2"]]
     assert note.peer_contacts == [b"d1", b"d2"]
     assert len(note.transfer_ciphers) == 1
-    boarding = protocol.index_from_blob(note.transfer_ciphers[0])
+    boarding = crypto.EncryptedIndex.from_bytes(note.transfer_ciphers[0])
     assert boarding.orientation == "column" and not boarding.unmasked
 
     for name in ("d1", "d2"):

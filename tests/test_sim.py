@@ -110,6 +110,19 @@ def test_workload_text_errors():
         sim.workload_from_text("# empty\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("grid 8 8 seed=1\noffer o1 cells=1,2,3 depart=100.0\n", "line 2: missing field 'dwell'"),
+    ("grid 8 8 seed=1\nrequest r1 pickup=1 dropoff=2\n", "line 2: missing field 'route'"),
+    ("grid 8 8\n", "line 1: not enough values"),
+    ("# header\ngrid 8 8 seed\n", "line 2: list index out of range"),
+    ("grid 8 8 seed=1\noffer o1 cells\n", "line 2: dictionary update sequence"),
+    ("grid 8 8 seed=1\n\nrequest r1 pickup=one\n", "line 3: invalid literal"),
+], ids=["offer-field", "request-field", "grid-arity", "grid-seed", "bare-word", "bad-int"])
+def test_workload_text_errors_name_the_line(text, message):
+    with pytest.raises(ValueError, match=f"^workload {message}"):
+        sim.workload_from_text(text)
+
+
 def test_truth_gate_matches_independent_oracle():
     wl = small_workload(seed=8)
     for o in wl.offers:
