@@ -25,18 +25,6 @@ import numpy as np
 SECONDS_PER_DAY = 86400
 
 
-@dataclass(frozen=True)
-class CellId:
-    """A city-cell identifier valid within one epoch."""
-
-    value: int
-    epoch: int
-
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"cell id must be >= 0, got {self.value}")
-
-
 def sizing(max_items: int, fpp: float) -> tuple[int, int]:
     """Filter width and hash count for a target false-positive probability.
 
@@ -104,16 +92,8 @@ class BloomFilter:
         elif self.array.shape != (self.bits,):
             raise ValueError("bit array width mismatch")
 
-    def _resolve(self, cell: int | CellId) -> int:
-        if isinstance(cell, CellId):
-            if cell.epoch != self.epoch:
-                raise ValueError(f"cell epoch {cell.epoch} != filter epoch {self.epoch}")
-            return cell.value
-        return int(cell)
-
-    def add(self, cell: int | CellId) -> None:
-        value = self._resolve(cell)
-        for pos in cell_positions(value, self.bits, self.n_hashes, self.epoch, self.salt):
+    def add(self, cell: int) -> None:
+        for pos in cell_positions(int(cell), self.bits, self.n_hashes, self.epoch, self.salt):
             self.array[pos] = 1
         self.items += 1
 
@@ -121,35 +101,17 @@ class BloomFilter:
         for cell in cells:
             self.add(cell)
 
-    def membership_dot(self, cell: int | CellId) -> int:
+    def membership_dot(self, cell: int) -> int:
         """How many of the cell's positions are set; == n_hashes means present."""
-        value = self._resolve(cell)
-        positions = cell_positions(value, self.bits, self.n_hashes, self.epoch, self.salt)
+        positions = cell_positions(int(cell), self.bits, self.n_hashes, self.epoch, self.salt)
         return int(self.array[positions].sum())
 
-    def contains(self, cell: int | CellId) -> bool:
+    def contains(self, cell: int) -> bool:
         return self.membership_dot(cell) == self.n_hashes
 
     def vector(self) -> np.ndarray:
         """Float copy ready for encryption."""
         return self.array.astype(np.float64)
-
-    def to_bytes(self) -> bytes:
-        header = struct.pack("<IIQQ", self.bits, self.n_hashes, self.epoch, self.salt)
-        packed = np.packbits(self.array, bitorder="little").tobytes()
-        return header + packed
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "BloomFilter":
-        if len(blob) < 24:
-            raise ValueError("filter blob too short")
-        bits, n_hashes, epoch, salt = struct.unpack_from("<IIQQ", blob)
-        body = blob[24:]
-        expect = (bits + 7) // 8
-        if len(body) != expect:
-            raise ValueError(f"filter body must be {expect} bytes, got {len(body)}")
-        arr = np.unpackbits(np.frombuffer(body, dtype=np.uint8), bitorder="little")[:bits]
-        return cls(bits, n_hashes, epoch, salt, arr.astype(np.uint8).copy())
 
     @classmethod
     def of_cells(

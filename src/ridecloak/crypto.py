@@ -15,6 +15,7 @@ redrawn (at most 8 attempts).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -363,6 +364,18 @@ def encrypt_index(vec: np.ndarray, keys: UserKeySet, rng: np.random.Generator) -
     return encrypt_indices(vec[None, :], keys, rng)[0]
 
 
+def unmasked_part_bound(dim: int) -> float:
+    """Largest magnitude an unmasked part may have at width `dim`.
+
+    A similarity sums the 8*dim products of two indexes' parts; with every
+    part within this bound each product is at most finfo.max / (16*dim), so
+    every partial sum stays below half the float64 limit. The factor 2 is
+    headroom for rounding: with finfo.max / (8*dim), two indexes at the
+    bound already overflow at width 768.
+    """
+    return math.sqrt(np.finfo(np.float64).max / (2 * PART_COUNT * dim))
+
+
 def unmask_indices(
     indexes: list[EncryptedIndex], secrets: TosSecrets, out: list[np.ndarray] | None = None
 ) -> list[EncryptedIndex]:
@@ -370,8 +383,8 @@ def unmask_indices(
 
     With `out`, one (8, dim) array per index, the cleared parts are
     written there and the returned indexes are views of them. Cleared
-    parts that are not all finite (a ciphertext near the float64 limit
-    overflows) raise ValueError before anything is written.
+    parts beyond `unmasked_part_bound` (or not finite) raise ValueError
+    before anything is written.
     """
     if not indexes:
         return []
@@ -390,8 +403,8 @@ def unmask_indices(
             cleared = stacked @ secrets.index_mask.T
         else:
             cleared = stacked @ secrets.query_mask_inv
-    if not np.isfinite(cleared).all():
-        raise ValueError("unmasked index parts are not finite")
+    if not (np.abs(cleared) <= unmasked_part_bound(secrets.dim)).all():
+        raise ValueError("unmasked index parts exceed the magnitude bound")
     blocks = cleared.reshape(len(indexes), PART_COUNT, secrets.dim)
     if out is not None:
         for dst, block in zip(out, blocks, strict=True):

@@ -118,12 +118,14 @@ class TrustedAuthority:
         self._rng = rng
         self.epoch = 1
         self.salt = int(rng.integers(0, 2**63))
-        self.master_direct = crypto.generate_master_key(config.filter_bits, rng)
-        self.master_transfer = crypto.generate_master_key(config.cell_vector_bits, rng)
-        self.secrets_direct = crypto.generate_tos_secrets(config.filter_bits, rng)
-        self.secrets_transfer = crypto.generate_tos_secrets(config.cell_vector_bits, rng)
-        self._deriver_direct = crypto.KeyDeriver(self.master_direct, self.secrets_direct)
-        self._deriver_transfer = crypto.KeyDeriver(self.master_transfer, self.secrets_transfer)
+        masters = {
+            "direct": crypto.generate_master_key(config.filter_bits, rng),
+            "transfer": crypto.generate_master_key(config.cell_vector_bits, rng),
+        }
+        self.derivers = {
+            scheme: crypto.KeyDeriver(master, crypto.generate_tos_secrets(master.dim, rng))
+            for scheme, master in masters.items()
+        }
 
     def register(self, role: str) -> tuple[np.ndarray, list[bytes]]:
         """Fresh key sets and single-use tokens as one KEY_BUNDLE reply frame.
@@ -136,8 +138,7 @@ class TrustedAuthority:
             plan = protocol.ROLE_KEY_SETS[role]
         except KeyError:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}") from None
-        derivers = {"direct": self._deriver_direct, "transfer": self._deriver_transfer}
-        plan = [(name, derivers[name.split("-", 1)[0]], key_role) for name, key_role in plan]
+        plan = [(name, self.derivers[name.split("-", 1)[0]], key_role) for name, key_role in plan]
         tokens = [sysrandom.token_bytes(protocol.TOKEN_SIZE) for _ in range(self.config.tokens_per_bundle)]
         cfg = self.config
         bundle = protocol.KeyBundle(
@@ -348,7 +349,7 @@ class TosServer:
         hits = self.graph.pin([q for _, r in pending for q in (r.pickup, r.dropoff)])
         for i, (request_id, request) in enumerate(pending):
             outcome = transfer.search(
-                self.graph, request, self.config.path_limit, pins=hits[2 * i : 2 * i + 2]
+                self.graph, request, hits[2 * i : 2 * i + 2], self.config.path_limit
             )
             if outcome.selected is None:
                 continue
@@ -360,7 +361,7 @@ class TosServer:
             ciphers = []
             for u, v in zip(path.nodes, path.nodes[1:]):
                 if u[0] != v[0]:  # transfer hop: relay the boarding cell's ciphertext
-                    ciphers.append(self.graph.nodes[v].plus_blob)
+                    ciphers.append(self.transfer_offers[v[0]].cells[v[1]].plus.to_bytes())
             self._queue(
                 protocol.TransferNotification(request_id, offer_order, contacts, ciphers)
             )
@@ -403,8 +404,8 @@ class RideService:
         self.authority = TrustedAuthority(config, rng)
         self.server = TosServer(
             config,
-            self.authority.secrets_direct,
-            self.authority.secrets_transfer,
+            self.authority.derivers["direct"].secrets,
+            self.authority.derivers["transfer"].secrets,
             self.authority.epoch,
             self.authority.salt,
         )

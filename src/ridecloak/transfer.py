@@ -10,10 +10,15 @@ threshold id_bits+1 therefore has no false positives.
 
 The server keeps a graph whose nodes are the drivers' (offer, position)
 cells, with directed route edges along each route and undirected transfer
-edges between co-located, co-temporal cells of different offers. A rider's
-request pins source nodes (cells matching the pick-up index) and
-destination nodes (matching the drop-off index); path search honors the
-rider's preference over traversed cells and transfers.
+edges between co-located, co-temporal cells of different offers, so a hop
+inside one offer is a route edge and a hop between offers a transfer edge.
+Edges are append-only: a route successor (offer, pos + 1) follows from the
+offer's length, and an inserted offer's transfer edges are appended to
+both ends' lists. Exhausting an offer only marks it exhausted and clears
+its rows in the active mask; neighbors() skips every edge that touches an
+exhausted offer. A rider's request pins source nodes (cells matching the
+pick-up index) and destination nodes (matching the drop-off index); path
+search honors the rider's preference over traversed cells and transfers.
 
 The graph keeps every node's unmasked column-form index as one row of a
 contiguous (N, 8*dim) matrix, in insertion order, grown by doubling, with
@@ -213,7 +218,6 @@ class TransferNode:
     position: int
     plus: EncryptedIndex
     minus: EncryptedIndex
-    plus_blob: bytes = b""  # submitted ciphertext, relayed verbatim in notifications
 
     @property
     def node_id(self) -> NodeId:
@@ -242,8 +246,7 @@ class TransferGraph:
     def __init__(self, id_bits: int):
         self.id_bits = id_bits
         self.nodes: dict[NodeId, TransferNode] = {}
-        self.route_succ: dict[NodeId, NodeId] = {}
-        self.transfer_adj: dict[NodeId, set[NodeId]] = {}
+        self.transfer_adj: dict[NodeId, list[NodeId]] = {}
         self.capacity: dict[str, int] = {}
         self.exhausted: set[str] = set()
         # Columnar store: row r holds the flattened plus index of _row_ids[r].
@@ -265,22 +268,22 @@ class TransferGraph:
         return [n for n in self.nodes.values() if n.offer_id not in self.exhausted]
 
     def edge_count(self) -> int:
-        transfers = sum(len(v) for v in self.transfer_adj.values()) // 2
-        return len(self.route_succ) + transfers
+        """Live edges: route edges plus undirected transfer edges, each once."""
+        kinds = [kind for node in self.nodes for _, kind in self.neighbors(node)]
+        routes = kinds.count("route")
+        return routes + (len(kinds) - routes) // 2
 
     def neighbors(self, node: NodeId):
-        succ = self.route_succ.get(node)
-        if succ is not None:
-            yield succ, "route"
+        """Live out-edges of `node` as (successor, kind); none once its offer is exhausted."""
+        offer_id, pos = node
+        exhausted = self.exhausted
+        if offer_id in exhausted:
+            return
+        if pos + 1 < len(self._offer_rows[offer_id]):
+            yield (offer_id, pos + 1), "route"
         for other in self.transfer_adj.get(node, ()):
-            yield other, "transfer"
-
-    def edge_kind(self, u: NodeId, v: NodeId) -> str:
-        if self.route_succ.get(u) == v:
-            return "route"
-        if v in self.transfer_adj.get(u, ()):
-            return "transfer"
-        raise KeyError(f"no edge {u} -> {v}")
+            if other[0] not in exhausted:
+                yield other, "transfer"
 
     def _hits(self, rows: np.ndarray) -> np.ndarray:
         """(len(rows), N) flags: which stored plus rows each row-form query matches."""
@@ -335,12 +338,10 @@ class TransferGraph:
         for c in offer.cells:
             if c.plus.orientation != "column" or c.minus.orientation != "row":
                 raise ValueError("transfer cells need column-form plus and row-form minus")
-        plus_blobs = [c.plus.to_bytes() for c in offer.cells]
         plus = crypto.unmask_indices([c.plus for c in offer.cells], secrets)
         minus = crypto.unmask_indices([c.minus for c in offer.cells], secrets)
         new_nodes = [
-            TransferNode(offer.offer_id, pos, plus[pos], minus[pos], plus_blobs[pos])
-            for pos in range(len(offer.cells))
+            TransferNode(offer.offer_id, pos, p, m) for pos, (p, m) in enumerate(zip(plus, minus))
         ]
         added = 0
         if self.active_mask.any():
@@ -348,29 +349,22 @@ class TransferGraph:
             for i, j in zip(*np.nonzero(hits)):
                 u = new_nodes[int(i)].node_id
                 v = self._row_ids[int(j)]
-                self.transfer_adj.setdefault(u, set()).add(v)
-                self.transfer_adj.setdefault(v, set()).add(u)
+                self.transfer_adj.setdefault(u, []).append(v)
+                self.transfer_adj.setdefault(v, []).append(u)
                 added += 1
         rows = self._append_rows(np.stack([n.plus.flat() for n in new_nodes]))
         self._offer_rows[offer.offer_id] = rows
         for node in new_nodes:
             self.nodes[node.node_id] = node
             self._row_ids.append(node.node_id)
-        for pos in range(len(offer.cells) - 1):
-            self.route_succ[(offer.offer_id, pos)] = (offer.offer_id, pos + 1)
         self.capacity[offer.offer_id] = offer.capacity
         return added
 
-    def remove_offer_edges(self, offer_id: str) -> None:
-        """Drop every edge incident to an exhausted offer; nodes remain."""
+    def exhaust(self, offer_id: str) -> None:
+        """Take an offer out of matching; its nodes and edges stay stored."""
         self.exhausted.add(offer_id)
-        rows = self._offer_rows.get(offer_id, range(0))
+        rows = self._offer_rows[offer_id]
         self._active[rows.start : rows.stop] = False
-        for pos in range(len(rows)):
-            node_id = (offer_id, pos)
-            self.route_succ.pop(node_id, None)
-            for other in self.transfer_adj.pop(node_id, set()):
-                self.transfer_adj[other].discard(node_id)
 
 
 def build_graph(offers: list[TransferOffer], secrets: TosSecrets, id_bits: int) -> TransferGraph:
@@ -505,15 +499,10 @@ def enumerate_paths(
     return paths, truncated
 
 
-def annotate_path(graph: TransferGraph, nodes: tuple[NodeId, ...]) -> PathResult:
-    route_edges = 0
-    transfers = 0
-    for u, v in zip(nodes, nodes[1:]):
-        if graph.edge_kind(u, v) == "route":
-            route_edges += 1
-        else:
-            transfers += 1
-    return PathResult(nodes, route_edges + 1, transfers)
+def annotate_path(nodes: tuple[NodeId, ...]) -> PathResult:
+    """Counts of a graph path: a hop that changes offer is a transfer edge."""
+    transfers = sum(u[0] != v[0] for u, v in zip(nodes, nodes[1:]))
+    return PathResult(nodes, len(nodes) - transfers, transfers)
 
 
 def _band_paths(
@@ -528,7 +517,7 @@ def _band_paths(
     adj = _weighted_adjacency(graph, weights)
     dist, preds = modified_dijkstra(adj, sources)
     raw, truncated = enumerate_paths(preds, dist, sources, destinations, limit)
-    return [annotate_path(graph, nodes) for nodes in raw], truncated
+    return [annotate_path(nodes) for nodes in raw], truncated
 
 
 def find_paths(
@@ -544,7 +533,7 @@ def find_paths(
     selection minimizes (secondary count, node sequence) so equal outcomes
     are ordered lexicographically and results are reproducible.
     """
-    sources = [s for s in sources if graph.nodes and s in graph.nodes]
+    sources = [s for s in sources if s in graph.nodes]
     destinations = [d for d in destinations if d in graph.nodes]
     if not sources or not destinations:
         return SearchOutcome(None, [], sources, destinations)
@@ -577,18 +566,16 @@ def find_paths(
 def search(
     graph: TransferGraph,
     request: TransferRequest,
+    pins: np.ndarray,
     limit: int = DEFAULT_PATH_LIMIT,
-    pins: np.ndarray | None = None,
 ) -> SearchOutcome:
     """Match a rider: pin source/destination nodes, then run the preference.
 
     pins is the request's two rows of graph.pin() (pick-up, drop-off),
-    computed earlier in the round; without it the request is pinned here.
+    computed earlier in the round.
     """
     if not (request.pickup.unmasked and request.dropoff.unmasked):
         raise ValueError("search requires an unmasked request")
-    if pins is None:
-        pins = graph.pin([request.pickup, request.dropoff])
     sources = graph.pinned(pins[0])
     destinations = graph.pinned(pins[1])
     return find_paths(graph, sources, destinations, request.preference, limit)
@@ -597,13 +584,13 @@ def search(
 def update_graph(graph: TransferGraph, path: PathResult) -> list[str]:
     """Consume one seat on every offer along a served path.
 
-    Offers that reach zero capacity lose all their edges and take no
-    further part in matching. Returns the offer ids that were exhausted.
+    Offers that reach zero capacity are exhausted and take no further
+    part in matching. Returns the offer ids that were exhausted.
     """
     exhausted = []
     for offer_id in dict.fromkeys(oid for oid, _ in path.nodes):
         graph.capacity[offer_id] -= 1
         if graph.capacity[offer_id] <= 0:
-            graph.remove_offer_edges(offer_id)
+            graph.exhaust(offer_id)
             exhausted.append(offer_id)
     return exhausted

@@ -49,3 +49,15 @@ def admit_pools(env, offers, requests):
     for r in requests:
         request_pool.admit(r.indexes(), env.secrets, r.request_id)
     return offer_pool, request_pool
+
+
+def graph_edge_sets(graph):
+    """(route edges, undirected transfer edges) as neighbors() walks them."""
+    route_edges, transfer_edges = set(), set()
+    for u in graph.nodes:
+        for v, kind in graph.neighbors(u):
+            if kind == "route":
+                route_edges.add((u, v))
+            else:
+                transfer_edges.add(frozenset((u, v)))
+    return route_edges, transfer_edges

@@ -200,10 +200,7 @@ def test_criterion_4_transfer_graph_equals_plain_construction(wide_transfer_env)
                 4, np.random.default_rng(seed * 64 + i),
             )
             graph.add_offer(offer, env.secrets)
-        route_edges = set(graph.route_succ.items())
-        transfer_edges = {
-            frozenset((u, v)) for u, vs in graph.transfer_adj.items() for v in vs
-        }
+        route_edges, transfer_edges = support.graph_edge_sets(graph)
         if (route_edges, transfer_edges) != oracles.transfer_graph_edges(routes):
             mismatched.append(seed)
         total_edges += len(route_edges) + len(transfer_edges)
@@ -262,7 +259,7 @@ def test_criterion_6_handoff_fixture_preferences(wide_transfer_env):
         request.pickup, request.dropoff = crypto.unmask_indices(
             [request.pickup, request.dropoff], env.secrets
         )
-        return transfer.search(graph, request)
+        return transfer.search(graph, request, graph.pin([request.pickup, request.dropoff]))
 
     min_c = run(PreferenceKind.MIN_CELLS)
     min_t = run(PreferenceKind.MIN_TRANSFERS)

@@ -69,16 +69,6 @@ def test_membership_dot_counts_set_positions():
     assert not f2.contains(456)
 
 
-def test_cell_id_epoch_checked():
-    f = bloom.BloomFilter(64, 4, epoch=5, salt=1)
-    f.add(bloom.CellId(10, epoch=5))
-    assert f.contains(bloom.CellId(10, epoch=5))
-    with pytest.raises(ValueError, match="epoch"):
-        f.add(bloom.CellId(10, epoch=6))
-    with pytest.raises(ValueError):
-        bloom.CellId(-1, epoch=5)
-
-
 def test_sizing_pinned_values():
     assert bloom.sizing(60, 0.01) == (576, 7)
     assert bloom.sizing(60, 0.1) == (320, 4)
@@ -138,18 +128,6 @@ def test_salt_changes_positions():
     a = bloom.cell_positions(77, 2048, 24, 1, 1)
     b = bloom.cell_positions(77, 2048, 24, 1, 2)
     assert a != b
-
-
-def test_serialization_round_trip():
-    f = bloom.BloomFilter(320, 4, epoch=8, salt=12)
-    f.add_all(range(40))
-    back = bloom.BloomFilter.from_bytes(f.to_bytes())
-    assert (back.bits, back.n_hashes, back.epoch, back.salt) == (320, 4, 8, 12)
-    np.testing.assert_array_equal(back.array, f.array)
-    with pytest.raises(ValueError):
-        bloom.BloomFilter.from_bytes(f.to_bytes()[:-1])
-    with pytest.raises(ValueError):
-        bloom.BloomFilter.from_bytes(b"\x00" * 10)
 
 
 def test_vector_is_float_copy():

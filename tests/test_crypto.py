@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -303,3 +305,24 @@ def test_loaded_driver_parts_multiply_as_contiguous_transposes(knn64):
         [(first if i < 4 else second) @ k.T for i, k in enumerate(knn64.driver.parts)], axis=1
     )
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dim", [16, 768])
+def test_unmask_bound_inclusive_and_checked_before_writing(dim):
+    eye = np.eye(dim)
+    secrets = crypto.TosSecrets(dim, eye, eye)  # unmasking leaves the parts as they are
+    bound = crypto.unmasked_part_bound(dim)
+    assert bound == math.sqrt(np.finfo(np.float64).max / (16 * dim))
+    row, column = (
+        crypto.unmask_index(crypto.EncryptedIndex(o, np.full((8, dim), -bound)), secrets)
+        for o in ("row", "column")
+    )
+    assert (row.parts == -bound).all() and (column.parts == -bound).all()
+    assert np.isfinite(crypto.similarity_matrix([row], [column])).all()
+    out = [np.zeros((8, dim))]
+    for bad in (np.nextafter(bound, np.inf), -np.nextafter(bound, np.inf), np.nan, np.inf):
+        parts = np.zeros((8, dim))
+        parts[3, dim // 2] = bad
+        with pytest.raises(ValueError, match="bound"):
+            crypto.unmask_indices([crypto.EncryptedIndex("row", parts)], secrets, out=out)
+        assert not out[0].any()

@@ -332,11 +332,7 @@ def corrupted_frames(driver, rider, corrupt, value):
 def test_impossible_ciphertexts_rejected_without_state_change(small_service, corrupt, value):
     driver, rider = make_clients(small_service)
     driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
-    frames = corrupted_frames(driver, rider, corrupt, value)
-    if corrupt is corrupt_overflow:
-        # only the direct width overflows: a 16-wide transfer cell unmasks to finite parts
-        frames = frames[:2]
-    for frame in frames:
+    for frame in corrupted_frames(driver, rider, corrupt, value):
         before = server_state(small_service)
         reply_bytes = small_service.dispatch(frame)
         assert protocol.decode_frame(reply_bytes)[1] == b""
@@ -344,15 +340,20 @@ def test_impossible_ciphertexts_rejected_without_state_change(small_service, cor
         assert server_state(small_service) == before
 
 
-def assert_finite_state(srv):
-    """Every live pool row, active graph store row and stored transfer request is finite."""
+def assert_bounded_state(srv):
+    """Every live pool row, active graph store row and stored transfer request
+    is within the unmasked-part bound of its width."""
+
+    def bounded(parts, dim):
+        return (np.abs(parts) <= crypto.unmasked_part_bound(dim)).all()
+
     for pool in (srv.offer_pool, srv.request_pool):
         live = pool.live[: pool.used]
-        assert all(np.isfinite(m[: pool.used][live]).all() for m in pool.kinds)
-    graph = srv.graph
-    assert np.isfinite(graph._plus[: len(graph._row_ids)][graph.active_mask]).all()
+        assert all(bounded(m[: pool.used][live], srv.config.filter_bits) for m in pool.kinds)
+    graph, cells = srv.graph, srv.config.cell_vector_bits
+    assert bounded(graph._plus[: len(graph._row_ids)][graph.active_mask], cells)
     for request in srv.transfer_requests.values():
-        assert np.isfinite(request.pickup.parts).all() and np.isfinite(request.dropoff.parts).all()
+        assert bounded(request.pickup.parts, cells) and bounded(request.dropoff.parts, cells)
 
 
 class RecordingLoopback(LoopbackTransport):
@@ -414,7 +415,7 @@ FUZZ_INPUTS = st.one_of(
 @given(FUZZ_INPUTS)
 @example(("overflow-request", []))
 def test_dispatch_fuzz_one_reply_and_no_state_change_on_error(fuzz_world, case):
-    """Junk and mutated frames: one reply each, no state change on ERROR, finite stored rows."""
+    """Junk and mutated frames: one reply each, no state change on ERROR, bounded stored rows."""
     svc = fuzz_world.service
     if isinstance(case, bytes):
         frame = case
@@ -433,7 +434,7 @@ def test_dispatch_fuzz_one_reply_and_no_state_change_on_error(fuzz_world, case):
     if reply.msg_type is MsgType.ERROR:
         protocol.decode_error(reply.payload)
         assert server_state(svc) == before
-    assert_finite_state(svc.server)
+    assert_bounded_state(svc.server)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -501,11 +502,14 @@ def test_transfer_handoff_over_wire(small_service):
     d1, d2, d3, rider = make_clients(
         small_service, roles=("driver", "driver", "driver", "rider")
     )
+    sent = {}
+    d2.transport = RecordingLoopback(small_service, sent)
     ids = {}
     for name, client in (("d1", d1), ("d2", d2), ("d3", d3)):
         ids[name] = client.submit_transfer_offer(
             oracles.HANDOFF_ROUTES[name], capacity=4, contact=name.encode()
         )
+    d2_frame = sent[MsgType.SUBMIT_OFFER]
     request_id = rider.submit_transfer_request(
         oracles.HANDOFF_PICKUP, oracles.HANDOFF_DROPOFF,
         preference="min-cells-transfers", contact=b"rider-box",
@@ -523,6 +527,12 @@ def test_transfer_handoff_over_wire(small_service):
     assert len(note.transfer_ciphers) == 1
     boarding = crypto.EncryptedIndex.from_bytes(note.transfer_ciphers[0])
     assert boarding.orientation == "column" and not boarding.unmasked
+    # the relayed bytes are the boarding cell's plus ciphertext as d2 sent it
+    _, pos = next(node for node in records[0].path.nodes if node[0] == ids["d2"])
+    frame, _ = protocol.decode_frame(d2_frame)
+    sent_plus = protocol.decode_submit_offer(frame.payload).cells[pos].plus.to_bytes()
+    assert note.transfer_ciphers[0] == sent_plus
+    assert sent_plus in d2_frame
 
     for name in ("d1", "d2"):
         dn = {"d1": d1, "d2": d2}[name].poll([ids[name]])
@@ -710,8 +720,7 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
     svc = RideService(config, seed=21)
     rng = np.random.default_rng(21)
     twin = service.TrustedAuthority(config, rng)  # the same draws as svc.authority
-    direct = crypto.KeyDeriver(twin.master_direct, twin.secrets_direct)
-    cells = crypto.KeyDeriver(twin.master_transfer, twin.secrets_transfer)
+    direct, cells = twin.derivers["direct"], twin.derivers["transfer"]
     plans = {
         "driver": [
             ("direct-driver", direct, "driver"),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from support import SMALL_CONFIG
+from support import SMALL_CONFIG, graph_edge_sets
 from ridecloak import crypto, kernels, transfer
 from ridecloak.service import ServiceConfig, TosServer, TransferMatchRecord
 from ridecloak.transfer import (
@@ -32,14 +32,6 @@ def make_graph(env, routes, capacities=None):
         cap = (capacities or {}).get(oid, 4)
         graph.add_offer(make_offer(env, oid, cells, capacity=cap, seed=i), env.secrets)
     return graph
-
-
-def graph_edge_sets(graph):
-    route_edges = set(graph.route_succ.items())
-    transfer_edges = {
-        frozenset((u, v)) for u, vs in graph.transfer_adj.items() for v in vs
-    }
-    return route_edges, transfer_edges
 
 
 def test_encode_cell_layout():
@@ -118,7 +110,11 @@ def test_two_shared_cells_two_transfer_edges(transfer_env):
 def test_single_offer_no_transfer_edges(transfer_env):
     graph = make_graph(transfer_env, {"a": [(1, 0), (2, 0), (1, 0)]})
     assert graph.transfer_adj == {}
-    assert graph.route_succ == {("a", 0): ("a", 1), ("a", 1): ("a", 2)}
+    assert {u: list(graph.neighbors(u)) for u in graph.nodes} == {
+        ("a", 0): [(("a", 1), "route")],
+        ("a", 1): [(("a", 2), "route")],
+        ("a", 2): [],
+    }
 
 
 def test_no_self_offer_transfer_edges(transfer_env):
@@ -259,7 +255,7 @@ def test_handoff_graph_shape(transfer_env):
         HANDOFF_MIXED: (6, 2),
     }
     for nodes, (cells, transfers) in counts.items():
-        result = transfer.annotate_path(graph, nodes)
+        result = transfer.annotate_path(nodes)
         assert (result.cell_count, result.transfer_count) == (cells, transfers)
         assert oracles.path_counts(nodes, *oracles.transfer_graph_edges(oracles.HANDOFF_ROUTES)[0:2]) == (cells, transfers)
 
@@ -329,9 +325,9 @@ def test_encrypted_search_end_to_end(transfer_env):
         rng=np.random.default_rng(5),
     )
     with pytest.raises(ValueError, match="unmasked"):
-        transfer.search(graph, request)
+        transfer.search(graph, request, np.ones((2, len(graph.nodes)), dtype=bool))
     request.pickup, request.dropoff = transfer_env_unmask(env, request)
-    outcome = transfer.search(graph, request)
+    outcome = transfer.search(graph, request, graph.pin([request.pickup, request.dropoff]))
     assert outcome.sources == [("d1", 0)]
     assert sorted(outcome.destinations) == [("d2", 3), ("d3", 4)]
     assert outcome.selected.nodes == oracles.HANDOFF_VIA_D2
@@ -393,7 +389,7 @@ def test_store_matches_brute_force_after_inserts_and_exhaustions(transfer_env):
     for step in range(30):
         if routes and rng.random() < 0.3:
             oid = list(routes)[int(rng.integers(0, len(routes)))]
-            graph.remove_offer_edges(oid)
+            graph.exhaust(oid)
             exhausted.add(oid)
         else:
             oid = f"o{step}"
@@ -402,7 +398,9 @@ def test_store_matches_brute_force_after_inserts_and_exhaustions(transfer_env):
             graph.add_offer(make_offer(env, oid, cells, seed=step), env.secrets)
             routes[oid] = cells
         live = {oid: cells for oid, cells in routes.items() if oid not in exhausted}
-        assert graph_edge_sets(graph) == oracles.transfer_graph_edges(live)
+        want_route, want_transfer = oracles.transfer_graph_edges(live)
+        assert graph_edge_sets(graph) == (want_route, want_transfer)
+        assert graph.edge_count() == len(want_route) + len(want_transfer)
         queries = unmasked_queries(env, probes, seed=step)
         hits = graph.pin(queries)
         assert hits.shape == (len(probes), len(graph.nodes))
@@ -450,11 +448,29 @@ def test_adjacency_view_follows_inserts_and_exhaustion(transfer_env):
     assert_view_equals_uncached(graph, cells)
     assert_view_equals_uncached(graph, hops)
 
-    graph.remove_offer_edges("a")
+    graph.exhaust("a")
     assert view.get(("a", 0)) == []
     assert_view_equals_uncached(graph, cells)
     assert_view_equals_uncached(graph, hops)
     assert ("zz", 0) not in view and view.get(("zz", 0), "none") == "none"
+
+
+def test_exhaust_edits_no_edge(transfer_env):
+    """Exhaustion only marks the offer: the walk skips it, the lists stay."""
+    graph = handoff_graph(transfer_env)
+    adjacency = copy.deepcopy(graph.transfer_adj)
+    assert any(v[0] == "d2" for vs in adjacency.values() for v in vs)
+    graph.exhaust("d2")
+    assert graph.transfer_adj == adjacency
+    assert graph.exhausted == {"d2"}
+    assert [n.offer_id for n in graph.active_nodes()].count("d2") == 0
+    for node in graph.nodes:
+        reached = [v for v, _ in graph.neighbors(node)]
+        assert all(v[0] != "d2" for v in reached)
+        if node[0] == "d2":
+            assert reached == []
+    live = {oid: cells for oid, cells in oracles.HANDOFF_ROUTES.items() if oid != "d2"}
+    assert graph_edge_sets(graph) == oracles.transfer_graph_edges(live)
 
 
 ROUND_PREFERENCES = [
