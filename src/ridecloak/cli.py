@@ -10,9 +10,10 @@ from dataclasses import replace
 import numpy as np
 
 from . import crypto
+from .bloom import sizing
 from .client import ServerError, ServiceClient, SocketTransport, TokenError
 from .protocol import ProtocolError
-from .service import RideService, ServiceConfig, SocketServer
+from .service import RideService, ServiceConfig, SocketServer, TrustedAuthority
 from .sim import (
     ExperimentConfig,
     GridCity,
@@ -57,24 +58,16 @@ def _service_config(args) -> ServiceConfig:
 
 def cmd_keygen(args) -> int:
     rng = np.random.default_rng(args.seed)
+    authority = TrustedAuthority(_service_config(args), rng)
     os.makedirs(args.out, exist_ok=True)
-    dims = {
-        "direct": args.filter_bits,
-        "transfer": 2 * args.id_bits + args.time_bits,
-    }
-    for name, dim in dims.items():
-        master = crypto.generate_master_key(dim, rng)
-        secrets = crypto.generate_tos_secrets(dim, rng)
-        crypto.save_key_material(os.path.join(args.out, f"master-{name}.key"), master)
-        crypto.save_key_material(os.path.join(args.out, f"secrets-{name}.key"), secrets)
-        deriver = crypto.KeyDeriver(master, secrets)
-        for i in range(args.drivers):
-            keys = deriver.derive("driver", rng)
-            crypto.save_key_material(os.path.join(args.out, f"driver-{i}-{name}.key"), keys)
-        for i in range(args.riders):
-            keys = deriver.derive("rider", rng)
-            crypto.save_key_material(os.path.join(args.out, f"rider-{i}-{name}.key"), keys)
-        print(f"{name}: dim {dim}, master + secrets"
+    for name, deriver in authority.derivers.items():
+        crypto.save_key_material(os.path.join(args.out, f"master-{name}.key"), deriver.master)
+        crypto.save_key_material(os.path.join(args.out, f"secrets-{name}.key"), deriver.secrets)
+        for role, count in (("driver", args.drivers), ("rider", args.riders)):
+            for i in range(count):
+                keys = deriver.derive(role, rng)
+                crypto.save_key_material(os.path.join(args.out, f"{role}-{i}-{name}.key"), keys)
+        print(f"{name}: dim {deriver.master.dim}, master + secrets"
               f" + {args.drivers} driver / {args.riders} rider key sets -> {args.out}")
     return 0
 
@@ -126,13 +119,7 @@ def cmd_match(args) -> int:
         id_bits=args.id_bits, time_bits=args.time_bits,
         time_slots=args.time_slots, max_items=args.max_items,
     )
-    report = run_experiment(config, workload=wl)
-    stream = open(args.csv, "w", newline="", encoding="utf-8") if args.csv else sys.stdout
-    try:
-        write_metrics_csv(stream, [report])
-    finally:
-        if args.csv:
-            stream.close()
+    _emit([run_experiment(config, workload=wl)], args.csv)
     return 0
 
 
@@ -188,14 +175,15 @@ def cmd_bench(args) -> int:
     elif args.sweep == "time-bits":
         reports = sweep_time_bits(base, _parse_ints(args.values), seeds, pool)
     elif args.sweep == "fpp":
-        from .bloom import sizing
-
-        reports = []
-        for fpp in (float(v) for v in args.values.split(",")):
-            bits, hashes = sizing(args.max_items, fpp)
-            cfg = replace(base, scheme="direct", filter_bits=bits, n_hashes=hashes)
-            for seed in seeds:
-                reports.append(run_experiment(replace(cfg, seed=seed), pool=pool))
+        sized = [sizing(args.max_items, float(v)) for v in args.values.split(",")]
+        reports = [
+            run_experiment(
+                replace(base, scheme="direct", filter_bits=bits, n_hashes=hashes, seed=seed),
+                pool=pool,
+            )
+            for bits, hashes in sized
+            for seed in seeds
+        ]
     else:
         raise ValueError(f"unknown sweep {args.sweep!r}")
     _emit(reports, args.csv)

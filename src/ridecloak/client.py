@@ -149,7 +149,7 @@ class ServiceClient:
             )
         widths = {
             "direct": bundle.filter_bits,
-            "transfer": 2 * bundle.id_bits + bundle.time_bits,
+            "transfer": transfer.cell_vector_bits(bundle.id_bits, bundle.time_bits),
         }
         keysets = {}
         for name, blob in bundle.keysets.items():

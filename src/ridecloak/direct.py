@@ -216,7 +216,7 @@ def build_request(
 
 # Index kinds, in the order of DirectOffer.indexes() / DirectRequest.indexes().
 PICKUP, DROPOFF, ROUTE, TIME = range(4)
-_CASES = tuple(MatchCase)  # a case's code is its position here
+CASES = tuple(MatchCase)  # a case's code, in the pools and on the wire, is its position here
 POOL_ROWS = 16  # rows a new pool allocates; it doubles whenever it fills up
 
 
@@ -331,7 +331,7 @@ class OfferPool(_Pool):
     def __init__(self, dim: int, rows: int = POOL_ROWS):
         super().__init__(dim, rows)
         self.remaining = np.zeros(rows, dtype=np.int64)
-        self.cases = np.zeros((rows, len(_CASES)), dtype=np.int8)
+        self.cases = np.zeros((rows, len(CASES)), dtype=np.int8)
 
     def admit(
         self,
@@ -343,10 +343,10 @@ class OfferPool(_Pool):
     ) -> int:
         """Store one masked offer (pick-up, drop-off, route, time); returns its row."""
         # a repeated case can never decide a match, so only first mentions count
-        codes = list(dict.fromkeys(_CASES.index(c) for c in cases))
+        codes = list(dict.fromkeys(CASES.index(c) for c in cases))
         row = self._fill(indexes, secrets, offer_id)
         self.remaining[row] = capacity
-        self.cases[row] = codes + [-1] * (len(_CASES) - len(codes))
+        self.cases[row] = codes + [-1] * (len(CASES) - len(codes))
         return row
 
     def open_rows(self) -> np.ndarray:
@@ -381,7 +381,7 @@ class PoolEntry:
         return self.pool.indexes(self.row)
 
 
-def _gated_pairs(
+def gated_pairs(
     offers: OfferPool, requests: RequestPool, n_hashes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(request row, offer row, case code) of every open pair that passes all gates.
@@ -420,7 +420,7 @@ def match_all(offers: OfferPool, requests: RequestPool, n_hashes: int) -> list[D
         return []
     if offers.dim != requests.dim:
         raise ValueError(f"dim mismatch: offers {offers.dim}, requests {requests.dim}")
-    ri, oj, codes = _gated_pairs(offers, requests, n_hashes)
+    ri, oj, codes = gated_pairs(offers, requests, n_hashes)
     order = np.lexsort((offers.seq[oj], requests.seq[ri]))
     seats: dict[int, int] = {}
     served: set[int] = set()
@@ -431,5 +431,5 @@ def match_all(offers: OfferPool, requests: RequestPool, n_hashes: int) -> list[D
             continue
         seats[o] = left - 1
         served.add(r)
-        matches.append(DirectMatch(requests.ids[r], offers.ids[o], _CASES[code]))
+        matches.append(DirectMatch(requests.ids[r], offers.ids[o], CASES[code]))
     return matches

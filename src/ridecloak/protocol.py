@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crypto import EncryptedIndex
-from .direct import DirectOffer, DirectRequest, MatchCase
+from .direct import CASES, DirectOffer, DirectRequest, MatchCase
 from .transfer import (
     Preference,
     PreferenceKind,
@@ -239,9 +239,9 @@ class _Reader:
 
     def case(self) -> MatchCase:
         code = self.u8()
-        if code not in _CASE_NAME:
+        if code >= len(CASES):
             raise ProtocolError(ErrorCode.MALFORMED, f"unknown case code {code}")
-        return _CASE_NAME[code]
+        return CASES[code]
 
     def done(self) -> None:
         if self.pos != len(self.data):
@@ -253,7 +253,6 @@ class _Reader:
 _ROLE_CODE = {"driver": 0, "rider": 1}
 _ROLE_NAME = {v: k for k, v in _ROLE_CODE.items()}
 _SCHEME_CODE = {"direct": 0, "transfer": 1}
-_SCHEME_NAME = {v: k for k, v in _SCHEME_CODE.items()}
 # The key sets a registration carries, per registered role, in wire order:
 # (name, role the key set is derived for). A name starts with its scheme.
 # A driver encrypts transfer cells twice: column form with driver keys
@@ -266,8 +265,6 @@ ROLE_KEY_SETS: dict[str, tuple[tuple[str, str], ...]] = {
     ),
     "rider": (("direct-rider", "rider"), ("transfer-rider", "rider")),
 }
-_CASE_CODE = {MatchCase.AREA: 0, MatchCase.ROUTE: 1, MatchCase.EXTENDED: 2}
-_CASE_NAME = {v: k for k, v in _CASE_CODE.items()}
 _PREF_CODE = {kind: i for i, kind in enumerate(PreferenceKind)}
 _PREF_NAME = {v: k for k, v in _PREF_CODE.items()}
 _NO_LIMIT = 0xFFFFFFFF
@@ -376,7 +373,7 @@ def encode_submit_offer(offer: DirectOffer | TransferOffer) -> bytes:
     if isinstance(offer, DirectOffer):
         w.u8(_SCHEME_CODE["direct"]).u16(offer.capacity).u8(len(offer.cases))
         for case in offer.cases:
-            w.u8(_CASE_CODE[case])
+            w.u8(CASES.index(case))
         w.blob(offer.contact)
         for idx in offer.indexes():
             w.index(idx)
@@ -486,7 +483,7 @@ def encode_notification(note: DirectNotification | TransferNotification) -> byte
     w = _Writer()
     if isinstance(note, DirectNotification):
         w.u8(_SCHEME_CODE["direct"]).text(note.subject_id).text(note.peer_id)
-        w.u8(_CASE_CODE[note.case]).blob(note.peer_contact)
+        w.u8(CASES.index(note.case)).blob(note.peer_contact)
     else:
         w.u8(_SCHEME_CODE["transfer"]).text(note.subject_id)
         w.u16(len(note.segment_offers))

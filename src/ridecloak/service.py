@@ -78,7 +78,7 @@ class ServiceConfig:
 
     @property
     def cell_vector_bits(self) -> int:
-        return 2 * self.id_bits + self.time_bits
+        return transfer.cell_vector_bits(self.id_bits, self.time_bits)
 
     @classmethod
     def from_text(cls, text: str) -> "ServiceConfig":

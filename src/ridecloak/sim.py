@@ -20,10 +20,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import direct
-from .bloom import BloomFilter, slot_index
+from .bloom import slot_index
 from .client import LoopbackTransport, ServiceClient
-from .direct import MatchCase, OfferSpec, RequestSpec, SummaryConfig
-from .service import RideService, ServiceConfig
+from .direct import MatchCase, OfferSpec, RequestSpec
+from .service import RideService, ServiceConfig, TosServer
 from .transfer import Preference
 
 DAY_SECONDS = 86400.0
@@ -173,10 +173,6 @@ class Workload:
     seed: int
     offers: list[PlainOffer]
     requests: list[PlainRequest]
-
-    def prefix(self, n_requests: int) -> "Workload":
-        """Same offers, first n requests; used for request-count sweeps."""
-        return Workload(self.city, self.seed, self.offers, self.requests[:n_requests])
 
 
 def workload_to_text(wl: Workload) -> str:
@@ -423,7 +419,7 @@ def generate_workload(
     return Workload(city, seed, offers, requests)
 
 
-# --- plaintext pair gates (metrics only; matching itself stays encrypted) -----
+# --- plaintext pair gate (metrics only; matching itself stays encrypted) ------
 
 
 def cell_truth_case(offer: PlainOffer, request: PlainRequest, time_slots: int) -> MatchCase | None:
@@ -444,67 +440,6 @@ def cell_truth_case(offer: PlainOffer, request: PlainRequest, time_slots: int) -
     return None
 
 
-def bloom_gate_case(
-    offer_filters: dict, request_filters: dict, offer: PlainOffer, request: PlainRequest,
-    n_hashes: int,
-) -> MatchCase | None:
-    """Gate chain computed on real Bloom vectors (false positives included)."""
-
-    def dot(a: BloomFilter, b: BloomFilter) -> int:
-        return int(np.dot(a.vector(), b.vector()))
-
-    if slot_index(request.pickup_seconds, offer_filters["slots"]) != slot_index(
-        offer.depart_seconds, offer_filters["slots"]
-    ):
-        return None
-    if dot(request_filters["pickup"], offer_filters["pickup"]) != n_hashes:
-        return None
-    for case in offer.cases:
-        if case is MatchCase.AREA and dot(request_filters["dropoff"], offer_filters["dropoff"]) == n_hashes:
-            return case
-        if case is MatchCase.ROUTE and dot(request_filters["dropoff"], offer_filters["route"]) == n_hashes:
-            return case
-        if case is MatchCase.EXTENDED and dot(request_filters["route"], offer_filters["dropoff"]) == n_hashes:
-            return case
-    return None
-
-
-def _pair_filters(wl: Workload, cfg: SummaryConfig, perm: np.ndarray):
-    offer_filters = []
-    for o in wl.offers:
-        offer_filters.append(
-            {
-                "slots": cfg.time_slots,
-                "pickup": cfg.filter_of(perm[list(o.pickup_cells)]),
-                "dropoff": cfg.filter_of(perm[list(o.dropoff_cells)]),
-                "route": cfg.filter_of(perm[list(o.route)]),
-            }
-        )
-    request_filters = []
-    for r in wl.requests:
-        request_filters.append(
-            {
-                "pickup": cfg.filter_of([int(perm[r.pickup])]),
-                "dropoff": cfg.filter_of([int(perm[r.dropoff])]),
-                "route": cfg.filter_of(perm[list(r.route)]),
-            }
-        )
-    return offer_filters, request_filters
-
-
-def count_fpp_events(wl: Workload, cfg: SummaryConfig, perm: np.ndarray) -> int:
-    """Pairs whose Bloom-gate outcome differs from exact cell membership."""
-    offer_filters, request_filters = _pair_filters(wl, cfg, perm)
-    events = 0
-    for i, r in enumerate(wl.requests):
-        for j, o in enumerate(wl.offers):
-            truth = cell_truth_case(o, r, cfg.time_slots)
-            gate = bloom_gate_case(offer_filters[j], request_filters[i], o, r, cfg.n_hashes)
-            if truth is not gate:
-                events += 1
-    return events
-
-
 def ccrs_size_model(cell_count: int) -> int:
     """Offer size (bytes) if every vector spanned the whole city.
 
@@ -518,6 +453,10 @@ def ccrs_size_model(cell_count: int) -> int:
 
 
 # --- experiments ---------------------------------------------------------------
+
+# Tokens per registration of an experiment client; a run that needs more
+# re-registers first.
+TOKENS_PER_BUNDLE = 4096
 
 
 @dataclass
@@ -560,7 +499,7 @@ class ExperimentConfig:
             preference=self.preference,
         )
 
-    def service_config(self, tokens_per_bundle: int = 4096) -> ServiceConfig:
+    def service_config(self) -> ServiceConfig:
         return ServiceConfig(
             filter_bits=self.filter_bits,
             n_hashes=self.n_hashes,
@@ -569,7 +508,7 @@ class ExperimentConfig:
             time_slots=self.time_slots,
             max_items=self.max_items,
             path_limit=self.path_limit,
-            tokens_per_bundle=tokens_per_bundle,
+            tokens_per_bundle=TOKENS_PER_BUNDLE,
         )
 
 
@@ -614,46 +553,41 @@ def metrics_csv_text(reports: list[MetricsReport]) -> str:
 
 
 class ServicePool:
-    """Reuses services and registered clients across runs with equal crypto.
+    """Reuses the last service and its registered clients for an equal config.
 
     Key generation at full vector width is by far the slowest step of an
-    experiment and is explicitly a one-time cost, so sweeps share one
-    service per (crypto parameters, seed) and purge trip state between
-    runs with an epoch rotation.
+    experiment and is explicitly a one-time cost, so consecutive runs with
+    equal crypto parameters and seed share one service and purge trip
+    state between runs with an epoch rotation. Any other config replaces
+    the service; a full-width one holds about 1.8 GB, so only one is kept.
     """
 
-    def __init__(self, tokens_per_bundle: int = 4096, max_entries: int = 2):
-        self.tokens_per_bundle = tokens_per_bundle
-        self.max_entries = max_entries
-        self._cache: dict[tuple, tuple[RideService, ServiceClient, ServiceClient]] = {}
+    def __init__(self):
+        self.key: tuple | None = None
+        self.trio: tuple[RideService, ServiceClient, ServiceClient] | None = None
 
-    def acquire(self, config: ExperimentConfig):
+    def acquire(self, config: ExperimentConfig) -> tuple[RideService, ServiceClient, ServiceClient]:
         key = (
             config.filter_bits, config.n_hashes, config.id_bits, config.time_bits,
             config.time_slots, config.max_items, config.seed,
         )
-        trio = self._cache.get(key)
-        if trio is None:
-            while len(self._cache) >= self.max_entries:
-                # full-width services hold large matrices; evict oldest first
-                self._cache.pop(next(iter(self._cache)))
-            service = RideService(
-                config.service_config(self.tokens_per_bundle),
-                seed=np.random.SeedSequence([config.seed, 1]).generate_state(1)[0],
-            )
-            driver = ServiceClient(LoopbackTransport(service), rng=np.random.default_rng((config.seed, 2)))
-            rider = ServiceClient(LoopbackTransport(service), rng=np.random.default_rng((config.seed, 3)))
-            driver.register("driver")
-            rider.register("rider")
-            self._cache[key] = trio = (service, driver, rider)
-        else:
-            self._cache.pop(key)
-            self._cache[key] = trio  # refresh recency
-            service, driver, rider = trio
+        if key == self.key:
+            service, driver, rider = self.trio
             service.rotate_epoch()
             driver.sync_epoch()
             rider.sync_epoch()
-        return trio
+            return self.trio
+        self.key = self.trio = None  # drop the old service before building the next
+        service = RideService(
+            config.service_config(),
+            seed=np.random.SeedSequence([config.seed, 1]).generate_state(1)[0],
+        )
+        driver = ServiceClient(LoopbackTransport(service), rng=np.random.default_rng((config.seed, 2)))
+        rider = ServiceClient(LoopbackTransport(service), rng=np.random.default_rng((config.seed, 3)))
+        driver.register("driver")
+        rider.register("rider")
+        self.key, self.trio = key, (service, driver, rider)
+        return self.trio
 
 
 def submit_offers(
@@ -713,6 +647,29 @@ def _ensure_tokens(client: ServiceClient, needed: int) -> None:
         client.register(client.registration.role)
 
 
+def count_fpp_events(
+    wl: Workload, server: TosServer, offer_ids: list[str], request_ids: list[str],
+    config: ExperimentConfig,
+) -> int:
+    """Stored pairs whose direct-gate outcome differs from exact cell membership.
+
+    The gate is the server's own, run over its pools before matching
+    changes them; rows map back to the workload through the returned ids.
+    """
+    offer_at = {server.direct_offers[oid].row: j for j, oid in enumerate(offer_ids)}
+    request_at = {server.direct_requests[rid].row: i for i, rid in enumerate(request_ids)}
+    ri, oj, codes = direct.gated_pairs(server.offer_pool, server.request_pool, config.n_hashes)
+    gate = {
+        (request_at[r], offer_at[o]): direct.CASES[code]
+        for r, o, code in zip(ri.tolist(), oj.tolist(), codes.tolist())
+    }
+    return sum(
+        cell_truth_case(o, r, config.time_slots) is not gate.get((i, j))
+        for i, r in enumerate(wl.requests)
+        for j, o in enumerate(wl.offers)
+    )
+
+
 def run_experiment(
     config: ExperimentConfig,
     *,
@@ -726,33 +683,28 @@ def run_experiment(
     service, driver, rider = (pool or ServicePool()).acquire(config)
     _ensure_tokens(driver, len(workload.offers))
     _ensure_tokens(rider, len(workload.requests))
-    epoch, salt = service.server.epoch, service.server.salt
-    perm = identifier_permutation(city.cell_count, epoch, salt)
+    perm = identifier_permutation(city.cell_count, service.server.epoch, service.server.salt)
 
     sent0 = driver.transport.sent_bytes
-    submit_offers(workload, config.scheme, driver, perm, config.time_bits)
+    offer_ids = submit_offers(workload, config.scheme, driver, perm, config.time_bits)
     offer_bytes = driver.transport.sent_bytes - sent0
 
     sent0 = rider.transport.sent_bytes
-    submit_requests(workload, config.scheme, rider, perm, config.time_bits)
+    request_ids = submit_requests(workload, config.scheme, rider, perm, config.time_bits)
     request_bytes = rider.transport.sent_bytes - sent0
+
+    n_req = len(workload.requests)
+    n_off = len(workload.offers)
+    fpp_events = 0
+    if config.scheme == "direct" and n_req and n_off:
+        fpp_events = count_fpp_events(
+            workload, service.server, offer_ids, request_ids, config
+        )
 
     start = time.perf_counter()
     records = service.run_matching()
     search_time_ms = (time.perf_counter() - start) * 1000.0
-
     matched = len(records)
-    n_req = len(workload.requests)
-    n_off = len(workload.offers)
-
-    fpp_events = 0
-    if config.scheme == "direct" and n_req and n_off:
-        cfg = SummaryConfig(
-            bits=config.filter_bits, n_hashes=config.n_hashes,
-            time_slots=config.time_slots, max_items=config.max_items,
-            epoch=epoch, salt=salt,
-        )
-        fpp_events = count_fpp_events(workload, cfg, perm)
 
     return MetricsReport(
         scheme=config.scheme,
@@ -776,6 +728,10 @@ def run_experiment(
 
 
 # --- sweeps ---------------------------------------------------------------------
+# A sweep runs its configs in order through one pool; each run generates
+# its own seeded workload. A workload depends on neither `scheme` nor
+# `time_bits`, and requests are drawn after every offer, so
+# `n_requests=k` gives the first k requests of any larger run.
 
 
 def sweep_matrix(
@@ -788,20 +744,16 @@ def sweep_matrix(
 ) -> list[MetricsReport]:
     """Success-rate comparison grid; both schemes see the same workloads."""
     pool = pool or ServicePool()
-    reports = []
-    for seed in seeds:
-        for n_offers in offers_list:
-            for n_requests in requests_list:
-                wl = None
-                for scheme in schemes:
-                    config = replace(
-                        base, scheme=scheme, n_offers=n_offers,
-                        n_requests=n_requests, seed=seed,
-                    )
-                    if wl is None:
-                        wl = config.workload()
-                    reports.append(run_experiment(config, workload=wl, pool=pool))
-    return reports
+    return [
+        run_experiment(
+            replace(base, scheme=scheme, n_offers=n_offers, n_requests=n_requests, seed=seed),
+            pool=pool,
+        )
+        for seed in seeds
+        for n_offers in offers_list
+        for n_requests in requests_list
+        for scheme in schemes
+    ]
 
 
 def sweep_cell_count(
@@ -811,16 +763,18 @@ def sweep_cell_count(
     pool: ServicePool | None = None,
 ) -> list[MetricsReport]:
     """City-size sweep for the communication-overhead comparison."""
+    sides = []
+    for count in cell_counts:
+        side = int(round(count ** 0.5))
+        if side * side != count:
+            raise ValueError(f"cell_count {count} is not a square grid")
+        sides.append(side)
     pool = pool or ServicePool()
-    reports = []
-    for seed in seeds:
-        for count in cell_counts:
-            side = int(round(count ** 0.5))
-            if side * side != count:
-                raise ValueError(f"cell_count {count} is not a square grid")
-            config = replace(base, scheme="direct", rows=side, cols=side, seed=seed)
-            reports.append(run_experiment(config, pool=pool))
-    return reports
+    return [
+        run_experiment(replace(base, scheme="direct", rows=side, cols=side, seed=seed), pool=pool)
+        for seed in seeds
+        for side in sides
+    ]
 
 
 def sweep_time_bits(
@@ -831,14 +785,11 @@ def sweep_time_bits(
 ) -> list[MetricsReport]:
     """Time-resolution sweep on a fixed workload per seed (transfer scheme)."""
     pool = pool or ServicePool()
-    reports = []
-    for seed in seeds:
-        config0 = replace(base, scheme="transfer", seed=seed)
-        wl = config0.workload()
-        for bits in values:
-            config = replace(config0, time_bits=bits)
-            reports.append(run_experiment(config, workload=wl, pool=pool))
-    return reports
+    return [
+        run_experiment(replace(base, scheme="transfer", seed=seed, time_bits=bits), pool=pool)
+        for seed in seeds
+        for bits in values
+    ]
 
 
 def sweep_request_prefixes(
@@ -849,14 +800,11 @@ def sweep_request_prefixes(
 ) -> list[MetricsReport]:
     """Request-count sweep on prefixes of one request stream per seed."""
     pool = pool or ServicePool()
-    reports = []
-    for seed in seeds:
-        config0 = replace(base, seed=seed, n_requests=max(counts))
-        wl = config0.workload()
-        for count in counts:
-            config = replace(config0, n_requests=count)
-            reports.append(run_experiment(config, workload=wl.prefix(count), pool=pool))
-    return reports
+    return [
+        run_experiment(replace(base, seed=seed, n_requests=count), pool=pool)
+        for seed in seeds
+        for count in counts
+    ]
 
 
 def mean_success(reports: list[MetricsReport], **filters) -> float:

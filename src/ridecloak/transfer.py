@@ -55,13 +55,18 @@ DEFAULT_PATH_LIMIT = 10_000
 NodeId = tuple[str, int]
 
 
+def cell_vector_bits(id_bits: int, time_bits: int) -> int:
+    """Width of a cell vector: identifier bits, their complement, interval one-hot."""
+    return 2 * id_bits + time_bits
+
+
 def encode_cell(identifier: int, interval: int, id_bits: int, time_bits: int) -> np.ndarray:
     """Plaintext cell vector: id bits (MSB first), complement, interval one-hot."""
     if not (0 <= identifier < (1 << id_bits)):
         raise ValueError(f"identifier {identifier} out of range for {id_bits} bits")
     if not (0 <= interval < time_bits):
         raise ValueError(f"interval {interval} out of range for {time_bits} bits")
-    vec = np.zeros(2 * id_bits + time_bits, dtype=np.float64)
+    vec = np.zeros(cell_vector_bits(id_bits, time_bits), dtype=np.float64)
     for i in range(id_bits):
         bit = (identifier >> (id_bits - 1 - i)) & 1
         vec[i] = bit

@@ -360,7 +360,7 @@ def key_bundle_frame(epoch, fields, keysets, tokens):
     return struct.pack("<IBQ", 1 + 8 + 32 + len(payload), 2, epoch) + bytes(32) + payload
 
 
-_CASE_CODES = {"area": 0, "route": 1, "extended": 2}
+_WIRE_CASE = {"area": 0, "route": 1, "extended": 2}
 _PREFERENCE_CODES = {
     name: code
     for code, name in enumerate((
@@ -387,7 +387,7 @@ def direct_offer_payload(capacity, cases, contact, indexes):
     """SUBMIT_OFFER, direct: u8 scheme 0, u16 capacity, u8 case count, one
     u8 per case (area 0, route 1, extended 2), the u32-prefixed contact,
     then the four u32-prefixed index blobs (pick-up, drop-off, route, time)."""
-    codes = bytes(_CASE_CODES[c] for c in cases)
+    codes = bytes(_WIRE_CASE[c] for c in cases)
     return struct.pack("<BHB", 0, capacity, len(codes)) + codes + _blob(contact) + b"".join(
         _blob(ix) for ix in indexes
     )

@@ -282,9 +282,9 @@ def test_criterion_6_handoff_fixture_preferences(wide_transfer_env):
 
 def test_criterion_7_scheme_trends():
     t0 = time.monotonic()
-    # full-width key material is ~1.8 GB per service, so run seed by seed
-    # with a single cached entry instead of keeping all three alive
-    pool = ServicePool(max_entries=1)
+    # full-width key material is ~1.8 GB per service, so run seed by seed:
+    # the pool keeps only the last service
+    pool = ServicePool()
     base = ExperimentConfig(
         rows=40, cols=40, filter_bits=2048, n_hashes=24,
         id_bits=11, time_bits=25, align_slots=25,

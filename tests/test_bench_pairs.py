@@ -1,6 +1,7 @@
 """The verdict rule of tools/bench_pairs.py, on synthetic numbers only."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,32 @@ def test_rejects_unpaired_runs_and_unknown_direction():
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("701-705") == [701, 702, 703, 704, 705]
     assert bench_pairs.parse_seeds("701,703") == [701, 703]
+
+
+def test_non_finite_values_are_invalid():
+    nan, inf = float("nan"), float("inf")
+    assert verdict(PARENT[:5], [nan] * 5, "higher", 0.25) == ("invalid", 0)
+    assert verdict(PARENT[:5], PARENT[:4] + [nan], "lower", 0.25) == ("invalid", 0)
+    assert verdict([nan] + PARENT[1:5], PARENT[:5], "lower", 0.25) == ("invalid", 0)
+    assert verdict(PARENT[:5], PARENT[:4] + [inf], "lower", 0.25) == ("invalid", 0)
+    assert verdict(PARENT[:5], PARENT[:4] + [-inf], "higher", 0.25) == ("invalid", 0)
+
+
+def test_a_non_finite_metric_fails_the_comparison(tmp_path, monkeypatch, capsys):
+    contract = {"end_to_end": [
+        {"name": "trips_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    ]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(contract))
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w",
+            "--seeds", "701,702", "--seconds", "1"]
+
+    def runs_reading(values):
+        readings = iter(values)
+        return lambda *args: {"digest": "d", "stderr": "", "correct": True, "failed": 0,
+                              "metrics": {"trips_per_s": {"value": next(readings)}}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0, 10.0, 10.0, 10.0]))
+    assert bench_pairs.main(argv) == 0
+    monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0, float("nan"), 10.0, 10.0]))
+    assert bench_pairs.main(argv) == 1
+    assert "invalid" in capsys.readouterr().out

@@ -7,8 +7,7 @@ import pytest
 
 import oracles
 from ridecloak import sim
-from ridecloak.direct import MatchCase, SummaryConfig
-from ridecloak.sim import ExperimentConfig, GridCity, ServicePool, Workload
+from ridecloak.sim import ExperimentConfig, GridCity, ServicePool
 
 SMALL_EXPERIMENT = ExperimentConfig(
     rows=8, cols=8, n_offers=6, n_requests=10, seed=0,
@@ -19,7 +18,7 @@ SMALL_EXPERIMENT = ExperimentConfig(
 
 @pytest.fixture(scope="module")
 def pool():
-    return ServicePool(tokens_per_bundle=512)
+    return ServicePool()
 
 
 def test_grid_city_geometry():
@@ -96,11 +95,15 @@ def test_workload_file_round_trip(tmp_path):
     assert len(back.offers) == 6 and len(back.requests) == 10
 
 
-def test_workload_prefix():
+def test_fewer_requests_are_a_prefix_of_more():
+    # request sweeps rely on it: each run regenerates its workload
     wl = small_workload(seed=7)
-    cut = wl.prefix(3)
-    assert cut.offers is wl.offers
-    assert [r.request_id for r in cut.requests] == [r.request_id for r in wl.requests[:3]]
+    cut = sim.generate_workload(
+        GridCity(8, 8), 6, 3, 7, (4, 8), 48,
+        hit_rate=0.8, transfer_rate=0.4, capacity=5, align_slots=4,
+    )
+    assert cut.offers == wl.offers
+    assert cut.requests == wl.requests[:3]
 
 
 def test_workload_text_errors():
@@ -149,16 +152,64 @@ def test_zero_hit_rate_matches_nothing():
     assert all(
         sim.cell_truth_case(o, r, 48) is None for o in wl.offers for r in wl.requests
     )
-    report = sim.run_experiment(SMALL_EXPERIMENT, workload=wl, pool=ServicePool(tokens_per_bundle=64))
+    report = sim.run_experiment(SMALL_EXPERIMENT, workload=wl, pool=ServicePool())
     assert report.fpp_events == 0
     assert report.success_rate == 0.0
+
+
+def test_fpp_events_match_an_independent_summary_count():
+    # narrow filters so the gate really does disagree with cell membership
+    base = ExperimentConfig(
+        rows=12, cols=12, n_offers=40, n_requests=150,
+        filter_bits=48, n_hashes=1, id_bits=8, time_bits=4,
+    )
+    for seed in (0, 1):
+        config = replace(base, seed=seed)
+        pool = ServicePool()
+        report = sim.run_experiment(config, pool=pool)
+        server = pool.trio[0].server
+        perm = sim.identifier_permutation(144, server.epoch, server.salt)
+        wl = config.workload()
+        want = 0
+        for o in wl.offers:
+            ofacts = (
+                tuple(perm[list(o.pickup_cells)]), tuple(perm[list(o.dropoff_cells)]),
+                tuple(perm[list(o.route)]), o.depart_seconds, o.capacity,
+                tuple(c.value for c in o.cases),
+            )
+            for r in wl.requests:
+                rfacts = (perm[r.pickup], perm[r.dropoff], tuple(perm[list(r.route)]), r.pickup_seconds)
+                truth = oracles.truth_case(ofacts, rfacts, 48)
+                gate = oracles.summary_case(
+                    ofacts, rfacts, 48, 48, 1, server.epoch, server.salt
+                )
+                want += truth != gate
+        assert want > 0
+        assert report.fpp_events == want
+
+
+def test_service_pool_keeps_the_last_service_only():
+    pool = ServicePool()
+    small = replace(SMALL_EXPERIMENT, n_offers=2, n_requests=2)
+    service, driver, rider = pool.acquire(small)
+    epoch = service.server.epoch
+    again = pool.acquire(replace(small, scheme="transfer", n_requests=5))
+    assert again[0] is service and again[1] is driver and again[2] is rider
+    assert service.server.epoch == epoch + 1
+    assert driver.registration.epoch == rider.registration.epoch == epoch + 1
+    other = pool.acquire(replace(small, seed=1))[0]
+    assert other is not service
+    assert pool.trio[0] is other
+    back = pool.acquire(small)[0]
+    assert back is not service and back is not other
+    assert back.server.epoch == epoch
 
 
 def test_reports_deterministic_across_fresh_pools():
     for scheme in ("direct", "transfer"):
         config = replace(SMALL_EXPERIMENT, scheme=scheme, n_offers=4, n_requests=6)
-        a = sim.run_experiment(config, pool=ServicePool(tokens_per_bundle=64))
-        b = sim.run_experiment(config, pool=ServicePool(tokens_per_bundle=64))
+        a = sim.run_experiment(config, pool=ServicePool())
+        b = sim.run_experiment(config, pool=ServicePool())
         row_a, row_b = a.row(), b.row()
         row_a.pop("search_time_ms")
         row_b.pop("search_time_ms")

@@ -22,15 +22,19 @@ change won (ties count for neither side) and a verdict:
   median, is wider than the bound, and not every change run beats every
   parent run.
 * `within bound`: none of the above.
+* `invalid`: a run on either side reads a non-finite value (NaN or
+  infinity), so no comparison holds.
 
 The exit code is 1 when a seed's match digests differ between the
-sides or a run is not correct, else 0.
+sides, a run is not correct, or a run reads a non-finite end-to-end
+metric, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -62,6 +66,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
         raise ValueError("need the same, non-zero number of runs on each side")
     if better not in ("lower", "higher"):
         raise ValueError(f"better must be 'lower' or 'higher', got {better!r}")
+    if not all(math.isfinite(v) for v in parent + change):
+        return "invalid", 0
     sign = 1.0 if better == "lower" else -1.0  # sign * (change - parent) < 0 is a win
     wins = sum(1 for p, c in zip(parent, change) if sign * (c - p) < 0)
     p1, p_med, p3 = quartiles(parent)
@@ -139,6 +145,8 @@ def main(argv=None) -> int:
             print(f"{name:24} missing from a run")
             continue
         result, wins = verdict(parent, change, metric["better"], metric["bound"])
+        if result == "invalid":
+            ok = False
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         print(f"{name:24} {pm:.5g} [{p1:.5g}, {p3:.5g}] -> {cm:.5g} [{c1:.5g}, {c3:.5g}] "
               f"{metric['unit']:4} wins {wins}/{len(parent)}  {result}")
