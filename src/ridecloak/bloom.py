@@ -41,11 +41,6 @@ def sizing(max_items: int, fpp: float) -> tuple[int, int]:
     return bits, n_hashes
 
 
-def analytic_fpp(bits: int, n_hashes: int, items: int) -> float:
-    """Standard false-positive estimate for a filter holding `items` cells."""
-    return (1.0 - math.exp(-n_hashes * items / bits)) ** n_hashes
-
-
 def cell_positions(
     cell_value: int, bits: int, n_hashes: int, epoch: int, salt: int
 ) -> list[int]:

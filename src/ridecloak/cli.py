@@ -1,19 +1,21 @@
-"""Command-line interface: keygen, serve, submit, match, workload, bench."""
+"""Command-line interface: serve, submit, match, workload, bench.
+
+No command writes or reads key material. `serve` generates the master
+keys and server secrets in memory from `--seed`, keeping the inverse each
+conditioning check computed, and clients receive their key sets by
+registering.
+"""
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from . import crypto
 from .bloom import sizing
 from .client import ServerError, ServiceClient, SocketTransport, TokenError
 from .protocol import ProtocolError
-from .service import RideService, ServiceConfig, SocketServer, TrustedAuthority
+from .service import RideService, ServiceConfig, SocketServer
 from .sim import (
     ExperimentConfig,
     GridCity,
@@ -54,22 +56,6 @@ def _service_config(args) -> ServiceConfig:
         time_slots=args.time_slots,
         max_items=args.max_items,
     )
-
-
-def cmd_keygen(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    authority = TrustedAuthority(_service_config(args), rng)
-    os.makedirs(args.out, exist_ok=True)
-    for name, deriver in authority.derivers.items():
-        crypto.save_key_material(os.path.join(args.out, f"master-{name}.key"), deriver.master)
-        crypto.save_key_material(os.path.join(args.out, f"secrets-{name}.key"), deriver.secrets)
-        for role, count in (("driver", args.drivers), ("rider", args.riders)):
-            for i in range(count):
-                keys = deriver.derive(role, rng)
-                crypto.save_key_material(os.path.join(args.out, f"{role}-{i}-{name}.key"), keys)
-        print(f"{name}: dim {deriver.master.dim}, master + secrets"
-              f" + {args.drivers} driver / {args.riders} rider key sets -> {args.out}")
-    return 0
 
 
 def cmd_serve(args) -> int:
@@ -193,14 +179,6 @@ def cmd_bench(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ridecloak", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("keygen", help="generate master keys, server secrets, user key sets")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--drivers", type=int, default=0)
-    p.add_argument("--riders", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    _add_crypto_args(p)
-    p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("serve", help="run the matching server over TCP")
     p.add_argument("--config", help="key=value service config file")

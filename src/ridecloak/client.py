@@ -153,9 +153,10 @@ class ServiceClient:
         }
         keysets = {}
         for name, blob in bundle.keysets.items():
-            keys = crypto.key_material_from_bytes(blob)
-            if not isinstance(keys, UserKeySet):
-                raise ProtocolError(ErrorCode.BAD_STATE, f"bundle entry {name!r} is not a user key set")
+            try:
+                keys = crypto.key_material_from_bytes(blob)
+            except ValueError as exc:
+                raise ProtocolError(ErrorCode.BAD_STATE, f"bundle entry {name!r}: {exc}") from exc
             if keys.role != expected[name]:
                 raise ProtocolError(
                     ErrorCode.BAD_STATE,

@@ -10,7 +10,10 @@ comparable, which is what lets the server match strangers' trips.
 
 All matrices are double precision with entries drawn uniformly from
 [-1, 1]; candidates with a 1-norm condition estimate above 1e6 are
-redrawn (at most 8 attempts).
+redrawn (at most 8 attempts). The inverse the accepting check computes is
+kept with the master keys and server secrets, so no secret matrix is
+inverted twice. Master keys and server secrets exist only in memory; the
+one key file format holds a user key set.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ PART_COUNT = 8
 
 KEYFILE_MAGIC = b"KNN1"
 _ROLE_BYTES = {"driver": b"D", "rider": b"R"}
+_BYTE_ROLES = {byte: role for role, byte in _ROLE_BYTES.items()}
 
 # Which additive share multiplies each of the eight mask parts.
 # Drivers alternate the two shares of each blend inverse; riders pair them.
@@ -42,31 +46,32 @@ class KeyGenerationError(RuntimeError):
     """Raised when no acceptably conditioned matrix is found."""
 
 
-def _well_conditioned(mat: np.ndarray) -> bool:
-    """Whether `mat` is invertible with a 1-norm condition number within COND_LIMIT."""
+def _well_conditioned(mat: np.ndarray) -> np.ndarray | None:
+    """The inverse of `mat` if its 1-norm condition number is within COND_LIMIT, else None."""
     try:
         inv = np.linalg.inv(mat)
     except np.linalg.LinAlgError:
-        return False
+        return None
     cond = np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1)
-    return bool(np.isfinite(cond) and cond <= COND_LIMIT)
+    return inv if np.isfinite(cond) and cond <= COND_LIMIT else None
 
 
-def _random_invertible(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a well-conditioned uniform [-1, 1] matrix."""
+def _random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a well-conditioned uniform [-1, 1] matrix; returns (matrix, inverse)."""
     for _ in range(MAX_DRAWS):
         cand = rng.uniform(-1.0, 1.0, (dim, dim))
-        if _well_conditioned(cand):
-            return cand
+        inv = _well_conditioned(cand)
+        if inv is not None:
+            return cand, inv
     raise KeyGenerationError(f"no invertible {dim}x{dim} draw within {MAX_DRAWS} attempts")
 
 
 def _invertible_shares(total: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Split `total` into two invertible matrices summing to it exactly."""
     for _ in range(MAX_DRAWS):
-        first = _random_invertible(total.shape[0], rng)
+        first, _inv = _random_invertible(total.shape[0], rng)
         second = total - first
-        if _well_conditioned(second):
+        if _well_conditioned(second) is not None:
             return first, second
     raise KeyGenerationError("no invertible additive share found")
 
@@ -83,7 +88,8 @@ class MasterKey:
     blend_a/blend_b are the matrices whose additive shares cancel in the
     matching identity; mask_parts are the eight per-part masking matrices;
     split_pattern is the 0/1 vector all users of this key share when
-    splitting plaintexts.
+    splitting plaintexts. Each *_inv field is the inverse its matrix's
+    conditioning check computed.
     """
 
     dim: int
@@ -91,30 +97,9 @@ class MasterKey:
     blend_b: np.ndarray
     mask_parts: tuple[np.ndarray, ...]
     split_pattern: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_square("blend_a", self.blend_a, self.dim)
-        _check_square("blend_b", self.blend_b, self.dim)
-        if len(self.mask_parts) != PART_COUNT:
-            raise ValueError(f"expected {PART_COUNT} mask parts, got {len(self.mask_parts)}")
-        for i, part in enumerate(self.mask_parts):
-            _check_square(f"mask_parts[{i}]", part, self.dim)
-        if self.split_pattern.shape != (self.dim,):
-            raise ValueError("split_pattern width mismatch")
-        if not np.isin(self.split_pattern, (0, 1)).all():
-            raise ValueError("split_pattern must be 0/1")
-
-    @cached_property
-    def blend_a_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.blend_a)
-
-    @cached_property
-    def blend_b_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.blend_b)
-
-    @cached_property
-    def mask_part_invs(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.linalg.inv(p) for p in self.mask_parts)
+    blend_a_inv: np.ndarray
+    blend_b_inv: np.ndarray
+    mask_part_invs: tuple[np.ndarray, ...]
 
 
 @dataclass
@@ -124,19 +109,14 @@ class TosSecrets:
     index_mask is applied (on the left) to column-form offer parts,
     the inverse of query_mask (on the right) to row-form query parts.
     Until that happens, indexes from different users are not comparable.
+    The inverses are the ones the conditioning checks computed.
     """
 
     dim: int
     query_mask: np.ndarray
     index_mask: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_square("query_mask", self.query_mask, self.dim)
-        _check_square("index_mask", self.index_mask, self.dim)
-
-    @cached_property
-    def query_mask_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.query_mask)
+    query_mask_inv: np.ndarray
+    index_mask_inv: np.ndarray
 
 
 @dataclass
@@ -216,17 +196,19 @@ class EncryptedIndex:
 
 
 def generate_master_key(dim: int, rng: np.random.Generator) -> MasterKey:
-    blend_a = _random_invertible(dim, rng)
-    blend_b = _random_invertible(dim, rng)
-    mask_parts = tuple(_random_invertible(dim, rng) for _ in range(PART_COUNT))
+    blend_a, blend_a_inv = _random_invertible(dim, rng)
+    blend_b, blend_b_inv = _random_invertible(dim, rng)
+    mask_parts, mask_part_invs = zip(*(_random_invertible(dim, rng) for _ in range(PART_COUNT)))
     split_pattern = rng.integers(0, 2, dim).astype(np.uint8)
-    return MasterKey(dim, blend_a, blend_b, mask_parts, split_pattern)
+    return MasterKey(
+        dim, blend_a, blend_b, mask_parts, split_pattern, blend_a_inv, blend_b_inv, mask_part_invs
+    )
 
 
 def generate_tos_secrets(dim: int, rng: np.random.Generator) -> TosSecrets:
-    query_mask = _random_invertible(dim, rng)
-    index_mask = _random_invertible(dim, rng)
-    return TosSecrets(dim, query_mask, index_mask)
+    query_mask, query_mask_inv = _random_invertible(dim, rng)
+    index_mask, index_mask_inv = _random_invertible(dim, rng)
+    return TosSecrets(dim, query_mask, index_mask, query_mask_inv, index_mask_inv)
 
 
 class KeyDeriver:
@@ -244,8 +226,7 @@ class KeyDeriver:
 
     @cached_property
     def _driver_bases(self) -> tuple[np.ndarray, ...]:
-        index_mask_inv = np.linalg.inv(self.secrets.index_mask)
-        return tuple(index_mask_inv @ inv for inv in self.master.mask_part_invs)
+        return tuple(self.secrets.index_mask_inv @ inv for inv in self.master.mask_part_invs)
 
     @cached_property
     def _rider_bases(self) -> tuple[np.ndarray, ...]:
@@ -357,13 +338,6 @@ def encrypt_indices(
     return [EncryptedIndex(orientation, parts[j]) for j in range(count)]
 
 
-def encrypt_index(vec: np.ndarray, keys: UserKeySet, rng: np.random.Generator) -> EncryptedIndex:
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.ndim != 1:
-        raise ValueError(f"encrypt_index takes a single vector, got shape {vec.shape}")
-    return encrypt_indices(vec[None, :], keys, rng)[0]
-
-
 def unmasked_part_bound(dim: int) -> float:
     """Largest magnitude an unmasked part may have at width `dim`.
 
@@ -413,25 +387,6 @@ def unmask_indices(
     return [EncryptedIndex(orientation, block, unmasked=True) for block in blocks]
 
 
-def unmask_index(index: EncryptedIndex, secrets: TosSecrets) -> EncryptedIndex:
-    return unmask_indices([index], secrets)[0]
-
-
-def match_similarity(query: EncryptedIndex, offer: EncryptedIndex) -> float:
-    """Inner product of the two underlying plaintexts.
-
-    Both indexes must be unmasked and of opposite orientations (a row-form
-    query against a column-form offer).
-    """
-    if not (query.unmasked and offer.unmasked):
-        raise ValueError("match_similarity requires unmasked indexes")
-    if query.orientation != "row" or offer.orientation != "column":
-        raise ValueError("match_similarity takes (row query, column offer)")
-    if query.dim != offer.dim:
-        raise ValueError(f"dim mismatch: {query.dim} vs {offer.dim}")
-    return float(kernels.paired_dots(query.parts, offer.parts).sum())
-
-
 def similarity_matrix(
     queries: list[EncryptedIndex], offers: list[EncryptedIndex]
 ) -> np.ndarray:
@@ -450,39 +405,19 @@ def similarity_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Key file format: magic "KNN1", role byte, u32 dim, u8 part count,
-# then the parts as little-endian float64 row-major, then (for key material
-# that carries one) the 0/1 split pattern as raw bytes.
+# Key file format (user key sets only): magic "KNN1", role byte, u32 dim,
+# u8 part count, then the eight parts as little-endian float64 row-major,
+# then the 0/1 split pattern as raw bytes.
 # ---------------------------------------------------------------------------
 
-_FILE_DRIVER = b"D"
-_FILE_RIDER = b"R"
-_FILE_MASTER = b"M"
-_FILE_SECRETS = b"T"
 _KEYFILE_HEAD = struct.Struct("<4scIB")
 
 
-def _pack_mats(mats: list[np.ndarray]) -> bytes:
-    return b"".join(np.ascontiguousarray(m, dtype="<f8").tobytes() for m in mats)
-
-
-def key_material_to_bytes(obj: UserKeySet | MasterKey | TosSecrets) -> bytes:
-    if isinstance(obj, UserKeySet):
-        role = _FILE_DRIVER if obj.role == "driver" else _FILE_RIDER
-        mats = list(obj.parts)
-        tail = obj.split_pattern.astype(np.uint8).tobytes()
-    elif isinstance(obj, MasterKey):
-        role = _FILE_MASTER
-        mats = [obj.blend_a, obj.blend_b, *obj.mask_parts]
-        tail = obj.split_pattern.astype(np.uint8).tobytes()
-    elif isinstance(obj, TosSecrets):
-        role = _FILE_SECRETS
-        mats = [obj.query_mask, obj.index_mask]
-        tail = b""
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-    header = _KEYFILE_HEAD.pack(KEYFILE_MAGIC, role, obj.dim, len(mats))
-    return header + _pack_mats(mats) + tail
+def key_material_to_bytes(keys: UserKeySet) -> bytes:
+    """The key file of a user key set."""
+    header = _KEYFILE_HEAD.pack(KEYFILE_MAGIC, _ROLE_BYTES[keys.role], keys.dim, PART_COUNT)
+    parts = b"".join(np.ascontiguousarray(m, dtype="<f8").tobytes() for m in keys.parts)
+    return header + parts + keys.split_pattern.astype(np.uint8).tobytes()
 
 
 def user_key_file_size(dim: int) -> int:
@@ -507,13 +442,8 @@ def user_key_file(
     return tuple(parts), slot[size - dim :]
 
 
-def save_key_material(path: str, obj: UserKeySet | MasterKey | TosSecrets) -> None:
-    with open(path, "wb") as fh:
-        fh.write(key_material_to_bytes(obj))
-
-
-def key_material_from_bytes(blob: bytes | memoryview) -> UserKeySet | MasterKey | TosSecrets:
-    """Key material from a whole key file held in any bytes-like object.
+def key_material_from_bytes(blob: bytes | memoryview) -> UserKeySet:
+    """The user key set in a whole key file held in any bytes-like object.
 
     Each matrix is copied once out of `blob`, into an aligned array (a
     GEMM with an unaligned key operand is several times slower). Driver
@@ -522,36 +452,22 @@ def key_material_from_bytes(blob: bytes | memoryview) -> UserKeySet | MasterKey 
     """
     if len(blob) < _KEYFILE_HEAD.size:
         raise ValueError(f"key file too short: {len(blob)} bytes")
-    magic, role, dim, count = _KEYFILE_HEAD.unpack_from(blob)
+    magic, role_byte, dim, count = _KEYFILE_HEAD.unpack_from(blob)
     if magic != KEYFILE_MAGIC:
         raise ValueError(f"bad key file magic: {magic!r}")
-    if role in (_FILE_DRIVER, _FILE_RIDER):
-        kind, expect = "user key file", PART_COUNT
-    elif role == _FILE_MASTER:
-        kind, expect = "master key file", PART_COUNT + 2
-    elif role == _FILE_SECRETS:
-        kind, expect = "secrets file", 2
-    else:
-        raise ValueError(f"unknown key file role byte {role!r}")
-    if count != expect:
-        raise ValueError(f"{kind} must hold {expect} parts, got {count}")
-    pattern_len = 0 if role == _FILE_SECRETS else dim
-    size = _KEYFILE_HEAD.size + count * dim * dim * 8 + pattern_len
+    role = _BYTE_ROLES.get(role_byte)
+    if role is None:
+        raise ValueError(f"unknown key file role byte {role_byte!r}")
+    if count != PART_COUNT:
+        raise ValueError(f"user key file must hold {PART_COUNT} parts, got {count}")
+    size = user_key_file_size(dim)
     if len(blob) != size:
-        raise ValueError(f"{kind} of width {dim} must be {size} bytes, got {len(blob)}")
+        raise ValueError(f"user key file of width {dim} must be {size} bytes, got {len(blob)}")
     stored = np.frombuffer(blob, "<f8", count * dim * dim, _KEYFILE_HEAD.size)
     stored = stored.reshape(count, dim, dim)
-    pattern = np.frombuffer(blob, np.uint8, pattern_len, size - pattern_len).copy()
-    if role == _FILE_DRIVER:
-        return UserKeySet("driver", dim, tuple(m.T.copy().T for m in stored), pattern)
-    mats = [m.copy() for m in stored]
-    if role == _FILE_RIDER:
-        return UserKeySet("rider", dim, tuple(mats), pattern)
-    if role == _FILE_MASTER:
-        return MasterKey(dim, mats[0], mats[1], tuple(mats[2:]), pattern)
-    return TosSecrets(dim, mats[0], mats[1])
-
-
-def load_key_material(path: str) -> UserKeySet | MasterKey | TosSecrets:
-    with open(path, "rb") as fh:
-        return key_material_from_bytes(fh.read())
+    pattern = np.frombuffer(blob, np.uint8, dim, size - dim).copy()
+    if role == "driver":
+        parts = tuple(m.T.copy().T for m in stored)
+    else:
+        parts = tuple(m.copy() for m in stored)
+    return UserKeySet(role, dim, parts, pattern)

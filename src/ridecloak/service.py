@@ -101,10 +101,6 @@ class ServiceConfig:
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_text(fh.read())
 
-    def to_text(self) -> str:
-        lines = [f"{name} = {getattr(self, name)}" for name in self.__dataclass_fields__]
-        return "\n".join(lines) + "\n"
-
 
 def _token_digest(token: bytes) -> bytes:
     return hashlib.sha256(token).digest()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import struct
 import time
 from dataclasses import dataclass, field, fields, replace
@@ -546,12 +545,6 @@ def write_metrics_csv(stream, reports: list[MetricsReport]) -> None:
         writer.writerow(report.row())
 
 
-def metrics_csv_text(reports: list[MetricsReport]) -> str:
-    out = io.StringIO()
-    write_metrics_csv(out, reports)
-    return out.getvalue()
-
-
 class ServicePool:
     """Reuses the last service and its registered clients for an equal config.
 
@@ -805,14 +798,3 @@ def sweep_request_prefixes(
         for seed in seeds
         for count in counts
     ]
-
-
-def mean_success(reports: list[MetricsReport], **filters) -> float:
-    """Mean success rate over reports matching the given field values."""
-    rows = [
-        r for r in reports
-        if all(getattr(r, name) == value for name, value in filters.items())
-    ]
-    if not rows:
-        raise ValueError(f"no reports match {filters}")
-    return float(np.mean([r.success_rate for r in rows]))

@@ -372,13 +372,6 @@ class TransferGraph:
         self._active[rows.start : rows.stop] = False
 
 
-def build_graph(offers: list[TransferOffer], secrets: TosSecrets, id_bits: int) -> TransferGraph:
-    graph = TransferGraph(id_bits)
-    for offer in offers:
-        graph.add_offer(offer, secrets)
-    return graph
-
-
 _PRIMARY_OF = {
     PreferenceKind.MIN_CELLS: ("cells",),
     PreferenceKind.MAX_CELLS: ("cells",),

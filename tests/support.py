@@ -5,11 +5,13 @@ with ridebench/tests, whose own conftest.py would shadow a plain
 `import conftest`.
 """
 
+import io
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
-from ridecloak import crypto, direct
+from ridecloak import crypto, direct, kernels, sim, transfer
 
 SMALL_CONFIG = dict(
     filter_bits=320, n_hashes=4, id_bits=6, time_bits=4,
@@ -61,3 +63,68 @@ def graph_edge_sets(graph):
             else:
                 transfer_edges.add(frozenset((u, v)))
     return route_edges, transfer_edges
+
+
+def encrypt_index(vec, keys, rng):
+    """One vector through `crypto.encrypt_indices`."""
+    vec = np.asarray(vec, dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError(f"encrypt_index takes a single vector, got shape {vec.shape}")
+    return crypto.encrypt_indices(vec[None, :], keys, rng)[0]
+
+
+def unmask_index(index, secrets):
+    """One index through `crypto.unmask_indices`."""
+    return crypto.unmask_indices([index], secrets)[0]
+
+
+def match_similarity(query, offer):
+    """Inner product of the two plaintexts, through `kernels.paired_dots`.
+
+    Both indexes must be unmasked and of opposite orientations (a row-form
+    query against a column-form offer).
+    """
+    if not (query.unmasked and offer.unmasked):
+        raise ValueError("match_similarity requires unmasked indexes")
+    if query.orientation != "row" or offer.orientation != "column":
+        raise ValueError("match_similarity takes (row query, column offer)")
+    if query.dim != offer.dim:
+        raise ValueError(f"dim mismatch: {query.dim} vs {offer.dim}")
+    return float(kernels.paired_dots(query.parts, offer.parts).sum())
+
+
+def build_graph(offers, secrets, id_bits):
+    """A transfer graph holding `offers`, added in list order."""
+    graph = transfer.TransferGraph(id_bits)
+    for offer in offers:
+        graph.add_offer(offer, secrets)
+    return graph
+
+
+def analytic_fpp(bits, n_hashes, items):
+    """Standard false-positive estimate for a filter holding `items` cells."""
+    return (1.0 - math.exp(-n_hashes * items / bits)) ** n_hashes
+
+
+def mean_success(reports, **filters):
+    """Mean success rate over reports matching the given field values."""
+    rows = [
+        r for r in reports
+        if all(getattr(r, name) == value for name, value in filters.items())
+    ]
+    if not rows:
+        raise ValueError(f"no reports match {filters}")
+    return float(np.mean([r.success_rate for r in rows]))
+
+
+def metrics_csv_text(reports):
+    """The sweep CSV that `sim.write_metrics_csv` writes, as a string."""
+    out = io.StringIO()
+    sim.write_metrics_csv(out, reports)
+    return out.getvalue()
+
+
+def config_text(config):
+    """A `key = value` service config file that `ServiceConfig.from_text` reads."""
+    lines = [f"{name} = {getattr(config, name)}" for name in config.__dataclass_fields__]
+    return "\n".join(lines) + "\n"

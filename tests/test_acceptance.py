@@ -69,7 +69,7 @@ def test_criterion_1_inner_product_correctness():
                     crypto.encrypt_indices(p, env.driver, rng), env.secrets
                 )
                 got = np.array(
-                    [[crypto.match_similarity(r, c) for c in cols] for r in rows]
+                    [[support.match_similarity(r, c) for c in cols] for r in rows]
                 )
                 worst = max(worst, float(np.abs(got - q @ p.T).max()))
                 pairs += batch * batch
@@ -302,8 +302,8 @@ def test_criterion_7_scheme_trends():
     dominated = sum(
         rates[("transfer", o, q, s)] >= rates[("direct", o, q, s)] for o, q, s in points
     )
-    trs_30 = sim.mean_success(matrix, scheme="transfer", n_offers=30, n_requests=30)
-    nrs_30 = sim.mean_success(matrix, scheme="direct", n_offers=30, n_requests=30)
+    trs_30 = support.mean_success(matrix, scheme="transfer", n_offers=30, n_requests=30)
+    nrs_30 = support.mean_success(matrix, scheme="direct", n_offers=30, n_requests=30)
     ratio = trs_30 / nrs_30 if nrs_30 else float("inf")
 
     sizes = [r.bytes_per_offer for r in cells]
@@ -353,12 +353,12 @@ def test_criterion_8_privacy_properties():
     distinct = sum(
         not np.array_equal(a.parts, b.parts) for a, b in zip(first, second)
     )
-    offer = crypto.unmask_index(
-        crypto.encrypt_index(probe, env.driver, rng), env.secrets
+    offer = support.unmask_index(
+        support.encrypt_index(probe, env.driver, rng), env.secrets
     )
     stable = sum(
-        abs(crypto.match_similarity(a, offer) - want) <= TOL
-        and abs(crypto.match_similarity(b, offer) - want) <= TOL
+        abs(support.match_similarity(a, offer) - want) <= TOL
+        and abs(support.match_similarity(b, offer) - want) <= TOL
         for a, b in zip(
             crypto.unmask_indices(first, env.secrets),
             crypto.unmask_indices(second, env.secrets),
@@ -385,7 +385,7 @@ def test_criterion_8_privacy_properties():
         crypto.encrypt_indices(pvecs, env_b.driver, rng_b), env_b.secrets
     )
     crossed = sum(
-        abs(crypto.match_similarity(r, c) - 7.0) < 0.5 for r, c in zip(rows, cols)
+        abs(support.match_similarity(r, c) - 7.0) < 0.5 for r, c in zip(rows, cols)
     )
 
     # (c) skipping the unmasking step breaks matching
@@ -397,8 +397,8 @@ def test_criterion_8_privacy_properties():
         p = (rng_c.random(64) < 0.5).astype(float)
         raw = float(
             np.sum(
-                crypto.encrypt_index(q, env_c.rider, rng_c).parts
-                * crypto.encrypt_index(p, env_c.driver, rng_c).parts
+                support.encrypt_index(q, env_c.rider, rng_c).parts
+                * support.encrypt_index(p, env_c.driver, rng_c).parts
             )
         )
         agreements += abs(raw - float(q @ p)) <= TOL

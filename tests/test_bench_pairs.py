@@ -88,21 +88,38 @@ def test_non_finite_values_are_invalid():
     assert verdict(PARENT[:5], PARENT[:4] + [-inf], "higher", 0.25) == ("invalid", 0)
 
 
-def test_a_non_finite_metric_fails_the_comparison(tmp_path, monkeypatch, capsys):
+def _contract_argv(tmp_path):
     contract = {"end_to_end": [
         {"name": "trips_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
     ]}
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(contract))
-    argv = ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w",
+    return ["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "w",
             "--seeds", "701,702", "--seconds", "1"]
 
-    def runs_reading(values):
-        readings = iter(values)
-        return lambda *args: {"digest": "d", "stderr": "", "correct": True, "failed": 0,
-                              "metrics": {"trips_per_s": {"value": next(readings)}}}
 
+def runs_reading(values):
+    """A stand-in for run_once whose runs read `values` for trips_per_s, None for no reading."""
+    readings = iter(values)
+
+    def run(*args):
+        value = next(readings)
+        metrics = {} if value is None else {"trips_per_s": {"value": value}}
+        return {"digest": "d", "stderr": "", "correct": True, "failed": 0, "metrics": metrics}
+
+    return run
+
+
+def test_a_non_finite_metric_fails_the_comparison(tmp_path, monkeypatch, capsys):
+    argv = _contract_argv(tmp_path)
     monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0, 10.0, 10.0, 10.0]))
     assert bench_pairs.main(argv) == 0
     monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0, float("nan"), 10.0, 10.0]))
     assert bench_pairs.main(argv) == 1
     assert "invalid" in capsys.readouterr().out
+
+
+def test_a_missing_metric_fails_the_comparison(tmp_path, monkeypatch, capsys):
+    argv = _contract_argv(tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0, 10.0, None, 10.0]))
+    assert bench_pairs.main(argv) == 1
+    assert "missing from a run" in capsys.readouterr().out

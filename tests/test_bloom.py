@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import support
 from ridecloak import bloom
 
 
@@ -103,7 +104,7 @@ def test_empirical_fpp_within_analytic_bound():
     probes = [int(c) for c in rng.integers(10**7, 10**9, 100_000)]
     hits = sum(1 for c in probes if c not in member_set and f.contains(c))
     rate = hits / len(probes)
-    assert rate <= 1.5 * bloom.analytic_fpp(576, 7, 60)
+    assert rate <= 1.5 * support.analytic_fpp(576, 7, 60)
 
 
 def test_epoch_changes_decorrelate_positions():

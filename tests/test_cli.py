@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ridecloak import crypto, sim
+from ridecloak import sim
 from ridecloak.cli import main
 
 SMALL_ARGS = [
@@ -37,25 +37,6 @@ def test_workload_command(tmp_path, capsys):
     wl = sim.load_workload(str(out))
     assert len(wl.offers) == 4 and len(wl.requests) == 6
     assert wl.city == sim.GridCity(8, 8)
-
-
-def test_keygen_command(tmp_path, capsys):
-    out = tmp_path / "keys"
-    code = main([
-        "keygen", "--out", str(out), "--drivers", "2", "--riders", "1",
-        "--filter-bits", "64", "--id-bits", "6", "--time-bits", "4",
-    ])
-    assert code == 0
-    assert "direct" in capsys.readouterr().out
-    for scheme, dim in (("direct", 64), ("transfer", 16)):
-        master = crypto.load_key_material(out / f"master-{scheme}.key")
-        secrets = crypto.load_key_material(out / f"secrets-{scheme}.key")
-        assert isinstance(master, crypto.MasterKey) and master.dim == dim
-        assert isinstance(secrets, crypto.TosSecrets) and secrets.dim == dim
-        for name, role in (("driver-0", "driver"), ("driver-1", "driver"), ("rider-0", "rider")):
-            keys = crypto.load_key_material(out / f"{name}-{scheme}.key")
-            assert isinstance(keys, crypto.UserKeySet)
-            assert keys.role == role and keys.dim == dim
 
 
 def test_match_command_writes_csv(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import support
 from ridecloak import crypto
 
 TOL = 1e-3
@@ -13,8 +14,8 @@ TOL = 1e-3
 
 def enc_pair(env, q, p, rng):
     """Encrypt, unmask, and return (row query, column offer) indexes."""
-    query = crypto.unmask_index(crypto.encrypt_index(q, env.rider, rng), env.secrets)
-    offer = crypto.unmask_index(crypto.encrypt_index(p, env.driver, rng), env.secrets)
+    query = support.unmask_index(support.encrypt_index(q, env.rider, rng), env.secrets)
+    offer = support.unmask_index(support.encrypt_index(p, env.driver, rng), env.secrets)
     return query, offer
 
 
@@ -24,7 +25,7 @@ def test_inner_product_exact_small(knn64):
         q = rng.integers(0, 2, knn64.dim).astype(float)
         p = rng.integers(0, 2, knn64.dim).astype(float)
         query, offer = enc_pair(knn64, q, p, rng)
-        assert abs(crypto.match_similarity(query, offer) - q @ p) <= TOL
+        assert abs(support.match_similarity(query, offer) - q @ p) <= TOL
 
 
 @settings(max_examples=40, deadline=None)
@@ -33,7 +34,7 @@ def test_inner_product_property(knn64, q_bits, p_bits, seed):
     q = np.array([(q_bits >> i) & 1 for i in range(16)] * 4, dtype=float)
     p = np.array([(p_bits >> i) & 1 for i in range(16)] * 4, dtype=float)
     query, offer = enc_pair(knn64, q, p, np.random.default_rng(seed))
-    assert abs(crypto.match_similarity(query, offer) - q @ p) <= TOL
+    assert abs(support.match_similarity(query, offer) - q @ p) <= TOL
 
 
 @settings(max_examples=60, deadline=None)
@@ -88,19 +89,19 @@ def test_ciphertexts_fresh_but_outcomes_stable(knn64):
     rng = np.random.default_rng(12)
     vec = rng.integers(0, 2, knn64.dim).astype(float)
     probe = rng.integers(0, 2, knn64.dim).astype(float)
-    offer1 = crypto.encrypt_index(vec, knn64.driver, rng)
-    offer2 = crypto.encrypt_index(vec, knn64.driver, rng)
+    offer1 = support.encrypt_index(vec, knn64.driver, rng)
+    offer2 = support.encrypt_index(vec, knn64.driver, rng)
     assert not np.array_equal(offer1.parts, offer2.parts)
-    query = crypto.unmask_index(crypto.encrypt_index(probe, knn64.rider, rng), knn64.secrets)
-    s1 = crypto.match_similarity(query, crypto.unmask_index(offer1, knn64.secrets))
-    s2 = crypto.match_similarity(query, crypto.unmask_index(offer2, knn64.secrets))
+    query = support.unmask_index(support.encrypt_index(probe, knn64.rider, rng), knn64.secrets)
+    s1 = support.match_similarity(query, support.unmask_index(offer1, knn64.secrets))
+    s2 = support.match_similarity(query, support.unmask_index(offer2, knn64.secrets))
     assert abs(s1 - s2) <= 2 * TOL
 
 
 def test_encryption_deterministic_given_rng(knn64):
     vec = np.ones(knn64.dim)
-    a = crypto.encrypt_index(vec, knn64.driver, np.random.default_rng(42))
-    b = crypto.encrypt_index(vec, knn64.driver, np.random.default_rng(42))
+    a = support.encrypt_index(vec, knn64.driver, np.random.default_rng(42))
+    b = support.encrypt_index(vec, knn64.driver, np.random.default_rng(42))
     np.testing.assert_array_equal(a.parts, b.parts)
 
 
@@ -113,14 +114,14 @@ def test_cross_user_key_sets_interchangeable(knn64):
     q = rng.integers(0, 2, knn64.dim).astype(float)
     vecs = [rng.integers(0, 2, knn64.dim).astype(float) for _ in range(6)]
     offers = [
-        crypto.unmask_index(crypto.encrypt_index(v, keys, rng), knn64.secrets)
+        support.unmask_index(support.encrypt_index(v, keys, rng), knn64.secrets)
         for v in vecs
         for keys in (knn64.driver, driver2)
     ]
     sims = []
     for rider in (knn64.rider, rider2):
-        query = crypto.unmask_index(crypto.encrypt_index(q, rider, rng), knn64.secrets)
-        sims.append([crypto.match_similarity(query, o) for o in offers])
+        query = support.unmask_index(support.encrypt_index(q, rider, rng), knn64.secrets)
+        sims.append([support.match_similarity(query, o) for o in offers])
     np.testing.assert_allclose(sims[0], sims[1], atol=2 * TOL)
     expected = [float(q @ v) for v in vecs for _ in range(2)]
     np.testing.assert_allclose(sims[0], expected, atol=TOL)
@@ -135,8 +136,8 @@ def test_masking_necessary_for_matching(knn64):
     for _ in range(100):
         q = rng.integers(0, 2, knn64.dim).astype(float)
         p = rng.integers(0, 2, knn64.dim).astype(float)
-        query = crypto.encrypt_index(q, knn64.rider, rng)
-        offer = crypto.encrypt_index(p, knn64.driver, rng)
+        query = support.encrypt_index(q, knn64.rider, rng)
+        offer = support.encrypt_index(p, knn64.driver, rng)
         raw = float(kernels.paired_dots(query.parts, offer.parts).sum())
         agree += abs(raw - q @ p) <= TOL
     assert agree == 0
@@ -144,42 +145,42 @@ def test_masking_necessary_for_matching(knn64):
 
 def test_unmask_twice_rejected(knn64):
     rng = np.random.default_rng(3)
-    idx = crypto.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
-    cleared = crypto.unmask_index(idx, knn64.secrets)
+    idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
+    cleared = support.unmask_index(idx, knn64.secrets)
     with pytest.raises(ValueError, match="already unmasked"):
-        crypto.unmask_index(cleared, knn64.secrets)
+        support.unmask_index(cleared, knn64.secrets)
 
 
 def test_match_requires_unmasked_and_oriented(knn64):
     rng = np.random.default_rng(4)
-    query = crypto.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
-    offer = crypto.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
+    query = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
+    offer = support.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
     with pytest.raises(ValueError, match="unmasked"):
-        crypto.match_similarity(query, offer)
-    uq = crypto.unmask_index(query, knn64.secrets)
-    uo = crypto.unmask_index(offer, knn64.secrets)
+        support.match_similarity(query, offer)
+    uq = support.unmask_index(query, knn64.secrets)
+    uo = support.unmask_index(offer, knn64.secrets)
     with pytest.raises(ValueError, match="row query"):
-        crypto.match_similarity(uo, uq)
+        support.match_similarity(uo, uq)
 
 
 def test_dimension_mismatch_rejected(knn64):
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError, match="width"):
-        crypto.encrypt_index(np.ones(knn64.dim + 1), knn64.rider, rng)
+        support.encrypt_index(np.ones(knn64.dim + 1), knn64.rider, rng)
     other = crypto.generate_tos_secrets(32, rng)
-    idx = crypto.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
+    idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
     with pytest.raises(ValueError, match="dim"):
-        crypto.unmask_index(idx, other)
+        support.unmask_index(idx, other)
 
 
 def test_non_binary_plaintext_rejected(knn64):
     with pytest.raises(ValueError, match="binary"):
-        crypto.encrypt_index(np.full(knn64.dim, 0.5), knn64.rider, np.random.default_rng(0))
+        support.encrypt_index(np.full(knn64.dim, 0.5), knn64.rider, np.random.default_rng(0))
 
 
 def test_encrypted_index_byte_round_trip(knn64):
     rng = np.random.default_rng(7)
-    idx = crypto.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
+    idx = support.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
     back = crypto.EncryptedIndex.from_bytes(idx.to_bytes())
     assert back.orientation == idx.orientation
     assert back.unmasked == idx.unmasked
@@ -191,15 +192,10 @@ def test_encrypted_index_byte_round_trip(knn64):
             crypto.EncryptedIndex.from_bytes(head + idx.to_bytes()[2:])
 
 
-def test_key_material_round_trips(tmp_path, knn64):
-    for obj in (knn64.master, knn64.secrets, knn64.driver, knn64.rider):
-        blob = crypto.key_material_to_bytes(obj)
-        back = crypto.key_material_from_bytes(blob)
-        assert type(back) is type(obj)
-        path = tmp_path / f"{type(obj).__name__}.key"
-        crypto.save_key_material(path, obj)
-        again = crypto.load_key_material(path)
-        assert type(again) is type(obj)
+def test_key_material_round_trips(knn64):
+    for obj in (knn64.driver, knn64.rider):
+        back = crypto.key_material_from_bytes(crypto.key_material_to_bytes(obj))
+        assert type(back) is crypto.UserKeySet and back.role == obj.role
     reload = crypto.key_material_from_bytes(crypto.key_material_to_bytes(knn64.driver))
     for a, b in zip(reload.parts, knn64.driver.parts):
         np.testing.assert_array_equal(a, b)
@@ -207,19 +203,38 @@ def test_key_material_round_trips(tmp_path, knn64):
     assert reload.role == "driver"
     with pytest.raises(ValueError):
         crypto.key_material_from_bytes(b"XXXX" + b"\x00" * 32)
+    for role_byte in (b"M", b"T"):  # no key file holds master keys or server secrets
+        blob = bytearray(crypto.key_material_to_bytes(knn64.rider))
+        blob[4:5] = role_byte
+        with pytest.raises(ValueError, match="role byte"):
+            crypto.key_material_from_bytes(bytes(blob))
 
 
-def test_reloaded_keys_still_match(tmp_path, knn64):
+def test_reloaded_keys_still_match(knn64):
     rng = np.random.default_rng(8)
-    crypto.save_key_material(tmp_path / "r.key", knn64.rider)
-    crypto.save_key_material(tmp_path / "s.key", knn64.secrets)
-    rider = crypto.load_key_material(tmp_path / "r.key")
-    secrets = crypto.load_key_material(tmp_path / "s.key")
+    rider = crypto.key_material_from_bytes(crypto.key_material_to_bytes(knn64.rider))
     q = rng.integers(0, 2, knn64.dim).astype(float)
     p = rng.integers(0, 2, knn64.dim).astype(float)
-    query = crypto.unmask_index(crypto.encrypt_index(q, rider, rng), secrets)
-    offer = crypto.unmask_index(crypto.encrypt_index(p, knn64.driver, rng), knn64.secrets)
-    assert abs(crypto.match_similarity(query, offer) - q @ p) <= TOL
+    query = support.unmask_index(support.encrypt_index(q, rider, rng), knn64.secrets)
+    offer = support.unmask_index(support.encrypt_index(p, knn64.driver, rng), knn64.secrets)
+    assert abs(support.match_similarity(query, offer) - q @ p) <= TOL
+
+
+@pytest.mark.parametrize("dim", [64, 768])
+def test_stored_inverses_are_the_inverses_of_their_matrices(dim):
+    rng = np.random.default_rng(dim)
+    master = crypto.generate_master_key(dim, rng)
+    secrets = crypto.generate_tos_secrets(dim, rng)
+    pairs = [
+        (master.blend_a, master.blend_a_inv),
+        (master.blend_b, master.blend_b_inv),
+        *zip(master.mask_parts, master.mask_part_invs, strict=True),
+        (secrets.query_mask, secrets.query_mask_inv),
+        (secrets.index_mask, secrets.index_mask_inv),
+    ]
+    assert len(pairs) == 2 + crypto.PART_COUNT + 2
+    for mat, inv in pairs:
+        np.testing.assert_array_equal(inv, np.linalg.inv(mat))
 
 
 def test_key_generation_rejects_ill_conditioned(monkeypatch):
@@ -249,11 +264,11 @@ def test_batched_and_single_encrypt_agree(knn64):
         assert idx.orientation == "row"
         assert idx.dim == knn64.dim
     cleared = crypto.unmask_indices(batch, knn64.secrets)
-    offer = crypto.unmask_index(
-        crypto.encrypt_index(np.ones(knn64.dim), knn64.driver, rng), knn64.secrets
+    offer = support.unmask_index(
+        support.encrypt_index(np.ones(knn64.dim), knn64.driver, rng), knn64.secrets
     )
     for j, q in enumerate(cleared):
-        assert abs(crypto.match_similarity(q, offer) - 1.0) <= TOL
+        assert abs(support.match_similarity(q, offer) - 1.0) <= TOL
 
 
 def test_derive_into_unaligned_key_file_slot(knn64):
@@ -277,7 +292,7 @@ def test_derive_into_unaligned_key_file_slot(knn64):
 
 
 def test_key_blob_must_be_exact_and_patterns_binary(knn64):
-    for obj in (knn64.master, knn64.secrets, knn64.driver, knn64.rider):
+    for obj in (knn64.driver, knn64.rider):
         blob = crypto.key_material_to_bytes(obj)
         for bad in (blob + b"garbage", blob + b"\x00", blob[:-1], blob[:9]):
             with pytest.raises(ValueError):
@@ -310,11 +325,11 @@ def test_loaded_driver_parts_multiply_as_contiguous_transposes(knn64):
 @pytest.mark.parametrize("dim", [16, 768])
 def test_unmask_bound_inclusive_and_checked_before_writing(dim):
     eye = np.eye(dim)
-    secrets = crypto.TosSecrets(dim, eye, eye)  # unmasking leaves the parts as they are
+    secrets = crypto.TosSecrets(dim, eye, eye, eye, eye)  # unmasking leaves the parts as they are
     bound = crypto.unmasked_part_bound(dim)
     assert bound == math.sqrt(np.finfo(np.float64).max / (16 * dim))
     row, column = (
-        crypto.unmask_index(crypto.EncryptedIndex(o, np.full((8, dim), -bound)), secrets)
+        support.unmask_index(crypto.EncryptedIndex(o, np.full((8, dim), -bound)), secrets)
         for o in ("row", "column")
     )
     assert (row.parts == -bound).all() and (column.parts == -bound).all()

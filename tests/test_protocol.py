@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import support
 from ridecloak import crypto, protocol
 from ridecloak.client import ServiceClient
 from ridecloak.crypto import EncryptedIndex
@@ -32,7 +33,7 @@ def sample_indexes(count=4, dim=16, seed=0, role="rider"):
     master = crypto.generate_master_key(dim, rng)
     secrets = crypto.generate_tos_secrets(dim, rng)
     keys = crypto.KeyDeriver(master, secrets).derive(role, rng)
-    return [crypto.encrypt_index(np.zeros(dim), keys, rng) for _ in range(count)]
+    return [support.encrypt_index(np.zeros(dim), keys, rng) for _ in range(count)]
 
 
 def oracle_blobs(indexes):
@@ -283,7 +284,7 @@ def test_error_round_trip():
 
 def test_encrypted_index_round_trip(knn64):
     rng = np.random.default_rng(11)
-    idx = crypto.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
+    idx = support.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
     payload = protocol.encode_submit_request(DirectRequest("", idx, idx, idx, idx))
     back = protocol.decode_submit_request(payload).pickup
     assert back.orientation == idx.orientation

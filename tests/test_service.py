@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import support
 from support import SMALL_CONFIG
 from ridecloak import crypto, protocol, service, transfer
 from ridecloak.client import (
@@ -52,12 +53,39 @@ REQUEST = RequestSpec(
 def test_config_text_round_trip(tmp_path):
     cfg = ServiceConfig(**SMALL_CONFIG)
     path = tmp_path / "service.cfg"
-    path.write_text(cfg.to_text() + "# trailing comment\n")
+    path.write_text(support.config_text(cfg) + "# trailing comment\n")
     assert ServiceConfig.from_file(str(path)) == cfg
     with pytest.raises(ValueError, match="unknown config keys"):
         ServiceConfig.from_text("wheels = 4\n")
     with pytest.raises(ValueError, match="key=value"):
         ServiceConfig.from_text("just words\n")
+
+
+def test_secret_matrices_are_inverted_once(monkeypatch):
+    """Only conditioning checks invert; the first driver registration inverts no more than later ones."""
+    counts = {"inv": 0, "checks": 0}
+    inv, check = np.linalg.inv, crypto._well_conditioned
+
+    def counting_inv(mat):
+        counts["inv"] += 1
+        return inv(mat)
+
+    def counting_check(mat):
+        counts["checks"] += 1
+        return check(mat)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(crypto, "_well_conditioned", counting_check)
+    svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=11)
+    # two schemes, each drawing two blends, eight mask parts and two server masks
+    assert counts == {"inv": 2 * 12, "checks": 2 * 12}
+    per_registration = []
+    for _ in range(2):
+        counts.update(inv=0, checks=0)
+        svc.authority.register("driver")
+        assert counts["inv"] == counts["checks"] > 0
+        per_registration.append(counts["inv"])
+    assert per_registration[0] <= per_registration[1]
 
 
 def test_register_roles_and_key_shapes(small_service):
@@ -136,7 +164,7 @@ def offer_frame(driver, token, dim=None, epoch=None):
         master = crypto.generate_master_key(dim, rng)
         secrets = crypto.generate_tos_secrets(dim, rng)
         keys = crypto.KeyDeriver(master, secrets).derive("driver", rng)
-    idx = crypto.encrypt_index(np.zeros(keys.dim), keys, rng)
+    idx = support.encrypt_index(np.zeros(keys.dim), keys, rng)
     return protocol.encode_frame(
         MsgType.SUBMIT_OFFER,
         driver.registration.epoch if epoch is None else epoch,
@@ -206,7 +234,7 @@ def test_wrong_dimension_rejected(small_service):
     master = crypto.generate_master_key(64, rng)
     secrets = crypto.generate_tos_secrets(64, rng)
     keys = crypto.KeyDeriver(master, secrets).derive("driver", rng)
-    idx = crypto.encrypt_index(np.zeros(64), keys, rng)
+    idx = support.encrypt_index(np.zeros(64), keys, rng)
     frame = protocol.encode_frame(
         MsgType.SUBMIT_OFFER, driver.registration.epoch, driver.registration.tokens.pop(),
         protocol.encode_submit_offer(DirectOffer("", 1, (MatchCase.AREA,), *[idx] * 4)),
@@ -252,7 +280,7 @@ def test_bogus_token_rejected_before_any_work(small_service, monkeypatch):
     bogus = bytes(protocol.TOKEN_SIZE)
     rng = np.random.default_rng(3)
     keys = rider.registration.keysets["direct-rider"]
-    idx = crypto.encrypt_index(np.zeros(keys.dim), keys, rng)
+    idx = support.encrypt_index(np.zeros(keys.dim), keys, rng)
     request = protocol.encode_frame(
         MsgType.SUBMIT_REQUEST, rider.registration.epoch, bogus,
         protocol.encode_submit_request(DirectRequest("", *[idx] * 4)),
@@ -291,11 +319,11 @@ def corrupted_frames(driver, rider, corrupt, value):
     rng = np.random.default_rng(9)
     reg, rreg = driver.registration, rider.registration
     keys, rkeys = reg.keysets["direct-driver"], rreg.keysets["direct-rider"]
-    direct_blob = crypto.encrypt_index(np.zeros(keys.dim), keys, rng).to_bytes()
+    direct_blob = support.encrypt_index(np.zeros(keys.dim), keys, rng).to_bytes()
     direct_offer = oracles.direct_offer_payload(
         1, ["area"], b"", [direct_blob] * 3 + [corrupt(direct_blob, value)]
     )
-    rider_blob = crypto.encrypt_index(np.zeros(rkeys.dim), rkeys, rng).to_bytes()
+    rider_blob = support.encrypt_index(np.zeros(rkeys.dim), rkeys, rng).to_bytes()
     direct_request = oracles.direct_request_payload(
         b"", [rider_blob] * 3 + [corrupt(rider_blob, value)]
     )
@@ -390,7 +418,7 @@ def fuzz_world():
         step()
         frames[name] = sent[msg_type]
     keys = rider.registration.keysets["direct-rider"]
-    blob = crypto.encrypt_index(np.zeros(keys.dim), keys, np.random.default_rng(5)).to_bytes()
+    blob = support.encrypt_index(np.zeros(keys.dim), keys, np.random.default_rng(5)).to_bytes()
     overflow = oracles.direct_request_payload(b"", [corrupt_overflow(blob, 1e307)] * 4)
     frames["overflow-request"] = protocol.encode_frame(
         MsgType.SUBMIT_REQUEST, svc.server.epoch, protocol.ZERO_TOKEN, overflow
@@ -792,12 +820,13 @@ def reframed(reply, payload):
 
 
 def corrupt_key_bundles(reply):
-    """KEY_BUNDLE replies cut short, padded, or with a bad first key set."""
+    """KEY_BUNDLE replies cut short or padded, and replies with a bad first key set."""
     data = bytes(reply)
     payload = data[protocol.HEADER_SIZE :]
-    out = [data[: len(data) * k // 8] for k in range(8)] + [data + b"\x00"]
-    out += [reframed(reply, payload[: len(payload) * k // 8]) for k in range(8)]
-    out.append(reframed(reply, payload + b"\x00"))
+    framing = [data[: len(data) * k // 8] for k in range(8)] + [data + b"\x00"]
+    framing += [reframed(reply, payload[: len(payload) * k // 8]) for k in range(8)]
+    framing.append(reframed(reply, payload + b"\x00"))
+    key_sets = []
     # the first key set's blob: 41 bytes of fields and count, then the name
     (name_len,) = struct.unpack_from("<I", payload, 41)
     at = 45 + name_len
@@ -805,11 +834,11 @@ def corrupt_key_bundles(reply):
     blob_end = at + 4 + blob_len
     for blob_delta, body in ((1, payload[:blob_end] + b"\x00"), (-1, payload[: blob_end - 1])):
         head = payload[:at] + struct.pack("<I", blob_len + blob_delta)
-        out.append(reframed(reply, head + body[at + 4 :] + payload[blob_end:]))
+        key_sets.append(reframed(reply, head + body[at + 4 :] + payload[blob_end:]))
     bad_pattern = bytearray(payload)
     bad_pattern[blob_end - 1] = 7
-    out.append(reframed(reply, bytes(bad_pattern)))
-    return out
+    key_sets.append(reframed(reply, bytes(bad_pattern)))
+    return framing, key_sets
 
 
 def test_register_refuses_corrupt_key_bundles(small_service):
@@ -817,10 +846,15 @@ def test_register_refuses_corrupt_key_bundles(small_service):
     before = rider.registration
     tokens = list(before.tokens)
     reply = small_service.dispatch(register_frame("rider"))
-    for bad in corrupt_key_bundles(reply):
+    framing, bad_key_sets = corrupt_key_bundles(reply)
+    cases = [(bad, False) for bad in framing] + [(bad, True) for bad in bad_key_sets]
+    for bad, bad_key_set in cases:
         rider.transport = LoopbackTransport(SimpleNamespace(dispatch=lambda data, bad=bad: bad))
-        with pytest.raises((ProtocolError, ValueError)):
+        with pytest.raises(ProtocolError) as err:
             rider.register("rider")
+        if bad_key_set:
+            assert err.value.code is ErrorCode.BAD_STATE
+            assert "'direct-rider'" in str(err.value)
         assert rider.registration is before and before.tokens == tokens
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+import support
 from ridecloak import sim
 from ridecloak.sim import ExperimentConfig, GridCity, ServicePool
 
@@ -251,7 +252,7 @@ def test_metrics_csv_round_trip(pool):
     report = sim.run_experiment(
         replace(SMALL_EXPERIMENT, n_offers=2, n_requests=2), pool=pool
     )
-    text = sim.metrics_csv_text([report])
+    text = support.metrics_csv_text([report])
     rows = list(csv.DictReader(io.StringIO(text)))
     assert len(rows) == 1
     assert rows[0]["scheme"] == "direct"
@@ -273,9 +274,9 @@ def test_mean_success_filters(pool):
             replace(SMALL_EXPERIMENT, scheme="transfer", n_offers=2, n_requests=2), pool=pool
         ),
     ]
-    assert 0.0 <= sim.mean_success(reports, scheme="direct") <= 1.0
+    assert 0.0 <= support.mean_success(reports, scheme="direct") <= 1.0
     with pytest.raises(ValueError, match="no reports"):
-        sim.mean_success(reports, scheme="direct", n_offers=99)
+        support.mean_success(reports, scheme="direct", n_offers=99)
 
 
 def test_generate_workload_validation():

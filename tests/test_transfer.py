@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+import support
 from support import SMALL_CONFIG, graph_edge_sets
 from ridecloak import crypto, kernels, transfer
 from ridecloak.service import ServiceConfig, TosServer, TransferMatchRecord
@@ -12,7 +13,6 @@ from ridecloak.transfer import (
     Preference,
     PreferenceKind,
     TransferGraph,
-    build_graph,
     build_transfer_offer,
     build_transfer_request,
 )
@@ -152,8 +152,8 @@ def test_incremental_add_equals_batch(transfer_env):
         "c": [(3, 0), (1, 0)],
     }
     offers = [make_offer(transfer_env, oid, cells, seed=i) for i, (oid, cells) in enumerate(routes.items())]
-    batch = build_graph(offers, transfer_env.secrets, transfer_env.id_bits)
-    reordered = build_graph(
+    batch = support.build_graph(offers, transfer_env.secrets, transfer_env.id_bits)
+    reordered = support.build_graph(
         [make_offer(transfer_env, oid, routes[oid], seed=9) for oid in ("c", "b", "a")],
         transfer_env.secrets, transfer_env.id_bits,
     )
@@ -363,7 +363,7 @@ def brute_force_pins(graph, query):
     return [
         n.node_id
         for n in graph.active_nodes()
-        if abs(crypto.match_similarity(query, n.plus) - graph.match_target) < kernels.INTEGER_TOL
+        if abs(support.match_similarity(query, n.plus) - graph.match_target) < kernels.INTEGER_TOL
     ]
 
 

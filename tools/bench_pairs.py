@@ -27,7 +27,7 @@ change won (ties count for neither side) and a verdict:
 
 The exit code is 1 when a seed's match digests differ between the
 sides, a run is not correct, or a run reads a non-finite end-to-end
-metric, else 0.
+metric or none at all for one that BENCHMARK.json names, else 0.
 """
 
 from __future__ import annotations
@@ -142,6 +142,7 @@ def main(argv=None) -> int:
             parent = [r["metrics"][name]["value"] for r in runs["parent"]]
             change = [r["metrics"][name]["value"] for r in runs["change"]]
         except KeyError:
+            ok = False
             print(f"{name:24} missing from a run")
             continue
         result, wins = verdict(parent, change, metric["better"], metric["bound"])
