@@ -3,7 +3,9 @@
 No command writes or reads key material. `serve` generates the master
 keys and server secrets in memory from `--seed`, keeping the inverse each
 conditioning check computed, and clients receive their key sets by
-registering.
+registering. The service parameter flags of `serve`, `match` and
+`bench` default to the values of `ServiceConfig`, which also refuses the
+combinations no client can encode.
 """
 
 from __future__ import annotations
@@ -36,26 +38,22 @@ from .sim import (
 )
 
 
+_CRYPTO_ARGS = ("filter_bits", "n_hashes", "id_bits", "time_bits", "time_slots", "max_items")
+
+
 def _add_crypto_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--filter-bits", type=int, default=2048)
-    p.add_argument("--n-hashes", type=int, default=24)
-    p.add_argument("--id-bits", type=int, default=11)
-    p.add_argument("--time-bits", type=int, default=25)
-    p.add_argument("--time-slots", type=int, default=48)
-    p.add_argument("--max-items", type=int, default=60)
+    for name in _CRYPTO_ARGS:
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(ServiceConfig, name))
+
+
+def _crypto_args(args) -> dict[str, int]:
+    return {name: getattr(args, name) for name in _CRYPTO_ARGS}
 
 
 def _service_config(args) -> ServiceConfig:
     if getattr(args, "config", None):
         return ServiceConfig.from_file(args.config)
-    return ServiceConfig(
-        filter_bits=args.filter_bits,
-        n_hashes=args.n_hashes,
-        id_bits=args.id_bits,
-        time_bits=args.time_bits,
-        time_slots=args.time_slots,
-        max_items=args.max_items,
-    )
+    return ServiceConfig(**_crypto_args(args))
 
 
 def cmd_serve(args) -> int:
@@ -101,9 +99,7 @@ def cmd_match(args) -> int:
     config = ExperimentConfig(
         scheme=args.scheme, rows=wl.city.rows, cols=wl.city.cols,
         n_offers=len(wl.offers), n_requests=len(wl.requests), seed=args.seed,
-        filter_bits=args.filter_bits, n_hashes=args.n_hashes,
-        id_bits=args.id_bits, time_bits=args.time_bits,
-        time_slots=args.time_slots, max_items=args.max_items,
+        **_crypto_args(args),
     )
     _emit([run_experiment(config, workload=wl)], args.csv)
     return 0
@@ -140,9 +136,7 @@ def cmd_bench(args) -> int:
         rows=args.rows, cols=args.cols,
         n_offers=args.offers, n_requests=args.requests,
         hit_rate=args.hit_rate, transfer_rate=args.transfer_rate,
-        filter_bits=args.filter_bits, n_hashes=args.n_hashes,
-        id_bits=args.id_bits, time_bits=args.time_bits,
-        time_slots=args.time_slots, max_items=args.max_items,
+        **_crypto_args(args),
     )
     seeds = _parse_ints(args.seeds)
     pool = ServicePool()
@@ -217,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transfer-rate", type=float, default=0.5)
     p.add_argument("--capacity", type=int, default=5)
     p.add_argument("--preference", default="min-cells")
-    p.add_argument("--time-slots", type=int, default=48)
+    p.add_argument("--time-slots", type=int, default=ServiceConfig.time_slots)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_workload)
 

@@ -235,7 +235,7 @@ class KeyDeriver:
     def derive(
         self,
         role: str,
-        rng: np.random.Generator | int,
+        rng: np.random.Generator,
         out: tuple[np.ndarray, ...] | None = None,
     ) -> UserKeySet:
         """A fresh key set for `role`.
@@ -243,8 +243,6 @@ class KeyDeriver:
         With `out`, eight (dim, dim) float64 arrays, each part is computed
         straight into its array and the key set's parts are those arrays.
         """
-        if isinstance(rng, (int, np.integer)):
-            rng = np.random.default_rng(int(rng))
         if out is None:
             out = (None,) * PART_COUNT
         elif len(out) != PART_COUNT:
@@ -350,15 +348,11 @@ def unmasked_part_bound(dim: int) -> float:
     return math.sqrt(np.finfo(np.float64).max / (2 * PART_COUNT * dim))
 
 
-def unmask_indices(
-    indexes: list[EncryptedIndex], secrets: TosSecrets, out: list[np.ndarray] | None = None
-) -> list[EncryptedIndex]:
+def unmask_indices(indexes: list[EncryptedIndex], secrets: TosSecrets) -> list[EncryptedIndex]:
     """Apply the server secrets to a batch of same-orientation indexes.
 
-    With `out`, one (8, dim) array per index, the cleared parts are
-    written there and the returned indexes are views of them. Cleared
-    parts beyond `unmasked_part_bound` (or not finite) raise ValueError
-    before anything is written.
+    Cleared parts beyond `unmasked_part_bound` (or not finite) raise
+    ValueError.
     """
     if not indexes:
         return []
@@ -380,10 +374,6 @@ def unmask_indices(
     if not (np.abs(cleared) <= unmasked_part_bound(secrets.dim)).all():
         raise ValueError("unmasked index parts exceed the magnitude bound")
     blocks = cleared.reshape(len(indexes), PART_COUNT, secrets.dim)
-    if out is not None:
-        for dst, block in zip(out, blocks, strict=True):
-            dst[...] = block
-        blocks = out
     return [EncryptedIndex(orientation, block, unmasked=True) for block in blocks]
 
 

@@ -183,12 +183,6 @@ def build_offers(
     return out
 
 
-def build_offer(
-    spec: OfferSpec, keys: UserKeySet, cfg: SummaryConfig, rng: np.random.Generator
-) -> DirectOffer:
-    return build_offers([spec], keys, cfg, rng)[0]
-
-
 def build_requests(
     specs: list[RequestSpec],
     keys: UserKeySet,
@@ -206,12 +200,6 @@ def build_requests(
         pickup, dropoff, route, time = enc[4 * j : 4 * j + 4]
         out.append(DirectRequest(spec.request_id, pickup, dropoff, route, time, spec.contact))
     return out
-
-
-def build_request(
-    spec: RequestSpec, keys: UserKeySet, cfg: SummaryConfig, rng: np.random.Generator
-) -> DirectRequest:
-    return build_requests([spec], keys, cfg, rng)[0]
 
 
 # Index kinds, in the order of DirectOffer.indexes() / DirectRequest.indexes().
@@ -275,14 +263,12 @@ class _Pool:
                     f"{type(self).__name__} takes {self.orientation}-form indexes of dim "
                     f"{self.dim}, got {idx.orientation}-form of dim {idx.dim}"
                 )
+        cleared = crypto.unmask_indices(indexes, secrets)
         row = self._free[-1] if self._free else self.used
-        if row < len(self.live):
-            crypto.unmask_indices(indexes, secrets, out=self.row_parts(row))
-        else:  # full: grow only once the submission has unmasked cleanly
-            cleared = crypto.unmask_indices(indexes, secrets)
+        if row == len(self.live):
             self._grow()
-            for dst, idx in zip(self.row_parts(row), cleared):
-                dst[...] = idx.parts
+        for dst, idx in zip(self.row_parts(row), cleared):
+            dst[...] = idx.parts
         if self._free:
             self._free.pop()
         else:

@@ -47,7 +47,6 @@ _CONFIG_BOUNDS: dict[str, tuple[int, int | None]] = {
     "time_bits": (1, _U32),
     "time_slots": (1, _U32),
     "max_items": (1, _U32),
-    "path_limit": (1, None),
     "match_threshold": (0, None),
     "tokens_per_bundle": (1, _U16),
     "port": (0, _U16),
@@ -64,7 +63,6 @@ class ServiceConfig:
     time_bits: int = 25
     time_slots: int = 48
     max_items: int = 60
-    path_limit: int = 10_000
     match_threshold: int = 0  # pending requests that auto-trigger a round; 0 = manual
     tokens_per_bundle: int = 32
     port: int = 7370
@@ -75,6 +73,11 @@ class ServiceConfig:
             if not (low <= value and (high is None or value <= high)):
                 limit = f">= {low}" if high is None else f"in [{low}, {high}]"
                 raise ValueError(f"{name} must be {limit}, got {value}")
+        # the combinations a client's direct.SummaryConfig refuses
+        if self.filter_bits < self.time_slots:
+            raise ValueError(f"filter_bits {self.filter_bits} must be >= time_slots {self.time_slots}")
+        if self.n_hashes > self.filter_bits:
+            raise ValueError(f"n_hashes {self.n_hashes} must be <= filter_bits {self.filter_bits}")
 
     @property
     def cell_vector_bits(self) -> int:
@@ -344,9 +347,7 @@ class TosServer:
         pending = list(self.transfer_requests.items())
         hits = self.graph.pin([q for _, r in pending for q in (r.pickup, r.dropoff)])
         for i, (request_id, request) in enumerate(pending):
-            outcome = transfer.search(
-                self.graph, request, hits[2 * i : 2 * i + 2], self.config.path_limit
-            )
+            outcome = transfer.search(self.graph, request, hits[2 * i : 2 * i + 2])
             if outcome.selected is None:
                 continue
             path = outcome.selected

@@ -26,6 +26,16 @@ from .service import RideService, ServiceConfig, TosServer
 from .transfer import Preference
 
 DAY_SECONDS = 86400.0
+SCHEMES = ("direct", "transfer")
+
+# Fixed shape of a generated workload: seconds a driver spends per cell,
+# the departure window, the jitter on rider times and the window within
+# which two drivers meet in a cell for a transfer.
+CELL_SECONDS = 300.0
+DEPART_WINDOW = (6 * 3600, 10 * 3600)
+TIME_JITTER = 600.0
+COLOCATION_WINDOW = 600.0
+ROUTE_TRIES = 200  # random_route gives up after this many walks
 
 
 @dataclass(frozen=True)
@@ -102,7 +112,7 @@ def identifier_permutation(cell_count: int, epoch: int, salt: int) -> np.ndarray
 
 def random_route(
     city: GridCity, length: int, rng: np.random.Generator,
-    start: int | None = None, avoid: set[int] | None = None, tries: int = 200,
+    start: int | None = None, avoid: set[int] | None = None,
 ) -> tuple[int, ...]:
     """Uniform-ish self-avoiding walk of exactly `length` cells."""
     if length < 1 or length > city.cell_count:
@@ -110,7 +120,7 @@ def random_route(
     if length > city.diameter:
         raise ValueError(f"route length {length} exceeds city diameter {city.diameter}")
     avoid = avoid or set()
-    for _ in range(tries):
+    for _ in range(ROUTE_TRIES):
         head = int(rng.integers(city.cell_count)) if start is None else start
         if head in avoid:
             continue
@@ -126,7 +136,7 @@ def random_route(
             seen.add(nxt)
         if len(path) == length:
             return tuple(path)
-    raise ValueError(f"could not build a {length}-cell route after {tries} tries")
+    raise ValueError(f"could not build a {length}-cell route after {ROUTE_TRIES} tries")
 
 
 @dataclass
@@ -306,19 +316,14 @@ def generate_workload(
     n_requests: int,
     seed: int,
     route_len_range: tuple[int, int] = (6, 12),
-    time_slots: int = 48,
+    time_slots: int = ServiceConfig.time_slots,
     *,
     hit_rate: float = 0.85,
     transfer_rate: float = 0.5,
     capacity: int = 5,
-    cell_seconds: float = 300.0,
-    depart_window: tuple[float, float] = (6 * 3600.0, 10 * 3600.0),
-    time_jitter: float = 600.0,
     align_slots: int = 25,
     pickup_span: int = 2,
-    offer_cases: tuple[MatchCase, ...] = direct.DEFAULT_CASES,
     case_mix: tuple[float, float, float] = (0.55, 0.45, 0.0),
-    colocation_window: float = 600.0,
     preference: str = "min-cells",
 ) -> Workload:
     """Build a deterministic workload with controlled matchability.
@@ -342,15 +347,15 @@ def generate_workload(
     for i in range(n_offers):
         length = int(rng.integers(lo, hi + 1))
         route = random_route(city, length, rng)
-        depart = float(rng.integers(int(depart_window[0]), int(depart_window[1])))
+        depart = float(rng.integers(*DEPART_WINDOW))
         offers.append(
             PlainOffer(
-                f"offer-{i}", route, depart, cell_seconds, capacity,
-                tuple(offer_cases), min(pickup_span, length - 1),
+                f"offer-{i}", route, depart, CELL_SECONDS, capacity,
+                direct.DEFAULT_CASES, min(pickup_span, length - 1),
             )
         )
 
-    transfer_pairs = _colocations(offers, align_slots, colocation_window) if offers else []
+    transfer_pairs = _colocations(offers, align_slots, COLOCATION_WINDOW) if offers else []
     case_names = (MatchCase.AREA, MatchCase.ROUTE, MatchCase.EXTENDED)
     mix = np.asarray(case_mix, dtype=float)
     mix = mix / mix.sum()
@@ -366,8 +371,8 @@ def generate_workload(
             pick_pos = int(rng.integers(0, pa))
             drop_pos = int(rng.integers(pb + 1, len(second.route)))
             pickup, dropoff = first.route[pick_pos], second.route[drop_pos]
-            t_pick = _jitter_aligned(first.time_at(pick_pos), time_jitter, rng, (align_slots,))
-            t_drop = _jitter_aligned(second.time_at(drop_pos), time_jitter, rng, (align_slots,))
+            t_pick = _jitter_aligned(first.time_at(pick_pos), TIME_JITTER, rng, (align_slots,))
+            t_drop = _jitter_aligned(second.time_at(drop_pos), TIME_JITTER, rng, (align_slots,))
             # ride A to the shared cell, continue on B: a connected path
             route = first.route[pick_pos : pa + 1] + second.route[pb + 1 : drop_pos + 1]
         elif anchored:
@@ -400,10 +405,10 @@ def generate_workload(
             slots = (align_slots, time_slots) if slot_index(base_pick, time_slots) == slot_index(
                 offer.depart_seconds, time_slots
             ) else (align_slots,)
-            t_pick = _jitter_aligned(base_pick, time_jitter, rng, slots)
-            extra = (len(route) - 1 - (drop_pos - pick_pos)) * cell_seconds
+            t_pick = _jitter_aligned(base_pick, TIME_JITTER, rng, slots)
+            extra = (len(route) - 1 - (drop_pos - pick_pos)) * CELL_SECONDS
             t_drop = _jitter_aligned(
-                offer.time_at(drop_pos) + extra, time_jitter, rng, (align_slots,)
+                offer.time_at(drop_pos) + extra, TIME_JITTER, rng, (align_slots,)
             )
         else:
             pickup = int(rng.integers(city.cell_count))
@@ -412,8 +417,8 @@ def generate_workload(
             ]
             dropoff = reach[int(rng.integers(len(reach)))]
             route = city.path(pickup, dropoff)
-            t_pick = float(rng.integers(int(depart_window[0]), int(depart_window[1])))
-            t_drop = t_pick + city.manhattan(pickup, dropoff) * cell_seconds
+            t_pick = float(rng.integers(*DEPART_WINDOW))
+            t_drop = t_pick + city.manhattan(pickup, dropoff) * CELL_SECONDS
         requests.append(PlainRequest(rid, pickup, dropoff, route, t_pick, t_drop, pref))
     return Workload(city, seed, offers, requests)
 
@@ -471,22 +476,23 @@ class ExperimentConfig:
     capacity: int = 5
     route_len_range: tuple[int, int] = (6, 12)
     preference: str = "min-cells"
-    filter_bits: int = 2048
-    n_hashes: int = 24
-    id_bits: int = 11
-    time_bits: int = 25
-    time_slots: int = 48
-    max_items: int = 60
-    path_limit: int = 10_000
+    # the service parameters an experiment sets; service_config() passes them on
+    filter_bits: int = ServiceConfig.filter_bits
+    n_hashes: int = ServiceConfig.n_hashes
+    id_bits: int = ServiceConfig.id_bits
+    time_bits: int = ServiceConfig.time_bits
+    time_slots: int = ServiceConfig.time_slots
+    max_items: int = ServiceConfig.max_items
     align_slots: int = 25
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("direct", "transfer"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be 'direct' or 'transfer', got {self.scheme!r}")
         if self.scheme == "transfer" and self.rows * self.cols > 2**self.id_bits:
             raise ValueError(
                 f"{self.rows * self.cols} cells do not fit in {self.id_bits} identifier bits"
             )
+        self.service_config()  # raises for parameters the service refuses
 
     def workload(self) -> Workload:
         """The seeded synthetic workload this configuration describes."""
@@ -499,16 +505,10 @@ class ExperimentConfig:
         )
 
     def service_config(self) -> ServiceConfig:
-        return ServiceConfig(
-            filter_bits=self.filter_bits,
-            n_hashes=self.n_hashes,
-            id_bits=self.id_bits,
-            time_bits=self.time_bits,
-            time_slots=self.time_slots,
-            max_items=self.max_items,
-            path_limit=self.path_limit,
-            tokens_per_bundle=TOKENS_PER_BUNDLE,
-        )
+        """The service this experiment runs on; raises ValueError if it is invalid."""
+        own = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(ServiceConfig) if f.name in own}
+        return ServiceConfig(**shared, tokens_per_bundle=TOKENS_PER_BUNDLE)
 
 
 @dataclass
@@ -550,20 +550,18 @@ class ServicePool:
 
     Key generation at full vector width is by far the slowest step of an
     experiment and is explicitly a one-time cost, so consecutive runs with
-    equal crypto parameters and seed share one service and purge trip
+    an equal service config and seed share one service and purge trip
     state between runs with an epoch rotation. Any other config replaces
     the service; a full-width one holds about 1.8 GB, so only one is kept.
     """
 
     def __init__(self):
-        self.key: tuple | None = None
+        self.key: tuple[ServiceConfig, int] | None = None
         self.trio: tuple[RideService, ServiceClient, ServiceClient] | None = None
 
     def acquire(self, config: ExperimentConfig) -> tuple[RideService, ServiceClient, ServiceClient]:
-        key = (
-            config.filter_bits, config.n_hashes, config.id_bits, config.time_bits,
-            config.time_slots, config.max_items, config.seed,
-        )
+        service_config = config.service_config()
+        key = (service_config, config.seed)
         if key == self.key:
             service, driver, rider = self.trio
             service.rotate_epoch()
@@ -572,7 +570,7 @@ class ServicePool:
             return self.trio
         self.key = self.trio = None  # drop the old service before building the next
         service = RideService(
-            config.service_config(),
+            service_config,
             seed=np.random.SeedSequence([config.seed, 1]).generate_state(1)[0],
         )
         driver = ServiceClient(LoopbackTransport(service), rng=np.random.default_rng((config.seed, 2)))
@@ -732,7 +730,6 @@ def sweep_matrix(
     offers_list: tuple[int, ...],
     requests_list: tuple[int, ...],
     seeds: tuple[int, ...],
-    schemes: tuple[str, ...] = ("direct", "transfer"),
     pool: ServicePool | None = None,
 ) -> list[MetricsReport]:
     """Success-rate comparison grid; both schemes see the same workloads."""
@@ -745,7 +742,7 @@ def sweep_matrix(
         for seed in seeds
         for n_offers in offers_list
         for n_requests in requests_list
-        for scheme in schemes
+        for scheme in SCHEMES
     ]
 
 

@@ -50,6 +50,7 @@ import numpy as np
 from . import crypto, kernels
 from .crypto import EncryptedIndex, TosSecrets, UserKeySet
 
+# Paths one band search enumerates before it stops and flags truncation.
 DEFAULT_PATH_LIMIT = 10_000
 
 NodeId = tuple[str, int]

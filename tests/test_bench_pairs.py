@@ -97,14 +97,19 @@ def _contract_argv(tmp_path):
             "--seeds", "701,702", "--seconds", "1"]
 
 
-def runs_reading(values):
-    """A stand-in for run_once whose runs read `values` for trips_per_s, None for no reading."""
+def runs_reading(values, failed=None):
+    """A stand-in for run_once whose runs read `values` for trips_per_s, None for no reading.
+
+    Each run attempts 100 operations and fails the next of `failed` (none by default).
+    """
     readings = iter(values)
+    failures = iter(failed or [0] * len(values))
 
     def run(*args):
         value = next(readings)
         metrics = {} if value is None else {"trips_per_s": {"value": value}}
-        return {"digest": "d", "stderr": "", "correct": True, "failed": 0, "metrics": metrics}
+        return {"digest": "d", "stderr": "", "correct": True, "attempted": 100,
+                "failed": next(failures), "metrics": metrics}
 
     return run
 
@@ -123,3 +128,16 @@ def test_a_missing_metric_fails_the_comparison(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0, 10.0, None, 10.0]))
     assert bench_pairs.main(argv) == 1
     assert "missing from a run" in capsys.readouterr().out
+
+
+def test_a_larger_share_of_failed_operations_fails_the_comparison(tmp_path, monkeypatch, capsys):
+    argv = _contract_argv(tmp_path)
+    # runs go parent, change for seed 701, then change, parent for seed 702
+    monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0] * 4, failed=[2, 1, 0, 0]))
+    assert bench_pairs.main(argv) == 0
+    out = capsys.readouterr().out
+    assert "parent failed 2 of 200 operations (1.0000%)" in out
+    assert "change failed 1 of 200 operations (0.5000%)" in out
+    monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0] * 4, failed=[0, 1, 0, 0]))
+    assert bench_pairs.main(argv) == 1
+    assert "larger share of operations" in capsys.readouterr().out

@@ -286,7 +286,7 @@ def test_derive_into_unaligned_key_file_slot(knn64):
         assert slot.tobytes() == crypto.key_material_to_bytes(fresh)
         assert slot.tobytes() == oracles.user_key_file(role, fresh.parts, fresh.split_pattern)
     with pytest.raises(ValueError, match="output parts"):
-        knn64.deriver.derive("rider", 0, out=parts[:7])
+        knn64.deriver.derive("rider", np.random.default_rng(0), out=parts[:7])
     with pytest.raises(ValueError, match="bytes"):
         crypto.user_key_file(buf, "rider", knn64.dim)
 
@@ -334,10 +334,8 @@ def test_unmask_bound_inclusive_and_checked_before_writing(dim):
     )
     assert (row.parts == -bound).all() and (column.parts == -bound).all()
     assert np.isfinite(crypto.similarity_matrix([row], [column])).all()
-    out = [np.zeros((8, dim))]
     for bad in (np.nextafter(bound, np.inf), -np.nextafter(bound, np.inf), np.nan, np.inf):
         parts = np.zeros((8, dim))
         parts[3, dim // 2] = bad
         with pytest.raises(ValueError, match="bound"):
-            crypto.unmask_indices([crypto.EncryptedIndex("row", parts)], secrets, out=out)
-        assert not out[0].any()
+            crypto.unmask_indices([crypto.EncryptedIndex("row", parts)], secrets)

@@ -45,8 +45,8 @@ def admitted_case(env, offer, request):
 
 def pair_case(env, ospec, rspec):
     rng = np.random.default_rng(1234)
-    offer = direct.build_offer(ospec, env.driver, env.cfg, rng)
-    request = direct.build_request(rspec, env.rider, env.cfg, rng)
+    offer = direct.build_offers([ospec], env.driver, env.cfg, rng)[0]
+    request = direct.build_requests([rspec], env.rider, env.cfg, rng)[0]
     return admitted_case(env, offer, request)
 
 
@@ -99,10 +99,10 @@ def test_degenerate_same_pickup_and_dropoff(direct_env):
 def test_fresh_ciphertexts_same_outcome(direct_env):
     env = direct_env
     rng = np.random.default_rng(5)
-    a = direct.build_offer(offer_spec(), env.driver, env.cfg, rng)
-    b = direct.build_offer(offer_spec(), env.driver, env.cfg, rng)
+    a = direct.build_offers([offer_spec()], env.driver, env.cfg, rng)[0]
+    b = direct.build_offers([offer_spec()], env.driver, env.cfg, rng)[0]
     assert not np.array_equal(a.pickup.parts, b.pickup.parts)
-    request = direct.build_request(request_spec(), env.rider, env.cfg, rng)
+    request = direct.build_requests([request_spec()], env.rider, env.cfg, rng)[0]
     for offer in (a, b):
         assert admitted_case(env, offer, request) is MatchCase.AREA
 
@@ -140,19 +140,19 @@ def test_build_validation(direct_env):
     env = direct_env
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="case"):
-        direct.build_offer(offer_spec(cases=()), env.driver, env.cfg, rng)
+        direct.build_offers([offer_spec(cases=())], env.driver, env.cfg, rng)
     with pytest.raises(ValueError, match="capacity"):
-        direct.build_offer(offer_spec(capacity=0), env.driver, env.cfg, rng)
+        direct.build_offers([offer_spec(capacity=0)], env.driver, env.cfg, rng)
     with pytest.raises(ValueError, match="max_items"):
-        direct.build_offer(
-            offer_spec(route_cells=tuple(range(100, 200))), env.driver, env.cfg, rng
+        direct.build_offers(
+            [offer_spec(route_cells=tuple(range(100, 200)))], env.driver, env.cfg, rng
         )
     with pytest.raises(ValueError, match="nonempty"):
-        direct.build_offer(offer_spec(pickup_cells=()), env.driver, env.cfg, rng)
+        direct.build_offers([offer_spec(pickup_cells=())], env.driver, env.cfg, rng)
     with pytest.raises(ValueError, match="driver"):
-        direct.build_offer(offer_spec(), env.rider, env.cfg, rng)
+        direct.build_offers([offer_spec()], env.rider, env.cfg, rng)
     with pytest.raises(ValueError, match="rider"):
-        direct.build_request(request_spec(), env.driver, env.cfg, rng)
+        direct.build_requests([request_spec()], env.driver, env.cfg, rng)
 
 
 def random_scenario(seed, n_offers=6, n_requests=14, universe=40):

@@ -467,13 +467,30 @@ def test_dispatch_fuzz_one_reply_and_no_state_change_on_error(fuzz_world, case):
 
 @pytest.mark.parametrize("field, value", [
     ("tokens_per_bundle", 70000), ("tokens_per_bundle", 0), ("filter_bits", 1),
-    ("path_limit", 0), ("match_threshold", -1), ("port", 70000),
+    ("match_threshold", -1), ("port", 70000),
 ])
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
         ServiceConfig(**{field: value})
     with pytest.raises(ValueError, match=field):
         ServiceConfig.from_text(f"{field} = {value}\n")
+
+
+@pytest.mark.parametrize("values, message", [
+    (dict(filter_bits=32, time_slots=48), "filter_bits 32 must be >= time_slots 48"),
+    (dict(filter_bits=64, n_hashes=65), "n_hashes 65 must be <= filter_bits 64"),
+], ids=["filter_bits-below-time_slots", "n_hashes-above-filter_bits"])
+def test_config_refuses_combinations_no_client_can_encode(values, message):
+    """A client's direct.SummaryConfig refuses these; so does the service that would ship them."""
+    with pytest.raises(ValueError, match=message):
+        ServiceConfig(**values)
+    with pytest.raises(ValueError, match=message):
+        ServiceConfig.from_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+
+
+def test_config_refuses_path_limit_as_an_unknown_key():
+    with pytest.raises(ValueError, match=r"unknown config keys: \['path_limit'\]"):
+        ServiceConfig.from_text("path_limit = 10000\n")
 
 
 def test_junk_bytes_are_malformed(small_service):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 from dataclasses import replace
 
@@ -76,6 +77,17 @@ def small_workload(seed=0, **kw):
     return sim.generate_workload(
         GridCity(8, 8), 6, 10, seed, (4, 8), 48, **base
     )
+
+
+@pytest.mark.parametrize("n_offers, n_requests, digest", [
+    (120, 200, "8fa9142147e2c4e427a5dd8f6d1d4c3730d71a5e790e51c5e72f30a1c7d6733f"),
+    (400, 800, "c3895738a238b6c086f169c93a849b4c81f0926bb91869884cbe8af87fe5e3a7"),
+    (150, 250, "8bfeb87b21ce9e45b9cc0257b9b650b23e81bce0d0b4a40c335d2fd6de99d4c3"),
+], ids=["120x200", "400x800", "150x250"])
+def test_generator_output_is_pinned(n_offers, n_requests, digest):
+    """The trip counts of the benchmark workloads: a drifted default or constant shows here."""
+    wl = sim.generate_workload(GridCity(40, 40), n_offers, n_requests, 701)
+    assert hashlib.sha256(sim.workload_to_text(wl).encode()).hexdigest() == digest
 
 
 def test_workload_generation_deterministic():
@@ -265,6 +277,11 @@ def test_experiment_config_validation():
         ExperimentConfig(scheme="carpool")
     with pytest.raises(ValueError, match="identifier bits"):
         ExperimentConfig(scheme="transfer", rows=40, cols=40, id_bits=6)
+    # refused when built, before any run of a sweep starts
+    with pytest.raises(ValueError, match="filter_bits 32 must be >= time_slots 48"):
+        ExperimentConfig(filter_bits=32)
+    with pytest.raises(ValueError, match="n_hashes 400 must be <= filter_bits 320"):
+        replace(SMALL_EXPERIMENT, n_hashes=400)
 
 
 def test_mean_success_filters(pool):

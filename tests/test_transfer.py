@@ -540,7 +540,7 @@ def test_round_matching_equals_per_request_reference(transfer_env, monkeypatch, 
     got = server.run_transfer_matching()
     with monkeypatch.context() as patch:
         patch.setattr(transfer, "_weighted_adjacency", uncached_adjacency)
-        want = reference_round(graph, requests, server.config.path_limit)
+        want = reference_round(graph, requests, transfer.DEFAULT_PATH_LIMIT)
     assert got == want
     assert server.graph.exhausted == graph.exhausted
     assert server.graph.capacity == graph.capacity

@@ -25,9 +25,13 @@ change won (ties count for neither side) and a verdict:
 * `invalid`: a run on either side reads a non-finite value (NaN or
   infinity), so no comparison holds.
 
+It also prints each side's share of failed operations: the runs'
+`failed` over their `attempted`, summed over the seeds.
+
 The exit code is 1 when a seed's match digests differ between the
-sides, a run is not correct, or a run reads a non-finite end-to-end
-metric or none at all for one that BENCHMARK.json names, else 0.
+sides, a run is not correct, the change's share of failed operations is
+larger than the parent's, or a run reads a non-finite end-to-end metric
+or none at all for one that BENCHMARK.json names, else 0.
 """
 
 from __future__ import annotations
@@ -134,6 +138,16 @@ def main(argv=None) -> int:
         if runs["parent"][-1]["digest"] != runs["change"][-1]["digest"]:
             ok = False
             print(f"seed {seed}: match digests differ", flush=True)
+
+    shares = {}
+    for side, side_runs in runs.items():
+        failed = sum(r.get("failed") or 0 for r in side_runs)
+        attempted = sum(r.get("attempted") or 0 for r in side_runs)
+        shares[side] = failed / attempted if attempted else 0.0
+        print(f"{side:6} failed {failed} of {attempted} operations ({shares[side]:.4%})")
+    if shares["change"] > shares["parent"]:
+        ok = False
+        print("the change fails a larger share of operations", flush=True)
 
     print(f"\n{args.workload}: {len(args.seeds)} pairs, parent -> change, median [quartiles]")
     for metric in contract["end_to_end"]:
