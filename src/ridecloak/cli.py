@@ -177,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the matching server over TCP")
     p.add_argument("--config", help="key=value service config file")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7370)
+    p.add_argument("--port", type=int, help="default: the service config's port")
     p.add_argument("--seed", type=int, default=None)
     _add_crypto_args(p)
     p.set_defaults(func=cmd_serve)

@@ -255,8 +255,8 @@ class ServiceClient:
             reg.bundle.id_bits,
             reg.bundle.time_bits,
             preference,
-            self.rng,
-            contact,
+            rng=self.rng,
+            contact=contact,
         )
         return self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(request))
 

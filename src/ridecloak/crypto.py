@@ -12,8 +12,9 @@ All matrices are double precision with entries drawn uniformly from
 [-1, 1]; candidates with a 1-norm condition estimate above 1e6 are
 redrawn (at most 8 attempts). The inverse the accepting check computes is
 kept with the master keys and server secrets, so no secret matrix is
-inverted twice. Master keys and server secrets exist only in memory; the
-one key file format holds a user key set.
+inverted twice. A KeyDeriver computes its bases from both once, when it is
+built, and then keeps only what a derivation reads. Master keys and server
+secrets exist only in memory; the one key file format holds a user key set.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +83,7 @@ def _check_square(name: str, mat: np.ndarray, dim: int) -> None:
 
 @dataclass
 class MasterKey:
-    """Authority-held master key for one vector width.
+    """Master key for one vector width, drawn at authority set-up.
 
     blend_a/blend_b are the matrices whose additive shares cancel in the
     matching identity; mask_parts are the eight per-part masking matrices;
@@ -212,25 +212,25 @@ def generate_tos_secrets(dim: int, rng: np.random.Generator) -> TosSecrets:
 
 
 class KeyDeriver:
-    """Derives per-user key sets, caching the master/secret base products.
+    """Derives per-user key sets from one master key and the server secrets.
 
-    The bases depend only on (master, secrets), so an authority serving
-    many registrations computes them once.
+    Construction computes the eight driver bases (index_mask^-1 times each
+    mask part inverse) and the eight rider bases (each mask part times
+    query_mask). The deriver keeps those, the two blend matrices with their
+    inverses and the split pattern: (4 + 16) * dim^2 values, all a
+    derivation reads. The master mask parts are not kept.
     """
 
     def __init__(self, master: MasterKey, secrets: TosSecrets):
         if master.dim != secrets.dim:
             raise ValueError(f"master dim {master.dim} != secrets dim {secrets.dim}")
-        self.master = master
+        self.dim = master.dim
+        self.split_pattern = master.split_pattern
+        self.blend_a, self.blend_b = master.blend_a, master.blend_b
+        self.blend_a_inv, self.blend_b_inv = master.blend_a_inv, master.blend_b_inv
         self.secrets = secrets
-
-    @cached_property
-    def _driver_bases(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.secrets.index_mask_inv @ inv for inv in self.master.mask_part_invs)
-
-    @cached_property
-    def _rider_bases(self) -> tuple[np.ndarray, ...]:
-        return tuple(part @ self.secrets.query_mask for part in self.master.mask_parts)
+        self.driver_bases = tuple(secrets.index_mask_inv @ inv for inv in master.mask_part_invs)
+        self.rider_bases = tuple(part @ secrets.query_mask for part in master.mask_parts)
 
     def derive(
         self,
@@ -247,26 +247,25 @@ class KeyDeriver:
             out = (None,) * PART_COUNT
         elif len(out) != PART_COUNT:
             raise ValueError(f"expected {PART_COUNT} output parts, got {len(out)}")
-        master = self.master
         if role == "driver":
-            share_a = _invertible_shares(master.blend_a_inv, rng)
-            share_b = _invertible_shares(master.blend_b_inv, rng)
+            share_a = _invertible_shares(self.blend_a_inv, rng)
+            share_b = _invertible_shares(self.blend_b_inv, rng)
             shares = share_a + share_b
             parts = tuple(
-                np.matmul(self._driver_bases[i], shares[_DRIVER_SHARE_ORDER[i]], out=out[i])
+                np.matmul(self.driver_bases[i], shares[_DRIVER_SHARE_ORDER[i]], out=out[i])
                 for i in range(PART_COUNT)
             )
         elif role == "rider":
-            share_a = _invertible_shares(master.blend_a, rng)
-            share_b = _invertible_shares(master.blend_b, rng)
+            share_a = _invertible_shares(self.blend_a, rng)
+            share_b = _invertible_shares(self.blend_b, rng)
             shares = share_a + share_b
             parts = tuple(
-                np.matmul(shares[_RIDER_SHARE_ORDER[i]], self._rider_bases[i], out=out[i])
+                np.matmul(shares[_RIDER_SHARE_ORDER[i]], self.rider_bases[i], out=out[i])
                 for i in range(PART_COUNT)
             )
         else:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
-        return UserKeySet(role, master.dim, parts, master.split_pattern.copy())
+        return UserKeySet(role, self.dim, parts, self.split_pattern.copy())
 
 
 def split_vector(

@@ -49,8 +49,8 @@ class SummaryConfig:
 
     bits: int
     n_hashes: int
-    time_slots: int = 48
-    max_items: int = 60
+    time_slots: int
+    max_items: int
     epoch: int = 0
     salt: int = 0
 

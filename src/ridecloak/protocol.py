@@ -299,14 +299,12 @@ class KeyBundle:
     tokens: list[bytes]
 
 
-def key_bundle_frame(
-    epoch: int, b: KeyBundle, sizes: dict[str, int]
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def key_bundle_frame(b: KeyBundle, sizes: dict[str, int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Lay out a whole KEY_BUNDLE reply frame in one buffer, key sets unwritten.
 
     `sizes` names the key sets in wire order with each blob's length;
     `b.keysets` is not read. Everything else is written: the frame header
-    (with `epoch` and the zero token), the bundle fields, the names, the
+    (with `b.epoch` and the zero token), the bundle fields, the names, the
     blob lengths and the tokens. Returns the frame and, per name, a
     writable uint8 view of the slot its blob goes in.
     """
@@ -327,7 +325,7 @@ def key_bundle_frame(
     payload_size = sum(sizes[p] if isinstance(p, str) else len(p) for p in pieces)
     # numpy, not bytearray: see read_frame
     frame = np.empty(HEADER_SIZE + payload_size, dtype=np.uint8)
-    head = _frame_header(MsgType.KEY_BUNDLE, epoch, ZERO_TOKEN, payload_size)
+    head = _frame_header(MsgType.KEY_BUNDLE, b.epoch, ZERO_TOKEN, payload_size)
     frame[:HEADER_SIZE] = np.frombuffer(head, dtype=np.uint8)
     slots = {}
     pos = HEADER_SIZE
@@ -342,7 +340,7 @@ def key_bundle_frame(
 
 
 def encode_key_bundle(b: KeyBundle) -> bytes:
-    frame, slots = key_bundle_frame(0, b, {name: len(blob) for name, blob in b.keysets.items()})
+    frame, slots = key_bundle_frame(b, {name: len(blob) for name, blob in b.keysets.items()})
     for name, blob in b.keysets.items():
         slots[name][:] = np.frombuffer(blob, dtype=np.uint8)
     return frame[HEADER_SIZE:].tobytes()

@@ -2,16 +2,19 @@
 
 Two parties, kept structurally separate:
 
-* TrustedAuthority holds master keys and derives per-user key sets. It
-  never sees trips.
-* TosServer holds only its unmasking secrets, consumed-token bookkeeping,
-  unmasked ciphertexts, and opaque contact blobs. It never holds user key
-  sets, split patterns, plaintext cells, or Bloom filters; tests assert
-  that no such type is reachable from its state.
+* TrustedAuthority draws the master keys at set-up, keeps only what a key
+  derivation reads, and derives per-user key sets. It never sees trips and
+  holds no epoch.
+* TosServer owns the epoch and its salt, and holds only its unmasking
+  secrets, consumed-token bookkeeping, unmasked ciphertexts, and opaque
+  contact blobs. It never holds user key sets, split patterns, plaintext
+  cells, or Bloom filters; tests assert that no such type is reachable
+  from its state.
 
 RideService wires the two behind one frame dispatcher (registration frames
-go to the authority, everything else to the server) and is what both the
-in-process loopback transport and the socket server drive.
+go to the authority with the server's epoch and salt, everything else to
+the server), draws each epoch's salt, and is what both the in-process
+loopback transport and the socket server drive.
 """
 
 from __future__ import annotations
@@ -109,14 +112,16 @@ def _token_digest(token: bytes) -> bytes:
     return hashlib.sha256(token).digest()
 
 
+def _draw_salt(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 2**63))
+
+
 class TrustedAuthority:
-    """Key service: master keys, per-user derivation, epoch rotation."""
+    """Key service: one KeyDeriver per scheme, built at set-up."""
 
     def __init__(self, config: ServiceConfig, rng: np.random.Generator):
         self.config = config
         self._rng = rng
-        self.epoch = 1
-        self.salt = int(rng.integers(0, 2**63))
         masters = {
             "direct": crypto.generate_master_key(config.filter_bits, rng),
             "transfer": crypto.generate_master_key(config.cell_vector_bits, rng),
@@ -126,12 +131,13 @@ class TrustedAuthority:
             for scheme, master in masters.items()
         }
 
-    def register(self, role: str) -> tuple[np.ndarray, list[bytes]]:
+    def register(self, role: str, epoch: int, salt: int) -> tuple[np.ndarray, list[bytes]]:
         """Fresh key sets and single-use tokens as one KEY_BUNDLE reply frame.
 
-        Returns (frame, token digests). The frame is laid out first, and
-        each key set is derived straight into its slot, so every key byte
-        is written once.
+        The bundle and the frame header carry the `epoch` and `salt` the
+        server passes in. Returns (frame, token digests). The frame is laid
+        out first, and each key set is derived straight into its slot, so
+        every key byte is written once.
         """
         try:
             plan = protocol.ROLE_KEY_SETS[role]
@@ -141,8 +147,8 @@ class TrustedAuthority:
         tokens = [sysrandom.token_bytes(protocol.TOKEN_SIZE) for _ in range(self.config.tokens_per_bundle)]
         cfg = self.config
         bundle = protocol.KeyBundle(
-            epoch=self.epoch,
-            salt=self.salt,
+            epoch=epoch,
+            salt=salt,
             filter_bits=cfg.filter_bits,
             n_hashes=cfg.n_hashes,
             id_bits=cfg.id_bits,
@@ -152,18 +158,12 @@ class TrustedAuthority:
             keysets={},
             tokens=tokens,
         )
-        sizes = {name: crypto.user_key_file_size(d.master.dim) for name, d, _ in plan}
-        frame, slots = protocol.key_bundle_frame(self.epoch, bundle, sizes)
+        sizes = {name: crypto.user_key_file_size(d.dim) for name, d, _ in plan}
+        frame, slots = protocol.key_bundle_frame(bundle, sizes)
         for name, deriver, key_role in plan:
-            parts, pattern = crypto.user_key_file(slots[name], key_role, deriver.master.dim)
+            parts, pattern = crypto.user_key_file(slots[name], key_role, deriver.dim)
             pattern[:] = deriver.derive(key_role, self._rng, out=parts).split_pattern
         return frame, [_token_digest(t) for t in tokens]
-
-    def rotate(self) -> tuple[int, int]:
-        """Advance the epoch with a fresh salt."""
-        self.epoch += 1
-        self.salt = int(self._rng.integers(0, 2**63))
-        return self.epoch, self.salt
 
 
 @dataclass
@@ -396,15 +396,13 @@ class RideService:
     """Authority + server behind one dispatcher; drive via frames."""
 
     def __init__(self, config: ServiceConfig, seed: int | None = None):
-        rng = np.random.default_rng(seed)
+        self._rng = rng = np.random.default_rng(seed)
         self.config = config
+        salt = _draw_salt(rng)
         self.authority = TrustedAuthority(config, rng)
+        derivers = self.authority.derivers
         self.server = TosServer(
-            config,
-            self.authority.derivers["direct"].secrets,
-            self.authority.derivers["transfer"].secrets,
-            self.authority.epoch,
-            self.authority.salt,
+            config, derivers["direct"].secrets, derivers["transfer"].secrets, epoch=1, salt=salt
         )
         self._lock = threading.RLock()
 
@@ -437,7 +435,7 @@ class RideService:
     def _register(self, frame: Frame) -> np.ndarray:
         role = protocol.decode_register(frame.payload)
         try:
-            reply, digests = self.authority.register(role)
+            reply, digests = self.authority.register(role, self.server.epoch, self.server.salt)
         except ValueError as exc:
             raise ProtocolError(ErrorCode.MALFORMED, str(exc)) from None
         self.server.add_token_digests(digests)
@@ -462,8 +460,7 @@ class RideService:
 
     def rotate_epoch(self) -> protocol.EpochAnnounce:
         with self._lock:
-            epoch, salt = self.authority.rotate()
-            return self.server.apply_rotation(epoch, salt)
+            return self.server.apply_rotation(self.server.epoch + 1, _draw_salt(self._rng))
 
 
 class _FrameHandler(socketserver.BaseRequestHandler):

@@ -19,13 +19,12 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import direct
-from .bloom import slot_index
+from .bloom import SECONDS_PER_DAY, slot_index
 from .client import LoopbackTransport, ServiceClient
 from .direct import MatchCase, OfferSpec, RequestSpec
 from .service import RideService, ServiceConfig, TosServer
 from .transfer import Preference
 
-DAY_SECONDS = 86400.0
 SCHEMES = ("direct", "transfer")
 
 # Fixed shape of a generated workload: seconds a driver spends per cell,
@@ -44,7 +43,6 @@ class GridCity:
 
     rows: int
     cols: int
-    cell_meters: float = 400.0
 
     def __post_init__(self) -> None:
         if self.rows * self.cols < 4:
@@ -276,7 +274,7 @@ def _jitter_aligned(
     counts applied later) still split the jittered population naturally.
     """
     t = base + float(rng.uniform(-jitter, jitter))
-    if t < 0 or t >= DAY_SECONDS:
+    if t < 0 or t >= SECONDS_PER_DAY:
         return base
     for slots in slot_counts:
         if slot_index(t, slots) != slot_index(base, slots):

@@ -87,15 +87,17 @@ class PreferenceKind(enum.Enum):
     MAX_CELLS_TRANSFERS = "max-cells-transfers"
 
 
-_NEEDS_CELL_LIMIT = {
-    PreferenceKind.MAX_CELLS,
-    PreferenceKind.MIN_TRANSFERS_MAX_CELLS,
-    PreferenceKind.MAX_CELLS_TRANSFERS,
-}
-_NEEDS_TRANSFER_LIMIT = {
-    PreferenceKind.MAX_TRANSFERS,
-    PreferenceKind.MIN_CELLS_MAX_TRANSFERS,
-    PreferenceKind.MAX_CELLS_TRANSFERS,
+# Per kind: the counts the band pass minimises (min-cells-transfers keeps the
+# paths minimal in both) and the limits the kind takes, in written order.
+_KIND_RULES: dict[PreferenceKind, tuple[tuple[str, ...], tuple[str, ...]]] = {
+    PreferenceKind.MIN_CELLS: (("cells",), ()),
+    PreferenceKind.MIN_TRANSFERS: (("transfers",), ()),
+    PreferenceKind.MAX_CELLS: (("cells",), ("cells",)),
+    PreferenceKind.MAX_TRANSFERS: (("transfers",), ("transfers",)),
+    PreferenceKind.MIN_CELLS_TRANSFERS: (("cells", "transfers"), ()),
+    PreferenceKind.MIN_TRANSFERS_MAX_CELLS: (("transfers",), ("cells",)),
+    PreferenceKind.MIN_CELLS_MAX_TRANSFERS: (("cells",), ("transfers",)),
+    PreferenceKind.MAX_CELLS_TRANSFERS: (("cells",), ("cells", "transfers")),
 }
 
 
@@ -106,10 +108,10 @@ class Preference:
     transfers_limit: int | None = None
 
     def __post_init__(self) -> None:
-        if (self.kind in _NEEDS_CELL_LIMIT) != (self.cells_limit is not None):
-            raise ValueError(f"{self.kind.value}: cells_limit mismatch")
-        if (self.kind in _NEEDS_TRANSFER_LIMIT) != (self.transfers_limit is not None):
-            raise ValueError(f"{self.kind.value}: transfers_limit mismatch")
+        takes = _KIND_RULES[self.kind][1]
+        for count in ("cells", "transfers"):
+            if (count in takes) != (getattr(self, f"{count}_limit") is not None):
+                raise ValueError(f"{self.kind.value}: {count}_limit mismatch")
         for limit in (self.cells_limit, self.transfers_limit):
             if limit is not None and limit < 0:
                 raise ValueError(f"limits must be >= 0, got {limit}")
@@ -119,26 +121,19 @@ class Preference:
         """Parse e.g. 'min-cells', 'max-transfers:1', 'max-cells-transfers:12,2'."""
         name, _, arg = text.strip().partition(":")
         kind = PreferenceKind(name)
-        cells = transfers = None
-        if kind is PreferenceKind.MAX_CELLS_TRANSFERS:
-            first, second = arg.split(",")
-            cells, transfers = int(first), int(second)
-        elif kind in _NEEDS_CELL_LIMIT:
-            cells = int(arg)
-        elif kind in _NEEDS_TRANSFER_LIMIT:
-            transfers = int(arg)
-        elif arg:
+        takes = _KIND_RULES[kind][1]
+        if not takes and arg:
             raise ValueError(f"{name} takes no limit, got {arg!r}")
-        return cls(kind, cells, transfers)
+        values = arg.split(",") if takes else []
+        if len(values) != len(takes):
+            raise ValueError(f"{name} takes {len(takes)} limits, got {arg!r}")
+        return cls(kind, **{f"{count}_limit": int(v) for count, v in zip(takes, values)})
 
     def render(self) -> str:
-        if self.kind is PreferenceKind.MAX_CELLS_TRANSFERS:
-            return f"{self.kind.value}:{self.cells_limit},{self.transfers_limit}"
-        if self.kind in _NEEDS_CELL_LIMIT:
-            return f"{self.kind.value}:{self.cells_limit}"
-        if self.kind in _NEEDS_TRANSFER_LIMIT:
-            return f"{self.kind.value}:{self.transfers_limit}"
-        return self.kind.value
+        takes = _KIND_RULES[self.kind][1]
+        if not takes:
+            return self.kind.value
+        return f"{self.kind.value}:" + ",".join(str(getattr(self, f"{c}_limit")) for c in takes)
 
 
 DEFAULT_PREFERENCE = Preference(PreferenceKind.MIN_CELLS)
@@ -202,12 +197,12 @@ def build_transfer_request(
     id_bits: int,
     time_bits: int,
     preference: Preference = DEFAULT_PREFERENCE,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     contact: bytes = b"",
 ) -> TransferRequest:
     if keys.role != "rider":
         raise ValueError("requests must be encrypted with rider keys")
-    rng = rng if rng is not None else np.random.default_rng()
     vectors = np.stack(
         [
             encode_cell(pickup[0], pickup[1], id_bits, time_bits),
@@ -373,18 +368,6 @@ class TransferGraph:
         self._active[rows.start : rows.stop] = False
 
 
-_PRIMARY_OF = {
-    PreferenceKind.MIN_CELLS: ("cells",),
-    PreferenceKind.MAX_CELLS: ("cells",),
-    PreferenceKind.MIN_CELLS_MAX_TRANSFERS: ("cells",),
-    PreferenceKind.MAX_CELLS_TRANSFERS: ("cells",),
-    PreferenceKind.MIN_TRANSFERS: ("transfers",),
-    PreferenceKind.MAX_TRANSFERS: ("transfers",),
-    PreferenceKind.MIN_TRANSFERS_MAX_CELLS: ("transfers",),
-    PreferenceKind.MIN_CELLS_TRANSFERS: ("cells", "transfers"),
-}
-
-
 class _WeightedEdges:
     """Weighted out-edges of a graph's nodes, read from it on each lookup."""
 
@@ -537,27 +520,22 @@ def find_paths(
     if not sources or not destinations:
         return SearchOutcome(None, [], sources, destinations)
 
-    kind = preference.kind
-    truncated = False
-    if kind is PreferenceKind.MIN_CELLS_TRANSFERS:
-        by_cells, t1 = _band_paths(graph, sources, destinations, "cells", limit)
-        by_transfers, t2 = _band_paths(graph, sources, destinations, "transfers", limit)
-        truncated = t1 or t2
-        transfer_sets = {p.nodes for p in by_transfers}
-        candidates = [p for p in by_cells if p.nodes in transfer_sets]
-        tie_break = lambda p: p.nodes
+    minimised = _KIND_RULES[preference.kind][0]
+    bands = [_band_paths(graph, sources, destinations, count, limit) for count in minimised]
+    candidates = bands[0][0]
+    for paths, _ in bands[1:]:
+        also_minimal = {p.nodes for p in paths}
+        candidates = [p for p in candidates if p.nodes in also_minimal]
+    truncated = any(t for _, t in bands)
+    if preference.cells_limit is not None:
+        candidates = [p for p in candidates if p.cell_count <= preference.cells_limit]
+    if preference.transfers_limit is not None:
+        candidates = [p for p in candidates if p.transfer_count <= preference.transfers_limit]
+    # a path minimal in both counts ties on either, so its node sequence decides
+    if minimised[0] == "cells":
+        tie_break = lambda p: (p.transfer_count, p.nodes)
     else:
-        primary = _PRIMARY_OF[kind][0]
-        candidates, truncated = _band_paths(graph, sources, destinations, primary, limit)
-        if preference.cells_limit is not None:
-            candidates = [p for p in candidates if p.cell_count <= preference.cells_limit]
-        if preference.transfers_limit is not None:
-            candidates = [p for p in candidates if p.transfer_count <= preference.transfers_limit]
-        if primary == "cells":
-            tie_break = lambda p: (p.transfer_count, p.nodes)
-        else:
-            tie_break = lambda p: (p.cell_count, p.nodes)
-
+        tie_break = lambda p: (p.cell_count, p.nodes)
     selected = min(candidates, key=tie_break) if candidates else None
     return SearchOutcome(selected, candidates, sources, destinations, truncated)
 

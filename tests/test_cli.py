@@ -10,6 +10,7 @@ import pytest
 
 from ridecloak import sim
 from ridecloak.cli import main
+from ridecloak.service import ServiceConfig, SocketServer
 
 SMALL_ARGS = [
     "--filter-bits", "320", "--n-hashes", "4",
@@ -174,3 +175,18 @@ def test_serve_and_submit_round_trip(tmp_path, capsys):
 
 def test_serve_and_submit_transfer_round_trip(tmp_path, capsys):
     serve_and_submit(tmp_path, capsys, "transfer")
+
+
+def test_serve_config_port_is_used_without_port_flag(tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "service.cfg"
+    cfg_path.write_text(
+        "filter_bits=320\nn_hashes=4\nid_bits=6\ntime_bits=4\nport=0\n", encoding="utf-8"
+    )
+
+    def interrupted(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(SocketServer, "serve_forever", interrupted)
+    assert main(["serve", "--config", str(cfg_path), "--seed", "5"]) == 0
+    found = re.match(r"listening on [\d.]+:(\d+) \(epoch 1\)", capsys.readouterr().out)
+    assert found and int(found.group(1)) != ServiceConfig.port

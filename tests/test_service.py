@@ -82,7 +82,7 @@ def test_secret_matrices_are_inverted_once(monkeypatch):
     per_registration = []
     for _ in range(2):
         counts.update(inv=0, checks=0)
-        svc.authority.register("driver")
+        svc.authority.register("driver", svc.server.epoch, svc.server.salt)
         assert counts["inv"] == counts["checks"] > 0
         per_registration.append(counts["inv"])
     assert per_registration[0] <= per_registration[1]
@@ -764,6 +764,7 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
     monkeypatch.setattr(service, "sysrandom", CountingRandom())
     svc = RideService(config, seed=21)
     rng = np.random.default_rng(21)
+    salt = int(rng.integers(0, 2**63))  # the service draws its first salt first
     twin = service.TrustedAuthority(config, rng)  # the same draws as svc.authority
     direct, cells = twin.derivers["direct"], twin.derivers["transfer"]
     plans = {
@@ -775,7 +776,7 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
         "rider": [("direct-rider", direct, "rider"), ("transfer-rider", cells, "rider")],
     }
     tokens = CountingRandom()
-    fields = (1, twin.salt, config.filter_bits, config.n_hashes, config.id_bits,
+    fields = (1, salt, config.filter_bits, config.n_hashes, config.id_bits,
               config.time_bits, config.time_slots, config.max_items)
     for role in ("driver", "rider", "driver"):
         reply = svc.dispatch(register_frame(role))
@@ -790,24 +791,42 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
         assert bytes(reply) == expected
 
 
-def buffer_bytes(obj):
-    """Size of the whole buffer `obj` is or views; 0 for anything else."""
+def buffer_root(obj):
+    """The object that owns the buffer `obj` is or views."""
     while True:
         if isinstance(obj, memoryview):
             obj = obj.obj
         elif isinstance(obj, np.ndarray) and obj.base is not None:
             obj = obj.base
         else:
-            break
+            return obj
+
+
+def buffer_bytes(obj):
+    """Size of the whole buffer `obj` is or views; 0 for anything else."""
+    obj = buffer_root(obj)
     if isinstance(obj, np.ndarray):
         return obj.nbytes
     return len(obj) if isinstance(obj, (bytes, bytearray)) else 0
 
 
-def test_register_builds_its_reply_in_one_buffer():
+def test_authority_holds_only_what_a_derivation_reads():
+    """Per scheme: two blends, their inverses, 16 bases, the split pattern and the server secrets."""
     svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=3)
     for role in ("driver", "rider"):
-        svc.dispatch(register_frame(role))  # fill the lazy key caches first
+        svc.dispatch(register_frame(role))
+    buffers = {
+        id(buffer_root(obj)): buffer_bytes(obj)
+        for obj in oracles.reachable_instances(svc.authority)
+        if isinstance(obj, np.ndarray)
+    }
+    dims = (SMALL_CONFIG["filter_bits"], svc.config.cell_vector_bits)
+    # (4 + 16) deriver matrices and 4 server-secret matrices, float64; a uint8 pattern
+    assert sum(buffers.values()) == sum((4 + 16 + 4) * d * d * 8 + d for d in dims)
+
+
+def test_register_builds_its_reply_in_one_buffer():
+    svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=3)
     for role in ("driver", "rider"):
         request = register_frame(role)
         tracemalloc.start()
