@@ -1,11 +1,13 @@
 """Command-line interface: serve, submit, match, workload, bench.
 
 No command writes or reads key material. `serve` generates the master
-keys and server secrets in memory from `--seed`, keeping the inverse each
-conditioning check computed, and clients receive their key sets by
-registering. The service parameter flags of `serve`, `match` and
-`bench` default to the values of `ServiceConfig`, which also refuses the
-combinations no client can encode.
+keys and server secrets in memory from `--seed`, redrawing any whose
+condition number exceeds 1e6 and keeping the inverse each check computed.
+Clients receive their key sets by registering; a registration inverts
+nothing, and checks a user's key shares only for invertibility, by LU.
+The service parameter flags of `serve`, `match` and `bench` default to
+the values of `ServiceConfig`, which also refuses the combinations no
+client can encode.
 """
 
 from __future__ import annotations

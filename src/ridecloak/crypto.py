@@ -9,12 +9,18 @@ different user key sets derived from the same master keys remain mutually
 comparable, which is what lets the server match strangers' trips.
 
 All matrices are double precision with entries drawn uniformly from
-[-1, 1]; candidates with a 1-norm condition estimate above 1e6 are
-redrawn (at most 8 attempts). The inverse the accepting check computes is
-kept with the master keys and server secrets, so no secret matrix is
-inverted twice. A KeyDeriver computes its bases from both once, when it is
-built, and then keeps only what a derivation reads. Master keys and server
-secrets exist only in memory; the one key file format holds a user key set.
+[-1, 1]. Master keys and server secrets are redrawn (at most 8 attempts)
+while their 1-norm condition number exceeds 1e6, and the inverse the
+accepting check computes is kept with them, so no secret matrix is
+inverted twice. A user's additive key shares are never inverted: a share
+pair is redrawn only when one LU factorization shows a share singular,
+with no condition bound, because the similarity error does not depend on
+how well a share is conditioned. A KeyDeriver computes its bases from
+the master keys and server secrets once, when it is built, and then keeps
+only what a derivation reads. Master keys and server secrets exist only
+in memory; the one key file format holds a user key set. Fixed-seed key
+bytes are reproducible under one BLAS thread count only; match records
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from . import kernels
 
-# Rejection threshold for ill-conditioned random matrices.
+# Rejection threshold for ill-conditioned master and server matrices.
 COND_LIMIT = 1.0e6
 MAX_DRAWS = 8
 PART_COUNT = 8
@@ -43,7 +49,7 @@ _RIDER_SHARE_ORDER = (0, 0, 1, 1, 2, 2, 3, 3)
 
 
 class KeyGenerationError(RuntimeError):
-    """Raised when no acceptably conditioned matrix is found."""
+    """Raised when no acceptable matrix or share pair is drawn within MAX_DRAWS."""
 
 
 def _well_conditioned(mat: np.ndarray) -> np.ndarray | None:
@@ -66,14 +72,27 @@ def _random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, 
     raise KeyGenerationError(f"no invertible {dim}x{dim} draw within {MAX_DRAWS} attempts")
 
 
+def _invertible(mat: np.ndarray) -> bool:
+    """Whether one LU factorization of `mat` shows it invertible."""
+    sign, logabsdet = np.linalg.slogdet(mat)
+    return bool(sign != 0 and np.isfinite(logabsdet))
+
+
 def _invertible_shares(total: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Split `total` into two invertible matrices summing to it exactly."""
+    """Split `total` into two invertible matrices summing to it.
+
+    `first` is uniform on [-1, 1] and `second = total - first`. The pair
+    is redrawn (at most MAX_DRAWS times) until an LU factorization shows
+    both invertible. There is no condition bound: no share is ever
+    inverted, and the similarity error does not depend on how well a
+    share is conditioned (tests/test_crypto.py checks this at cond_1 >= 1e10).
+    """
     for _ in range(MAX_DRAWS):
-        first, _inv = _random_invertible(total.shape[0], rng)
+        first = rng.uniform(-1.0, 1.0, total.shape)
         second = total - first
-        if _well_conditioned(second) is not None:
+        if _invertible(first) and _invertible(second):
             return first, second
-    raise KeyGenerationError("no invertible additive share found")
+    raise KeyGenerationError(f"no invertible additive share pair within {MAX_DRAWS} draws")
 
 
 def _check_square(name: str, mat: np.ndarray, dim: int) -> None:
@@ -219,6 +238,11 @@ class KeyDeriver:
     query_mask). The deriver keeps those, the two blend matrices with their
     inverses and the split pattern: (4 + 16) * dim^2 values, all a
     derivation reads. The master mask parts are not kept.
+
+    A derivation splits each blend matrix (riders) or its inverse
+    (drivers) into two additive shares, accepted once an LU factorization
+    shows each invertible; unlike the master keys, shares carry no
+    condition bound and are never inverted.
     """
 
     def __init__(self, master: MasterKey, secrets: TosSecrets):

@@ -243,6 +243,80 @@ def test_key_generation_rejects_ill_conditioned(monkeypatch):
         crypto.generate_master_key(8, np.random.default_rng(0))
 
 
+class ScriptedDraws:
+    """A generator stand-in whose `uniform` returns prepared matrices in order."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def uniform(self, low, high, size):
+        draw = next(self.draws)
+        assert (low, high, size) == (-1.0, 1.0, draw.shape)
+        return draw
+
+
+@pytest.mark.parametrize("singular", ["first", "second"])
+def test_invertible_shares_redraws_a_singular_share(singular):
+    """A singular share costs one redraw; pytest would fail on any RuntimeWarning."""
+    total = 2.0 * np.eye(4)
+    rank_one = np.ones((4, 4))
+    bad = rank_one if singular == "first" else total - rank_one
+    good = np.eye(4) + 0.25 * np.triu(np.ones((4, 4)), 1)
+    first, second = crypto._invertible_shares(total, ScriptedDraws([bad, good]))
+    np.testing.assert_array_equal(first, good)
+    np.testing.assert_array_equal(second, total - good)
+
+
+def test_invertible_shares_gives_up_after_max_draws():
+    total = 2.0 * np.eye(4)
+    rank_one = np.ones((4, 4))
+    draws = [rank_one if i % 2 else total - rank_one for i in range(crypto.MAX_DRAWS)]
+    with pytest.raises(crypto.KeyGenerationError):
+        crypto._invertible_shares(total, ScriptedDraws(draws))
+
+
+def with_condition(mat, cond):
+    """`mat` with its smallest singular value shrunk to a 2-norm condition number of `cond`."""
+    u, s, vt = np.linalg.svd(mat)
+    s[-1] = s[0] / cond
+    return (u * s) @ vt
+
+
+def test_similarities_do_not_depend_on_share_conditioning(monkeypatch):
+    """Shares with cond_1 >= 1e10 still give similarities within TOL at width 256.
+
+    User shares are never inverted and carry no condition bound; this is
+    the evidence that they need none. Successive splits alternate which
+    share of the pair is ill-conditioned.
+    """
+    dim = 256
+    honest = crypto._invertible_shares
+    conds = []
+
+    def ill_conditioned_shares(total, rng):
+        ill = len(conds) % 2
+        shares = list(honest(total, rng))
+        shares[ill] = with_condition(shares[ill], 1e13)
+        shares[1 - ill] = total - shares[ill]
+        conds.append(np.linalg.cond(shares[ill], 1))
+        return tuple(shares)
+
+    monkeypatch.setattr(crypto, "_invertible_shares", ill_conditioned_shares)
+    rng = np.random.default_rng(256)
+    master = crypto.generate_master_key(dim, rng)
+    secrets = crypto.generate_tos_secrets(dim, rng)
+    deriver = crypto.KeyDeriver(master, secrets)
+    driver, rider = deriver.derive("driver", rng), deriver.derive("rider", rng)
+    assert len(conds) == 4 and min(conds) >= 1e10
+
+    q = rng.integers(0, 2, (24, dim)).astype(float)
+    p = rng.integers(0, 2, (24, dim)).astype(float)
+    queries = crypto.unmask_indices(crypto.encrypt_indices(q, rider, rng), secrets)
+    offers = crypto.unmask_indices(crypto.encrypt_indices(p, driver, rng), secrets)
+    error = np.abs(crypto.similarity_matrix(queries, offers) - q @ p.T)
+    assert error.max() <= TOL
+
+
 def test_distinct_user_key_sets(knn64):
     a = knn64.deriver.derive("rider", np.random.default_rng(1))
     b = knn64.deriver.derive("rider", np.random.default_rng(2))
