@@ -5,16 +5,21 @@ keys and server secrets in memory from `--seed`, redrawing any whose
 condition number exceeds 1e6 and keeping the inverse each check computed.
 Clients receive their key sets by registering; a registration inverts
 nothing, and checks a user's key shares only for invertibility, by LU.
-The service parameter flags of `serve`, `match` and `bench` default to
-the values of `ServiceConfig`, which also refuses the combinations no
-client can encode.
+
+`serve` has one flag per `ServiceConfig` field, and `match` and `bench`
+one per crypto width; each defaults to the field's default, and
+`ServiceConfig` refuses out-of-range values and the combinations no
+client can encode. The workload-shape flags of `workload` and `bench`
+default to the fields of `sim.ExperimentConfig`. `submit` registers its
+driver and rider and registers again whenever their tokens run out, so
+a workload of any size is submitted whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .bloom import sizing
 from .client import ServerError, ServiceClient, SocketTransport, TokenError
@@ -22,11 +27,8 @@ from .protocol import ProtocolError
 from .service import RideService, ServiceConfig, SocketServer
 from .sim import (
     ExperimentConfig,
-    GridCity,
     ServicePool,
     ccrs_size_model,
-    generate_workload,
-    identifier_permutation,
     load_workload,
     run_experiment,
     save_workload,
@@ -40,28 +42,30 @@ from .sim import (
 )
 
 
+# The fields of a config class that a command has flags for.
+_SERVICE_ARGS = tuple(f.name for f in fields(ServiceConfig))
 _CRYPTO_ARGS = ("filter_bits", "n_hashes", "id_bits", "time_bits", "time_slots", "max_items")
+_SHAPE_ARGS = ("rows", "cols", "n_offers", "n_requests", "hit_rate", "transfer_rate")
+_WORKLOAD_ARGS = (*_SHAPE_ARGS, "capacity", "preference", "time_slots")
+_FLAGS = {"n_offers": "--offers", "n_requests": "--requests"}
 
 
-def _add_crypto_args(p: argparse.ArgumentParser) -> None:
-    for name in _CRYPTO_ARGS:
-        p.add_argument("--" + name.replace("_", "-"), type=int, default=getattr(ServiceConfig, name))
+def _add_config_args(p: argparse.ArgumentParser, config_class, names) -> None:
+    """One flag per named field of `config_class`, defaulting to the field's default."""
+    for name in names:
+        default = getattr(config_class, name)
+        flag = _FLAGS.get(name, "--" + name.replace("_", "-"))
+        p.add_argument(flag, dest=name, type=type(default), default=default)
 
 
-def _crypto_args(args) -> dict[str, int]:
-    return {name: getattr(args, name) for name in _CRYPTO_ARGS}
-
-
-def _service_config(args) -> ServiceConfig:
-    if getattr(args, "config", None):
-        return ServiceConfig.from_file(args.config)
-    return ServiceConfig(**_crypto_args(args))
+def _args(args, names) -> dict:
+    return {name: getattr(args, name) for name in names}
 
 
 def cmd_serve(args) -> int:
-    config = _service_config(args)
+    config = ServiceConfig(**_args(args, _SERVICE_ARGS))
     service = RideService(config, seed=args.seed)
-    server = SocketServer(service, host=args.host, port=args.port)
+    server = SocketServer(service, host=args.host)
     host, port = server.server_address
     print(f"listening on {host}:{port} (epoch {service.server.epoch})")
     if config.match_threshold:
@@ -80,13 +84,8 @@ def cmd_submit(args) -> int:
     with SocketTransport(args.host, args.port) as dt, SocketTransport(args.host, args.port) as rt:
         driver = ServiceClient(dt, rng=args.seed)
         rider = ServiceClient(rt, rng=args.seed + 1)
-        driver.register("driver")
-        rider.register("rider")
-        reg = driver.registration
-        perm = identifier_permutation(wl.city.cell_count, reg.epoch, reg.salt)
-        time_bits = reg.bundle.time_bits
-        offer_ids = submit_offers(wl, args.scheme, driver, perm, time_bits)
-        request_ids = submit_requests(wl, args.scheme, rider, perm, time_bits)
+        offer_ids = submit_offers(wl, args.scheme, driver)
+        request_ids = submit_requests(wl, args.scheme, rider)
         print(f"submitted {len(offer_ids)} offers, {len(request_ids)} requests")
         if args.poll:
             notes = rider.poll(request_ids) + driver.poll(offer_ids)
@@ -101,20 +100,17 @@ def cmd_match(args) -> int:
     config = ExperimentConfig(
         scheme=args.scheme, rows=wl.city.rows, cols=wl.city.cols,
         n_offers=len(wl.offers), n_requests=len(wl.requests), seed=args.seed,
-        **_crypto_args(args),
+        **_args(args, _CRYPTO_ARGS),
     )
     _emit([run_experiment(config, workload=wl)], args.csv)
     return 0
 
 
 def cmd_workload(args) -> int:
-    city = GridCity(args.rows, args.cols)
-    wl = generate_workload(
-        city, args.offers, args.requests, args.seed,
-        (args.min_route, args.max_route), args.time_slots,
-        hit_rate=args.hit_rate, transfer_rate=args.transfer_rate,
-        capacity=args.capacity, preference=args.preference,
-    )
+    wl = ExperimentConfig(
+        **_args(args, _WORKLOAD_ARGS), route_len_range=(args.min_route, args.max_route),
+        seed=args.seed,
+    ).workload()
     save_workload(args.out, wl)
     print(f"wrote {len(wl.offers)} offers / {len(wl.requests)} requests to {args.out}")
     return 0
@@ -134,12 +130,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 def cmd_bench(args) -> int:
-    base = ExperimentConfig(
-        rows=args.rows, cols=args.cols,
-        n_offers=args.offers, n_requests=args.requests,
-        hit_rate=args.hit_rate, transfer_rate=args.transfer_rate,
-        **_crypto_args(args),
-    )
+    base = ExperimentConfig(**_args(args, _SHAPE_ARGS), **_args(args, _CRYPTO_ARGS))
     seeds = _parse_ints(args.seeds)
     pool = ServicePool()
     if args.sweep == "requests":
@@ -148,7 +139,7 @@ def cmd_bench(args) -> int:
         )
     elif args.sweep == "offers":
         reports = sweep_matrix(
-            base, _parse_ints(args.values), (args.requests,), seeds, pool=pool
+            base, _parse_ints(args.values), (args.n_requests,), seeds, pool=pool
         )
     elif args.sweep == "cells":
         reports = sweep_cell_count(base, _parse_ints(args.values), seeds, pool)
@@ -177,18 +168,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve", help="run the matching server over TCP")
-    p.add_argument("--config", help="key=value service config file")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, help="default: the service config's port")
     p.add_argument("--seed", type=int, default=None)
-    _add_crypto_args(p)
+    _add_config_args(p, ServiceConfig, _SERVICE_ARGS)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("submit", help="submit a workload file to a running server")
     p.add_argument("--workload", required=True)
     p.add_argument("--scheme", choices=("direct", "transfer"), default="direct")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=7370)
+    p.add_argument("--port", type=int, default=ServiceConfig.port)
     p.add_argument("--poll", action="store_true", help="poll for notifications after submitting")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_submit)
@@ -198,22 +187,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("direct", "transfer"), default="direct")
     p.add_argument("--csv", help="write the metrics row here instead of stdout")
     p.add_argument("--seed", type=int, default=0)
-    _add_crypto_args(p)
+    _add_config_args(p, ServiceConfig, _CRYPTO_ARGS)
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("workload", help="generate a synthetic workload file")
     p.add_argument("--out", required=True)
-    p.add_argument("--rows", type=int, default=40)
-    p.add_argument("--cols", type=int, default=40)
-    p.add_argument("--offers", type=int, default=30)
-    p.add_argument("--requests", type=int, default=50)
-    p.add_argument("--min-route", type=int, default=6)
-    p.add_argument("--max-route", type=int, default=12)
-    p.add_argument("--hit-rate", type=float, default=0.85)
-    p.add_argument("--transfer-rate", type=float, default=0.5)
-    p.add_argument("--capacity", type=int, default=5)
-    p.add_argument("--preference", default="min-cells")
-    p.add_argument("--time-slots", type=int, default=ServiceConfig.time_slots)
+    _add_config_args(p, ExperimentConfig, _WORKLOAD_ARGS)
+    low, high = ExperimentConfig.route_len_range
+    p.add_argument("--min-route", type=int, default=low)
+    p.add_argument("--max-route", type=int, default=high)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_workload)
 
@@ -222,15 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", default="10,30,50",
                    help="comma-separated sweep values (counts, cell counts, bits, or fpp)")
     p.add_argument("--scheme", choices=("direct", "transfer"), default="transfer")
-    p.add_argument("--rows", type=int, default=40)
-    p.add_argument("--cols", type=int, default=40)
-    p.add_argument("--offers", type=int, default=30)
-    p.add_argument("--requests", type=int, default=50)
-    p.add_argument("--hit-rate", type=float, default=0.85)
-    p.add_argument("--transfer-rate", type=float, default=0.5)
+    _add_config_args(p, ExperimentConfig, _SHAPE_ARGS)
     p.add_argument("--seeds", default="0,1,2")
     p.add_argument("--csv", help="write CSV here instead of stdout")
-    _add_crypto_args(p)
+    _add_config_args(p, ServiceConfig, _CRYPTO_ARGS)
     p.set_defaults(func=cmd_bench)
 
     return parser

@@ -103,6 +103,7 @@ class ServiceClient:
             rng = np.random.default_rng(rng)
         self.rng = rng
         self.registration: Registration | None = None
+        self.submitted_bytes = 0  # submission frames only, unlike the transport's count
 
     # -- plumbing -------------------------------------------------------------
 
@@ -119,6 +120,7 @@ class ServiceClient:
         reg = self._registered()
         if not reg.tokens:
             raise TokenError("no submission tokens left; register again for more")
+        self.submitted_bytes += protocol.HEADER_SIZE + len(payload)
         frame = self._request(msg_type, payload, reg.tokens.pop())
         return protocol.decode_ack(frame.payload)
 

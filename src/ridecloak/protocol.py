@@ -271,6 +271,8 @@ _NO_LIMIT = 0xFFFFFFFF
 
 
 def encode_register(role: str) -> bytes:
+    if role not in _ROLE_CODE:
+        raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
     return _Writer().u8(_ROLE_CODE[role]).bytes()
 
 

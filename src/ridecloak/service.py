@@ -58,7 +58,7 @@ _CONFIG_BOUNDS: dict[str, tuple[int, int | None]] = {
 
 @dataclass
 class ServiceConfig:
-    """Deployment parameters, loadable from a key=value text file."""
+    """Deployment parameters; `ridecloak serve` has one flag per field."""
 
     filter_bits: int = 2048
     n_hashes: int = 24
@@ -85,27 +85,6 @@ class ServiceConfig:
     @property
     def cell_vector_bits(self) -> int:
         return transfer.cell_vector_bits(self.id_bits, self.time_bits)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ServiceConfig":
-        values = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"config line {lineno}: expected key=value, got {line!r}")
-            values[key.strip()] = int(value.strip())
-        unknown = set(values) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**values)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ServiceConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
 
 def _token_digest(token: bytes) -> bytes:
@@ -308,7 +287,12 @@ class TosServer:
         subject_ids = protocol.decode_notification_poll(frame.payload)
         notes = []
         for sid in subject_ids:
-            notes.extend(self.notifications.pop(sid, []))
+            queued = self.notifications.get(sid, [])
+            taken = queued[: _U16 - len(notes)]  # a batch counts its notes in a u16
+            notes.extend(taken)
+            del queued[: len(taken)]
+            if not queued:
+                self.notifications.pop(sid, None)
         return MsgType.MATCH_NOTIFICATION, protocol.encode_notification_batch(notes)
 
     def handle_epoch_query(self, frame: Frame) -> Reply:

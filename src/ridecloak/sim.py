@@ -14,13 +14,13 @@ import csv
 import hashlib
 import struct
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import direct
 from .bloom import SECONDS_PER_DAY, slot_index
-from .client import LoopbackTransport, ServiceClient
+from .client import LoopbackTransport, ServiceClient, TokenError
 from .direct import MatchCase, OfferSpec, RequestSpec
 from .service import RideService, ServiceConfig, TosServer
 from .transfer import Preference
@@ -146,8 +146,8 @@ class PlainOffer:
     depart_seconds: float
     cell_seconds: float
     capacity: int
-    cases: tuple[MatchCase, ...] = direct.DEFAULT_CASES
-    pickup_span: int = 2
+    cases: tuple[MatchCase, ...]
+    pickup_span: int
 
     def time_at(self, position: int) -> float:
         return self.depart_seconds + position * self.cell_seconds
@@ -171,7 +171,7 @@ class PlainRequest:
     route: tuple[int, ...]
     pickup_seconds: float
     dropoff_seconds: float
-    preference: Preference = field(default_factory=lambda: Preference.parse("min-cells"))
+    preference: Preference
 
 
 @dataclass
@@ -201,7 +201,7 @@ def workload_to_text(wl: Workload) -> str:
     return "\n".join(lines) + "\n"
 
 
-def workload_from_text(text: str) -> Workload:
+def parse_workload(text: str) -> Workload:
     city = None
     seed = 0
     offers: list[PlainOffer] = []
@@ -261,7 +261,7 @@ def save_workload(path: str, wl: Workload) -> None:
 
 def load_workload(path: str) -> Workload:
     with open(path, "r", encoding="utf-8") as fh:
-        return workload_from_text(fh.read())
+        return parse_workload(fh.read())
 
 
 def _jitter_aligned(
@@ -308,21 +308,80 @@ def _colocations(
     return pairs
 
 
+# Tokens per registration of an experiment client; submission registers
+# again whenever they run out.
+TOKENS_PER_BUNDLE = 4096
+
+
+@dataclass
+class ExperimentConfig:
+    """One experiment: a workload shape and the service it runs on.
+
+    Its field defaults are the workload defaults; `generate_workload` and
+    the CLI's workload flags read them from here.
+    """
+
+    scheme: str = "direct"  # "direct" or "transfer"
+    rows: int = 40
+    cols: int = 40
+    n_offers: int = 30
+    n_requests: int = 50
+    seed: int = 0
+    hit_rate: float = 0.85
+    transfer_rate: float = 0.5
+    capacity: int = 5
+    route_len_range: tuple[int, int] = (6, 12)
+    preference: str = "min-cells"
+    # the service parameters an experiment sets; service_config() passes them on
+    filter_bits: int = ServiceConfig.filter_bits
+    n_hashes: int = ServiceConfig.n_hashes
+    id_bits: int = ServiceConfig.id_bits
+    time_bits: int = ServiceConfig.time_bits
+    time_slots: int = ServiceConfig.time_slots
+    max_items: int = ServiceConfig.max_items
+    align_slots: int = 25
+
+    def __post_init__(self) -> None:
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be 'direct' or 'transfer', got {self.scheme!r}")
+        if self.scheme == "transfer" and self.rows * self.cols > 2**self.id_bits:
+            raise ValueError(
+                f"{self.rows * self.cols} cells do not fit in {self.id_bits} identifier bits"
+            )
+        self.service_config()  # raises for parameters the service refuses
+
+    def workload(self) -> Workload:
+        """The seeded synthetic workload this configuration describes."""
+        return generate_workload(
+            GridCity(self.rows, self.cols), self.n_offers, self.n_requests, self.seed,
+            self.route_len_range, self.time_slots,
+            hit_rate=self.hit_rate, transfer_rate=self.transfer_rate,
+            capacity=self.capacity, align_slots=self.align_slots,
+            preference=self.preference,
+        )
+
+    def service_config(self) -> ServiceConfig:
+        """The service this experiment runs on; raises ValueError if it is invalid."""
+        own = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(ServiceConfig) if f.name in own}
+        return ServiceConfig(**shared, tokens_per_bundle=TOKENS_PER_BUNDLE)
+
+
 def generate_workload(
     city: GridCity,
     n_offers: int,
     n_requests: int,
     seed: int,
-    route_len_range: tuple[int, int] = (6, 12),
-    time_slots: int = ServiceConfig.time_slots,
+    route_len_range: tuple[int, int] = ExperimentConfig.route_len_range,
+    time_slots: int = ExperimentConfig.time_slots,
     *,
-    hit_rate: float = 0.85,
-    transfer_rate: float = 0.5,
-    capacity: int = 5,
-    align_slots: int = 25,
+    hit_rate: float = ExperimentConfig.hit_rate,
+    transfer_rate: float = ExperimentConfig.transfer_rate,
+    capacity: int = ExperimentConfig.capacity,
+    align_slots: int = ExperimentConfig.align_slots,
     pickup_span: int = 2,
     case_mix: tuple[float, float, float] = (0.55, 0.45, 0.0),
-    preference: str = "min-cells",
+    preference: str = ExperimentConfig.preference,
 ) -> Workload:
     """Build a deterministic workload with controlled matchability.
 
@@ -456,58 +515,6 @@ def ccrs_size_model(cell_count: int) -> int:
 
 # --- experiments ---------------------------------------------------------------
 
-# Tokens per registration of an experiment client; a run that needs more
-# re-registers first.
-TOKENS_PER_BUNDLE = 4096
-
-
-@dataclass
-class ExperimentConfig:
-    scheme: str = "direct"  # "direct" or "transfer"
-    rows: int = 40
-    cols: int = 40
-    n_offers: int = 30
-    n_requests: int = 50
-    seed: int = 0
-    hit_rate: float = 0.85
-    transfer_rate: float = 0.5
-    capacity: int = 5
-    route_len_range: tuple[int, int] = (6, 12)
-    preference: str = "min-cells"
-    # the service parameters an experiment sets; service_config() passes them on
-    filter_bits: int = ServiceConfig.filter_bits
-    n_hashes: int = ServiceConfig.n_hashes
-    id_bits: int = ServiceConfig.id_bits
-    time_bits: int = ServiceConfig.time_bits
-    time_slots: int = ServiceConfig.time_slots
-    max_items: int = ServiceConfig.max_items
-    align_slots: int = 25
-
-    def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be 'direct' or 'transfer', got {self.scheme!r}")
-        if self.scheme == "transfer" and self.rows * self.cols > 2**self.id_bits:
-            raise ValueError(
-                f"{self.rows * self.cols} cells do not fit in {self.id_bits} identifier bits"
-            )
-        self.service_config()  # raises for parameters the service refuses
-
-    def workload(self) -> Workload:
-        """The seeded synthetic workload this configuration describes."""
-        return generate_workload(
-            GridCity(self.rows, self.cols), self.n_offers, self.n_requests, self.seed,
-            self.route_len_range, self.time_slots,
-            hit_rate=self.hit_rate, transfer_rate=self.transfer_rate,
-            capacity=self.capacity, align_slots=self.align_slots,
-            preference=self.preference,
-        )
-
-    def service_config(self) -> ServiceConfig:
-        """The service this experiment runs on; raises ValueError if it is invalid."""
-        own = {f.name for f in fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in fields(ServiceConfig) if f.name in own}
-        return ServiceConfig(**shared, tokens_per_bundle=TOKENS_PER_BUNDLE)
-
 
 @dataclass
 class MetricsReport:
@@ -579,61 +586,80 @@ class ServicePool:
         return self.trio
 
 
-def submit_offers(
-    wl: Workload, scheme: str, driver: ServiceClient, perm: np.ndarray, time_bits: int
-) -> list[str]:
-    """Submit every offer of a workload, cells translated through perm; returns ids."""
-    if scheme == "direct":
-        return driver.submit_direct_offers([
-            OfferSpec(
-                o.offer_id,
-                tuple(int(perm[c]) for c in o.pickup_cells),
-                tuple(int(perm[c]) for c in o.dropoff_cells),
-                tuple(int(perm[c]) for c in o.route),
-                o.depart_seconds, o.capacity, o.cases,
+def _submit_all(client: ServiceClient, role: str, trips: list, cell_count: int, submit) -> list[str]:
+    """Submit trips in chunks of the tokens the client holds; returns the server's ids.
+
+    A client with no registration or no tokens left registers first. Each
+    chunk's cells go through the permutation of the client's registration,
+    `submit(chunk, perm, time_bits)`; any key set of a service matches any
+    other, so a chunk may be encrypted under keys of a later registration.
+    """
+    ids: list[str] = []
+    while len(ids) < len(trips):
+        reg = client.registration
+        if reg is None or not reg.tokens:
+            reg = client.register(role)
+            if not reg.tokens:
+                raise TokenError("registration gave no submission tokens")
+        perm = identifier_permutation(cell_count, reg.epoch, reg.salt)
+        ids += submit(trips[len(ids) : len(ids) + len(reg.tokens)], perm, reg.bundle.time_bits)
+    return ids
+
+
+def submit_offers(wl: Workload, scheme: str, driver: ServiceClient) -> list[str]:
+    """Submit every offer of a workload as `driver`; returns the server's ids."""
+
+    def submit(offers: list[PlainOffer], perm: np.ndarray, time_bits: int) -> list[str]:
+        if scheme == "direct":
+            return driver.submit_direct_offers([
+                OfferSpec(
+                    o.offer_id,
+                    tuple(int(perm[c]) for c in o.pickup_cells),
+                    tuple(int(perm[c]) for c in o.dropoff_cells),
+                    tuple(int(perm[c]) for c in o.route),
+                    o.depart_seconds, o.capacity, o.cases,
+                )
+                for o in offers
+            ])
+        return [
+            driver.submit_transfer_offer(
+                [
+                    (int(perm[cell]), slot_index(o.time_at(pos), time_bits))
+                    for pos, cell in enumerate(o.route)
+                ],
+                o.capacity,
             )
-            for o in wl.offers
-        ])
-    return [
-        driver.submit_transfer_offer(
-            [
-                (int(perm[cell]), slot_index(o.time_at(pos), time_bits))
-                for pos, cell in enumerate(o.route)
-            ],
-            o.capacity,
-        )
-        for o in wl.offers
-    ]
+            for o in offers
+        ]
+
+    return _submit_all(driver, "driver", wl.offers, wl.city.cell_count, submit)
 
 
-def submit_requests(
-    wl: Workload, scheme: str, rider: ServiceClient, perm: np.ndarray, time_bits: int
-) -> list[str]:
-    """Submit every request of a workload, cells translated through perm; returns ids."""
-    if scheme == "direct":
-        return rider.submit_direct_requests([
-            RequestSpec(
-                r.request_id,
-                int(perm[r.pickup]),
-                int(perm[r.dropoff]),
-                tuple(int(perm[c]) for c in r.route),
-                r.pickup_seconds,
+def submit_requests(wl: Workload, scheme: str, rider: ServiceClient) -> list[str]:
+    """Submit every request of a workload as `rider`; returns the server's ids."""
+
+    def submit(requests: list[PlainRequest], perm: np.ndarray, time_bits: int) -> list[str]:
+        if scheme == "direct":
+            return rider.submit_direct_requests([
+                RequestSpec(
+                    r.request_id,
+                    int(perm[r.pickup]),
+                    int(perm[r.dropoff]),
+                    tuple(int(perm[c]) for c in r.route),
+                    r.pickup_seconds,
+                )
+                for r in requests
+            ])
+        return [
+            rider.submit_transfer_request(
+                (int(perm[r.pickup]), slot_index(r.pickup_seconds, time_bits)),
+                (int(perm[r.dropoff]), slot_index(r.dropoff_seconds, time_bits)),
+                r.preference,
             )
-            for r in wl.requests
-        ])
-    return [
-        rider.submit_transfer_request(
-            (int(perm[r.pickup]), slot_index(r.pickup_seconds, time_bits)),
-            (int(perm[r.dropoff]), slot_index(r.dropoff_seconds, time_bits)),
-            r.preference,
-        )
-        for r in wl.requests
-    ]
+            for r in requests
+        ]
 
-
-def _ensure_tokens(client: ServiceClient, needed: int) -> None:
-    if len(client.registration.tokens) < needed:
-        client.register(client.registration.role)
+    return _submit_all(rider, "rider", wl.requests, wl.city.cell_count, submit)
 
 
 def count_fpp_events(
@@ -670,17 +696,14 @@ def run_experiment(
     if workload is None:
         workload = config.workload()
     service, driver, rider = (pool or ServicePool()).acquire(config)
-    _ensure_tokens(driver, len(workload.offers))
-    _ensure_tokens(rider, len(workload.requests))
-    perm = identifier_permutation(city.cell_count, service.server.epoch, service.server.salt)
 
-    sent0 = driver.transport.sent_bytes
-    offer_ids = submit_offers(workload, config.scheme, driver, perm, config.time_bits)
-    offer_bytes = driver.transport.sent_bytes - sent0
+    sent0 = driver.submitted_bytes
+    offer_ids = submit_offers(workload, config.scheme, driver)
+    offer_bytes = driver.submitted_bytes - sent0
 
-    sent0 = rider.transport.sent_bytes
-    request_ids = submit_requests(workload, config.scheme, rider, perm, config.time_bits)
-    request_bytes = rider.transport.sent_bytes - sent0
+    sent0 = rider.submitted_bytes
+    request_ids = submit_requests(workload, config.scheme, rider)
+    request_bytes = rider.submitted_bytes - sent0
 
     n_req = len(workload.requests)
     n_off = len(workload.offers)

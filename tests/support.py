@@ -122,9 +122,3 @@ def metrics_csv_text(reports):
     out = io.StringIO()
     sim.write_metrics_csv(out, reports)
     return out.getvalue()
-
-
-def config_text(config):
-    """A `key = value` service config file that `ServiceConfig.from_text` reads."""
-    lines = [f"{name} = {getattr(config, name)}" for name in config.__dataclass_fields__]
-    return "\n".join(lines) + "\n"

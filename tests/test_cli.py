@@ -5,11 +5,12 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 
 from ridecloak import sim
-from ridecloak.cli import main
+from ridecloak.cli import build_parser, main
 from ridecloak.service import ServiceConfig, SocketServer
 
 SMALL_ARGS = [
@@ -38,6 +39,17 @@ def test_workload_command(tmp_path, capsys):
     wl = sim.load_workload(str(out))
     assert len(wl.offers) == 4 and len(wl.requests) == 6
     assert wl.city == sim.GridCity(8, 8)
+
+
+def test_workload_shape_flags_default_to_the_experiment_config(tmp_path):
+    out = tmp_path / "wl.txt"
+    assert main(["workload", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == sim.workload_to_text(sim.ExperimentConfig().workload())
+    bench = build_parser().parse_args(["bench", "requests"])
+    default = sim.ExperimentConfig()
+    for name in ("rows", "cols", "n_offers", "n_requests", "hit_rate", "transfer_rate"):
+        assert getattr(bench, name) == getattr(default, name)
+    assert bench.scheme == "transfer"
 
 
 def test_match_command_writes_csv(tmp_path):
@@ -128,20 +140,16 @@ def test_workload_file_errors_return_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: workload line 2: missing field 'dwell'\n"
 
 
-def serve_and_submit(tmp_path, capsys, scheme):
+def serve_and_submit(tmp_path, capsys, scheme, *serve_args):
     wl_path = tmp_path / "wl.txt"
     write_small_workload(wl_path)
-    cfg_path = tmp_path / "service.cfg"
-    cfg_path.write_text(
-        "filter_bits=320\nn_hashes=4\nid_bits=6\ntime_bits=4\nmatch_threshold=1\n",
-        encoding="utf-8",
-    )
     env = dict(os.environ, PYTHONUNBUFFERED="1")
     proc = subprocess.Popen(
         [
             sys.executable, "-c",
             "import sys; from ridecloak.cli import main; sys.exit(main(sys.argv[1:]))",
-            "serve", "--config", str(cfg_path), "--port", "0", "--seed", "5",
+            "serve", *SMALL_ARGS, "--match-threshold", "1", "--port", "0", "--seed", "5",
+            *serve_args,
         ],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
     )
@@ -177,16 +185,37 @@ def test_serve_and_submit_transfer_round_trip(tmp_path, capsys):
     serve_and_submit(tmp_path, capsys, "transfer")
 
 
-def test_serve_config_port_is_used_without_port_flag(tmp_path, capsys, monkeypatch):
-    cfg_path = tmp_path / "service.cfg"
-    cfg_path.write_text(
-        "filter_bits=320\nn_hashes=4\nid_bits=6\ntime_bits=4\nport=0\n", encoding="utf-8"
-    )
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+def test_submit_registers_again_when_tokens_run_out(tmp_path, capsys, scheme):
+    """3 offers and 4 requests on 2 tokens a registration: every trip is still submitted."""
+    serve_and_submit(tmp_path, capsys, scheme, "--tokens-per-bundle", "2")
 
+
+def serve_parser():
+    return build_parser()._subparsers._group_actions[0].choices["serve"]
+
+
+def test_serve_has_one_flag_per_config_field():
+    flags = {
+        action.dest: action for action in serve_parser()._actions
+        if action.dest not in ("help", "host", "seed")
+    }
+    assert sorted(flags) == sorted(f.name for f in fields(ServiceConfig))
+    for f in fields(ServiceConfig):
+        assert flags[f.name].option_strings == ["--" + f.name.replace("_", "-")]
+        assert flags[f.name].default == f.default
+
+
+def test_serve_refuses_an_out_of_range_flag(capsys):
+    assert main(["serve", "--tokens-per-bundle", "0"]) == 1
+    assert capsys.readouterr().err == "error: tokens_per_bundle must be in [1, 65535], got 0\n"
+
+
+def test_serve_binds_the_port_flag(capsys, monkeypatch):
     def interrupted(self, *args, **kwargs):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(SocketServer, "serve_forever", interrupted)
-    assert main(["serve", "--config", str(cfg_path), "--seed", "5"]) == 0
+    assert main(["serve", *SMALL_ARGS, "--port", "0", "--seed", "5"]) == 0
     found = re.match(r"listening on [\d.]+:(\d+) \(epoch 1\)", capsys.readouterr().out)
     assert found and int(found.group(1)) != ServiceConfig.port

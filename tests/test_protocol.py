@@ -127,7 +127,7 @@ def test_read_frame_mid_stream_eof():
 def test_register_round_trip():
     for role in ("driver", "rider"):
         assert protocol.decode_register(protocol.encode_register(role)) == role
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="role must be 'driver' or 'rider', got 'server'"):
         protocol.encode_register("server")
     with pytest.raises(ProtocolError, match="role"):
         protocol.decode_register(b"\x09")

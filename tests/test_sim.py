@@ -9,6 +9,7 @@ import pytest
 import oracles
 import support
 from ridecloak import sim
+from ridecloak.client import LoopbackTransport, ServiceClient, TokenError
 from ridecloak.sim import ExperimentConfig, GridCity, ServicePool
 
 SMALL_EXPERIMENT = ExperimentConfig(
@@ -121,9 +122,9 @@ def test_fewer_requests_are_a_prefix_of_more():
 
 def test_workload_text_errors():
     with pytest.raises(ValueError, match="unknown record"):
-        sim.workload_from_text("grid 4 4 seed=1\nbogus x y=1\n")
+        sim.parse_workload("grid 4 4 seed=1\nbogus x y=1\n")
     with pytest.raises(ValueError, match="no grid line"):
-        sim.workload_from_text("# empty\n")
+        sim.parse_workload("# empty\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -136,7 +137,7 @@ def test_workload_text_errors():
 ], ids=["offer-field", "request-field", "grid-arity", "grid-seed", "bare-word", "bad-int"])
 def test_workload_text_errors_name_the_line(text, message):
     with pytest.raises(ValueError, match=f"^workload {message}"):
-        sim.workload_from_text(text)
+        sim.parse_workload(text)
 
 
 def test_truth_gate_matches_independent_oracle():
@@ -227,6 +228,46 @@ def test_reports_deterministic_across_fresh_pools():
         row_a.pop("search_time_ms")
         row_b.pop("search_time_ms")
         assert row_a == row_b
+
+
+PINNED_ROW = dict(
+    rows=8, cols=8, cell_count=64, n_offers=6, n_requests=10, seed=0, filter_bits=320,
+    n_hashes=4, time_bits=4, preference="min-cells", success_rate=0.9,
+    vehicle_service_rate=1.5, fpp_events=0,
+)
+
+
+@pytest.mark.parametrize("scheme, bytes_per_offer, bytes_per_request", [
+    ("direct", 82016.0, 82010.0),
+    ("transfer", 13840.666666666666, 2127.0),
+])
+def test_experiment_csv_is_pinned(scheme, bytes_per_offer, bytes_per_request):
+    """Every CSV column but the timing: a drifted submission path or byte count shows here."""
+    row = sim.run_experiment(replace(SMALL_EXPERIMENT, scheme=scheme), pool=ServicePool()).row()
+    row.pop("search_time_ms")
+    assert row == dict(
+        PINNED_ROW, scheme=scheme,
+        bytes_per_offer=bytes_per_offer, bytes_per_request=bytes_per_request,
+    )
+
+
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+def test_a_token_top_up_is_not_counted_as_submission_bytes(scheme):
+    config = replace(SMALL_EXPERIMENT, scheme=scheme)
+    fresh = sim.run_experiment(config, pool=ServicePool())
+    pool = ServicePool()
+    for client in pool.acquire(config)[1:]:
+        del client.registration.tokens[1:]  # runs out after one trip
+    drained = sim.run_experiment(config, pool=pool)
+    assert drained.bytes_per_offer == fresh.bytes_per_offer
+    assert drained.bytes_per_request == fresh.bytes_per_request
+
+
+def test_submission_refuses_a_registration_without_tokens(small_service, monkeypatch):
+    monkeypatch.setattr(small_service.config, "tokens_per_bundle", 0)
+    driver = ServiceClient(LoopbackTransport(small_service))
+    with pytest.raises(TokenError, match="registration gave no submission tokens"):
+        sim.submit_offers(small_workload(), "direct", driver)
 
 
 def test_summary_bytes_flat_while_full_vectors_grow(pool):
