@@ -192,9 +192,9 @@ class ServiceClient:
 
     def sync_epoch(self) -> protocol.EpochAnnounce:
         """Pick up the current epoch and salt; keys and tokens stay valid."""
+        reg = self._registered()
         frame = self._request(MsgType.EPOCH_ANNOUNCE, b"")
         announce = protocol.decode_epoch_announce(frame.payload)
-        reg = self._registered()
         reg.epoch = announce.epoch
         reg.salt = announce.salt
         return announce

@@ -167,6 +167,8 @@ class EncryptedIndex:
     orientation is "column" for offer-side indexes and "row" for
     query-side indexes; parts is an (8, dim) float64 array; unmasked
     records whether the matching server has applied its secrets yet.
+    Neither flag nor the width travels: on the wire an index is its bare
+    parts, and the submission it sits in fixes its form (`protocol`).
     """
 
     orientation: str
@@ -189,29 +191,8 @@ class EncryptedIndex:
         return self.parts.reshape(-1)
 
     def to_bytes(self) -> bytes:
-        head = struct.pack(
-            "<BBI",
-            0 if self.orientation == "column" else 1,
-            1 if self.unmasked else 0,
-            self.dim,
-        )
-        return head + self.parts.astype("<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes | memoryview) -> "EncryptedIndex":
-        if len(blob) < 6:
-            raise ValueError("encrypted index blob too short")
-        orient_b, unmasked_b, dim = struct.unpack_from("<BBI", blob)
-        if orient_b not in (0, 1):
-            raise ValueError(f"orientation byte must be 0 or 1, got {orient_b}")
-        if unmasked_b not in (0, 1):
-            raise ValueError(f"unmasked byte must be 0 or 1, got {unmasked_b}")
-        body = blob[6:]
-        expect = PART_COUNT * dim * 8
-        if len(body) != expect:
-            raise ValueError(f"encrypted index body must be {expect} bytes, got {len(body)}")
-        parts = np.frombuffer(body, dtype="<f8").reshape(PART_COUNT, dim).copy()
-        return cls("column" if orient_b == 0 else "row", parts, bool(unmasked_b))
+        """The bare parts, little-endian float64 row-major: an index's form on the wire."""
+        return self.parts.astype("<f8").tobytes()
 
 
 def generate_master_key(dim: int, rng: np.random.Generator) -> MasterKey:

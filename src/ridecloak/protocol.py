@@ -8,6 +8,16 @@ Frame layout (all integers little-endian):
 submission and is all-zero where no authorization applies (registration,
 epoch queries, server replies). Replies mirror the request's message type;
 failures come back as ERROR frames and leave server state unchanged.
+
+A SUBMIT_OFFER or SUBMIT_REQUEST payload ends in one ciphertext block:
+its encrypted indexes back to back, each as 8*dim little-endian float64
+(the eight parts, row-major), with nothing between them. A direct trip
+has 4 (pick-up, drop-off, route, time), a transfer offer 2 per cell (plus
+then minus) and a transfer request 2 (pick-up, drop-off). The decoder
+works out dim from the block's length, and the position of an index fixes
+its form: offer-side indexes (direct offer, transfer plus) are column
+form, query-side ones (requests, transfer minus) row form, and all are
+masked.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crypto import EncryptedIndex
+from .crypto import PART_COUNT, EncryptedIndex
 from .direct import CASES, DirectOffer, DirectRequest, MatchCase
 from .transfer import (
     Preference,
@@ -175,8 +185,10 @@ class _Writer:
         self.buf += data
         return self
 
-    def index(self, idx: EncryptedIndex) -> "_Writer":
-        return self.blob(idx.to_bytes())
+    def indexes(self, indexes: list[EncryptedIndex]) -> "_Writer":
+        """The ciphertext block; np.stack refuses indexes of unequal widths."""
+        self.buf += np.stack([idx.parts for idx in indexes]).astype("<f8").tobytes()
+        return self
 
     def bytes(self) -> bytes:
         return bytes(self.buf)
@@ -231,11 +243,20 @@ class _Reader:
         self.pos += size
         return out
 
-    def index(self) -> EncryptedIndex:
-        try:
-            return EncryptedIndex.from_bytes(self.view())
-        except ValueError as exc:
-            raise ProtocolError(ErrorCode.MALFORMED, f"bad index blob: {exc}") from None
+    def indexes(self, forms: list[str]) -> list[EncryptedIndex]:
+        """The rest of the payload as a ciphertext block of one masked index per form.
+
+        The block is copied once, so no index keeps a view of the payload.
+        """
+        size = len(self.data) - self.pos
+        if not forms or not size or size % (len(forms) * PART_COUNT * 8):
+            raise ProtocolError(
+                ErrorCode.MALFORMED, f"a {size}-byte ciphertext block is not {len(forms)} indexes"
+            )
+        block = np.frombuffer(self.data, dtype="<f8", offset=self.pos).astype(np.float64)
+        self.pos = len(self.data)
+        parts = block.reshape(len(forms), PART_COUNT, -1)
+        return [EncryptedIndex(form, p) for form, p in zip(forms, parts)]
 
     def case(self) -> MatchCase:
         code = self.u8()
@@ -374,33 +395,27 @@ def encode_submit_offer(offer: DirectOffer | TransferOffer) -> bytes:
         w.u8(_SCHEME_CODE["direct"]).u16(offer.capacity).u8(len(offer.cases))
         for case in offer.cases:
             w.u8(CASES.index(case))
-        w.blob(offer.contact)
-        for idx in offer.indexes():
-            w.index(idx)
+        w.blob(offer.contact).indexes(offer.indexes())
     else:
         w.u8(_SCHEME_CODE["transfer"]).u16(offer.capacity).blob(offer.contact)
-        w.u16(len(offer.cells))
-        for cell in offer.cells:
-            w.index(cell.plus).index(cell.minus)
+        w.u16(len(offer.cells)).indexes([idx for c in offer.cells for idx in (c.plus, c.minus)])
     return w.bytes()
 
 
 def decode_submit_offer(payload: bytes | memoryview) -> DirectOffer | TransferOffer:
-    """The submitted offer, with an empty id and its indexes as sent."""
+    """The submitted offer, with an empty id and masked indexes of the offer forms."""
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         capacity = r.u16()
         cases = tuple(r.case() for _ in range(r.u8()))
         contact = r.blob()
-        indexes = [r.index() for _ in range(4)]
-        r.done()
-        return DirectOffer("", capacity, cases, *indexes, contact)
+        return DirectOffer("", capacity, cases, *r.indexes(["column"] * 4), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         capacity = r.u16()
         contact = r.blob()
-        cells = [TransferCellCipher(r.index(), r.index()) for _ in range(r.u16())]
-        r.done()
+        block = r.indexes(["column", "row"] * r.u16())
+        cells = [TransferCellCipher(p, m) for p, m in zip(block[::2], block[1::2])]
         return TransferOffer("", capacity, cells, contact)
     raise ProtocolError(ErrorCode.MALFORMED, f"unknown scheme code {scheme}")
 
@@ -409,28 +424,24 @@ def encode_submit_request(request: DirectRequest | TransferRequest) -> bytes:
     """SUBMIT_REQUEST payload; the request id stays client-side."""
     w = _Writer()
     if isinstance(request, DirectRequest):
-        w.u8(_SCHEME_CODE["direct"]).blob(request.contact)
-        for idx in request.indexes():
-            w.index(idx)
+        w.u8(_SCHEME_CODE["direct"]).blob(request.contact).indexes(request.indexes())
     else:
         pref = request.preference
         w.u8(_SCHEME_CODE["transfer"]).blob(request.contact)
         w.u8(_PREF_CODE[pref.kind])
         w.u32(_NO_LIMIT if pref.cells_limit is None else pref.cells_limit)
         w.u32(_NO_LIMIT if pref.transfers_limit is None else pref.transfers_limit)
-        w.index(request.pickup).index(request.dropoff)
+        w.indexes([request.pickup, request.dropoff])
     return w.bytes()
 
 
 def decode_submit_request(payload: bytes | memoryview) -> DirectRequest | TransferRequest:
-    """The submitted request, with an empty id and its indexes as sent."""
+    """The submitted request, with an empty id and masked row-form indexes."""
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         contact = r.blob()
-        indexes = [r.index() for _ in range(4)]
-        r.done()
-        return DirectRequest("", *indexes, contact)
+        return DirectRequest("", *r.indexes(["row"] * 4), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         contact = r.blob()
         kind_code = r.u8()
@@ -438,8 +449,7 @@ def decode_submit_request(payload: bytes | memoryview) -> DirectRequest | Transf
             raise ProtocolError(ErrorCode.MALFORMED, f"unknown preference code {kind_code}")
         cells_limit = r.u32()
         transfers_limit = r.u32()
-        pickup, dropoff = r.index(), r.index()
-        r.done()
+        pickup, dropoff = r.indexes(["row", "row"])
         try:
             pref = Preference(
                 _PREF_NAME[kind_code],

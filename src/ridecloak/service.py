@@ -216,16 +216,11 @@ class TosServer:
 
     # -- ingestion ------------------------------------------------------------
 
-    def _check_index(self, idx: crypto.EncryptedIndex, orientation: str, dim: int) -> None:
-        if idx.unmasked:
-            raise ProtocolError(ErrorCode.BAD_STATE, "submissions must not be pre-unmasked")
-        if idx.orientation != orientation:
-            raise ProtocolError(
-                ErrorCode.BAD_STATE, f"index must be {orientation}-form, got {idx.orientation}"
-            )
-        if idx.dim != dim:
-            raise ProtocolError(ErrorCode.BAD_DIMENSION, f"index dim {idx.dim}, expected {dim}")
-        if not np.isfinite(idx.parts).all():
+    def _check_indexes(self, indexes: list[crypto.EncryptedIndex], dim: int) -> None:
+        """A decoded ciphertext block: its one width, then every part finite."""
+        if indexes[0].dim != dim:
+            raise ProtocolError(ErrorCode.BAD_DIMENSION, f"index dim {indexes[0].dim}, expected {dim}")
+        if not all(np.isfinite(idx.parts).all() for idx in indexes):
             raise ProtocolError(ErrorCode.MALFORMED, "index parts must be finite")
 
     def handle_submit_offer(self, frame: Frame) -> Reply:
@@ -237,8 +232,7 @@ class TosServer:
         if isinstance(offer, direct.DirectOffer):
             if not offer.cases:
                 raise ProtocolError(ErrorCode.BAD_STATE, "offer must accept at least one case")
-            for idx in offer.indexes():
-                self._check_index(idx, "column", self.config.filter_bits)
+            self._check_indexes(offer.indexes(), self.config.filter_bits)
             offer_id = self._next_id("do")
             row = self.offer_pool.admit(
                 offer.indexes(), self.secrets_direct, offer_id, offer.capacity, offer.cases
@@ -247,10 +241,9 @@ class TosServer:
         else:
             if len(offer.cells) < 2:
                 raise ProtocolError(ErrorCode.BAD_STATE, "transfer offer needs >= 2 cells")
-            dims = self.config.cell_vector_bits
-            for cell in offer.cells:
-                self._check_index(cell.plus, "column", dims)
-                self._check_index(cell.minus, "row", dims)
+            self._check_indexes(
+                [idx for c in offer.cells for idx in (c.plus, c.minus)], self.config.cell_vector_bits
+            )
             offer.offer_id = offer_id = self._next_id("to")
             self.graph.add_offer(offer, self.secrets_transfer)
             self.transfer_offers[offer_id] = offer
@@ -262,16 +255,14 @@ class TosServer:
         token = self._check_token(frame.token)
         request = protocol.decode_submit_request(frame.payload)
         if isinstance(request, direct.DirectRequest):
-            for idx in request.indexes():
-                self._check_index(idx, "row", self.config.filter_bits)
+            self._check_indexes(request.indexes(), self.config.filter_bits)
             request_id = self._next_id("dr")
             row = self.request_pool.admit(request.indexes(), self.secrets_direct, request_id)
             self.direct_requests[request_id] = direct.PoolEntry(
                 self.request_pool, row, request.contact
             )
         else:
-            for idx in (request.pickup, request.dropoff):
-                self._check_index(idx, "row", self.config.cell_vector_bits)
+            self._check_indexes([request.pickup, request.dropoff], self.config.cell_vector_bits)
             request.pickup, request.dropoff = crypto.unmask_indices(
                 [request.pickup, request.dropoff], self.secrets_transfer
             )

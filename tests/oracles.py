@@ -375,46 +375,45 @@ def _blob(data):
     return struct.pack("<I", len(data)) + bytes(data)
 
 
-def encrypted_index(orientation, unmasked, parts):
-    """An encrypted index: u8 orientation (0 column, 1 row), u8 unmasked,
-    u32 dim, then the (8, dim) parts as little-endian float64 row-major."""
-    parts = np.asarray(parts, dtype="<f8")
-    head = struct.pack("<BBI", {"column": 0, "row": 1}[orientation], int(unmasked), parts.shape[1])
-    return head + parts.tobytes(order="C")
+def encrypted_index(parts):
+    """An encrypted index on the wire: its (8, dim) parts as little-endian
+    float64 row-major, with no length, form or width beside them."""
+    return np.asarray(parts, dtype="<f8").tobytes(order="C")
 
 
 def direct_offer_payload(capacity, cases, contact, indexes):
     """SUBMIT_OFFER, direct: u8 scheme 0, u16 capacity, u8 case count, one
     u8 per case (area 0, route 1, extended 2), the u32-prefixed contact,
-    then the four u32-prefixed index blobs (pick-up, drop-off, route, time)."""
+    then the ciphertext block: the four index blobs (pick-up, drop-off,
+    route, time) back to back."""
     codes = bytes(_WIRE_CASE[c] for c in cases)
-    return struct.pack("<BHB", 0, capacity, len(codes)) + codes + _blob(contact) + b"".join(
-        _blob(ix) for ix in indexes
-    )
+    return struct.pack("<BHB", 0, capacity, len(codes)) + codes + _blob(contact) + b"".join(indexes)
 
 
 def transfer_offer_payload(capacity, contact, cells):
     """SUBMIT_OFFER, transfer: u8 scheme 1, u16 capacity, the u32-prefixed
-    contact, u16 cell count, then per cell the u32-prefixed plus and minus blobs."""
-    body = b"".join(_blob(plus) + _blob(minus) for plus, minus in cells)
+    contact, u16 cell count, then the ciphertext block: per cell the plus
+    and minus blobs, back to back."""
+    body = b"".join(plus + minus for plus, minus in cells)
     return struct.pack("<BH", 1, capacity) + _blob(contact) + struct.pack("<H", len(cells)) + body
 
 
 def direct_request_payload(contact, indexes):
     """SUBMIT_REQUEST, direct: u8 scheme 0, the u32-prefixed contact, then
-    the four u32-prefixed index blobs (pick-up, drop-off, route, time)."""
-    return struct.pack("<B", 0) + _blob(contact) + b"".join(_blob(ix) for ix in indexes)
+    the ciphertext block: the four index blobs (pick-up, drop-off, route,
+    time) back to back."""
+    return struct.pack("<B", 0) + _blob(contact) + b"".join(indexes)
 
 
 def transfer_request_payload(contact, preference, cells_limit, transfers_limit, pickup, dropoff):
     """SUBMIT_REQUEST, transfer: u8 scheme 1, the u32-prefixed contact, u8
     preference code (declaration order of the preference names), u32 cells
     limit and u32 transfers limit (0xFFFFFFFF for none), then the
-    u32-prefixed pick-up and drop-off blobs."""
+    ciphertext block: the pick-up and drop-off blobs back to back."""
     limits = [_NO_LIMIT if v is None else v for v in (cells_limit, transfers_limit)]
     head = struct.pack("<B", 1) + _blob(contact)
     head += struct.pack("<BII", _PREFERENCE_CODES[preference], *limits)
-    return head + _blob(pickup) + _blob(dropoff)
+    return head + pickup + dropoff
 
 
 # --- structural state inspection ----------------------------------------------

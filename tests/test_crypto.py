@@ -179,17 +179,13 @@ def test_non_binary_plaintext_rejected(knn64):
 
 
 def test_encrypted_index_byte_round_trip(knn64):
+    """On the wire an index is its bare parts: no form, mask flag or width beside them."""
     rng = np.random.default_rng(7)
     idx = support.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
-    back = crypto.EncryptedIndex.from_bytes(idx.to_bytes())
-    assert back.orientation == idx.orientation
-    assert back.unmasked == idx.unmasked
-    np.testing.assert_array_equal(back.parts, idx.parts)
-    with pytest.raises(ValueError):
-        crypto.EncryptedIndex.from_bytes(idx.to_bytes()[:-1])
-    for head in (b"\x02\x00", b"\x07\x00", b"\x00\x02"):
-        with pytest.raises(ValueError, match="byte must be 0 or 1"):
-            crypto.EncryptedIndex.from_bytes(head + idx.to_bytes()[2:])
+    blob = idx.to_bytes()
+    assert len(blob) == crypto.PART_COUNT * knn64.dim * 8
+    back = np.frombuffer(blob, dtype="<f8").reshape(crypto.PART_COUNT, knn64.dim)
+    np.testing.assert_array_equal(back, idx.parts)
 
 
 def test_key_material_round_trips(knn64):

@@ -38,11 +38,14 @@ def sample_indexes(count=4, dim=16, seed=0, role="rider"):
 
 def oracle_blobs(indexes):
     """Index blobs laid out by the independent encoder."""
-    return [oracles.encrypted_index(ix.orientation, ix.unmasked, ix.parts) for ix in indexes]
+    return [oracles.encrypted_index(ix.parts) for ix in indexes]
 
 
 def same_indexes(a, b):
-    return [ix.to_bytes() for ix in a] == [ix.to_bytes() for ix in b]
+    def fields(indexes):
+        return [(ix.orientation, ix.unmasked, ix.to_bytes()) for ix in indexes]
+
+    return fields(a) == fields(b)
 
 
 def test_frame_round_trip():
@@ -170,10 +173,11 @@ def test_direct_offer_payload_round_trip():
     assert isinstance(back, DirectOffer) and back.offer_id == ""
     assert (back.capacity, back.cases, back.contact) == (3, offer.cases, b"call-me")
     assert same_indexes(back.indexes(), offer.indexes())
-    with pytest.raises(ProtocolError, match="underrun"):  # a direct offer carries 4 indexes
-        protocol.decode_submit_offer(
-            oracles.direct_offer_payload(1, ["area"], b"", oracle_blobs(offer.indexes())[:3])
-        )
+    # three indexes of width 16 are read as the four of width 12 they also spell
+    short = protocol.decode_submit_offer(
+        oracles.direct_offer_payload(1, ["area"], b"", oracle_blobs(offer.indexes())[:3])
+    )
+    assert [ix.dim for ix in short.indexes()] == [12] * 4
 
 
 def test_transfer_offer_payload_round_trip():
@@ -247,7 +251,7 @@ def test_payload_underruns_rejected():
         DirectOffer("", 1, (MatchCase.AREA,), *sample_indexes(seed=3), b"contact")
     )
     with pytest.raises(ProtocolError, match="underrun"):
-        protocol.decode_submit_offer(payload[:-3])
+        protocol.decode_submit_offer(payload[:6])  # cut inside the contact's length
     ann = protocol.encode_epoch_announce(EpochAnnounce(1, 2, 3, 4))
     with pytest.raises(ProtocolError, match="underrun"):
         protocol.decode_epoch_announce(ann[:-1])
@@ -284,14 +288,39 @@ def test_error_round_trip():
 
 def test_encrypted_index_round_trip(knn64):
     rng = np.random.default_rng(11)
-    idx = support.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
+    idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
     payload = protocol.encode_submit_request(DirectRequest("", idx, idx, idx, idx))
     back = protocol.decode_submit_request(payload).pickup
-    assert back.orientation == idx.orientation
+    assert (back.orientation, back.unmasked) == ("row", False)
     np.testing.assert_array_equal(back.parts, idx.parts)
-    with pytest.raises(ProtocolError, match="blob") as exc_info:
+    with pytest.raises(ProtocolError, match="ciphertext block") as exc_info:
         protocol.decode_submit_request(oracles.direct_request_payload(b"", [b"\x01\x02\x03"] * 4))
     assert exc_info.value.code is ErrorCode.MALFORMED
+
+
+def _cell_indexes(offer):
+    return [ix for c in offer.cells for ix in (c.plus, c.minus)]
+
+
+@pytest.mark.parametrize("encode, decode, trip, indexes", [
+    (protocol.encode_submit_offer, protocol.decode_submit_offer,
+     lambda ix: DirectOffer("", 1, (MatchCase.AREA,), *ix), DirectOffer.indexes),
+    (protocol.encode_submit_request, protocol.decode_submit_request,
+     lambda ix: DirectRequest("", *ix), DirectRequest.indexes),
+    (protocol.encode_submit_offer, protocol.decode_submit_offer,
+     lambda ix: TransferOffer("", 1, [TransferCellCipher(*ix[:2]), TransferCellCipher(*ix[2:])]),
+     _cell_indexes),
+    (protocol.encode_submit_request, protocol.decode_submit_request,
+     lambda ix: TransferRequest("", *ix[:2]), lambda r: [r.pickup, r.dropoff]),
+], ids=["direct-offer", "direct-request", "transfer-offer", "transfer-request"])
+def test_decoded_indexes_hold_no_view_of_the_frame(encode, decode, trip, indexes):
+    payload = encode(trip(sample_indexes(seed=5)))
+    buf = np.frombuffer(
+        bytearray(protocol.encode_frame(MsgType.SUBMIT_OFFER, 1, ZERO_TOKEN, payload)), dtype=np.uint8
+    )
+    frame, _ = protocol.decode_frame(memoryview(buf))
+    decoded = indexes(decode(frame.payload))
+    assert decoded and not any(np.shares_memory(ix.parts, buf) for ix in decoded)
 
 
 def _note_with_case_code(code):

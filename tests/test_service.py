@@ -100,6 +100,13 @@ def test_register_refuses_an_unknown_role_before_sending(small_service):
     assert transport.sent_bytes == 0
 
 
+def test_sync_epoch_refuses_an_unregistered_client_before_sending(small_service):
+    transport = LoopbackTransport(small_service)
+    with pytest.raises(RuntimeError, match="not registered"):
+        ServiceClient(transport).sync_epoch()
+    assert transport.sent_bytes == 0
+
+
 def test_two_registrations_get_distinct_keys(small_service):
     a, b = make_clients(small_service, roles=("driver", "driver"))
     ka = a.registration.keysets["direct-driver"].parts[0]
@@ -309,23 +316,24 @@ def test_bogus_token_rejected_before_any_work(small_service, monkeypatch):
 
 
 def corrupt_nonfinite(blob, value):
-    parts = np.frombuffer(blob[6:], dtype="<f8").copy()
+    parts = np.frombuffer(blob, dtype="<f8").copy()
     parts[len(parts) // 2] = value
-    return blob[:6] + parts.astype("<f8").tobytes()
+    return parts.astype("<f8").tobytes()
 
 
-def corrupt_orientation(blob, _value):
-    return bytes([7]) + blob[1:]
+def drop_last_value(blob, _value):
+    """One float64 short: the submission's block is no whole number of indexes."""
+    return blob[:-8]
 
 
 def corrupt_overflow(blob, value):
     """Every part set to `value`: finite, but past what unmasking can keep finite."""
-    return blob[:6] + np.full((len(blob) - 6) // 8, value, dtype="<f8").tobytes()
+    return np.full(len(blob) // 8, value, dtype="<f8").tobytes()
 
 
 def corrupted_frames(driver, rider, corrupt, value):
     """A direct offer, a direct request, a transfer offer and a transfer request,
-    each with one bad blob. The payloads are laid out by the oracle encoders,
+    each with one bad index blob. The payloads are laid out by the oracle encoders,
     since no index object holds these bytes."""
     rng = np.random.default_rng(9)
     reg, rreg = driver.registration, rider.registration
@@ -365,7 +373,7 @@ def corrupted_frames(driver, rider, corrupt, value):
     (corrupt_nonfinite, np.nan),
     (corrupt_nonfinite, np.inf),
     (corrupt_nonfinite, -np.inf),
-    (corrupt_orientation, None),
+    (drop_last_value, None),
     (corrupt_overflow, 1e307),
 ])
 def test_impossible_ciphertexts_rejected_without_state_change(small_service, corrupt, value):
@@ -577,8 +585,6 @@ def test_transfer_handoff_over_wire(small_service):
     assert note.segment_offers == [ids["d1"], ids["d2"]]
     assert note.peer_contacts == [b"d1", b"d2"]
     assert len(note.transfer_ciphers) == 1
-    boarding = crypto.EncryptedIndex.from_bytes(note.transfer_ciphers[0])
-    assert boarding.orientation == "column" and not boarding.unmasked
     # the relayed bytes are the boarding cell's plus ciphertext as d2 sent it
     _, pos = next(node for node in records[0].path.nodes if node[0] == ids["d2"])
     frame, _ = protocol.decode_frame(d2_frame)

@@ -238,8 +238,8 @@ PINNED_ROW = dict(
 
 
 @pytest.mark.parametrize("scheme, bytes_per_offer, bytes_per_request", [
-    ("direct", 82016.0, 82010.0),
-    ("transfer", 13840.666666666666, 2127.0),
+    ("direct", 81976.0, 81970.0),
+    ("transfer", 13707.333333333334, 2107.0),
 ])
 def test_experiment_csv_is_pinned(scheme, bytes_per_offer, bytes_per_request):
     """Every CSV column but the timing: a drifted submission path or byte count shows here."""
@@ -249,6 +249,31 @@ def test_experiment_csv_is_pinned(scheme, bytes_per_offer, bytes_per_request):
         PINNED_ROW, scheme=scheme,
         bytes_per_offer=bytes_per_offer, bytes_per_request=bytes_per_request,
     )
+
+
+@pytest.mark.parametrize("scheme, widths", [
+    ("direct", dict(filter_bits=320)),
+    ("direct", dict(filter_bits=128)),
+    ("transfer", dict(id_bits=6, time_bits=4)),
+    ("transfer", dict(id_bits=8, time_bits=9)),
+], ids=["direct-320", "direct-128", "transfer-w16", "transfer-w25"])
+def test_submission_bytes_follow_the_size_formulas(pool, scheme, widths):
+    """The sizes README "File formats" gives, with no contact (c = 0): a direct
+    offer is 45 + 8 + k + 256*filter_bits B for k cases, a direct request
+    45 + 5 + 256*filter_bits B; with w = 2*id_bits + time_bits, a transfer
+    offer is 45 + 9 + 128*w*cells B and a transfer request 45 + 14 + 128*w B."""
+    config = replace(SMALL_EXPERIMENT, scheme=scheme, **widths)
+    wl = config.workload()
+    report = sim.run_experiment(config, workload=wl, pool=pool)
+    if scheme == "direct":
+        offers = [45 + 8 + len(o.cases) + 256 * config.filter_bits for o in wl.offers]
+        request = 45 + 5 + 256 * config.filter_bits
+    else:
+        w = 2 * config.id_bits + config.time_bits
+        offers = [45 + 9 + 128 * w * len(o.route) for o in wl.offers]
+        request = 45 + 14 + 128 * w
+    assert report.bytes_per_offer == sum(offers) / len(offers)
+    assert report.bytes_per_request == request
 
 
 @pytest.mark.parametrize("scheme", sim.SCHEMES)
