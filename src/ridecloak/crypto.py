@@ -11,14 +11,14 @@ comparable, which is what lets the server match strangers' trips.
 All matrices are double precision with entries drawn uniformly from
 [-1, 1]. Master keys and server secrets are redrawn (at most 8 attempts)
 while their 1-norm condition number exceeds 1e6, and the inverse the
-accepting check computes is kept with them, so no secret matrix is
+accepting check computes is the one used, so no secret matrix is
 inverted twice. A user's additive key shares are never inverted: a share
 pair is redrawn only when one LU factorization shows a share singular,
 with no condition bound, because the similarity error does not depend on
-how well a share is conditioned. A KeyDeriver computes its bases from
-the master keys and server secrets once, when it is built, and then keeps
-only what a derivation reads. Master keys and server secrets exist only
-in memory; the one key file format holds a user key set. Fixed-seed key
+how well a share is conditioned. `generate_keys`, the one set-up call,
+gives the authority a KeyDeriver and the server a TosSecrets per scheme,
+and the two share no array. Master keys and server secrets exist only in
+memory; the one key file format holds a user key set. Fixed-seed key
 bytes are reproducible under one BLAS thread count only; match records
 do not depend on it.
 """
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,41 +101,17 @@ def _check_square(name: str, mat: np.ndarray, dim: int) -> None:
 
 
 @dataclass
-class MasterKey:
-    """Master key for one vector width, drawn at authority set-up.
-
-    blend_a/blend_b are the matrices whose additive shares cancel in the
-    matching identity; mask_parts are the eight per-part masking matrices;
-    split_pattern is the 0/1 vector all users of this key share when
-    splitting plaintexts. Each *_inv field is the inverse its matrix's
-    conditioning check computed.
-    """
-
-    dim: int
-    blend_a: np.ndarray
-    blend_b: np.ndarray
-    mask_parts: tuple[np.ndarray, ...]
-    split_pattern: np.ndarray
-    blend_a_inv: np.ndarray
-    blend_b_inv: np.ndarray
-    mask_part_invs: tuple[np.ndarray, ...]
-
-
-@dataclass
 class TosSecrets:
-    """Matching-server secrets for one vector width.
+    """Matching-server secrets for one vector width: the two matrices it unmasks with.
 
     index_mask is applied (on the left) to column-form offer parts,
-    the inverse of query_mask (on the right) to row-form query parts.
-    Until that happens, indexes from different users are not comparable.
-    The inverses are the ones the conditioning checks computed.
+    query_mask_inv (on the right) to row-form query parts; until then,
+    indexes from different users are not comparable.
     """
 
     dim: int
-    query_mask: np.ndarray
     index_mask: np.ndarray
     query_mask_inv: np.ndarray
-    index_mask_inv: np.ndarray
 
 
 @dataclass
@@ -195,47 +171,26 @@ class EncryptedIndex:
         return self.parts.astype("<f8").tobytes()
 
 
-def generate_master_key(dim: int, rng: np.random.Generator) -> MasterKey:
-    blend_a, blend_a_inv = _random_invertible(dim, rng)
-    blend_b, blend_b_inv = _random_invertible(dim, rng)
-    mask_parts, mask_part_invs = zip(*(_random_invertible(dim, rng) for _ in range(PART_COUNT)))
-    split_pattern = rng.integers(0, 2, dim).astype(np.uint8)
-    return MasterKey(
-        dim, blend_a, blend_b, mask_parts, split_pattern, blend_a_inv, blend_b_inv, mask_part_invs
-    )
-
-
-def generate_tos_secrets(dim: int, rng: np.random.Generator) -> TosSecrets:
-    query_mask, query_mask_inv = _random_invertible(dim, rng)
-    index_mask, index_mask_inv = _random_invertible(dim, rng)
-    return TosSecrets(dim, query_mask, index_mask, query_mask_inv, index_mask_inv)
-
-
+@dataclass
 class KeyDeriver:
-    """Derives per-user key sets from one master key and the server secrets.
+    """Derives per-user key sets for one vector width.
 
-    Construction computes the eight driver bases (index_mask^-1 times each
-    mask part inverse) and the eight rider bases (each mask part times
-    query_mask). The deriver keeps those, the two blend matrices with their
-    inverses and the split pattern: (4 + 16) * dim^2 values, all a
-    derivation reads. The master mask parts are not kept.
-
-    A derivation splits each blend matrix (riders) or its inverse
-    (drivers) into two additive shares, accepted once an LU factorization
-    shows each invertible; unlike the master keys, shares carry no
-    condition bound and are never inverted.
+    It holds only what a derivation reads: the split pattern, the two blend
+    matrices with their inverses and the 16 bases `generate_keys` computes,
+    (4 + 16) * dim^2 values. A derivation splits each blend matrix (riders)
+    or its inverse (drivers) into two additive shares, accepted once an LU
+    factorization shows each invertible; unlike the master keys, shares
+    carry no condition bound and are never inverted.
     """
 
-    def __init__(self, master: MasterKey, secrets: TosSecrets):
-        if master.dim != secrets.dim:
-            raise ValueError(f"master dim {master.dim} != secrets dim {secrets.dim}")
-        self.dim = master.dim
-        self.split_pattern = master.split_pattern
-        self.blend_a, self.blend_b = master.blend_a, master.blend_b
-        self.blend_a_inv, self.blend_b_inv = master.blend_a_inv, master.blend_b_inv
-        self.secrets = secrets
-        self.driver_bases = tuple(secrets.index_mask_inv @ inv for inv in master.mask_part_invs)
-        self.rider_bases = tuple(part @ secrets.query_mask for part in master.mask_parts)
+    dim: int
+    split_pattern: np.ndarray
+    blend_a: np.ndarray
+    blend_b: np.ndarray
+    blend_a_inv: np.ndarray
+    blend_b_inv: np.ndarray
+    driver_bases: tuple[np.ndarray, ...]
+    rider_bases: tuple[np.ndarray, ...]
 
     def derive(
         self,
@@ -271,6 +226,38 @@ class KeyDeriver:
         else:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
         return UserKeySet(role, self.dim, parts, self.split_pattern.copy())
+
+
+def generate_keys(
+    dims: dict[str, int], rng: np.random.Generator
+) -> tuple[dict[str, KeyDeriver], dict[str, TosSecrets]]:
+    """Authority set-up: each scheme's KeyDeriver and the server's TosSecrets.
+
+    `dims` maps each scheme to its width. All master keys are drawn first,
+    scheme by scheme in `dims` order, then all server secrets. The driver
+    bases are index_mask^-1 times each mask part inverse, the rider bases
+    each mask part times query_mask; the results share no array.
+    """
+    masters = {
+        scheme: (
+            [_random_invertible(dim, rng) for _ in range(2 + PART_COUNT)],
+            rng.integers(0, 2, dim).astype(np.uint8),
+        )
+        for scheme, dim in dims.items()
+    }
+    derivers, secrets = {}, {}
+    for scheme, (pairs, split_pattern) in masters.items():
+        dim = dims[scheme]
+        (blend_a, blend_a_inv), (blend_b, blend_b_inv), *mask_parts = pairs
+        query_mask, query_mask_inv = _random_invertible(dim, rng)
+        index_mask, index_mask_inv = _random_invertible(dim, rng)
+        derivers[scheme] = KeyDeriver(
+            dim, split_pattern, blend_a, blend_b, blend_a_inv, blend_b_inv,
+            driver_bases=tuple(index_mask_inv @ inv for _, inv in mask_parts),
+            rider_bases=tuple(part @ query_mask for part, _ in mask_parts),
+        )
+        secrets[scheme] = TosSecrets(dim, index_mask, query_mask_inv)
+    return derivers, secrets
 
 
 def split_vector(
@@ -355,8 +342,8 @@ def unmasked_part_bound(dim: int) -> float:
 def unmask_indices(indexes: list[EncryptedIndex], secrets: TosSecrets) -> list[EncryptedIndex]:
     """Apply the server secrets to a batch of same-orientation indexes.
 
-    Cleared parts beyond `unmasked_part_bound` (or not finite) raise
-    ValueError.
+    This is the one finiteness gate: a NaN, an infinity or a cleared part
+    beyond `unmasked_part_bound` raises ValueError.
     """
     if not indexes:
         return []
@@ -376,7 +363,7 @@ def unmask_indices(indexes: list[EncryptedIndex], secrets: TosSecrets) -> list[E
         else:
             cleared = stacked @ secrets.query_mask_inv
     if not (np.abs(cleared) <= unmasked_part_bound(secrets.dim)).all():
-        raise ValueError("unmasked index parts exceed the magnitude bound")
+        raise ValueError("unmasked index parts are not finite or exceed the magnitude bound")
     blocks = cleared.reshape(len(indexes), PART_COUNT, secrets.dim)
     return [EncryptedIndex(orientation, block, unmasked=True) for block in blocks]
 
@@ -407,13 +394,6 @@ def similarity_matrix(
 _KEYFILE_HEAD = struct.Struct("<4scIB")
 
 
-def key_material_to_bytes(keys: UserKeySet) -> bytes:
-    """The key file of a user key set."""
-    header = _KEYFILE_HEAD.pack(KEYFILE_MAGIC, _ROLE_BYTES[keys.role], keys.dim, PART_COUNT)
-    parts = b"".join(np.ascontiguousarray(m, dtype="<f8").tobytes() for m in keys.parts)
-    return header + parts + keys.split_pattern.astype(np.uint8).tobytes()
-
-
 def user_key_file_size(dim: int) -> int:
     """Byte length of the key file of a width-`dim` user key set."""
     return _KEYFILE_HEAD.size + PART_COUNT * dim * dim * 8 + dim
@@ -434,6 +414,16 @@ def user_key_file(
     _KEYFILE_HEAD.pack_into(slot, 0, KEYFILE_MAGIC, _ROLE_BYTES[role], dim, PART_COUNT)
     parts = slot[_KEYFILE_HEAD.size : size - dim].view("<f8").reshape(PART_COUNT, dim, dim)
     return tuple(parts), slot[size - dim :]
+
+
+def key_material_to_bytes(keys: UserKeySet) -> bytes:
+    """The key file of a user key set, laid out by `user_key_file`."""
+    slot = np.empty(user_key_file_size(keys.dim), dtype=np.uint8)
+    parts, pattern = user_key_file(slot, keys.role, keys.dim)
+    for view, part in zip(parts, keys.parts):
+        view[...] = part
+    pattern[:] = keys.split_pattern
+    return slot.tobytes()
 
 
 def key_material_from_bytes(blob: bytes | memoryview) -> UserKeySet:

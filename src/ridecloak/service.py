@@ -2,19 +2,19 @@
 
 Two parties, kept structurally separate:
 
-* TrustedAuthority draws the master keys at set-up, keeps only what a key
-  derivation reads, and derives per-user key sets. It never sees trips and
-  holds no epoch.
-* TosServer owns the epoch and its salt, and holds only its unmasking
-  secrets, consumed-token bookkeeping, unmasked ciphertexts, and opaque
-  contact blobs. It never holds user key sets, split patterns, plaintext
-  cells, or Bloom filters; tests assert that no such type is reachable
-  from its state.
+* TrustedAuthority holds one KeyDeriver per scheme and derives per-user
+  key sets. It never sees trips, and holds no server secret and no epoch.
+* TosServer owns the epoch and its salt, and holds only the two matrices
+  per scheme it unmasks with, consumed-token bookkeeping, unmasked
+  ciphertexts, and opaque contact blobs. It never holds user key sets,
+  key derivers, split patterns, plaintext cells, or Bloom filters; tests
+  assert that no such type is reachable from its state.
 
-RideService wires the two behind one frame dispatcher (registration frames
-go to the authority with the server's epoch and salt, everything else to
-the server), draws each epoch's salt, and is what both the in-process
-loopback transport and the socket server drive.
+RideService hands the derivers of `crypto.generate_keys` to the authority
+and its secrets to the server, and wires the two behind one frame
+dispatcher (registration frames go to the authority with the server's
+epoch and salt, everything else to the server). It draws each epoch's
+salt, and is what the loopback transport and the socket server drive.
 """
 
 from __future__ import annotations
@@ -96,19 +96,14 @@ def _draw_salt(rng: np.random.Generator) -> int:
 
 
 class TrustedAuthority:
-    """Key service: one KeyDeriver per scheme, built at set-up."""
+    """Key service: one KeyDeriver per scheme, from `crypto.generate_keys`."""
 
-    def __init__(self, config: ServiceConfig, rng: np.random.Generator):
+    def __init__(
+        self, config: ServiceConfig, derivers: dict[str, crypto.KeyDeriver], rng: np.random.Generator
+    ):
         self.config = config
+        self.derivers = derivers
         self._rng = rng
-        masters = {
-            "direct": crypto.generate_master_key(config.filter_bits, rng),
-            "transfer": crypto.generate_master_key(config.cell_vector_bits, rng),
-        }
-        self.derivers = {
-            scheme: crypto.KeyDeriver(master, crypto.generate_tos_secrets(master.dim, rng))
-            for scheme, master in masters.items()
-        }
 
     def register(self, role: str, epoch: int, salt: int) -> tuple[np.ndarray, list[bytes]]:
         """Fresh key sets and single-use tokens as one KEY_BUNDLE reply frame.
@@ -217,11 +212,9 @@ class TosServer:
     # -- ingestion ------------------------------------------------------------
 
     def _check_indexes(self, indexes: list[crypto.EncryptedIndex], dim: int) -> None:
-        """A decoded ciphertext block: its one width, then every part finite."""
+        """A decoded ciphertext block's one width; unmasking gates its values."""
         if indexes[0].dim != dim:
             raise ProtocolError(ErrorCode.BAD_DIMENSION, f"index dim {indexes[0].dim}, expected {dim}")
-        if not all(np.isfinite(idx.parts).all() for idx in indexes):
-            raise ProtocolError(ErrorCode.MALFORMED, "index parts must be finite")
 
     def handle_submit_offer(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
@@ -374,11 +367,11 @@ class RideService:
         self._rng = rng = np.random.default_rng(seed)
         self.config = config
         salt = _draw_salt(rng)
-        self.authority = TrustedAuthority(config, rng)
-        derivers = self.authority.derivers
-        self.server = TosServer(
-            config, derivers["direct"].secrets, derivers["transfer"].secrets, epoch=1, salt=salt
+        derivers, secrets = crypto.generate_keys(
+            {"direct": config.filter_bits, "transfer": config.cell_vector_bits}, rng
         )
+        self.authority = TrustedAuthority(config, derivers, rng)
+        self.server = TosServer(config, secrets["direct"], secrets["transfer"], epoch=1, salt=salt)
         self._lock = threading.RLock()
 
     def dispatch(self, frame_bytes: bytes) -> bytes | memoryview:

@@ -24,14 +24,12 @@ ACCEPTANCE_LINES = []
 
 def make_crypto_env(dim: int, seed: int) -> SimpleNamespace:
     rng = np.random.default_rng(seed)
-    master = crypto.generate_master_key(dim, rng)
-    secrets = crypto.generate_tos_secrets(dim, rng)
-    deriver = crypto.KeyDeriver(master, secrets)
+    derivers, secrets = crypto.generate_keys({"env": dim}, rng)
+    deriver = derivers["env"]
     return SimpleNamespace(
         dim=dim,
         rng=rng,
-        master=master,
-        secrets=secrets,
+        secrets=secrets["env"],
         deriver=deriver,
         driver=deriver.derive("driver", rng),
         rider=deriver.derive("rider", rng),

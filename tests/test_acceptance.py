@@ -422,7 +422,7 @@ def test_criterion_8_privacy_properties():
     svc.run_matching()
     state = oracles.reachable_instances(svc.server)
     forbidden = (
-        service.TrustedAuthority, crypto.MasterKey, crypto.UserKeySet,
+        service.TrustedAuthority, crypto.KeyDeriver, crypto.UserKeySet,
         bloom.BloomFilter, sim.PlainOffer, sim.PlainRequest, GridCity,
     )
     leaks = sorted({type(o).__name__ for o in state if isinstance(o, forbidden)})

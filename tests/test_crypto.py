@@ -56,32 +56,26 @@ def test_split_vector_halves_sum_back(values, seed, role):
 
 
 def test_roles_split_complementary_positions(knn64):
-    pattern = knn64.master.split_pattern.astype(bool)
+    pattern = knn64.deriver.split_pattern.astype(bool)
     rng = np.random.default_rng(9)
     vec = rng.integers(0, 2, knn64.dim).astype(float)
-    d1, d2 = crypto.split_vector(vec, knn64.master.split_pattern, "driver", rng)
-    r1, r2 = crypto.split_vector(vec, knn64.master.split_pattern, "rider", rng)
+    d1, d2 = crypto.split_vector(vec, knn64.deriver.split_pattern, "driver", rng)
+    r1, r2 = crypto.split_vector(vec, knn64.deriver.split_pattern, "rider", rng)
     np.testing.assert_array_equal(d1[~pattern], vec[~pattern])
     np.testing.assert_array_equal(r1[pattern], vec[pattern])
 
 
 def test_key_share_sums_rebuild_blend_inverses(knn64):
-    """White box: the masked driver parts recombine to the blend inverses."""
-    master, secrets = knn64.master, knn64.secrets
-    d = knn64.driver.parts
-    for i, j, expected in ((0, 1, master.blend_a_inv), (4, 5, master.blend_b_inv)):
-        total = (
-            master.mask_parts[i] @ secrets.index_mask @ d[i]
-            + master.mask_parts[j] @ secrets.index_mask @ d[j]
-        )
+    """White box: with the deriver's bases peeled off, the key shares sum to the blends
+    (riders) and to their inverses (drivers)."""
+    deriver = knn64.deriver
+    d, bases = knn64.driver.parts, deriver.driver_bases
+    for i, j, expected in ((0, 1, deriver.blend_a_inv), (4, 5, deriver.blend_b_inv)):
+        total = np.linalg.solve(bases[i], d[i]) + np.linalg.solve(bases[j], d[j])
         np.testing.assert_allclose(total, expected, atol=1e-6)
-    r = knn64.rider.parts
-    inv = secrets.query_mask_inv
-    for i, j, expected in ((0, 2, master.blend_a), (4, 6, master.blend_b)):
-        total = (
-            r[i] @ inv @ master.mask_part_invs[i]
-            + r[j] @ inv @ master.mask_part_invs[j]
-        )
+    r, bases = knn64.rider.parts, deriver.rider_bases
+    for i, j, expected in ((0, 2, deriver.blend_a), (4, 6, deriver.blend_b)):
+        total = r[i] @ np.linalg.inv(bases[i]) + r[j] @ np.linalg.inv(bases[j])
         np.testing.assert_allclose(total, expected, atol=1e-6)
 
 
@@ -167,7 +161,7 @@ def test_dimension_mismatch_rejected(knn64):
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError, match="width"):
         support.encrypt_index(np.ones(knn64.dim + 1), knn64.rider, rng)
-    other = crypto.generate_tos_secrets(32, rng)
+    other = crypto.TosSecrets(32, np.eye(32), np.eye(32))
     idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
     with pytest.raises(ValueError, match="dim"):
         support.unmask_index(idx, other)
@@ -218,25 +212,17 @@ def test_reloaded_keys_still_match(knn64):
 
 @pytest.mark.parametrize("dim", [64, 768])
 def test_stored_inverses_are_the_inverses_of_their_matrices(dim):
-    rng = np.random.default_rng(dim)
-    master = crypto.generate_master_key(dim, rng)
-    secrets = crypto.generate_tos_secrets(dim, rng)
-    pairs = [
-        (master.blend_a, master.blend_a_inv),
-        (master.blend_b, master.blend_b_inv),
-        *zip(master.mask_parts, master.mask_part_invs, strict=True),
-        (secrets.query_mask, secrets.query_mask_inv),
-        (secrets.index_mask, secrets.index_mask_inv),
-    ]
-    assert len(pairs) == 2 + crypto.PART_COUNT + 2
-    for mat, inv in pairs:
+    """The two blend pairs are the only matrix-inverse pairs a deriver stores."""
+    derivers, _ = crypto.generate_keys({"scheme": dim}, np.random.default_rng(dim))
+    deriver = derivers["scheme"]
+    for mat, inv in ((deriver.blend_a, deriver.blend_a_inv), (deriver.blend_b, deriver.blend_b_inv)):
         np.testing.assert_array_equal(inv, np.linalg.inv(mat))
 
 
 def test_key_generation_rejects_ill_conditioned(monkeypatch):
     monkeypatch.setattr(crypto, "COND_LIMIT", 1e-9)
     with pytest.raises(crypto.KeyGenerationError):
-        crypto.generate_master_key(8, np.random.default_rng(0))
+        crypto.generate_keys({"scheme": 8}, np.random.default_rng(0))
 
 
 class ScriptedDraws:
@@ -299,9 +285,8 @@ def test_similarities_do_not_depend_on_share_conditioning(monkeypatch):
 
     monkeypatch.setattr(crypto, "_invertible_shares", ill_conditioned_shares)
     rng = np.random.default_rng(256)
-    master = crypto.generate_master_key(dim, rng)
-    secrets = crypto.generate_tos_secrets(dim, rng)
-    deriver = crypto.KeyDeriver(master, secrets)
+    derivers, secrets = crypto.generate_keys({"scheme": dim}, rng)
+    deriver, secrets = derivers["scheme"], secrets["scheme"]
     driver, rider = deriver.derive("driver", rng), deriver.derive("rider", rng)
     assert len(conds) == 4 and min(conds) >= 1e10
 
@@ -395,7 +380,7 @@ def test_loaded_driver_parts_multiply_as_contiguous_transposes(knn64):
 @pytest.mark.parametrize("dim", [16, 768])
 def test_unmask_bound_inclusive_and_checked_before_writing(dim):
     eye = np.eye(dim)
-    secrets = crypto.TosSecrets(dim, eye, eye, eye, eye)  # unmasking leaves the parts as they are
+    secrets = crypto.TosSecrets(dim, eye, eye)  # unmasking leaves the parts as they are
     bound = crypto.unmasked_part_bound(dim)
     assert bound == math.sqrt(np.finfo(np.float64).max / (16 * dim))
     row, column = (
@@ -407,5 +392,5 @@ def test_unmask_bound_inclusive_and_checked_before_writing(dim):
     for bad in (np.nextafter(bound, np.inf), -np.nextafter(bound, np.inf), np.nan, np.inf):
         parts = np.zeros((8, dim))
         parts[3, dim // 2] = bad
-        with pytest.raises(ValueError, match="bound"):
+        with pytest.raises(ValueError, match="not finite or exceed the magnitude bound"):
             crypto.unmask_indices([crypto.EncryptedIndex("row", parts)], secrets)

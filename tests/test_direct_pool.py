@@ -134,7 +134,7 @@ def test_pooled_rounds_equal_object_list_reference(seed):
     driver.register("driver")
     rider.register("rider")
     srv = svc.server
-    ref = ReferenceServer(svc.authority.derivers["direct"].secrets, svc.config.n_hashes)
+    ref = ReferenceServer(svc.server.secrets_direct, svc.config.n_hashes)
     rng = np.random.default_rng(seed)
     seen = dict(carried=False, exhausted=False, reused=False, grown=False)
     for round_no in range(6):

@@ -30,9 +30,8 @@ from ridecloak.transfer import TransferCellCipher, TransferOffer, TransferReques
 
 def sample_indexes(count=4, dim=16, seed=0, role="rider"):
     rng = np.random.default_rng(seed)
-    master = crypto.generate_master_key(dim, rng)
-    secrets = crypto.generate_tos_secrets(dim, rng)
-    keys = crypto.KeyDeriver(master, secrets).derive(role, rng)
+    derivers, _ = crypto.generate_keys({"sample": dim}, rng)
+    keys = derivers["sample"].derive(role, rng)
     return [support.encrypt_index(np.zeros(dim), keys, rng) for _ in range(count)]
 
 

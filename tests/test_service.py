@@ -179,9 +179,8 @@ def offer_frame(driver, token, dim=None, epoch=None):
     if dim is None:
         keys = driver.registration.keysets["direct-driver"]
     else:
-        master = crypto.generate_master_key(dim, rng)
-        secrets = crypto.generate_tos_secrets(dim, rng)
-        keys = crypto.KeyDeriver(master, secrets).derive("driver", rng)
+        derivers, _ = crypto.generate_keys({"direct": dim}, rng)
+        keys = derivers["direct"].derive("driver", rng)
     idx = support.encrypt_index(np.zeros(keys.dim), keys, rng)
     return protocol.encode_frame(
         MsgType.SUBMIT_OFFER,
@@ -249,9 +248,8 @@ def test_stale_epoch_rejected(small_service):
 def test_wrong_dimension_rejected(small_service):
     driver, _ = make_clients(small_service)
     rng = np.random.default_rng(0)
-    master = crypto.generate_master_key(64, rng)
-    secrets = crypto.generate_tos_secrets(64, rng)
-    keys = crypto.KeyDeriver(master, secrets).derive("driver", rng)
+    derivers, _ = crypto.generate_keys({"direct": 64}, rng)
+    keys = derivers["direct"].derive("driver", rng)
     idx = support.encrypt_index(np.zeros(64), keys, rng)
     frame = protocol.encode_frame(
         MsgType.SUBMIT_OFFER, driver.registration.epoch, driver.registration.tokens.pop(),
@@ -332,9 +330,10 @@ def corrupt_overflow(blob, value):
 
 
 def corrupted_frames(driver, rider, corrupt, value):
-    """A direct offer, a direct request, a transfer offer and a transfer request,
-    each with one bad index blob. The payloads are laid out by the oracle encoders,
-    since no index object holds these bytes."""
+    """A direct offer, a direct request, two transfer offers (the bad blob in a plus
+    index, then in a minus index) and a transfer request, each with one bad index
+    blob. The payloads are laid out by the oracle encoders, since no index object
+    holds these bytes."""
     rng = np.random.default_rng(9)
     reg, rreg = driver.registration, rider.registration
     keys, rkeys = reg.keysets["direct-driver"], rreg.keysets["direct-rider"]
@@ -351,7 +350,9 @@ def corrupted_frames(driver, rider, corrupt, value):
         reg.bundle.id_bits, reg.bundle.time_bits, 2, rng,
     )
     cells = [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells]
-    cells[1] = (corrupt(cells[1][0], value), cells[1][1])
+    bad_plus, bad_minus = list(cells), list(cells)
+    bad_plus[1] = (corrupt(cells[1][0], value), cells[1][1])
+    bad_minus[0] = (cells[0][0], corrupt(cells[0][1], value))
     request = transfer.build_transfer_request(
         "local", (1, 1), (2, 1), rreg.keysets["transfer-rider"],
         rreg.bundle.id_bits, rreg.bundle.time_bits, rng=rng,
@@ -363,8 +364,9 @@ def corrupted_frames(driver, rider, corrupt, value):
     return [
         protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(), direct_offer),
         protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), direct_request),
-        protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
-                              oracles.transfer_offer_payload(2, b"", cells)),
+        *(protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
+                                oracles.transfer_offer_payload(2, b"", bad))
+          for bad in (bad_plus, bad_minus)),
         protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), routed),
     ]
 
@@ -746,7 +748,7 @@ def test_loopback_rejects_trailing_reply_bytes(small_service):
 def test_no_plaintext_trip_state_on_server(small_service):
     """Structural check: nothing key- or plaintext-shaped hangs off the server."""
     from ridecloak.bloom import BloomFilter
-    from ridecloak.crypto import MasterKey, UserKeySet
+    from ridecloak.crypto import KeyDeriver, UserKeySet
     from ridecloak.service import TrustedAuthority
 
     driver, rider = make_clients(small_service)
@@ -756,7 +758,7 @@ def test_no_plaintext_trip_state_on_server(small_service):
     rider.submit_transfer_request((1, 1), (3, 1))
     small_service.run_matching()
 
-    forbidden = (TrustedAuthority, MasterKey, UserKeySet, BloomFilter)
+    forbidden = (TrustedAuthority, KeyDeriver, UserKeySet, BloomFilter)
     hits = [
         type(obj).__name__
         for obj in oracles.reachable_instances(small_service.server)
@@ -778,8 +780,11 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
     svc = RideService(config, seed=21)
     rng = np.random.default_rng(21)
     salt = int(rng.integers(0, 2**63))  # the service draws its first salt first
-    twin = service.TrustedAuthority(config, rng)  # the same draws as svc.authority
-    direct, cells = twin.derivers["direct"], twin.derivers["transfer"]
+    # the same draws as the service's set-up
+    derivers, _ = crypto.generate_keys(
+        {"direct": config.filter_bits, "transfer": config.cell_vector_bits}, rng
+    )
+    direct, cells = derivers["direct"], derivers["transfer"]
     plans = {
         "driver": [
             ("direct-driver", direct, "driver"),
@@ -823,19 +828,37 @@ def buffer_bytes(obj):
     return len(obj) if isinstance(obj, (bytes, bytearray)) else 0
 
 
+def array_buffers(root):
+    """{id: bytes} of every array buffer reachable from `root`."""
+    return {
+        id(buffer_root(obj)): buffer_bytes(obj)
+        for obj in oracles.reachable_instances(root)
+        if isinstance(obj, np.ndarray)
+    }
+
+
 def test_authority_holds_only_what_a_derivation_reads():
-    """Per scheme: two blends, their inverses, 16 bases, the split pattern and the server secrets."""
+    """Per scheme: two blends, their inverses, 16 bases and the split pattern."""
     svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=3)
     for role in ("driver", "rider"):
         svc.dispatch(register_frame(role))
-    buffers = {
-        id(buffer_root(obj)): buffer_bytes(obj)
-        for obj in oracles.reachable_instances(svc.authority)
-        if isinstance(obj, np.ndarray)
-    }
     dims = (SMALL_CONFIG["filter_bits"], svc.config.cell_vector_bits)
-    # (4 + 16) deriver matrices and 4 server-secret matrices, float64; a uint8 pattern
-    assert sum(buffers.values()) == sum((4 + 16 + 4) * d * d * 8 + d for d in dims)
+    # (4 + 16) float64 deriver matrices and a uint8 pattern
+    assert sum(array_buffers(svc.authority).values()) == sum((4 + 16) * d * d * 8 + d for d in dims)
+
+
+def test_authority_and_server_share_no_array():
+    """The server keeps two secret matrices per scheme, and no buffer is the authority's too."""
+    svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=3)
+    for role in ("driver", "rider"):
+        svc.dispatch(register_frame(role))
+    assert not set(array_buffers(svc.authority)) & set(array_buffers(svc.server))
+    srv = svc.server
+    for secrets in (srv.secrets_direct, srv.secrets_transfer):
+        assert sum(array_buffers(secrets).values()) == 2 * secrets.dim**2 * 8
+    assert (srv.secrets_direct.dim, srv.secrets_transfer.dim) == (
+        SMALL_CONFIG["filter_bits"], svc.config.cell_vector_bits,
+    )
 
 
 def test_register_builds_its_reply_in_one_buffer():
