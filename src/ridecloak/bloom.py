@@ -124,17 +124,8 @@ def slot_index(seconds: float, slots: int) -> int:
     return int(seconds * slots // SECONDS_PER_DAY)
 
 
-def slot_vector(seconds: float, slots: int, width: int | None = None) -> np.ndarray:
-    """One-hot day-slot vector, optionally embedded in a wider zero vector.
-
-    The direct service embeds the slot block at the start of a
-    filter-width vector so time indexes encrypt under the same keys as
-    location indexes.
-    """
-    if width is None:
-        width = slots
-    if width < slots:
-        raise ValueError(f"width {width} < slots {slots}")
-    vec = np.zeros(width, dtype=np.float64)
+def slot_vector(seconds: float, slots: int) -> np.ndarray:
+    """One-hot day-slot vector of width `slots`, the direct time index's plaintext."""
+    vec = np.zeros(slots, dtype=np.float64)
     vec[slot_index(seconds, slots)] = 1.0
     return vec

@@ -152,6 +152,7 @@ class ServiceClient:
         widths = {
             "direct": bundle.filter_bits,
             "transfer": transfer.cell_vector_bits(bundle.id_bits, bundle.time_bits),
+            "time": bundle.time_slots,
         }
         keysets = {}
         for name, blob in bundle.keysets.items():
@@ -203,14 +204,18 @@ class ServiceClient:
 
     def submit_direct_offers(self, specs: list[OfferSpec]) -> list[str]:
         """Encrypt offers in one batch, submit one frame each; returns server ids."""
-        offers = direct.build_offers(specs, self._keys("direct-driver"), self.summary_config, self.rng)
+        offers = direct.build_offers(
+            specs, self._keys("direct-driver"), self._keys("time-driver"), self.summary_config, self.rng
+        )
         return [self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(o)) for o in offers]
 
     def submit_direct_offer(self, spec: OfferSpec) -> str:
         return self.submit_direct_offers([spec])[0]
 
     def submit_direct_requests(self, specs: list[RequestSpec]) -> list[str]:
-        requests = direct.build_requests(specs, self._keys("direct-rider"), self.summary_config, self.rng)
+        requests = direct.build_requests(
+            specs, self._keys("direct-rider"), self._keys("time-rider"), self.summary_config, self.rng
+        )
         return [
             self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(r)) for r in requests
         ]

@@ -293,7 +293,7 @@ def _validate_plain(vectors: np.ndarray, dim: int) -> np.ndarray:
         vectors = vectors[None, :]
     if vectors.shape[1] != dim:
         raise ValueError(f"vector width {vectors.shape[1]} != key dim {dim}")
-    if not np.isin(vectors, (0.0, 1.0)).all():
+    if not ((vectors == 0.0) | (vectors == 1.0)).all():
         raise ValueError("plaintext index vectors must be binary")
     return vectors
 

@@ -3,8 +3,11 @@
 An offer carries four encrypted indexes built from the driver's trip:
 pick-up area filter, drop-off area filter, route filter, and a day-slot
 time vector. A request carries the rider's pick-up cell, drop-off cell,
-intended route filter, and time vector. The server matches a pair by
-checking, on unmasked indexes only:
+intended route filter, and time vector. The three filters are `bits` wide
+and encrypt under the "direct" key sets; the time vector is one-hot over
+`time_slots` positions and encrypts under the "time" key sets, so no
+index carries padding. The server matches a pair by checking, on unmasked
+indexes only:
 
   gate 1: time similarity == 1        (same day slot)
   gate 2: pick-up similarity == n_hashes  (rider pick-up in driver area)
@@ -55,8 +58,6 @@ class SummaryConfig:
     salt: int = 0
 
     def __post_init__(self) -> None:
-        if self.bits < self.time_slots:
-            raise ValueError(f"bits {self.bits} must be >= time_slots {self.time_slots}")
         if self.n_hashes < 1 or self.n_hashes > self.bits:
             raise ValueError(f"n_hashes {self.n_hashes} out of range for bits {self.bits}")
         if self.max_items < 1:
@@ -132,60 +133,65 @@ class DirectMatch:
     case: MatchCase
 
 
-def _offer_vectors(spec: OfferSpec, cfg: SummaryConfig) -> np.ndarray:
+def _offer_filters(spec: OfferSpec, cfg: SummaryConfig) -> list[np.ndarray]:
     if not spec.cases:
         raise ValueError("offer must accept at least one drop-off case")
     if spec.capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {spec.capacity}")
-    return np.stack(
-        [
-            cfg.filter_of(spec.pickup_cells).vector(),
-            cfg.filter_of(spec.dropoff_cells).vector(),
-            cfg.filter_of(spec.route_cells).vector(),
-            slot_vector(spec.depart_seconds, cfg.time_slots, cfg.bits),
-        ]
-    )
+    cells = (spec.pickup_cells, spec.dropoff_cells, spec.route_cells)
+    return [cfg.filter_of(c).vector() for c in cells]
 
 
-def _request_vectors(spec: RequestSpec, cfg: SummaryConfig) -> np.ndarray:
-    return np.stack(
-        [
-            cfg.filter_of([spec.pickup_cell]).vector(),
-            cfg.filter_of([spec.dropoff_cell]).vector(),
-            cfg.filter_of(spec.route_cells).vector(),
-            slot_vector(spec.pickup_seconds, cfg.time_slots, cfg.bits),
-        ]
-    )
+def _request_filters(spec: RequestSpec, cfg: SummaryConfig) -> list[np.ndarray]:
+    cells = ([spec.pickup_cell], [spec.dropoff_cell], spec.route_cells)
+    return [cfg.filter_of(c).vector() for c in cells]
+
+
+def _encrypt_trips(
+    filters: list[np.ndarray],
+    slots: list[np.ndarray],
+    keys: UserKeySet,
+    time_keys: UserKeySet,
+    rng: np.random.Generator,
+) -> list[list[EncryptedIndex]]:
+    """Each trip's (pick-up, drop-off, route, time) indexes.
+
+    All of a call's slot vectors go through one batched encryption under
+    `time_keys`, and all its filters through one under `keys`. The small
+    slot encryption runs first: right after the filter GEMMs have streamed
+    the filter keys through the caches, it takes about twice as long.
+    """
+    if time_keys.role != keys.role:
+        raise ValueError(f"time keys are {time_keys.role} keys, expected {keys.role}")
+    times = crypto.encrypt_indices(np.stack(slots), time_keys, rng)
+    places = crypto.encrypt_indices(np.stack(filters), keys, rng)
+    return [[*places[3 * j : 3 * j + 3], time] for j, time in enumerate(times)]
 
 
 def build_offers(
     specs: list[OfferSpec],
     keys: UserKeySet,
+    time_keys: UserKeySet,
     cfg: SummaryConfig,
     rng: np.random.Generator,
 ) -> list[DirectOffer]:
-    """Encrypt many offers in one batched pass (one GEMM set per key part)."""
+    """Encrypt many offers in one batched pass (one GEMM set per key part and key set)."""
     if keys.role != "driver":
         raise ValueError("offers must be encrypted with driver keys")
     if not specs:
         return []
-    vectors = np.concatenate([_offer_vectors(s, cfg) for s in specs])
-    enc = crypto.encrypt_indices(vectors, keys, rng)
-    out = []
-    for j, spec in enumerate(specs):
-        pickup, dropoff, route, time = enc[4 * j : 4 * j + 4]
-        out.append(
-            DirectOffer(
-                spec.offer_id, spec.capacity, tuple(spec.cases),
-                pickup, dropoff, route, time, spec.contact,
-            )
-        )
-    return out
+    filters = [f for s in specs for f in _offer_filters(s, cfg)]
+    slots = [slot_vector(s.depart_seconds, cfg.time_slots) for s in specs]
+    return [
+        DirectOffer(s.offer_id, s.capacity, tuple(s.cases), *indexes, s.contact)
+        for s, indexes in zip(specs, _encrypt_trips(filters, slots, keys, time_keys, rng))
+    ]
 
 
 def build_requests(
     specs: list[RequestSpec],
     keys: UserKeySet,
+    time_keys: UserKeySet,
     cfg: SummaryConfig,
     rng: np.random.Generator,
 ) -> list[DirectRequest]:
@@ -193,13 +199,12 @@ def build_requests(
         raise ValueError("requests must be encrypted with rider keys")
     if not specs:
         return []
-    vectors = np.concatenate([_request_vectors(s, cfg) for s in specs])
-    enc = crypto.encrypt_indices(vectors, keys, rng)
-    out = []
-    for j, spec in enumerate(specs):
-        pickup, dropoff, route, time = enc[4 * j : 4 * j + 4]
-        out.append(DirectRequest(spec.request_id, pickup, dropoff, route, time, spec.contact))
-    return out
+    filters = [f for s in specs for f in _request_filters(s, cfg)]
+    slots = [slot_vector(s.pickup_seconds, cfg.time_slots) for s in specs]
+    return [
+        DirectRequest(s.request_id, *indexes, s.contact)
+        for s, indexes in zip(specs, _encrypt_trips(filters, slots, keys, time_keys, rng))
+    ]
 
 
 # Index kinds, in the order of DirectOffer.indexes() / DirectRequest.indexes().
@@ -208,11 +213,16 @@ CASES = tuple(MatchCase)  # a case's code, in the pools and on the wire, is its 
 POOL_ROWS = 16  # rows a new pool allocates; it doubles whenever it fills up
 
 
+def index_dims(bits: int, time_slots: int) -> tuple[int, ...]:
+    """Each index kind's width: `bits` for the three filters, `time_slots` for time."""
+    return (bits, bits, bits, time_slots)
+
+
 class _Pool:
     """Unmasked ciphertexts of stored submissions, one row per submission.
 
-    `kinds[kind]` is one contiguous (rows, 8*dim) float64 matrix per index
-    kind, so a matching round's GEMMs read the used prefix in place.
+    `kinds[kind]` is one contiguous (rows, 8*dims[kind]) float64 matrix per
+    index kind, so a matching round's GEMMs read the used prefix in place.
     `live` marks the rows that hold a current submission and `seq` their
     arrival order. A freed row keeps its stale ciphertext, masked out by
     `live`, until the next submission overwrites it or the pool is
@@ -222,9 +232,9 @@ class _Pool:
     orientation = ""
     _row_arrays = ("live", "seq")  # per-row arrays that grow and clear with `kinds`
 
-    def __init__(self, dim: int, rows: int = POOL_ROWS):
-        self.dim = dim
-        self.kinds = [np.zeros((rows, crypto.PART_COUNT * dim)) for _ in range(4)]
+    def __init__(self, bits: int, time_slots: int, rows: int = POOL_ROWS):
+        self.dims = index_dims(bits, time_slots)
+        self.kinds = [np.zeros((rows, crypto.PART_COUNT * dim)) for dim in self.dims]
         self.live = np.zeros(rows, dtype=bool)
         self.seq = np.zeros(rows, dtype=np.int64)
         self.ids: list[str | None] = [None] * rows
@@ -241,29 +251,35 @@ class _Pool:
 
     def row_parts(self, row: int) -> list[np.ndarray]:
         """(8, dim) views of one row's pick-up, drop-off, route and time parts."""
-        return [m[row].reshape(crypto.PART_COUNT, self.dim) for m in self.kinds]
+        return [m[row].reshape(crypto.PART_COUNT, -1) for m in self.kinds]
 
     def indexes(self, row: int) -> list[EncryptedIndex]:
         return [EncryptedIndex(self.orientation, p, unmasked=True) for p in self.row_parts(row)]
 
-    def _fill(self, indexes: list[EncryptedIndex], secrets: TosSecrets, item_id: str) -> int:
+    def _fill(
+        self, indexes: list[EncryptedIndex], secrets: dict[str, TosSecrets], item_id: str
+    ) -> int:
         """Unmask one submission's four masked indexes into a row made the newest live row.
 
-        The indexes are checked before anything is written, so a rejected
+        `secrets` holds the server's "direct" secrets, which unmask the
+        three filters, and its "time" secrets, which unmask the time index
+        (first, for the reason `_encrypt_trips` gives). The indexes are
+        checked and unmasked before anything is written, so a rejected
         submission leaves the pool as it was. A row freed by `release` is
         reused before the pool grows.
         """
         if len(indexes) != len(self.kinds):
             raise ValueError(f"a submission carries {len(self.kinds)} indexes, got {len(indexes)}")
-        for idx in indexes:
+        for idx, dim in zip(indexes, self.dims):
             if idx.unmasked:
                 raise ValueError("pool rows are unmasked from masked indexes only")
-            if idx.orientation != self.orientation or idx.dim != self.dim:
+            if idx.orientation != self.orientation or idx.dim != dim:
                 raise ValueError(
-                    f"{type(self).__name__} takes {self.orientation}-form indexes of dim "
-                    f"{self.dim}, got {idx.orientation}-form of dim {idx.dim}"
+                    f"{type(self).__name__} takes {self.orientation}-form indexes of dims "
+                    f"{self.dims}, got {idx.orientation}-form of dim {idx.dim}"
                 )
-        cleared = crypto.unmask_indices(indexes, secrets)
+        time = crypto.unmask_indices(indexes[TIME:], secrets["time"])
+        cleared = crypto.unmask_indices(indexes[:TIME], secrets["direct"]) + time
         row = self._free[-1] if self._free else self.used
         if row == len(self.live):
             self._grow()
@@ -314,15 +330,15 @@ class OfferPool(_Pool):
     orientation = "column"
     _row_arrays = ("live", "seq", "remaining", "cases")
 
-    def __init__(self, dim: int, rows: int = POOL_ROWS):
-        super().__init__(dim, rows)
+    def __init__(self, bits: int, time_slots: int, rows: int = POOL_ROWS):
+        super().__init__(bits, time_slots, rows)
         self.remaining = np.zeros(rows, dtype=np.int64)
         self.cases = np.zeros((rows, len(CASES)), dtype=np.int8)
 
     def admit(
         self,
         indexes: list[EncryptedIndex],
-        secrets: TosSecrets,
+        secrets: dict[str, TosSecrets],
         offer_id: str,
         capacity: int,
         cases,
@@ -344,7 +360,9 @@ class RequestPool(_Pool):
 
     orientation = "row"
 
-    def admit(self, indexes: list[EncryptedIndex], secrets: TosSecrets, request_id: str) -> int:
+    def admit(
+        self, indexes: list[EncryptedIndex], secrets: dict[str, TosSecrets], request_id: str
+    ) -> int:
         """Store one masked request (pick-up, drop-off, route, time); returns its row."""
         return self._fill(indexes, secrets, request_id)
 
@@ -404,8 +422,8 @@ def match_all(offers: OfferPool, requests: RequestPool, n_hashes: int) -> list[D
         raise TypeError("match_all takes an OfferPool and a RequestPool")
     if not offers or not requests:
         return []
-    if offers.dim != requests.dim:
-        raise ValueError(f"dim mismatch: offers {offers.dim}, requests {requests.dim}")
+    if offers.dims != requests.dims:
+        raise ValueError(f"dims mismatch: offers {offers.dims}, requests {requests.dims}")
     ri, oj, codes = gated_pairs(offers, requests, n_hashes)
     order = np.lexsort((offers.seq[oj], requests.seq[ri]))
     seats: dict[int, int] = {}

@@ -13,11 +13,13 @@ A SUBMIT_OFFER or SUBMIT_REQUEST payload ends in one ciphertext block:
 its encrypted indexes back to back, each as 8*dim little-endian float64
 (the eight parts, row-major), with nothing between them. A direct trip
 has 4 (pick-up, drop-off, route, time), a transfer offer 2 per cell (plus
-then minus) and a transfer request 2 (pick-up, drop-off). The decoder
-works out dim from the block's length, and the position of an index fixes
-its form: offer-side indexes (direct offer, transfer plus) are column
-form, query-side ones (requests, transfer minus) row form, and all are
-masked.
+then minus) and a transfer request 2 (pick-up, drop-off). No width
+travels: the decoder takes a direct block's per-index widths from its
+caller (the server's config) and refuses any other block size with
+BAD_DIMENSION, and works out a transfer block's one width from its
+length. The position of an index fixes its form: offer-side indexes
+(direct offer, transfer plus) are column form, query-side ones
+(requests, transfer minus) row form, and all are masked.
 """
 
 from __future__ import annotations
@@ -186,8 +188,9 @@ class _Writer:
         return self
 
     def indexes(self, indexes: list[EncryptedIndex]) -> "_Writer":
-        """The ciphertext block; np.stack refuses indexes of unequal widths."""
-        self.buf += np.stack([idx.parts for idx in indexes]).astype("<f8").tobytes()
+        """The ciphertext block: each index's bare parts, back to back."""
+        block = np.concatenate([idx.flat() for idx in indexes])
+        self.buf += block.astype("<f8", copy=False).tobytes()
         return self
 
     def bytes(self) -> bytes:
@@ -243,20 +246,34 @@ class _Reader:
         self.pos += size
         return out
 
-    def indexes(self, forms: list[str]) -> list[EncryptedIndex]:
+    def indexes(self, forms: list[str], dims: tuple[int, ...] | None = None) -> list[EncryptedIndex]:
         """The rest of the payload as a ciphertext block of one masked index per form.
 
-        The block is copied once, so no index keeps a view of the payload.
+        With `dims`, the block must hold one index of each width in turn,
+        else BAD_DIMENSION. Without, all indexes have one width, worked out
+        from the block's length (MALFORMED unless it divides evenly). The
+        block is copied once, so no index keeps a view of the payload.
         """
         size = len(self.data) - self.pos
-        if not forms or not size or size % (len(forms) * PART_COUNT * 8):
+        if dims is None:
+            if not forms or not size or size % (len(forms) * PART_COUNT * 8):
+                raise ProtocolError(
+                    ErrorCode.MALFORMED, f"a {size}-byte ciphertext block is not {len(forms)} indexes"
+                )
+            dims = (size // (len(forms) * PART_COUNT * 8),) * len(forms)
+        elif size != PART_COUNT * 8 * sum(dims):
             raise ProtocolError(
-                ErrorCode.MALFORMED, f"a {size}-byte ciphertext block is not {len(forms)} indexes"
+                ErrorCode.BAD_DIMENSION,
+                f"a {size}-byte ciphertext block is not indexes of widths {dims}",
             )
         block = np.frombuffer(self.data, dtype="<f8", offset=self.pos).astype(np.float64)
         self.pos = len(self.data)
-        parts = block.reshape(len(forms), PART_COUNT, -1)
-        return [EncryptedIndex(form, p) for form, p in zip(forms, parts)]
+        out, start = [], 0
+        for form, dim in zip(forms, dims):
+            end = start + PART_COUNT * dim
+            out.append(EncryptedIndex(form, block[start:end].reshape(PART_COUNT, dim)))
+            start = end
+        return out
 
     def case(self) -> MatchCase:
         code = self.u8()
@@ -275,16 +292,22 @@ _ROLE_CODE = {"driver": 0, "rider": 1}
 _ROLE_NAME = {v: k for k, v in _ROLE_CODE.items()}
 _SCHEME_CODE = {"direct": 0, "transfer": 1}
 # The key sets a registration carries, per registered role, in wire order:
-# (name, role the key set is derived for). A name starts with its scheme.
-# A driver encrypts transfer cells twice: column form with driver keys
-# ("transfer-plus") and row form with rider keys ("transfer-minus").
+# (name, role the key set is derived for). A name starts with its scheme,
+# up to the first "-". A driver encrypts transfer cells twice: column form
+# with driver keys ("transfer-plus") and row form with rider keys
+# ("transfer-minus"). A direct trip's time index has its own key sets.
 ROLE_KEY_SETS: dict[str, tuple[tuple[str, str], ...]] = {
     "driver": (
         ("direct-driver", "driver"),
         ("transfer-plus", "driver"),
         ("transfer-minus", "rider"),
+        ("time-driver", "driver"),
     ),
-    "rider": (("direct-rider", "rider"), ("transfer-rider", "rider")),
+    "rider": (
+        ("direct-rider", "rider"),
+        ("transfer-rider", "rider"),
+        ("time-rider", "rider"),
+    ),
 }
 _PREF_CODE = {kind: i for i, kind in enumerate(PreferenceKind)}
 _PREF_NAME = {v: k for k, v in _PREF_CODE.items()}
@@ -402,15 +425,20 @@ def encode_submit_offer(offer: DirectOffer | TransferOffer) -> bytes:
     return w.bytes()
 
 
-def decode_submit_offer(payload: bytes | memoryview) -> DirectOffer | TransferOffer:
-    """The submitted offer, with an empty id and masked indexes of the offer forms."""
+def decode_submit_offer(
+    payload: bytes | memoryview, direct_dims: tuple[int, ...]
+) -> DirectOffer | TransferOffer:
+    """The submitted offer, with an empty id and masked indexes of the offer forms.
+
+    A direct offer's four indexes must have the widths `direct_dims`.
+    """
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         capacity = r.u16()
         cases = tuple(r.case() for _ in range(r.u8()))
         contact = r.blob()
-        return DirectOffer("", capacity, cases, *r.indexes(["column"] * 4), contact)
+        return DirectOffer("", capacity, cases, *r.indexes(["column"] * 4, direct_dims), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         capacity = r.u16()
         contact = r.blob()
@@ -435,13 +463,18 @@ def encode_submit_request(request: DirectRequest | TransferRequest) -> bytes:
     return w.bytes()
 
 
-def decode_submit_request(payload: bytes | memoryview) -> DirectRequest | TransferRequest:
-    """The submitted request, with an empty id and masked row-form indexes."""
+def decode_submit_request(
+    payload: bytes | memoryview, direct_dims: tuple[int, ...]
+) -> DirectRequest | TransferRequest:
+    """The submitted request, with an empty id and masked row-form indexes.
+
+    A direct request's four indexes must have the widths `direct_dims`.
+    """
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         contact = r.blob()
-        return DirectRequest("", *r.indexes(["row"] * 4), contact)
+        return DirectRequest("", *r.indexes(["row"] * 4, direct_dims), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         contact = r.blob()
         kind_code = r.u8()

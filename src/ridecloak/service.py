@@ -76,9 +76,7 @@ class ServiceConfig:
             if not (low <= value and (high is None or value <= high)):
                 limit = f">= {low}" if high is None else f"in [{low}, {high}]"
                 raise ValueError(f"{name} must be {limit}, got {value}")
-        # the combinations a client's direct.SummaryConfig refuses
-        if self.filter_bits < self.time_slots:
-            raise ValueError(f"filter_bits {self.filter_bits} must be >= time_slots {self.time_slots}")
+        # the combination a client's direct.SummaryConfig refuses
         if self.n_hashes > self.filter_bits:
             raise ValueError(f"n_hashes {self.n_hashes} must be <= filter_bits {self.filter_bits}")
 
@@ -150,22 +148,15 @@ class TransferMatchRecord:
 class TosServer:
     """Matching server state and frame handlers (registration excluded)."""
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        secrets_direct: TosSecrets,
-        secrets_transfer: TosSecrets,
-        epoch: int,
-        salt: int,
-    ):
+    def __init__(self, config: ServiceConfig, secrets: dict[str, TosSecrets], epoch: int, salt: int):
+        """`secrets` maps each scheme ("direct", "transfer", "time") to its TosSecrets."""
         self.config = config
-        self.secrets_direct = secrets_direct
-        self.secrets_transfer = secrets_transfer
+        self.secrets = secrets
         self.epoch = epoch
         self.salt = salt
         self.unused_tokens: set[bytes] = set()
-        self.offer_pool = direct.OfferPool(config.filter_bits)
-        self.request_pool = direct.RequestPool(config.filter_bits)
+        self.offer_pool = direct.OfferPool(config.filter_bits, config.time_slots)
+        self.request_pool = direct.RequestPool(config.filter_bits, config.time_slots)
         self.direct_offers: dict[str, direct.PoolEntry] = {}
         self.direct_requests: dict[str, direct.PoolEntry] = {}
         self.graph = transfer.TransferGraph(config.id_bits)
@@ -211,34 +202,35 @@ class TosServer:
 
     # -- ingestion ------------------------------------------------------------
 
-    def _check_indexes(self, indexes: list[crypto.EncryptedIndex], dim: int) -> None:
-        """A decoded ciphertext block's one width; unmasking gates its values."""
+    def _check_transfer_width(self, indexes: list[crypto.EncryptedIndex]) -> None:
+        """A decoded transfer block's one width; unmasking gates its values.
+
+        A direct block is decoded at the pools' widths, so it needs no check here.
+        """
+        dim = self.config.cell_vector_bits
         if indexes[0].dim != dim:
             raise ProtocolError(ErrorCode.BAD_DIMENSION, f"index dim {indexes[0].dim}, expected {dim}")
 
     def handle_submit_offer(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
         token = self._check_token(frame.token)
-        offer = protocol.decode_submit_offer(frame.payload)
+        offer = protocol.decode_submit_offer(frame.payload, self.offer_pool.dims)
         if offer.capacity < 1:
             raise ProtocolError(ErrorCode.BAD_STATE, "capacity must be >= 1")
         if isinstance(offer, direct.DirectOffer):
             if not offer.cases:
                 raise ProtocolError(ErrorCode.BAD_STATE, "offer must accept at least one case")
-            self._check_indexes(offer.indexes(), self.config.filter_bits)
             offer_id = self._next_id("do")
             row = self.offer_pool.admit(
-                offer.indexes(), self.secrets_direct, offer_id, offer.capacity, offer.cases
+                offer.indexes(), self.secrets, offer_id, offer.capacity, offer.cases
             )
             self.direct_offers[offer_id] = direct.PoolEntry(self.offer_pool, row, offer.contact)
         else:
             if len(offer.cells) < 2:
                 raise ProtocolError(ErrorCode.BAD_STATE, "transfer offer needs >= 2 cells")
-            self._check_indexes(
-                [idx for c in offer.cells for idx in (c.plus, c.minus)], self.config.cell_vector_bits
-            )
+            self._check_transfer_width([idx for c in offer.cells for idx in (c.plus, c.minus)])
             offer.offer_id = offer_id = self._next_id("to")
-            self.graph.add_offer(offer, self.secrets_transfer)
+            self.graph.add_offer(offer, self.secrets["transfer"])
             self.transfer_offers[offer_id] = offer
         self._stored(token)
         return MsgType.SUBMIT_OFFER, protocol.encode_ack(offer_id)
@@ -246,18 +238,17 @@ class TosServer:
     def handle_submit_request(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
         token = self._check_token(frame.token)
-        request = protocol.decode_submit_request(frame.payload)
+        request = protocol.decode_submit_request(frame.payload, self.request_pool.dims)
         if isinstance(request, direct.DirectRequest):
-            self._check_indexes(request.indexes(), self.config.filter_bits)
             request_id = self._next_id("dr")
-            row = self.request_pool.admit(request.indexes(), self.secrets_direct, request_id)
+            row = self.request_pool.admit(request.indexes(), self.secrets, request_id)
             self.direct_requests[request_id] = direct.PoolEntry(
                 self.request_pool, row, request.contact
             )
         else:
-            self._check_indexes([request.pickup, request.dropoff], self.config.cell_vector_bits)
+            self._check_transfer_width([request.pickup, request.dropoff])
             request.pickup, request.dropoff = crypto.unmask_indices(
-                [request.pickup, request.dropoff], self.secrets_transfer
+                [request.pickup, request.dropoff], self.secrets["transfer"]
             )
             request.request_id = request_id = self._next_id("tr")
             self.transfer_requests[request_id] = request
@@ -368,10 +359,15 @@ class RideService:
         self.config = config
         salt = _draw_salt(rng)
         derivers, secrets = crypto.generate_keys(
-            {"direct": config.filter_bits, "transfer": config.cell_vector_bits}, rng
+            {
+                "direct": config.filter_bits,
+                "transfer": config.cell_vector_bits,
+                "time": config.time_slots,
+            },
+            rng,
         )
         self.authority = TrustedAuthority(config, derivers, rng)
-        self.server = TosServer(config, secrets["direct"], secrets["transfer"], epoch=1, salt=salt)
+        self.server = TosServer(config, secrets, epoch=1, salt=salt)
         self._lock = threading.RLock()
 
     def dispatch(self, frame_bytes: bytes) -> bytes | memoryview:

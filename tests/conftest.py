@@ -2,7 +2,7 @@ import pytest
 
 from ridecloak.direct import SummaryConfig
 from ridecloak.service import RideService, ServiceConfig
-from support import ACCEPTANCE_LINES, SMALL_CONFIG, make_crypto_env
+from support import ACCEPTANCE_LINES, SMALL_CONFIG, make_crypto_env, make_direct_env
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -21,8 +21,7 @@ def knn64():
 @pytest.fixture(scope="session")
 def direct_env():
     """Keys plus summary parameters sized for fast direct-scheme tests."""
-    env = make_crypto_env(SMALL_CONFIG["filter_bits"], 202)
-    env.cfg = SummaryConfig(
+    cfg = SummaryConfig(
         bits=SMALL_CONFIG["filter_bits"],
         n_hashes=SMALL_CONFIG["n_hashes"],
         time_slots=SMALL_CONFIG["time_slots"],
@@ -30,7 +29,7 @@ def direct_env():
         epoch=1,
         salt=777,
     )
-    return env
+    return make_direct_env(cfg, 202)
 
 
 @pytest.fixture(scope="session")

@@ -385,7 +385,9 @@ def direct_offer_payload(capacity, cases, contact, indexes):
     """SUBMIT_OFFER, direct: u8 scheme 0, u16 capacity, u8 case count, one
     u8 per case (area 0, route 1, extended 2), the u32-prefixed contact,
     then the ciphertext block: the four index blobs (pick-up, drop-off,
-    route, time) back to back."""
+    route, time) back to back. Honest filter blobs are 8*filter_bits
+    float64 values each and the time blob 8*time_slots, so the block is
+    192*filter_bits + 64*time_slots bytes; the blobs are written as given."""
     codes = bytes(_WIRE_CASE[c] for c in cases)
     return struct.pack("<BHB", 0, capacity, len(codes)) + codes + _blob(contact) + b"".join(indexes)
 
@@ -401,7 +403,7 @@ def transfer_offer_payload(capacity, contact, cells):
 def direct_request_payload(contact, indexes):
     """SUBMIT_REQUEST, direct: u8 scheme 0, the u32-prefixed contact, then
     the ciphertext block: the four index blobs (pick-up, drop-off, route,
-    time) back to back."""
+    time) back to back, at the widths `direct_offer_payload` gives."""
     return struct.pack("<B", 0) + _blob(contact) + b"".join(indexes)
 
 

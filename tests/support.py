@@ -36,19 +36,44 @@ def make_crypto_env(dim: int, seed: int) -> SimpleNamespace:
     )
 
 
+def make_direct_env(cfg: direct.SummaryConfig, seed: int) -> SimpleNamespace:
+    """Direct-scheme keys at the widths of `cfg`, set up as the service sets them up.
+
+    `secrets` maps "direct" and "time" to the server's secrets, as the pools'
+    `admit` takes them; `driver` and `rider` are each a (filter keys, time
+    keys) pair, as `direct.build_offers` / `build_requests` take them.
+    """
+    rng = np.random.default_rng(seed)
+    derivers, secrets = crypto.generate_keys({"direct": cfg.bits, "time": cfg.time_slots}, rng)
+    keys = {
+        role: tuple(derivers[scheme].derive(role, rng) for scheme in ("direct", "time"))
+        for role in ("driver", "rider")
+    }
+    return SimpleNamespace(cfg=cfg, rng=rng, secrets=secrets, **keys)
+
+
 def admit_pools(env, offers, requests):
     """Direct pools holding client-built, still-masked offers and requests.
 
     Each one enters through the pool's `admit`, in list order, as the
     server's own submissions do.
     """
-    offer_pool = direct.OfferPool(env.dim)
+    offer_pool = direct.OfferPool(env.cfg.bits, env.cfg.time_slots)
     for o in offers:
         offer_pool.admit(o.indexes(), env.secrets, o.offer_id, o.capacity, o.cases)
-    request_pool = direct.RequestPool(env.dim)
+    request_pool = direct.RequestPool(env.cfg.bits, env.cfg.time_slots)
     for r in requests:
         request_pool.admit(r.indexes(), env.secrets, r.request_id)
     return offer_pool, request_pool
+
+
+def unmask_direct(indexes, secrets):
+    """A direct trip's four indexes through `crypto.unmask_indices`, each
+    under its scheme's secrets: the three filters, then the time index."""
+    return [
+        *crypto.unmask_indices(indexes[:3], secrets["direct"]),
+        *crypto.unmask_indices(indexes[3:], secrets["time"]),
+    ]
 
 
 def graph_edge_sets(graph):

@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 import support
-from support import SMALL_CONFIG, make_crypto_env
+from support import SMALL_CONFIG, make_crypto_env, make_direct_env
 from ridecloak import bloom, crypto, direct, service, sim, transfer
 from ridecloak.client import LoopbackTransport, ServiceClient
 from ridecloak.direct import MatchCase, OfferSpec, RequestSpec, SummaryConfig
@@ -33,11 +33,8 @@ def report(number, ok, detail):
 @pytest.fixture(scope="module")
 def wide_direct_env():
     """Full-width direct-scheme keys shared by the heavyweight checks."""
-    env = make_crypto_env(2048, 9001)
-    env.cfg = SummaryConfig(
-        bits=2048, n_hashes=24, time_slots=48, max_items=60, epoch=1, salt=4242,
-    )
-    return env
+    cfg = SummaryConfig(bits=2048, n_hashes=24, time_slots=48, max_items=60, epoch=1, salt=4242)
+    return make_direct_env(cfg, 9001)
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +111,8 @@ def test_criterion_2_direct_matching_equals_gate_oracle(wide_direct_env):
             RequestSpec(r.request_id, r.pickup, r.dropoff, r.route, r.pickup_seconds)
             for r in wl.requests
         ]
-        built_o = direct.build_offers(ospecs, env.driver, env.cfg, rng)
-        built_r = direct.build_requests(rspecs, env.rider, env.cfg, rng)
+        built_o = direct.build_offers(ospecs, *env.driver, env.cfg, rng)
+        built_r = direct.build_requests(rspecs, *env.rider, env.cfg, rng)
         got = [
             (m.request_id, m.offer_id, m.case.value)
             for m in direct.match_all(*support.admit_pools(env, built_o, built_r), env.cfg.n_hashes)

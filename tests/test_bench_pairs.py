@@ -79,6 +79,17 @@ def test_parse_seeds():
     assert bench_pairs.parse_seeds("701,703") == [701, 703]
 
 
+def test_parse_workloads():
+    base = ["--parent", "p", "--change", "c", "--seeds", "701-702", "--seconds", "1"]
+    args = bench_pairs.parse_args(base + ["--workload", "direct-wide"])
+    assert args.workload == ["direct-wide"]
+    args = bench_pairs.parse_args(base + ["--workload", "direct-wide, direct-crowd,transfer-city"])
+    assert args.workload == ["direct-wide", "direct-crowd", "transfer-city"]
+    for bad in ("", "direct-wide,", "direct-wide,,transfer-city", "a,b,a"):
+        with pytest.raises(SystemExit):
+            bench_pairs.parse_args(base + ["--workload", bad])
+
+
 def test_non_finite_values_are_invalid():
     nan, inf = float("nan"), float("inf")
     assert verdict(PARENT[:5], [nan] * 5, "higher", 0.25) == ("invalid", 0)
@@ -141,3 +152,20 @@ def test_a_larger_share_of_failed_operations_fails_the_comparison(tmp_path, monk
     monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0] * 4, failed=[0, 1, 0, 0]))
     assert bench_pairs.main(argv) == 1
     assert "larger share of operations" in capsys.readouterr().out
+
+
+def test_each_workload_gets_its_table_and_any_failure_fails_the_comparison(
+    tmp_path, monkeypatch, capsys
+):
+    argv = _contract_argv(tmp_path)
+    argv[argv.index("w")] = "w1,w2"
+    readings = {"w1": runs_reading([10.0] * 4), "w2": runs_reading([10.0, float("nan"), 10.0, 10.0])}
+    ran = []
+    monkeypatch.setattr(
+        bench_pairs, "run_once", lambda root, workload, *a: ran.append(workload) or readings[workload]()
+    )
+    assert bench_pairs.main(argv) == 1
+    assert ran == ["w1"] * 4 + ["w2"] * 4
+    out = capsys.readouterr().out
+    assert "\nw1: 2 pairs" in out and "\nw2: 2 pairs" in out
+    assert out.count("invalid") == 1

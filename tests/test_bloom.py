@@ -157,13 +157,13 @@ def test_slot_index_matches_oracle(seconds, slots):
     assert 0 <= idx < slots
 
 
-def test_slot_vector_one_hot_and_padding():
+def test_slot_vector_is_one_hot_at_the_slot_width():
     v = bloom.slot_vector(0, 48)
     assert v.shape == (48,) and v[0] == 1.0 and v.sum() == 1.0
-    wide = bloom.slot_vector(86399, 48, width=320)
-    assert wide.shape == (320,) and wide[47] == 1.0 and wide.sum() == 1.0
-    with pytest.raises(ValueError, match="width"):
-        bloom.slot_vector(0, 48, width=40)
+    last = bloom.slot_vector(86399, 48)
+    assert last.shape == (48,) and last[47] == 1.0 and last.sum() == 1.0
+    with pytest.raises(ValueError, match="seconds"):
+        bloom.slot_vector(86400, 48)
 
 
 def test_hash_count_cannot_exceed_width():

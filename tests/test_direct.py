@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
+import support
 from support import admit_pools
-from ridecloak import direct
+from ridecloak import bloom, direct
 from ridecloak.direct import MatchCase, OfferSpec, RequestSpec
 
 
@@ -45,8 +46,8 @@ def admitted_case(env, offer, request):
 
 def pair_case(env, ospec, rspec):
     rng = np.random.default_rng(1234)
-    offer = direct.build_offers([ospec], env.driver, env.cfg, rng)[0]
-    request = direct.build_requests([rspec], env.rider, env.cfg, rng)[0]
+    offer = direct.build_offers([ospec], *env.driver, env.cfg, rng)[0]
+    request = direct.build_requests([rspec], *env.rider, env.cfg, rng)[0]
     return admitted_case(env, offer, request)
 
 
@@ -99,10 +100,10 @@ def test_degenerate_same_pickup_and_dropoff(direct_env):
 def test_fresh_ciphertexts_same_outcome(direct_env):
     env = direct_env
     rng = np.random.default_rng(5)
-    a = direct.build_offers([offer_spec()], env.driver, env.cfg, rng)[0]
-    b = direct.build_offers([offer_spec()], env.driver, env.cfg, rng)[0]
+    a = direct.build_offers([offer_spec()], *env.driver, env.cfg, rng)[0]
+    b = direct.build_offers([offer_spec()], *env.driver, env.cfg, rng)[0]
     assert not np.array_equal(a.pickup.parts, b.pickup.parts)
-    request = direct.build_requests([request_spec()], env.rider, env.cfg, rng)[0]
+    request = direct.build_requests([request_spec()], *env.rider, env.cfg, rng)[0]
     for offer in (a, b):
         assert admitted_case(env, offer, request) is MatchCase.AREA
 
@@ -115,11 +116,11 @@ def test_match_all_respects_capacity_and_order(direct_env):
             offer_spec(offer_id="first", capacity=1),
             offer_spec(offer_id="second", capacity=2),
         ],
-        env.driver, env.cfg, rng,
+        *env.driver, env.cfg, rng,
     )
     requests = direct.build_requests(
         [request_spec(request_id=f"r{i}") for i in range(4)],
-        env.rider, env.cfg, rng,
+        *env.rider, env.cfg, rng,
     )
     got = direct.match_all(*admit_pools(env, offers, requests), env.cfg.n_hashes)
     assert [(m.request_id, m.offer_id) for m in got] == [
@@ -140,19 +141,19 @@ def test_build_validation(direct_env):
     env = direct_env
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="case"):
-        direct.build_offers([offer_spec(cases=())], env.driver, env.cfg, rng)
+        direct.build_offers([offer_spec(cases=())], *env.driver, env.cfg, rng)
     with pytest.raises(ValueError, match="capacity"):
-        direct.build_offers([offer_spec(capacity=0)], env.driver, env.cfg, rng)
+        direct.build_offers([offer_spec(capacity=0)], *env.driver, env.cfg, rng)
     with pytest.raises(ValueError, match="max_items"):
         direct.build_offers(
-            [offer_spec(route_cells=tuple(range(100, 200)))], env.driver, env.cfg, rng
+            [offer_spec(route_cells=tuple(range(100, 200)))], *env.driver, env.cfg, rng
         )
     with pytest.raises(ValueError, match="nonempty"):
-        direct.build_offers([offer_spec(pickup_cells=())], env.driver, env.cfg, rng)
+        direct.build_offers([offer_spec(pickup_cells=())], *env.driver, env.cfg, rng)
     with pytest.raises(ValueError, match="driver"):
-        direct.build_offers([offer_spec()], env.rider, env.cfg, rng)
+        direct.build_offers([offer_spec()], *env.rider, env.cfg, rng)
     with pytest.raises(ValueError, match="rider"):
-        direct.build_requests([request_spec()], env.driver, env.cfg, rng)
+        direct.build_requests([request_spec()], *env.driver, env.cfg, rng)
 
 
 def random_scenario(seed, n_offers=6, n_requests=14, universe=40):
@@ -200,8 +201,8 @@ def encrypt_scenario(env, offers, requests):
         for oid, f in offers
     ]
     rspecs = [RequestSpec(rid, f[0], f[1], f[2], f[3]) for rid, f in requests]
-    built_o = direct.build_offers(ospecs, env.driver, env.cfg, rng)
-    built_r = direct.build_requests(rspecs, env.rider, env.cfg, rng)
+    built_o = direct.build_offers(ospecs, *env.driver, env.cfg, rng)
+    built_r = direct.build_requests(rspecs, *env.rider, env.cfg, rng)
     return built_o, built_r
 
 
@@ -235,3 +236,27 @@ def test_pair_gate_agrees_with_summary_oracle(direct_env):
                 env.cfg.n_hashes, env.cfg.epoch, env.cfg.salt,
             )
             assert (got.value if got else None) == want
+
+
+def test_time_index_reveals_only_slot_equality_at_the_slot_width():
+    """The time index at its own 48-wide key sets, one fresh set-up per case: a
+    driver's and a rider's masked slot vectors multiply to nothing like the slot
+    equality (as criterion 8(c) checks filters at width 64), and unmasked they
+    give exactly it."""
+    slots, agreements, exact = 48, 0, 0
+    for i in range(100):
+        env = support.make_crypto_env(slots, 7000 + i)
+        rng = np.random.default_rng(i)
+        depart = float(rng.uniform(0, 86400))
+        pickup = depart if i % 2 else float(rng.uniform(0, 86400))
+        equal = float(bloom.slot_index(depart, slots) == bloom.slot_index(pickup, slots))
+        offer = support.encrypt_index(bloom.slot_vector(depart, slots), env.driver, rng)
+        request = support.encrypt_index(bloom.slot_vector(pickup, slots), env.rider, rng)
+        raw = float(np.sum(request.parts * offer.parts))
+        agreements += abs(raw - equal) <= 1e-3
+        unmasked = support.match_similarity(
+            support.unmask_index(request, env.secrets), support.unmask_index(offer, env.secrets)
+        )
+        exact += abs(unmasked - equal) <= 1e-3
+    assert agreements == 0
+    assert exact == 100

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from support import SMALL_CONFIG, admit_pools
-from ridecloak import crypto, direct, kernels, protocol
+from support import SMALL_CONFIG, admit_pools, unmask_direct
+from ridecloak import direct, kernels, protocol
 from ridecloak.client import LoopbackTransport, ServiceClient
 from ridecloak.direct import MatchCase, OfferSpec, RequestSpec
 from ridecloak.protocol import DirectNotification, MsgType
@@ -35,9 +35,10 @@ class RecordingTransport(LoopbackTransport):
 class ReferenceServer:
     """Direct-scheme server state as objects, matched by the reference greedy."""
 
-    def __init__(self, secrets, n_hashes):
+    def __init__(self, secrets, config):
         self.secrets = secrets
-        self.n_hashes = n_hashes
+        self.n_hashes = config.n_hashes
+        self.dims = direct.index_dims(config.filter_bits, config.time_slots)
         self.rotate()
 
     def rotate(self):
@@ -46,18 +47,18 @@ class ReferenceServer:
         self.requests = {}  # pending id -> unmasked DirectRequest, arrival order
 
     def unmask(self, indexes):
-        return crypto.unmask_indices(indexes, self.secrets)
+        return unmask_direct(indexes, self.secrets)
 
     def ingest(self, log):
         for msg_type, item_id, payload in log:
             if msg_type is MsgType.SUBMIT_OFFER:
-                p = protocol.decode_submit_offer(payload)
+                p = protocol.decode_submit_offer(payload, self.dims)
                 self.offers[item_id] = direct.DirectOffer(
                     item_id, p.capacity, p.cases, *self.unmask(p.indexes()), p.contact
                 )
                 self.seats[item_id] = p.capacity
             else:
-                p = protocol.decode_submit_request(payload)
+                p = protocol.decode_submit_request(payload, self.dims)
                 self.requests[item_id] = direct.DirectRequest(
                     item_id, *self.unmask(p.indexes()), p.contact
                 )
@@ -134,7 +135,7 @@ def test_pooled_rounds_equal_object_list_reference(seed):
     driver.register("driver")
     rider.register("rider")
     srv = svc.server
-    ref = ReferenceServer(svc.server.secrets_direct, svc.config.n_hashes)
+    ref = ReferenceServer(svc.server.secrets, svc.config)
     rng = np.random.default_rng(seed)
     seen = dict(carried=False, exhausted=False, reused=False, grown=False)
     for round_no in range(6):
@@ -200,13 +201,13 @@ def test_pool_growth_and_row_reuse(direct_env):
     env = direct_env
     _, requests = random_scenario(3, n_offers=2, n_requests=5)
     _, built_r = encrypt_scenario(env, [], requests)
-    pool = direct.RequestPool(env.cfg.bits, rows=2)
+    pool = direct.RequestPool(env.cfg.bits, env.cfg.time_slots, rows=2)
     for k, request in enumerate(built_r):
         assert pool.admit(request.indexes(), env.secrets, request.request_id) == k
     assert len(pool.live) == 8 and pool.used == 5 and len(pool) == 5
     for k, request in enumerate(built_r):
         got = pool.indexes(k)
-        want = crypto.unmask_indices(request.indexes(), env.secrets)
+        want = unmask_direct(request.indexes(), env.secrets)
         assert all(np.array_equal(a.parts, b.parts) for a, b in zip(got, want))
     pool.release(1)
     assert len(pool) == 4 and pool.admit(built_r[0].indexes(), env.secrets, "late") == 1
@@ -225,8 +226,8 @@ def test_pool_rejects_bad_submissions_without_state_change(direct_env):
     env = direct_env
     offers, requests = random_scenario(5, n_offers=3, n_requests=3)
     built_o, built_r = encrypt_scenario(env, offers, requests)
-    offer_pool = direct.OfferPool(env.cfg.bits, rows=2)
-    request_pool = direct.RequestPool(env.cfg.bits, rows=2)
+    offer_pool = direct.OfferPool(env.cfg.bits, env.cfg.time_slots, rows=2)
+    request_pool = direct.RequestPool(env.cfg.bits, env.cfg.time_slots, rows=2)
     for o, r in zip(built_o[:2], built_r[:2]):  # both pools full: one more row would grow them
         offer_pool.admit(o.indexes(), env.secrets, o.offer_id, o.capacity, o.cases)
         request_pool.admit(r.indexes(), env.secrets, r.request_id)
@@ -241,9 +242,10 @@ def test_pool_rejects_bad_submissions_without_state_change(direct_env):
             request_pool.release(0)
         for pool, good, other_form, admit in admits:
             bad = {
-                "already unmasked": crypto.unmask_indices(good, env.secrets),
+                "already unmasked": unmask_direct(good, env.secrets),
                 "wrong orientation": other_form,
                 "wrong width": [replace(ix, parts=ix.parts[:, :-1]) for ix in good],
+                "filter-width time index": [*good[:3], good[0]],
                 "three indexes": good[:3],
                 "overflowing parts": [replace(ix, parts=np.full_like(ix.parts, 1e308)) for ix in good],
             }

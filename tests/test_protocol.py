@@ -35,6 +35,15 @@ def sample_indexes(count=4, dim=16, seed=0, role="rider"):
     return [support.encrypt_index(np.zeros(dim), keys, rng) for _ in range(count)]
 
 
+# A direct trip's index widths in these tests: three filters, then time.
+DIRECT_DIMS = (16, 16, 16, 6)
+
+
+def direct_indexes(seed=0, role="rider"):
+    """A direct trip's four indexes at DIRECT_DIMS."""
+    return sample_indexes(3, seed=seed, role=role) + sample_indexes(1, 6, seed, role)
+
+
 def oracle_blobs(indexes):
     """Index blobs laid out by the independent encoder."""
     return [oracles.encrypted_index(ix.parts) for ix in indexes]
@@ -162,21 +171,30 @@ def test_key_bundle_round_trip(knn64):
 
 def test_direct_offer_payload_round_trip():
     offer = DirectOffer(
-        "o7", 3, (MatchCase.ROUTE, MatchCase.AREA), *sample_indexes(role="driver"), b"call-me"
+        "o7", 3, (MatchCase.ROUTE, MatchCase.AREA), *direct_indexes(role="driver"), b"call-me"
     )
     payload = protocol.encode_submit_offer(offer)
     assert payload == oracles.direct_offer_payload(
         3, ["route", "area"], b"call-me", oracle_blobs(offer.indexes())
     )
-    back = protocol.decode_submit_offer(payload)
+    back = protocol.decode_submit_offer(payload, DIRECT_DIMS)
     assert isinstance(back, DirectOffer) and back.offer_id == ""
     assert (back.capacity, back.cases, back.contact) == (3, offer.cases, b"call-me")
     assert same_indexes(back.indexes(), offer.indexes())
-    # three indexes of width 16 are read as the four of width 12 they also spell
-    short = protocol.decode_submit_offer(
-        oracles.direct_offer_payload(1, ["area"], b"", oracle_blobs(offer.indexes())[:3])
-    )
-    assert [ix.dim for ix in short.indexes()] == [12] * 4
+    assert [ix.dim for ix in back.indexes()] == list(DIRECT_DIMS)
+    # the widths come from the caller: a block of any other size is refused
+    filters = oracle_blobs(offer.indexes())[:3]
+    wrong_blocks = {
+        "three indexes": filters,
+        "filter-width time index": filters + filters[:1],
+        "truncated time index": filters + [oracle_blobs(offer.indexes())[3][:-8]],
+    }
+    for name, blobs in wrong_blocks.items():
+        with pytest.raises(ProtocolError, match="widths") as exc_info:
+            protocol.decode_submit_offer(
+                oracles.direct_offer_payload(1, ["area"], b"", blobs), DIRECT_DIMS
+            )
+        assert exc_info.value.code is ErrorCode.BAD_DIMENSION, name
 
 
 def test_transfer_offer_payload_round_trip():
@@ -187,7 +205,7 @@ def test_transfer_offer_payload_round_trip():
     assert payload == oracles.transfer_offer_payload(
         2, b"", list(zip(oracle_blobs(plus), oracle_blobs(minus)))
     )
-    back = protocol.decode_submit_offer(payload)
+    back = protocol.decode_submit_offer(payload, DIRECT_DIMS)
     assert isinstance(back, TransferOffer) and back.offer_id == ""
     assert (back.capacity, back.contact, len(back.cells)) == (2, b"", 3)
     assert same_indexes([c.plus for c in back.cells], plus)
@@ -195,10 +213,10 @@ def test_transfer_offer_payload_round_trip():
 
 
 def test_direct_request_payload_round_trip():
-    request = DirectRequest("r1", *sample_indexes(seed=1), b"r")
+    request = DirectRequest("r1", *direct_indexes(seed=1), b"r")
     payload = protocol.encode_submit_request(request)
     assert payload == oracles.direct_request_payload(b"r", oracle_blobs(request.indexes()))
-    back = protocol.decode_submit_request(payload)
+    back = protocol.decode_submit_request(payload, DIRECT_DIMS)
     assert isinstance(back, DirectRequest) and back.request_id == ""
     assert back.contact == b"r" and same_indexes(back.indexes(), request.indexes())
 
@@ -217,7 +235,7 @@ def test_transfer_request_payload_round_trip(pref):
         b"c", pref.kind.value, pref.cells_limit, pref.transfers_limit,
         *oracle_blobs([pickup, dropoff]),
     )
-    back = protocol.decode_submit_request(payload)
+    back = protocol.decode_submit_request(payload, DIRECT_DIMS)
     assert isinstance(back, TransferRequest) and back.request_id == ""
     assert (back.preference, back.contact) == (pref, b"c")
     assert same_indexes([back.pickup, back.dropoff], [pickup, dropoff])
@@ -238,19 +256,19 @@ def test_out_of_range_fields_raise_protocol_error(offer):
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ProtocolError, match="scheme"):
-        protocol.decode_submit_offer(b"\x07")
+        protocol.decode_submit_offer(b"\x07", DIRECT_DIMS)
     with pytest.raises(ProtocolError, match="scheme"):
-        protocol.decode_submit_request(b"\x07")
+        protocol.decode_submit_request(b"\x07", DIRECT_DIMS)
     with pytest.raises(ProtocolError, match="scheme"):
         protocol.decode_notification(b"\x07")
 
 
 def test_payload_underruns_rejected():
     payload = protocol.encode_submit_offer(
-        DirectOffer("", 1, (MatchCase.AREA,), *sample_indexes(seed=3), b"contact")
+        DirectOffer("", 1, (MatchCase.AREA,), *direct_indexes(seed=3), b"contact")
     )
     with pytest.raises(ProtocolError, match="underrun"):
-        protocol.decode_submit_offer(payload[:6])  # cut inside the contact's length
+        protocol.decode_submit_offer(payload[:6], DIRECT_DIMS)  # cut inside the contact's length
     ann = protocol.encode_epoch_announce(EpochAnnounce(1, 2, 3, 4))
     with pytest.raises(ProtocolError, match="underrun"):
         protocol.decode_epoch_announce(ann[:-1])
@@ -289,12 +307,19 @@ def test_encrypted_index_round_trip(knn64):
     rng = np.random.default_rng(11)
     idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
     payload = protocol.encode_submit_request(DirectRequest("", idx, idx, idx, idx))
-    back = protocol.decode_submit_request(payload).pickup
+    back = protocol.decode_submit_request(payload, (knn64.dim,) * 4).pickup
     assert (back.orientation, back.unmasked) == ("row", False)
     np.testing.assert_array_equal(back.parts, idx.parts)
-    with pytest.raises(ProtocolError, match="ciphertext block") as exc_info:
-        protocol.decode_submit_request(oracles.direct_request_payload(b"", [b"\x01\x02\x03"] * 4))
-    assert exc_info.value.code is ErrorCode.MALFORMED
+    # a transfer block that is no whole number of float64 indexes is malformed;
+    # a direct block of the wrong size has the wrong widths
+    bad = [b"\x01\x02\x03"] * 2
+    for payload, code in [
+        (oracles.transfer_request_payload(b"", "min-cells", None, None, *bad), ErrorCode.MALFORMED),
+        (oracles.direct_request_payload(b"", bad * 2), ErrorCode.BAD_DIMENSION),
+    ]:
+        with pytest.raises(ProtocolError, match="ciphertext block") as exc_info:
+            protocol.decode_submit_request(payload, (knn64.dim,) * 4)
+        assert exc_info.value.code is code
 
 
 def _cell_indexes(offer):
@@ -318,7 +343,7 @@ def test_decoded_indexes_hold_no_view_of_the_frame(encode, decode, trip, indexes
         bytearray(protocol.encode_frame(MsgType.SUBMIT_OFFER, 1, ZERO_TOKEN, payload)), dtype=np.uint8
     )
     frame, _ = protocol.decode_frame(memoryview(buf))
-    decoded = indexes(decode(frame.payload))
+    decoded = indexes(decode(frame.payload, (16,) * 4))
     assert decoded and not any(np.shares_memory(ix.parts, buf) for ix in decoded)
 
 

@@ -66,8 +66,8 @@ def test_secret_matrices_are_inverted_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     monkeypatch.setattr(crypto, "_well_conditioned", counting_check)
     svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=11)
-    # two schemes, each drawing two blends, eight mask parts and two server masks
-    assert counts == {"inv": 2 * 12, "checks": 2 * 12}
+    # three schemes, each drawing two blends, eight mask parts and two server masks
+    assert counts == {"inv": 3 * 12, "checks": 3 * 12}
     for role in ("driver", "rider", "driver"):
         counts.update(inv=0, checks=0)
         svc.authority.register(role, svc.server.epoch, svc.server.salt)
@@ -77,10 +77,13 @@ def test_secret_matrices_are_inverted_once(monkeypatch):
 def test_register_roles_and_key_shapes(small_service):
     driver, rider = make_clients(small_service)
     assert set(driver.registration.keysets) == {
-        "direct-driver", "transfer-plus", "transfer-minus",
+        "direct-driver", "transfer-plus", "transfer-minus", "time-driver",
     }
-    assert set(rider.registration.keysets) == {"direct-rider", "transfer-rider"}
+    assert set(rider.registration.keysets) == {"direct-rider", "transfer-rider", "time-rider"}
     assert driver.registration.keysets["direct-driver"].dim == SMALL_CONFIG["filter_bits"]
+    for client, role in ((driver, "driver"), (rider, "rider")):
+        time_keys = client.registration.keysets[f"time-{role}"]
+        assert (time_keys.dim, time_keys.role) == (SMALL_CONFIG["time_slots"], role)
     cell_bits = 2 * SMALL_CONFIG["id_bits"] + SMALL_CONFIG["time_bits"]
     assert driver.registration.keysets["transfer-plus"].dim == cell_bits
     assert driver.registration.keysets["transfer-plus"].role == "driver"
@@ -91,6 +94,32 @@ def test_register_roles_and_key_shapes(small_service):
     reply, _ = protocol.decode_frame(small_service.dispatch(frame))
     code, _ = protocol.decode_error(reply.payload)
     assert code is ErrorCode.MALFORMED
+
+
+def bundle_formula_bytes(config, role):
+    """A KEY_BUNDLE reply's size as README "File formats" gives it, with
+    F = filter_bits, W = 2*id_bits + time_bits, S = time_slots and T tokens:
+    a driver's is 211 + 32*T + 64*(F^2 + 2*W^2 + S^2) + F + 2*W + S B,
+    a rider's 178 + 32*T + 64*(F^2 + W^2 + S^2) + F + W + S B."""
+    f, w, s = config.filter_bits, config.cell_vector_bits, config.time_slots
+    tokens = 32 * config.tokens_per_bundle
+    if role == "driver":
+        return 211 + tokens + 64 * (f * f + 2 * w * w + s * s) + f + 2 * w + s
+    return 178 + tokens + 64 * (f * f + w * w + s * s) + f + w + s
+
+
+@pytest.mark.parametrize("widths", [
+    SMALL_CONFIG,
+    dict(filter_bits=64, n_hashes=3, id_bits=5, time_bits=7, time_slots=24,
+         max_items=20, tokens_per_bundle=5),
+], ids=["small", "narrow"])
+def test_key_bundle_size_follows_the_formula(widths):
+    config = ServiceConfig(**widths)
+    svc = RideService(config, seed=8)
+    for role in ("driver", "rider"):
+        client = ServiceClient(LoopbackTransport(svc), rng=1)
+        client.register(role)
+        assert client.transport.received_bytes == bundle_formula_bytes(config, role)
 
 
 def test_register_refuses_an_unknown_role_before_sending(small_service):
@@ -173,20 +202,27 @@ def test_match_threshold_triggers_matching(tmp_path):
     assert rider.poll([request_id])[0].peer_id == offer_id
 
 
+def zero_trip_indexes(client, role, dim=None):
+    """A direct trip's four indexes of all-zero vectors under `client`'s keys;
+    with `dim`, the three filters are of that width, under foreign keys."""
+    rng = np.random.default_rng(55)
+    keys = client.registration.keysets[f"direct-{role}"]
+    time_keys = client.registration.keysets[f"time-{role}"]
+    if dim is not None:
+        derivers, _ = crypto.generate_keys({"direct": dim}, rng)
+        keys = derivers["direct"].derive(role, rng)
+    idx = support.encrypt_index(np.zeros(keys.dim), keys, rng)
+    return [idx] * 3 + [support.encrypt_index(np.zeros(time_keys.dim), time_keys, rng)]
+
+
 def offer_frame(driver, token, dim=None, epoch=None):
     """Hand-built SUBMIT_OFFER frame, bypassing client-side validation."""
-    rng = np.random.default_rng(55)
-    if dim is None:
-        keys = driver.registration.keysets["direct-driver"]
-    else:
-        derivers, _ = crypto.generate_keys({"direct": dim}, rng)
-        keys = derivers["direct"].derive("driver", rng)
-    idx = support.encrypt_index(np.zeros(keys.dim), keys, rng)
+    indexes = zero_trip_indexes(driver, "driver", dim)
     return protocol.encode_frame(
         MsgType.SUBMIT_OFFER,
         driver.registration.epoch if epoch is None else epoch,
         token,
-        protocol.encode_submit_offer(DirectOffer("", 1, (MatchCase.AREA,), *[idx] * 4)),
+        protocol.encode_submit_offer(DirectOffer("", 1, (MatchCase.AREA,), *indexes)),
     )
 
 
@@ -294,12 +330,9 @@ def test_bogus_token_rejected_before_any_work(small_service, monkeypatch):
     driver.submit_direct_offer(OFFER)
     rider.submit_direct_request(REQUEST)
     bogus = bytes(protocol.TOKEN_SIZE)
-    rng = np.random.default_rng(3)
-    keys = rider.registration.keysets["direct-rider"]
-    idx = support.encrypt_index(np.zeros(keys.dim), keys, rng)
     request = protocol.encode_frame(
         MsgType.SUBMIT_REQUEST, rider.registration.epoch, bogus,
-        protocol.encode_submit_request(DirectRequest("", *[idx] * 4)),
+        protocol.encode_submit_request(DirectRequest("", *zero_trip_indexes(rider, "rider"))),
     )
     unmasked = []
     real = crypto.unmask_indices
@@ -329,21 +362,44 @@ def corrupt_overflow(blob, value):
     return np.full(len(blob) // 8, value, dtype="<f8").tobytes()
 
 
+def widen_to(blob, width):
+    """Zero parts appended up to `width`: a direct time index at the filter
+    width makes the block 4 * 8 * filter_bits values, as a padded time vector did."""
+    return blob + bytes(crypto.PART_COUNT * 8 * width - len(blob))
+
+
+# The reply code of each damage, for a direct and for a transfer submission.
+# A direct block has fixed widths, so a block of any other size has the wrong
+# dimension; a transfer block's width is read off its length.
+REPLY_CODES = {
+    corrupt_nonfinite: (ErrorCode.MALFORMED, ErrorCode.MALFORMED),
+    drop_last_value: (ErrorCode.BAD_DIMENSION, ErrorCode.MALFORMED),
+    corrupt_overflow: (ErrorCode.MALFORMED, ErrorCode.MALFORMED),
+    widen_to: (ErrorCode.BAD_DIMENSION, ErrorCode.BAD_DIMENSION),
+}
+
+
 def corrupted_frames(driver, rider, corrupt, value):
-    """A direct offer, a direct request, two transfer offers (the bad blob in a plus
-    index, then in a minus index) and a transfer request, each with one bad index
-    blob. The payloads are laid out by the oracle encoders, since no index object
-    holds these bytes."""
+    """A direct offer and a direct request, each with a bad time index blob, two
+    transfer offers (the bad blob in a plus index, then in a minus index) and a
+    transfer request, each with one bad index blob, paired with the code each
+    draws. The payloads are laid out by the oracle encoders, since no index
+    object holds these bytes."""
     rng = np.random.default_rng(9)
     reg, rreg = driver.registration, rider.registration
-    keys, rkeys = reg.keysets["direct-driver"], rreg.keysets["direct-rider"]
-    direct_blob = support.encrypt_index(np.zeros(keys.dim), keys, rng).to_bytes()
+    direct_code, transfer_code = REPLY_CODES[corrupt]
+    blobs = [
+        [support.encrypt_index(np.zeros(keys.dim), keys, rng).to_bytes()
+         for keys in (client.registration.keysets[f"direct-{role}"],
+                      client.registration.keysets[f"time-{role}"])]
+        for client, role in ((driver, "driver"), (rider, "rider"))
+    ]
+    (offer_filter, offer_time), (request_filter, request_time) = blobs
     direct_offer = oracles.direct_offer_payload(
-        1, ["area"], b"", [direct_blob] * 3 + [corrupt(direct_blob, value)]
+        1, ["area"], b"", [offer_filter] * 3 + [corrupt(offer_time, value)]
     )
-    rider_blob = support.encrypt_index(np.zeros(rkeys.dim), rkeys, rng).to_bytes()
     direct_request = oracles.direct_request_payload(
-        b"", [rider_blob] * 3 + [corrupt(rider_blob, value)]
+        b"", [request_filter] * 3 + [corrupt(request_time, value)]
     )
     offer = transfer.build_transfer_offer(
         "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
@@ -362,12 +418,15 @@ def corrupted_frames(driver, rider, corrupt, value):
         request.pickup.to_bytes(), corrupt(request.dropoff.to_bytes(), value),
     )
     return [
-        protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(), direct_offer),
-        protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), direct_request),
-        *(protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
-                                oracles.transfer_offer_payload(2, b"", bad))
+        (protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(), direct_offer),
+         direct_code),
+        (protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), direct_request),
+         direct_code),
+        *((protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
+                                 oracles.transfer_offer_payload(2, b"", bad)), transfer_code)
           for bad in (bad_plus, bad_minus)),
-        protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), routed),
+        (protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), routed),
+         transfer_code),
     ]
 
 
@@ -377,15 +436,16 @@ def corrupted_frames(driver, rider, corrupt, value):
     (corrupt_nonfinite, -np.inf),
     (drop_last_value, None),
     (corrupt_overflow, 1e307),
+    (widen_to, SMALL_CONFIG["filter_bits"]),
 ])
 def test_impossible_ciphertexts_rejected_without_state_change(small_service, corrupt, value):
     driver, rider = make_clients(small_service)
     driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
-    for frame in corrupted_frames(driver, rider, corrupt, value):
+    for frame, code in corrupted_frames(driver, rider, corrupt, value):
         before = server_state(small_service)
         reply_bytes = small_service.dispatch(frame)
         assert protocol.decode_frame(reply_bytes)[1] == b""
-        assert error_code(reply_bytes) is ErrorCode.MALFORMED
+        assert error_code(reply_bytes) is code
         assert server_state(small_service) == before
 
 
@@ -398,7 +458,7 @@ def assert_bounded_state(srv):
 
     for pool in (srv.offer_pool, srv.request_pool):
         live = pool.live[: pool.used]
-        assert all(bounded(m[: pool.used][live], srv.config.filter_bits) for m in pool.kinds)
+        assert all(bounded(m[: pool.used][live], dim) for m, dim in zip(pool.kinds, pool.dims))
     graph, cells = srv.graph, srv.config.cell_vector_bits
     assert bounded(graph._plus[: len(graph._row_ids)][graph.active_mask], cells)
     for request in srv.transfer_requests.values():
@@ -496,13 +556,27 @@ def test_config_rejects_out_of_range_values(field, value):
 
 
 @pytest.mark.parametrize("values, message", [
-    (dict(filter_bits=32, time_slots=48), "filter_bits 32 must be >= time_slots 48"),
     (dict(filter_bits=64, n_hashes=65), "n_hashes 65 must be <= filter_bits 64"),
-], ids=["filter_bits-below-time_slots", "n_hashes-above-filter_bits"])
+], ids=["n_hashes-above-filter_bits"])
 def test_config_refuses_combinations_no_client_can_encode(values, message):
     """A client's direct.SummaryConfig refuses these; so does the service that would ship them."""
     with pytest.raises(ValueError, match=message):
         ServiceConfig(**values)
+
+
+def test_filters_narrower_than_the_day_slots_match_over_loopback():
+    """The time index has its own width, so filters may be narrower than it."""
+    svc = RideService(ServiceConfig(**{**SMALL_CONFIG, "filter_bits": 32, "time_slots": 48}), seed=5)
+    driver, rider = make_clients(svc)
+    assert driver.registration.keysets["time-driver"].dim == 48
+    offer_id = driver.submit_direct_offer(OFFER)
+    request_id = rider.submit_direct_request(REQUEST)
+    late = rider.submit_direct_request(replace(REQUEST, pickup_seconds=slot_time(11)))
+    assert svc.run_matching() == [
+        service.DirectMatchRecord(request_id, offer_id, MatchCase.AREA)
+    ]
+    assert set(svc.server.direct_requests) == {late}
+    assert [m.peer_id for m in rider.poll([request_id])] == [offer_id]
 
 
 def test_config_refuses_path_limit_as_an_unknown_key():
@@ -590,7 +664,8 @@ def test_transfer_handoff_over_wire(small_service):
     # the relayed bytes are the boarding cell's plus ciphertext as d2 sent it
     _, pos = next(node for node in records[0].path.nodes if node[0] == ids["d2"])
     frame, _ = protocol.decode_frame(d2_frame)
-    sent_plus = protocol.decode_submit_offer(frame.payload).cells[pos].plus.to_bytes()
+    dims = small_service.server.offer_pool.dims
+    sent_plus = protocol.decode_submit_offer(frame.payload, dims).cells[pos].plus.to_bytes()
     assert note.transfer_ciphers[0] == sent_plus
     assert sent_plus in d2_frame
 
@@ -782,16 +857,23 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
     salt = int(rng.integers(0, 2**63))  # the service draws its first salt first
     # the same draws as the service's set-up
     derivers, _ = crypto.generate_keys(
-        {"direct": config.filter_bits, "transfer": config.cell_vector_bits}, rng
+        {"direct": config.filter_bits, "transfer": config.cell_vector_bits,
+         "time": config.time_slots},
+        rng,
     )
-    direct, cells = derivers["direct"], derivers["transfer"]
+    direct, cells, time = derivers["direct"], derivers["transfer"], derivers["time"]
     plans = {
         "driver": [
             ("direct-driver", direct, "driver"),
             ("transfer-plus", cells, "driver"),
             ("transfer-minus", cells, "rider"),
+            ("time-driver", time, "driver"),
         ],
-        "rider": [("direct-rider", direct, "rider"), ("transfer-rider", cells, "rider")],
+        "rider": [
+            ("direct-rider", direct, "rider"),
+            ("transfer-rider", cells, "rider"),
+            ("time-rider", time, "rider"),
+        ],
     }
     tokens = CountingRandom()
     fields = (1, salt, config.filter_bits, config.n_hashes, config.id_bits,
@@ -842,7 +924,7 @@ def test_authority_holds_only_what_a_derivation_reads():
     svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=3)
     for role in ("driver", "rider"):
         svc.dispatch(register_frame(role))
-    dims = (SMALL_CONFIG["filter_bits"], svc.config.cell_vector_bits)
+    dims = (SMALL_CONFIG["filter_bits"], svc.config.cell_vector_bits, SMALL_CONFIG["time_slots"])
     # (4 + 16) float64 deriver matrices and a uint8 pattern
     assert sum(array_buffers(svc.authority).values()) == sum((4 + 16) * d * d * 8 + d for d in dims)
 
@@ -853,12 +935,14 @@ def test_authority_and_server_share_no_array():
     for role in ("driver", "rider"):
         svc.dispatch(register_frame(role))
     assert not set(array_buffers(svc.authority)) & set(array_buffers(svc.server))
-    srv = svc.server
-    for secrets in (srv.secrets_direct, srv.secrets_transfer):
-        assert sum(array_buffers(secrets).values()) == 2 * secrets.dim**2 * 8
-    assert (srv.secrets_direct.dim, srv.secrets_transfer.dim) == (
-        SMALL_CONFIG["filter_bits"], svc.config.cell_vector_bits,
-    )
+    secrets = svc.server.secrets
+    for scheme in secrets.values():
+        assert sum(array_buffers(scheme).values()) == 2 * scheme.dim**2 * 8
+    assert {name: scheme.dim for name, scheme in secrets.items()} == {
+        "direct": SMALL_CONFIG["filter_bits"],
+        "transfer": svc.config.cell_vector_bits,
+        "time": SMALL_CONFIG["time_slots"],
+    }
 
 
 def test_register_builds_its_reply_in_one_buffer():
@@ -960,12 +1044,14 @@ def test_register_refuses_bundles_without_their_roles_key_sets(small_service):
         for name, keys in reg.keysets.items()
     }
     names = [name for name, _ in protocol.ROLE_KEY_SETS["rider"]]
-    assert names == ["direct-rider", "transfer-rider"]
+    assert names == ["direct-rider", "transfer-rider", "time-rider"]
     cases = [  # (error, [(name, whose blob it carries)])
         ("holds", [("direct-rider", "direct-rider")]),
         ("holds", [(n, n) for n in names] + [("direct-driver", "direct-driver")]),
-        ("driver keys", [("direct-rider", "direct-driver"), ("transfer-rider", "transfer-rider")]),
-        ("driver keys", [("direct-rider", "direct-rider"), ("transfer-rider", "transfer-plus")]),
+        ("driver keys", [("direct-rider", "direct-driver"), *[(n, n) for n in names[1:]]]),
+        ("driver keys", [(n, n) for n in names[:1]] + [("transfer-rider", "transfer-plus"),
+                                                       ("time-rider", "time-rider")]),
+        ("driver keys", [(n, n) for n in names[:2]] + [("time-rider", "time-driver")]),
         (None, [(n, n) for n in names]),
     ]
     for match, entries in cases:

@@ -238,7 +238,7 @@ PINNED_ROW = dict(
 
 
 @pytest.mark.parametrize("scheme, bytes_per_offer, bytes_per_request", [
-    ("direct", 81976.0, 81970.0),
+    ("direct", 64568.0, 64562.0),
     ("transfer", 13707.333333333334, 2107.0),
 ])
 def test_experiment_csv_is_pinned(scheme, bytes_per_offer, bytes_per_request):
@@ -254,20 +254,23 @@ def test_experiment_csv_is_pinned(scheme, bytes_per_offer, bytes_per_request):
 @pytest.mark.parametrize("scheme, widths", [
     ("direct", dict(filter_bits=320)),
     ("direct", dict(filter_bits=128)),
+    ("direct", dict(filter_bits=32, time_slots=96)),
     ("transfer", dict(id_bits=6, time_bits=4)),
     ("transfer", dict(id_bits=8, time_bits=9)),
-], ids=["direct-320", "direct-128", "transfer-w16", "transfer-w25"])
+], ids=["direct-320", "direct-128", "direct-32-slots-96", "transfer-w16", "transfer-w25"])
 def test_submission_bytes_follow_the_size_formulas(pool, scheme, widths):
     """The sizes README "File formats" gives, with no contact (c = 0): a direct
-    offer is 45 + 8 + k + 256*filter_bits B for k cases, a direct request
-    45 + 5 + 256*filter_bits B; with w = 2*id_bits + time_bits, a transfer
-    offer is 45 + 9 + 128*w*cells B and a transfer request 45 + 14 + 128*w B."""
+    offer is 45 + 8 + k + 192*filter_bits + 64*time_slots B for k cases, a
+    direct request 45 + 5 + 192*filter_bits + 64*time_slots B; with w =
+    2*id_bits + time_bits, a transfer offer is 45 + 9 + 128*w*cells B and a
+    transfer request 45 + 14 + 128*w B."""
     config = replace(SMALL_EXPERIMENT, scheme=scheme, **widths)
     wl = config.workload()
     report = sim.run_experiment(config, workload=wl, pool=pool)
     if scheme == "direct":
-        offers = [45 + 8 + len(o.cases) + 256 * config.filter_bits for o in wl.offers]
-        request = 45 + 5 + 256 * config.filter_bits
+        blocks = 192 * config.filter_bits + 64 * config.time_slots
+        offers = [45 + 8 + len(o.cases) + blocks for o in wl.offers]
+        request = 45 + 5 + blocks
     else:
         w = 2 * config.id_bits + config.time_bits
         offers = [45 + 9 + 128 * w * len(o.route) for o in wl.offers]
@@ -344,8 +347,8 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="identifier bits"):
         ExperimentConfig(scheme="transfer", rows=40, cols=40, id_bits=6)
     # refused when built, before any run of a sweep starts
-    with pytest.raises(ValueError, match="filter_bits 32 must be >= time_slots 48"):
-        ExperimentConfig(filter_bits=32)
+    with pytest.raises(ValueError, match="filter_bits must be in"):
+        ExperimentConfig(filter_bits=1)
     with pytest.raises(ValueError, match="n_hashes 400 must be <= filter_bits 320"):
         replace(SMALL_EXPERIMENT, n_hashes=400)
 

@@ -515,7 +515,7 @@ def reference_round(graph, requests, limit):
 def test_round_matching_equals_per_request_reference(transfer_env, monkeypatch, seed):
     env = transfer_env
     rng = np.random.default_rng(700 + seed)
-    server = TosServer(ServiceConfig(**SMALL_CONFIG), env.secrets, env.secrets, 1, 0)
+    server = TosServer(ServiceConfig(**SMALL_CONFIG), {"transfer": env.secrets}, 1, 0)
     stops = []
     for i in range(12):
         cells = grid_walk(rng)

@@ -1,16 +1,18 @@
 """Compare two checkouts on the repository benchmark in alternating pairs.
 
-    python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
+    python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME[,NAME...] \
         --seeds 701-710 --seconds 22 [--out runs.json]
 
 Each checkout is a full copy of the repository (for the parent, e.g.
-`git archive <sha> | tar -x -C DIR`). For every seed the tool runs
+`git archive <sha> | tar -x -C DIR`). `--workload` takes one workload or
+a comma-separated list, which runs one workload after the other. For
+every workload and seed the tool runs
 `python3 ridebench/run.py --workload NAME --seed N --seconds S --trace 0`
 in both, alternating which side runs first, one run at a time. The
 end-to-end metrics, which way is better and their regression bounds are
 read from the change checkout's BENCHMARK.json.
 
-Per metric it prints both sides' medians and quartiles, the pairs the
+Per workload and metric it prints both sides' medians and quartiles, the pairs the
 change won (ties count for neither side) and a verdict:
 
 * `gain`: the change won at least nine tenths of the pairs and the
@@ -26,12 +28,14 @@ change won (ties count for neither side) and a verdict:
   infinity), so no comparison holds.
 
 It also prints each side's share of failed operations: the runs'
-`failed` over their `attempted`, summed over the seeds.
+`failed` over their `attempted`, summed over the workload's seeds.
+`--out` writes every run's result as JSON, keyed by workload and side.
 
-The exit code is 1 when a seed's match digests differ between the
-sides, a run is not correct, the change's share of failed operations is
-larger than the parent's, or a run reads a non-finite end-to-end metric
-or none at all for one that BENCHMARK.json names, else 0.
+The exit code is 1 when, on any workload, a seed's match digests differ
+between the sides, a run is not correct, the change's share of failed
+operations is larger than the parent's, or a run reads a non-finite
+end-to-end metric or none at all for one that BENCHMARK.json names,
+else 0.
 """
 
 from __future__ import annotations
@@ -96,6 +100,14 @@ def parse_seeds(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+def parse_workloads(text: str) -> list[str]:
+    """'direct-wide' or 'direct-wide,transfer-city' -> workload names, in order."""
+    names = [name.strip() for name in text.split(",")]
+    if not all(names) or len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"need distinct, non-empty workload names, got {text!r}")
+    return names
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in checkout `root`: its result, digest and exit code."""
     cmd = [sys.executable, "ridebench/run.py", "--workload", workload,
@@ -111,24 +123,26 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
             "stderr": proc.stderr[-2000:], **result}
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=parse_workloads, required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=Path, help="write every run's result here as JSON")
-    args = parser.parse_args(argv)
+    return parser.parse_args(argv)
 
-    contract = json.loads((args.change / "BENCHMARK.json").read_text())
+
+def compare(args: argparse.Namespace, contract: dict, workload: str) -> tuple[bool, dict]:
+    """Run one workload's pairs and print its table; returns (checks passed, runs)."""
     sides = {"parent": args.parent, "change": args.change}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     ok = True
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_once(sides[side], args.workload, seed, args.seconds)
+            run = run_once(sides[side], workload, seed, args.seconds)
             runs[side].append({"seed": seed, **run})
             print(f"seed {seed} {side:6} correct={run['correct']} failed={run['failed']} "
                   f"digest={str(run['digest'])[:16]}", flush=True)
@@ -149,7 +163,7 @@ def main(argv=None) -> int:
         ok = False
         print("the change fails a larger share of operations", flush=True)
 
-    print(f"\n{args.workload}: {len(args.seeds)} pairs, parent -> change, median [quartiles]")
+    print(f"\n{workload}: {len(args.seeds)} pairs, parent -> change, median [quartiles]")
     for metric in contract["end_to_end"]:
         name = metric["name"]
         try:
@@ -164,7 +178,17 @@ def main(argv=None) -> int:
             ok = False
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         print(f"{name:24} {pm:.5g} [{p1:.5g}, {p3:.5g}] -> {cm:.5g} [{c1:.5g}, {c3:.5g}] "
-              f"{metric['unit']:4} wins {wins}/{len(parent)}  {result}")
+              f"{metric['unit']:4} wins {wins}/{len(parent)}  {result}", flush=True)
+    return ok, runs
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    contract = json.loads((args.change / "BENCHMARK.json").read_text())
+    ok, runs = True, {}
+    for workload in args.workload:
+        passed, runs[workload] = compare(args, contract, workload)
+        ok = ok and passed
     if args.out:
         args.out.write_text(json.dumps(runs, indent=1))
     return 0 if ok else 1
