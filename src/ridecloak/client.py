@@ -143,29 +143,27 @@ class ServiceClient:
         if frame.msg_type != MsgType.KEY_BUNDLE:
             raise ProtocolError(ErrorCode.BAD_STATE, f"expected KEY_BUNDLE, got {frame.msg_type.name}")
         bundle = protocol.decode_key_bundle(frame.payload)
-        expected = dict(protocol.ROLE_KEY_SETS[role])
+        expected = {name: (scheme, key_role) for name, scheme, key_role in protocol.ROLE_KEY_SETS[role]}
         if bundle.keysets.keys() != expected.keys():
             raise ProtocolError(
                 ErrorCode.BAD_STATE,
                 f"a {role} bundle holds {sorted(expected)}, got {sorted(bundle.keysets)}",
             )
-        widths = {
-            "direct": bundle.filter_bits,
-            "transfer": transfer.cell_vector_bits(bundle.id_bits, bundle.time_bits),
-            "time": bundle.time_slots,
-        }
+        widths = protocol.scheme_widths(
+            bundle.filter_bits, bundle.id_bits, bundle.time_bits, bundle.time_slots
+        )
         keysets = {}
         for name, blob in bundle.keysets.items():
             try:
                 keys = crypto.key_material_from_bytes(blob)
             except ValueError as exc:
                 raise ProtocolError(ErrorCode.BAD_STATE, f"bundle entry {name!r}: {exc}") from exc
-            if keys.role != expected[name]:
+            scheme, key_role = expected[name]
+            if keys.role != key_role:
                 raise ProtocolError(
                     ErrorCode.BAD_STATE,
-                    f"bundle entry {name!r} holds {keys.role} keys, expected {expected[name]}",
+                    f"bundle entry {name!r} holds {keys.role} keys, expected {key_role}",
                 )
-            scheme = name.split("-", 1)[0]
             if keys.dim != widths[scheme]:
                 raise ProtocolError(
                     ErrorCode.BAD_STATE,

@@ -213,27 +213,23 @@ CASES = tuple(MatchCase)  # a case's code, in the pools and on the wire, is its 
 POOL_ROWS = 16  # rows a new pool allocates; it doubles whenever it fills up
 
 
-def index_dims(bits: int, time_slots: int) -> tuple[int, ...]:
-    """Each index kind's width: `bits` for the three filters, `time_slots` for time."""
-    return (bits, bits, bits, time_slots)
-
-
 class _Pool:
     """Unmasked ciphertexts of stored submissions, one row per submission.
 
-    `kinds[kind]` is one contiguous (rows, 8*dims[kind]) float64 matrix per
-    index kind, so a matching round's GEMMs read the used prefix in place.
-    `live` marks the rows that hold a current submission and `seq` their
-    arrival order. A freed row keeps its stale ciphertext, masked out by
-    `live`, until the next submission overwrites it or the pool is
-    cleared.
+    `dims` is each index kind's width, as `protocol.layout_dims` gives it
+    for a direct trip. `kinds[kind]` is one contiguous (rows, 8*dims[kind])
+    float64 matrix per index kind, so a matching round's GEMMs read the
+    used prefix in place. `live` marks the rows that hold a current
+    submission and `seq` their arrival order. A freed row keeps its stale
+    ciphertext, masked out by `live`, until the next submission overwrites
+    it or the pool is cleared.
     """
 
     orientation = ""
     _row_arrays = ("live", "seq")  # per-row arrays that grow and clear with `kinds`
 
-    def __init__(self, bits: int, time_slots: int, rows: int = POOL_ROWS):
-        self.dims = index_dims(bits, time_slots)
+    def __init__(self, dims: tuple[int, ...], rows: int = POOL_ROWS):
+        self.dims = tuple(dims)
         self.kinds = [np.zeros((rows, crypto.PART_COUNT * dim)) for dim in self.dims]
         self.live = np.zeros(rows, dtype=bool)
         self.seq = np.zeros(rows, dtype=np.int64)
@@ -330,8 +326,8 @@ class OfferPool(_Pool):
     orientation = "column"
     _row_arrays = ("live", "seq", "remaining", "cases")
 
-    def __init__(self, bits: int, time_slots: int, rows: int = POOL_ROWS):
-        super().__init__(bits, time_slots, rows)
+    def __init__(self, dims: tuple[int, ...], rows: int = POOL_ROWS):
+        super().__init__(dims, rows)
         self.remaining = np.zeros(rows, dtype=np.int64)
         self.cases = np.zeros((rows, len(CASES)), dtype=np.int8)
 

@@ -11,15 +11,15 @@ failures come back as ERROR frames and leave server state unchanged.
 
 A SUBMIT_OFFER or SUBMIT_REQUEST payload ends in one ciphertext block:
 its encrypted indexes back to back, each as 8*dim little-endian float64
-(the eight parts, row-major), with nothing between them. A direct trip
-has 4 (pick-up, drop-off, route, time), a transfer offer 2 per cell (plus
-then minus) and a transfer request 2 (pick-up, drop-off). No width
-travels: the decoder takes a direct block's per-index widths from its
-caller (the server's config) and refuses any other block size with
-BAD_DIMENSION, and works out a transfer block's one width from its
-length. The position of an index fixes its form: offer-side indexes
-(direct offer, transfer plus) are column form, query-side ones
-(requests, transfer minus) row form, and all are masked.
+(the eight parts, row-major), with nothing between them. No width or form
+travels. Each submission kind has one layout, a (scheme, form) pair per
+index: a direct trip has 4 (pick-up, drop-off, route, time), a transfer
+offer 2 per cell it announces (plus then minus) and a transfer request 2
+(pick-up, drop-off). The decoder sizes every block by one rule: each
+index is its scheme's width in the caller's `scheme_widths` table, and a
+block of any other size is refused with BAD_DIMENSION. Offer-side indexes
+(direct offer, transfer plus) are column form, query-side ones (requests,
+transfer minus) row form, and all are masked.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .transfer import (
     TransferCellCipher,
     TransferOffer,
     TransferRequest,
+    cell_vector_bits,
 )
 
 HEADER_SIZE = 4 + 1 + 8 + 32
@@ -246,30 +247,24 @@ class _Reader:
         self.pos += size
         return out
 
-    def indexes(self, forms: list[str], dims: tuple[int, ...] | None = None) -> list[EncryptedIndex]:
-        """The rest of the payload as a ciphertext block of one masked index per form.
+    def indexes(self, layout: Layout, widths: dict[str, int]) -> list[EncryptedIndex]:
+        """The rest of the payload as the ciphertext block `layout` lays out.
 
-        With `dims`, the block must hold one index of each width in turn,
-        else BAD_DIMENSION. Without, all indexes have one width, worked out
-        from the block's length (MALFORMED unless it divides evenly). The
-        block is copied once, so no index keeps a view of the payload.
+        The block must hold one masked index per (scheme, form) in turn,
+        each `widths[scheme]` wide, else BAD_DIMENSION. The block is copied
+        once, so no index keeps a view of the payload.
         """
-        size = len(self.data) - self.pos
-        if dims is None:
-            if not forms or not size or size % (len(forms) * PART_COUNT * 8):
-                raise ProtocolError(
-                    ErrorCode.MALFORMED, f"a {size}-byte ciphertext block is not {len(forms)} indexes"
-                )
-            dims = (size // (len(forms) * PART_COUNT * 8),) * len(forms)
-        elif size != PART_COUNT * 8 * sum(dims):
+        dims = layout_dims(layout, widths)
+        size, expected = len(self.data) - self.pos, PART_COUNT * 8 * sum(dims)
+        if size != expected:
             raise ProtocolError(
                 ErrorCode.BAD_DIMENSION,
-                f"a {size}-byte ciphertext block is not indexes of widths {dims}",
+                f"a {size}-byte ciphertext block is not {len(layout)} indexes ({expected} B)",
             )
         block = np.frombuffer(self.data, dtype="<f8", offset=self.pos).astype(np.float64)
         self.pos = len(self.data)
         out, start = [], 0
-        for form, dim in zip(forms, dims):
+        for (_, form), dim in zip(layout, dims):
             end = start + PART_COUNT * dim
             out.append(EncryptedIndex(form, block[start:end].reshape(PART_COUNT, dim)))
             start = end
@@ -291,22 +286,45 @@ class _Reader:
 _ROLE_CODE = {"driver": 0, "rider": 1}
 _ROLE_NAME = {v: k for k, v in _ROLE_CODE.items()}
 _SCHEME_CODE = {"direct": 0, "transfer": 1}
+
+
+def scheme_widths(filter_bits: int, id_bits: int, time_bits: int, time_slots: int) -> dict[str, int]:
+    """Each scheme's vector width, in the order `crypto.generate_keys` draws their keys.
+
+    "direct" encrypts a direct trip's Bloom filters and "time" its day-slot vector.
+    """
+    return {"direct": filter_bits, "transfer": cell_vector_bits(id_bits, time_bits), "time": time_slots}
+
+
+# A ciphertext block's layout: one (scheme, form) per index, in block order.
+Layout = tuple[tuple[str, str], ...]
+DIRECT_OFFER: Layout = (("direct", "column"),) * 3 + (("time", "column"),)
+DIRECT_REQUEST: Layout = (("direct", "row"),) * 3 + (("time", "row"),)
+TRANSFER_CELL: Layout = (("transfer", "column"), ("transfer", "row"))  # once per announced cell
+TRANSFER_REQUEST: Layout = (("transfer", "row"),) * 2
+
+
+def layout_dims(layout: Layout, widths: dict[str, int]) -> tuple[int, ...]:
+    """Each index's width in a block laid out by `layout`."""
+    return tuple(widths[scheme] for scheme, _ in layout)
+
+
 # The key sets a registration carries, per registered role, in wire order:
-# (name, role the key set is derived for). A name starts with its scheme,
-# up to the first "-". A driver encrypts transfer cells twice: column form
-# with driver keys ("transfer-plus") and row form with rider keys
-# ("transfer-minus"). A direct trip's time index has its own key sets.
-ROLE_KEY_SETS: dict[str, tuple[tuple[str, str], ...]] = {
+# (name, scheme, role the key set is derived for). A driver encrypts
+# transfer cells twice: column form with driver keys ("transfer-plus") and
+# row form with rider keys ("transfer-minus"). A direct trip's time index
+# has its own key sets.
+ROLE_KEY_SETS: dict[str, tuple[tuple[str, str, str], ...]] = {
     "driver": (
-        ("direct-driver", "driver"),
-        ("transfer-plus", "driver"),
-        ("transfer-minus", "rider"),
-        ("time-driver", "driver"),
+        ("direct-driver", "direct", "driver"),
+        ("transfer-plus", "transfer", "driver"),
+        ("transfer-minus", "transfer", "rider"),
+        ("time-driver", "time", "driver"),
     ),
     "rider": (
-        ("direct-rider", "rider"),
-        ("transfer-rider", "rider"),
-        ("time-rider", "rider"),
+        ("direct-rider", "direct", "rider"),
+        ("transfer-rider", "transfer", "rider"),
+        ("time-rider", "time", "rider"),
     ),
 }
 _PREF_CODE = {kind: i for i, kind in enumerate(PreferenceKind)}
@@ -426,23 +444,20 @@ def encode_submit_offer(offer: DirectOffer | TransferOffer) -> bytes:
 
 
 def decode_submit_offer(
-    payload: bytes | memoryview, direct_dims: tuple[int, ...]
+    payload: bytes | memoryview, widths: dict[str, int]
 ) -> DirectOffer | TransferOffer:
-    """The submitted offer, with an empty id and masked indexes of the offer forms.
-
-    A direct offer's four indexes must have the widths `direct_dims`.
-    """
+    """The submitted offer, with an empty id and masked indexes at `widths`."""
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         capacity = r.u16()
         cases = tuple(r.case() for _ in range(r.u8()))
         contact = r.blob()
-        return DirectOffer("", capacity, cases, *r.indexes(["column"] * 4, direct_dims), contact)
+        return DirectOffer("", capacity, cases, *r.indexes(DIRECT_OFFER, widths), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         capacity = r.u16()
         contact = r.blob()
-        block = r.indexes(["column", "row"] * r.u16())
+        block = r.indexes(TRANSFER_CELL * r.u16(), widths)
         cells = [TransferCellCipher(p, m) for p, m in zip(block[::2], block[1::2])]
         return TransferOffer("", capacity, cells, contact)
     raise ProtocolError(ErrorCode.MALFORMED, f"unknown scheme code {scheme}")
@@ -464,17 +479,14 @@ def encode_submit_request(request: DirectRequest | TransferRequest) -> bytes:
 
 
 def decode_submit_request(
-    payload: bytes | memoryview, direct_dims: tuple[int, ...]
+    payload: bytes | memoryview, widths: dict[str, int]
 ) -> DirectRequest | TransferRequest:
-    """The submitted request, with an empty id and masked row-form indexes.
-
-    A direct request's four indexes must have the widths `direct_dims`.
-    """
+    """The submitted request, with an empty id and masked row-form indexes at `widths`."""
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         contact = r.blob()
-        return DirectRequest("", *r.indexes(["row"] * 4, direct_dims), contact)
+        return DirectRequest("", *r.indexes(DIRECT_REQUEST, widths), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         contact = r.blob()
         kind_code = r.u8()
@@ -482,7 +494,7 @@ def decode_submit_request(
             raise ProtocolError(ErrorCode.MALFORMED, f"unknown preference code {kind_code}")
         cells_limit = r.u32()
         transfers_limit = r.u32()
-        pickup, dropoff = r.indexes(["row", "row"])
+        pickup, dropoff = r.indexes(TRANSFER_REQUEST, widths)
         try:
             pref = Preference(
                 _PREF_NAME[kind_code],

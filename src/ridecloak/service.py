@@ -81,8 +81,9 @@ class ServiceConfig:
             raise ValueError(f"n_hashes {self.n_hashes} must be <= filter_bits {self.filter_bits}")
 
     @property
-    def cell_vector_bits(self) -> int:
-        return transfer.cell_vector_bits(self.id_bits, self.time_bits)
+    def widths(self) -> dict[str, int]:
+        """Each scheme's vector width, as `protocol.scheme_widths` fixes it."""
+        return protocol.scheme_widths(self.filter_bits, self.id_bits, self.time_bits, self.time_slots)
 
 
 def _token_digest(token: bytes) -> bytes:
@@ -115,7 +116,7 @@ class TrustedAuthority:
             plan = protocol.ROLE_KEY_SETS[role]
         except KeyError:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}") from None
-        plan = [(name, self.derivers[name.split("-", 1)[0]], key_role) for name, key_role in plan]
+        plan = [(name, self.derivers[scheme], key_role) for name, scheme, key_role in plan]
         tokens = [sysrandom.token_bytes(protocol.TOKEN_SIZE) for _ in range(self.config.tokens_per_bundle)]
         cfg = self.config
         bundle = protocol.KeyBundle(
@@ -146,7 +147,11 @@ class TransferMatchRecord:
 
 
 class TosServer:
-    """Matching server state and frame handlers (registration excluded)."""
+    """Matching server state and frame handlers (registration excluded).
+
+    `widths`, the config's scheme width table, sizes every ciphertext block
+    the server decodes and every direct pool row it stores.
+    """
 
     def __init__(self, config: ServiceConfig, secrets: dict[str, TosSecrets], epoch: int, salt: int):
         """`secrets` maps each scheme ("direct", "transfer", "time") to its TosSecrets."""
@@ -155,8 +160,9 @@ class TosServer:
         self.epoch = epoch
         self.salt = salt
         self.unused_tokens: set[bytes] = set()
-        self.offer_pool = direct.OfferPool(config.filter_bits, config.time_slots)
-        self.request_pool = direct.RequestPool(config.filter_bits, config.time_slots)
+        self.widths = widths = config.widths
+        self.offer_pool = direct.OfferPool(protocol.layout_dims(protocol.DIRECT_OFFER, widths))
+        self.request_pool = direct.RequestPool(protocol.layout_dims(protocol.DIRECT_REQUEST, widths))
         self.direct_offers: dict[str, direct.PoolEntry] = {}
         self.direct_requests: dict[str, direct.PoolEntry] = {}
         self.graph = transfer.TransferGraph(config.id_bits)
@@ -202,19 +208,10 @@ class TosServer:
 
     # -- ingestion ------------------------------------------------------------
 
-    def _check_transfer_width(self, indexes: list[crypto.EncryptedIndex]) -> None:
-        """A decoded transfer block's one width; unmasking gates its values.
-
-        A direct block is decoded at the pools' widths, so it needs no check here.
-        """
-        dim = self.config.cell_vector_bits
-        if indexes[0].dim != dim:
-            raise ProtocolError(ErrorCode.BAD_DIMENSION, f"index dim {indexes[0].dim}, expected {dim}")
-
     def handle_submit_offer(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
         token = self._check_token(frame.token)
-        offer = protocol.decode_submit_offer(frame.payload, self.offer_pool.dims)
+        offer = protocol.decode_submit_offer(frame.payload, self.widths)
         if offer.capacity < 1:
             raise ProtocolError(ErrorCode.BAD_STATE, "capacity must be >= 1")
         if isinstance(offer, direct.DirectOffer):
@@ -228,7 +225,6 @@ class TosServer:
         else:
             if len(offer.cells) < 2:
                 raise ProtocolError(ErrorCode.BAD_STATE, "transfer offer needs >= 2 cells")
-            self._check_transfer_width([idx for c in offer.cells for idx in (c.plus, c.minus)])
             offer.offer_id = offer_id = self._next_id("to")
             self.graph.add_offer(offer, self.secrets["transfer"])
             self.transfer_offers[offer_id] = offer
@@ -238,7 +234,7 @@ class TosServer:
     def handle_submit_request(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
         token = self._check_token(frame.token)
-        request = protocol.decode_submit_request(frame.payload, self.request_pool.dims)
+        request = protocol.decode_submit_request(frame.payload, self.widths)
         if isinstance(request, direct.DirectRequest):
             request_id = self._next_id("dr")
             row = self.request_pool.admit(request.indexes(), self.secrets, request_id)
@@ -246,7 +242,6 @@ class TosServer:
                 self.request_pool, row, request.contact
             )
         else:
-            self._check_transfer_width([request.pickup, request.dropoff])
             request.pickup, request.dropoff = crypto.unmask_indices(
                 [request.pickup, request.dropoff], self.secrets["transfer"]
             )
@@ -358,14 +353,7 @@ class RideService:
         self._rng = rng = np.random.default_rng(seed)
         self.config = config
         salt = _draw_salt(rng)
-        derivers, secrets = crypto.generate_keys(
-            {
-                "direct": config.filter_bits,
-                "transfer": config.cell_vector_bits,
-                "time": config.time_slots,
-            },
-            rng,
-        )
+        derivers, secrets = crypto.generate_keys(config.widths, rng)
         self.authority = TrustedAuthority(config, derivers, rng)
         self.server = TosServer(config, secrets, epoch=1, salt=salt)
         self._lock = threading.RLock()

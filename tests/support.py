@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ridecloak import crypto, direct, kernels, sim, transfer
+from ridecloak import crypto, direct, kernels, protocol, sim, transfer
 
 SMALL_CONFIG = dict(
     filter_bits=320, n_hashes=4, id_bits=6, time_bits=4,
@@ -40,16 +40,19 @@ def make_direct_env(cfg: direct.SummaryConfig, seed: int) -> SimpleNamespace:
     """Direct-scheme keys at the widths of `cfg`, set up as the service sets them up.
 
     `secrets` maps "direct" and "time" to the server's secrets, as the pools'
-    `admit` takes them; `driver` and `rider` are each a (filter keys, time
-    keys) pair, as `direct.build_offers` / `build_requests` take them.
+    `admit` takes them; `dims` is a pool row's index widths; `driver` and
+    `rider` are each a (filter keys, time keys) pair, as
+    `direct.build_offers` / `build_requests` take them.
     """
     rng = np.random.default_rng(seed)
-    derivers, secrets = crypto.generate_keys({"direct": cfg.bits, "time": cfg.time_slots}, rng)
+    widths = {"direct": cfg.bits, "time": cfg.time_slots}
+    derivers, secrets = crypto.generate_keys(widths, rng)
     keys = {
         role: tuple(derivers[scheme].derive(role, rng) for scheme in ("direct", "time"))
         for role in ("driver", "rider")
     }
-    return SimpleNamespace(cfg=cfg, rng=rng, secrets=secrets, **keys)
+    dims = protocol.layout_dims(protocol.DIRECT_OFFER, widths)
+    return SimpleNamespace(cfg=cfg, rng=rng, secrets=secrets, dims=dims, **keys)
 
 
 def admit_pools(env, offers, requests):
@@ -58,10 +61,10 @@ def admit_pools(env, offers, requests):
     Each one enters through the pool's `admit`, in list order, as the
     server's own submissions do.
     """
-    offer_pool = direct.OfferPool(env.cfg.bits, env.cfg.time_slots)
+    offer_pool = direct.OfferPool(env.dims)
     for o in offers:
         offer_pool.admit(o.indexes(), env.secrets, o.offer_id, o.capacity, o.cases)
-    request_pool = direct.RequestPool(env.cfg.bits, env.cfg.time_slots)
+    request_pool = direct.RequestPool(env.dims)
     for r in requests:
         request_pool.admit(r.indexes(), env.secrets, r.request_id)
     return offer_pool, request_pool

@@ -134,6 +134,14 @@ def test_a_non_finite_metric_fails_the_comparison(tmp_path, monkeypatch, capsys)
     assert "invalid" in capsys.readouterr().out
 
 
+def test_a_worse_metric_fails_the_comparison(tmp_path, monkeypatch, capsys):
+    argv = _contract_argv(tmp_path)
+    # parent, change for seed 701, then change, parent: the change halves trips_per_s
+    monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0, 5.0, 5.0, 10.0]))
+    assert bench_pairs.main(argv) == 1
+    assert "worse" in capsys.readouterr().out
+
+
 def test_a_missing_metric_fails_the_comparison(tmp_path, monkeypatch, capsys):
     argv = _contract_argv(tmp_path)
     monkeypatch.setattr(bench_pairs, "run_once", runs_reading([10.0, 10.0, None, 10.0]))

@@ -38,7 +38,7 @@ class ReferenceServer:
     def __init__(self, secrets, config):
         self.secrets = secrets
         self.n_hashes = config.n_hashes
-        self.dims = direct.index_dims(config.filter_bits, config.time_slots)
+        self.widths = config.widths
         self.rotate()
 
     def rotate(self):
@@ -52,13 +52,13 @@ class ReferenceServer:
     def ingest(self, log):
         for msg_type, item_id, payload in log:
             if msg_type is MsgType.SUBMIT_OFFER:
-                p = protocol.decode_submit_offer(payload, self.dims)
+                p = protocol.decode_submit_offer(payload, self.widths)
                 self.offers[item_id] = direct.DirectOffer(
                     item_id, p.capacity, p.cases, *self.unmask(p.indexes()), p.contact
                 )
                 self.seats[item_id] = p.capacity
             else:
-                p = protocol.decode_submit_request(payload, self.dims)
+                p = protocol.decode_submit_request(payload, self.widths)
                 self.requests[item_id] = direct.DirectRequest(
                     item_id, *self.unmask(p.indexes()), p.contact
                 )
@@ -201,7 +201,7 @@ def test_pool_growth_and_row_reuse(direct_env):
     env = direct_env
     _, requests = random_scenario(3, n_offers=2, n_requests=5)
     _, built_r = encrypt_scenario(env, [], requests)
-    pool = direct.RequestPool(env.cfg.bits, env.cfg.time_slots, rows=2)
+    pool = direct.RequestPool(env.dims, rows=2)
     for k, request in enumerate(built_r):
         assert pool.admit(request.indexes(), env.secrets, request.request_id) == k
     assert len(pool.live) == 8 and pool.used == 5 and len(pool) == 5
@@ -226,8 +226,8 @@ def test_pool_rejects_bad_submissions_without_state_change(direct_env):
     env = direct_env
     offers, requests = random_scenario(5, n_offers=3, n_requests=3)
     built_o, built_r = encrypt_scenario(env, offers, requests)
-    offer_pool = direct.OfferPool(env.cfg.bits, env.cfg.time_slots, rows=2)
-    request_pool = direct.RequestPool(env.cfg.bits, env.cfg.time_slots, rows=2)
+    offer_pool = direct.OfferPool(env.dims, rows=2)
+    request_pool = direct.RequestPool(env.dims, rows=2)
     for o, r in zip(built_o[:2], built_r[:2]):  # both pools full: one more row would grow them
         offer_pool.admit(o.indexes(), env.secrets, o.offer_id, o.capacity, o.cases)
         request_pool.admit(r.indexes(), env.secrets, r.request_id)

@@ -35,7 +35,9 @@ def sample_indexes(count=4, dim=16, seed=0, role="rider"):
     return [support.encrypt_index(np.zeros(dim), keys, rng) for _ in range(count)]
 
 
-# A direct trip's index widths in these tests: three filters, then time.
+# The scheme widths in these tests, and a direct trip's index widths at them:
+# three filters, then time.
+WIDTHS = {"direct": 16, "transfer": 16, "time": 6}
 DIRECT_DIMS = (16, 16, 16, 6)
 
 
@@ -177,12 +179,12 @@ def test_direct_offer_payload_round_trip():
     assert payload == oracles.direct_offer_payload(
         3, ["route", "area"], b"call-me", oracle_blobs(offer.indexes())
     )
-    back = protocol.decode_submit_offer(payload, DIRECT_DIMS)
+    back = protocol.decode_submit_offer(payload, WIDTHS)
     assert isinstance(back, DirectOffer) and back.offer_id == ""
     assert (back.capacity, back.cases, back.contact) == (3, offer.cases, b"call-me")
     assert same_indexes(back.indexes(), offer.indexes())
     assert [ix.dim for ix in back.indexes()] == list(DIRECT_DIMS)
-    # the widths come from the caller: a block of any other size is refused
+    # the widths come from the caller's table: a block of any other size is refused
     filters = oracle_blobs(offer.indexes())[:3]
     wrong_blocks = {
         "three indexes": filters,
@@ -190,9 +192,9 @@ def test_direct_offer_payload_round_trip():
         "truncated time index": filters + [oracle_blobs(offer.indexes())[3][:-8]],
     }
     for name, blobs in wrong_blocks.items():
-        with pytest.raises(ProtocolError, match="widths") as exc_info:
+        with pytest.raises(ProtocolError, match="ciphertext block") as exc_info:
             protocol.decode_submit_offer(
-                oracles.direct_offer_payload(1, ["area"], b"", blobs), DIRECT_DIMS
+                oracles.direct_offer_payload(1, ["area"], b"", blobs), WIDTHS
             )
         assert exc_info.value.code is ErrorCode.BAD_DIMENSION, name
 
@@ -205,7 +207,7 @@ def test_transfer_offer_payload_round_trip():
     assert payload == oracles.transfer_offer_payload(
         2, b"", list(zip(oracle_blobs(plus), oracle_blobs(minus)))
     )
-    back = protocol.decode_submit_offer(payload, DIRECT_DIMS)
+    back = protocol.decode_submit_offer(payload, WIDTHS)
     assert isinstance(back, TransferOffer) and back.offer_id == ""
     assert (back.capacity, back.contact, len(back.cells)) == (2, b"", 3)
     assert same_indexes([c.plus for c in back.cells], plus)
@@ -216,7 +218,7 @@ def test_direct_request_payload_round_trip():
     request = DirectRequest("r1", *direct_indexes(seed=1), b"r")
     payload = protocol.encode_submit_request(request)
     assert payload == oracles.direct_request_payload(b"r", oracle_blobs(request.indexes()))
-    back = protocol.decode_submit_request(payload, DIRECT_DIMS)
+    back = protocol.decode_submit_request(payload, WIDTHS)
     assert isinstance(back, DirectRequest) and back.request_id == ""
     assert back.contact == b"r" and same_indexes(back.indexes(), request.indexes())
 
@@ -235,7 +237,7 @@ def test_transfer_request_payload_round_trip(pref):
         b"c", pref.kind.value, pref.cells_limit, pref.transfers_limit,
         *oracle_blobs([pickup, dropoff]),
     )
-    back = protocol.decode_submit_request(payload, DIRECT_DIMS)
+    back = protocol.decode_submit_request(payload, WIDTHS)
     assert isinstance(back, TransferRequest) and back.request_id == ""
     assert (back.preference, back.contact) == (pref, b"c")
     assert same_indexes([back.pickup, back.dropoff], [pickup, dropoff])
@@ -256,9 +258,9 @@ def test_out_of_range_fields_raise_protocol_error(offer):
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ProtocolError, match="scheme"):
-        protocol.decode_submit_offer(b"\x07", DIRECT_DIMS)
+        protocol.decode_submit_offer(b"\x07", WIDTHS)
     with pytest.raises(ProtocolError, match="scheme"):
-        protocol.decode_submit_request(b"\x07", DIRECT_DIMS)
+        protocol.decode_submit_request(b"\x07", WIDTHS)
     with pytest.raises(ProtocolError, match="scheme"):
         protocol.decode_notification(b"\x07")
 
@@ -268,7 +270,7 @@ def test_payload_underruns_rejected():
         DirectOffer("", 1, (MatchCase.AREA,), *direct_indexes(seed=3), b"contact")
     )
     with pytest.raises(ProtocolError, match="underrun"):
-        protocol.decode_submit_offer(payload[:6], DIRECT_DIMS)  # cut inside the contact's length
+        protocol.decode_submit_offer(payload[:6], WIDTHS)  # cut inside the contact's length
     ann = protocol.encode_epoch_announce(EpochAnnounce(1, 2, 3, 4))
     with pytest.raises(ProtocolError, match="underrun"):
         protocol.decode_epoch_announce(ann[:-1])
@@ -307,19 +309,19 @@ def test_encrypted_index_round_trip(knn64):
     rng = np.random.default_rng(11)
     idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
     payload = protocol.encode_submit_request(DirectRequest("", idx, idx, idx, idx))
-    back = protocol.decode_submit_request(payload, (knn64.dim,) * 4).pickup
+    widths = dict.fromkeys(("direct", "transfer", "time"), knn64.dim)
+    back = protocol.decode_submit_request(payload, widths).pickup
     assert (back.orientation, back.unmasked) == ("row", False)
     np.testing.assert_array_equal(back.parts, idx.parts)
-    # a transfer block that is no whole number of float64 indexes is malformed;
-    # a direct block of the wrong size has the wrong widths
+    # a block of the wrong size has the wrong widths, in either scheme
     bad = [b"\x01\x02\x03"] * 2
-    for payload, code in [
-        (oracles.transfer_request_payload(b"", "min-cells", None, None, *bad), ErrorCode.MALFORMED),
-        (oracles.direct_request_payload(b"", bad * 2), ErrorCode.BAD_DIMENSION),
+    for payload in [
+        oracles.transfer_request_payload(b"", "min-cells", None, None, *bad),
+        oracles.direct_request_payload(b"", bad * 2),
     ]:
         with pytest.raises(ProtocolError, match="ciphertext block") as exc_info:
-            protocol.decode_submit_request(payload, (knn64.dim,) * 4)
-        assert exc_info.value.code is code
+            protocol.decode_submit_request(payload, widths)
+        assert exc_info.value.code is ErrorCode.BAD_DIMENSION
 
 
 def _cell_indexes(offer):
@@ -343,7 +345,7 @@ def test_decoded_indexes_hold_no_view_of_the_frame(encode, decode, trip, indexes
         bytearray(protocol.encode_frame(MsgType.SUBMIT_OFFER, 1, ZERO_TOKEN, payload)), dtype=np.uint8
     )
     frame, _ = protocol.decode_frame(memoryview(buf))
-    decoded = indexes(decode(frame.payload, (16,) * 4))
+    decoded = indexes(decode(frame.payload, dict.fromkeys(WIDTHS, 16)))
     assert decoded and not any(np.shares_memory(ix.parts, buf) for ix in decoded)
 
 

@@ -101,7 +101,7 @@ def bundle_formula_bytes(config, role):
     F = filter_bits, W = 2*id_bits + time_bits, S = time_slots and T tokens:
     a driver's is 211 + 32*T + 64*(F^2 + 2*W^2 + S^2) + F + 2*W + S B,
     a rider's 178 + 32*T + 64*(F^2 + W^2 + S^2) + F + W + S B."""
-    f, w, s = config.filter_bits, config.cell_vector_bits, config.time_slots
+    f, w, s = config.filter_bits, 2 * config.id_bits + config.time_bits, config.time_slots
     tokens = 32 * config.tokens_per_bundle
     if role == "driver":
         return 211 + tokens + 64 * (f * f + 2 * w * w + s * s) + f + 2 * w + s
@@ -303,13 +303,13 @@ def test_transfer_offer_needs_two_cells(small_service):
         "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
         reg.bundle.id_bits, reg.bundle.time_bits, 2, np.random.default_rng(4),
     )
-    offer.cells = offer.cells[:1]
-    frame = protocol.encode_frame(
-        MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(), protocol.encode_submit_offer(offer)
-    )
-    reply, _ = protocol.decode_frame(small_service.dispatch(frame))
-    code, message = protocol.decode_error(reply.payload)
-    assert code is ErrorCode.BAD_STATE and "2 cells" in message
+    blobs, token = [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells], reg.tokens.pop()
+    for kept in (1, 0):  # an offer of no cells has an empty block, as its layout fixes
+        payload = oracles.transfer_offer_payload(2, b"", blobs[:kept])
+        frame = protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, token, payload)
+        reply, _ = protocol.decode_frame(small_service.dispatch(frame))
+        code, message = protocol.decode_error(reply.payload)
+        assert code is ErrorCode.BAD_STATE and "2 cells" in message
 
 
 def server_state(svc):
@@ -353,7 +353,7 @@ def corrupt_nonfinite(blob, value):
 
 
 def drop_last_value(blob, _value):
-    """One float64 short: the submission's block is no whole number of indexes."""
+    """One float64 short: the submission's block is not the size its layout fixes."""
     return blob[:-8]
 
 
@@ -368,26 +368,23 @@ def widen_to(blob, width):
     return blob + bytes(crypto.PART_COUNT * 8 * width - len(blob))
 
 
-# The reply code of each damage, for a direct and for a transfer submission.
-# A direct block has fixed widths, so a block of any other size has the wrong
-# dimension; a transfer block's width is read off its length.
+# The reply code of each damage, in either scheme: every block is sized by
+# its layout, so a block of any other size has the wrong dimension.
 REPLY_CODES = {
-    corrupt_nonfinite: (ErrorCode.MALFORMED, ErrorCode.MALFORMED),
-    drop_last_value: (ErrorCode.BAD_DIMENSION, ErrorCode.MALFORMED),
-    corrupt_overflow: (ErrorCode.MALFORMED, ErrorCode.MALFORMED),
-    widen_to: (ErrorCode.BAD_DIMENSION, ErrorCode.BAD_DIMENSION),
+    corrupt_nonfinite: ErrorCode.MALFORMED,
+    drop_last_value: ErrorCode.BAD_DIMENSION,
+    corrupt_overflow: ErrorCode.MALFORMED,
+    widen_to: ErrorCode.BAD_DIMENSION,
 }
 
 
 def corrupted_frames(driver, rider, corrupt, value):
     """A direct offer and a direct request, each with a bad time index blob, two
     transfer offers (the bad blob in a plus index, then in a minus index) and a
-    transfer request, each with one bad index blob, paired with the code each
-    draws. The payloads are laid out by the oracle encoders, since no index
-    object holds these bytes."""
+    transfer request, each with one bad index blob. The payloads are laid out
+    by the oracle encoders, since no index object holds these bytes."""
     rng = np.random.default_rng(9)
     reg, rreg = driver.registration, rider.registration
-    direct_code, transfer_code = REPLY_CODES[corrupt]
     blobs = [
         [support.encrypt_index(np.zeros(keys.dim), keys, rng).to_bytes()
          for keys in (client.registration.keysets[f"direct-{role}"],
@@ -418,15 +415,12 @@ def corrupted_frames(driver, rider, corrupt, value):
         request.pickup.to_bytes(), corrupt(request.dropoff.to_bytes(), value),
     )
     return [
-        (protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(), direct_offer),
-         direct_code),
-        (protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), direct_request),
-         direct_code),
-        *((protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
-                                 oracles.transfer_offer_payload(2, b"", bad)), transfer_code)
+        protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(), direct_offer),
+        protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), direct_request),
+        *(protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(),
+                                oracles.transfer_offer_payload(2, b"", bad))
           for bad in (bad_plus, bad_minus)),
-        (protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), routed),
-         transfer_code),
+        protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rreg.tokens.pop(), routed),
     ]
 
 
@@ -441,12 +435,76 @@ def corrupted_frames(driver, rider, corrupt, value):
 def test_impossible_ciphertexts_rejected_without_state_change(small_service, corrupt, value):
     driver, rider = make_clients(small_service)
     driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
-    for frame, code in corrupted_frames(driver, rider, corrupt, value):
+    for frame in corrupted_frames(driver, rider, corrupt, value):
         before = server_state(small_service)
         reply_bytes = small_service.dispatch(frame)
         assert protocol.decode_frame(reply_bytes)[1] == b""
-        assert error_code(reply_bytes) is code
+        assert error_code(reply_bytes) is REPLY_CODES[corrupt]
         assert server_state(small_service) == before
+
+
+def test_transfer_blocks_must_match_their_announced_layout(small_service):
+    """A transfer offer's block holds a plus and a minus index per cell it
+    announces, a transfer request's two indexes; any other block is refused
+    (BAD_DIMENSION), keeps its token and changes nothing."""
+    driver, rider = make_clients(small_service)
+    reg, rreg = driver.registration, rider.registration
+    rng = np.random.default_rng(12)
+    offer = transfer.build_transfer_offer(
+        "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
+        reg.bundle.id_bits, reg.bundle.time_bits, 2, rng,
+    )
+    good_offer = oracles.transfer_offer_payload(
+        2, b"", [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells]
+    )
+    count_at = 1 + 2 + 4  # scheme, capacity, empty contact blob
+    request = transfer.build_transfer_request(
+        "local", (1, 1), (2, 1), rreg.keysets["transfer-rider"],
+        rreg.bundle.id_bits, rreg.bundle.time_bits, rng=rng,
+    )
+    pickup, dropoff = request.pickup.to_bytes(), request.dropoff.to_bytes()
+
+    def request_payload(first, second):
+        kind = transfer.DEFAULT_PREFERENCE.kind.value
+        return oracles.transfer_request_payload(b"", kind, None, None, first, second)
+
+    token, rtoken = reg.tokens.pop(), rreg.tokens.pop()
+    bad = [
+        *(protocol.encode_frame(
+            MsgType.SUBMIT_OFFER, reg.epoch, token,
+            good_offer[:count_at] + struct.pack("<H", cells) + good_offer[count_at + 2 :],
+        ) for cells in (1, 3, 4, 5)),
+        *(protocol.encode_frame(MsgType.SUBMIT_REQUEST, rreg.epoch, rtoken, request_payload(*pair))
+          for pair in ((pickup, b""), (pickup, dropoff + dropoff))),
+    ]
+    for frame in bad:
+        before = server_state(small_service)
+        assert error_code(small_service.dispatch(frame)) is ErrorCode.BAD_DIMENSION
+        assert server_state(small_service) == before
+    # both tokens are still good for the well-formed submissions
+    for msg_type, epoch, tok, payload in (
+        (MsgType.SUBMIT_OFFER, reg.epoch, token, good_offer),
+        (MsgType.SUBMIT_REQUEST, rreg.epoch, rtoken, request_payload(pickup, dropoff)),
+    ):
+        reply, _ = protocol.decode_frame(
+            small_service.dispatch(protocol.encode_frame(msg_type, epoch, tok, payload))
+        )
+        assert reply.msg_type is msg_type
+
+
+def test_one_width_table_in_set_up_order(small_service):
+    """Key set-up, the decoders, the pools and a client's key checks share
+    one table, ordered as `crypto.generate_keys` draws the schemes' keys."""
+    srv = small_service.server
+    widths = srv.widths
+    assert list(widths) == ["direct", "transfer", "time"]
+    (driver,) = make_clients(small_service, roles=("driver",))
+    b = driver.registration.bundle
+    assert protocol.scheme_widths(b.filter_bits, b.id_bits, b.time_bits, b.time_slots) == widths
+    assert {scheme: secrets.dim for scheme, secrets in srv.secrets.items()} == widths
+    assert srv.offer_pool.dims == srv.request_pool.dims == (
+        widths["direct"], widths["direct"], widths["direct"], widths["time"]
+    )
 
 
 def assert_bounded_state(srv):
@@ -459,7 +517,7 @@ def assert_bounded_state(srv):
     for pool in (srv.offer_pool, srv.request_pool):
         live = pool.live[: pool.used]
         assert all(bounded(m[: pool.used][live], dim) for m, dim in zip(pool.kinds, pool.dims))
-    graph, cells = srv.graph, srv.config.cell_vector_bits
+    graph, cells = srv.graph, srv.widths["transfer"]
     assert bounded(graph._plus[: len(graph._row_ids)][graph.active_mask], cells)
     for request in srv.transfer_requests.values():
         assert bounded(request.pickup.parts, cells) and bounded(request.dropoff.parts, cells)
@@ -664,8 +722,8 @@ def test_transfer_handoff_over_wire(small_service):
     # the relayed bytes are the boarding cell's plus ciphertext as d2 sent it
     _, pos = next(node for node in records[0].path.nodes if node[0] == ids["d2"])
     frame, _ = protocol.decode_frame(d2_frame)
-    dims = small_service.server.offer_pool.dims
-    sent_plus = protocol.decode_submit_offer(frame.payload, dims).cells[pos].plus.to_bytes()
+    widths = small_service.server.widths
+    sent_plus = protocol.decode_submit_offer(frame.payload, widths).cells[pos].plus.to_bytes()
     assert note.transfer_ciphers[0] == sent_plus
     assert sent_plus in d2_frame
 
@@ -857,7 +915,8 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
     salt = int(rng.integers(0, 2**63))  # the service draws its first salt first
     # the same draws as the service's set-up
     derivers, _ = crypto.generate_keys(
-        {"direct": config.filter_bits, "transfer": config.cell_vector_bits,
+        {"direct": config.filter_bits,
+         "transfer": transfer.cell_vector_bits(config.id_bits, config.time_bits),
          "time": config.time_slots},
         rng,
     )
@@ -924,7 +983,7 @@ def test_authority_holds_only_what_a_derivation_reads():
     svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=3)
     for role in ("driver", "rider"):
         svc.dispatch(register_frame(role))
-    dims = (SMALL_CONFIG["filter_bits"], svc.config.cell_vector_bits, SMALL_CONFIG["time_slots"])
+    dims = svc.server.widths.values()
     # (4 + 16) float64 deriver matrices and a uint8 pattern
     assert sum(array_buffers(svc.authority).values()) == sum((4 + 16) * d * d * 8 + d for d in dims)
 
@@ -940,7 +999,7 @@ def test_authority_and_server_share_no_array():
         assert sum(array_buffers(scheme).values()) == 2 * scheme.dim**2 * 8
     assert {name: scheme.dim for name, scheme in secrets.items()} == {
         "direct": SMALL_CONFIG["filter_bits"],
-        "transfer": svc.config.cell_vector_bits,
+        "transfer": 2 * SMALL_CONFIG["id_bits"] + SMALL_CONFIG["time_bits"],
         "time": SMALL_CONFIG["time_slots"],
     }
 
@@ -1043,7 +1102,7 @@ def test_register_refuses_bundles_without_their_roles_key_sets(small_service):
         for reg in (rider.registration, driver.registration)
         for name, keys in reg.keysets.items()
     }
-    names = [name for name, _ in protocol.ROLE_KEY_SETS["rider"]]
+    names = [name for name, *_ in protocol.ROLE_KEY_SETS["rider"]]
     assert names == ["direct-rider", "transfer-rider", "time-rider"]
     cases = [  # (error, [(name, whose blob it carries)])
         ("holds", [("direct-rider", "direct-rider")]),

@@ -33,9 +33,9 @@ It also prints each side's share of failed operations: the runs'
 
 The exit code is 1 when, on any workload, a seed's match digests differ
 between the sides, a run is not correct, the change's share of failed
-operations is larger than the parent's, or a run reads a non-finite
-end-to-end metric or none at all for one that BENCHMARK.json names,
-else 0.
+operations is larger than the parent's, an end-to-end metric reads
+`worse` or `invalid`, or a run reads none at all for a metric that
+BENCHMARK.json names, else 0.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def compare(args: argparse.Namespace, contract: dict, workload: str) -> tuple[bo
             print(f"{name:24} missing from a run")
             continue
         result, wins = verdict(parent, change, metric["better"], metric["bound"])
-        if result == "invalid":
+        if result in ("worse", "invalid"):
             ok = False
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         print(f"{name:24} {pm:.5g} [{p1:.5g}, {p3:.5g}] -> {cm:.5g} [{c1:.5g}, {c3:.5g}] "
