@@ -17,7 +17,10 @@ pair is redrawn only when one LU factorization shows a share singular,
 with no condition bound, because the similarity error does not depend on
 how well a share is conditioned. `generate_keys`, the one set-up call,
 gives the authority a KeyDeriver and the server a TosSecrets per scheme,
-and the two share no array. Master keys and server secrets exist only in
+and the two share no array. Set-up and derivation hold only what their
+next step reads: set-up frees each master mask pair once its two bases
+are built, and a derivation drops each share pair once its four parts
+are computed. Master keys and server secrets exist only in
 memory; the one key file format holds a user key set. Fixed-seed key
 bytes are reproducible under one BLAS thread count only; match records
 do not depend on it.
@@ -42,10 +45,11 @@ KEYFILE_MAGIC = b"KNN1"
 _ROLE_BYTES = {"driver": b"D", "rider": b"R"}
 _BYTE_ROLES = {byte: role for role, byte in _ROLE_BYTES.items()}
 
-# Which additive share multiplies each of the eight mask parts.
+# Which share of a pair multiplies each of the four mask parts it feeds:
+# the shares of blend A feed parts 0-3, those of blend B parts 4-7.
 # Drivers alternate the two shares of each blend inverse; riders pair them.
-_DRIVER_SHARE_ORDER = (0, 1, 0, 1, 2, 3, 2, 3)
-_RIDER_SHARE_ORDER = (0, 0, 1, 1, 2, 2, 3, 3)
+_DRIVER_SHARE_ORDER = (0, 1, 0, 1)
+_RIDER_SHARE_ORDER = (0, 0, 1, 1)
 
 
 class KeyGenerationError(RuntimeError):
@@ -180,7 +184,10 @@ class KeyDeriver:
     (4 + 16) * dim^2 values. A derivation splits each blend matrix (riders)
     or its inverse (drivers) into two additive shares, accepted once an LU
     factorization shows each invertible; unlike the master keys, shares
-    carry no condition bound and are never inverted.
+    carry no condition bound and are never inverted. The first pair feeds
+    parts 0-3 and the second parts 4-7, so a derivation holds one pair at
+    a time: beyond its output, at most 3 * dim^2 values (the pair and one
+    LU factor).
     """
 
     dim: int
@@ -203,29 +210,57 @@ class KeyDeriver:
         With `out`, eight (dim, dim) float64 arrays, each part is computed
         straight into its array and the key set's parts are those arrays.
         """
+        if role not in _ROLE_BYTES:
+            raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
         if out is None:
             out = (None,) * PART_COUNT
         elif len(out) != PART_COUNT:
             raise ValueError(f"expected {PART_COUNT} output parts, got {len(out)}")
-        if role == "driver":
-            share_a = _invertible_shares(self.blend_a_inv, rng)
-            share_b = _invertible_shares(self.blend_b_inv, rng)
-            shares = share_a + share_b
-            parts = tuple(
-                np.matmul(self.driver_bases[i], shares[_DRIVER_SHARE_ORDER[i]], out=out[i])
-                for i in range(PART_COUNT)
-            )
-        elif role == "rider":
-            share_a = _invertible_shares(self.blend_a, rng)
-            share_b = _invertible_shares(self.blend_b, rng)
-            shares = share_a + share_b
-            parts = tuple(
-                np.matmul(shares[_RIDER_SHARE_ORDER[i]], self.rider_bases[i], out=out[i])
-                for i in range(PART_COUNT)
-            )
+        driver = role == "driver"
+        if driver:
+            totals = (self.blend_a_inv, self.blend_b_inv)
+            bases, order = self.driver_bases, _DRIVER_SHARE_ORDER
         else:
-            raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
-        return UserKeySet(role, self.dim, parts, self.split_pattern.copy())
+            totals = (self.blend_a, self.blend_b)
+            bases, order = self.rider_bases, _RIDER_SHARE_ORDER
+        parts = []
+        for total in totals:
+            shares = _invertible_shares(total, rng)
+            for k in order:
+                i = len(parts)
+                if driver:
+                    parts.append(np.matmul(bases[i], shares[k], out=out[i]))
+                else:
+                    parts.append(np.matmul(shares[k], bases[i], out=out[i]))
+            del shares  # this pair goes before the next is drawn
+        return UserKeySet(role, self.dim, tuple(parts), self.split_pattern.copy())
+
+
+def _scheme_keys(
+    dim: int, pairs: list[tuple[np.ndarray, np.ndarray]], split_pattern: np.ndarray,
+    rng: np.random.Generator,
+) -> tuple[KeyDeriver, TosSecrets]:
+    """One scheme's KeyDeriver and TosSecrets from its ten master pairs.
+
+    Draws the query mask, then the index mask. Each mask pair is taken out
+    of `pairs` as its driver base (index_mask^-1 times the part's inverse)
+    and rider base (the part times query_mask) are built, so it is freed
+    once they are.
+    """
+    (blend_a, blend_a_inv), (blend_b, blend_b_inv) = pairs[:2]
+    del pairs[:2]
+    query_mask, query_mask_inv = _random_invertible(dim, rng)
+    index_mask, index_mask_inv = _random_invertible(dim, rng)
+    driver_bases, rider_bases = [], []
+    while pairs:
+        part, inv = pairs.pop(0)
+        driver_bases.append(index_mask_inv @ inv)
+        rider_bases.append(part @ query_mask)
+    deriver = KeyDeriver(
+        dim, split_pattern, blend_a, blend_b, blend_a_inv, blend_b_inv,
+        tuple(driver_bases), tuple(rider_bases),
+    )
+    return deriver, TosSecrets(dim, index_mask, query_mask_inv)
 
 
 def generate_keys(
@@ -234,9 +269,9 @@ def generate_keys(
     """Authority set-up: each scheme's KeyDeriver and the server's TosSecrets.
 
     `dims` maps each scheme to its width. All master keys are drawn first,
-    scheme by scheme in `dims` order, then all server secrets. The driver
-    bases are index_mask^-1 times each mask part inverse, the rider bases
-    each mask part times query_mask; the results share no array.
+    scheme by scheme in `dims` order; then, scheme by scheme, the server
+    secrets and the bases (`_scheme_keys`), which release each scheme's
+    masters as they are consumed. The results share no array.
     """
     masters = {
         scheme: (
@@ -246,17 +281,8 @@ def generate_keys(
         for scheme, dim in dims.items()
     }
     derivers, secrets = {}, {}
-    for scheme, (pairs, split_pattern) in masters.items():
-        dim = dims[scheme]
-        (blend_a, blend_a_inv), (blend_b, blend_b_inv), *mask_parts = pairs
-        query_mask, query_mask_inv = _random_invertible(dim, rng)
-        index_mask, index_mask_inv = _random_invertible(dim, rng)
-        derivers[scheme] = KeyDeriver(
-            dim, split_pattern, blend_a, blend_b, blend_a_inv, blend_b_inv,
-            driver_bases=tuple(index_mask_inv @ inv for _, inv in mask_parts),
-            rider_bases=tuple(part @ query_mask for part, _ in mask_parts),
-        )
-        secrets[scheme] = TosSecrets(dim, index_mask, query_mask_inv)
+    for scheme, dim in dims.items():
+        derivers[scheme], secrets[scheme] = _scheme_keys(dim, *masters.pop(scheme), rng)
     return derivers, secrets
 
 

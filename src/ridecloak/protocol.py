@@ -189,9 +189,10 @@ class _Writer:
         return self
 
     def indexes(self, indexes: list[EncryptedIndex]) -> "_Writer":
-        """The ciphertext block: each index's bare parts, back to back."""
-        block = np.concatenate([idx.flat() for idx in indexes])
-        self.buf += block.astype("<f8", copy=False).tobytes()
+        """The ciphertext block: each index's bare parts, back to back (none: empty)."""
+        if indexes:
+            block = np.concatenate([idx.flat() for idx in indexes])
+            self.buf += block.astype("<f8", copy=False).tobytes()
         return self
 
     def bytes(self) -> bytes:

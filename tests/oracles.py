@@ -330,6 +330,84 @@ HANDOFF_TRANSFER_EDGES = {
 }
 
 
+# --- key set-up and derivation -------------------------------------------------
+
+
+def _well_conditioned_pair(dim, rng):
+    """A uniform [-1, 1] draw whose 1-norm condition number is within 1e6,
+    and the inverse that check computed; at most 8 draws."""
+    for _ in range(8):
+        mat = rng.uniform(-1.0, 1.0, (dim, dim))
+        try:
+            inv = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            continue
+        cond = np.linalg.norm(mat, 1) * np.linalg.norm(inv, 1)
+        if np.isfinite(cond) and cond <= 1.0e6:
+            return mat, inv
+    raise RuntimeError("no well-conditioned draw")
+
+
+def _share_pair(total, rng):
+    """`total` split as a uniform [-1, 1] draw and its complement, both with
+    a nonzero finite LU determinant; at most 8 draws."""
+    for _ in range(8):
+        first = rng.uniform(-1.0, 1.0, total.shape)
+        second = total - first
+        dets = [np.linalg.slogdet(m) for m in (first, second)]
+        if all(sign != 0 and np.isfinite(logabs) for sign, logabs in dets):
+            return first, second
+    raise RuntimeError("no invertible share pair")
+
+
+def key_setup(dims, rng):
+    """Key set-up with every master pair held until all bases are built.
+
+    Per scheme, in `dims` order: ten master pairs (two blend pairs, then
+    eight mask pairs) and the split pattern; then, per scheme, the query
+    mask and the index mask. Returns per scheme a dict of the deriver's
+    arrays (driver bases index_mask^-1 @ mask^-1, rider bases mask @
+    query_mask) and the server's two.
+    """
+    masters = {
+        scheme: (
+            [_well_conditioned_pair(dim, rng) for _ in range(10)],
+            rng.integers(0, 2, dim).astype(np.uint8),
+        )
+        for scheme, dim in dims.items()
+    }
+    keys = {}
+    for scheme, dim in dims.items():
+        pairs, pattern = masters[scheme]
+        (blend_a, blend_a_inv), (blend_b, blend_b_inv), *masks = pairs
+        query_mask, query_mask_inv = _well_conditioned_pair(dim, rng)
+        index_mask, index_mask_inv = _well_conditioned_pair(dim, rng)
+        keys[scheme] = dict(
+            split_pattern=pattern, blend_a=blend_a, blend_b=blend_b,
+            blend_a_inv=blend_a_inv, blend_b_inv=blend_b_inv,
+            driver_bases=[index_mask_inv @ inv for _, inv in masks],
+            rider_bases=[mask @ query_mask for mask, _ in masks],
+            index_mask=index_mask, query_mask_inv=query_mask_inv,
+        )
+    return keys
+
+
+def derive(keys, role, rng):
+    """A user's eight key parts, both share pairs drawn before any product.
+
+    Drivers split each blend inverse and multiply base @ share, with the
+    shares in order (0, 1, 0, 1, 2, 3, 2, 3); riders split each blend
+    matrix and multiply share @ base, in order (0, 0, 1, 1, 2, 2, 3, 3).
+    """
+    if role == "driver":
+        shares = _share_pair(keys["blend_a_inv"], rng) + _share_pair(keys["blend_b_inv"], rng)
+        order = (0, 1, 0, 1, 2, 3, 2, 3)
+        return [base @ shares[k] for base, k in zip(keys["driver_bases"], order)]
+    shares = _share_pair(keys["blend_a"], rng) + _share_pair(keys["blend_b"], rng)
+    order = (0, 0, 1, 1, 2, 2, 3, 3)
+    return [shares[k] @ base for base, k in zip(keys["rider_bases"], order)]
+
+
 # --- wire layouts ---------------------------------------------------------------
 
 

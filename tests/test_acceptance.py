@@ -279,7 +279,8 @@ def test_criterion_6_handoff_fixture_preferences(wide_transfer_env):
 
 def test_criterion_7_scheme_trends():
     t0 = time.monotonic()
-    # full-width key material is ~1.8 GB per service, so run seed by seed:
+    # a paper-width service holds ~750 MB of key material and the test
+    # peaks near 1.56 GB while clients register, so run seed by seed:
     # the pool keeps only the last service
     pool = ServicePool()
     base = ExperimentConfig(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,69 @@ def test_derive_into_unaligned_key_file_slot(knn64):
         knn64.deriver.derive("rider", np.random.default_rng(0), out=parts[:7])
     with pytest.raises(ValueError, match="bytes"):
         crypto.user_key_file(buf, "rider", knn64.dim)
+
+
+def same_bytes(arrays, expected):
+    return [a.tobytes() for a in arrays] == [e.tobytes() for e in expected]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_key_setup_and_derivation_match_the_reference_bit_for_bit(seed):
+    """Same arrays, and the generator left in the same state, as with every
+    master held through set-up and both share pairs drawn before any GEMM."""
+    dims = {"direct": 96, "transfer": 47, "time": 48}
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    derivers, secrets = crypto.generate_keys(dims, rng)
+    reference = oracles.key_setup(dims, ref_rng)
+    assert rng.random() == ref_rng.random()
+    for scheme, dim in dims.items():
+        deriver, ref = derivers[scheme], reference[scheme]
+        names = ("split_pattern", "blend_a", "blend_b", "blend_a_inv", "blend_b_inv")
+        assert same_bytes([getattr(deriver, n) for n in names], [ref[n] for n in names])
+        assert same_bytes(deriver.driver_bases, ref["driver_bases"])
+        assert same_bytes(deriver.rider_bases, ref["rider_bases"])
+        assert same_bytes(
+            [secrets[scheme].index_mask, secrets[scheme].query_mask_inv],
+            [ref["index_mask"], ref["query_mask_inv"]],
+        )
+        for role in ("driver", "rider"):
+            assert same_bytes(deriver.derive(role, rng).parts, oracles.derive(ref, role, ref_rng))
+            slot = np.zeros(crypto.user_key_file_size(dim) + 3, dtype=np.uint8)[3:]
+            parts, _ = crypto.user_key_file(slot, role, dim)
+            deriver.derive(role, rng, out=parts)
+            assert same_bytes(parts, oracles.derive(ref, role, ref_rng))
+    assert rng.random() == ref_rng.random()
+
+
+MEMORY_DIM = 256
+MATRIX_BYTES = MEMORY_DIM * MEMORY_DIM * 8
+
+
+def test_key_setup_peaks_within_six_matrices_of_what_it_keeps():
+    """Set-up frees each master mask pair once its two bases are built."""
+    tracemalloc.start()
+    try:
+        keys = crypto.generate_keys({"direct": MEMORY_DIM}, np.random.default_rng(1))
+        held, peak = tracemalloc.get_traced_memory()  # `keys` is still held
+    finally:
+        tracemalloc.stop()
+    del keys
+    assert peak - held <= 6 * MATRIX_BYTES
+
+
+def test_derivation_holds_one_share_pair_at_a_time():
+    """Deriving into a key-file slot peaks at one share pair and an LU factor."""
+    derivers, _ = crypto.generate_keys({"direct": MEMORY_DIM}, np.random.default_rng(2))
+    slot = np.empty(crypto.user_key_file_size(MEMORY_DIM), dtype=np.uint8)
+    for role in ("driver", "rider"):
+        parts, _ = crypto.user_key_file(slot, role, MEMORY_DIM)
+        tracemalloc.start()
+        try:
+            derivers["direct"].derive(role, np.random.default_rng(3), out=parts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * MATRIX_BYTES, role
 
 
 def test_key_blob_must_be_exact_and_patterns_binary(knn64):

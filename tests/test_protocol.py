@@ -200,18 +200,19 @@ def test_direct_offer_payload_round_trip():
 
 
 def test_transfer_offer_payload_round_trip():
-    plus = sample_indexes(3, role="driver")
-    minus = sample_indexes(3, seed=1)
-    offer = TransferOffer("local", 2, [TransferCellCipher(p, m) for p, m in zip(plus, minus)])
-    payload = protocol.encode_submit_offer(offer)
-    assert payload == oracles.transfer_offer_payload(
-        2, b"", list(zip(oracle_blobs(plus), oracle_blobs(minus)))
-    )
-    back = protocol.decode_submit_offer(payload, WIDTHS)
-    assert isinstance(back, TransferOffer) and back.offer_id == ""
-    assert (back.capacity, back.contact, len(back.cells)) == (2, b"", 3)
-    assert same_indexes([c.plus for c in back.cells], plus)
-    assert same_indexes([c.minus for c in back.cells], minus)
+    for count in (3, 0):  # no cells: an empty block
+        plus = sample_indexes(count, role="driver")
+        minus = sample_indexes(count, seed=1)
+        offer = TransferOffer("local", 2, [TransferCellCipher(p, m) for p, m in zip(plus, minus)])
+        payload = protocol.encode_submit_offer(offer)
+        assert payload == oracles.transfer_offer_payload(
+            2, b"", list(zip(oracle_blobs(plus), oracle_blobs(minus)))
+        )
+        back = protocol.decode_submit_offer(payload, WIDTHS)
+        assert isinstance(back, TransferOffer) and back.offer_id == ""
+        assert (back.capacity, back.contact, len(back.cells)) == (2, b"", count)
+        assert same_indexes([c.plus for c in back.cells], plus)
+        assert same_indexes([c.minus for c in back.cells], minus)
 
 
 def test_direct_request_payload_round_trip():

@@ -304,12 +304,19 @@ def test_transfer_offer_needs_two_cells(small_service):
         reg.bundle.id_bits, reg.bundle.time_bits, 2, np.random.default_rng(4),
     )
     blobs, token = [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells], reg.tokens.pop()
-    for kept in (1, 0):  # an offer of no cells has an empty block, as its layout fixes
-        payload = oracles.transfer_offer_payload(2, b"", blobs[:kept])
+    before = server_state(small_service)
+    for payload in (
+        oracles.transfer_offer_payload(2, b"", blobs[:1]),
+        # an offer of no cells has an empty block, as its layout fixes
+        protocol.encode_submit_offer(transfer.TransferOffer("", 2, [])),
+    ):
         frame = protocol.encode_frame(MsgType.SUBMIT_OFFER, reg.epoch, token, payload)
         reply, _ = protocol.decode_frame(small_service.dispatch(frame))
         code, message = protocol.decode_error(reply.payload)
         assert code is ErrorCode.BAD_STATE and "2 cells" in message
+        assert server_state(small_service) == before
+    reg.tokens.append(token)  # still unused: the next submission spends it
+    assert driver.submit_direct_offer(OFFER).startswith("do")
 
 
 def server_state(svc):
