@@ -142,35 +142,24 @@ class ServiceClient:
         frame = self._request(MsgType.REGISTER_USER, protocol.encode_register(role))
         if frame.msg_type != MsgType.KEY_BUNDLE:
             raise ProtocolError(ErrorCode.BAD_STATE, f"expected KEY_BUNDLE, got {frame.msg_type.name}")
-        bundle = protocol.decode_key_bundle(frame.payload)
-        expected = {name: (scheme, key_role) for name, scheme, key_role in protocol.ROLE_KEY_SETS[role]}
-        if bundle.keysets.keys() != expected.keys():
+        bundle, blocks = protocol.decode_key_bundle(frame.payload)
+        if not (
+            1 <= bundle.n_hashes <= bundle.filter_bits
+            and min(bundle.max_items, bundle.time_slots, bundle.id_bits, bundle.time_bits) >= 1
+        ):
             raise ProtocolError(
                 ErrorCode.BAD_STATE,
-                f"a {role} bundle holds {sorted(expected)}, got {sorted(bundle.keysets)}",
+                f"no submission can use a bundle with n_hashes={bundle.n_hashes}, "
+                f"filter_bits={bundle.filter_bits}, max_items={bundle.max_items}, "
+                f"time_slots={bundle.time_slots}, id_bits={bundle.id_bits}, time_bits={bundle.time_bits}",
             )
-        widths = protocol.scheme_widths(
-            bundle.filter_bits, bundle.id_bits, bundle.time_bits, bundle.time_slots
-        )
+        widths = bundle.widths
         keysets = {}
-        for name, blob in bundle.keysets.items():
+        for (name, scheme, key_role), block in protocol.key_blocks(role, widths, blocks):
             try:
-                keys = crypto.key_material_from_bytes(blob)
+                keysets[name] = crypto.key_material_from_bytes(block, key_role, widths[scheme])
             except ValueError as exc:
-                raise ProtocolError(ErrorCode.BAD_STATE, f"bundle entry {name!r}: {exc}") from exc
-            scheme, key_role = expected[name]
-            if keys.role != key_role:
-                raise ProtocolError(
-                    ErrorCode.BAD_STATE,
-                    f"bundle entry {name!r} holds {keys.role} keys, expected {key_role}",
-                )
-            if keys.dim != widths[scheme]:
-                raise ProtocolError(
-                    ErrorCode.BAD_STATE,
-                    f"bundle entry {name!r} has width {keys.dim}, expected {widths[scheme]}",
-                )
-            keysets[name] = keys
-        bundle.keysets = {}  # parsed into matrices above; don't hold views of the frame
+                raise ProtocolError(ErrorCode.BAD_STATE, f"key set {name!r}: {exc}") from exc
         self.registration = Registration(
             role, bundle.epoch, bundle.salt, keysets, list(bundle.tokens), bundle
         )

@@ -21,7 +21,9 @@ and the two share no array. Set-up and derivation hold only what their
 next step reads: set-up frees each master mask pair once its two bases
 are built, and a derivation drops each share pair once its four parts
 are computed. Master keys and server secrets exist only in
-memory; the one key file format holds a user key set. Fixed-seed key
+memory; the one key file format holds a user key set: its eight parts
+and split pattern, with no header, since its reader takes the role and
+width from the key-set plan (`protocol.ROLE_KEY_SETS`). Fixed-seed key
 bytes are reproducible under one BLAS thread count only; match records
 do not depend on it.
 """
@@ -29,7 +31,6 @@ do not depend on it.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +42,7 @@ COND_LIMIT = 1.0e6
 MAX_DRAWS = 8
 PART_COUNT = 8
 
-KEYFILE_MAGIC = b"KNN1"
-_ROLE_BYTES = {"driver": b"D", "rider": b"R"}
-_BYTE_ROLES = {byte: role for role, byte in _ROLE_BYTES.items()}
+_ROLES = ("driver", "rider")
 
 # Which share of a pair multiplies each of the four mask parts it feeds:
 # the shares of blend A feed parts 0-3, those of blend B parts 4-7.
@@ -128,7 +127,7 @@ class UserKeySet:
     split_pattern: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.role not in _ROLE_BYTES:
+        if self.role not in _ROLES:
             raise ValueError(f"role must be 'driver' or 'rider', got {self.role!r}")
         if len(self.parts) != PART_COUNT:
             raise ValueError(f"expected {PART_COUNT} key parts, got {len(self.parts)}")
@@ -210,7 +209,7 @@ class KeyDeriver:
         With `out`, eight (dim, dim) float64 arrays, each part is computed
         straight into its array and the key set's parts are those arrays.
         """
-        if role not in _ROLE_BYTES:
+        if role not in _ROLES:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
         if out is None:
             out = (None,) * PART_COUNT
@@ -412,69 +411,53 @@ def similarity_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Key file format (user key sets only): magic "KNN1", role byte, u32 dim,
-# u8 part count, then the eight parts as little-endian float64 row-major,
-# then the 0/1 split pattern as raw bytes.
+# Key file format (user key sets only): the eight parts as little-endian
+# float64 row-major, then the 0/1 split pattern as raw bytes. Nothing else:
+# whoever reads a key file knows its role and width from the key-set plan.
 # ---------------------------------------------------------------------------
-
-_KEYFILE_HEAD = struct.Struct("<4scIB")
 
 
 def user_key_file_size(dim: int) -> int:
     """Byte length of the key file of a width-`dim` user key set."""
-    return _KEYFILE_HEAD.size + PART_COUNT * dim * dim * 8 + dim
+    return PART_COUNT * dim * dim * 8 + dim
 
 
-def user_key_file(
-    slot: np.ndarray, role: str, dim: int
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Lay out a user key set's key file in the uint8 buffer `slot`.
+def user_key_file(slot: np.ndarray, dim: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Writable views of a width-`dim` key file laid out in the uint8 buffer `slot`.
 
-    Writes the header and returns writable views of the eight parts, as
-    (dim, dim) little-endian float64 arrays, and of the split pattern, for
-    the caller to fill. The part views need not be aligned.
+    Returns the eight parts, as (dim, dim) little-endian float64 arrays,
+    and the split pattern, for the caller to fill. The part views need not
+    be aligned.
     """
     size = user_key_file_size(dim)
     if slot.shape != (size,):
         raise ValueError(f"user key file of width {dim} takes {size} bytes, got {slot.shape}")
-    _KEYFILE_HEAD.pack_into(slot, 0, KEYFILE_MAGIC, _ROLE_BYTES[role], dim, PART_COUNT)
-    parts = slot[_KEYFILE_HEAD.size : size - dim].view("<f8").reshape(PART_COUNT, dim, dim)
+    parts = slot[: size - dim].view("<f8").reshape(PART_COUNT, dim, dim)
     return tuple(parts), slot[size - dim :]
 
 
 def key_material_to_bytes(keys: UserKeySet) -> bytes:
     """The key file of a user key set, laid out by `user_key_file`."""
     slot = np.empty(user_key_file_size(keys.dim), dtype=np.uint8)
-    parts, pattern = user_key_file(slot, keys.role, keys.dim)
+    parts, pattern = user_key_file(slot, keys.dim)
     for view, part in zip(parts, keys.parts):
         view[...] = part
     pattern[:] = keys.split_pattern
     return slot.tobytes()
 
 
-def key_material_from_bytes(blob: bytes | memoryview) -> UserKeySet:
-    """The user key set in a whole key file held in any bytes-like object.
+def key_material_from_bytes(blob: bytes | memoryview, role: str, dim: int) -> UserKeySet:
+    """The `role` user key set of width `dim` in a whole key file held in any bytes-like object.
 
     Each matrix is copied once out of `blob`, into an aligned array (a
     GEMM with an unaligned key operand is several times slower). Driver
     parts are stored so that `part.T`, the operand `encrypt_indices`
     multiplies by, is C-contiguous.
     """
-    if len(blob) < _KEYFILE_HEAD.size:
-        raise ValueError(f"key file too short: {len(blob)} bytes")
-    magic, role_byte, dim, count = _KEYFILE_HEAD.unpack_from(blob)
-    if magic != KEYFILE_MAGIC:
-        raise ValueError(f"bad key file magic: {magic!r}")
-    role = _BYTE_ROLES.get(role_byte)
-    if role is None:
-        raise ValueError(f"unknown key file role byte {role_byte!r}")
-    if count != PART_COUNT:
-        raise ValueError(f"user key file must hold {PART_COUNT} parts, got {count}")
     size = user_key_file_size(dim)
     if len(blob) != size:
         raise ValueError(f"user key file of width {dim} must be {size} bytes, got {len(blob)}")
-    stored = np.frombuffer(blob, "<f8", count * dim * dim, _KEYFILE_HEAD.size)
-    stored = stored.reshape(count, dim, dim)
+    stored = np.frombuffer(blob, "<f8", PART_COUNT * dim * dim).reshape(PART_COUNT, dim, dim)
     pattern = np.frombuffer(blob, np.uint8, dim, size - dim).copy()
     if role == "driver":
         parts = tuple(m.T.copy().T for m in stored)

@@ -20,6 +20,14 @@ index is its scheme's width in the caller's `scheme_widths` table, and a
 block of any other size is refused with BAD_DIMENSION. Offer-side indexes
 (direct offer, transfer plus) are column form, query-side ones (requests,
 transfer minus) row form, and all are masked.
+
+A KEY_BUNDLE payload is `u64 epoch | u64 salt | six u32 | u16 token count
+| tokens | key blocks`. The key blocks are the registered role's
+`ROLE_KEY_SETS` entries back to back, to the end of the payload: each is a
+key file (`crypto.user_key_file`), 8*d*d little-endian float64 parts then d
+split-pattern bytes, with d its scheme's width at the header's widths. No
+name, length or role travels with a key block: both ends hold the plan,
+and `key_blocks` cuts a payload's blocks by it.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import crypto
 from .crypto import PART_COUNT, EncryptedIndex
 from .direct import CASES, DirectOffer, DirectRequest, MatchCase
 from .transfer import (
@@ -200,7 +209,7 @@ class _Writer:
 
 
 class _Reader:
-    """Reads fields off a payload; everything but `view` comes out as a copy."""
+    """Reads fields off a payload; every field comes out as a copy."""
 
     def __init__(self, data: bytes | memoryview):
         self.data = memoryview(data)
@@ -226,17 +235,9 @@ class _Reader:
     def u64(self) -> int:
         return self._take("<Q")
 
-    def view(self) -> memoryview:
-        """A length-prefixed blob as a view of the payload."""
-        size = self.u32()
-        if self.pos + size > len(self.data):
-            raise ProtocolError(ErrorCode.MALFORMED, "blob underrun")
-        out = self.data[self.pos : self.pos + size]
-        self.pos += size
-        return out
-
     def blob(self) -> bytes:
-        return bytes(self.view())
+        """A length-prefixed blob."""
+        return self.raw(self.u32())
 
     def text(self) -> str:
         return self.blob().decode("utf-8")
@@ -310,11 +311,11 @@ def layout_dims(layout: Layout, widths: dict[str, int]) -> tuple[int, ...]:
     return tuple(widths[scheme] for scheme, _ in layout)
 
 
-# The key sets a registration carries, per registered role, in wire order:
-# (name, scheme, role the key set is derived for). A driver encrypts
-# transfer cells twice: column form with driver keys ("transfer-plus") and
-# row form with rider keys ("transfer-minus"). A direct trip's time index
-# has its own key sets.
+# The key sets a registration carries, per registered role, in the order of
+# their key blocks: (name the client keeps them under, scheme, role the key
+# set is derived for). A driver encrypts transfer cells twice: column form
+# with driver keys ("transfer-plus") and row form with rider keys
+# ("transfer-minus"). A direct trip's time index has its own key sets.
 ROLE_KEY_SETS: dict[str, tuple[tuple[str, str, str], ...]] = {
     "driver": (
         ("direct-driver", "direct", "driver"),
@@ -350,7 +351,7 @@ def decode_register(payload: bytes) -> str:
 
 @dataclass
 class KeyBundle:
-    """Registration reply: everything a user needs to participate."""
+    """Registration reply, key blocks aside: everything else a user needs to participate."""
 
     epoch: int
     salt: int
@@ -360,74 +361,79 @@ class KeyBundle:
     time_bits: int
     time_slots: int
     max_items: int
-    keysets: dict[str, bytes | memoryview]  # name -> key material blob
     tokens: list[bytes]
 
+    @property
+    def widths(self) -> dict[str, int]:
+        """Each scheme's vector width at the bundle's fields (`scheme_widths`)."""
+        return scheme_widths(self.filter_bits, self.id_bits, self.time_bits, self.time_slots)
 
-def key_bundle_frame(b: KeyBundle, sizes: dict[str, int]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Lay out a whole KEY_BUNDLE reply frame in one buffer, key sets unwritten.
 
-    `sizes` names the key sets in wire order with each blob's length;
-    `b.keysets` is not read. Everything else is written: the frame header
-    (with `b.epoch` and the zero token), the bundle fields, the names, the
-    blob lengths and the tokens. Returns the frame and, per name, a
-    writable uint8 view of the slot its blob goes in.
+def key_blocks_size(role: str, widths: dict[str, int]) -> int:
+    """Bytes of a `role` bundle's key blocks at `widths`."""
+    return sum(crypto.user_key_file_size(widths[scheme]) for _, scheme, _ in ROLE_KEY_SETS[role])
+
+
+def key_blocks(
+    role: str, widths: dict[str, int], blocks: memoryview | np.ndarray
+) -> list[tuple[tuple[str, str, str], memoryview | np.ndarray]]:
+    """`blocks`, a bundle's key blocks, cut by the `role` plan at `widths`.
+
+    Returns each `ROLE_KEY_SETS[role]` entry with the slice of `blocks`
+    holding its key file. Blocks of any size but the plan's are refused
+    with BAD_STATE.
+    """
+    expected = key_blocks_size(role, widths)
+    if len(blocks) != expected:
+        raise ProtocolError(
+            ErrorCode.BAD_STATE,
+            f"a {role} bundle's key blocks take {expected} bytes at its widths, got {len(blocks)}",
+        )
+    out, start = [], 0
+    for entry in ROLE_KEY_SETS[role]:
+        end = start + crypto.user_key_file_size(widths[entry[1]])
+        out.append((entry, blocks[start:end]))
+        start = end
+    return out
+
+
+def key_bundle_frame(b: KeyBundle, blocks_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lay out a whole KEY_BUNDLE reply frame in one buffer, key blocks unwritten.
+
+    Writes the frame header (with `b.epoch` and the zero token), the bundle
+    fields and the tokens. Returns the frame and a writable uint8 view of
+    its last `blocks_size` bytes, where the key blocks go.
     """
     w = _Writer().u64(b.epoch).u64(b.salt)
     for value in (b.filter_bits, b.n_hashes, b.id_bits, b.time_bits, b.time_slots, b.max_items):
         w.u32(value)
-    w.u8(len(sizes))
-    pieces: list[bytes | str] = []  # field bytes, or the name of a blob slot
-    for name, size in sizes.items():
-        pieces += [w.text(name).u32(size).bytes(), name]
-        w = _Writer()
     w.u16(len(b.tokens))
     for token in b.tokens:
         if len(token) != TOKEN_SIZE:
             raise ValueError("token size")
         w.raw(token)
-    pieces.append(w.bytes())
-    payload_size = sum(sizes[p] if isinstance(p, str) else len(p) for p in pieces)
+    fields = w.bytes()
+    head = _frame_header(MsgType.KEY_BUNDLE, b.epoch, ZERO_TOKEN, len(fields) + blocks_size) + fields
     # numpy, not bytearray: see read_frame
-    frame = np.empty(HEADER_SIZE + payload_size, dtype=np.uint8)
-    head = _frame_header(MsgType.KEY_BUNDLE, b.epoch, ZERO_TOKEN, payload_size)
-    frame[:HEADER_SIZE] = np.frombuffer(head, dtype=np.uint8)
-    slots = {}
-    pos = HEADER_SIZE
-    for piece in pieces:
-        if isinstance(piece, str):
-            slots[piece] = frame[pos : pos + sizes[piece]]
-            pos += sizes[piece]
-        else:
-            frame[pos : pos + len(piece)] = np.frombuffer(piece, dtype=np.uint8)
-            pos += len(piece)
-    return frame, slots
+    frame = np.empty(len(head) + blocks_size, dtype=np.uint8)
+    frame[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+    return frame, frame[len(head) :]
 
 
-def encode_key_bundle(b: KeyBundle) -> bytes:
-    frame, slots = key_bundle_frame(b, {name: len(blob) for name, blob in b.keysets.items()})
-    for name, blob in b.keysets.items():
-        slots[name][:] = np.frombuffer(blob, dtype=np.uint8)
+def encode_key_bundle(b: KeyBundle, blocks: bytes | memoryview) -> bytes:
+    """A KEY_BUNDLE payload: `b`'s fields and tokens, then the key blocks `blocks`."""
+    frame, slot = key_bundle_frame(b, len(blocks))
+    slot[:] = np.frombuffer(blocks, dtype=np.uint8)
     return frame[HEADER_SIZE:].tobytes()
 
 
-def decode_key_bundle(payload: bytes | memoryview) -> KeyBundle:
-    """Decode a KEY_BUNDLE payload; the key-set blobs are views of it."""
+def decode_key_bundle(payload: bytes | memoryview) -> tuple[KeyBundle, memoryview]:
+    """A KEY_BUNDLE payload's bundle and, as a view of it, its key blocks."""
     r = _Reader(payload)
     epoch, salt = r.u64(), r.u64()
-    filter_bits, n_hashes, id_bits, time_bits, time_slots, max_items = (
-        r.u32(), r.u32(), r.u32(), r.u32(), r.u32(), r.u32()
-    )
-    keysets = {}
-    for _ in range(r.u8()):
-        name = r.text()
-        keysets[name] = r.view()
+    fields = [r.u32() for _ in range(6)]
     tokens = [r.raw(TOKEN_SIZE) for _ in range(r.u16())]
-    r.done()
-    return KeyBundle(
-        epoch, salt, filter_bits, n_hashes, id_bits, time_bits,
-        time_slots, max_items, keysets, tokens,
-    )
+    return KeyBundle(epoch, salt, *fields, tokens), r.data[r.pos :]
 
 
 def encode_submit_offer(offer: DirectOffer | TransferOffer) -> bytes:

@@ -109,33 +109,22 @@ class TrustedAuthority:
 
         The bundle and the frame header carry the `epoch` and `salt` the
         server passes in. Returns (frame, token digests). The frame is laid
-        out first, and each key set is derived straight into its slot, so
-        every key byte is written once.
+        out first, and each key set is derived straight into its key block,
+        so every key byte is written once.
         """
-        try:
-            plan = protocol.ROLE_KEY_SETS[role]
-        except KeyError:
-            raise ValueError(f"role must be 'driver' or 'rider', got {role!r}") from None
-        plan = [(name, self.derivers[scheme], key_role) for name, scheme, key_role in plan]
-        tokens = [sysrandom.token_bytes(protocol.TOKEN_SIZE) for _ in range(self.config.tokens_per_bundle)]
+        if role not in protocol.ROLE_KEY_SETS:
+            raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
         cfg = self.config
+        tokens = [sysrandom.token_bytes(protocol.TOKEN_SIZE) for _ in range(cfg.tokens_per_bundle)]
         bundle = protocol.KeyBundle(
-            epoch=epoch,
-            salt=salt,
-            filter_bits=cfg.filter_bits,
-            n_hashes=cfg.n_hashes,
-            id_bits=cfg.id_bits,
-            time_bits=cfg.time_bits,
-            time_slots=cfg.time_slots,
-            max_items=cfg.max_items,
-            keysets={},
-            tokens=tokens,
+            epoch, salt, cfg.filter_bits, cfg.n_hashes, cfg.id_bits, cfg.time_bits,
+            cfg.time_slots, cfg.max_items, tokens,
         )
-        sizes = {name: crypto.user_key_file_size(d.dim) for name, d, _ in plan}
-        frame, slots = protocol.key_bundle_frame(bundle, sizes)
-        for name, deriver, key_role in plan:
-            parts, pattern = crypto.user_key_file(slots[name], key_role, deriver.dim)
-            pattern[:] = deriver.derive(key_role, self._rng, out=parts).split_pattern
+        widths = cfg.widths
+        frame, blocks = protocol.key_bundle_frame(bundle, protocol.key_blocks_size(role, widths))
+        for (_, scheme, key_role), block in protocol.key_blocks(role, widths, blocks):
+            parts, pattern = crypto.user_key_file(block, widths[scheme])
+            pattern[:] = self.derivers[scheme].derive(key_role, self._rng, out=parts).split_pattern
         return frame, [_token_digest(t) for t in tokens]
 
 

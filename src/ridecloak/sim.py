@@ -557,7 +557,7 @@ class ServicePool:
     experiment and is explicitly a one-time cost, so consecutive runs with
     an equal service config and seed share one service and purge trip
     state between runs with an epoch rotation. Any other config replaces
-    the service; a full-width one holds about 1.8 GB, so only one is kept.
+    the service; a full-width one with two clients takes ~1.5 GB, so only one is kept.
     """
 
     def __init__(self):

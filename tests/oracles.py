@@ -411,30 +411,24 @@ def derive(keys, role, rng):
 # --- wire layouts ---------------------------------------------------------------
 
 
-def user_key_file(role, parts, pattern):
-    """A user key set's key file: "KNN1", role byte, u32 dim, u8 part count,
-    the parts as little-endian float64 row-major, then the split pattern."""
-    dim = len(pattern)
-    head = b"KNN1" + {"driver": b"D", "rider": b"R"}[role] + struct.pack("<IB", dim, len(parts))
+def user_key_file(parts, pattern):
+    """A user key set's key file: the parts as little-endian float64
+    row-major, then the split pattern, one byte per entry."""
     body = b"".join(np.asarray(p, dtype="<f8").tobytes(order="C") for p in parts)
-    return head + body + bytes(int(v) for v in pattern)
+    return body + bytes(int(v) for v in pattern)
 
 
-def key_bundle_frame(epoch, fields, keysets, tokens):
+def key_bundle_frame(epoch, fields, key_files, tokens):
     """A KEY_BUNDLE reply frame with the zero token.
 
     fields: (bundle epoch, salt, filter_bits, n_hashes, id_bits, time_bits,
-    time_slots, max_items); keysets: (name, key file) pairs in wire order.
+    time_slots, max_items); key_files: the key files in plan order.
     Frame: u32 length | u8 msg_type (2) | u64 epoch | 32-byte token |
-    payload. Payload: u64 epoch, u64 salt, six u32, u8 key-set count, per
-    key set a u32-prefixed UTF-8 name and a u32-prefixed blob, u16 token
-    count, the 32-byte tokens.
+    payload. Payload: u64 epoch, u64 salt, six u32, u16 token count, the
+    32-byte tokens, then the key files back to back.
     """
-    payload = struct.pack("<QQIIIIII", *fields) + struct.pack("<B", len(keysets))
-    for name, blob in keysets:
-        raw = name.encode("utf-8")
-        payload += struct.pack("<I", len(raw)) + raw + struct.pack("<I", len(blob)) + blob
-    payload += struct.pack("<H", len(tokens)) + b"".join(tokens)
+    payload = struct.pack("<QQIIIIIIH", *fields, len(tokens)) + b"".join(tokens)
+    payload += b"".join(key_files)
     return struct.pack("<IBQ", 1 + 8 + 32 + len(payload), 2, epoch) + bytes(32) + payload
 
 

@@ -30,9 +30,9 @@ def report(number, ok, detail):
     assert ok, line
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def wide_direct_env():
-    """Full-width direct-scheme keys shared by the heavyweight checks."""
+    """Full-width direct-scheme keys for criterion 2, freed once it has run."""
     cfg = SummaryConfig(bits=2048, n_hashes=24, time_slots=48, max_items=60, epoch=1, salt=4242)
     return make_direct_env(cfg, 9001)
 

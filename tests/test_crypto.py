@@ -183,27 +183,31 @@ def test_encrypted_index_byte_round_trip(knn64):
     np.testing.assert_array_equal(back, idx.parts)
 
 
+def reloaded(keys):
+    """`keys` written to its key file and read back."""
+    return crypto.key_material_from_bytes(crypto.key_material_to_bytes(keys), keys.role, keys.dim)
+
+
 def test_key_material_round_trips(knn64):
     for obj in (knn64.driver, knn64.rider):
-        back = crypto.key_material_from_bytes(crypto.key_material_to_bytes(obj))
+        back = reloaded(obj)
         assert type(back) is crypto.UserKeySet and back.role == obj.role
-    reload = crypto.key_material_from_bytes(crypto.key_material_to_bytes(knn64.driver))
+    reload = reloaded(knn64.driver)
     for a, b in zip(reload.parts, knn64.driver.parts):
         np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(reload.split_pattern, knn64.driver.split_pattern)
     assert reload.role == "driver"
     with pytest.raises(ValueError):
-        crypto.key_material_from_bytes(b"XXXX" + b"\x00" * 32)
-    for role_byte in (b"M", b"T"):  # no key file holds master keys or server secrets
-        blob = bytearray(crypto.key_material_to_bytes(knn64.rider))
-        blob[4:5] = role_byte
-        with pytest.raises(ValueError, match="role byte"):
-            crypto.key_material_from_bytes(bytes(blob))
+        crypto.key_material_from_bytes(b"XXXX" + b"\x00" * 32, "driver", knn64.dim)
+    blob = crypto.key_material_to_bytes(knn64.rider)
+    for role in ("master", "server"):  # no key file holds master keys or server secrets
+        with pytest.raises(ValueError, match="role must be"):
+            crypto.key_material_from_bytes(blob, role, knn64.dim)
 
 
 def test_reloaded_keys_still_match(knn64):
     rng = np.random.default_rng(8)
-    rider = crypto.key_material_from_bytes(crypto.key_material_to_bytes(knn64.rider))
+    rider = reloaded(knn64.rider)
     q = rng.integers(0, 2, knn64.dim).astype(float)
     p = rng.integers(0, 2, knn64.dim).astype(float)
     query = support.unmask_index(support.encrypt_index(q, rider, rng), knn64.secrets)
@@ -334,17 +338,17 @@ def test_derive_into_unaligned_key_file_slot(knn64):
         fresh = knn64.deriver.derive(role, np.random.default_rng(9))
         buf = np.zeros(size + 3, dtype=np.uint8)
         slot = buf[3:]
-        parts, pattern = crypto.user_key_file(slot, role, knn64.dim)
+        parts, pattern = crypto.user_key_file(slot, knn64.dim)
         keys = knn64.deriver.derive(role, np.random.default_rng(9), out=parts)
         pattern[:] = keys.split_pattern
         assert not parts[0].flags.aligned
         assert all(np.shares_memory(k, p) for k, p in zip(keys.parts, parts))
         assert slot.tobytes() == crypto.key_material_to_bytes(fresh)
-        assert slot.tobytes() == oracles.user_key_file(role, fresh.parts, fresh.split_pattern)
+        assert slot.tobytes() == oracles.user_key_file(fresh.parts, fresh.split_pattern)
     with pytest.raises(ValueError, match="output parts"):
         knn64.deriver.derive("rider", np.random.default_rng(0), out=parts[:7])
     with pytest.raises(ValueError, match="bytes"):
-        crypto.user_key_file(buf, "rider", knn64.dim)
+        crypto.user_key_file(buf, knn64.dim)
 
 
 def same_bytes(arrays, expected):
@@ -373,7 +377,7 @@ def test_key_setup_and_derivation_match_the_reference_bit_for_bit(seed):
         for role in ("driver", "rider"):
             assert same_bytes(deriver.derive(role, rng).parts, oracles.derive(ref, role, ref_rng))
             slot = np.zeros(crypto.user_key_file_size(dim) + 3, dtype=np.uint8)[3:]
-            parts, _ = crypto.user_key_file(slot, role, dim)
+            parts, _ = crypto.user_key_file(slot, dim)
             deriver.derive(role, rng, out=parts)
             assert same_bytes(parts, oracles.derive(ref, role, ref_rng))
     assert rng.random() == ref_rng.random()
@@ -400,7 +404,7 @@ def test_derivation_holds_one_share_pair_at_a_time():
     derivers, _ = crypto.generate_keys({"direct": MEMORY_DIM}, np.random.default_rng(2))
     slot = np.empty(crypto.user_key_file_size(MEMORY_DIM), dtype=np.uint8)
     for role in ("driver", "rider"):
-        parts, _ = crypto.user_key_file(slot, role, MEMORY_DIM)
+        parts, _ = crypto.user_key_file(slot, MEMORY_DIM)
         tracemalloc.start()
         try:
             derivers["direct"].derive(role, np.random.default_rng(3), out=parts)
@@ -415,19 +419,19 @@ def test_key_blob_must_be_exact_and_patterns_binary(knn64):
         blob = crypto.key_material_to_bytes(obj)
         for bad in (blob + b"garbage", blob + b"\x00", blob[:-1], blob[:9]):
             with pytest.raises(ValueError):
-                crypto.key_material_from_bytes(bad)
+                crypto.key_material_from_bytes(bad, obj.role, obj.dim)
     blob = bytearray(crypto.key_material_to_bytes(knn64.rider))
     blob[-1] = 7
     with pytest.raises(ValueError, match="0/1"):
-        crypto.key_material_from_bytes(bytes(blob))
+        crypto.key_material_from_bytes(bytes(blob), "rider", knn64.dim)
     with pytest.raises(ValueError, match="0/1"):
         crypto.UserKeySet("rider", knn64.dim, knn64.rider.parts, np.full(knn64.dim, 7, np.uint8))
 
 
 def test_loaded_driver_parts_multiply_as_contiguous_transposes(knn64):
     """Loaded driver parts have C-contiguous transposes and give the same ciphertexts."""
-    driver = crypto.key_material_from_bytes(crypto.key_material_to_bytes(knn64.driver))
-    rider = crypto.key_material_from_bytes(crypto.key_material_to_bytes(knn64.rider))
+    driver = reloaded(knn64.driver)
+    rider = reloaded(knn64.rider)
     assert all(p.T.flags.c_contiguous for p in driver.parts)
     assert all(p.flags.c_contiguous for p in rider.parts)
     vecs = np.random.default_rng(3).integers(0, 2, (6, knn64.dim)).astype(float)

@@ -155,20 +155,15 @@ def test_key_bundle_round_trip(knn64):
     bundle = KeyBundle(
         epoch=4, salt=99, filter_bits=320, n_hashes=4, id_bits=6, time_bits=4,
         time_slots=48, max_items=60,
-        keysets={
-            "direct": crypto.key_material_to_bytes(knn64.rider),
-            "transfer-minus": crypto.key_material_to_bytes(knn64.rider),
-        },
         tokens=[bytes([i]) * 32 for i in range(5)],
     )
-    back = protocol.decode_key_bundle(protocol.encode_key_bundle(bundle))
-    assert back == bundle
-    keys = crypto.key_material_from_bytes(back.keysets["direct"])
+    key_file = crypto.key_material_to_bytes(knn64.rider)
+    back, blocks = protocol.decode_key_bundle(protocol.encode_key_bundle(bundle, key_file * 2))
+    assert back == bundle and bytes(blocks) == key_file * 2
+    keys = crypto.key_material_from_bytes(blocks[: len(key_file)], "rider", 64)
     assert keys.role == "rider" and keys.dim == 64
     with pytest.raises(ValueError, match="token"):
-        protocol.encode_key_bundle(
-            KeyBundle(1, 1, 64, 4, 6, 4, 48, 60, {}, [b"short"])
-        )
+        protocol.encode_key_bundle(KeyBundle(1, 1, 64, 4, 6, 4, 48, 60, [b"short"]), b"")
 
 
 def test_direct_offer_payload_round_trip():

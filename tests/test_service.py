@@ -97,15 +97,13 @@ def test_register_roles_and_key_shapes(small_service):
 
 
 def bundle_formula_bytes(config, role):
-    """A KEY_BUNDLE reply's size as README "File formats" gives it, with
-    F = filter_bits, W = 2*id_bits + time_bits, S = time_slots and T tokens:
-    a driver's is 211 + 32*T + 64*(F^2 + 2*W^2 + S^2) + F + 2*W + S B,
-    a rider's 178 + 32*T + 64*(F^2 + W^2 + S^2) + F + W + S B."""
+    """A KEY_BUNDLE reply's size as README "File formats" gives it: with T
+    tokens, 87 + 32*T + sum(64*d^2 + d) B over the widths d of the role's
+    key sets, F = filter_bits, W = 2*id_bits + time_bits and S = time_slots:
+    (F, W, W, S) for a driver, (F, W, S) for a rider."""
     f, w, s = config.filter_bits, 2 * config.id_bits + config.time_bits, config.time_slots
-    tokens = 32 * config.tokens_per_bundle
-    if role == "driver":
-        return 211 + tokens + 64 * (f * f + 2 * w * w + s * s) + f + 2 * w + s
-    return 178 + tokens + 64 * (f * f + w * w + s * s) + f + w + s
+    dims = (f, w, w, s) if role == "driver" else (f, w, s)
+    return 87 + 32 * config.tokens_per_bundle + sum(64 * d * d + d for d in dims)
 
 
 @pytest.mark.parametrize("widths", [
@@ -946,12 +944,12 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
               config.time_bits, config.time_slots, config.max_items)
     for role in ("driver", "rider", "driver"):
         reply = svc.dispatch(register_frame(role))
-        keysets = []
+        key_files = []
         for name, deriver, key_role in plans[role]:
             keys = deriver.derive(key_role, rng)
-            keysets.append((name, oracles.user_key_file(key_role, keys.parts, keys.split_pattern)))
+            key_files.append(oracles.user_key_file(keys.parts, keys.split_pattern))
         expected = oracles.key_bundle_frame(
-            1, fields, keysets,
+            1, fields, key_files,
             [tokens.token_bytes(protocol.TOKEN_SIZE) for _ in range(config.tokens_per_bundle)],
         )
         assert bytes(reply) == expected
@@ -1041,26 +1039,24 @@ def reframed(reply, payload):
     return struct.pack("<I", len(head) + len(payload)) + head + payload
 
 
+def replying(reply):
+    """A transport whose every reply is `reply`."""
+    return LoopbackTransport(SimpleNamespace(dispatch=lambda data: reply))
+
+
 def corrupt_key_bundles(reply):
-    """KEY_BUNDLE replies cut short or padded, and replies with a bad first key set."""
+    """KEY_BUNDLE replies cut short or padded, and one whose first split pattern is not 0/1."""
     data = bytes(reply)
     payload = data[protocol.HEADER_SIZE :]
     framing = [data[: len(data) * k // 8] for k in range(8)] + [data + b"\x00"]
     framing += [reframed(reply, payload[: len(payload) * k // 8]) for k in range(8)]
     framing.append(reframed(reply, payload + b"\x00"))
-    key_sets = []
-    # the first key set's blob: 41 bytes of fields and count, then the name
-    (name_len,) = struct.unpack_from("<I", payload, 41)
-    at = 45 + name_len
-    (blob_len,) = struct.unpack_from("<I", payload, at)
-    blob_end = at + 4 + blob_len
-    for blob_delta, body in ((1, payload[:blob_end] + b"\x00"), (-1, payload[: blob_end - 1])):
-        head = payload[:at] + struct.pack("<I", blob_len + blob_delta)
-        key_sets.append(reframed(reply, head + body[at + 4 :] + payload[blob_end:]))
+    # 40 bytes of fields, the token count and the tokens, then the first key block
+    (tokens,) = struct.unpack_from("<H", payload, 40)
+    first_end = 42 + 32 * tokens + crypto.user_key_file_size(SMALL_CONFIG["filter_bits"])
     bad_pattern = bytearray(payload)
-    bad_pattern[blob_end - 1] = 7
-    key_sets.append(reframed(reply, bytes(bad_pattern)))
-    return framing, key_sets
+    bad_pattern[first_end - 1] = 7
+    return framing, [reframed(reply, bytes(bad_pattern))]
 
 
 def test_register_refuses_corrupt_key_bundles(small_service):
@@ -1071,7 +1067,7 @@ def test_register_refuses_corrupt_key_bundles(small_service):
     framing, bad_key_sets = corrupt_key_bundles(reply)
     cases = [(bad, False) for bad in framing] + [(bad, True) for bad in bad_key_sets]
     for bad, bad_key_set in cases:
-        rider.transport = LoopbackTransport(SimpleNamespace(dispatch=lambda data, bad=bad: bad))
+        rider.transport = replying(bad)
         with pytest.raises(ProtocolError) as err:
             rider.register("rider")
         if bad_key_set:
@@ -1080,54 +1076,59 @@ def test_register_refuses_corrupt_key_bundles(small_service):
         assert rider.registration is before and before.tokens == tokens
 
 
-def test_register_refuses_key_sets_of_the_wrong_width(small_service, knn64):
+def bundle_reply(reg, config, key_files, **fields):
+    """A one-token KEY_BUNDLE reply in `reg`'s epoch, with `config`'s fields
+    (overridden by `fields`) and `key_files` as its key blocks."""
+    fields = {name: getattr(config, name) for name in (
+        "filter_bits", "n_hashes", "id_bits", "time_bits", "time_slots", "max_items"
+    )} | fields
+    header = (reg.epoch, reg.salt, *fields.values())
+    return oracles.key_bundle_frame(reg.epoch, header, key_files, [bytes(32)])
+
+
+def test_register_refuses_key_blocks_not_sized_by_the_plan(small_service, knn64):
+    """Key sets of the wrong width and blocks laid out for the other role
+    fail the one block-size check; blocks laid out by the plan register."""
+    rider, driver = make_clients(small_service, roles=("rider", "driver"))
+    clients = {"rider": rider, "driver": driver}
+    files = {
+        role: [crypto.key_material_to_bytes(keys) for keys in c.registration.keysets.values()]
+        for role, c in clients.items()
+    }
+    narrow = crypto.key_material_to_bytes(knn64.rider)
+    cases = [
+        (role, files[role][:i] + [narrow] + files[role][i + 1 :])
+        for role in clients for i in range(len(files[role]))
+    ]
+    cases += [("rider", files["driver"]), ("driver", files["rider"])]
+    for role, key_files in cases:
+        client = clients[role]
+        before = client.registration
+        client.transport = replying(bundle_reply(before, small_service.config, key_files))
+        with pytest.raises(ProtocolError, match="key blocks take") as err:
+            client.register(role)
+        assert err.value.code is ErrorCode.BAD_STATE
+        assert client.registration is before
+    for role, client in clients.items():
+        client.transport = replying(bundle_reply(client.registration, small_service.config, files[role]))
+        names = [name for name, *_ in protocol.ROLE_KEY_SETS[role]]
+        assert list(client.register(role).keysets) == names
+
+
+@pytest.mark.parametrize("fields", [
+    dict(n_hashes=0), dict(n_hashes=SMALL_CONFIG["filter_bits"] + 1), dict(max_items=0),
+    dict(time_slots=0), dict(id_bits=0), dict(time_bits=0),
+], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
+def test_register_refuses_a_bundle_header_no_submission_can_use(small_service, fields):
     (rider,) = make_clients(small_service, roles=("rider",))
     before = rider.registration
-    cfg = small_service.config
-    fields = (before.epoch, before.salt, cfg.filter_bits, cfg.n_hashes, cfg.id_bits,
-              cfg.time_bits, cfg.time_slots, cfg.max_items)
-    good = {name: crypto.key_material_to_bytes(keys) for name, keys in before.keysets.items()}
-    narrow = crypto.key_material_to_bytes(knn64.rider)
-    for name in good:
-        keysets = [(n, narrow if n == name else blob) for n, blob in good.items()]
-        bad = oracles.key_bundle_frame(before.epoch, fields, keysets, [bytes(32)])
-        rider.transport = LoopbackTransport(SimpleNamespace(dispatch=lambda data, bad=bad: bad))
-        with pytest.raises(ProtocolError, match="width") as err:
-            rider.register("rider")
-        assert err.value.code is ErrorCode.BAD_STATE
-        assert rider.registration is before
-
-
-def test_register_refuses_bundles_without_their_roles_key_sets(small_service):
-    rider, driver = make_clients(small_service, roles=("rider", "driver"))
-    before = rider.registration
-    cfg = small_service.config
-    fields = (before.epoch, before.salt, cfg.filter_bits, cfg.n_hashes, cfg.id_bits,
-              cfg.time_bits, cfg.time_slots, cfg.max_items)
-    blobs = {
-        name: crypto.key_material_to_bytes(keys)
-        for reg in (rider.registration, driver.registration)
-        for name, keys in reg.keysets.items()
-    }
-    names = [name for name, *_ in protocol.ROLE_KEY_SETS["rider"]]
-    assert names == ["direct-rider", "transfer-rider", "time-rider"]
-    cases = [  # (error, [(name, whose blob it carries)])
-        ("holds", [("direct-rider", "direct-rider")]),
-        ("holds", [(n, n) for n in names] + [("direct-driver", "direct-driver")]),
-        ("driver keys", [("direct-rider", "direct-driver"), *[(n, n) for n in names[1:]]]),
-        ("driver keys", [(n, n) for n in names[:1]] + [("transfer-rider", "transfer-plus"),
-                                                       ("time-rider", "time-rider")]),
-        ("driver keys", [(n, n) for n in names[:2]] + [("time-rider", "time-driver")]),
-        (None, [(n, n) for n in names]),
-    ]
-    for match, entries in cases:
-        keysets = [(name, blobs[source]) for name, source in entries]
-        reply = oracles.key_bundle_frame(before.epoch, fields, keysets, [bytes(32)])
-        rider.transport = LoopbackTransport(SimpleNamespace(dispatch=lambda data, r=reply: r))
-        if match is None:
-            assert list(rider.register("rider").keysets) == names
-            continue
-        with pytest.raises(ProtocolError, match=match) as err:
-            rider.register("rider")
-        assert err.value.code is ErrorCode.BAD_STATE
-        assert rider.registration is before
+    key_files = [crypto.key_material_to_bytes(keys) for keys in before.keysets.values()]
+    rider.transport = replying(bundle_reply(before, small_service.config, key_files, **fields))
+    with pytest.raises(ProtocolError, match="no submission can use") as err:
+        rider.register("rider")
+    assert err.value.code is ErrorCode.BAD_STATE
+    assert rider.registration is before
+    # at the edge of the range, the same bundle registers
+    edge = bundle_reply(before, small_service.config, key_files, n_hashes=SMALL_CONFIG["filter_bits"])
+    rider.transport = replying(edge)
+    assert rider.register("rider").bundle.n_hashes == SMALL_CONFIG["filter_bits"]
