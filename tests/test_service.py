@@ -1086,29 +1086,44 @@ def bundle_reply(reg, config, key_files, **fields):
     return oracles.key_bundle_frame(reg.epoch, header, key_files, [bytes(32)])
 
 
-def test_register_refuses_key_blocks_not_sized_by_the_plan(small_service, knn64):
-    """Key sets of the wrong width and blocks laid out for the other role
-    fail the one block-size check; blocks laid out by the plan register."""
+def assert_refused_by_block_size(client, role, reply):
+    before = client.registration
+    client.transport = replying(reply)
+    with pytest.raises(ProtocolError, match="key blocks take") as err:
+        client.register(role)
+    assert err.value.code is ErrorCode.BAD_STATE
+    assert client.registration is before
+
+
+def role_key_files(client):
+    return [crypto.key_material_to_bytes(keys) for keys in client.registration.keysets.values()]
+
+
+def test_register_refuses_key_sets_of_the_wrong_width(small_service, knn64):
+    """A key set of the wrong width in any slot fails the block-size check."""
+    rider, driver = make_clients(small_service, roles=("rider", "driver"))
+    narrow = crypto.key_material_to_bytes(knn64.rider)
+    for role, client in (("rider", rider), ("driver", driver)):
+        files = role_key_files(client)
+        for i in range(len(files)):
+            key_files = files[:i] + [narrow] + files[i + 1 :]
+            reply = bundle_reply(client.registration, small_service.config, key_files)
+            assert_refused_by_block_size(client, role, reply)
+
+
+def test_register_refuses_bundles_without_their_roles_key_sets(small_service):
+    """Blocks laid out for the other role, or with a key set missing or
+    added, fail the block-size check; blocks laid out by the plan register."""
     rider, driver = make_clients(small_service, roles=("rider", "driver"))
     clients = {"rider": rider, "driver": driver}
-    files = {
-        role: [crypto.key_material_to_bytes(keys) for keys in c.registration.keysets.values()]
-        for role, c in clients.items()
-    }
-    narrow = crypto.key_material_to_bytes(knn64.rider)
-    cases = [
-        (role, files[role][:i] + [narrow] + files[role][i + 1 :])
-        for role in clients for i in range(len(files[role]))
-    ]
-    cases += [("rider", files["driver"]), ("driver", files["rider"])]
+    files = {role: role_key_files(c) for role, c in clients.items()}
+    cases = [("rider", files["driver"]), ("driver", files["rider"])]
+    for role in clients:
+        cases += [(role, files[role][:-1]), (role, files[role] + files[role][:1])]
     for role, key_files in cases:
         client = clients[role]
-        before = client.registration
-        client.transport = replying(bundle_reply(before, small_service.config, key_files))
-        with pytest.raises(ProtocolError, match="key blocks take") as err:
-            client.register(role)
-        assert err.value.code is ErrorCode.BAD_STATE
-        assert client.registration is before
+        reply = bundle_reply(client.registration, small_service.config, key_files)
+        assert_refused_by_block_size(client, role, reply)
     for role, client in clients.items():
         client.transport = replying(bundle_reply(client.registration, small_service.config, files[role]))
         names = [name for name, *_ in protocol.ROLE_KEY_SETS[role]]
