@@ -116,13 +116,28 @@ class ServiceClient:
         return frame
 
     def _submit(self, msg_type: MsgType, payload: bytes) -> str:
-        """Send one encoded submission under a fresh token; returns the server's id."""
+        """Send one encoded submission under a fresh token; returns the server's id.
+
+        An ERROR reply but BAD_TOKEN puts the token back, since the server
+        spends one only on a submission it stores. A transport error drops it.
+        """
         reg = self._registered()
-        if not reg.tokens:
-            raise TokenError("no submission tokens left; register again for more")
+        self._need_tokens(1)
+        token = reg.tokens.pop()
         self.submitted_bytes += protocol.HEADER_SIZE + len(payload)
-        frame = self._request(msg_type, payload, reg.tokens.pop())
+        try:
+            frame = self._request(msg_type, payload, token)
+        except ServerError as exc:
+            if exc.code is not ErrorCode.BAD_TOKEN:
+                reg.tokens.append(token)
+            raise
         return protocol.decode_ack(frame.payload)
+
+    def _need_tokens(self, count: int) -> None:
+        """Refuse, before anything is sent, `count` submissions the held tokens cannot buy."""
+        held = len(self._registered().tokens)
+        if count > held:
+            raise TokenError(f"{held} tokens held, {count} needed; register again for more")
 
     def _registered(self) -> Registration:
         if self.registration is None:
@@ -191,6 +206,7 @@ class ServiceClient:
 
     def submit_direct_offers(self, specs: list[OfferSpec]) -> list[str]:
         """Encrypt offers in one batch, submit one frame each; returns server ids."""
+        self._need_tokens(len(specs))
         offers = direct.build_offers(
             specs, self._keys("direct-driver"), self._keys("time-driver"), self.summary_config, self.rng
         )
@@ -200,6 +216,7 @@ class ServiceClient:
         return self.submit_direct_offers([spec])[0]
 
     def submit_direct_requests(self, specs: list[RequestSpec]) -> list[str]:
+        self._need_tokens(len(specs))
         requests = direct.build_requests(
             specs, self._keys("direct-rider"), self._keys("time-rider"), self.summary_config, self.rng
         )

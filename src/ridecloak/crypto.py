@@ -1,10 +1,10 @@
 """Matrix-masked inner-product encryption for trip vectors.
 
-Offers are encrypted as column-form indexes, requests as row-form query
-indexes. Each index carries eight masked parts; after the matching server
-applies its unmasking secrets, the sum of the eight part-wise dot products
-telescopes to the exact inner product of the two plaintext binary vectors,
-and nothing else about the plaintexts is revealed. Indexes produced under
+Offers are encrypted under driver-role key sets, requests under rider-role
+ones; an index is its eight masked parts. Once the matching server unmasks
+each batch under the role that encrypted it, the sum of the eight part-wise
+dot products telescopes to the exact inner product of the two plaintext
+binary vectors, and nothing else about them is revealed. Indexes produced under
 different user key sets derived from the same master keys remain mutually
 comparable, which is what lets the server match strangers' trips.
 
@@ -107,8 +107,8 @@ def _check_square(name: str, mat: np.ndarray, dim: int) -> None:
 class TosSecrets:
     """Matching-server secrets for one vector width: the two matrices it unmasks with.
 
-    index_mask is applied (on the left) to column-form offer parts,
-    query_mask_inv (on the right) to row-form query parts; until then,
+    index_mask unmasks driver-role (offer) parts from the left,
+    query_mask_inv rider-role (query) parts from the right; until then,
     indexes from different users are not comparable.
     """
 
@@ -141,22 +141,15 @@ class UserKeySet:
 
 @dataclass
 class EncryptedIndex:
-    """One encrypted trip vector.
+    """One encrypted trip vector: its (8, dim) float64 parts, and nothing else.
 
-    orientation is "column" for offer-side indexes and "row" for
-    query-side indexes; parts is an (8, dim) float64 array; unmasked
-    records whether the matching server has applied its secrets yet.
-    Neither flag nor the width travels: on the wire an index is its bare
-    parts, and the submission it sits in fixes its form (`protocol`).
+    On the wire an index is its bare parts; the submission it sits in fixes
+    its scheme and the role of the key set that encrypted it (`protocol`).
     """
 
-    orientation: str
     parts: np.ndarray
-    unmasked: bool = False
 
     def __post_init__(self) -> None:
-        if self.orientation not in ("column", "row"):
-            raise ValueError(f"orientation must be 'column' or 'row', got {self.orientation!r}")
         self.parts = np.ascontiguousarray(self.parts, dtype=np.float64)
         if self.parts.ndim != 2 or self.parts.shape[0] != PART_COUNT:
             raise ValueError(f"parts must be ({PART_COUNT}, dim), got {self.parts.shape}")
@@ -337,19 +330,11 @@ def encrypt_indices(
     count = vectors.shape[0]
     first, second = split_vector(vectors, keys.split_pattern, keys.role, rng)
     parts = np.empty((count, PART_COUNT, keys.dim), dtype=np.float64)
-    if keys.role == "driver":
-        # Column form: part_i = K_i @ half; computed row-wise as half @ K_i.T.
-        orientation = "column"
-        for i, key_part in enumerate(keys.parts):
-            half = first if i < 4 else second
-            parts[:, i, :] = half @ key_part.T
-    else:
-        # Row form: part_i = half @ K_i.
-        orientation = "row"
-        for i, key_part in enumerate(keys.parts):
-            half = first if i < 4 else second
-            parts[:, i, :] = half @ key_part
-    return [EncryptedIndex(orientation, parts[j]) for j in range(count)]
+    for i, key_part in enumerate(keys.parts):
+        # driver: part_i = K_i @ half, computed row-wise as half @ K_i.T; rider: half @ K_i
+        half = first if i < 4 else second
+        parts[:, i, :] = half @ (key_part.T if keys.role == "driver" else key_part)
+    return [EncryptedIndex(parts[j]) for j in range(count)]
 
 
 def unmasked_part_bound(dim: int) -> float:
@@ -364,47 +349,34 @@ def unmasked_part_bound(dim: int) -> float:
     return math.sqrt(np.finfo(np.float64).max / (2 * PART_COUNT * dim))
 
 
-def unmask_indices(indexes: list[EncryptedIndex], secrets: TosSecrets) -> list[EncryptedIndex]:
-    """Apply the server secrets to a batch of same-orientation indexes.
+def unmask_indices(
+    indexes: list[EncryptedIndex], secrets: TosSecrets, role: str
+) -> list[EncryptedIndex]:
+    """Apply the server secret of `role` (driver: `index_mask`, rider: `query_mask_inv`) to a batch.
 
     This is the one finiteness gate: a NaN, an infinity or a cleared part
-    beyond `unmasked_part_bound` raises ValueError.
+    beyond `unmasked_part_bound` raises ValueError, as does a wrong width;
+    a role other than "driver" or "rider" raises KeyError.
     """
     if not indexes:
         return []
-    orientation = indexes[0].orientation
     for idx in indexes:
-        if idx.unmasked:
-            raise ValueError("index is already unmasked")
-        if idx.orientation != orientation:
-            raise ValueError("unmask_indices batch must share one orientation")
         if idx.dim != secrets.dim:
             raise ValueError(f"index dim {idx.dim} != secrets dim {secrets.dim}")
     stacked = np.concatenate([idx.parts for idx in indexes], axis=0)
+    # Parts are stored as rows, so the driver's left-multiplication transposes.
+    mask = {"driver": secrets.index_mask.T, "rider": secrets.query_mask_inv}[role]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        if orientation == "column":
-            # Parts are stored as rows, so the left-multiplication transposes.
-            cleared = stacked @ secrets.index_mask.T
-        else:
-            cleared = stacked @ secrets.query_mask_inv
+        cleared = stacked @ mask
     if not (np.abs(cleared) <= unmasked_part_bound(secrets.dim)).all():
         raise ValueError("unmasked index parts are not finite or exceed the magnitude bound")
-    blocks = cleared.reshape(len(indexes), PART_COUNT, secrets.dim)
-    return [EncryptedIndex(orientation, block, unmasked=True) for block in blocks]
+    return [EncryptedIndex(block) for block in cleared.reshape(len(indexes), PART_COUNT, secrets.dim)]
 
 
-def similarity_matrix(
-    queries: list[EncryptedIndex], offers: list[EncryptedIndex]
-) -> np.ndarray:
-    """All-pairs similarities: out[i, j] = plaintext(q_i) . plaintext(o_j)."""
+def similarity_matrix(queries: list[EncryptedIndex], offers: list[EncryptedIndex]) -> np.ndarray:
+    """out[i, j] = plaintext(q_i) . plaintext(o_j) of unmasked rider-role q, driver-role o."""
     if not queries or not offers:
         return np.zeros((len(queries), len(offers)))
-    for idx in queries:
-        if not idx.unmasked or idx.orientation != "row":
-            raise ValueError("queries must be unmasked row-form indexes")
-    for idx in offers:
-        if not idx.unmasked or idx.orientation != "column":
-            raise ValueError("offers must be unmasked column-form indexes")
     q = np.stack([idx.flat() for idx in queries])
     o = np.stack([idx.flat() for idx in offers])
     return kernels.cross_dots(q, o)

@@ -217,7 +217,8 @@ class _Pool:
     """Unmasked ciphertexts of stored submissions, one row per submission.
 
     `dims` is each index kind's width, as `protocol.layout_dims` gives it
-    for a direct trip. `kinds[kind]` is one contiguous (rows, 8*dims[kind])
+    for a direct trip, and `role` that of the key sets its submissions are
+    encrypted under. `kinds[kind]` is one contiguous (rows, 8*dims[kind])
     float64 matrix per index kind, so a matching round's GEMMs read the
     used prefix in place. `live` marks the rows that hold a current
     submission and `seq` their arrival order. A freed row keeps its stale
@@ -225,7 +226,6 @@ class _Pool:
     it or the pool is cleared.
     """
 
-    orientation = ""
     _row_arrays = ("live", "seq")  # per-row arrays that grow and clear with `kinds`
 
     def __init__(self, dims: tuple[int, ...], rows: int = POOL_ROWS):
@@ -249,9 +249,6 @@ class _Pool:
         """(8, dim) views of one row's pick-up, drop-off, route and time parts."""
         return [m[row].reshape(crypto.PART_COUNT, -1) for m in self.kinds]
 
-    def indexes(self, row: int) -> list[EncryptedIndex]:
-        return [EncryptedIndex(self.orientation, p, unmasked=True) for p in self.row_parts(row)]
-
     def _fill(
         self, indexes: list[EncryptedIndex], secrets: dict[str, TosSecrets], item_id: str
     ) -> int:
@@ -259,23 +256,15 @@ class _Pool:
 
         `secrets` holds the server's "direct" secrets, which unmask the
         three filters, and its "time" secrets, which unmask the time index
-        (first, for the reason `_encrypt_trips` gives). The indexes are
-        checked and unmasked before anything is written, so a rejected
+        (first, for the reason `_encrypt_trips` gives). Unmasking checks
+        the widths and magnitudes before anything is written, so a rejected
         submission leaves the pool as it was. A row freed by `release` is
         reused before the pool grows.
         """
         if len(indexes) != len(self.kinds):
             raise ValueError(f"a submission carries {len(self.kinds)} indexes, got {len(indexes)}")
-        for idx, dim in zip(indexes, self.dims):
-            if idx.unmasked:
-                raise ValueError("pool rows are unmasked from masked indexes only")
-            if idx.orientation != self.orientation or idx.dim != dim:
-                raise ValueError(
-                    f"{type(self).__name__} takes {self.orientation}-form indexes of dims "
-                    f"{self.dims}, got {idx.orientation}-form of dim {idx.dim}"
-                )
-        time = crypto.unmask_indices(indexes[TIME:], secrets["time"])
-        cleared = crypto.unmask_indices(indexes[:TIME], secrets["direct"]) + time
+        time = crypto.unmask_indices(indexes[TIME:], secrets["time"], self.role)
+        cleared = crypto.unmask_indices(indexes[:TIME], secrets["direct"], self.role) + time
         row = self._free[-1] if self._free else self.used
         if row == len(self.live):
             self._grow()
@@ -323,7 +312,7 @@ class OfferPool(_Pool):
     driver's order, padded with -1.
     """
 
-    orientation = "column"
+    role = "driver"
     _row_arrays = ("live", "seq", "remaining", "cases")
 
     def __init__(self, dims: tuple[int, ...], rows: int = POOL_ROWS):
@@ -354,7 +343,7 @@ class OfferPool(_Pool):
 class RequestPool(_Pool):
     """Pending requests; a row freed by a match takes the next request."""
 
-    orientation = "row"
+    role = "rider"
 
     def admit(
         self, indexes: list[EncryptedIndex], secrets: dict[str, TosSecrets], request_id: str
@@ -378,7 +367,7 @@ class PoolEntry:
 
     def indexes(self) -> list[EncryptedIndex]:
         """Views of the pool row, so no ciphertext is held twice."""
-        return self.pool.indexes(self.row)
+        return [EncryptedIndex(p) for p in self.pool.row_parts(self.row)]
 
 
 def gated_pairs(

@@ -11,15 +11,15 @@ failures come back as ERROR frames and leave server state unchanged.
 
 A SUBMIT_OFFER or SUBMIT_REQUEST payload ends in one ciphertext block:
 its encrypted indexes back to back, each as 8*dim little-endian float64
-(the eight parts, row-major), with nothing between them. No width or form
-travels. Each submission kind has one layout, a (scheme, form) pair per
-index: a direct trip has 4 (pick-up, drop-off, route, time), a transfer
-offer 2 per cell it announces (plus then minus) and a transfer request 2
-(pick-up, drop-off). The decoder sizes every block by one rule: each
-index is its scheme's width in the caller's `scheme_widths` table, and a
-block of any other size is refused with BAD_DIMENSION. Offer-side indexes
-(direct offer, transfer plus) are column form, query-side ones (requests,
-transfer minus) row form, and all are masked.
+(the eight parts, row-major), with nothing between them. No width travels.
+A layout is the scheme of each index, and there are two: `DIRECT_TRIP`
+(pick-up, drop-off, route, time) for direct offers and requests, and
+`TRANSFER_PAIR`, once per announced cell of a transfer offer (plus, minus)
+and once for a transfer request (pick-up, drop-off). The decoder sizes
+every block by one rule: each index is its scheme's width in the caller's
+`scheme_widths` table, and a block of any other size is refused with
+BAD_DIMENSION. All indexes are masked; the submission kind and an index's
+place fix the role of the key set it is unmasked under (`ROLE_KEY_SETS`).
 
 A KEY_BUNDLE payload is `u64 epoch | u64 salt | six u32 | u16 token count
 | tokens | key blocks`. The key blocks are the registered role's
@@ -252,8 +252,8 @@ class _Reader:
     def indexes(self, layout: Layout, widths: dict[str, int]) -> list[EncryptedIndex]:
         """The rest of the payload as the ciphertext block `layout` lays out.
 
-        The block must hold one masked index per (scheme, form) in turn,
-        each `widths[scheme]` wide, else BAD_DIMENSION. The block is copied
+        The block must hold one index per scheme of `layout` in turn, each
+        `widths[scheme]` wide, else BAD_DIMENSION. The block is copied
         once, so no index keeps a view of the payload.
         """
         dims = layout_dims(layout, widths)
@@ -266,9 +266,9 @@ class _Reader:
         block = np.frombuffer(self.data, dtype="<f8", offset=self.pos).astype(np.float64)
         self.pos = len(self.data)
         out, start = [], 0
-        for (_, form), dim in zip(layout, dims):
+        for dim in dims:
             end = start + PART_COUNT * dim
-            out.append(EncryptedIndex(form, block[start:end].reshape(PART_COUNT, dim)))
+            out.append(EncryptedIndex(block[start:end].reshape(PART_COUNT, dim)))
             start = end
         return out
 
@@ -298,24 +298,22 @@ def scheme_widths(filter_bits: int, id_bits: int, time_bits: int, time_slots: in
     return {"direct": filter_bits, "transfer": cell_vector_bits(id_bits, time_bits), "time": time_slots}
 
 
-# A ciphertext block's layout: one (scheme, form) per index, in block order.
-Layout = tuple[tuple[str, str], ...]
-DIRECT_OFFER: Layout = (("direct", "column"),) * 3 + (("time", "column"),)
-DIRECT_REQUEST: Layout = (("direct", "row"),) * 3 + (("time", "row"),)
-TRANSFER_CELL: Layout = (("transfer", "column"), ("transfer", "row"))  # once per announced cell
-TRANSFER_REQUEST: Layout = (("transfer", "row"),) * 2
+# A ciphertext block's layout: the scheme of each index, in block order.
+Layout = tuple[str, ...]
+DIRECT_TRIP: Layout = ("direct",) * 3 + ("time",)
+TRANSFER_PAIR: Layout = ("transfer",) * 2  # once per announced cell of a transfer offer
 
 
 def layout_dims(layout: Layout, widths: dict[str, int]) -> tuple[int, ...]:
     """Each index's width in a block laid out by `layout`."""
-    return tuple(widths[scheme] for scheme, _ in layout)
+    return tuple(widths[scheme] for scheme in layout)
 
 
 # The key sets a registration carries, per registered role, in the order of
 # their key blocks: (name the client keeps them under, scheme, role the key
-# set is derived for). A driver encrypts transfer cells twice: column form
-# with driver keys ("transfer-plus") and row form with rider keys
-# ("transfer-minus"). A direct trip's time index has its own key sets.
+# set is derived for). A driver encrypts each transfer cell twice: with
+# driver keys ("transfer-plus") and with rider keys ("transfer-minus"). A
+# direct trip's time index has its own key sets.
 ROLE_KEY_SETS: dict[str, tuple[tuple[str, str, str], ...]] = {
     "driver": (
         ("direct-driver", "direct", "driver"),
@@ -460,11 +458,11 @@ def decode_submit_offer(
         capacity = r.u16()
         cases = tuple(r.case() for _ in range(r.u8()))
         contact = r.blob()
-        return DirectOffer("", capacity, cases, *r.indexes(DIRECT_OFFER, widths), contact)
+        return DirectOffer("", capacity, cases, *r.indexes(DIRECT_TRIP, widths), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         capacity = r.u16()
         contact = r.blob()
-        block = r.indexes(TRANSFER_CELL * r.u16(), widths)
+        block = r.indexes(TRANSFER_PAIR * r.u16(), widths)
         cells = [TransferCellCipher(p, m) for p, m in zip(block[::2], block[1::2])]
         return TransferOffer("", capacity, cells, contact)
     raise ProtocolError(ErrorCode.MALFORMED, f"unknown scheme code {scheme}")
@@ -488,12 +486,12 @@ def encode_submit_request(request: DirectRequest | TransferRequest) -> bytes:
 def decode_submit_request(
     payload: bytes | memoryview, widths: dict[str, int]
 ) -> DirectRequest | TransferRequest:
-    """The submitted request, with an empty id and masked row-form indexes at `widths`."""
+    """The submitted request, with an empty id and masked indexes at `widths`."""
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         contact = r.blob()
-        return DirectRequest("", *r.indexes(DIRECT_REQUEST, widths), contact)
+        return DirectRequest("", *r.indexes(DIRECT_TRIP, widths), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         contact = r.blob()
         kind_code = r.u8()
@@ -501,7 +499,7 @@ def decode_submit_request(
             raise ProtocolError(ErrorCode.MALFORMED, f"unknown preference code {kind_code}")
         cells_limit = r.u32()
         transfers_limit = r.u32()
-        pickup, dropoff = r.indexes(TRANSFER_REQUEST, widths)
+        pickup, dropoff = r.indexes(TRANSFER_PAIR, widths)
         try:
             pref = Preference(
                 _PREF_NAME[kind_code],

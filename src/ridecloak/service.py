@@ -150,8 +150,8 @@ class TosServer:
         self.salt = salt
         self.unused_tokens: set[bytes] = set()
         self.widths = widths = config.widths
-        self.offer_pool = direct.OfferPool(protocol.layout_dims(protocol.DIRECT_OFFER, widths))
-        self.request_pool = direct.RequestPool(protocol.layout_dims(protocol.DIRECT_REQUEST, widths))
+        self.offer_pool = direct.OfferPool(protocol.layout_dims(protocol.DIRECT_TRIP, widths))
+        self.request_pool = direct.RequestPool(protocol.layout_dims(protocol.DIRECT_TRIP, widths))
         self.direct_offers: dict[str, direct.PoolEntry] = {}
         self.direct_requests: dict[str, direct.PoolEntry] = {}
         self.graph = transfer.TransferGraph(config.id_bits)
@@ -232,7 +232,7 @@ class TosServer:
             )
         else:
             request.pickup, request.dropoff = crypto.unmask_indices(
-                [request.pickup, request.dropoff], self.secrets["transfer"]
+                [request.pickup, request.dropoff], self.secrets["transfer"], "rider"
             )
             request.request_id = request_id = self._next_id("tr")
             self.transfer_requests[request_id] = request

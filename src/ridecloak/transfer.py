@@ -1,12 +1,13 @@
 """Transfer (multi-driver) ride matching over an encrypted trip graph.
 
 Every driver submits, per route cell, two encrypted indexes of the same
-plaintext cell vector: a column-form index (matched against riders and
-against other drivers' row-form indexes) and a row-form index. A cell
-vector is [id bits | complemented id bits | one-hot time interval], so two
-vectors agree on id_bits+1 positions exactly when they are the same cell in
-the same interval, and on at most id_bits positions otherwise; the
-threshold id_bits+1 therefore has no false positives.
+plaintext cell vector: a plus index under driver-role keys (matched
+against riders and against other drivers' minus indexes) and a minus index
+under rider-role keys. A cell vector is [id bits | complemented id bits |
+one-hot time interval], so two vectors agree on id_bits+1 positions
+exactly when they are the same cell in the same interval, and on at most
+id_bits positions otherwise; the threshold id_bits+1 therefore has no
+false positives.
 
 The server keeps a graph whose nodes are the drivers' (offer, position)
 cells, with directed route edges along each route and undirected transfer
@@ -20,10 +21,10 @@ exhausted offer. A rider's request pins source nodes (cells matching the
 pick-up index) and destination nodes (matching the drop-off index); path
 search honors the rider's preference over traversed cells and transfers.
 
-The graph keeps every node's unmasked column-form index as one row of a
+The graph keeps every node's unmasked plus index as one row of a
 contiguous (N, 8*dim) matrix, in insertion order, grown by doubling, with
 an active-row mask that exhaustion clears. Inserting an offer compares
-its row-form indexes against that matrix in one GEMM. A matching round
+its minus indexes against that matrix in one GEMM. A matching round
 pins every pending request in one GEMM too (TransferGraph.pin) and hands
 each search its two hit rows; search ANDs them with the active mask as it
 stands, so offers exhausted earlier in the round drop out exactly as if
@@ -141,10 +142,10 @@ DEFAULT_PREFERENCE = Preference(PreferenceKind.MIN_CELLS)
 
 @dataclass
 class TransferCellCipher:
-    """One route cell as submitted by a driver: both index forms."""
+    """One route cell as submitted by a driver, encrypted under both roles' key sets."""
 
-    plus: EncryptedIndex   # column form, matched against queries
-    minus: EncryptedIndex  # row form, matched against other offers' plus
+    plus: EncryptedIndex   # driver-role keys, matched against queries
+    minus: EncryptedIndex  # rider-role keys, matched against other offers' plus
 
 
 @dataclass
@@ -287,20 +288,17 @@ class TransferGraph:
                 yield other, "transfer"
 
     def _hits(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), N) flags: which stored plus rows each row-form query matches."""
+        """(len(rows), N) flags: which stored plus rows each rider-role query matches."""
         sims = kernels.cross_dots(rows, self._plus[: len(self._row_ids)])
         return kernels.hits(sims, self.match_target)
 
     def pin(self, queries: list[EncryptedIndex]) -> np.ndarray:
-        """Match unmasked row-form queries against every stored row, active or not.
+        """Match unmasked rider-role queries against every stored row, active or not.
 
         Returns a (len(queries), N) boolean array. The similarities do not
         change while the graph only loses active rows, so a round pins all
         its requests once and masks the result per search.
         """
-        for q in queries:
-            if not q.unmasked or q.orientation != "row":
-                raise ValueError("pinning queries must be unmasked row-form indexes")
         if not queries or not self._row_ids:
             return np.zeros((len(queries), len(self._row_ids)), dtype=bool)
         return self._hits(np.stack([q.flat() for q in queries]))
@@ -329,18 +327,15 @@ class TransferGraph:
     def add_offer(self, offer: TransferOffer, secrets: TosSecrets) -> int:
         """Unmask and insert one offer; returns the number of transfer edges added.
 
-        Incremental by construction: the new cells' row-form indexes are
-        compared in one GEMM against the columnar store of column-form
-        rows, masked to the active ones; then the new column-form rows are
-        appended to the store.
+        Incremental by construction: the new cells' minus indexes are
+        compared in one GEMM against the columnar store of plus rows,
+        masked to the active ones; then the new plus rows are appended to
+        the store.
         """
         if offer.offer_id in self.capacity:
             raise ValueError(f"offer id {offer.offer_id!r} already in graph")
-        for c in offer.cells:
-            if c.plus.orientation != "column" or c.minus.orientation != "row":
-                raise ValueError("transfer cells need column-form plus and row-form minus")
-        plus = crypto.unmask_indices([c.plus for c in offer.cells], secrets)
-        minus = crypto.unmask_indices([c.minus for c in offer.cells], secrets)
+        plus = crypto.unmask_indices([c.plus for c in offer.cells], secrets, "driver")
+        minus = crypto.unmask_indices([c.minus for c in offer.cells], secrets, "rider")
         new_nodes = [
             TransferNode(offer.offer_id, pos, p, m) for pos, (p, m) in enumerate(zip(plus, minus))
         ]
@@ -551,8 +546,6 @@ def search(
     pins is the request's two rows of graph.pin() (pick-up, drop-off),
     computed earlier in the round.
     """
-    if not (request.pickup.unmasked and request.dropoff.unmasked):
-        raise ValueError("search requires an unmasked request")
     sources = graph.pinned(pins[0])
     destinations = graph.pinned(pins[1])
     return find_paths(graph, sources, destinations, request.preference, limit)

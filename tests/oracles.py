@@ -443,6 +443,28 @@ _PREFERENCE_CODES = {
 _NO_LIMIT = 0xFFFFFFFF
 
 
+# --- known-plaintext attack ------------------------------------------------------
+
+
+def known_plaintext_attack(known_parts, known_plain, parts):
+    """Plaintexts guessed from ciphertexts of one key set (Yao, Li and Xiao, ICDE 2013).
+
+    All arrays are stacked: parts (n, 8, d), plaintexts (n, d). Parts 0 and 4
+    of an index are the two halves of its split times two key matrices, and
+    the halves sum to D·v with D diagonal of ones and twos, so the plaintext
+    v is a linear function of those two parts. The attack fits that map by
+    least squares to the known (ciphertext, plaintext) pairs and thresholds
+    its output at 0.5. It needs no server secret: whoever sees the
+    ciphertexts can run it.
+    """
+
+    def features(p):
+        return np.concatenate([p[:, 0], p[:, 4]], axis=1)
+
+    weights, *_ = np.linalg.lstsq(features(known_parts), known_plain, rcond=None)
+    return (features(parts) @ weights > 0.5).astype(float)
+
+
 def _blob(data):
     return struct.pack("<I", len(data)) + bytes(data)
 

@@ -51,7 +51,7 @@ def make_direct_env(cfg: direct.SummaryConfig, seed: int) -> SimpleNamespace:
         role: tuple(derivers[scheme].derive(role, rng) for scheme in ("direct", "time"))
         for role in ("driver", "rider")
     }
-    dims = protocol.layout_dims(protocol.DIRECT_OFFER, widths)
+    dims = protocol.layout_dims(protocol.DIRECT_TRIP, widths)
     return SimpleNamespace(cfg=cfg, rng=rng, secrets=secrets, dims=dims, **keys)
 
 
@@ -70,12 +70,12 @@ def admit_pools(env, offers, requests):
     return offer_pool, request_pool
 
 
-def unmask_direct(indexes, secrets):
-    """A direct trip's four indexes through `crypto.unmask_indices`, each
-    under its scheme's secrets: the three filters, then the time index."""
+def unmask_direct(indexes, secrets, role):
+    """A direct trip's four `role` indexes through `crypto.unmask_indices`,
+    each under its scheme's secrets: the three filters, then the time index."""
     return [
-        *crypto.unmask_indices(indexes[:3], secrets["direct"]),
-        *crypto.unmask_indices(indexes[3:], secrets["time"]),
+        *crypto.unmask_indices(indexes[:3], secrets["direct"], role),
+        *crypto.unmask_indices(indexes[3:], secrets["time"], role),
     ]
 
 
@@ -99,21 +99,16 @@ def encrypt_index(vec, keys, rng):
     return crypto.encrypt_indices(vec[None, :], keys, rng)[0]
 
 
-def unmask_index(index, secrets):
-    """One index through `crypto.unmask_indices`."""
-    return crypto.unmask_indices([index], secrets)[0]
+def unmask_index(index, secrets, role):
+    """One index, encrypted under a `role` key set, through `crypto.unmask_indices`."""
+    return crypto.unmask_indices([index], secrets, role)[0]
 
 
 def match_similarity(query, offer):
     """Inner product of the two plaintexts, through `kernels.paired_dots`.
 
-    Both indexes must be unmasked and of opposite orientations (a row-form
-    query against a column-form offer).
+    Both indexes must be unmasked: a rider-role query and a driver-role offer.
     """
-    if not (query.unmasked and offer.unmasked):
-        raise ValueError("match_similarity requires unmasked indexes")
-    if query.orientation != "row" or offer.orientation != "column":
-        raise ValueError("match_similarity takes (row query, column offer)")
     if query.dim != offer.dim:
         raise ValueError(f"dim mismatch: {query.dim} vs {offer.dim}")
     return float(kernels.paired_dots(query.parts, offer.parts).sum())

@@ -60,10 +60,10 @@ def test_criterion_1_inner_product_correctness():
                 q = (rng.random((batch, dim)) < 0.5).astype(float)
                 p = (rng.random((batch, dim)) < 0.5).astype(float)
                 rows = crypto.unmask_indices(
-                    crypto.encrypt_indices(q, env.rider, rng), env.secrets
+                    crypto.encrypt_indices(q, env.rider, rng), env.secrets, "rider"
                 )
                 cols = crypto.unmask_indices(
-                    crypto.encrypt_indices(p, env.driver, rng), env.secrets
+                    crypto.encrypt_indices(p, env.driver, rng), env.secrets, "driver"
                 )
                 got = np.array(
                     [[support.match_similarity(r, c) for c in cols] for r in rows]
@@ -254,7 +254,7 @@ def test_criterion_6_handoff_fixture_preferences(wide_transfer_env):
             rng=np.random.default_rng(61),
         )
         request.pickup, request.dropoff = crypto.unmask_indices(
-            [request.pickup, request.dropoff], env.secrets
+            [request.pickup, request.dropoff], env.secrets, "rider"
         )
         return transfer.search(graph, request, graph.pin([request.pickup, request.dropoff]))
 
@@ -352,14 +352,14 @@ def test_criterion_8_privacy_properties():
         not np.array_equal(a.parts, b.parts) for a, b in zip(first, second)
     )
     offer = support.unmask_index(
-        support.encrypt_index(probe, env.driver, rng), env.secrets
+        support.encrypt_index(probe, env.driver, rng), env.secrets, "driver"
     )
     stable = sum(
         abs(support.match_similarity(a, offer) - want) <= TOL
         and abs(support.match_similarity(b, offer) - want) <= TOL
         for a, b in zip(
-            crypto.unmask_indices(first, env.secrets),
-            crypto.unmask_indices(second, env.secrets),
+            crypto.unmask_indices(first, env.secrets, "rider"),
+            crypto.unmask_indices(second, env.secrets, "rider"),
         )
     )
 
@@ -377,10 +377,10 @@ def test_criterion_8_privacy_properties():
         qvecs[i] = fq.vector()
         pvecs[i] = fp.vector()
     rows = crypto.unmask_indices(
-        crypto.encrypt_indices(qvecs, env_b.rider, rng_b), env_b.secrets
+        crypto.encrypt_indices(qvecs, env_b.rider, rng_b), env_b.secrets, "rider"
     )
     cols = crypto.unmask_indices(
-        crypto.encrypt_indices(pvecs, env_b.driver, rng_b), env_b.secrets
+        crypto.encrypt_indices(pvecs, env_b.driver, rng_b), env_b.secrets, "driver"
     )
     crossed = sum(
         abs(support.match_similarity(r, c) - 7.0) < 0.5 for r, c in zip(rows, cols)

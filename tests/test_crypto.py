@@ -15,8 +15,8 @@ TOL = 1e-3
 
 def enc_pair(env, q, p, rng):
     """Encrypt, unmask, and return (row query, column offer) indexes."""
-    query = support.unmask_index(support.encrypt_index(q, env.rider, rng), env.secrets)
-    offer = support.unmask_index(support.encrypt_index(p, env.driver, rng), env.secrets)
+    query = support.unmask_index(support.encrypt_index(q, env.rider, rng), env.secrets, "rider")
+    offer = support.unmask_index(support.encrypt_index(p, env.driver, rng), env.secrets, "driver")
     return query, offer
 
 
@@ -87,9 +87,9 @@ def test_ciphertexts_fresh_but_outcomes_stable(knn64):
     offer1 = support.encrypt_index(vec, knn64.driver, rng)
     offer2 = support.encrypt_index(vec, knn64.driver, rng)
     assert not np.array_equal(offer1.parts, offer2.parts)
-    query = support.unmask_index(support.encrypt_index(probe, knn64.rider, rng), knn64.secrets)
-    s1 = support.match_similarity(query, support.unmask_index(offer1, knn64.secrets))
-    s2 = support.match_similarity(query, support.unmask_index(offer2, knn64.secrets))
+    query = support.unmask_index(support.encrypt_index(probe, knn64.rider, rng), knn64.secrets, "rider")
+    s1 = support.match_similarity(query, support.unmask_index(offer1, knn64.secrets, "driver"))
+    s2 = support.match_similarity(query, support.unmask_index(offer2, knn64.secrets, "driver"))
     assert abs(s1 - s2) <= 2 * TOL
 
 
@@ -109,13 +109,13 @@ def test_cross_user_key_sets_interchangeable(knn64):
     q = rng.integers(0, 2, knn64.dim).astype(float)
     vecs = [rng.integers(0, 2, knn64.dim).astype(float) for _ in range(6)]
     offers = [
-        support.unmask_index(support.encrypt_index(v, keys, rng), knn64.secrets)
+        support.unmask_index(support.encrypt_index(v, keys, rng), knn64.secrets, "driver")
         for v in vecs
         for keys in (knn64.driver, driver2)
     ]
     sims = []
     for rider in (knn64.rider, rider2):
-        query = support.unmask_index(support.encrypt_index(q, rider, rng), knn64.secrets)
+        query = support.unmask_index(support.encrypt_index(q, rider, rng), knn64.secrets, "rider")
         sims.append([support.match_similarity(query, o) for o in offers])
     np.testing.assert_allclose(sims[0], sims[1], atol=2 * TOL)
     expected = [float(q @ v) for v in vecs for _ in range(2)]
@@ -138,26 +138,6 @@ def test_masking_necessary_for_matching(knn64):
     assert agree == 0
 
 
-def test_unmask_twice_rejected(knn64):
-    rng = np.random.default_rng(3)
-    idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
-    cleared = support.unmask_index(idx, knn64.secrets)
-    with pytest.raises(ValueError, match="already unmasked"):
-        support.unmask_index(cleared, knn64.secrets)
-
-
-def test_match_requires_unmasked_and_oriented(knn64):
-    rng = np.random.default_rng(4)
-    query = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
-    offer = support.encrypt_index(np.ones(knn64.dim), knn64.driver, rng)
-    with pytest.raises(ValueError, match="unmasked"):
-        support.match_similarity(query, offer)
-    uq = support.unmask_index(query, knn64.secrets)
-    uo = support.unmask_index(offer, knn64.secrets)
-    with pytest.raises(ValueError, match="row query"):
-        support.match_similarity(uo, uq)
-
-
 def test_dimension_mismatch_rejected(knn64):
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError, match="width"):
@@ -165,7 +145,7 @@ def test_dimension_mismatch_rejected(knn64):
     other = crypto.TosSecrets(32, np.eye(32), np.eye(32))
     idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
     with pytest.raises(ValueError, match="dim"):
-        support.unmask_index(idx, other)
+        support.unmask_index(idx, other, "rider")
 
 
 def test_non_binary_plaintext_rejected(knn64):
@@ -210,8 +190,8 @@ def test_reloaded_keys_still_match(knn64):
     rider = reloaded(knn64.rider)
     q = rng.integers(0, 2, knn64.dim).astype(float)
     p = rng.integers(0, 2, knn64.dim).astype(float)
-    query = support.unmask_index(support.encrypt_index(q, rider, rng), knn64.secrets)
-    offer = support.unmask_index(support.encrypt_index(p, knn64.driver, rng), knn64.secrets)
+    query = support.unmask_index(support.encrypt_index(q, rider, rng), knn64.secrets, "rider")
+    offer = support.unmask_index(support.encrypt_index(p, knn64.driver, rng), knn64.secrets, "driver")
     assert abs(support.match_similarity(query, offer) - q @ p) <= TOL
 
 
@@ -297,8 +277,8 @@ def test_similarities_do_not_depend_on_share_conditioning(monkeypatch):
 
     q = rng.integers(0, 2, (24, dim)).astype(float)
     p = rng.integers(0, 2, (24, dim)).astype(float)
-    queries = crypto.unmask_indices(crypto.encrypt_indices(q, rider, rng), secrets)
-    offers = crypto.unmask_indices(crypto.encrypt_indices(p, driver, rng), secrets)
+    queries = crypto.unmask_indices(crypto.encrypt_indices(q, rider, rng), secrets, "rider")
+    offers = crypto.unmask_indices(crypto.encrypt_indices(p, driver, rng), secrets, "driver")
     error = np.abs(crypto.similarity_matrix(queries, offers) - q @ p.T)
     assert error.max() <= TOL
 
@@ -314,6 +294,9 @@ def test_role_validation(knn64):
         knn64.deriver.derive("server", np.random.default_rng(0))
     with pytest.raises(ValueError, match="role"):
         crypto.split_vector(np.ones(4), np.zeros(4, dtype=np.uint8), "admin", np.random.default_rng(0))
+    idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, np.random.default_rng(0))
+    with pytest.raises(KeyError, match="server"):
+        crypto.unmask_indices([idx], knn64.secrets, "server")
 
 
 def test_batched_and_single_encrypt_agree(knn64):
@@ -321,11 +304,10 @@ def test_batched_and_single_encrypt_agree(knn64):
     batch = crypto.encrypt_indices(vecs, knn64.rider, np.random.default_rng(77))
     rng = np.random.default_rng(77)
     for j, idx in enumerate(batch):
-        assert idx.orientation == "row"
         assert idx.dim == knn64.dim
-    cleared = crypto.unmask_indices(batch, knn64.secrets)
+    cleared = crypto.unmask_indices(batch, knn64.secrets, "rider")
     offer = support.unmask_index(
-        support.encrypt_index(np.ones(knn64.dim), knn64.driver, rng), knn64.secrets
+        support.encrypt_index(np.ones(knn64.dim), knn64.driver, rng), knn64.secrets, "driver"
     )
     for j, q in enumerate(cleared):
         assert abs(support.match_similarity(q, offer) - 1.0) <= TOL
@@ -452,8 +434,8 @@ def test_unmask_bound_inclusive_and_checked_before_writing(dim):
     bound = crypto.unmasked_part_bound(dim)
     assert bound == math.sqrt(np.finfo(np.float64).max / (16 * dim))
     row, column = (
-        support.unmask_index(crypto.EncryptedIndex(o, np.full((8, dim), -bound)), secrets)
-        for o in ("row", "column")
+        support.unmask_index(crypto.EncryptedIndex(np.full((8, dim), -bound)), secrets, role)
+        for role in ("rider", "driver")
     )
     assert (row.parts == -bound).all() and (column.parts == -bound).all()
     assert np.isfinite(crypto.similarity_matrix([row], [column])).all()
@@ -461,4 +443,30 @@ def test_unmask_bound_inclusive_and_checked_before_writing(dim):
         parts = np.zeros((8, dim))
         parts[3, dim // 2] = bad
         with pytest.raises(ValueError, match="not finite or exceed the magnitude bound"):
-            crypto.unmask_indices([crypto.EncryptedIndex("row", parts)], secrets)
+            crypto.unmask_indices([crypto.EncryptedIndex(parts)], secrets, "rider")
+
+
+@pytest.mark.parametrize("dim", [16, 48])
+@pytest.mark.parametrize("role", ["driver", "rider"])
+def test_known_plaintext_attack_break_point(dim, role):
+    """A key set's ciphertexts are linear in its plaintexts: 2·d known pairs
+    recover every fresh vector whole, d/2 recover at most 5 % of them."""
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        derivers, _ = crypto.generate_keys({"scheme": dim}, rng)
+        keys = derivers["scheme"].derive(role, rng)
+
+        def sample(n):
+            plain = (rng.random((n, dim)) < 0.3).astype(float)
+            parts = np.stack([ix.parts for ix in crypto.encrypt_indices(plain, keys, rng)])
+            return parts, plain
+
+        fresh_parts, fresh = sample(200)
+        known_parts, known = sample(2 * dim)
+
+        def whole(n):
+            guess = oracles.known_plaintext_attack(known_parts[:n], known[:n], fresh_parts)
+            return float((guess == fresh).all(axis=1).mean())
+
+        assert whole(2 * dim) == 1.0, seed
+        assert whole(dim // 2) <= 0.05, seed

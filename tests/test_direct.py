@@ -255,7 +255,8 @@ def test_time_index_reveals_only_slot_equality_at_the_slot_width():
         raw = float(np.sum(request.parts * offer.parts))
         agreements += abs(raw - equal) <= 1e-3
         unmasked = support.match_similarity(
-            support.unmask_index(request, env.secrets), support.unmask_index(offer, env.secrets)
+            support.unmask_index(request, env.secrets, "rider"),
+            support.unmask_index(offer, env.secrets, "driver"),
         )
         exact += abs(unmasked - equal) <= 1e-3
     assert agreements == 0

@@ -46,21 +46,21 @@ class ReferenceServer:
         self.seats = {}
         self.requests = {}  # pending id -> unmasked DirectRequest, arrival order
 
-    def unmask(self, indexes):
-        return unmask_direct(indexes, self.secrets)
+    def unmask(self, indexes, role):
+        return unmask_direct(indexes, self.secrets, role)
 
     def ingest(self, log):
         for msg_type, item_id, payload in log:
             if msg_type is MsgType.SUBMIT_OFFER:
                 p = protocol.decode_submit_offer(payload, self.widths)
                 self.offers[item_id] = direct.DirectOffer(
-                    item_id, p.capacity, p.cases, *self.unmask(p.indexes()), p.contact
+                    item_id, p.capacity, p.cases, *self.unmask(p.indexes(), "driver"), p.contact
                 )
                 self.seats[item_id] = p.capacity
             else:
                 p = protocol.decode_submit_request(payload, self.widths)
                 self.requests[item_id] = direct.DirectRequest(
-                    item_id, *self.unmask(p.indexes()), p.contact
+                    item_id, *self.unmask(p.indexes(), "rider"), p.contact
                 )
         log.clear()
 
@@ -206,9 +206,9 @@ def test_pool_growth_and_row_reuse(direct_env):
         assert pool.admit(request.indexes(), env.secrets, request.request_id) == k
     assert len(pool.live) == 8 and pool.used == 5 and len(pool) == 5
     for k, request in enumerate(built_r):
-        got = pool.indexes(k)
-        want = unmask_direct(request.indexes(), env.secrets)
-        assert all(np.array_equal(a.parts, b.parts) for a, b in zip(got, want))
+        got = pool.row_parts(k)
+        want = unmask_direct(request.indexes(), env.secrets, "rider")
+        assert all(np.array_equal(a, b.parts) for a, b in zip(got, want))
     pool.release(1)
     assert len(pool) == 4 and pool.admit(built_r[0].indexes(), env.secrets, "late") == 1
     assert pool.ids[1] == "late" and pool.seq[1] > pool.seq[4] and pool.used == 5
@@ -232,18 +232,16 @@ def test_pool_rejects_bad_submissions_without_state_change(direct_env):
         offer_pool.admit(o.indexes(), env.secrets, o.offer_id, o.capacity, o.cases)
         request_pool.admit(r.indexes(), env.secrets, r.request_id)
     admits = [
-        (offer_pool, built_o[2].indexes(), built_r[2].indexes(),
+        (offer_pool, built_o[2].indexes(),
          lambda ix: offer_pool.admit(ix, env.secrets, "bad", 1, direct.DEFAULT_CASES)),
-        (request_pool, built_r[2].indexes(), built_o[2].indexes(),
+        (request_pool, built_r[2].indexes(),
          lambda ix: request_pool.admit(ix, env.secrets, "bad")),
     ]
     for free_row in (False, True):
         if free_row:
             request_pool.release(0)
-        for pool, good, other_form, admit in admits:
+        for pool, good, admit in admits:
             bad = {
-                "already unmasked": unmask_direct(good, env.secrets),
-                "wrong orientation": other_form,
                 "wrong width": [replace(ix, parts=ix.parts[:, :-1]) for ix in good],
                 "filter-width time index": [*good[:3], good[0]],
                 "three indexes": good[:3],

@@ -53,7 +53,7 @@ def oracle_blobs(indexes):
 
 def same_indexes(a, b):
     def fields(indexes):
-        return [(ix.orientation, ix.unmasked, ix.to_bytes()) for ix in indexes]
+        return [ix.to_bytes() for ix in indexes]
 
     return fields(a) == fields(b)
 
@@ -239,7 +239,7 @@ def test_transfer_request_payload_round_trip(pref):
     assert same_indexes([back.pickup, back.dropoff], [pickup, dropoff])
 
 
-_ZERO_INDEX = EncryptedIndex("column", np.zeros((crypto.PART_COUNT, 1)))
+_ZERO_INDEX = EncryptedIndex(np.zeros((crypto.PART_COUNT, 1)))
 
 
 @pytest.mark.parametrize("offer", [
@@ -307,7 +307,6 @@ def test_encrypted_index_round_trip(knn64):
     payload = protocol.encode_submit_request(DirectRequest("", idx, idx, idx, idx))
     widths = dict.fromkeys(("direct", "transfer", "time"), knn64.dim)
     back = protocol.decode_submit_request(payload, widths).pickup
-    assert (back.orientation, back.unmasked) == ("row", False)
     np.testing.assert_array_equal(back.parts, idx.parts)
     # a block of the wrong size has the wrong widths, in either scheme
     bad = [b"\x01\x02\x03"] * 2

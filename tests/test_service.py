@@ -252,8 +252,20 @@ def test_failed_submission_keeps_token(small_service):
 
 
 def test_out_of_tokens(small_service):
-    driver, _ = make_clients(small_service)
-    driver.registration.tokens.clear()
+    driver, rider = make_clients(small_service)
+    # a batch larger than the tokens held is refused whole, before anything is encrypted or sent
+    for client, submit, spec in (
+        (driver, driver.submit_direct_offers, OFFER),
+        (rider, rider.submit_direct_requests, REQUEST),
+    ):
+        del client.registration.tokens[2:]
+        tokens, draws = list(client.registration.tokens), client.rng.bit_generator.state
+        before, sent = server_state(small_service), client.transport.sent_bytes
+        with pytest.raises(TokenError, match="2 tokens held, 3 needed"):
+            submit([spec] * 3)
+        assert client.registration.tokens == tokens and client.rng.bit_generator.state == draws
+        assert server_state(small_service) == before and client.transport.sent_bytes == sent
+        assert len(submit([spec] * 2)) == 2 and client.registration.tokens == []
     with pytest.raises(TokenError, match="tokens"):
         driver.submit_direct_offer(OFFER)
 
@@ -273,10 +285,25 @@ def test_unencodable_offers_keep_tokens(small_service):
 
 def test_stale_epoch_rejected(small_service):
     driver, _ = make_clients(small_service)
-    driver.registration.epoch += 1
+    reg = driver.registration
+    tokens = list(reg.tokens)
+    reg.epoch += 1
     with pytest.raises(ServerError) as exc_info:
         driver.submit_direct_offer(OFFER)
     assert exc_info.value.code is ErrorCode.STALE_EPOCH
+    # the server spent no token on the refused submission, so the client keeps it
+    assert reg.tokens == tokens
+    assert service._token_digest(tokens[-1]) in small_service.server.unused_tokens
+    reg.epoch -= 1
+    driver.submit_direct_offer(OFFER)  # the same token buys it once the epoch is right
+    assert reg.tokens == tokens[:-1]
+    assert service._token_digest(tokens[-1]) not in small_service.server.unused_tokens
+    # a spent token put back on the list is dropped after BAD_TOKEN
+    reg.tokens.append(tokens[-1])
+    with pytest.raises(ServerError) as exc_info:
+        driver.submit_direct_offer(OFFER)
+    assert exc_info.value.code is ErrorCode.BAD_TOKEN
+    assert reg.tokens == tokens[:-1]
 
 
 def test_wrong_dimension_rejected(small_service):
