@@ -7,12 +7,13 @@ Clients receive their key sets by registering; a registration inverts
 nothing, and checks a user's key shares only for invertibility, by LU.
 
 `serve` has one flag per `ServiceConfig` field, and `match` and `bench`
-one per crypto width; each defaults to the field's default, and
-`ServiceConfig` refuses out-of-range values and the combinations no
-client can encode. The workload-shape flags of `workload` and `bench`
-default to the fields of `sim.ExperimentConfig`. `submit` registers its
-driver and rider and registers again whenever their tokens run out, so
-a workload of any size is submitted whole.
+one per `protocol.Params` field; each defaults to the field's default.
+`Params` refuses, by one rule, the values no client can encode. `serve`
+flushes each line it prints, so a log file keeps them however the server
+stops. The workload-shape flags of `workload` and `bench` default to the
+fields of `sim.ExperimentConfig`. `submit` registers its driver and
+rider and registers again whenever their tokens run out, so a workload
+of any size is submitted whole.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import fields, replace
 
 from .bloom import sizing
 from .client import ServerError, ServiceClient, SocketTransport, TokenError
-from .protocol import ProtocolError
+from .protocol import Params, ProtocolError
 from .service import RideService, ServiceConfig, SocketServer
 from .sim import (
     ExperimentConfig,
@@ -44,7 +45,7 @@ from .sim import (
 
 # The fields of a config class that a command has flags for.
 _SERVICE_ARGS = tuple(f.name for f in fields(ServiceConfig))
-_CRYPTO_ARGS = ("filter_bits", "n_hashes", "id_bits", "time_bits", "time_slots", "max_items")
+_CRYPTO_ARGS = tuple(f.name for f in fields(Params))
 _SHAPE_ARGS = ("rows", "cols", "n_offers", "n_requests", "hit_rate", "transfer_rate")
 _WORKLOAD_ARGS = (*_SHAPE_ARGS, "capacity", "preference", "time_slots")
 _FLAGS = {"n_offers": "--offers", "n_requests": "--requests"}
@@ -67,9 +68,9 @@ def cmd_serve(args) -> int:
     service = RideService(config, seed=args.seed)
     server = SocketServer(service, host=args.host)
     host, port = server.server_address
-    print(f"listening on {host}:{port} (epoch {service.server.epoch})")
+    print(f"listening on {host}:{port} (epoch {service.server.epoch})", flush=True)
     if config.match_threshold:
-        print(f"matching runs automatically at {config.match_threshold} pending requests")
+        print(f"matching runs automatically at {config.match_threshold} pending requests", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

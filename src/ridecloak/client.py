@@ -16,7 +16,7 @@ import numpy as np
 
 from . import crypto, direct, protocol, transfer
 from .crypto import UserKeySet
-from .direct import OfferSpec, RequestSpec, SummaryConfig
+from .direct import OfferSpec, RequestSpec
 from .protocol import ErrorCode, Frame, MsgType, ProtocolError
 from .transfer import Preference
 
@@ -91,7 +91,7 @@ class Registration:
     salt: int
     keysets: dict[str, UserKeySet]
     tokens: list[bytes]
-    bundle: protocol.KeyBundle
+    params: protocol.Params
 
 
 class ServiceClient:
@@ -158,17 +158,7 @@ class ServiceClient:
         if frame.msg_type != MsgType.KEY_BUNDLE:
             raise ProtocolError(ErrorCode.BAD_STATE, f"expected KEY_BUNDLE, got {frame.msg_type.name}")
         bundle, blocks = protocol.decode_key_bundle(frame.payload)
-        if not (
-            1 <= bundle.n_hashes <= bundle.filter_bits
-            and min(bundle.max_items, bundle.time_slots, bundle.id_bits, bundle.time_bits) >= 1
-        ):
-            raise ProtocolError(
-                ErrorCode.BAD_STATE,
-                f"no submission can use a bundle with n_hashes={bundle.n_hashes}, "
-                f"filter_bits={bundle.filter_bits}, max_items={bundle.max_items}, "
-                f"time_slots={bundle.time_slots}, id_bits={bundle.id_bits}, time_bits={bundle.time_bits}",
-            )
-        widths = bundle.widths
+        widths = bundle.params.widths
         keysets = {}
         for (name, scheme, key_role), block in protocol.key_blocks(role, widths, blocks):
             try:
@@ -176,22 +166,9 @@ class ServiceClient:
             except ValueError as exc:
                 raise ProtocolError(ErrorCode.BAD_STATE, f"key set {name!r}: {exc}") from exc
         self.registration = Registration(
-            role, bundle.epoch, bundle.salt, keysets, list(bundle.tokens), bundle
+            role, bundle.epoch, bundle.salt, keysets, bundle.tokens, bundle.params
         )
         return self.registration
-
-    @property
-    def summary_config(self) -> SummaryConfig:
-        reg = self._registered()
-        b = reg.bundle
-        return SummaryConfig(
-            bits=b.filter_bits,
-            n_hashes=b.n_hashes,
-            time_slots=b.time_slots,
-            max_items=b.max_items,
-            epoch=reg.epoch,
-            salt=reg.salt,
-        )
 
     def sync_epoch(self) -> protocol.EpochAnnounce:
         """Pick up the current epoch and salt; keys and tokens stay valid."""
@@ -207,8 +184,10 @@ class ServiceClient:
     def submit_direct_offers(self, specs: list[OfferSpec]) -> list[str]:
         """Encrypt offers in one batch, submit one frame each; returns server ids."""
         self._need_tokens(len(specs))
+        reg = self.registration
         offers = direct.build_offers(
-            specs, self._keys("direct-driver"), self._keys("time-driver"), self.summary_config, self.rng
+            specs, self._keys("direct-driver"), self._keys("time-driver"),
+            reg.params, reg.epoch, reg.salt, self.rng,
         )
         return [self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(o)) for o in offers]
 
@@ -217,8 +196,10 @@ class ServiceClient:
 
     def submit_direct_requests(self, specs: list[RequestSpec]) -> list[str]:
         self._need_tokens(len(specs))
+        reg = self.registration
         requests = direct.build_requests(
-            specs, self._keys("direct-rider"), self._keys("time-rider"), self.summary_config, self.rng
+            specs, self._keys("direct-rider"), self._keys("time-rider"),
+            reg.params, reg.epoch, reg.salt, self.rng,
         )
         return [
             self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(r)) for r in requests
@@ -238,8 +219,8 @@ class ServiceClient:
             cells,
             self._keys("transfer-plus"),
             self._keys("transfer-minus"),
-            reg.bundle.id_bits,
-            reg.bundle.time_bits,
+            reg.params.id_bits,
+            reg.params.time_bits,
             capacity,
             self.rng,
             contact,
@@ -263,8 +244,8 @@ class ServiceClient:
             pickup,
             dropoff,
             self._keys("transfer-rider"),
-            reg.bundle.id_bits,
-            reg.bundle.time_bits,
+            reg.params.id_bits,
+            reg.params.time_bits,
             preference,
             rng=self.rng,
             contact=contact,

@@ -3,8 +3,9 @@
 An offer carries four encrypted indexes built from the driver's trip:
 pick-up area filter, drop-off area filter, route filter, and a day-slot
 time vector. A request carries the rider's pick-up cell, drop-off cell,
-intended route filter, and time vector. The three filters are `bits` wide
-and encrypt under the "direct" key sets; the time vector is one-hot over
+intended route filter, and time vector, encoded by the `protocol.Params`
+of the user's registration. The three filters are `filter_bits` wide and
+encrypt under the "direct" key sets; the time vector is one-hot over
 `time_slots` positions and encrypts under the "time" key sets, so no
 index carries padding. The server matches a pair by checking, on unmasked
 indexes only:
@@ -27,12 +28,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import crypto, kernels
 from .bloom import BloomFilter, slot_vector
 from .crypto import EncryptedIndex, TosSecrets, UserKeySet
+
+if TYPE_CHECKING:  # protocol imports this module
+    from .protocol import Params
 
 
 class MatchCase(enum.Enum):
@@ -44,32 +49,6 @@ class MatchCase(enum.Enum):
 
 
 DEFAULT_CASES = (MatchCase.AREA, MatchCase.ROUTE, MatchCase.EXTENDED)
-
-
-@dataclass
-class SummaryConfig:
-    """Shared encoding parameters for one epoch of the direct service."""
-
-    bits: int
-    n_hashes: int
-    time_slots: int
-    max_items: int
-    epoch: int = 0
-    salt: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_hashes < 1 or self.n_hashes > self.bits:
-            raise ValueError(f"n_hashes {self.n_hashes} out of range for bits {self.bits}")
-        if self.max_items < 1:
-            raise ValueError(f"max_items must be >= 1, got {self.max_items}")
-
-    def filter_of(self, cells) -> BloomFilter:
-        cells = list(cells)
-        if not cells:
-            raise ValueError("cell set must be nonempty")
-        if len(cells) > self.max_items:
-            raise ValueError(f"cell set size {len(cells)} exceeds max_items {self.max_items}")
-        return BloomFilter.of_cells(cells, self.bits, self.n_hashes, self.epoch, self.salt)
 
 
 @dataclass
@@ -133,18 +112,14 @@ class DirectMatch:
     case: MatchCase
 
 
-def _offer_filters(spec: OfferSpec, cfg: SummaryConfig) -> list[np.ndarray]:
-    if not spec.cases:
-        raise ValueError("offer must accept at least one drop-off case")
-    if spec.capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {spec.capacity}")
-    cells = (spec.pickup_cells, spec.dropoff_cells, spec.route_cells)
-    return [cfg.filter_of(c).vector() for c in cells]
-
-
-def _request_filters(spec: RequestSpec, cfg: SummaryConfig) -> list[np.ndarray]:
-    cells = ([spec.pickup_cell], [spec.dropoff_cell], spec.route_cells)
-    return [cfg.filter_of(c).vector() for c in cells]
+def _filter(cells, params: Params, epoch: int, salt: int) -> np.ndarray:
+    """The Bloom filter vector of one nonempty set of at most `max_items` cells."""
+    cells = list(cells)
+    if not cells:
+        raise ValueError("cell set must be nonempty")
+    if len(cells) > params.max_items:
+        raise ValueError(f"cell set size {len(cells)} exceeds max_items {params.max_items}")
+    return BloomFilter.of_cells(cells, params.filter_bits, params.n_hashes, epoch, salt).vector()
 
 
 def _encrypt_trips(
@@ -172,7 +147,9 @@ def build_offers(
     specs: list[OfferSpec],
     keys: UserKeySet,
     time_keys: UserKeySet,
-    cfg: SummaryConfig,
+    params: Params,
+    epoch: int,
+    salt: int,
     rng: np.random.Generator,
 ) -> list[DirectOffer]:
     """Encrypt many offers in one batched pass (one GEMM set per key part and key set)."""
@@ -180,8 +157,14 @@ def build_offers(
         raise ValueError("offers must be encrypted with driver keys")
     if not specs:
         return []
-    filters = [f for s in specs for f in _offer_filters(s, cfg)]
-    slots = [slot_vector(s.depart_seconds, cfg.time_slots) for s in specs]
+    for s in specs:
+        if not s.cases:
+            raise ValueError("offer must accept at least one drop-off case")
+        if s.capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {s.capacity}")
+    cells = [c for s in specs for c in (s.pickup_cells, s.dropoff_cells, s.route_cells)]
+    filters = [_filter(c, params, epoch, salt) for c in cells]
+    slots = [slot_vector(s.depart_seconds, params.time_slots) for s in specs]
     return [
         DirectOffer(s.offer_id, s.capacity, tuple(s.cases), *indexes, s.contact)
         for s, indexes in zip(specs, _encrypt_trips(filters, slots, keys, time_keys, rng))
@@ -192,15 +175,18 @@ def build_requests(
     specs: list[RequestSpec],
     keys: UserKeySet,
     time_keys: UserKeySet,
-    cfg: SummaryConfig,
+    params: Params,
+    epoch: int,
+    salt: int,
     rng: np.random.Generator,
 ) -> list[DirectRequest]:
     if keys.role != "rider":
         raise ValueError("requests must be encrypted with rider keys")
     if not specs:
         return []
-    filters = [f for s in specs for f in _request_filters(s, cfg)]
-    slots = [slot_vector(s.pickup_seconds, cfg.time_slots) for s in specs]
+    cells = [c for s in specs for c in ([s.pickup_cell], [s.dropoff_cell], s.route_cells)]
+    filters = [_filter(c, params, epoch, salt) for c in cells]
+    slots = [slot_vector(s.pickup_seconds, params.time_slots) for s in specs]
     return [
         DirectRequest(s.request_id, *indexes, s.contact)
         for s, indexes in zip(specs, _encrypt_trips(filters, slots, keys, time_keys, rng))

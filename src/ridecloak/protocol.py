@@ -17,21 +17,24 @@ A layout is the scheme of each index, and there are two: `DIRECT_TRIP`
 `TRANSFER_PAIR`, once per announced cell of a transfer offer (plus, minus)
 and once for a transfer request (pick-up, drop-off). The decoder sizes
 every block by one rule: each index is its scheme's width in the caller's
-`scheme_widths` table, and a block of any other size is refused with
+`Params.widths` table, and a block of any other size is refused with
 BAD_DIMENSION. All indexes are masked; the submission kind and an index's
 place fix the role of the key set it is unmasked under (`ROLE_KEY_SETS`).
 
 A KEY_BUNDLE payload is `u64 epoch | u64 salt | six u32 | u16 token count
-| tokens | key blocks`. The key blocks are the registered role's
-`ROLE_KEY_SETS` entries back to back, to the end of the payload: each is a
-key file (`crypto.user_key_file`), 8*d*d little-endian float64 parts then d
-split-pattern bytes, with d its scheme's width at the header's widths. No
-name, length or role travels with a key block: both ends hold the plan,
-and `key_blocks` cuts a payload's blocks by it.
+| tokens | key blocks`. The six u32 are a `Params` in field order, and a
+header that breaks `Params`' rule is refused with BAD_STATE. The key
+blocks are the registered role's `ROLE_KEY_SETS` entries back to back, to
+the end of the payload: each is a key file (`crypto.user_key_file`),
+8*d*d little-endian float64 parts then d split-pattern bytes, with d its
+scheme's width at the header's widths. No name, length or role travels
+with a key block: both ends hold the plan, and `key_blocks` cuts a
+payload's blocks by it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import struct
 from dataclasses import dataclass
@@ -290,12 +293,37 @@ _ROLE_NAME = {v: k for k, v in _ROLE_CODE.items()}
 _SCHEME_CODE = {"direct": 0, "transfer": 1}
 
 
-def scheme_widths(filter_bits: int, id_bits: int, time_bits: int, time_slots: int) -> dict[str, int]:
-    """Each scheme's vector width, in the order `crypto.generate_keys` draws their keys.
+_U32 = 0xFFFFFFFF
 
-    "direct" encrypts a direct trip's Bloom filters and "time" its day-slot vector.
-    """
-    return {"direct": filter_bits, "transfer": cell_vector_bits(id_bits, time_bits), "time": time_slots}
+
+@dataclass
+class Params:
+    """The encoding parameters the server fixes and every user encodes with,
+    by default at the paper's widths; each is a u32 of the KEY_BUNDLE header."""
+
+    filter_bits: int = 2048
+    n_hashes: int = 24
+    id_bits: int = 11
+    time_bits: int = 25
+    time_slots: int = 48
+    max_items: int = 60
+
+    def __post_init__(self) -> None:
+        for f in dataclasses.fields(Params):
+            low, value = 2 if f.name == "filter_bits" else 1, getattr(self, f.name)
+            if not low <= value <= _U32:
+                raise ValueError(f"{f.name} must be in [{low}, {_U32}], got {value}")
+        if self.n_hashes > self.filter_bits:
+            raise ValueError(f"n_hashes {self.n_hashes} must be <= filter_bits {self.filter_bits}")
+
+    @property
+    def widths(self) -> dict[str, int]:
+        """Each scheme's vector width, in the order `crypto.generate_keys` draws their keys.
+
+        "direct" encrypts a direct trip's Bloom filters and "time" its day-slot vector.
+        """
+        transfer = cell_vector_bits(self.id_bits, self.time_bits)
+        return {"direct": self.filter_bits, "transfer": transfer, "time": self.time_slots}
 
 
 # A ciphertext block's layout: the scheme of each index, in block order.
@@ -353,18 +381,8 @@ class KeyBundle:
 
     epoch: int
     salt: int
-    filter_bits: int
-    n_hashes: int
-    id_bits: int
-    time_bits: int
-    time_slots: int
-    max_items: int
+    params: Params
     tokens: list[bytes]
-
-    @property
-    def widths(self) -> dict[str, int]:
-        """Each scheme's vector width at the bundle's fields (`scheme_widths`)."""
-        return scheme_widths(self.filter_bits, self.id_bits, self.time_bits, self.time_slots)
 
 
 def key_blocks_size(role: str, widths: dict[str, int]) -> int:
@@ -403,15 +421,15 @@ def key_bundle_frame(b: KeyBundle, blocks_size: int) -> tuple[np.ndarray, np.nda
     its last `blocks_size` bytes, where the key blocks go.
     """
     w = _Writer().u64(b.epoch).u64(b.salt)
-    for value in (b.filter_bits, b.n_hashes, b.id_bits, b.time_bits, b.time_slots, b.max_items):
-        w.u32(value)
+    for f in dataclasses.fields(Params):
+        w.u32(getattr(b.params, f.name))
     w.u16(len(b.tokens))
     for token in b.tokens:
         if len(token) != TOKEN_SIZE:
             raise ValueError("token size")
         w.raw(token)
-    fields = w.bytes()
-    head = _frame_header(MsgType.KEY_BUNDLE, b.epoch, ZERO_TOKEN, len(fields) + blocks_size) + fields
+    body = w.bytes()
+    head = _frame_header(MsgType.KEY_BUNDLE, b.epoch, ZERO_TOKEN, len(body) + blocks_size) + body
     # numpy, not bytearray: see read_frame
     frame = np.empty(len(head) + blocks_size, dtype=np.uint8)
     frame[: len(head)] = np.frombuffer(head, dtype=np.uint8)
@@ -429,9 +447,13 @@ def decode_key_bundle(payload: bytes | memoryview) -> tuple[KeyBundle, memoryvie
     """A KEY_BUNDLE payload's bundle and, as a view of it, its key blocks."""
     r = _Reader(payload)
     epoch, salt = r.u64(), r.u64()
-    fields = [r.u32() for _ in range(6)]
+    values = {f.name: r.u32() for f in dataclasses.fields(Params)}
     tokens = [r.raw(TOKEN_SIZE) for _ in range(r.u16())]
-    return KeyBundle(epoch, salt, *fields, tokens), r.data[r.pos :]
+    try:
+        params = Params(**values)
+    except ValueError as exc:
+        raise ProtocolError(ErrorCode.BAD_STATE, f"no submission can use this bundle: {exc}") from None
+    return KeyBundle(epoch, salt, params, tokens), r.data[r.pos :]
 
 
 def encode_submit_offer(offer: DirectOffer | TransferOffer) -> bytes:

@@ -3,7 +3,8 @@
 Two parties, kept structurally separate:
 
 * TrustedAuthority holds one KeyDeriver per scheme and derives per-user
-  key sets. It never sees trips, and holds no server secret and no epoch.
+  key sets, which it sends with the config's `protocol.Params`. It never
+  sees trips, and holds no server secret and no epoch.
 * TosServer owns the epoch and its salt, and holds only the two matrices
   per scheme it unmasks with, consumed-token bookkeeping, unmasked
   ciphertexts, and opaque contact blobs. It never holds user key sets,
@@ -39,17 +40,10 @@ from .protocol import ErrorCode, Frame, MsgType, ProtocolError
 Reply = tuple[MsgType, bytes]
 
 _U16 = 0xFFFF
-_U32 = 0xFFFFFFFF
 
-# Inclusive (low, high) per config field; high is the width of the field
-# on the wire (key bundle header, token count, TCP port).
-_CONFIG_BOUNDS: dict[str, tuple[int, int | None]] = {
-    "filter_bits": (2, _U32),
-    "n_hashes": (1, _U32),
-    "id_bits": (1, _U32),
-    "time_bits": (1, _U32),
-    "time_slots": (1, _U32),
-    "max_items": (1, _U32),
+# Inclusive (low, high) per service field beyond the encoding parameters;
+# high is the width of the field on the wire (token count, TCP port).
+_SERVICE_BOUNDS: dict[str, tuple[int, int | None]] = {
     "match_threshold": (0, None),
     "tokens_per_bundle": (1, _U16),
     "port": (0, _U16),
@@ -57,33 +51,20 @@ _CONFIG_BOUNDS: dict[str, tuple[int, int | None]] = {
 
 
 @dataclass
-class ServiceConfig:
-    """Deployment parameters; `ridecloak serve` has one flag per field."""
+class ServiceConfig(protocol.Params):
+    """`protocol.Params`, then the deployment's own; `ridecloak serve` has one flag per field."""
 
-    filter_bits: int = 2048
-    n_hashes: int = 24
-    id_bits: int = 11
-    time_bits: int = 25
-    time_slots: int = 48
-    max_items: int = 60
     match_threshold: int = 0  # pending requests that auto-trigger a round; 0 = manual
     tokens_per_bundle: int = 32
     port: int = 7370
 
     def __post_init__(self) -> None:
-        for name, (low, high) in _CONFIG_BOUNDS.items():
+        super().__post_init__()
+        for name, (low, high) in _SERVICE_BOUNDS.items():
             value = getattr(self, name)
             if not (low <= value and (high is None or value <= high)):
                 limit = f">= {low}" if high is None else f"in [{low}, {high}]"
                 raise ValueError(f"{name} must be {limit}, got {value}")
-        # the combination a client's direct.SummaryConfig refuses
-        if self.n_hashes > self.filter_bits:
-            raise ValueError(f"n_hashes {self.n_hashes} must be <= filter_bits {self.filter_bits}")
-
-    @property
-    def widths(self) -> dict[str, int]:
-        """Each scheme's vector width, as `protocol.scheme_widths` fixes it."""
-        return protocol.scheme_widths(self.filter_bits, self.id_bits, self.time_bits, self.time_slots)
 
 
 def _token_digest(token: bytes) -> bytes:
@@ -116,10 +97,7 @@ class TrustedAuthority:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
         cfg = self.config
         tokens = [sysrandom.token_bytes(protocol.TOKEN_SIZE) for _ in range(cfg.tokens_per_bundle)]
-        bundle = protocol.KeyBundle(
-            epoch, salt, cfg.filter_bits, cfg.n_hashes, cfg.id_bits, cfg.time_bits,
-            cfg.time_slots, cfg.max_items, tokens,
-        )
+        bundle = protocol.KeyBundle(epoch, salt, cfg, tokens)
         widths = cfg.widths
         frame, blocks = protocol.key_bundle_frame(bundle, protocol.key_blocks_size(role, widths))
         for (_, scheme, key_role), block in protocol.key_blocks(role, widths, blocks):

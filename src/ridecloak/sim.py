@@ -22,6 +22,7 @@ from . import direct
 from .bloom import SECONDS_PER_DAY, slot_index
 from .client import LoopbackTransport, ServiceClient, TokenError
 from .direct import MatchCase, OfferSpec, RequestSpec
+from .protocol import Params
 from .service import RideService, ServiceConfig, TosServer
 from .transfer import Preference
 
@@ -201,6 +202,14 @@ def workload_to_text(wl: Workload) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell(text: str, city: GridCity) -> int:
+    """One cell of a workload line; refused unless it is on `city`'s grid."""
+    cell = int(text)
+    if not 0 <= cell < city.cell_count:
+        raise ValueError(f"cell {cell} is outside the {city.rows}x{city.cols} grid")
+    return cell
+
+
 def parse_workload(text: str) -> Workload:
     city = None
     seed = 0
@@ -213,17 +222,23 @@ def parse_workload(text: str) -> Workload:
         try:
             kind, _, rest = line.partition(" ")
             if kind == "grid":
+                if city is not None:
+                    raise ValueError("a second grid line")
                 rows, cols, seed_kv = rest.split()
                 city = GridCity(int(rows), int(cols))
                 seed = int(seed_kv.split("=", 1)[1])
                 continue
+            if kind not in ("offer", "request"):
+                raise ValueError(f"unknown record {kind!r}")
+            if city is None:
+                raise ValueError(f"{kind} before the grid line")
             ident, _, rest = rest.partition(" ")
             kv = dict(item.split("=", 1) for item in rest.split())
             if kind == "offer":
                 offers.append(
                     PlainOffer(
                         ident,
-                        tuple(int(c) for c in kv["cells"].split(",")),
+                        tuple(_cell(c, city) for c in kv["cells"].split(",")),
                         float(kv["depart"]),
                         float(kv["dwell"]),
                         int(kv["capacity"]),
@@ -231,20 +246,18 @@ def parse_workload(text: str) -> Workload:
                         int(kv["span"]),
                     )
                 )
-            elif kind == "request":
+            else:
                 requests.append(
                     PlainRequest(
                         ident,
-                        int(kv["pickup"]),
-                        int(kv["dropoff"]),
-                        tuple(int(c) for c in kv["route"].split(",")),
+                        _cell(kv["pickup"], city),
+                        _cell(kv["dropoff"], city),
+                        tuple(_cell(c, city) for c in kv["route"].split(",")),
                         float(kv["t_pick"]),
                         float(kv["t_drop"]),
                         Preference.parse(kv["pref"]),
                     )
                 )
-            else:
-                raise ValueError(f"unknown record {kind!r}")
         except KeyError as exc:
             raise ValueError(f"workload line {lineno}: missing field {exc}") from None
         except (IndexError, ValueError) as exc:
@@ -314,8 +327,9 @@ TOKENS_PER_BUNDLE = 4096
 
 
 @dataclass
-class ExperimentConfig:
-    """One experiment: a workload shape and the service it runs on.
+class ExperimentConfig(Params):
+    """One experiment: the encoding parameters of the service it runs on,
+    then a workload shape.
 
     Its field defaults are the workload defaults; `generate_workload` and
     the CLI's workload flags read them from here.
@@ -332,23 +346,16 @@ class ExperimentConfig:
     capacity: int = 5
     route_len_range: tuple[int, int] = (6, 12)
     preference: str = "min-cells"
-    # the service parameters an experiment sets; service_config() passes them on
-    filter_bits: int = ServiceConfig.filter_bits
-    n_hashes: int = ServiceConfig.n_hashes
-    id_bits: int = ServiceConfig.id_bits
-    time_bits: int = ServiceConfig.time_bits
-    time_slots: int = ServiceConfig.time_slots
-    max_items: int = ServiceConfig.max_items
     align_slots: int = 25
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be 'direct' or 'transfer', got {self.scheme!r}")
         if self.scheme == "transfer" and self.rows * self.cols > 2**self.id_bits:
             raise ValueError(
                 f"{self.rows * self.cols} cells do not fit in {self.id_bits} identifier bits"
             )
-        self.service_config()  # raises for parameters the service refuses
 
     def workload(self) -> Workload:
         """The seeded synthetic workload this configuration describes."""
@@ -361,10 +368,9 @@ class ExperimentConfig:
         )
 
     def service_config(self) -> ServiceConfig:
-        """The service this experiment runs on; raises ValueError if it is invalid."""
-        own = {f.name for f in fields(self)}
-        shared = {f.name: getattr(self, f.name) for f in fields(ServiceConfig) if f.name in own}
-        return ServiceConfig(**shared, tokens_per_bundle=TOKENS_PER_BUNDLE)
+        """The service this experiment runs on."""
+        params = {f.name: getattr(self, f.name) for f in fields(Params)}
+        return ServiceConfig(**params, tokens_per_bundle=TOKENS_PER_BUNDLE)
 
 
 def generate_workload(
@@ -602,7 +608,7 @@ def _submit_all(client: ServiceClient, role: str, trips: list, cell_count: int, 
             if not reg.tokens:
                 raise TokenError("registration gave no submission tokens")
         perm = identifier_permutation(cell_count, reg.epoch, reg.salt)
-        ids += submit(trips[len(ids) : len(ids) + len(reg.tokens)], perm, reg.bundle.time_bits)
+        ids += submit(trips[len(ids) : len(ids) + len(reg.tokens)], perm, reg.params.time_bits)
     return ids
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from ridecloak.direct import SummaryConfig
+from ridecloak.protocol import Params
 from ridecloak.service import RideService, ServiceConfig
 from support import ACCEPTANCE_LINES, SMALL_CONFIG, make_crypto_env, make_direct_env
 
@@ -21,15 +21,7 @@ def knn64():
 @pytest.fixture(scope="session")
 def direct_env():
     """Keys plus summary parameters sized for fast direct-scheme tests."""
-    cfg = SummaryConfig(
-        bits=SMALL_CONFIG["filter_bits"],
-        n_hashes=SMALL_CONFIG["n_hashes"],
-        time_slots=SMALL_CONFIG["time_slots"],
-        max_items=SMALL_CONFIG["max_items"],
-        epoch=1,
-        salt=777,
-    )
-    return make_direct_env(cfg, 202)
+    return make_direct_env(Params(**SMALL_CONFIG), 1, 777, 202)
 
 
 @pytest.fixture(scope="session")

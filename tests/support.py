@@ -36,23 +36,26 @@ def make_crypto_env(dim: int, seed: int) -> SimpleNamespace:
     )
 
 
-def make_direct_env(cfg: direct.SummaryConfig, seed: int) -> SimpleNamespace:
-    """Direct-scheme keys at the widths of `cfg`, set up as the service sets them up.
+def make_direct_env(params: protocol.Params, epoch: int, salt: int, seed: int) -> SimpleNamespace:
+    """Direct-scheme keys at the widths of `params`, set up as the service sets them up.
 
     `secrets` maps "direct" and "time" to the server's secrets, as the pools'
     `admit` takes them; `dims` is a pool row's index widths; `driver` and
-    `rider` are each a (filter keys, time keys) pair, as
-    `direct.build_offers` / `build_requests` take them.
+    `rider` are each a (filter keys, time keys) pair, and `enc` is
+    (params, epoch, salt), as `direct.build_offers` / `build_requests` take them.
     """
     rng = np.random.default_rng(seed)
-    widths = {"direct": cfg.bits, "time": cfg.time_slots}
+    widths = {"direct": params.filter_bits, "time": params.time_slots}
     derivers, secrets = crypto.generate_keys(widths, rng)
     keys = {
         role: tuple(derivers[scheme].derive(role, rng) for scheme in ("direct", "time"))
         for role in ("driver", "rider")
     }
     dims = protocol.layout_dims(protocol.DIRECT_TRIP, widths)
-    return SimpleNamespace(cfg=cfg, rng=rng, secrets=secrets, dims=dims, **keys)
+    return SimpleNamespace(
+        params=params, epoch=epoch, salt=salt, enc=(params, epoch, salt),
+        rng=rng, secrets=secrets, dims=dims, **keys,
+    )
 
 
 def admit_pools(env, offers, requests):

@@ -15,7 +15,8 @@ import support
 from support import SMALL_CONFIG, make_crypto_env, make_direct_env
 from ridecloak import bloom, crypto, direct, service, sim, transfer
 from ridecloak.client import LoopbackTransport, ServiceClient
-from ridecloak.direct import MatchCase, OfferSpec, RequestSpec, SummaryConfig
+from ridecloak.direct import MatchCase, OfferSpec, RequestSpec
+from ridecloak.protocol import Params
 from ridecloak.service import RideService, ServiceConfig
 from ridecloak.sim import ExperimentConfig, GridCity, ServicePool
 from ridecloak.transfer import Preference, PreferenceKind, TransferGraph
@@ -33,8 +34,7 @@ def report(number, ok, detail):
 @pytest.fixture
 def wide_direct_env():
     """Full-width direct-scheme keys for criterion 2, freed once it has run."""
-    cfg = SummaryConfig(bits=2048, n_hashes=24, time_slots=48, max_items=60, epoch=1, salt=4242)
-    return make_direct_env(cfg, 9001)
+    return make_direct_env(Params(), 1, 4242, 9001)
 
 
 @pytest.fixture(scope="module")
@@ -111,11 +111,11 @@ def test_criterion_2_direct_matching_equals_gate_oracle(wide_direct_env):
             RequestSpec(r.request_id, r.pickup, r.dropoff, r.route, r.pickup_seconds)
             for r in wl.requests
         ]
-        built_o = direct.build_offers(ospecs, *env.driver, env.cfg, rng)
-        built_r = direct.build_requests(rspecs, *env.rider, env.cfg, rng)
+        built_o = direct.build_offers(ospecs, *env.driver, *env.enc, rng)
+        built_r = direct.build_requests(rspecs, *env.rider, *env.enc, rng)
         got = [
             (m.request_id, m.offer_id, m.case.value)
-            for m in direct.match_all(*support.admit_pools(env, built_o, built_r), env.cfg.n_hashes)
+            for m in direct.match_all(*support.admit_pools(env, built_o, built_r), env.params.n_hashes)
         ]
 
         cache = {}
@@ -123,8 +123,8 @@ def test_criterion_2_direct_matching_equals_gate_oracle(wide_direct_env):
         def summary_gate(o, r):
             if (o, r) not in cache:
                 cache[(o, r)] = oracles.summary_case(
-                    o, r, env.cfg.time_slots, env.cfg.bits, env.cfg.n_hashes,
-                    env.cfg.epoch, env.cfg.salt,
+                    o, r, env.params.time_slots, env.params.filter_bits, env.params.n_hashes,
+                    env.epoch, env.salt,
                 )
             return cache[(o, r)]
 

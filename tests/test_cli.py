@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -133,11 +134,19 @@ def test_wire_errors_return_1(tmp_path, capsys):
 
 
 def test_workload_file_errors_return_1(tmp_path, capsys):
-    """A workload record with a missing field ends in `error:` and exit 1, not a traceback."""
+    """A workload record with a missing field, or with a cell off its grid,
+    ends in `error:` and exit 1 under either scheme, not a traceback."""
     wl_path = tmp_path / "wl.txt"
-    wl_path.write_text("grid 8 8 seed=1\noffer o1 cells=1,2,3 depart=100.0\n", encoding="utf-8")
-    assert main(["match", "--workload", str(wl_path), *SMALL_ARGS]) == 1
-    assert capsys.readouterr().err == "error: workload line 2: missing field 'dwell'\n"
+    trip = "request r1 pickup=1 dropoff={} route=1,5 t_pick=33112.0 t_drop=33629.0 pref=min-cells\n"
+    for text, message in [
+        ("grid 8 8 seed=1\noffer o1 cells=1,2,3 depart=100.0\n", "line 2: missing field 'dwell'"),
+        ("grid 4 4 seed=1\n" + trip.format(99), "line 2: cell 99 is outside the 4x4 grid"),
+        ("grid 4 4 seed=1\n" + trip.format(-1), "line 2: cell -1 is outside the 4x4 grid"),
+    ]:
+        wl_path.write_text(text, encoding="utf-8")
+        for scheme in sim.SCHEMES:
+            assert main(["match", "--workload", str(wl_path), "--scheme", scheme, *SMALL_ARGS]) == 1
+            assert capsys.readouterr().err == f"error: workload {message}\n"
 
 
 def serve_and_submit(tmp_path, capsys, scheme, *serve_args):
@@ -175,6 +184,35 @@ def serve_and_submit(tmp_path, capsys, scheme, *serve_args):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+def test_serve_log_keeps_its_lines_after_sigterm(tmp_path):
+    """A server writing to a file, without PYTHONUNBUFFERED, and stopped by
+    SIGTERM leaves its startup line in the file."""
+    log_path = tmp_path / "serve.log"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open(log_path, "w", encoding="utf-8") as log:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-c",
+                "import sys; from ridecloak.cli import main; sys.exit(main(sys.argv[1:]))",
+                "serve", *SMALL_ARGS, "--port", "0", "--seed", "5",
+            ],
+            stdout=log, stderr=subprocess.STDOUT, env=env,
+        )
+    try:
+        deadline = time.monotonic() + 30
+        while "listening on" not in log_path.read_text(encoding="utf-8"):
+            assert proc.poll() is None, log_path.read_text(encoding="utf-8")
+            assert time.monotonic() < deadline, "no startup line in the log after 30 s"
+            time.sleep(0.1)
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+    assert re.match(r"listening on [\d.]+:\d+ \(epoch 1\)\n", log_path.read_text(encoding="utf-8"))
 
 
 def test_serve_and_submit_round_trip(tmp_path, capsys):

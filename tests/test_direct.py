@@ -40,14 +40,14 @@ def request_spec(**kw) -> RequestSpec:
 
 def admitted_case(env, offer, request):
     """Case of a one-pair round over pools that admitted one masked offer and request."""
-    matches = direct.match_all(*admit_pools(env, [offer], [request]), env.cfg.n_hashes)
+    matches = direct.match_all(*admit_pools(env, [offer], [request]), env.params.n_hashes)
     return matches[0].case if matches else None
 
 
 def pair_case(env, ospec, rspec):
     rng = np.random.default_rng(1234)
-    offer = direct.build_offers([ospec], *env.driver, env.cfg, rng)[0]
-    request = direct.build_requests([rspec], *env.rider, env.cfg, rng)[0]
+    offer = direct.build_offers([ospec], *env.driver, *env.enc, rng)[0]
+    request = direct.build_requests([rspec], *env.rider, *env.enc, rng)[0]
     return admitted_case(env, offer, request)
 
 
@@ -100,10 +100,10 @@ def test_degenerate_same_pickup_and_dropoff(direct_env):
 def test_fresh_ciphertexts_same_outcome(direct_env):
     env = direct_env
     rng = np.random.default_rng(5)
-    a = direct.build_offers([offer_spec()], *env.driver, env.cfg, rng)[0]
-    b = direct.build_offers([offer_spec()], *env.driver, env.cfg, rng)[0]
+    a = direct.build_offers([offer_spec()], *env.driver, *env.enc, rng)[0]
+    b = direct.build_offers([offer_spec()], *env.driver, *env.enc, rng)[0]
     assert not np.array_equal(a.pickup.parts, b.pickup.parts)
-    request = direct.build_requests([request_spec()], *env.rider, env.cfg, rng)[0]
+    request = direct.build_requests([request_spec()], *env.rider, *env.enc, rng)[0]
     for offer in (a, b):
         assert admitted_case(env, offer, request) is MatchCase.AREA
 
@@ -116,13 +116,13 @@ def test_match_all_respects_capacity_and_order(direct_env):
             offer_spec(offer_id="first", capacity=1),
             offer_spec(offer_id="second", capacity=2),
         ],
-        *env.driver, env.cfg, rng,
+        *env.driver, *env.enc, rng,
     )
     requests = direct.build_requests(
         [request_spec(request_id=f"r{i}") for i in range(4)],
-        *env.rider, env.cfg, rng,
+        *env.rider, *env.enc, rng,
     )
-    got = direct.match_all(*admit_pools(env, offers, requests), env.cfg.n_hashes)
+    got = direct.match_all(*admit_pools(env, offers, requests), env.params.n_hashes)
     assert [(m.request_id, m.offer_id) for m in got] == [
         ("r0", "first"),
         ("r1", "second"),
@@ -141,19 +141,19 @@ def test_build_validation(direct_env):
     env = direct_env
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="case"):
-        direct.build_offers([offer_spec(cases=())], *env.driver, env.cfg, rng)
+        direct.build_offers([offer_spec(cases=())], *env.driver, *env.enc, rng)
     with pytest.raises(ValueError, match="capacity"):
-        direct.build_offers([offer_spec(capacity=0)], *env.driver, env.cfg, rng)
+        direct.build_offers([offer_spec(capacity=0)], *env.driver, *env.enc, rng)
     with pytest.raises(ValueError, match="max_items"):
         direct.build_offers(
-            [offer_spec(route_cells=tuple(range(100, 200)))], *env.driver, env.cfg, rng
+            [offer_spec(route_cells=tuple(range(100, 200)))], *env.driver, *env.enc, rng
         )
     with pytest.raises(ValueError, match="nonempty"):
-        direct.build_offers([offer_spec(pickup_cells=())], *env.driver, env.cfg, rng)
+        direct.build_offers([offer_spec(pickup_cells=())], *env.driver, *env.enc, rng)
     with pytest.raises(ValueError, match="driver"):
-        direct.build_offers([offer_spec()], *env.rider, env.cfg, rng)
+        direct.build_offers([offer_spec()], *env.rider, *env.enc, rng)
     with pytest.raises(ValueError, match="rider"):
-        direct.build_requests([request_spec()], *env.driver, env.cfg, rng)
+        direct.build_requests([request_spec()], *env.driver, *env.enc, rng)
 
 
 def random_scenario(seed, n_offers=6, n_requests=14, universe=40):
@@ -201,8 +201,8 @@ def encrypt_scenario(env, offers, requests):
         for oid, f in offers
     ]
     rspecs = [RequestSpec(rid, f[0], f[1], f[2], f[3]) for rid, f in requests]
-    built_o = direct.build_offers(ospecs, *env.driver, env.cfg, rng)
-    built_r = direct.build_requests(rspecs, *env.rider, env.cfg, rng)
+    built_o = direct.build_offers(ospecs, *env.driver, *env.enc, rng)
+    built_r = direct.build_requests(rspecs, *env.rider, *env.enc, rng)
     return built_o, built_r
 
 
@@ -214,10 +214,10 @@ def test_match_all_agrees_with_plain_oracle(direct_env, seed):
     built_o, built_r = encrypt_scenario(env, offers, requests)
     got = [
         (m.request_id, m.offer_id, m.case.value)
-        for m in direct.match_all(*admit_pools(env, built_o, built_r), env.cfg.n_hashes)
+        for m in direct.match_all(*admit_pools(env, built_o, built_r), env.params.n_hashes)
     ]
     gate = lambda o, r: oracles.summary_case(
-        o, r, env.cfg.time_slots, env.cfg.bits, env.cfg.n_hashes, env.cfg.epoch, env.cfg.salt
+        o, r, env.params.time_slots, env.params.filter_bits, env.params.n_hashes, env.epoch, env.salt
     )
     assert got == oracles.greedy_assign(offers, requests, gate)
     assert got, "scenario should produce at least one match"
@@ -232,8 +232,8 @@ def test_pair_gate_agrees_with_summary_oracle(direct_env):
         for (rid, rfacts), built_request in zip(requests, built_r):
             got = admitted_case(env, built_offer, built_request)
             want = oracles.summary_case(
-                ofacts, rfacts, env.cfg.time_slots, env.cfg.bits,
-                env.cfg.n_hashes, env.cfg.epoch, env.cfg.salt,
+                ofacts, rfacts, env.params.time_slots, env.params.filter_bits,
+                env.params.n_hashes, env.epoch, env.salt,
             )
             assert (got.value if got else None) == want
 

@@ -177,8 +177,8 @@ def test_case_similarities_only_for_gated_open_pairs(direct_env, monkeypatch):
     open_o, open_r = set(range(len(offers))), set(range(len(requests)))
     gated = [
         (i, j) for i, (_, rf) in enumerate(requests) for j, (_, of) in enumerate(offers)
-        if oracles.summary_gates(of, rf, env.cfg.time_slots, env.cfg.bits,
-                                 env.cfg.n_hashes, env.cfg.epoch, env.cfg.salt)
+        if oracles.summary_gates(of, rf, env.params.time_slots, env.params.filter_bits,
+                                 env.params.n_hashes, env.epoch, env.salt)
     ]
     # close one offer that passes some gates and free one request row that does
     i0, j0 = gated[0]
@@ -191,7 +191,7 @@ def test_case_similarities_only_for_gated_open_pairs(direct_env, monkeypatch):
     scored = []
     real = kernels.paired_dots
     monkeypatch.setattr(kernels, "paired_dots", lambda a, b: scored.append(len(a)) or real(a, b))
-    direct.match_all(offer_pool, request_pool, env.cfg.n_hashes)
+    direct.match_all(offer_pool, request_pool, env.params.n_hashes)
     want = sum(1 for i, j in gated if i in open_r and j in open_o)
     assert want < len(gated)
     assert scored == [want] * 3

@@ -19,6 +19,7 @@ from ridecloak.protocol import (
     Frame,
     KeyBundle,
     MsgType,
+    Params,
     Preference,
     PreferenceKind,
     ProtocolError,
@@ -153,8 +154,8 @@ def test_ack_round_trip():
 
 def test_key_bundle_round_trip(knn64):
     bundle = KeyBundle(
-        epoch=4, salt=99, filter_bits=320, n_hashes=4, id_bits=6, time_bits=4,
-        time_slots=48, max_items=60,
+        epoch=4, salt=99,
+        params=Params(filter_bits=320, n_hashes=4, id_bits=6, time_bits=4, time_slots=48, max_items=60),
         tokens=[bytes([i]) * 32 for i in range(5)],
     )
     key_file = crypto.key_material_to_bytes(knn64.rider)
@@ -163,7 +164,7 @@ def test_key_bundle_round_trip(knn64):
     keys = crypto.key_material_from_bytes(blocks[: len(key_file)], "rider", 64)
     assert keys.role == "rider" and keys.dim == 64
     with pytest.raises(ValueError, match="token"):
-        protocol.encode_key_bundle(KeyBundle(1, 1, 64, 4, 6, 4, 48, 60, [b"short"]), b"")
+        protocol.encode_key_bundle(KeyBundle(1, 1, Params(64, 4, 6, 4, 48, 60), [b"short"]), b"")
 
 
 def test_direct_offer_payload_round_trip():

@@ -24,6 +24,7 @@ from ridecloak.client import (
 from ridecloak.direct import DirectOffer, DirectRequest, MatchCase, OfferSpec, RequestSpec
 from ridecloak.protocol import ErrorCode, MsgType, ProtocolError
 from ridecloak.service import RideService, ServiceConfig, SocketServer
+from ridecloak.sim import ExperimentConfig
 
 
 def slot_time(slot: int) -> float:
@@ -326,7 +327,7 @@ def test_transfer_offer_needs_two_cells(small_service):
     reg = driver.registration
     offer = transfer.build_transfer_offer(
         "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
-        reg.bundle.id_bits, reg.bundle.time_bits, 2, np.random.default_rng(4),
+        reg.params.id_bits, reg.params.time_bits, 2, np.random.default_rng(4),
     )
     blobs, token = [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells], reg.tokens.pop()
     before = server_state(small_service)
@@ -432,7 +433,7 @@ def corrupted_frames(driver, rider, corrupt, value):
     )
     offer = transfer.build_transfer_offer(
         "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
-        reg.bundle.id_bits, reg.bundle.time_bits, 2, rng,
+        reg.params.id_bits, reg.params.time_bits, 2, rng,
     )
     cells = [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells]
     bad_plus, bad_minus = list(cells), list(cells)
@@ -440,7 +441,7 @@ def corrupted_frames(driver, rider, corrupt, value):
     bad_minus[0] = (cells[0][0], corrupt(cells[0][1], value))
     request = transfer.build_transfer_request(
         "local", (1, 1), (2, 1), rreg.keysets["transfer-rider"],
-        rreg.bundle.id_bits, rreg.bundle.time_bits, rng=rng,
+        rreg.params.id_bits, rreg.params.time_bits, rng=rng,
     )
     routed = oracles.transfer_request_payload(
         b"", transfer.DEFAULT_PREFERENCE.kind.value, None, None,
@@ -484,7 +485,7 @@ def test_transfer_blocks_must_match_their_announced_layout(small_service):
     rng = np.random.default_rng(12)
     offer = transfer.build_transfer_offer(
         "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
-        reg.bundle.id_bits, reg.bundle.time_bits, 2, rng,
+        reg.params.id_bits, reg.params.time_bits, 2, rng,
     )
     good_offer = oracles.transfer_offer_payload(
         2, b"", [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells]
@@ -492,7 +493,7 @@ def test_transfer_blocks_must_match_their_announced_layout(small_service):
     count_at = 1 + 2 + 4  # scheme, capacity, empty contact blob
     request = transfer.build_transfer_request(
         "local", (1, 1), (2, 1), rreg.keysets["transfer-rider"],
-        rreg.bundle.id_bits, rreg.bundle.time_bits, rng=rng,
+        rreg.params.id_bits, rreg.params.time_bits, rng=rng,
     )
     pickup, dropoff = request.pickup.to_bytes(), request.dropoff.to_bytes()
 
@@ -531,8 +532,7 @@ def test_one_width_table_in_set_up_order(small_service):
     widths = srv.widths
     assert list(widths) == ["direct", "transfer", "time"]
     (driver,) = make_clients(small_service, roles=("driver",))
-    b = driver.registration.bundle
-    assert protocol.scheme_widths(b.filter_bits, b.id_bits, b.time_bits, b.time_slots) == widths
+    assert driver.registration.params.widths == widths
     assert {scheme: secrets.dim for scheme, secrets in srv.secrets.items()} == widths
     assert srv.offer_pool.dims == srv.request_pool.dims == (
         widths["direct"], widths["direct"], widths["direct"], widths["time"]
@@ -649,7 +649,7 @@ def test_config_rejects_out_of_range_values(field, value):
     (dict(filter_bits=64, n_hashes=65), "n_hashes 65 must be <= filter_bits 64"),
 ], ids=["n_hashes-above-filter_bits"])
 def test_config_refuses_combinations_no_client_can_encode(values, message):
-    """A client's direct.SummaryConfig refuses these; so does the service that would ship them."""
+    """No client can encode these, so the service that would ship them refuses them."""
     with pytest.raises(ValueError, match=message):
         ServiceConfig(**values)
 
@@ -1159,9 +1159,16 @@ def test_register_refuses_bundles_without_their_roles_key_sets(small_service):
 
 @pytest.mark.parametrize("fields", [
     dict(n_hashes=0), dict(n_hashes=SMALL_CONFIG["filter_bits"] + 1), dict(max_items=0),
-    dict(time_slots=0), dict(id_bits=0), dict(time_bits=0),
+    dict(time_slots=0), dict(id_bits=0), dict(time_bits=0), dict(filter_bits=1, n_hashes=1),
 ], ids=lambda f: "-".join(f"{k}={v}" for k, v in f.items()))
 def test_register_refuses_a_bundle_header_no_submission_can_use(small_service, fields):
+    """The service config, the experiment config and a client's bundle
+    decoder hold the encoding parameters to one rule."""
+    values = {**SMALL_CONFIG, **fields}
+    with pytest.raises(ValueError):
+        ServiceConfig(**values)
+    with pytest.raises(ValueError):
+        ExperimentConfig(**values)
     (rider,) = make_clients(small_service, roles=("rider",))
     before = rider.registration
     key_files = [crypto.key_material_to_bytes(keys) for keys in before.keysets.values()]
@@ -1173,4 +1180,4 @@ def test_register_refuses_a_bundle_header_no_submission_can_use(small_service, f
     # at the edge of the range, the same bundle registers
     edge = bundle_reply(before, small_service.config, key_files, n_hashes=SMALL_CONFIG["filter_bits"])
     rider.transport = replying(edge)
-    assert rider.register("rider").bundle.n_hashes == SMALL_CONFIG["filter_bits"]
+    assert rider.register("rider").params.n_hashes == SMALL_CONFIG["filter_bits"]

@@ -127,6 +127,15 @@ def test_workload_text_errors():
         sim.parse_workload("# empty\n")
 
 
+GRID_4 = "grid 4 4 seed=1\n"
+OFFER_LINE = (
+    "offer o1 cells=1,5,9,13 depart=33138.0 dwell=300.0 capacity=5 cases=area,route span=2\n"
+)
+REQUEST_LINE = (
+    "request r1 pickup=1 dropoff=13 route=1,5,9,13 t_pick=33112.0 t_drop=33629.0 pref=min-cells\n"
+)
+
+
 @pytest.mark.parametrize("text, message", [
     ("grid 8 8 seed=1\noffer o1 cells=1,2,3 depart=100.0\n", "line 2: missing field 'dwell'"),
     ("grid 8 8 seed=1\nrequest r1 pickup=1 dropoff=2\n", "line 2: missing field 'route'"),
@@ -134,7 +143,19 @@ def test_workload_text_errors():
     ("# header\ngrid 8 8 seed\n", "line 2: list index out of range"),
     ("grid 8 8 seed=1\noffer o1 cells\n", "line 2: dictionary update sequence"),
     ("grid 8 8 seed=1\n\nrequest r1 pickup=one\n", "line 3: invalid literal"),
-], ids=["offer-field", "request-field", "grid-arity", "grid-seed", "bare-word", "bad-int"])
+    (GRID_4 + OFFER_LINE.replace("cells=1,", "cells=16,"), "line 2: cell 16 is outside the 4x4 grid"),
+    (GRID_4 + REQUEST_LINE.replace("pickup=1", "pickup=-3"), "line 2: cell -3 is outside"),
+    (GRID_4 + REQUEST_LINE.replace("dropoff=13", "dropoff=99"), "line 2: cell 99 is outside"),
+    (GRID_4 + REQUEST_LINE.replace("dropoff=13", "dropoff=-1"), "line 2: cell -1 is outside"),
+    (GRID_4 + REQUEST_LINE.replace(",13 ", ",16 "), "line 2: cell 16 is outside"),
+    (OFFER_LINE + GRID_4, "line 1: offer before the grid line"),
+    ("# header\n" + REQUEST_LINE + GRID_4, "line 2: request before the grid line"),
+    ("grid 8 8 seed=1\n" + GRID_4, "line 2: a second grid line"),
+], ids=[
+    "offer-field", "request-field", "grid-arity", "grid-seed", "bare-word", "bad-int",
+    "offer-cell", "pickup-cell", "dropoff-cell", "negative-dropoff-cell", "route-cell",
+    "offer-before-grid", "request-before-grid", "second-grid",
+])
 def test_workload_text_errors_name_the_line(text, message):
     with pytest.raises(ValueError, match=f"^workload {message}"):
         sim.parse_workload(text)
