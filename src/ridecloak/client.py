@@ -92,6 +92,7 @@ class Registration:
     keysets: dict[str, UserKeySet]
     tokens: list[bytes]
     params: protocol.Params
+    masks: crypto.MaskStock  # drawn from the client's generator; dropped on registering again
 
 
 class ServiceClient:
@@ -166,7 +167,8 @@ class ServiceClient:
             except ValueError as exc:
                 raise ProtocolError(ErrorCode.BAD_STATE, f"key set {name!r}: {exc}") from exc
         self.registration = Registration(
-            role, bundle.epoch, bundle.salt, keysets, bundle.tokens, bundle.params
+            role, bundle.epoch, bundle.salt, keysets, bundle.tokens, bundle.params,
+            crypto.MaskStock(self.rng),
         )
         return self.registration
 
@@ -187,7 +189,7 @@ class ServiceClient:
         reg = self.registration
         offers = direct.build_offers(
             specs, self._keys("direct-driver"), self._keys("time-driver"),
-            reg.params, reg.epoch, reg.salt, self.rng,
+            reg.params, reg.epoch, reg.salt, reg.masks,
         )
         return [self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(o)) for o in offers]
 
@@ -199,7 +201,7 @@ class ServiceClient:
         reg = self.registration
         requests = direct.build_requests(
             specs, self._keys("direct-rider"), self._keys("time-rider"),
-            reg.params, reg.epoch, reg.salt, self.rng,
+            reg.params, reg.epoch, reg.salt, reg.masks,
         )
         return [
             self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(r)) for r in requests
@@ -222,7 +224,7 @@ class ServiceClient:
             reg.params.id_bits,
             reg.params.time_bits,
             capacity,
-            self.rng,
+            reg.masks,
             contact,
         )
         return self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(offer))
@@ -247,7 +249,7 @@ class ServiceClient:
             reg.params.id_bits,
             reg.params.time_bits,
             preference,
-            rng=self.rng,
+            rng=reg.masks,
             contact=contact,
         )
         return self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(request))

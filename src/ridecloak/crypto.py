@@ -8,6 +8,13 @@ binary vectors, and nothing else about them is revealed. Indexes produced under
 different user key sets derived from the same master keys remain mutually
 comparable, which is what lets the server match strangers' trips.
 
+Encryption costs what the plaintext costs, not what the key does. Part i
+of an index is its split half times key operand M_i, and the random share
+of that product, the mask, does not depend on the trip; the plaintext
+share only sums the key rows its set bits pick. So masks are drawn ahead
+in batches (`MaskStock`), and a call adds to each row's mask the key rows
+its vectors set, read from one stacked copy of the key (`UserKeySet.operand`).
+
 All matrices are double precision with entries drawn uniformly from
 [-1, 1]. Master keys and server secrets are redrawn (at most 8 attempts)
 while their 1-norm condition number exceeds 1e6, and the inverse the
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +49,9 @@ from . import kernels
 COND_LIMIT = 1.0e6
 MAX_DRAWS = 8
 PART_COUNT = 8
+# Bytes of key rows an encryption gathers at a time: small enough to stay
+# in cache for the two products that read them right after.
+ROW_BUFFER_BYTES = 512 * 1024
 
 _ROLES = ("driver", "rider")
 
@@ -117,9 +128,13 @@ class TosSecrets:
     query_mask_inv: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class UserKeySet:
-    """Per-user encryption keys: eight composed matrices plus the split pattern."""
+    """Per-user encryption keys: eight composed matrices plus the split pattern.
+
+    A key set compares, and hashes, by identity: a client's `MaskStock`
+    keeps one stock per key set it holds.
+    """
 
     role: str  # "driver" or "rider"
     dim: int
@@ -137,6 +152,46 @@ class UserKeySet:
             raise ValueError("split_pattern width mismatch")
         if not np.isin(self.split_pattern, (0, 1)).all():
             raise ValueError("split_pattern must be 0/1")
+
+    @cached_property
+    def operand(self) -> np.ndarray:
+        """The key as encryption reads it: a C-contiguous (dim, 8*dim) matrix.
+
+        Row k holds row k of each key operand M_i in part order, where M_i
+        is part i transposed for a driver (part_i @ half is half @ part_i.T)
+        and part i itself for a rider. A key set read from a key file is
+        built around this matrix, its parts being views of it
+        (`key_material_from_bytes`); any other stacks its parts here on
+        first use.
+        """
+        return _stacked_operand(self.role, self.parts)
+
+    @cached_property
+    def copied(self) -> np.ndarray:
+        """Whether each position is copied into both split halves, not split."""
+        pattern = self.split_pattern.astype(bool)
+        return ~pattern if self.role == "driver" else pattern
+
+    @cached_property
+    def row_buffer(self) -> np.ndarray:
+        """Where encryption gathers the operand rows it reads, ROW_BUFFER_BYTES' worth at a time.
+
+        Every call reuses it, so encrypting a trip allocates no temporary of
+        key rows; a fresh one per call fragments the heap (on the 768-bit
+        benchmark workload, tens of MB more peak resident memory). So one
+        thread at a time encrypts under a key set.
+        """
+        rows = ROW_BUFFER_BYTES // (8 * PART_COUNT * self.dim)
+        return np.empty((min(self.dim, max(1, rows)), PART_COUNT * self.dim))
+
+
+def _stacked_operand(role: str, parts) -> np.ndarray:
+    """`UserKeySet.operand` of eight (dim, dim) parts, copied in part by part."""
+    dim = parts[0].shape[0]
+    stacked = np.empty((dim, PART_COUNT, dim), dtype=np.float64)
+    for i, part in enumerate(parts):
+        stacked[:, i, :] = part.T if role == "driver" else part
+    return stacked.reshape(dim, PART_COUNT * dim)
 
 
 @dataclass
@@ -278,33 +333,6 @@ def generate_keys(
     return derivers, secrets
 
 
-def split_vector(
-    vec: np.ndarray,
-    pattern: np.ndarray,
-    role: str,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split `vec` into two halves directed by the shared 0/1 pattern.
-
-    Drivers copy where the pattern is 0 and randomly split where it is 1;
-    riders do the opposite. Split positions carry a uniform [-1, 1] draw
-    and its exact complement, so the halves always sum back to `vec`.
-    """
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape[-1] != pattern.shape[0]:
-        raise ValueError(f"vector width {vec.shape[-1]} != pattern width {pattern.shape[0]}")
-    if role == "driver":
-        split_here = pattern.astype(bool)
-    elif role == "rider":
-        split_here = ~pattern.astype(bool)
-    else:
-        raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
-    rand = rng.uniform(-1.0, 1.0, vec.shape)
-    first = np.where(split_here, rand, vec)
-    second = np.where(split_here, vec - rand, vec)
-    return first, second
-
-
 def _validate_plain(vectors: np.ndarray, dim: int) -> np.ndarray:
     vectors = np.asarray(vectors, dtype=np.float64)
     if vectors.ndim == 1:
@@ -316,24 +344,97 @@ def _validate_plain(vectors: np.ndarray, dim: int) -> np.ndarray:
     return vectors
 
 
+def _draw_masks(keys: UserKeySet, count: int, rng: np.random.Generator) -> np.ndarray:
+    """`count` fresh masks of `keys`, one (8*dim,) row each, from one GEMM.
+
+    A row is (r*s) @ M_i for parts 0-3 and its negation for parts 4-7:
+    what splitting a vector adds to its first half and takes from its
+    second. r is uniform on [-1, 1], s marks the role's split positions.
+    """
+    rand = rng.uniform(-1.0, 1.0, (count, keys.dim))
+    rand[:, keys.copied] = 0.0
+    masks = rand @ keys.operand
+    masks[:, PART_COUNT // 2 * keys.dim :] *= -1.0
+    return masks
+
+
+def _plaintext_terms(vectors: np.ndarray, keys: UserKeySet, out: np.ndarray) -> None:
+    """Write each row's plaintext share into `out`, a zeroed (count, 8*dim) array.
+
+    Row v gets (v*c) @ M_i for parts 0-3 and v @ M_i for parts 4-7, c
+    marking the copied positions. Only the operand rows at positions some
+    vector sets are read, a buffer's worth at a time: `keys.row_buffer`,
+    or, for a stack of more vectors than that holds rows, one as tall as
+    the stack, so adding up the buffers' terms costs no more than
+    gathering their rows.
+    """
+    half, buffer = PART_COUNT // 2 * keys.dim, keys.row_buffer
+    if len(buffer) < min(len(vectors), keys.dim):
+        buffer = np.empty((min(len(vectors), keys.dim), PART_COUNT * keys.dim))
+    cols = np.flatnonzero(vectors.any(axis=0))
+    for start in range(0, len(cols), len(buffer)):
+        rows = cols[start : start + len(buffer)]
+        block = keys.operand.take(rows, axis=0, out=buffer[: len(rows)], mode="clip")
+        picked = vectors[:, rows]
+        term = out if start == 0 else np.empty_like(out)
+        np.matmul(picked * keys.copied[rows], block[:, :half], out=term[:, :half])
+        np.matmul(picked, block[:, half:], out=term[:, half:])
+        if start:
+            out += term
+
+
+class MaskStock:
+    """A client's masks drawn ahead from its generator, one stock per key set.
+
+    `encrypt_indices` takes a call's masks from here, each mask once. A
+    call that finds its key set's stock short draws max(short, dim // 8)
+    masks in one GEMM (`_draw_masks`): a stock never holds more than that,
+    so beyond its call's own output it holds at most dim / 8 masks of
+    8 * dim float64, an eighth of the key set's bytes. A client keeps one
+    MaskStock per registration; registering again drops it.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.stocks: dict[UserKeySet, np.ndarray] = {}  # each key set's unserved masks
+
+    def take(self, keys: UserKeySet, count: int) -> np.ndarray:
+        """`count` masks of `keys`, served from the stock and refilled when short."""
+        held = self.stocks.get(keys, np.empty((0, PART_COUNT * keys.dim)))
+        if len(held) >= count:
+            self.stocks[keys] = held[count:]
+            return held[:count]
+        short = count - len(held)
+        fresh = _draw_masks(keys, max(short, keys.dim // 8), self.rng)
+        self.stocks[keys] = fresh[short:]
+        return np.concatenate((held, fresh[:short])) if len(held) else fresh[:short]
+
+
 def encrypt_indices(
     vectors: np.ndarray,
     keys: UserKeySet,
-    rng: np.random.Generator,
+    rng: np.random.Generator | MaskStock,
 ) -> list[EncryptedIndex]:
     """Encrypt a stack of binary vectors (rows) under one key set.
 
-    The per-part products for the whole stack run as single matrix
-    multiplications, which is what keeps large-width workloads fast.
+    Part i of a row v is its mask plus (v*c) @ M_i for parts 0-3 and
+    v @ M_i for parts 4-7, c marking the positions the role copies into
+    both halves (`UserKeySet.operand` holds the M_i). The masks come from
+    `rng`: a client's MaskStock, or a plain generator, from which exactly
+    this call's masks are drawn. The plaintext terms of the whole stack
+    are small GEMMs that read only the key rows its vectors set
+    (`_plaintext_terms`).
     """
     vectors = _validate_plain(vectors, keys.dim)
     count = vectors.shape[0]
-    first, second = split_vector(vectors, keys.split_pattern, keys.role, rng)
-    parts = np.empty((count, PART_COUNT, keys.dim), dtype=np.float64)
-    for i, key_part in enumerate(keys.parts):
-        # driver: part_i = K_i @ half, computed row-wise as half @ K_i.T; rider: half @ K_i
-        half = first if i < 4 else second
-        parts[:, i, :] = half @ (key_part.T if keys.role == "driver" else key_part)
+    if isinstance(rng, MaskStock):
+        masks = rng.take(keys, count)
+    else:
+        masks = _draw_masks(keys, count, rng)
+    parts = np.zeros((count, PART_COUNT, keys.dim), dtype=np.float64)
+    flat = parts.reshape(count, PART_COUNT * keys.dim)
+    _plaintext_terms(vectors, keys, flat)
+    flat += masks
     return [EncryptedIndex(parts[j]) for j in range(count)]
 
 
@@ -421,18 +522,18 @@ def key_material_to_bytes(keys: UserKeySet) -> bytes:
 def key_material_from_bytes(blob: bytes | memoryview, role: str, dim: int) -> UserKeySet:
     """The `role` user key set of width `dim` in a whole key file held in any bytes-like object.
 
-    Each matrix is copied once out of `blob`, into an aligned array (a
-    GEMM with an unaligned key operand is several times slower). Driver
-    parts are stored so that `part.T`, the operand `encrypt_indices`
-    multiplies by, is C-contiguous.
+    The key is copied once out of `blob`, part by part into its stacked
+    operand (`UserKeySet.operand`), and the key set's parts are views of
+    that one array.
     """
     size = user_key_file_size(dim)
     if len(blob) != size:
         raise ValueError(f"user key file of width {dim} must be {size} bytes, got {len(blob)}")
     stored = np.frombuffer(blob, "<f8", PART_COUNT * dim * dim).reshape(PART_COUNT, dim, dim)
     pattern = np.frombuffer(blob, np.uint8, dim, size - dim).copy()
-    if role == "driver":
-        parts = tuple(m.T.copy().T for m in stored)
-    else:
-        parts = tuple(m.copy() for m in stored)
-    return UserKeySet(role, dim, parts, pattern)
+    operand = _stacked_operand(role, stored)
+    blocks = operand.reshape(dim, PART_COUNT, dim)
+    parts = tuple(blocks[:, i, :].T if role == "driver" else blocks[:, i, :] for i in range(PART_COUNT))
+    keys = UserKeySet(role, dim, parts, pattern)
+    keys.operand = operand
+    return keys

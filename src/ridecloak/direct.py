@@ -34,7 +34,7 @@ import numpy as np
 
 from . import crypto, kernels
 from .bloom import BloomFilter, slot_vector
-from .crypto import EncryptedIndex, TosSecrets, UserKeySet
+from .crypto import EncryptedIndex, MaskStock, TosSecrets, UserKeySet
 
 if TYPE_CHECKING:  # protocol imports this module
     from .protocol import Params
@@ -127,19 +127,18 @@ def _encrypt_trips(
     slots: list[np.ndarray],
     keys: UserKeySet,
     time_keys: UserKeySet,
-    rng: np.random.Generator,
+    rng: np.random.Generator | MaskStock,
 ) -> list[list[EncryptedIndex]]:
     """Each trip's (pick-up, drop-off, route, time) indexes.
 
-    All of a call's slot vectors go through one batched encryption under
-    `time_keys`, and all its filters through one under `keys`. The small
-    slot encryption runs first: right after the filter GEMMs have streamed
-    the filter keys through the caches, it takes about twice as long.
+    All of a call's filters go through one batched encryption under `keys`,
+    and all its slot vectors through one under `time_keys`; `rng` is where
+    their masks come from (`crypto.encrypt_indices`).
     """
     if time_keys.role != keys.role:
         raise ValueError(f"time keys are {time_keys.role} keys, expected {keys.role}")
-    times = crypto.encrypt_indices(np.stack(slots), time_keys, rng)
     places = crypto.encrypt_indices(np.stack(filters), keys, rng)
+    times = crypto.encrypt_indices(np.stack(slots), time_keys, rng)
     return [[*places[3 * j : 3 * j + 3], time] for j, time in enumerate(times)]
 
 
@@ -150,9 +149,9 @@ def build_offers(
     params: Params,
     epoch: int,
     salt: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | MaskStock,
 ) -> list[DirectOffer]:
-    """Encrypt many offers in one batched pass (one GEMM set per key part and key set)."""
+    """Encrypt many offers in one batched pass: one encryption call per key set."""
     if keys.role != "driver":
         raise ValueError("offers must be encrypted with driver keys")
     if not specs:
@@ -178,7 +177,7 @@ def build_requests(
     params: Params,
     epoch: int,
     salt: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | MaskStock,
 ) -> list[DirectRequest]:
     if keys.role != "rider":
         raise ValueError("requests must be encrypted with rider keys")

@@ -94,10 +94,15 @@ class Frame:
     payload: memoryview
 
 
+def frame_length(payload_size: int) -> int:
+    """The length field of a frame carrying `payload_size` bytes: what MAX_FRAME_SIZE bounds."""
+    return HEADER_SIZE - 4 + payload_size
+
+
 def _frame_header(msg_type: MsgType, epoch: int, token: bytes, payload_size: int) -> bytes:
     if len(token) != TOKEN_SIZE:
         raise ValueError(f"token must be {TOKEN_SIZE} bytes, got {len(token)}")
-    length = HEADER_SIZE - 4 + payload_size
+    length = frame_length(payload_size)
     if length > MAX_FRAME_SIZE:
         raise ValueError(f"frame too large: {length} bytes")
     return _FRAME_HEAD.pack(length, int(msg_type), epoch) + token
@@ -388,6 +393,12 @@ class KeyBundle:
 def key_blocks_size(role: str, widths: dict[str, int]) -> int:
     """Bytes of a `role` bundle's key blocks at `widths`."""
     return sum(crypto.user_key_file_size(widths[scheme]) for _, scheme, _ in ROLE_KEY_SETS[role])
+
+
+def key_bundle_size(role: str, params: Params, tokens: int) -> int:
+    """Payload bytes of a `role` KEY_BUNDLE with `tokens` tokens at `params`."""
+    fields = 8 + 8 + 4 * len(dataclasses.fields(Params)) + 2  # epoch, salt, params, token count
+    return fields + TOKEN_SIZE * tokens + key_blocks_size(role, params.widths)
 
 
 def key_blocks(

@@ -65,6 +65,16 @@ class ServiceConfig(protocol.Params):
             if not (low <= value and (high is None or value <= high)):
                 limit = f">= {low}" if high is None else f"in [{low}, {high}]"
                 raise ValueError(f"{name} must be {limit}, got {value}")
+        # refused here, before set-up allocates a single key matrix
+        bundle = max(
+            protocol.frame_length(protocol.key_bundle_size(role, self, self.tokens_per_bundle))
+            for role in protocol.ROLE_KEY_SETS
+        )
+        if bundle > protocol.MAX_FRAME_SIZE:
+            raise ValueError(
+                f"a KEY_BUNDLE at widths {self.widths} would be a {bundle}-byte frame, "
+                f"over the {protocol.MAX_FRAME_SIZE}-byte limit"
+            )
 
 
 def _token_digest(token: bytes) -> bytes:

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import crypto, kernels
-from .crypto import EncryptedIndex, TosSecrets, UserKeySet
+from .crypto import EncryptedIndex, MaskStock, TosSecrets, UserKeySet
 
 # Paths one band search enumerates before it stops and flags truncation.
 DEFAULT_PATH_LIMIT = 10_000
@@ -173,7 +173,7 @@ def build_transfer_offer(
     id_bits: int,
     time_bits: int,
     capacity: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | MaskStock,
     contact: bytes = b"",
 ) -> TransferOffer:
     """Encrypt a driver's route: one (identifier, interval) pair per cell."""
@@ -199,7 +199,7 @@ def build_transfer_request(
     time_bits: int,
     preference: Preference = DEFAULT_PREFERENCE,
     *,
-    rng: np.random.Generator,
+    rng: np.random.Generator | MaskStock,
     contact: bytes = b"",
 ) -> TransferRequest:
     if keys.role != "rider":

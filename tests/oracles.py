@@ -408,6 +408,41 @@ def derive(keys, role, rng):
     return [shares[k] @ base for base, k in zip(keys["rider_bases"], order)]
 
 
+# --- dense encryption ------------------------------------------------------------
+
+
+def split_vector(vec, pattern, role, rng):
+    """Split `vec` into two halves directed by the shared 0/1 pattern.
+
+    Drivers copy where the pattern is 0 and randomly split where it is 1;
+    riders do the opposite. Split positions carry a uniform [-1, 1] draw
+    and its exact complement, so the halves always sum back to `vec`. The
+    draws of a stack of vectors are one call of `vec`'s shape.
+    """
+    vec = np.asarray(vec, dtype=np.float64)
+    if role not in ("driver", "rider"):
+        raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
+    split_here = pattern.astype(bool) if role == "driver" else ~pattern.astype(bool)
+    rand = rng.uniform(-1.0, 1.0, vec.shape)
+    return np.where(split_here, rand, vec), np.where(split_here, vec - rand, vec)
+
+
+def dense_encrypt(vectors, parts, pattern, role, rng):
+    """(rows, 8, dim) ciphertext parts: the split halves times each of the eight key parts.
+
+    Part i of a row is K_i @ half as a column for a driver, half @ K_i for a
+    rider, with the first half feeding parts 0-3 and the second parts 4-7.
+    """
+    first, second = split_vector(vectors, pattern, role, rng)
+    return np.stack(
+        [
+            (first if i < 4 else second) @ (part.T if role == "driver" else part)
+            for i, part in enumerate(parts)
+        ],
+        axis=1,
+    )
+
+
 # --- wire layouts ---------------------------------------------------------------
 
 

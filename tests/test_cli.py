@@ -249,6 +249,12 @@ def test_serve_refuses_an_out_of_range_flag(capsys):
     assert capsys.readouterr().err == "error: tokens_per_bundle must be in [1, 65535], got 0\n"
 
 
+def test_serve_refuses_widths_no_key_bundle_can_carry(capsys):
+    assert main(["serve", "--port", "7392", "--id-bits", "100000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a KEY_BUNDLE at widths") and "over the 1073741824-byte limit" in err
+
+
 def test_serve_binds_the_port_flag(capsys, monkeypatch):
     def interrupted(self, *args, **kwargs):
         raise KeyboardInterrupt

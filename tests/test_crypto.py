@@ -48,7 +48,7 @@ def test_split_vector_halves_sum_back(values, seed, role):
     vec = np.array(values)
     rng = np.random.default_rng(seed)
     pattern = rng.integers(0, 2, vec.shape[0]).astype(np.uint8)
-    first, second = crypto.split_vector(vec, pattern, role, np.random.default_rng(seed + 1))
+    first, second = oracles.split_vector(vec, pattern, role, np.random.default_rng(seed + 1))
     split_here = pattern.astype(bool) if role == "driver" else ~pattern.astype(bool)
     # split positions reconstruct the value; copy positions carry it in both halves
     np.testing.assert_allclose((first + second)[split_here], vec[split_here], atol=1e-12)
@@ -57,13 +57,22 @@ def test_split_vector_halves_sum_back(values, seed, role):
 
 
 def test_roles_split_complementary_positions(knn64):
+    """Drivers copy where the pattern is 0 and split where it is 1; riders the opposite."""
     pattern = knn64.deriver.split_pattern.astype(bool)
-    rng = np.random.default_rng(9)
-    vec = rng.integers(0, 2, knn64.dim).astype(float)
-    d1, d2 = crypto.split_vector(vec, knn64.deriver.split_pattern, "driver", rng)
-    r1, r2 = crypto.split_vector(vec, knn64.deriver.split_pattern, "rider", rng)
-    np.testing.assert_array_equal(d1[~pattern], vec[~pattern])
-    np.testing.assert_array_equal(r1[pattern], vec[pattern])
+    np.testing.assert_array_equal(knn64.driver.copied, ~pattern)
+    np.testing.assert_array_equal(knn64.rider.copied, pattern)
+    # A copied position's key rows enter parts 0-3 and 4-7 alike; a split
+    # one's enter parts 4-7 only, and parts 0-3 through the mask alone.
+    ones, zeros = np.flatnonzero(pattern)[0], np.flatnonzero(~pattern)[0]
+    for keys, copied, split in ((knn64.driver, zeros, ones), (knn64.rider, ones, zeros)):
+        for pos, first_half in ((copied, 1.0), (split, 0.0)):
+            vec = np.zeros(knn64.dim)
+            zero = support.encrypt_index(vec, keys, np.random.default_rng(9)).parts
+            vec[pos] = 1.0
+            one = support.encrypt_index(vec, keys, np.random.default_rng(9)).parts
+            row = keys.operand[pos].reshape(crypto.PART_COUNT, keys.dim)
+            np.testing.assert_allclose(one[:4] - zero[:4], first_half * row[:4], atol=1e-12)
+            np.testing.assert_allclose(one[4:] - zero[4:], row[4:], atol=1e-12)
 
 
 def test_key_share_sums_rebuild_blend_inverses(knn64):
@@ -293,7 +302,7 @@ def test_role_validation(knn64):
     with pytest.raises(ValueError, match="role"):
         knn64.deriver.derive("server", np.random.default_rng(0))
     with pytest.raises(ValueError, match="role"):
-        crypto.split_vector(np.ones(4), np.zeros(4, dtype=np.uint8), "admin", np.random.default_rng(0))
+        crypto.UserKeySet("admin", knn64.dim, knn64.rider.parts, knn64.rider.split_pattern)
     idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, np.random.default_rng(0))
     with pytest.raises(KeyError, match="server"):
         crypto.unmask_indices([idx], knn64.secrets, "server")
@@ -410,21 +419,127 @@ def test_key_blob_must_be_exact_and_patterns_binary(knn64):
         crypto.UserKeySet("rider", knn64.dim, knn64.rider.parts, np.full(knn64.dim, 7, np.uint8))
 
 
-def test_loaded_driver_parts_multiply_as_contiguous_transposes(knn64):
-    """Loaded driver parts have C-contiguous transposes and give the same ciphertexts."""
-    driver = reloaded(knn64.driver)
-    rider = reloaded(knn64.rider)
-    assert all(p.T.flags.c_contiguous for p in driver.parts)
-    assert all(p.flags.c_contiguous for p in rider.parts)
-    vecs = np.random.default_rng(3).integers(0, 2, (6, knn64.dim)).astype(float)
-    got = np.stack([idx.parts for idx in crypto.encrypt_indices(vecs, driver, np.random.default_rng(4))])
-    first, second = crypto.split_vector(
-        vecs, knn64.driver.split_pattern, "driver", np.random.default_rng(4)
+def test_loaded_key_set_is_one_stacked_operand(knn64):
+    """A key set read from a key file is one C-contiguous (d, 8d) array; its parts are views of it."""
+    dim = knn64.dim
+    for stored in (knn64.driver, knn64.rider):
+        loaded = reloaded(stored)
+        operand = loaded.operand
+        assert operand.shape == (dim, crypto.PART_COUNT * dim) and operand.flags.c_contiguous
+        assert all(np.shares_memory(part, operand) for part in loaded.parts)
+        blocks = operand.reshape(dim, crypto.PART_COUNT, dim)
+        for i, (part, want) in enumerate(zip(loaded.parts, stored.parts)):
+            np.testing.assert_array_equal(part, want)
+            # row k of the operand holds row k of every key operand M_i
+            key_operand = want.T if stored.role == "driver" else want
+            np.testing.assert_array_equal(blocks[:, i, :], key_operand)
+        assert crypto.key_material_to_bytes(loaded) == crypto.key_material_to_bytes(stored)
+
+
+def dense_reference(vectors, keys, seed):
+    return oracles.dense_encrypt(
+        vectors, keys.parts, keys.split_pattern, keys.role, np.random.default_rng(seed)
     )
-    want = np.stack(
-        [(first if i < 4 else second) @ k.T for i, k in enumerate(knn64.driver.parts)], axis=1
-    )
+
+
+def assert_same_parts(got, want):
+    got = np.stack([idx.parts for idx in got])
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dim", [16, 47, 48, 320])
+@pytest.mark.parametrize("role", ["driver", "rider"])
+def test_encryption_equals_the_dense_reference_for_the_same_draws(dim, role):
+    """Masks plus gathered key rows give the split halves times the eight parts.
+
+    The batch holds an all-zero row, a repeated vector and a dense one; a
+    generator and a fresh MaskStock of the same seed draw the same r.
+    """
+    rng = np.random.default_rng(dim)
+    derivers, _ = crypto.generate_keys({"scheme": dim}, rng)
+    keys = reloaded(derivers["scheme"].derive(role, rng))
+    vectors = (rng.random((6, dim)) < 0.1).astype(float)
+    vectors[1] = 0.0
+    vectors[4] = vectors[2]
+    vectors[5] = 1.0
+    want = dense_reference(vectors, keys, 11)
+    assert_same_parts(crypto.encrypt_indices(vectors, keys, np.random.default_rng(11)), want)
+    stock = crypto.MaskStock(np.random.default_rng(11))
+    assert_same_parts(crypto.encrypt_indices(vectors, keys, stock), want)
+
+
+def test_encryption_at_768_equals_the_dense_reference_and_gathers_into_one_buffer():
+    """A trip's encryption allocates about its output, never a block of key rows.
+
+    Its key rows go through `row_buffer` in several passes; a stack taller
+    than that buffer gathers through one as tall as the stack.
+    """
+    dim = 768
+    rng = np.random.default_rng(dim)
+    derivers, _ = crypto.generate_keys({"scheme": dim}, rng)
+    keys = reloaded(derivers["scheme"].derive("driver", rng))
+    del derivers
+    vectors = (rng.random((16, dim)) < 0.05).astype(float)
+    vectors[3] = vectors[0]
+    assert len(keys.row_buffer) < 16
+    for rows in (3, 16):
+        want = dense_reference(vectors[:rows], keys, 12)
+        stock = crypto.MaskStock(np.random.default_rng(12))
+        assert_same_parts(crypto.encrypt_indices(vectors[:rows], keys, stock), want)
+    trip = vectors[:3]
+    output = trip.shape[0] * crypto.PART_COUNT * dim * 8
+    tracemalloc.start()
+    try:
+        crypto.encrypt_indices(trip, keys, stock)  # served from the stock: no refill
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gathered = np.count_nonzero(trip.any(axis=0)) * crypto.PART_COUNT * dim * 8
+    assert peak <= 4 * output < gathered / 4
+
+
+def test_mask_stock_serves_each_mask_once(knn64):
+    """A call takes exactly its rows; a refill of max(short, d // 8) happens only when short.
+
+    An all-zero vector's parts 0-3 are its mask, so zero rows show which
+    masks were served: in order, each drawn row exactly once.
+    """
+    keys = knn64.rider
+    per_refill = knn64.dim // 8
+    stock = crypto.MaskStock(np.random.default_rng(31))
+    served, drawn = [], []
+    for count in (2, 3, 3, 10, 20, 1):
+        held = len(stock.stocks.get(keys, ()))
+        state = stock.rng.bit_generator.state
+        served += [ix.parts[:4] for ix in crypto.encrypt_indices(np.zeros((count, keys.dim)), keys, stock)]
+        left = len(stock.stocks[keys])
+        if held >= count:
+            assert stock.rng.bit_generator.state == state  # no draw
+            assert left == held - count
+        else:
+            refill = max(count - held, per_refill)
+            assert left == held + refill - count < per_refill
+            drawn.append(refill)
+    assert drawn == [per_refill, 10, 20, per_refill]
+    r = np.random.default_rng(31).uniform(-1.0, 1.0, (sum(drawn), keys.dim))
+    masks = (r * ~keys.copied) @ keys.operand
+    np.testing.assert_allclose(
+        np.stack(served).reshape(len(served), -1), masks[: len(served), : 4 * keys.dim], atol=1e-12
+    )
+    twice = crypto.encrypt_indices(np.ones((2, keys.dim)), keys, stock)
+    assert not np.array_equal(twice[0].parts, twice[1].parts)
+
+
+def test_same_key_file_and_seed_give_the_same_bytes_through_a_stock(knn64):
+    blob = crypto.key_material_to_bytes(knn64.driver)
+    vectors = np.random.default_rng(3).integers(0, 2, (5, knn64.dim)).astype(float)
+    runs = []
+    for _ in range(2):
+        keys = crypto.key_material_from_bytes(blob, "driver", knn64.dim)
+        stock = crypto.MaskStock(np.random.default_rng(42))
+        calls = [crypto.encrypt_indices(vectors[:n], keys, stock) for n in (1, 3, 1)]
+        runs.append(b"".join(ix.to_bytes() for call in calls for ix in call))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("dim", [16, 768])

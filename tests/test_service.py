@@ -119,6 +119,8 @@ def test_key_bundle_size_follows_the_formula(widths):
         client = ServiceClient(LoopbackTransport(svc), rng=1)
         client.register(role)
         assert client.transport.received_bytes == bundle_formula_bytes(config, role)
+        payload = protocol.key_bundle_size(role, config, config.tokens_per_bundle)
+        assert client.transport.received_bytes == protocol.HEADER_SIZE + payload
 
 
 def test_register_refuses_an_unknown_role_before_sending(small_service):
@@ -141,6 +143,21 @@ def test_two_registrations_get_distinct_keys(small_service):
     kb = b.registration.keysets["direct-driver"].parts[0]
     assert not np.array_equal(ka, kb)
     assert not set(a.registration.tokens) & set(b.registration.tokens)
+
+
+def test_registering_again_drops_the_old_mask_stock(small_service):
+    """Each registration holds its own masks, drawn as its key sets first encrypt."""
+    driver, = make_clients(small_service, roles=("driver",))
+    first = driver.registration
+    assert first.masks.stocks == {} and first.masks.rng is driver.rng
+    driver.submit_direct_offer(OFFER)
+    held = {keys.dim: len(masks) for keys, masks in first.masks.stocks.items()}
+    assert set(first.masks.stocks) == {first.keysets["direct-driver"], first.keysets["time-driver"]}
+    assert held == {320: 320 // 8 - 3, 48: 48 // 8 - 1}
+    second = driver.register("driver")
+    assert second.masks is not first.masks and second.masks.stocks == {}
+    driver.submit_direct_offer(OFFER)
+    assert set(second.masks.stocks) == {second.keysets["direct-driver"], second.keysets["time-driver"]}
 
 
 def test_direct_end_to_end_loopback(small_service):
@@ -652,6 +669,31 @@ def test_config_refuses_combinations_no_client_can_encode(values, message):
     """No client can encode these, so the service that would ship them refuses them."""
     with pytest.raises(ValueError, match=message):
         ServiceConfig(**values)
+
+
+@pytest.mark.parametrize("values", [
+    dict(id_bits=2**32 - 1, time_bits=2**32 - 1),
+    dict(id_bits=100000),
+    dict(filter_bits=4096),
+], ids=["u32-widths", "id_bits-100000", "filter_bits-4096"])
+def test_config_refuses_widths_whose_key_bundle_exceeds_the_frame_limit(values, monkeypatch):
+    """Refused as a config, before set-up draws any key."""
+    def no_set_up(*args):
+        raise AssertionError("key set-up ran")
+
+    monkeypatch.setattr(crypto, "generate_keys", no_set_up)
+    with pytest.raises(ValueError, match="KEY_BUNDLE .* over the 1073741824-byte limit"):
+        RideService(ServiceConfig(**values), seed=1)
+
+
+def test_paper_width_key_bundles_fit_a_frame():
+    config = ServiceConfig()
+    sizes = {
+        role: protocol.frame_length(protocol.key_bundle_size(role, config, config.tokens_per_bundle))
+        for role in protocol.ROLE_KEY_SETS
+    }
+    assert sizes["driver"] == 268_868_961 > sizes["rider"]
+    assert sizes["driver"] <= protocol.MAX_FRAME_SIZE
 
 
 def test_filters_narrower_than_the_day_slots_match_over_loopback():
