@@ -77,7 +77,6 @@ class BloomFilter:
     epoch: int
     salt: int
     array: np.ndarray | None = None
-    items: int = 0
 
     def __post_init__(self) -> None:
         if self.bits < 1:
@@ -90,19 +89,10 @@ class BloomFilter:
     def add(self, cell: int) -> None:
         for pos in cell_positions(int(cell), self.bits, self.n_hashes, self.epoch, self.salt):
             self.array[pos] = 1
-        self.items += 1
 
     def add_all(self, cells) -> None:
         for cell in cells:
             self.add(cell)
-
-    def membership_dot(self, cell: int) -> int:
-        """How many of the cell's positions are set; == n_hashes means present."""
-        positions = cell_positions(int(cell), self.bits, self.n_hashes, self.epoch, self.salt)
-        return int(self.array[positions].sum())
-
-    def contains(self, cell: int) -> bool:
-        return self.membership_dot(cell) == self.n_hashes
 
     def vector(self) -> np.ndarray:
         """Float copy ready for encryption."""

@@ -13,7 +13,7 @@ of an index is its split half times key operand M_i, and the random share
 of that product, the mask, does not depend on the trip; the plaintext
 share only sums the key rows its set bits pick. So masks are drawn ahead
 in batches (`MaskStock`), and a call adds to each row's mask the key rows
-its vectors set, read from one stacked copy of the key (`UserKeySet.operand`).
+its vectors set, read from the key operand (`UserKeySet.operand`).
 
 All matrices are double precision with entries drawn uniformly from
 [-1, 1]. Master keys and server secrets are redrawn (at most 8 attempts)
@@ -28,11 +28,13 @@ and the two share no array. Set-up and derivation hold only what their
 next step reads: set-up frees each master mask pair once its two bases
 are built, and a derivation drops each share pair once its four parts
 are computed. Master keys and server secrets exist only in
-memory; the one key file format holds a user key set: its eight parts
-and split pattern, with no header, since its reader takes the role and
-width from the key-set plan (`protocol.ROLE_KEY_SETS`). Fixed-seed key
-bytes are reproducible under one BLAS thread count only; match records
-do not depend on it.
+memory; the one key file format holds a user key set: its operand, the
+(dim, 8*dim) matrix encryption reads, and its split pattern, with no
+header, since its reader takes the role and width from the key-set plan
+(`protocol.ROLE_KEY_SETS`). A derivation writes the operand where it will
+be sent, and a client's one copy out of the key file is the operand it
+encrypts with. Fixed-seed key bytes are reproducible under one BLAS
+thread count only; match records do not depend on it.
 """
 
 from __future__ import annotations
@@ -109,11 +111,6 @@ def _invertible_shares(total: np.ndarray, rng: np.random.Generator) -> tuple[np.
     raise KeyGenerationError(f"no invertible additive share pair within {MAX_DRAWS} draws")
 
 
-def _check_square(name: str, mat: np.ndarray, dim: int) -> None:
-    if mat.shape != (dim, dim):
-        raise ValueError(f"{name} must be {dim}x{dim}, got {mat.shape}")
-
-
 @dataclass
 class TosSecrets:
     """Matching-server secrets for one vector width: the two matrices it unmasks with.
@@ -130,41 +127,40 @@ class TosSecrets:
 
 @dataclass(eq=False)
 class UserKeySet:
-    """Per-user encryption keys: eight composed matrices plus the split pattern.
+    """Per-user encryption keys: the key operand plus the split pattern.
 
+    The operand is a (dim, 8*dim) float64 matrix whose row k holds row k of
+    each key operand M_i in part order, where M_i is part i transposed for a
+    driver (part_i @ half is half @ part_i.T) and part i itself for a rider.
+    It is the key file's layout (`user_key_file`) and what encryption reads.
     A key set compares, and hashes, by identity: a client's `MaskStock`
     keeps one stock per key set it holds.
     """
 
     role: str  # "driver" or "rider"
-    dim: int
-    parts: tuple[np.ndarray, ...]
+    operand: np.ndarray
     split_pattern: np.ndarray
 
     def __post_init__(self) -> None:
         if self.role not in _ROLES:
             raise ValueError(f"role must be 'driver' or 'rider', got {self.role!r}")
-        if len(self.parts) != PART_COUNT:
-            raise ValueError(f"expected {PART_COUNT} key parts, got {len(self.parts)}")
-        for i, part in enumerate(self.parts):
-            _check_square(f"parts[{i}]", part, self.dim)
+        if self.operand.ndim != 2 or self.operand.shape[1] != PART_COUNT * self.dim:
+            raise ValueError(f"operand must be (dim, {PART_COUNT}*dim), got {self.operand.shape}")
         if self.split_pattern.shape != (self.dim,):
             raise ValueError("split_pattern width mismatch")
         if not np.isin(self.split_pattern, (0, 1)).all():
             raise ValueError("split_pattern must be 0/1")
 
-    @cached_property
-    def operand(self) -> np.ndarray:
-        """The key as encryption reads it: a C-contiguous (dim, 8*dim) matrix.
+    @property
+    def dim(self) -> int:
+        return self.operand.shape[0]
 
-        Row k holds row k of each key operand M_i in part order, where M_i
-        is part i transposed for a driver (part_i @ half is half @ part_i.T)
-        and part i itself for a rider. A key set read from a key file is
-        built around this matrix, its parts being views of it
-        (`key_material_from_bytes`); any other stacks its parts here on
-        first use.
-        """
-        return _stacked_operand(self.role, self.parts)
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        """The eight (dim, dim) key parts, as read-only views of the operand."""
+        blocks = self.operand.reshape(self.dim, PART_COUNT, self.dim)
+        blocks.flags.writeable = False
+        return tuple(blocks[:, i].T if self.role == "driver" else blocks[:, i] for i in range(PART_COUNT))
 
     @cached_property
     def copied(self) -> np.ndarray:
@@ -183,15 +179,6 @@ class UserKeySet:
         """
         rows = ROW_BUFFER_BYTES // (8 * PART_COUNT * self.dim)
         return np.empty((min(self.dim, max(1, rows)), PART_COUNT * self.dim))
-
-
-def _stacked_operand(role: str, parts) -> np.ndarray:
-    """`UserKeySet.operand` of eight (dim, dim) parts, copied in part by part."""
-    dim = parts[0].shape[0]
-    stacked = np.empty((dim, PART_COUNT, dim), dtype=np.float64)
-    for i, part in enumerate(parts):
-        stacked[:, i, :] = part.T if role == "driver" else part
-    return stacked.reshape(dim, PART_COUNT * dim)
 
 
 @dataclass
@@ -234,7 +221,7 @@ class KeyDeriver:
     carry no condition bound and are never inverted. The first pair feeds
     parts 0-3 and the second parts 4-7, so a derivation holds one pair at
     a time: beyond its output, at most 3 * dim^2 values (the pair and one
-    LU factor).
+    LU factor, or one part's write-back copy when the output is unaligned).
     """
 
     dim: int
@@ -246,23 +233,20 @@ class KeyDeriver:
     driver_bases: tuple[np.ndarray, ...]
     rider_bases: tuple[np.ndarray, ...]
 
-    def derive(
-        self,
-        role: str,
-        rng: np.random.Generator,
-        out: tuple[np.ndarray, ...] | None = None,
-    ) -> UserKeySet:
-        """A fresh key set for `role`.
+    def derive(self, role: str, rng: np.random.Generator, out: np.ndarray | None = None) -> UserKeySet:
+        """A fresh key set for `role`, its operand `out` or a new array.
 
-        With `out`, eight (dim, dim) float64 arrays, each part is computed
-        straight into its array and the key set's parts are those arrays.
+        `out`, a (dim, 8*dim) float64 array such as a key file's operand
+        (`user_key_file`), need not be aligned. Each part is computed
+        straight into its column block: share.T @ base.T, the transpose of
+        base @ share, for a driver, share @ base for a rider.
         """
         if role not in _ROLES:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
-        if out is None:
-            out = (None,) * PART_COUNT
-        elif len(out) != PART_COUNT:
-            raise ValueError(f"expected {PART_COUNT} output parts, got {len(out)}")
+        dim = self.dim
+        operand = np.empty((dim, PART_COUNT * dim)) if out is None else out
+        if operand.shape != (dim, PART_COUNT * dim):
+            raise ValueError(f"out must be a ({dim}, {PART_COUNT * dim}) operand, got {operand.shape}")
         driver = role == "driver"
         if driver:
             totals = (self.blend_a_inv, self.blend_b_inv)
@@ -270,17 +254,16 @@ class KeyDeriver:
         else:
             totals = (self.blend_a, self.blend_b)
             bases, order = self.rider_bases, _RIDER_SHARE_ORDER
-        parts = []
-        for total in totals:
+        for half, total in enumerate(totals):
             shares = _invertible_shares(total, rng)
-            for k in order:
-                i = len(parts)
+            for i, k in enumerate(order, half * len(order)):
+                block = operand[:, i * dim : (i + 1) * dim]
                 if driver:
-                    parts.append(np.matmul(bases[i], shares[k], out=out[i]))
+                    np.matmul(shares[k].T, bases[i].T, out=block)
                 else:
-                    parts.append(np.matmul(shares[k], bases[i], out=out[i]))
+                    np.matmul(shares[k], bases[i], out=block)
             del shares  # this pair goes before the next is drawn
-        return UserKeySet(role, self.dim, tuple(parts), self.split_pattern.copy())
+        return UserKeySet(role, operand, self.split_pattern.copy())
 
 
 def _scheme_keys(
@@ -484,9 +467,10 @@ def similarity_matrix(queries: list[EncryptedIndex], offers: list[EncryptedIndex
 
 
 # ---------------------------------------------------------------------------
-# Key file format (user key sets only): the eight parts as little-endian
-# float64 row-major, then the 0/1 split pattern as raw bytes. Nothing else:
-# whoever reads a key file knows its role and width from the key-set plan.
+# Key file format (user key sets only): the key operand (`UserKeySet.operand`)
+# as little-endian float64 row-major, then the 0/1 split pattern as raw bytes.
+# Nothing else: whoever reads a key file knows its role and width from the
+# key-set plan.
 # ---------------------------------------------------------------------------
 
 
@@ -495,45 +479,32 @@ def user_key_file_size(dim: int) -> int:
     return PART_COUNT * dim * dim * 8 + dim
 
 
-def user_key_file(slot: np.ndarray, dim: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+def user_key_file(slot: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Writable views of a width-`dim` key file laid out in the uint8 buffer `slot`.
 
-    Returns the eight parts, as (dim, dim) little-endian float64 arrays,
-    and the split pattern, for the caller to fill. The part views need not
-    be aligned.
+    Returns the operand, a (dim, 8*dim) little-endian float64 array that
+    need not be aligned, and the split pattern, for the caller to fill.
     """
     size = user_key_file_size(dim)
     if slot.shape != (size,):
         raise ValueError(f"user key file of width {dim} takes {size} bytes, got {slot.shape}")
-    parts = slot[: size - dim].view("<f8").reshape(PART_COUNT, dim, dim)
-    return tuple(parts), slot[size - dim :]
+    return slot[: size - dim].view("<f8").reshape(dim, PART_COUNT * dim), slot[size - dim :]
 
 
 def key_material_to_bytes(keys: UserKeySet) -> bytes:
     """The key file of a user key set, laid out by `user_key_file`."""
-    slot = np.empty(user_key_file_size(keys.dim), dtype=np.uint8)
-    parts, pattern = user_key_file(slot, keys.dim)
-    for view, part in zip(parts, keys.parts):
-        view[...] = part
-    pattern[:] = keys.split_pattern
-    return slot.tobytes()
+    return keys.operand.astype("<f8", copy=False).tobytes() + keys.split_pattern.astype(np.uint8).tobytes()
 
 
 def key_material_from_bytes(blob: bytes | memoryview, role: str, dim: int) -> UserKeySet:
     """The `role` user key set of width `dim` in a whole key file held in any bytes-like object.
 
-    The key is copied once out of `blob`, part by part into its stacked
-    operand (`UserKeySet.operand`), and the key set's parts are views of
-    that one array.
+    The operand is copied out of `blob` in one piece, into an aligned
+    array of its own.
     """
     size = user_key_file_size(dim)
     if len(blob) != size:
         raise ValueError(f"user key file of width {dim} must be {size} bytes, got {len(blob)}")
-    stored = np.frombuffer(blob, "<f8", PART_COUNT * dim * dim).reshape(PART_COUNT, dim, dim)
+    operand = np.frombuffer(blob, "<f8", PART_COUNT * dim * dim).reshape(dim, PART_COUNT * dim).copy()
     pattern = np.frombuffer(blob, np.uint8, dim, size - dim).copy()
-    operand = _stacked_operand(role, stored)
-    blocks = operand.reshape(dim, PART_COUNT, dim)
-    parts = tuple(blocks[:, i, :].T if role == "driver" else blocks[:, i, :] for i in range(PART_COUNT))
-    keys = UserKeySet(role, dim, parts, pattern)
-    keys.operand = operand
-    return keys
+    return UserKeySet(role, operand, pattern)

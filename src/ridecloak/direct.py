@@ -240,16 +240,15 @@ class _Pool:
         """Unmask one submission's four masked indexes into a row made the newest live row.
 
         `secrets` holds the server's "direct" secrets, which unmask the
-        three filters, and its "time" secrets, which unmask the time index
-        (first, for the reason `_encrypt_trips` gives). Unmasking checks
-        the widths and magnitudes before anything is written, so a rejected
-        submission leaves the pool as it was. A row freed by `release` is
-        reused before the pool grows.
+        three filters, and its "time" secrets, which unmask the time index.
+        Unmasking checks the widths and magnitudes of both batches before
+        anything is written, so a rejected submission leaves the pool as it
+        was. A row freed by `release` is reused before the pool grows.
         """
         if len(indexes) != len(self.kinds):
             raise ValueError(f"a submission carries {len(self.kinds)} indexes, got {len(indexes)}")
-        time = crypto.unmask_indices(indexes[TIME:], secrets["time"], self.role)
-        cleared = crypto.unmask_indices(indexes[:TIME], secrets["direct"], self.role) + time
+        cleared = crypto.unmask_indices(indexes[:TIME], secrets["direct"], self.role)
+        cleared += crypto.unmask_indices(indexes[TIME:], secrets["time"], self.role)
         row = self._free[-1] if self._free else self.used
         if row == len(self.live):
             self._grow()

@@ -25,11 +25,12 @@ A KEY_BUNDLE payload is `u64 epoch | u64 salt | six u32 | u16 token count
 | tokens | key blocks`. The six u32 are a `Params` in field order, and a
 header that breaks `Params`' rule is refused with BAD_STATE. The key
 blocks are the registered role's `ROLE_KEY_SETS` entries back to back, to
-the end of the payload: each is a key file (`crypto.user_key_file`),
-8*d*d little-endian float64 parts then d split-pattern bytes, with d its
-scheme's width at the header's widths. No name, length or role travels
-with a key block: both ends hold the plan, and `key_blocks` cuts a
-payload's blocks by it.
+the end of the payload: each is a key file (`crypto.user_key_file`), the
+(d, 8*d) little-endian float64 operand that encryption reads, then d
+split-pattern bytes, with d its scheme's width at the header's widths.
+The authority derives into a block, and a client copies its operand out
+whole. No name, length or role travels with a key block: both ends hold
+the plan, and `key_blocks` cuts a payload's blocks by it.
 """
 
 from __future__ import annotations

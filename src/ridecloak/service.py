@@ -111,8 +111,8 @@ class TrustedAuthority:
         widths = cfg.widths
         frame, blocks = protocol.key_bundle_frame(bundle, protocol.key_blocks_size(role, widths))
         for (_, scheme, key_role), block in protocol.key_blocks(role, widths, blocks):
-            parts, pattern = crypto.user_key_file(block, widths[scheme])
-            pattern[:] = self.derivers[scheme].derive(key_role, self._rng, out=parts).split_pattern
+            operand, pattern = crypto.user_key_file(block, widths[scheme])
+            pattern[:] = self.derivers[scheme].derive(key_role, self._rng, out=operand).split_pattern
         return frame, [_token_digest(t) for t in tokens]
 
 

@@ -446,11 +446,12 @@ def dense_encrypt(vectors, parts, pattern, role, rng):
 # --- wire layouts ---------------------------------------------------------------
 
 
-def user_key_file(parts, pattern):
-    """A user key set's key file: the parts as little-endian float64
+def user_key_file(parts, pattern, role):
+    """A user key set's key file: the (d, 8d) operand whose row k holds row
+    k of each part (transposed for a driver), as little-endian float64
     row-major, then the split pattern, one byte per entry."""
-    body = b"".join(np.asarray(p, dtype="<f8").tobytes(order="C") for p in parts)
-    return body + bytes(int(v) for v in pattern)
+    operand = np.hstack([np.transpose(p) if role == "driver" else p for p in parts])
+    return np.asarray(operand, dtype="<f8").tobytes(order="C") + bytes(int(v) for v in pattern)
 
 
 def key_bundle_frame(epoch, fields, key_files, tokens):

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ridecloak import crypto, direct, kernels, protocol, sim, transfer
+from ridecloak import bloom, crypto, direct, kernels, protocol, sim, transfer
 
 SMALL_CONFIG = dict(
     filter_bits=320, n_hashes=4, id_bits=6, time_bits=4,
@@ -123,6 +123,14 @@ def build_graph(offers, secrets, id_bits):
     for offer in offers:
         graph.add_offer(offer, secrets)
     return graph
+
+
+def membership_dot(filt, cell):
+    """The dot of `cell`'s one-cell query with `filt`'s vector: how many of
+    the cell's positions are set, `n_hashes` exactly when all are."""
+    query = np.zeros(filt.bits)
+    query[bloom.cell_positions(cell, filt.bits, filt.n_hashes, filt.epoch, filt.salt)] = 1.0
+    return int(query @ filt.vector())
 
 
 def analytic_fpp(bits, n_hashes, items):

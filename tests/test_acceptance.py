@@ -166,7 +166,7 @@ def test_criterion_3_summary_bit_count_and_false_positive_rate():
         if cell in members:
             continue
         probes += 1
-        if f.membership_dot(cell) == 24:
+        if support.membership_dot(f, cell) == 24:
             false_pos += 1
     fpp = false_pos / probes
     report(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -302,7 +303,7 @@ def test_role_validation(knn64):
     with pytest.raises(ValueError, match="role"):
         knn64.deriver.derive("server", np.random.default_rng(0))
     with pytest.raises(ValueError, match="role"):
-        crypto.UserKeySet("admin", knn64.dim, knn64.rider.parts, knn64.rider.split_pattern)
+        crypto.UserKeySet("admin", knn64.rider.operand, knn64.rider.split_pattern)
     idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, np.random.default_rng(0))
     with pytest.raises(KeyError, match="server"):
         crypto.unmask_indices([idx], knn64.secrets, "server")
@@ -329,15 +330,14 @@ def test_derive_into_unaligned_key_file_slot(knn64):
         fresh = knn64.deriver.derive(role, np.random.default_rng(9))
         buf = np.zeros(size + 3, dtype=np.uint8)
         slot = buf[3:]
-        parts, pattern = crypto.user_key_file(slot, knn64.dim)
-        keys = knn64.deriver.derive(role, np.random.default_rng(9), out=parts)
+        operand, pattern = crypto.user_key_file(slot, knn64.dim)
+        keys = knn64.deriver.derive(role, np.random.default_rng(9), out=operand)
         pattern[:] = keys.split_pattern
-        assert not parts[0].flags.aligned
-        assert all(np.shares_memory(k, p) for k, p in zip(keys.parts, parts))
+        assert not operand.flags.aligned and keys.operand is operand
         assert slot.tobytes() == crypto.key_material_to_bytes(fresh)
-        assert slot.tobytes() == oracles.user_key_file(fresh.parts, fresh.split_pattern)
-    with pytest.raises(ValueError, match="output parts"):
-        knn64.deriver.derive("rider", np.random.default_rng(0), out=parts[:7])
+        assert slot.tobytes() == oracles.user_key_file(fresh.parts, fresh.split_pattern, role)
+    with pytest.raises(ValueError, match="operand"):
+        knn64.deriver.derive("rider", np.random.default_rng(0), out=operand[:, :-1])
     with pytest.raises(ValueError, match="bytes"):
         crypto.user_key_file(buf, knn64.dim)
 
@@ -368,9 +368,9 @@ def test_key_setup_and_derivation_match_the_reference_bit_for_bit(seed):
         for role in ("driver", "rider"):
             assert same_bytes(deriver.derive(role, rng).parts, oracles.derive(ref, role, ref_rng))
             slot = np.zeros(crypto.user_key_file_size(dim) + 3, dtype=np.uint8)[3:]
-            parts, _ = crypto.user_key_file(slot, dim)
-            deriver.derive(role, rng, out=parts)
-            assert same_bytes(parts, oracles.derive(ref, role, ref_rng))
+            operand, _ = crypto.user_key_file(slot, dim)
+            keys = deriver.derive(role, rng, out=operand)
+            assert same_bytes(keys.parts, oracles.derive(ref, role, ref_rng))
     assert rng.random() == ref_rng.random()
 
 
@@ -391,18 +391,25 @@ def test_key_setup_peaks_within_six_matrices_of_what_it_keeps():
 
 
 def test_derivation_holds_one_share_pair_at_a_time():
-    """Deriving into a key-file slot peaks at one share pair and an LU factor."""
+    """Deriving into a key-file slot peaks at one share pair and an LU factor.
+
+    At offset 3 the slot is unaligned, as the authority's key blocks are
+    (they start 87 + 32·T bytes into the frame), and each part's GEMM adds
+    a write-back copy.
+    """
     derivers, _ = crypto.generate_keys({"direct": MEMORY_DIM}, np.random.default_rng(2))
-    slot = np.empty(crypto.user_key_file_size(MEMORY_DIM), dtype=np.uint8)
-    for role in ("driver", "rider"):
-        parts, _ = crypto.user_key_file(slot, MEMORY_DIM)
+    size = crypto.user_key_file_size(MEMORY_DIM)
+    buf = np.empty(size + 3, dtype=np.uint8)
+    for offset, role in itertools.product((0, 3), ("driver", "rider")):
+        operand, _ = crypto.user_key_file(buf[offset : offset + size], MEMORY_DIM)
+        assert operand.flags.aligned == (offset == 0)
         tracemalloc.start()
         try:
-            derivers["direct"].derive(role, np.random.default_rng(3), out=parts)
+            derivers["direct"].derive(role, np.random.default_rng(3), out=operand)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * MATRIX_BYTES, role
+        assert peak <= 3.5 * MATRIX_BYTES, (offset, role)
 
 
 def test_key_blob_must_be_exact_and_patterns_binary(knn64):
@@ -416,24 +423,32 @@ def test_key_blob_must_be_exact_and_patterns_binary(knn64):
     with pytest.raises(ValueError, match="0/1"):
         crypto.key_material_from_bytes(bytes(blob), "rider", knn64.dim)
     with pytest.raises(ValueError, match="0/1"):
-        crypto.UserKeySet("rider", knn64.dim, knn64.rider.parts, np.full(knn64.dim, 7, np.uint8))
+        crypto.UserKeySet("rider", knn64.rider.operand, np.full(knn64.dim, 7, np.uint8))
 
 
 def test_loaded_key_set_is_one_stacked_operand(knn64):
-    """A key set read from a key file is one C-contiguous (d, 8d) array; its parts are views of it."""
+    """A key set read from a key file is the file's operand copied into one aligned
+    C-contiguous (d, 8d) array of its own; its parts are read-only views of it."""
     dim = knn64.dim
     for stored in (knn64.driver, knn64.rider):
-        loaded = reloaded(stored)
+        blob = crypto.key_material_to_bytes(stored)
+        frame = bytearray(3) + blob  # a key block sits unaligned in its frame
+        loaded = crypto.key_material_from_bytes(memoryview(frame)[3:], stored.role, dim)
         operand = loaded.operand
-        assert operand.shape == (dim, crypto.PART_COUNT * dim) and operand.flags.c_contiguous
-        assert all(np.shares_memory(part, operand) for part in loaded.parts)
+        assert operand.shape == (dim, crypto.PART_COUNT * dim)
+        assert operand.tobytes() == blob[: crypto.PART_COUNT * dim * dim * 8]
+        assert operand.flags.c_contiguous and operand.flags.aligned and operand.flags.owndata
+        assert all(np.shares_memory(part, operand) and not part.flags.writeable for part in loaded.parts)
         blocks = operand.reshape(dim, crypto.PART_COUNT, dim)
         for i, (part, want) in enumerate(zip(loaded.parts, stored.parts)):
             np.testing.assert_array_equal(part, want)
             # row k of the operand holds row k of every key operand M_i
             key_operand = want.T if stored.role == "driver" else want
             np.testing.assert_array_equal(blocks[:, i, :], key_operand)
-        assert crypto.key_material_to_bytes(loaded) == crypto.key_material_to_bytes(stored)
+        assert crypto.key_material_to_bytes(loaded) == blob
+    for bad in (np.zeros((dim, 8 * dim - 1)), np.zeros((dim + 1, 8 * dim)), np.zeros(8 * dim * dim)):
+        with pytest.raises(ValueError, match="operand"):
+            crypto.UserKeySet("rider", bad, knn64.rider.split_pattern)
 
 
 def dense_reference(vectors, keys, seed):

@@ -1016,7 +1016,7 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
         key_files = []
         for name, deriver, key_role in plans[role]:
             keys = deriver.derive(key_role, rng)
-            key_files.append(oracles.user_key_file(keys.parts, keys.split_pattern))
+            key_files.append(oracles.user_key_file(keys.parts, keys.split_pattern, key_role))
         expected = oracles.key_bundle_frame(
             1, fields, key_files,
             [tokens.token_bytes(protocol.TOKEN_SIZE) for _ in range(config.tokens_per_bundle)],
