@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crypto, direct, protocol, transfer
-from .crypto import UserKeySet
+from .crypto import KeySetId, UserKeySet
 from .direct import OfferSpec, RequestSpec
 from .protocol import ErrorCode, Frame, MsgType, ProtocolError
 from .transfer import Preference
@@ -89,7 +89,7 @@ class Registration:
     role: str
     epoch: int
     salt: int
-    keysets: dict[str, UserKeySet]
+    keysets: dict[KeySetId, UserKeySet]  # the role's plan, by (scheme, role)
     tokens: list[bytes]
     params: protocol.Params
     masks: crypto.MaskStock  # drawn from the client's generator; dropped on registering again
@@ -145,13 +145,6 @@ class ServiceClient:
             raise RuntimeError("client is not registered")
         return self.registration
 
-    def _keys(self, name: str) -> UserKeySet:
-        reg = self._registered()
-        try:
-            return reg.keysets[name]
-        except KeyError:
-            raise RuntimeError(f"role {reg.role!r} holds no {name!r} keys") from None
-
     # -- registration and epochs ----------------------------------------------
 
     def register(self, role: str) -> Registration:
@@ -161,11 +154,11 @@ class ServiceClient:
         bundle, blocks = protocol.decode_key_bundle(frame.payload)
         widths = bundle.params.widths
         keysets = {}
-        for (name, scheme, key_role), block in protocol.key_blocks(role, widths, blocks):
+        for key_set, block in protocol.key_blocks(role, widths, blocks):
             try:
-                keysets[name] = crypto.key_material_from_bytes(block, key_role, widths[scheme])
+                keysets[key_set] = crypto.key_material_from_bytes(block, key_set[1], widths[key_set[0]])
             except ValueError as exc:
-                raise ProtocolError(ErrorCode.BAD_STATE, f"key set {name!r}: {exc}") from exc
+                raise ProtocolError(ErrorCode.BAD_STATE, f"key set {key_set}: {exc}") from exc
         self.registration = Registration(
             role, bundle.epoch, bundle.salt, keysets, bundle.tokens, bundle.params,
             crypto.MaskStock(self.rng),
@@ -187,10 +180,7 @@ class ServiceClient:
         """Encrypt offers in one batch, submit one frame each; returns server ids."""
         self._need_tokens(len(specs))
         reg = self.registration
-        offers = direct.build_offers(
-            specs, self._keys("direct-driver"), self._keys("time-driver"),
-            reg.params, reg.epoch, reg.salt, reg.masks,
-        )
+        offers = direct.build_offers(specs, reg.keysets, reg.params, reg.epoch, reg.salt, reg.masks)
         return [self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(o)) for o in offers]
 
     def submit_direct_offer(self, spec: OfferSpec) -> str:
@@ -199,13 +189,8 @@ class ServiceClient:
     def submit_direct_requests(self, specs: list[RequestSpec]) -> list[str]:
         self._need_tokens(len(specs))
         reg = self.registration
-        requests = direct.build_requests(
-            specs, self._keys("direct-rider"), self._keys("time-rider"),
-            reg.params, reg.epoch, reg.salt, reg.masks,
-        )
-        return [
-            self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(r)) for r in requests
-        ]
+        requests = direct.build_requests(specs, reg.keysets, reg.params, reg.epoch, reg.salt, reg.masks)
+        return [self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(r)) for r in requests]
 
     def submit_direct_request(self, spec: RequestSpec) -> str:
         return self.submit_direct_requests([spec])[0]
@@ -217,15 +202,7 @@ class ServiceClient:
     ) -> str:
         reg = self._registered()
         offer = transfer.build_transfer_offer(
-            "local",
-            cells,
-            self._keys("transfer-plus"),
-            self._keys("transfer-minus"),
-            reg.params.id_bits,
-            reg.params.time_bits,
-            capacity,
-            reg.masks,
-            contact,
+            "local", cells, reg.keysets, reg.params, capacity, reg.masks, contact
         )
         return self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(offer))
 
@@ -242,15 +219,7 @@ class ServiceClient:
         elif isinstance(preference, str):
             preference = Preference.parse(preference)
         request = transfer.build_transfer_request(
-            "local",
-            pickup,
-            dropoff,
-            self._keys("transfer-rider"),
-            reg.params.id_bits,
-            reg.params.time_bits,
-            preference,
-            rng=reg.masks,
-            contact=contact,
+            "local", pickup, dropoff, reg.keysets, reg.params, preference, rng=reg.masks, contact=contact
         )
         return self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(request))
 

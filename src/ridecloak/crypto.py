@@ -30,11 +30,15 @@ are built, and a derivation drops each share pair once its four parts
 are computed. Master keys and server secrets exist only in
 memory; the one key file format holds a user key set: its operand, the
 (dim, 8*dim) matrix encryption reads, and its split pattern, with no
-header, since its reader takes the role and width from the key-set plan
-(`protocol.ROLE_KEY_SETS`). A derivation writes the operand where it will
+header, since its reader takes the role and width from the registration
+plan (`protocol.PLANS`). A derivation writes the operand where it will
 be sent, and a client's one copy out of the key file is the operand it
 encrypts with. Fixed-seed key bytes are reproducible under one BLAS
 thread count only; match records do not depend on it.
+
+A submission's layout names the (scheme, role) key set of each of its
+indexes (`direct.DIRECT_OFFER`, ...); `encrypt_layout` and `unmask_layout`
+make one `encrypt_indices` or `unmask_indices` call per key set of it.
 """
 
 from __future__ import annotations
@@ -455,6 +459,52 @@ def unmask_indices(
     if not (np.abs(cleared) <= unmasked_part_bound(secrets.dim)).all():
         raise ValueError("unmasked index parts are not finite or exceed the magnitude bound")
     return [EncryptedIndex(block) for block in cleared.reshape(len(indexes), PART_COUNT, secrets.dim)]
+
+
+# A user key set's name, (scheme, role), and a ciphertext block's layout:
+# the key set of each of its indexes, in block order.
+KeySetId = tuple[str, str]
+Layout = tuple[KeySetId, ...]
+
+
+def _per_key_set(layout: Layout, items: list, apply) -> list:
+    """`apply(key set, its items in block order)` once per key set of `layout`,
+    in first-use order, each result put back in its item's place."""
+    if len(items) != len(layout):
+        raise ValueError(f"a block laid out for {len(layout)} indexes got {len(items)}")
+    places: dict[KeySetId, list[int]] = {}
+    for place, key_set in enumerate(layout):
+        places.setdefault(key_set, []).append(place)
+    out = [None] * len(layout)
+    for key_set, where in places.items():
+        for place, result in zip(where, apply(key_set, [items[i] for i in where])):
+            out[place] = result
+    return out
+
+
+def encrypt_layout(
+    vectors: list[np.ndarray],
+    layout: Layout,
+    keysets: dict[KeySetId, UserKeySet],
+    rng: np.random.Generator | MaskStock,
+) -> list[EncryptedIndex]:
+    """One binary vector per index of `layout`, encrypted by one `encrypt_indices` call per key set.
+
+    A layout naming a key set that `keysets` lacks is refused with
+    ValueError before anything is encrypted.
+    """
+    for key_set in dict.fromkeys(layout):
+        if key_set not in keysets:
+            raise ValueError(f"no {key_set} key set is held")
+    return _per_key_set(layout, vectors, lambda ks, rows: encrypt_indices(np.stack(rows), keysets[ks], rng))
+
+
+def unmask_layout(
+    indexes: list[EncryptedIndex], layout: Layout, secrets: dict[str, TosSecrets]
+) -> list[EncryptedIndex]:
+    """A block laid out by `layout`, unmasked by one `unmask_indices` call per key set, under
+    its scheme's secrets and its role, so every check there runs before anything is returned."""
+    return _per_key_set(layout, indexes, lambda ks, batch: unmask_indices(batch, secrets[ks[0]], ks[1]))
 
 
 def similarity_matrix(queries: list[EncryptedIndex], offers: list[EncryptedIndex]) -> np.ndarray:

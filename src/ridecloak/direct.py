@@ -5,10 +5,12 @@ pick-up area filter, drop-off area filter, route filter, and a day-slot
 time vector. A request carries the rider's pick-up cell, drop-off cell,
 intended route filter, and time vector, encoded by the `protocol.Params`
 of the user's registration. The three filters are `filter_bits` wide and
-encrypt under the "direct" key sets; the time vector is one-hot over
-`time_slots` positions and encrypts under the "time" key sets, so no
-index carries padding. The server matches a pair by checking, on unmasked
-indexes only:
+encrypt under the "direct" key set of the user's role; the time vector is
+one-hot over `time_slots` positions and encrypts under the "time" key set,
+so no index carries padding. `DIRECT_OFFER` and `DIRECT_REQUEST` name
+these (scheme, role) key sets in block order, and both encryption and
+the pools' unmasking read them. The server matches a pair by checking, on
+unmasked indexes only:
 
   gate 1: time similarity == 1        (same day slot)
   gate 2: pick-up similarity == n_hashes  (rider pick-up in driver area)
@@ -34,7 +36,7 @@ import numpy as np
 
 from . import crypto, kernels
 from .bloom import BloomFilter, slot_vector
-from .crypto import EncryptedIndex, MaskStock, TosSecrets, UserKeySet
+from .crypto import EncryptedIndex, KeySetId, Layout, MaskStock, TosSecrets, UserKeySet
 
 if TYPE_CHECKING:  # protocol imports this module
     from .protocol import Params
@@ -49,6 +51,11 @@ class MatchCase(enum.Enum):
 
 
 DEFAULT_CASES = (MatchCase.AREA, MatchCase.ROUTE, MatchCase.EXTENDED)
+
+# The key set of each index of a direct trip: pick-up, drop-off and route
+# filters, then the time index.
+DIRECT_OFFER: Layout = (("direct", "driver"),) * 3 + (("time", "driver"),)
+DIRECT_REQUEST: Layout = (("direct", "rider"),) * 3 + (("time", "rider"),)
 
 
 @dataclass
@@ -122,73 +129,54 @@ def _filter(cells, params: Params, epoch: int, salt: int) -> np.ndarray:
     return BloomFilter.of_cells(cells, params.filter_bits, params.n_hashes, epoch, salt).vector()
 
 
-def _encrypt_trips(
-    filters: list[np.ndarray],
-    slots: list[np.ndarray],
-    keys: UserKeySet,
-    time_keys: UserKeySet,
-    rng: np.random.Generator | MaskStock,
+def _encrypt(
+    trips: list[tuple], layout: Layout, keysets: dict[KeySetId, UserKeySet],
+    params: Params, epoch: int, salt: int, rng: np.random.Generator | MaskStock,
 ) -> list[list[EncryptedIndex]]:
-    """Each trip's (pick-up, drop-off, route, time) indexes.
-
-    All of a call's filters go through one batched encryption under `keys`,
-    and all its slot vectors through one under `time_keys`; `rng` is where
-    their masks come from (`crypto.encrypt_indices`).
-    """
-    if time_keys.role != keys.role:
-        raise ValueError(f"time keys are {time_keys.role} keys, expected {keys.role}")
-    places = crypto.encrypt_indices(np.stack(filters), keys, rng)
-    times = crypto.encrypt_indices(np.stack(slots), time_keys, rng)
-    return [[*places[3 * j : 3 * j + 3], time] for j, time in enumerate(times)]
+    """Each trip's indexes, laid out by `layout`, from one `crypto.encrypt_layout` call: a
+    trip's pick-up, drop-off and route cell sets as filters, then its time as a day slot."""
+    plain = []
+    for *cell_sets, seconds in trips:
+        plain += [_filter(c, params, epoch, salt) for c in cell_sets]
+        plain.append(slot_vector(seconds, params.time_slots))
+    indexes = crypto.encrypt_layout(plain, layout * len(trips), keysets, rng)
+    return [indexes[j : j + len(layout)] for j in range(0, len(indexes), len(layout))]
 
 
 def build_offers(
     specs: list[OfferSpec],
-    keys: UserKeySet,
-    time_keys: UserKeySet,
+    keysets: dict[KeySetId, UserKeySet],
     params: Params,
     epoch: int,
     salt: int,
     rng: np.random.Generator | MaskStock,
 ) -> list[DirectOffer]:
-    """Encrypt many offers in one batched pass: one encryption call per key set."""
-    if keys.role != "driver":
-        raise ValueError("offers must be encrypted with driver keys")
-    if not specs:
-        return []
+    """Encrypt many offers in one batched pass: one encryption call per key set of `DIRECT_OFFER`."""
     for s in specs:
         if not s.cases:
             raise ValueError("offer must accept at least one drop-off case")
         if s.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {s.capacity}")
-    cells = [c for s in specs for c in (s.pickup_cells, s.dropoff_cells, s.route_cells)]
-    filters = [_filter(c, params, epoch, salt) for c in cells]
-    slots = [slot_vector(s.depart_seconds, params.time_slots) for s in specs]
+    trips = [(s.pickup_cells, s.dropoff_cells, s.route_cells, s.depart_seconds) for s in specs]
     return [
         DirectOffer(s.offer_id, s.capacity, tuple(s.cases), *indexes, s.contact)
-        for s, indexes in zip(specs, _encrypt_trips(filters, slots, keys, time_keys, rng))
+        for s, indexes in zip(specs, _encrypt(trips, DIRECT_OFFER, keysets, params, epoch, salt, rng))
     ]
 
 
 def build_requests(
     specs: list[RequestSpec],
-    keys: UserKeySet,
-    time_keys: UserKeySet,
+    keysets: dict[KeySetId, UserKeySet],
     params: Params,
     epoch: int,
     salt: int,
     rng: np.random.Generator | MaskStock,
 ) -> list[DirectRequest]:
-    if keys.role != "rider":
-        raise ValueError("requests must be encrypted with rider keys")
-    if not specs:
-        return []
-    cells = [c for s in specs for c in ([s.pickup_cell], [s.dropoff_cell], s.route_cells)]
-    filters = [_filter(c, params, epoch, salt) for c in cells]
-    slots = [slot_vector(s.pickup_seconds, params.time_slots) for s in specs]
+    """Encrypt many requests in one batched pass: one encryption call per key set of `DIRECT_REQUEST`."""
+    trips = [([s.pickup_cell], [s.dropoff_cell], s.route_cells, s.pickup_seconds) for s in specs]
     return [
         DirectRequest(s.request_id, *indexes, s.contact)
-        for s, indexes in zip(specs, _encrypt_trips(filters, slots, keys, time_keys, rng))
+        for s, indexes in zip(specs, _encrypt(trips, DIRECT_REQUEST, keysets, params, epoch, salt, rng))
     ]
 
 
@@ -202,8 +190,8 @@ class _Pool:
     """Unmasked ciphertexts of stored submissions, one row per submission.
 
     `dims` is each index kind's width, as `protocol.layout_dims` gives it
-    for a direct trip, and `role` that of the key sets its submissions are
-    encrypted under. `kinds[kind]` is one contiguous (rows, 8*dims[kind])
+    for a direct trip, and `layout` names the key set each index of a
+    stored submission is unmasked by. `kinds[kind]` is one contiguous (rows, 8*dims[kind])
     float64 matrix per index kind, so a matching round's GEMMs read the
     used prefix in place. `live` marks the rows that hold a current
     submission and `seq` their arrival order. A freed row keeps its stale
@@ -239,16 +227,13 @@ class _Pool:
     ) -> int:
         """Unmask one submission's four masked indexes into a row made the newest live row.
 
-        `secrets` holds the server's "direct" secrets, which unmask the
-        three filters, and its "time" secrets, which unmask the time index.
-        Unmasking checks the widths and magnitudes of both batches before
+        `secrets` maps each scheme to the server's secrets; the pool's
+        `layout` picks the scheme and role of each index. Unmasking checks
+        the count, widths and magnitudes of the whole submission before
         anything is written, so a rejected submission leaves the pool as it
         was. A row freed by `release` is reused before the pool grows.
         """
-        if len(indexes) != len(self.kinds):
-            raise ValueError(f"a submission carries {len(self.kinds)} indexes, got {len(indexes)}")
-        cleared = crypto.unmask_indices(indexes[:TIME], secrets["direct"], self.role)
-        cleared += crypto.unmask_indices(indexes[TIME:], secrets["time"], self.role)
+        cleared = crypto.unmask_layout(indexes, self.layout, secrets)
         row = self._free[-1] if self._free else self.used
         if row == len(self.live):
             self._grow()
@@ -296,7 +281,7 @@ class OfferPool(_Pool):
     driver's order, padded with -1.
     """
 
-    role = "driver"
+    layout = DIRECT_OFFER
     _row_arrays = ("live", "seq", "remaining", "cases")
 
     def __init__(self, dims: tuple[int, ...], rows: int = POOL_ROWS):
@@ -327,7 +312,7 @@ class OfferPool(_Pool):
 class RequestPool(_Pool):
     """Pending requests; a row freed by a match takes the next request."""
 
-    role = "rider"
+    layout = DIRECT_REQUEST
 
     def admit(
         self, indexes: list[EncryptedIndex], secrets: dict[str, TosSecrets], request_id: str

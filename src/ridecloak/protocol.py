@@ -12,25 +12,27 @@ failures come back as ERROR frames and leave server state unchanged.
 A SUBMIT_OFFER or SUBMIT_REQUEST payload ends in one ciphertext block:
 its encrypted indexes back to back, each as 8*dim little-endian float64
 (the eight parts, row-major), with nothing between them. No width travels.
-A layout is the scheme of each index, and there are two: `DIRECT_TRIP`
-(pick-up, drop-off, route, time) for direct offers and requests, and
-`TRANSFER_PAIR`, once per announced cell of a transfer offer (plus, minus)
-and once for a transfer request (pick-up, drop-off). The decoder sizes
-every block by one rule: each index is its scheme's width in the caller's
-`Params.widths` table, and a block of any other size is refused with
-BAD_DIMENSION. All indexes are masked; the submission kind and an index's
-place fix the role of the key set it is unmasked under (`ROLE_KEY_SETS`).
+A layout names the (scheme, role) key set of each index, and there are
+four: `DIRECT_OFFER` and `DIRECT_REQUEST` (pick-up, drop-off, route,
+time), `TRANSFER_CELL`, once per announced cell of a transfer offer
+(plus, minus), and `TRANSFER_QUERY` (pick-up, drop-off). The decoder
+sizes every block by one rule: each index is its scheme's width in the
+caller's `Params.widths` table, and a block of any other size is refused
+with BAD_DIMENSION. All indexes are masked, and the layout also names
+the key set each is unmasked by.
 
 A KEY_BUNDLE payload is `u64 epoch | u64 salt | six u32 | u16 token count
 | tokens | key blocks`. The six u32 are a `Params` in field order, and a
 header that breaks `Params`' rule is refused with BAD_STATE. The key
-blocks are the registered role's `ROLE_KEY_SETS` entries back to back, to
-the end of the payload: each is a key file (`crypto.user_key_file`), the
-(d, 8*d) little-endian float64 operand that encryption reads, then d
-split-pattern bytes, with d its scheme's width at the header's widths.
-The authority derives into a block, and a client copies its operand out
-whole. No name, length or role travels with a key block: both ends hold
-the plan, and `key_blocks` cuts a payload's blocks by it.
+blocks are the registered role's plan (`PLANS`) back to back, to the end
+of the payload: the distinct key sets of the role's layouts, by scheme
+in `Params.widths` order, driver before rider. Each is a key file
+(`crypto.user_key_file`), the (d, 8*d) little-endian float64 operand
+that encryption reads, then d split-pattern bytes, with d its scheme's
+width at the header's widths. The authority derives into a block, and a
+client copies its operand out whole. No name, length or role travels
+with a key block: both ends hold the plan, and `key_blocks` cuts a
+payload's blocks by it.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import crypto
-from .crypto import PART_COUNT, EncryptedIndex
-from .direct import CASES, DirectOffer, DirectRequest, MatchCase
+from .crypto import PART_COUNT, EncryptedIndex, KeySetId, Layout
+from .direct import CASES, DIRECT_OFFER, DIRECT_REQUEST, DirectOffer, DirectRequest, MatchCase
 from .transfer import (
+    TRANSFER_CELL,
+    TRANSFER_QUERY,
     Preference,
     PreferenceKind,
     TransferCellCipher,
@@ -261,8 +265,8 @@ class _Reader:
     def indexes(self, layout: Layout, widths: dict[str, int]) -> list[EncryptedIndex]:
         """The rest of the payload as the ciphertext block `layout` lays out.
 
-        The block must hold one index per scheme of `layout` in turn, each
-        `widths[scheme]` wide, else BAD_DIMENSION. The block is copied
+        The block must hold one index per key set of `layout` in turn, each
+        its scheme's `widths[scheme]` wide, else BAD_DIMENSION. The block is copied
         once, so no index keeps a view of the payload.
         """
         dims = layout_dims(layout, widths)
@@ -332,34 +336,21 @@ class Params:
         return {"direct": self.filter_bits, "transfer": transfer, "time": self.time_slots}
 
 
-# A ciphertext block's layout: the scheme of each index, in block order.
-Layout = tuple[str, ...]
-DIRECT_TRIP: Layout = ("direct",) * 3 + ("time",)
-TRANSFER_PAIR: Layout = ("transfer",) * 2  # once per announced cell of a transfer offer
-
-
 def layout_dims(layout: Layout, widths: dict[str, int]) -> tuple[int, ...]:
     """Each index's width in a block laid out by `layout`."""
-    return tuple(widths[scheme] for scheme in layout)
+    return tuple(widths[scheme] for scheme, _ in layout)
 
 
-# The key sets a registration carries, per registered role, in the order of
-# their key blocks: (name the client keeps them under, scheme, role the key
-# set is derived for). A driver encrypts each transfer cell twice: with
-# driver keys ("transfer-plus") and with rider keys ("transfer-minus"). A
-# direct trip's time index has its own key sets.
-ROLE_KEY_SETS: dict[str, tuple[tuple[str, str, str], ...]] = {
-    "driver": (
-        ("direct-driver", "direct", "driver"),
-        ("transfer-plus", "transfer", "driver"),
-        ("transfer-minus", "transfer", "rider"),
-        ("time-driver", "time", "driver"),
-    ),
-    "rider": (
-        ("direct-rider", "direct", "rider"),
-        ("transfer-rider", "transfer", "rider"),
-        ("time-rider", "time", "rider"),
-    ),
+# The layouts of the submissions each role makes.
+ROLE_LAYOUTS = {"driver": (DIRECT_OFFER, TRANSFER_CELL), "rider": (DIRECT_REQUEST, TRANSFER_QUERY)}
+_SCHEMES = tuple(Params().widths)
+# Each role's registration plan, the key sets its bundle carries in key-block
+# order: the distinct key sets of its layouts, by scheme in `Params.widths`
+# order, driver before rider. A driver encrypts each transfer cell under
+# ("transfer", "driver") (plus) and ("transfer", "rider") (minus).
+PLANS: dict[str, tuple[KeySetId, ...]] = {
+    role: tuple(sorted(set().union(*layouts), key=lambda k: (_SCHEMES.index(k[0]), _ROLE_CODE[k[1]])))
+    for role, layouts in ROLE_LAYOUTS.items()
 }
 _PREF_CODE = {kind: i for i, kind in enumerate(PreferenceKind)}
 _PREF_NAME = {v: k for k, v in _PREF_CODE.items()}
@@ -393,7 +384,7 @@ class KeyBundle:
 
 def key_blocks_size(role: str, widths: dict[str, int]) -> int:
     """Bytes of a `role` bundle's key blocks at `widths`."""
-    return sum(crypto.user_key_file_size(widths[scheme]) for _, scheme, _ in ROLE_KEY_SETS[role])
+    return sum(crypto.user_key_file_size(widths[scheme]) for scheme, _ in PLANS[role])
 
 
 def key_bundle_size(role: str, params: Params, tokens: int) -> int:
@@ -404,10 +395,10 @@ def key_bundle_size(role: str, params: Params, tokens: int) -> int:
 
 def key_blocks(
     role: str, widths: dict[str, int], blocks: memoryview | np.ndarray
-) -> list[tuple[tuple[str, str, str], memoryview | np.ndarray]]:
+) -> list[tuple[KeySetId, memoryview | np.ndarray]]:
     """`blocks`, a bundle's key blocks, cut by the `role` plan at `widths`.
 
-    Returns each `ROLE_KEY_SETS[role]` entry with the slice of `blocks`
+    Returns each key set of `PLANS[role]` with the slice of `blocks`
     holding its key file. Blocks of any size but the plan's are refused
     with BAD_STATE.
     """
@@ -418,9 +409,9 @@ def key_blocks(
             f"a {role} bundle's key blocks take {expected} bytes at its widths, got {len(blocks)}",
         )
     out, start = [], 0
-    for entry in ROLE_KEY_SETS[role]:
-        end = start + crypto.user_key_file_size(widths[entry[1]])
-        out.append((entry, blocks[start:end]))
+    for key_set in PLANS[role]:
+        end = start + crypto.user_key_file_size(widths[key_set[0]])
+        out.append((key_set, blocks[start:end]))
         start = end
     return out
 
@@ -478,7 +469,7 @@ def encode_submit_offer(offer: DirectOffer | TransferOffer) -> bytes:
         w.blob(offer.contact).indexes(offer.indexes())
     else:
         w.u8(_SCHEME_CODE["transfer"]).u16(offer.capacity).blob(offer.contact)
-        w.u16(len(offer.cells)).indexes([idx for c in offer.cells for idx in (c.plus, c.minus)])
+        w.u16(len(offer.cells)).indexes(offer.indexes())
     return w.bytes()
 
 
@@ -492,11 +483,11 @@ def decode_submit_offer(
         capacity = r.u16()
         cases = tuple(r.case() for _ in range(r.u8()))
         contact = r.blob()
-        return DirectOffer("", capacity, cases, *r.indexes(DIRECT_TRIP, widths), contact)
+        return DirectOffer("", capacity, cases, *r.indexes(DIRECT_OFFER, widths), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         capacity = r.u16()
         contact = r.blob()
-        block = r.indexes(TRANSFER_PAIR * r.u16(), widths)
+        block = r.indexes(TRANSFER_CELL * r.u16(), widths)
         cells = [TransferCellCipher(p, m) for p, m in zip(block[::2], block[1::2])]
         return TransferOffer("", capacity, cells, contact)
     raise ProtocolError(ErrorCode.MALFORMED, f"unknown scheme code {scheme}")
@@ -525,7 +516,7 @@ def decode_submit_request(
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
         contact = r.blob()
-        return DirectRequest("", *r.indexes(DIRECT_TRIP, widths), contact)
+        return DirectRequest("", *r.indexes(DIRECT_REQUEST, widths), contact)
     if scheme == _SCHEME_CODE["transfer"]:
         contact = r.blob()
         kind_code = r.u8()
@@ -533,7 +524,7 @@ def decode_submit_request(
             raise ProtocolError(ErrorCode.MALFORMED, f"unknown preference code {kind_code}")
         cells_limit = r.u32()
         transfers_limit = r.u32()
-        pickup, dropoff = r.indexes(TRANSFER_PAIR, widths)
+        pickup, dropoff = r.indexes(TRANSFER_QUERY, widths)
         try:
             pref = Preference(
                 _PREF_NAME[kind_code],

@@ -68,7 +68,7 @@ class ServiceConfig(protocol.Params):
         # refused here, before set-up allocates a single key matrix
         bundle = max(
             protocol.frame_length(protocol.key_bundle_size(role, self, self.tokens_per_bundle))
-            for role in protocol.ROLE_KEY_SETS
+            for role in protocol.PLANS
         )
         if bundle > protocol.MAX_FRAME_SIZE:
             raise ValueError(
@@ -103,14 +103,14 @@ class TrustedAuthority:
         out first, and each key set is derived straight into its key block,
         so every key byte is written once.
         """
-        if role not in protocol.ROLE_KEY_SETS:
+        if role not in protocol.PLANS:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
         cfg = self.config
         tokens = [sysrandom.token_bytes(protocol.TOKEN_SIZE) for _ in range(cfg.tokens_per_bundle)]
         bundle = protocol.KeyBundle(epoch, salt, cfg, tokens)
         widths = cfg.widths
         frame, blocks = protocol.key_bundle_frame(bundle, protocol.key_blocks_size(role, widths))
-        for (_, scheme, key_role), block in protocol.key_blocks(role, widths, blocks):
+        for (scheme, key_role), block in protocol.key_blocks(role, widths, blocks):
             operand, pattern = crypto.user_key_file(block, widths[scheme])
             pattern[:] = self.derivers[scheme].derive(key_role, self._rng, out=operand).split_pattern
         return frame, [_token_digest(t) for t in tokens]
@@ -138,8 +138,8 @@ class TosServer:
         self.salt = salt
         self.unused_tokens: set[bytes] = set()
         self.widths = widths = config.widths
-        self.offer_pool = direct.OfferPool(protocol.layout_dims(protocol.DIRECT_TRIP, widths))
-        self.request_pool = direct.RequestPool(protocol.layout_dims(protocol.DIRECT_TRIP, widths))
+        self.offer_pool = direct.OfferPool(protocol.layout_dims(direct.DIRECT_OFFER, widths))
+        self.request_pool = direct.RequestPool(protocol.layout_dims(direct.DIRECT_REQUEST, widths))
         self.direct_offers: dict[str, direct.PoolEntry] = {}
         self.direct_requests: dict[str, direct.PoolEntry] = {}
         self.graph = transfer.TransferGraph(config.id_bits)
@@ -200,10 +200,11 @@ class TosServer:
             )
             self.direct_offers[offer_id] = direct.PoolEntry(self.offer_pool, row, offer.contact)
         else:
-            if len(offer.cells) < 2:
-                raise ProtocolError(ErrorCode.BAD_STATE, "transfer offer needs >= 2 cells")
+            if not 2 <= len(offer.cells) <= self.config.max_items:
+                cells = f"2 cells to max_items {self.config.max_items}, got {len(offer.cells)}"
+                raise ProtocolError(ErrorCode.BAD_STATE, f"transfer offer needs {cells}")
             offer.offer_id = offer_id = self._next_id("to")
-            self.graph.add_offer(offer, self.secrets["transfer"])
+            self.graph.add_offer(offer, self.secrets)
             self.transfer_offers[offer_id] = offer
         self._stored(token)
         return MsgType.SUBMIT_OFFER, protocol.encode_ack(offer_id)
@@ -219,8 +220,8 @@ class TosServer:
                 self.request_pool, row, request.contact
             )
         else:
-            request.pickup, request.dropoff = crypto.unmask_indices(
-                [request.pickup, request.dropoff], self.secrets["transfer"], "rider"
+            request.pickup, request.dropoff = crypto.unmask_layout(
+                [request.pickup, request.dropoff], transfer.TRANSFER_QUERY, self.secrets
             )
             request.request_id = request_id = self._next_id("tr")
             self.transfer_requests[request_id] = request

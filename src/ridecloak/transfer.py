@@ -44,12 +44,16 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import crypto, kernels
-from .crypto import EncryptedIndex, MaskStock, TosSecrets, UserKeySet
+from .crypto import EncryptedIndex, KeySetId, Layout, MaskStock, TosSecrets, UserKeySet
+
+if TYPE_CHECKING:  # protocol imports this module
+    from .protocol import Params
 
 # Paths one band search enumerates before it stops and flags truncation.
 DEFAULT_PATH_LIMIT = 10_000
@@ -139,6 +143,12 @@ class Preference:
 
 DEFAULT_PREFERENCE = Preference(PreferenceKind.MIN_CELLS)
 
+# The key set of each index of a transfer submission: an offer's block is
+# one TRANSFER_CELL per route cell (plus, minus), a request's one
+# TRANSFER_QUERY (pick-up, drop-off).
+TRANSFER_CELL: Layout = (("transfer", "driver"), ("transfer", "rider"))
+TRANSFER_QUERY: Layout = (("transfer", "rider"),) * 2
+
 
 @dataclass
 class TransferCellCipher:
@@ -155,6 +165,10 @@ class TransferOffer:
     cells: list[TransferCellCipher]
     contact: bytes = b""
 
+    def indexes(self) -> list[EncryptedIndex]:
+        """Its block's indexes: per cell, the plus then the minus."""
+        return [idx for c in self.cells for idx in (c.plus, c.minus)]
+
 
 @dataclass
 class TransferRequest:
@@ -168,25 +182,22 @@ class TransferRequest:
 def build_transfer_offer(
     offer_id: str,
     cells: list[tuple[int, int]],
-    plus_keys: UserKeySet,
-    minus_keys: UserKeySet,
-    id_bits: int,
-    time_bits: int,
+    keysets: dict[KeySetId, UserKeySet],
+    params: Params,
     capacity: int,
     rng: np.random.Generator | MaskStock,
     contact: bytes = b"",
 ) -> TransferOffer:
-    """Encrypt a driver's route: one (identifier, interval) pair per cell."""
-    if len(cells) < 2:
-        raise ValueError(f"a transfer offer needs >= 2 route cells, got {len(cells)}")
+    """Encrypt a driver's route of 2 to `max_items` (identifier, interval) cells."""
+    if not 2 <= len(cells) <= params.max_items:
+        raise ValueError(f"a transfer offer takes 2 to {params.max_items} cells, got {len(cells)}")
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
-    if plus_keys.role != "driver" or minus_keys.role != "rider":
-        raise ValueError("offer needs driver-role plus keys and rider-role minus keys")
-    vectors = np.stack([encode_cell(c, t, id_bits, time_bits) for c, t in cells])
-    plus = crypto.encrypt_indices(vectors, plus_keys, rng)
-    minus = crypto.encrypt_indices(vectors, minus_keys, rng)
-    pairs = [TransferCellCipher(p, m) for p, m in zip(plus, minus)]
+    vectors = [encode_cell(c, t, params.id_bits, params.time_bits) for c, t in cells]
+    indexes = crypto.encrypt_layout(
+        [v for v in vectors for _ in TRANSFER_CELL], TRANSFER_CELL * len(cells), keysets, rng
+    )
+    pairs = [TransferCellCipher(p, m) for p, m in zip(indexes[::2], indexes[1::2])]
     return TransferOffer(offer_id, capacity, pairs, contact)
 
 
@@ -194,23 +205,15 @@ def build_transfer_request(
     request_id: str,
     pickup: tuple[int, int],
     dropoff: tuple[int, int],
-    keys: UserKeySet,
-    id_bits: int,
-    time_bits: int,
+    keysets: dict[KeySetId, UserKeySet],
+    params: Params,
     preference: Preference = DEFAULT_PREFERENCE,
     *,
     rng: np.random.Generator | MaskStock,
     contact: bytes = b"",
 ) -> TransferRequest:
-    if keys.role != "rider":
-        raise ValueError("requests must be encrypted with rider keys")
-    vectors = np.stack(
-        [
-            encode_cell(pickup[0], pickup[1], id_bits, time_bits),
-            encode_cell(dropoff[0], dropoff[1], id_bits, time_bits),
-        ]
-    )
-    enc = crypto.encrypt_indices(vectors, keys, rng)
+    vectors = [encode_cell(c, t, params.id_bits, params.time_bits) for c, t in (pickup, dropoff)]
+    enc = crypto.encrypt_layout(vectors, TRANSFER_QUERY, keysets, rng)
     return TransferRequest(request_id, enc[0], enc[1], preference, contact)
 
 
@@ -324,9 +327,11 @@ class TransferGraph:
         self._active[start:stop] = True
         return range(start, stop)
 
-    def add_offer(self, offer: TransferOffer, secrets: TosSecrets) -> int:
+    def add_offer(self, offer: TransferOffer, secrets: dict[str, TosSecrets]) -> int:
         """Unmask and insert one offer; returns the number of transfer edges added.
 
+        `secrets` maps each scheme to the server's secrets; `TRANSFER_CELL`
+        picks the scheme and role of each cell's plus and minus index.
         Incremental by construction: the new cells' minus indexes are
         compared in one GEMM against the columnar store of plus rows,
         masked to the active ones; then the new plus rows are appended to
@@ -334,11 +339,9 @@ class TransferGraph:
         """
         if offer.offer_id in self.capacity:
             raise ValueError(f"offer id {offer.offer_id!r} already in graph")
-        plus = crypto.unmask_indices([c.plus for c in offer.cells], secrets, "driver")
-        minus = crypto.unmask_indices([c.minus for c in offer.cells], secrets, "rider")
-        new_nodes = [
-            TransferNode(offer.offer_id, pos, p, m) for pos, (p, m) in enumerate(zip(plus, minus))
-        ]
+        cleared = crypto.unmask_layout(offer.indexes(), TRANSFER_CELL * len(offer.cells), secrets)
+        pairs = enumerate(zip(cleared[::2], cleared[1::2]))
+        new_nodes = [TransferNode(offer.offer_id, pos, p, m) for pos, (p, m) in pairs]
         added = 0
         if self.active_mask.any():
             hits = self._hits(np.stack([n.minus.flat() for n in new_nodes])) & self.active_mask

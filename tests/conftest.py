@@ -2,7 +2,7 @@ import pytest
 
 from ridecloak.protocol import Params
 from ridecloak.service import RideService, ServiceConfig
-from support import ACCEPTANCE_LINES, SMALL_CONFIG, make_crypto_env, make_direct_env
+from support import ACCEPTANCE_LINES, SMALL_CONFIG, make_crypto_env, make_direct_env, make_transfer_env
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -27,13 +27,7 @@ def direct_env():
 @pytest.fixture(scope="session")
 def transfer_env():
     """Keys for the 2k+l cell encoding at k=6, l=4."""
-    env = make_crypto_env(2 * SMALL_CONFIG["id_bits"] + SMALL_CONFIG["time_bits"], 303)
-    env.id_bits = SMALL_CONFIG["id_bits"]
-    env.time_bits = SMALL_CONFIG["time_bits"]
-    # transfer offers need driver-oriented plus keys and rider-oriented minus keys
-    env.plus = env.driver
-    env.minus = env.rider
-    return env
+    return make_transfer_env(SMALL_CONFIG["id_bits"], SMALL_CONFIG["time_bits"], 303)
 
 
 @pytest.fixture()

@@ -36,22 +36,39 @@ def make_crypto_env(dim: int, seed: int) -> SimpleNamespace:
     )
 
 
+def make_transfer_env(id_bits: int, time_bits: int, seed: int) -> SimpleNamespace:
+    """Transfer-scheme keys for the 2k+l cell encoding, as a `make_crypto_env`.
+
+    `keysets` holds the driver and rider key sets by (scheme, role) and
+    `params` the cell widths, as the transfer build functions take them;
+    `scheme_secrets` maps "transfer" to the server's secrets, as
+    `TransferGraph.add_offer` takes them.
+    """
+    env = make_crypto_env(transfer.cell_vector_bits(id_bits, time_bits), seed)
+    env.id_bits, env.time_bits = id_bits, time_bits
+    env.params = protocol.Params(id_bits=id_bits, time_bits=time_bits)
+    env.keysets = {("transfer", "driver"): env.driver, ("transfer", "rider"): env.rider}
+    env.scheme_secrets = {"transfer": env.secrets}
+    return env
+
+
 def make_direct_env(params: protocol.Params, epoch: int, salt: int, seed: int) -> SimpleNamespace:
     """Direct-scheme keys at the widths of `params`, set up as the service sets them up.
 
     `secrets` maps "direct" and "time" to the server's secrets, as the pools'
     `admit` takes them; `dims` is a pool row's index widths; `driver` and
-    `rider` are each a (filter keys, time keys) pair, and `enc` is
-    (params, epoch, salt), as `direct.build_offers` / `build_requests` take them.
+    `rider` each map that role's (scheme, role) pairs to its filter and time
+    key sets, and `enc` is (params, epoch, salt), as `direct.build_offers` /
+    `build_requests` take them.
     """
     rng = np.random.default_rng(seed)
     widths = {"direct": params.filter_bits, "time": params.time_slots}
     derivers, secrets = crypto.generate_keys(widths, rng)
     keys = {
-        role: tuple(derivers[scheme].derive(role, rng) for scheme in ("direct", "time"))
+        role: {(scheme, role): derivers[scheme].derive(role, rng) for scheme in ("direct", "time")}
         for role in ("driver", "rider")
     }
-    dims = protocol.layout_dims(protocol.DIRECT_TRIP, widths)
+    dims = protocol.layout_dims(direct.DIRECT_OFFER, widths)
     return SimpleNamespace(
         params=params, epoch=epoch, salt=salt, enc=(params, epoch, salt),
         rng=rng, secrets=secrets, dims=dims, **keys,

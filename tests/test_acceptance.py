@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 import support
-from support import SMALL_CONFIG, make_crypto_env, make_direct_env
+from support import SMALL_CONFIG, make_crypto_env, make_direct_env, make_transfer_env
 from ridecloak import bloom, crypto, direct, service, sim, transfer
 from ridecloak.client import LoopbackTransport, ServiceClient
 from ridecloak.direct import MatchCase, OfferSpec, RequestSpec
@@ -39,12 +39,7 @@ def wide_direct_env():
 
 @pytest.fixture(scope="module")
 def wide_transfer_env():
-    env = make_crypto_env(2 * 11 + 25, 9002)
-    env.id_bits = 11
-    env.time_bits = 25
-    env.plus = env.driver
-    env.minus = env.rider
-    return env
+    return make_transfer_env(11, 25, 9002)
 
 
 def test_criterion_1_inner_product_correctness():
@@ -111,8 +106,8 @@ def test_criterion_2_direct_matching_equals_gate_oracle(wide_direct_env):
             RequestSpec(r.request_id, r.pickup, r.dropoff, r.route, r.pickup_seconds)
             for r in wl.requests
         ]
-        built_o = direct.build_offers(ospecs, *env.driver, *env.enc, rng)
-        built_r = direct.build_requests(rspecs, *env.rider, *env.enc, rng)
+        built_o = direct.build_offers(ospecs, env.driver, *env.enc, rng)
+        built_r = direct.build_requests(rspecs, env.rider, *env.enc, rng)
         got = [
             (m.request_id, m.offer_id, m.case.value)
             for m in direct.match_all(*support.admit_pools(env, built_o, built_r), env.params.n_hashes)
@@ -193,10 +188,9 @@ def test_criterion_4_transfer_graph_equals_plain_construction(wide_transfer_env)
         graph = TransferGraph(env.id_bits)
         for i, (oid, cells) in enumerate(routes.items()):
             offer = transfer.build_transfer_offer(
-                oid, cells, env.plus, env.minus, env.id_bits, env.time_bits,
-                4, np.random.default_rng(seed * 64 + i),
+                oid, cells, env.keysets, env.params, 4, np.random.default_rng(seed * 64 + i),
             )
-            graph.add_offer(offer, env.secrets)
+            graph.add_offer(offer, env.scheme_secrets)
         route_edges, transfer_edges = support.graph_edge_sets(graph)
         if (route_edges, transfer_edges) != oracles.transfer_graph_edges(routes):
             mismatched.append(seed)
@@ -242,15 +236,14 @@ def test_criterion_6_handoff_fixture_preferences(wide_transfer_env):
     graph = TransferGraph(env.id_bits)
     for i, (oid, cells) in enumerate(oracles.HANDOFF_ROUTES.items()):
         offer = transfer.build_transfer_offer(
-            oid, list(cells), env.plus, env.minus, env.id_bits, env.time_bits,
-            4, np.random.default_rng(60 + i),
+            oid, list(cells), env.keysets, env.params, 4, np.random.default_rng(60 + i),
         )
-        graph.add_offer(offer, env.secrets)
+        graph.add_offer(offer, env.scheme_secrets)
 
     def run(kind):
         request = transfer.build_transfer_request(
-            "r", oracles.HANDOFF_PICKUP, oracles.HANDOFF_DROPOFF, env.minus,
-            env.id_bits, env.time_bits, preference=Preference(kind),
+            "r", oracles.HANDOFF_PICKUP, oracles.HANDOFF_DROPOFF, env.keysets,
+            env.params, preference=Preference(kind),
             rng=np.random.default_rng(61),
         )
         request.pickup, request.dropoff = crypto.unmask_indices(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import oracles
 import support
 from support import SMALL_CONFIG
-from ridecloak import crypto, protocol, service, transfer
+from ridecloak import crypto, direct, protocol, service, transfer
 from ridecloak.client import (
     LoopbackTransport,
     ServerError,
@@ -78,17 +78,17 @@ def test_secret_matrices_are_inverted_once(monkeypatch):
 def test_register_roles_and_key_shapes(small_service):
     driver, rider = make_clients(small_service)
     assert set(driver.registration.keysets) == {
-        "direct-driver", "transfer-plus", "transfer-minus", "time-driver",
+        ("direct", "driver"), ("transfer", "driver"), ("transfer", "rider"), ("time", "driver"),
     }
-    assert set(rider.registration.keysets) == {"direct-rider", "transfer-rider", "time-rider"}
-    assert driver.registration.keysets["direct-driver"].dim == SMALL_CONFIG["filter_bits"]
+    assert set(rider.registration.keysets) == {("direct", "rider"), ("transfer", "rider"), ("time", "rider")}
+    assert driver.registration.keysets["direct", "driver"].dim == SMALL_CONFIG["filter_bits"]
     for client, role in ((driver, "driver"), (rider, "rider")):
-        time_keys = client.registration.keysets[f"time-{role}"]
+        time_keys = client.registration.keysets["time", role]
         assert (time_keys.dim, time_keys.role) == (SMALL_CONFIG["time_slots"], role)
     cell_bits = 2 * SMALL_CONFIG["id_bits"] + SMALL_CONFIG["time_bits"]
-    assert driver.registration.keysets["transfer-plus"].dim == cell_bits
-    assert driver.registration.keysets["transfer-plus"].role == "driver"
-    assert driver.registration.keysets["transfer-minus"].role == "rider"
+    assert driver.registration.keysets["transfer", "driver"].dim == cell_bits
+    assert driver.registration.keysets["transfer", "driver"].role == "driver"
+    assert driver.registration.keysets["transfer", "rider"].role == "rider"
     assert len(driver.registration.tokens) == small_service.config.tokens_per_bundle
     # unknown role byte, past the client-side enum
     frame = protocol.encode_frame(MsgType.REGISTER_USER, 1, protocol.ZERO_TOKEN, b"\x09")
@@ -139,8 +139,8 @@ def test_sync_epoch_refuses_an_unregistered_client_before_sending(small_service)
 
 def test_two_registrations_get_distinct_keys(small_service):
     a, b = make_clients(small_service, roles=("driver", "driver"))
-    ka = a.registration.keysets["direct-driver"].parts[0]
-    kb = b.registration.keysets["direct-driver"].parts[0]
+    ka = a.registration.keysets["direct", "driver"].parts[0]
+    kb = b.registration.keysets["direct", "driver"].parts[0]
     assert not np.array_equal(ka, kb)
     assert not set(a.registration.tokens) & set(b.registration.tokens)
 
@@ -152,12 +152,12 @@ def test_registering_again_drops_the_old_mask_stock(small_service):
     assert first.masks.stocks == {} and first.masks.rng is driver.rng
     driver.submit_direct_offer(OFFER)
     held = {keys.dim: len(masks) for keys, masks in first.masks.stocks.items()}
-    assert set(first.masks.stocks) == {first.keysets["direct-driver"], first.keysets["time-driver"]}
+    assert set(first.masks.stocks) == {first.keysets["direct", "driver"], first.keysets["time", "driver"]}
     assert held == {320: 320 // 8 - 3, 48: 48 // 8 - 1}
     second = driver.register("driver")
     assert second.masks is not first.masks and second.masks.stocks == {}
     driver.submit_direct_offer(OFFER)
-    assert set(second.masks.stocks) == {second.keysets["direct-driver"], second.keysets["time-driver"]}
+    assert set(second.masks.stocks) == {second.keysets["direct", "driver"], second.keysets["time", "driver"]}
 
 
 def test_direct_end_to_end_loopback(small_service):
@@ -222,8 +222,8 @@ def zero_trip_indexes(client, role, dim=None):
     """A direct trip's four indexes of all-zero vectors under `client`'s keys;
     with `dim`, the three filters are of that width, under foreign keys."""
     rng = np.random.default_rng(55)
-    keys = client.registration.keysets[f"direct-{role}"]
-    time_keys = client.registration.keysets[f"time-{role}"]
+    keys = client.registration.keysets["direct", role]
+    time_keys = client.registration.keysets["time", role]
     if dim is not None:
         derivers, _ = crypto.generate_keys({"direct": dim}, rng)
         keys = derivers["direct"].derive(role, rng)
@@ -343,8 +343,8 @@ def test_transfer_offer_needs_two_cells(small_service):
     driver, _ = make_clients(small_service)
     reg = driver.registration
     offer = transfer.build_transfer_offer(
-        "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
-        reg.params.id_bits, reg.params.time_bits, 2, np.random.default_rng(4),
+        "local", [(1, 1), (2, 1)], reg.keysets,
+        reg.params, 2, np.random.default_rng(4),
     )
     blobs, token = [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells], reg.tokens.pop()
     before = server_state(small_service)
@@ -360,6 +360,69 @@ def test_transfer_offer_needs_two_cells(small_service):
         assert server_state(small_service) == before
     reg.tokens.append(token)  # still unused: the next submission spends it
     assert driver.submit_direct_offer(OFFER).startswith("do")
+
+
+def test_transfer_offer_of_more_than_max_items_cells_is_refused(small_service):
+    """A transfer offer takes at most `max_items` cells, the cap a direct route
+    filter has; one more is ERROR (BAD_STATE) and changes nothing."""
+    driver, _ = make_clients(small_service)
+    reg = driver.registration
+    assert reg.params.max_items == 60
+    two = transfer.build_transfer_offer(
+        "local", [(1, 1), (2, 1)], reg.keysets, reg.params, 2, np.random.default_rng(4),
+    )
+    too_long = transfer.TransferOffer("", 2, (two.cells * 31)[:61])
+    frame = protocol.encode_frame(
+        MsgType.SUBMIT_OFFER, reg.epoch, reg.tokens.pop(), protocol.encode_submit_offer(too_long)
+    )
+    before = server_state(small_service)
+    reply_bytes = small_service.dispatch(frame)
+    code, message = protocol.decode_error(protocol.decode_frame(reply_bytes)[0].payload)
+    assert code is ErrorCode.BAD_STATE and "max_items 60, got 61" in message
+    assert server_state(small_service) == before
+    assert not small_service.server.graph.nodes and not small_service.server.transfer_offers
+
+
+def test_layouts_fix_the_plan_and_the_key_set_of_every_encryption(small_service, monkeypatch):
+    """Each role's plan is the distinct key sets of its layouts, in set-up
+    scheme order, driver first; a registration holds exactly its plan; and
+    each submission kind encrypts once per key set of its layout, in the
+    order the layout first uses them."""
+    schemes = list(small_service.config.widths)
+    for role, layouts in protocol.ROLE_LAYOUTS.items():
+        used = {key_set for layout in layouts for key_set in layout}
+        order = sorted(used, key=lambda k: (schemes.index(k[0]), ["driver", "rider"].index(k[1])))
+        assert protocol.PLANS[role] == tuple(order)
+    assert protocol.PLANS["driver"] == (
+        ("direct", "driver"), ("transfer", "driver"), ("transfer", "rider"), ("time", "driver"),
+    )
+    assert protocol.PLANS["rider"] == (("direct", "rider"), ("transfer", "rider"), ("time", "rider"))
+    driver, rider = make_clients(small_service)
+    widths = small_service.config.widths
+    for client, role in ((driver, "driver"), (rider, "rider")):
+        keysets = client.registration.keysets
+        assert tuple(keysets) == protocol.PLANS[role]
+        assert [(k.dim, k.role) for k in keysets.values()] == [
+            (widths[scheme], key_role) for scheme, key_role in protocol.PLANS[role]
+        ]
+    calls = []
+    real = crypto.encrypt_indices
+
+    def recording(vectors, keys, rng):
+        calls.append((keys.dim, keys.role))
+        return real(vectors, keys, rng)
+
+    monkeypatch.setattr(crypto, "encrypt_indices", recording)
+    kinds = [
+        (direct.DIRECT_OFFER, lambda: driver.submit_direct_offer(OFFER)),
+        (direct.DIRECT_REQUEST, lambda: rider.submit_direct_request(REQUEST)),
+        (transfer.TRANSFER_CELL, lambda: driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], 2)),
+        (transfer.TRANSFER_QUERY, lambda: rider.submit_transfer_request((1, 1), (3, 1))),
+    ]
+    for layout, submit in kinds:
+        calls.clear()
+        submit()
+        assert calls == [(widths[scheme], role) for scheme, role in dict.fromkeys(layout)]
 
 
 def server_state(svc):
@@ -437,8 +500,8 @@ def corrupted_frames(driver, rider, corrupt, value):
     reg, rreg = driver.registration, rider.registration
     blobs = [
         [support.encrypt_index(np.zeros(keys.dim), keys, rng).to_bytes()
-         for keys in (client.registration.keysets[f"direct-{role}"],
-                      client.registration.keysets[f"time-{role}"])]
+         for keys in (client.registration.keysets["direct", role],
+                      client.registration.keysets["time", role])]
         for client, role in ((driver, "driver"), (rider, "rider"))
     ]
     (offer_filter, offer_time), (request_filter, request_time) = blobs
@@ -449,16 +512,16 @@ def corrupted_frames(driver, rider, corrupt, value):
         b"", [request_filter] * 3 + [corrupt(request_time, value)]
     )
     offer = transfer.build_transfer_offer(
-        "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
-        reg.params.id_bits, reg.params.time_bits, 2, rng,
+        "local", [(1, 1), (2, 1)], reg.keysets,
+        reg.params, 2, rng,
     )
     cells = [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells]
     bad_plus, bad_minus = list(cells), list(cells)
     bad_plus[1] = (corrupt(cells[1][0], value), cells[1][1])
     bad_minus[0] = (cells[0][0], corrupt(cells[0][1], value))
     request = transfer.build_transfer_request(
-        "local", (1, 1), (2, 1), rreg.keysets["transfer-rider"],
-        rreg.params.id_bits, rreg.params.time_bits, rng=rng,
+        "local", (1, 1), (2, 1), rreg.keysets,
+        rreg.params, rng=rng,
     )
     routed = oracles.transfer_request_payload(
         b"", transfer.DEFAULT_PREFERENCE.kind.value, None, None,
@@ -501,16 +564,16 @@ def test_transfer_blocks_must_match_their_announced_layout(small_service):
     reg, rreg = driver.registration, rider.registration
     rng = np.random.default_rng(12)
     offer = transfer.build_transfer_offer(
-        "local", [(1, 1), (2, 1)], reg.keysets["transfer-plus"], reg.keysets["transfer-minus"],
-        reg.params.id_bits, reg.params.time_bits, 2, rng,
+        "local", [(1, 1), (2, 1)], reg.keysets,
+        reg.params, 2, rng,
     )
     good_offer = oracles.transfer_offer_payload(
         2, b"", [(c.plus.to_bytes(), c.minus.to_bytes()) for c in offer.cells]
     )
     count_at = 1 + 2 + 4  # scheme, capacity, empty contact blob
     request = transfer.build_transfer_request(
-        "local", (1, 1), (2, 1), rreg.keysets["transfer-rider"],
-        rreg.params.id_bits, rreg.params.time_bits, rng=rng,
+        "local", (1, 1), (2, 1), rreg.keysets,
+        rreg.params, rng=rng,
     )
     pickup, dropoff = request.pickup.to_bytes(), request.dropoff.to_bytes()
 
@@ -605,7 +668,7 @@ def fuzz_world():
     for name, msg_type, step in steps:
         step()
         frames[name] = sent[msg_type]
-    keys = rider.registration.keysets["direct-rider"]
+    keys = rider.registration.keysets["direct", "rider"]
     blob = support.encrypt_index(np.zeros(keys.dim), keys, np.random.default_rng(5)).to_bytes()
     overflow = oracles.direct_request_payload(b"", [corrupt_overflow(blob, 1e307)] * 4)
     frames["overflow-request"] = protocol.encode_frame(
@@ -690,7 +753,7 @@ def test_paper_width_key_bundles_fit_a_frame():
     config = ServiceConfig()
     sizes = {
         role: protocol.frame_length(protocol.key_bundle_size(role, config, config.tokens_per_bundle))
-        for role in protocol.ROLE_KEY_SETS
+        for role in protocol.PLANS
     }
     assert sizes["driver"] == 268_868_961 > sizes["rider"]
     assert sizes["driver"] <= protocol.MAX_FRAME_SIZE
@@ -700,7 +763,7 @@ def test_filters_narrower_than_the_day_slots_match_over_loopback():
     """The time index has its own width, so filters may be narrower than it."""
     svc = RideService(ServiceConfig(**{**SMALL_CONFIG, "filter_bits": 32, "time_slots": 48}), seed=5)
     driver, rider = make_clients(svc)
-    assert driver.registration.keysets["time-driver"].dim == 48
+    assert driver.registration.keysets["time", "driver"].dim == 48
     offer_id = driver.submit_direct_offer(OFFER)
     request_id = rider.submit_direct_request(REQUEST)
     late = rider.submit_direct_request(replace(REQUEST, pickup_seconds=slot_time(11)))
@@ -732,9 +795,17 @@ def test_server_only_msg_types_rejected(small_service):
 
 
 def test_rider_cannot_build_offers(small_service):
+    """A rider holds no driver key set, so its client refuses before it
+    encrypts or sends anything."""
     _, rider = make_clients(small_service)
-    with pytest.raises(RuntimeError, match="direct-driver"):
+    reg, sent = rider.registration, rider.transport.sent_bytes
+    tokens = list(reg.tokens)
+    with pytest.raises(ValueError, match=r"no \('direct', 'driver'\) key set"):
         rider.submit_direct_offer(OFFER)
+    with pytest.raises(ValueError, match=r"no \('transfer', 'driver'\) key set"):
+        rider.submit_transfer_offer([(1, 1), (2, 1)], capacity=2)
+    assert rider.transport.sent_bytes == sent and reg.tokens == tokens
+    assert reg.masks.stocks == {}
 
 
 def test_epoch_rotation_purges_trips(small_service):
@@ -996,17 +1067,8 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
     )
     direct, cells, time = derivers["direct"], derivers["transfer"], derivers["time"]
     plans = {
-        "driver": [
-            ("direct-driver", direct, "driver"),
-            ("transfer-plus", cells, "driver"),
-            ("transfer-minus", cells, "rider"),
-            ("time-driver", time, "driver"),
-        ],
-        "rider": [
-            ("direct-rider", direct, "rider"),
-            ("transfer-rider", cells, "rider"),
-            ("time-rider", time, "rider"),
-        ],
+        "driver": [(direct, "driver"), (cells, "driver"), (cells, "rider"), (time, "driver")],
+        "rider": [(direct, "rider"), (cells, "rider"), (time, "rider")],
     }
     tokens = CountingRandom()
     fields = (1, salt, config.filter_bits, config.n_hashes, config.id_bits,
@@ -1014,7 +1076,7 @@ def test_register_reply_matches_independent_encoding(monkeypatch):
     for role in ("driver", "rider", "driver"):
         reply = svc.dispatch(register_frame(role))
         key_files = []
-        for name, deriver, key_role in plans[role]:
+        for deriver, key_role in plans[role]:
             keys = deriver.derive(key_role, rng)
             key_files.append(oracles.user_key_file(keys.parts, keys.split_pattern, key_role))
         expected = oracles.key_bundle_frame(
@@ -1141,7 +1203,7 @@ def test_register_refuses_corrupt_key_bundles(small_service):
             rider.register("rider")
         if bad_key_set:
             assert err.value.code is ErrorCode.BAD_STATE
-            assert "'direct-rider'" in str(err.value)
+            assert "('direct', 'rider')" in str(err.value)
         assert rider.registration is before and before.tokens == tokens
 
 
@@ -1195,8 +1257,7 @@ def test_register_refuses_bundles_without_their_roles_key_sets(small_service):
         assert_refused_by_block_size(client, role, reply)
     for role, client in clients.items():
         client.transport = replying(bundle_reply(client.registration, small_service.config, files[role]))
-        names = [name for name, *_ in protocol.ROLE_KEY_SETS[role]]
-        assert list(client.register(role).keysets) == names
+        assert tuple(client.register(role).keysets) == protocol.PLANS[role]
 
 
 @pytest.mark.parametrize("fields", [

@@ -20,8 +20,7 @@ from ridecloak.transfer import (
 
 def make_offer(env, offer_id, cells, capacity=4, seed=0):
     return build_transfer_offer(
-        offer_id, list(cells), env.plus, env.minus,
-        env.id_bits, env.time_bits, capacity,
+        offer_id, list(cells), env.keysets, env.params, capacity,
         np.random.default_rng(seed),
     )
 
@@ -30,7 +29,7 @@ def make_graph(env, routes, capacities=None):
     graph = TransferGraph(env.id_bits)
     for i, (oid, cells) in enumerate(routes.items()):
         cap = (capacities or {}).get(oid, 4)
-        graph.add_offer(make_offer(env, oid, cells, capacity=cap, seed=i), env.secrets)
+        graph.add_offer(make_offer(env, oid, cells, capacity=cap, seed=i), env.scheme_secrets)
     return graph
 
 
@@ -69,13 +68,14 @@ def test_offer_build_validation(transfer_env):
     env = transfer_env
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="cells"):
-        build_transfer_offer("o", [(1, 1)], env.plus, env.minus, 6, 4, 2, rng)
+        build_transfer_offer("o", [(1, 1)], env.keysets, env.params, 2, rng)
+    with pytest.raises(ValueError, match="2 to 60 cells, got 61"):
+        build_transfer_offer("o", [(1, 1)] * 61, env.keysets, env.params, 2, rng)
     with pytest.raises(ValueError, match="capacity"):
         make_offer(env, "o", [(1, 1), (2, 1)], capacity=0)
-    with pytest.raises(ValueError, match="driver"):
-        build_transfer_offer("o", [(1, 1), (2, 1)], env.minus, env.minus, 6, 4, 2, rng)
-    with pytest.raises(ValueError, match="rider"):
-        build_transfer_offer("o", [(1, 1), (2, 1)], env.plus, env.plus, 6, 4, 2, rng)
+    rider_keys = {("transfer", "rider"): env.rider}
+    with pytest.raises(ValueError, match=r"no \('transfer', 'driver'\) key set"):
+        build_transfer_offer("o", [(1, 1), (2, 1)], rider_keys, env.params, 2, rng)
 
 
 def test_graph_matches_plain_construction(transfer_env):
@@ -142,7 +142,7 @@ def test_transfer_adjacency_symmetric(transfer_env):
 def test_duplicate_offer_id_rejected(transfer_env):
     graph = make_graph(transfer_env, {"a": [(1, 0), (2, 0)]})
     with pytest.raises(ValueError, match="already"):
-        graph.add_offer(make_offer(transfer_env, "a", [(3, 0), (4, 0)]), transfer_env.secrets)
+        graph.add_offer(make_offer(transfer_env, "a", [(3, 0), (4, 0)]), transfer_env.scheme_secrets)
 
 
 def test_incremental_add_equals_batch(transfer_env):
@@ -152,10 +152,10 @@ def test_incremental_add_equals_batch(transfer_env):
         "c": [(3, 0), (1, 0)],
     }
     offers = [make_offer(transfer_env, oid, cells, seed=i) for i, (oid, cells) in enumerate(routes.items())]
-    batch = support.build_graph(offers, transfer_env.secrets, transfer_env.id_bits)
+    batch = support.build_graph(offers, transfer_env.scheme_secrets, transfer_env.id_bits)
     reordered = support.build_graph(
         [make_offer(transfer_env, oid, routes[oid], seed=9) for oid in ("c", "b", "a")],
-        transfer_env.secrets, transfer_env.id_bits,
+        transfer_env.scheme_secrets, transfer_env.id_bits,
     )
     assert graph_edge_sets(batch) == graph_edge_sets(reordered)
 
@@ -320,7 +320,7 @@ def test_encrypted_search_end_to_end(transfer_env):
     graph = handoff_graph(env)
     request = build_transfer_request(
         "r1", oracles.HANDOFF_PICKUP, oracles.HANDOFF_DROPOFF,
-        env.minus, env.id_bits, env.time_bits,
+        env.keysets, env.params,
         preference=Preference(PreferenceKind.MIN_CELLS_TRANSFERS),
         rng=np.random.default_rng(5),
     )
@@ -374,7 +374,7 @@ def uncached_adjacency(graph, weights):
 def unmasked_queries(env, cells, seed):
     vectors = np.stack([transfer.encode_cell(c, t, env.id_bits, env.time_bits) for c, t in cells])
     rng = np.random.default_rng(seed)
-    return crypto.unmask_indices(crypto.encrypt_indices(vectors, env.minus, rng), env.secrets, "rider")
+    return crypto.unmask_indices(crypto.encrypt_indices(vectors, env.rider, rng), env.secrets, "rider")
 
 
 def test_store_matches_brute_force_after_inserts_and_exhaustions(transfer_env):
@@ -393,7 +393,7 @@ def test_store_matches_brute_force_after_inserts_and_exhaustions(transfer_env):
             oid = f"o{step}"
             length = int(rng.integers(2, 6))
             cells = [(int(rng.integers(0, 6)), int(rng.integers(0, 2))) for _ in range(length)]
-            graph.add_offer(make_offer(env, oid, cells, seed=step), env.secrets)
+            graph.add_offer(make_offer(env, oid, cells, seed=step), env.scheme_secrets)
             routes[oid] = cells
         live = {oid: cells for oid, cells in routes.items() if oid not in exhausted}
         want_route, want_transfer = oracles.transfer_graph_edges(live)
@@ -415,7 +415,7 @@ def test_stale_pins_rejected(transfer_env):
     (query,) = unmasked_queries(env, [(1, 0)], seed=3)
     hits = graph.pin([query])
     assert graph.pinned(hits[0]) == [("a", 0)]
-    graph.add_offer(make_offer(env, "b", [(1, 0), (3, 0)], seed=4), env.secrets)
+    graph.add_offer(make_offer(env, "b", [(1, 0), (3, 0)], seed=4), env.scheme_secrets)
     with pytest.raises(ValueError, match="rows"):
         graph.pinned(hits[0])
 
@@ -437,7 +437,7 @@ def test_adjacency_view_follows_inserts_and_exhaustion(transfer_env):
     view = transfer._weighted_adjacency(graph, cells)
     assert ("c", 0) not in view and view.get(("c", 0), ()) == ()
 
-    graph.add_offer(make_offer(env, "c", [(3, 0), (4, 0)], seed=5), env.secrets)
+    graph.add_offer(make_offer(env, "c", [(3, 0), (4, 0)], seed=5), env.scheme_secrets)
     # a view taken before the insert reads the new node's edges
     assert ("c", 0) in view
     assert view.get(("c", 0)) == uncached_adjacency(graph, cells)[("c", 0)]
@@ -516,13 +516,13 @@ def test_round_matching_equals_per_request_reference(transfer_env, monkeypatch, 
     for i in range(12):
         cells = grid_walk(rng)
         offer = make_offer(env, f"o{i}", cells, capacity=int(rng.integers(1, 3)), seed=100 * seed + i)
-        server.graph.add_offer(offer, env.secrets)
+        server.graph.add_offer(offer, env.scheme_secrets)
         server.transfer_offers[offer.offer_id] = offer
         stops.extend(cells)
     for j in range(20):
         pickup, dropoff = (stops[int(k)] for k in rng.integers(0, len(stops), 2))
         request = build_transfer_request(
-            f"r{j}", pickup, dropoff, env.minus, env.id_bits, env.time_bits,
+            f"r{j}", pickup, dropoff, env.keysets, env.params,
             Preference.parse(ROUND_PREFERENCES[j % len(ROUND_PREFERENCES)]),
             rng=np.random.default_rng(1000 * seed + j),
         )

@@ -109,17 +109,18 @@ def parse_workloads(text: str) -> list[str]:
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in checkout `root`: its result, digest and exit code."""
+    """One benchmark run in checkout `root`: its result, digest, provenance and exit code."""
     cmd = [sys.executable, "ridebench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     summary = next((json.loads(l[8:]) for l in lines if l.startswith("summary ")), {})
+    provenance = next((json.loads(l[11:]) for l in lines if l.startswith("provenance ")), None)
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "failed": None, "metrics": {}}
-    return {"returncode": proc.returncode, "digest": summary.get("digest"),
+    return {"returncode": proc.returncode, "digest": summary.get("digest"), "provenance": provenance,
             "stderr": proc.stderr[-2000:], **result}
 
 
