@@ -496,7 +496,7 @@ def encrypt_layout(
     for key_set in dict.fromkeys(layout):
         if key_set not in keysets:
             raise ValueError(f"no {key_set} key set is held")
-    return _per_key_set(layout, vectors, lambda ks, rows: encrypt_indices(np.stack(rows), keysets[ks], rng))
+    return _per_key_set(layout, vectors, lambda ks, rows: encrypt_indices(np.array(rows), keysets[ks], rng))
 
 
 def unmask_layout(

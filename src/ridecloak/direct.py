@@ -191,9 +191,9 @@ class _Pool:
 
     `dims` is each index kind's width, as `protocol.layout_dims` gives it
     for a direct trip, and `layout` names the key set each index of a
-    stored submission is unmasked by. `kinds[kind]` is one contiguous (rows, 8*dims[kind])
-    float64 matrix per index kind, so a matching round's GEMMs read the
-    used prefix in place. `live` marks the rows that hold a current
+    stored submission is unmasked by. `kinds[kind]` is one contiguous
+    (rows, 8*dims[kind]) float64 matrix per index kind, so a matching
+    round's GEMMs read the used prefix in place. `live` marks the rows that hold a current
     submission and `seq` their arrival order. A freed row keeps its stale
     ciphertext, masked out by `live`, until the next submission overwrites
     it or the pool is cleared.
