@@ -56,7 +56,7 @@ def stub_runs(module, monkeypatch, broken=None):
 def test_records_median_and_quartiles_per_workload(tmp_path, monkeypatch):
     module = load_bench_record(monkeypatch, tmp_path)
     calls = stub_runs(module, monkeypatch)
-    assert module.main([]) == 0
+    assert module.main() == 0
     assert calls == [(tmp_path, w, s, 3) for w in ("w1", "w2") for s in range(701, 706)]
     rec = json.loads((tmp_path / "BENCH_w1.json").read_text())
     assert rec["workload"] == "w1" and rec["commit"] == "abc123-dirty"
@@ -70,14 +70,6 @@ def test_records_median_and_quartiles_per_workload(tmp_path, monkeypatch):
     assert (tmp_path / "BENCH_w2.json").exists()
 
 
-def test_one_workload_and_seed_list(tmp_path, monkeypatch):
-    module = load_bench_record(monkeypatch, tmp_path)
-    calls = stub_runs(module, monkeypatch)
-    assert module.main(["--workload", "w2", "--seeds", "701,703"]) == 0
-    assert [c[1:3] for c in calls] == [("w2", 701), ("w2", 703)]
-    assert sorted(p.name for p in tmp_path.glob("BENCH_*.json")) == ["BENCH_w2.json"]
-
-
 def test_writes_nothing_unless_every_run_is_correct_and_complete(tmp_path, monkeypatch, capsys):
     module = load_bench_record(monkeypatch, tmp_path)
     spoilers = [
@@ -88,7 +80,7 @@ def test_writes_nothing_unless_every_run_is_correct_and_complete(tmp_path, monke
     for spoil in spoilers:
         # only the last run of the second workload is spoiled
         stub_runs(module, monkeypatch, lambda w, s, run: w == "w2" and s == 705 and spoil(run))
-        assert module.main([]) == 1
+        assert module.main() == 1
         assert list(tmp_path.glob("BENCH_*.json")) == []
         assert "no record written" in capsys.readouterr().out
 

@@ -1,10 +1,10 @@
 """Record the repository benchmark's end-to-end metrics as BENCH_<workload>.json.
 
-    python3 tools/bench_record.py [--workload NAME[,NAME...]] [--seeds 701-705]
+    python3 tools/bench_record.py
 
-For every workload (by default each one BENCHMARK.json lists) and seed it
-runs `python3 ridebench/run.py --workload NAME --seed N --seconds S --trace 0`
-in this checkout, one run at a time, with S the `run_seconds` of
+For every workload BENCHMARK.json lists and each seed N of SEEDS (701 to
+705) it runs `python3 ridebench/run.py --workload NAME --seed N --seconds S
+--trace 0` in this checkout, one run at a time, with S the `run_seconds` of
 BENCHMARK.json (`bench_pairs.run_once`). It then writes
 `BENCH_<workload>.json` at the repository root, holding per end-to-end
 metric of BENCHMARK.json the median and quartiles over the seeds
@@ -19,7 +19,6 @@ code is 1.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -29,6 +28,8 @@ from pathlib import Path
 import bench_pairs
 
 ROOT = Path(__file__).resolve().parents[1]
+# The seeds of every record, so records of different commits compare.
+SEEDS = list(range(701, 706))
 
 
 def commit(root: Path) -> str:
@@ -51,25 +52,15 @@ def record(runs: list[dict], contract: dict) -> dict:
     return metrics
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", type=bench_pairs.parse_workloads,
-                        help="workloads to record (default: every one BENCHMARK.json lists)")
-    parser.add_argument("--seeds", type=bench_pairs.parse_seeds, default="701-705")
-    return parser.parse_args(argv)
-
-
-def main(argv=None) -> int:
-    args = parse_args(argv)
+def main() -> int:
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in contract["workloads"]]
     seconds = contract["run_seconds"]
     sha = commit(ROOT)
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     records, ok = {}, True
-    for workload in workloads:
+    for workload in (w["name"] for w in contract["workloads"]):
         runs = []
-        for seed in args.seeds:
+        for seed in SEEDS:
             run = bench_pairs.run_once(ROOT, workload, seed, seconds)
             runs.append(run)
             print(f"{workload} seed {seed} correct={run['correct']} failed={run['failed']}", flush=True)
@@ -84,7 +75,7 @@ def main(argv=None) -> int:
             continue
         records[workload] = {
             "workload": workload, "commit": sha, "nproc": nproc,
-            "seeds": args.seeds, "seconds": seconds, "metrics": metrics,
+            "seeds": SEEDS, "seconds": seconds, "metrics": metrics,
             "provenance": [run["provenance"] for run in runs],
         }
     if not ok:
