@@ -156,7 +156,8 @@ class ServiceClient:
         keysets = {}
         for key_set, block in protocol.key_blocks(role, widths, blocks):
             try:
-                keysets[key_set] = crypto.key_material_from_bytes(block, key_set[1], widths[key_set[0]])
+                scheme, key_role = key_set
+                keysets[key_set] = crypto.key_material_from_bytes(block, key_role, widths[scheme])
             except ValueError as exc:
                 raise ProtocolError(ErrorCode.BAD_STATE, f"key set {key_set}: {exc}") from exc
         self.registration = Registration(
@@ -180,7 +181,9 @@ class ServiceClient:
         """Encrypt offers in one batch, submit one frame each; returns server ids."""
         self._need_tokens(len(specs))
         reg = self.registration
-        offers = direct.build_offers(specs, reg.keysets, reg.params, reg.epoch, reg.salt, reg.masks)
+        offers = direct.build_offers(
+            specs, reg.keysets, reg.params, reg.epoch, reg.salt, reg.masks
+        )
         return [self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(o)) for o in offers]
 
     def submit_direct_offer(self, spec: OfferSpec) -> str:
@@ -189,8 +192,12 @@ class ServiceClient:
     def submit_direct_requests(self, specs: list[RequestSpec]) -> list[str]:
         self._need_tokens(len(specs))
         reg = self.registration
-        requests = direct.build_requests(specs, reg.keysets, reg.params, reg.epoch, reg.salt, reg.masks)
-        return [self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(r)) for r in requests]
+        requests = direct.build_requests(
+            specs, reg.keysets, reg.params, reg.epoch, reg.salt, reg.masks
+        )
+        return [
+            self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(r)) for r in requests
+        ]
 
     def submit_direct_request(self, spec: RequestSpec) -> str:
         return self.submit_direct_requests([spec])[0]
@@ -202,7 +209,13 @@ class ServiceClient:
     ) -> str:
         reg = self._registered()
         offer = transfer.build_transfer_offer(
-            "local", cells, reg.keysets, reg.params, capacity, reg.masks, contact
+            "local",
+            cells,
+            reg.keysets,
+            reg.params,
+            capacity,
+            reg.masks,
+            contact,
         )
         return self._submit(MsgType.SUBMIT_OFFER, protocol.encode_submit_offer(offer))
 
@@ -219,7 +232,14 @@ class ServiceClient:
         elif isinstance(preference, str):
             preference = Preference.parse(preference)
         request = transfer.build_transfer_request(
-            "local", pickup, dropoff, reg.keysets, reg.params, preference, rng=reg.masks, contact=contact
+            "local",
+            pickup,
+            dropoff,
+            reg.keysets,
+            reg.params,
+            preference,
+            rng=reg.masks,
+            contact=contact,
         )
         return self._submit(MsgType.SUBMIT_REQUEST, protocol.encode_submit_request(request))
 

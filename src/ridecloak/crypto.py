@@ -38,14 +38,15 @@ thread count only; match records do not depend on it.
 
 A submission's layout names the (scheme, role) key set of each of its
 indexes (`direct.DIRECT_OFFER`, ...); `encrypt_layout` and `unmask_layout`
-make one `encrypt_indices` or `unmask_indices` call per key set of it.
+take a batch of submissions place by place and make one `encrypt_indices`
+or `unmask_indices` call per key set of the layout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -467,28 +468,47 @@ KeySetId = tuple[str, str]
 Layout = tuple[KeySetId, ...]
 
 
-def _per_key_set(layout: Layout, items: list, apply) -> list:
-    """`apply(key set, its items in block order)` once per key set of `layout`,
-    in first-use order, each result put back in its item's place."""
-    if len(items) != len(layout):
-        raise ValueError(f"a block laid out for {len(layout)} indexes got {len(items)}")
+@cache
+def _key_set_places(layout: Layout) -> tuple[tuple[KeySetId, tuple[int, ...]], ...]:
+    """Each key set of `layout` with the places that use it, in first-use order."""
     places: dict[KeySetId, list[int]] = {}
     for place, key_set in enumerate(layout):
         places.setdefault(key_set, []).append(place)
+    return tuple((key_set, tuple(where)) for key_set, where in places.items())
+
+
+def _per_key_set(layout: Layout, batch: list, apply) -> list:
+    """`apply(key set, its items)` once per key set of `layout`, in first-use order.
+
+    `batch[k]` holds index k of each of n submissions laid out by `layout`,
+    and the result has the same form. A key set used at one place takes
+    that place's items whole; one used at several takes theirs submission
+    by submission, in block order.
+    """
+    if len(batch) != len(layout):
+        raise ValueError(f"a block laid out for {len(layout)} indexes got {len(batch)}")
+    if len(set(map(len, batch))) > 1:
+        raise ValueError("each place of a batch must hold one index per submission")
     out = [None] * len(layout)
-    for key_set, where in places.items():
-        for place, result in zip(where, apply(key_set, [items[i] for i in where])):
-            out[place] = result
+    for key_set, where in _key_set_places(layout):
+        if len(where) == 1:
+            out[where[0]] = apply(key_set, batch[where[0]])
+            continue
+        items = [item for group in zip(*[batch[p] for p in where]) for item in group]
+        results = apply(key_set, items)
+        for k, place in enumerate(where):
+            out[place] = results[k :: len(where)]
     return out
 
 
 def encrypt_layout(
-    vectors: list[np.ndarray],
+    vectors: list,
     layout: Layout,
     keysets: dict[KeySetId, UserKeySet],
     rng: np.random.Generator | MaskStock,
-) -> list[EncryptedIndex]:
-    """One binary vector per index of `layout`, encrypted by one `encrypt_indices` call per key set.
+) -> list[list[EncryptedIndex]]:
+    """Binary vectors laid out by `layout`, `vectors[k]` those of its index k
+    (a list or a row stack), encrypted by one `encrypt_indices` call per key set.
 
     A layout naming a key set that `keysets` lacks is refused with
     ValueError before anything is encrypted.
@@ -496,15 +516,20 @@ def encrypt_layout(
     for key_set in dict.fromkeys(layout):
         if key_set not in keysets:
             raise ValueError(f"no {key_set} key set is held")
-    return _per_key_set(layout, vectors, lambda ks, rows: encrypt_indices(np.array(rows), keysets[ks], rng))
+    return _per_key_set(
+        layout, vectors, lambda ks, rows: encrypt_indices(rows, keysets[ks], rng)
+    )
 
 
 def unmask_layout(
-    indexes: list[EncryptedIndex], layout: Layout, secrets: dict[str, TosSecrets]
-) -> list[EncryptedIndex]:
-    """A block laid out by `layout`, unmasked by one `unmask_indices` call per key set, under
-    its scheme's secrets and its role, so every check there runs before anything is returned."""
-    return _per_key_set(layout, indexes, lambda ks, batch: unmask_indices(batch, secrets[ks[0]], ks[1]))
+    indexes: list[list[EncryptedIndex]], layout: Layout, secrets: dict[str, TosSecrets]
+) -> list[list[EncryptedIndex]]:
+    """Indexes laid out by `layout`, `indexes[k]` those of its index k, unmasked by
+    one `unmask_indices` call per key set, under its scheme's secrets and its
+    role, so every check there runs before anything is returned."""
+    return _per_key_set(
+        layout, indexes, lambda ks, batch: unmask_indices(batch, secrets[ks[0]], ks[1])
+    )
 
 
 def similarity_matrix(queries: list[EncryptedIndex], offers: list[EncryptedIndex]) -> np.ndarray:

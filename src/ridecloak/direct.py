@@ -130,17 +130,22 @@ def _filter(cells, params: Params, epoch: int, salt: int) -> np.ndarray:
 
 
 def _encrypt(
-    trips: list[tuple], layout: Layout, keysets: dict[KeySetId, UserKeySet],
-    params: Params, epoch: int, salt: int, rng: np.random.Generator | MaskStock,
-) -> list[list[EncryptedIndex]]:
+    trips: list[tuple],
+    layout: Layout,
+    keysets: dict[KeySetId, UserKeySet],
+    params: Params,
+    epoch: int,
+    salt: int,
+    rng: np.random.Generator | MaskStock,
+) -> list[tuple[EncryptedIndex, ...]]:
     """Each trip's indexes, laid out by `layout`, from one `crypto.encrypt_layout` call: a
     trip's pick-up, drop-off and route cell sets as filters, then its time as a day slot."""
-    plain = []
-    for *cell_sets, seconds in trips:
-        plain += [_filter(c, params, epoch, salt) for c in cell_sets]
-        plain.append(slot_vector(seconds, params.time_slots))
-    indexes = crypto.encrypt_layout(plain, layout * len(trips), keysets, rng)
-    return [indexes[j : j + len(layout)] for j in range(0, len(indexes), len(layout))]
+    if not trips:
+        return []
+    *cell_sets, times = zip(*trips)
+    batch = [[_filter(c, params, epoch, salt) for c in cells] for cells in cell_sets]
+    batch.append([slot_vector(seconds, params.time_slots) for seconds in times])
+    return list(zip(*crypto.encrypt_layout(batch, layout, keysets, rng)))
 
 
 def build_offers(
@@ -151,16 +156,18 @@ def build_offers(
     salt: int,
     rng: np.random.Generator | MaskStock,
 ) -> list[DirectOffer]:
-    """Encrypt many offers in one batched pass: one encryption call per key set of `DIRECT_OFFER`."""
+    """Encrypt many offers in one batched pass: one encryption call per key
+    set of `DIRECT_OFFER`."""
     for s in specs:
         if not s.cases:
             raise ValueError("offer must accept at least one drop-off case")
         if s.capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {s.capacity}")
     trips = [(s.pickup_cells, s.dropoff_cells, s.route_cells, s.depart_seconds) for s in specs]
+    encrypted = _encrypt(trips, DIRECT_OFFER, keysets, params, epoch, salt, rng)
     return [
         DirectOffer(s.offer_id, s.capacity, tuple(s.cases), *indexes, s.contact)
-        for s, indexes in zip(specs, _encrypt(trips, DIRECT_OFFER, keysets, params, epoch, salt, rng))
+        for s, indexes in zip(specs, encrypted)
     ]
 
 
@@ -172,11 +179,12 @@ def build_requests(
     salt: int,
     rng: np.random.Generator | MaskStock,
 ) -> list[DirectRequest]:
-    """Encrypt many requests in one batched pass: one encryption call per key set of `DIRECT_REQUEST`."""
+    """Encrypt many requests in one batched pass: one encryption call per key
+    set of `DIRECT_REQUEST`."""
     trips = [([s.pickup_cell], [s.dropoff_cell], s.route_cells, s.pickup_seconds) for s in specs]
+    encrypted = _encrypt(trips, DIRECT_REQUEST, keysets, params, epoch, salt, rng)
     return [
-        DirectRequest(s.request_id, *indexes, s.contact)
-        for s, indexes in zip(specs, _encrypt(trips, DIRECT_REQUEST, keysets, params, epoch, salt, rng))
+        DirectRequest(s.request_id, *indexes, s.contact) for s, indexes in zip(specs, encrypted)
     ]
 
 
@@ -233,11 +241,11 @@ class _Pool:
         anything is written, so a rejected submission leaves the pool as it
         was. A row freed by `release` is reused before the pool grows.
         """
-        cleared = crypto.unmask_layout(indexes, self.layout, secrets)
+        cleared = crypto.unmask_layout([[idx] for idx in indexes], self.layout, secrets)
         row = self._free[-1] if self._free else self.used
         if row == len(self.live):
             self._grow()
-        for dst, idx in zip(self.row_parts(row), cleared):
+        for dst, (idx,) in zip(self.row_parts(row), cleared):
             dst[...] = idx.parts
         if self._free:
             self._free.pop()

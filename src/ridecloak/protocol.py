@@ -349,7 +349,9 @@ _SCHEMES = tuple(Params().widths)
 # order, driver before rider. A driver encrypts each transfer cell under
 # ("transfer", "driver") (plus) and ("transfer", "rider") (minus).
 PLANS: dict[str, tuple[KeySetId, ...]] = {
-    role: tuple(sorted(set().union(*layouts), key=lambda k: (_SCHEMES.index(k[0]), _ROLE_CODE[k[1]])))
+    role: tuple(
+        sorted(set().union(*layouts), key=lambda k: (_SCHEMES.index(k[0]), _ROLE_CODE[k[1]]))
+    )
     for role, layouts in ROLE_LAYOUTS.items()
 }
 _PREF_CODE = {kind: i for i, kind in enumerate(PreferenceKind)}
@@ -474,9 +476,13 @@ def encode_submit_offer(offer: DirectOffer | TransferOffer) -> bytes:
 
 
 def decode_submit_offer(
-    payload: bytes | memoryview, widths: dict[str, int]
+    payload: bytes | memoryview, widths: dict[str, int], max_items: int
 ) -> DirectOffer | TransferOffer:
-    """The submitted offer, with an empty id and masked indexes at `widths`."""
+    """The submitted offer, with an empty id and masked indexes at `widths`.
+
+    A transfer offer announcing more than `max_items` cells is refused with
+    BAD_STATE before its block is read.
+    """
     r = _Reader(payload)
     scheme = r.u8()
     if scheme == _SCHEME_CODE["direct"]:
@@ -487,7 +493,11 @@ def decode_submit_offer(
     if scheme == _SCHEME_CODE["transfer"]:
         capacity = r.u16()
         contact = r.blob()
-        block = r.indexes(TRANSFER_CELL * r.u16(), widths)
+        count = r.u16()
+        if count > max_items:
+            cells = f"max_items {max_items}, got {count}"
+            raise ProtocolError(ErrorCode.BAD_STATE, f"transfer offer cells exceed {cells}")
+        block = r.indexes(TRANSFER_CELL * count, widths)
         cells = [TransferCellCipher(p, m) for p, m in zip(block[::2], block[1::2])]
         return TransferOffer("", capacity, cells, contact)
     raise ProtocolError(ErrorCode.MALFORMED, f"unknown scheme code {scheme}")

@@ -188,7 +188,7 @@ class TosServer:
     def handle_submit_offer(self, frame: Frame) -> Reply:
         self._check_epoch(frame)
         token = self._check_token(frame.token)
-        offer = protocol.decode_submit_offer(frame.payload, self.widths)
+        offer = protocol.decode_submit_offer(frame.payload, self.widths, self.config.max_items)
         if offer.capacity < 1:
             raise ProtocolError(ErrorCode.BAD_STATE, "capacity must be >= 1")
         if isinstance(offer, direct.DirectOffer):
@@ -200,9 +200,8 @@ class TosServer:
             )
             self.direct_offers[offer_id] = direct.PoolEntry(self.offer_pool, row, offer.contact)
         else:
-            if not 2 <= len(offer.cells) <= self.config.max_items:
-                cells = f"2 cells to max_items {self.config.max_items}, got {len(offer.cells)}"
-                raise ProtocolError(ErrorCode.BAD_STATE, f"transfer offer needs {cells}")
+            if len(offer.cells) < 2:
+                raise ProtocolError(ErrorCode.BAD_STATE, "transfer offer needs >= 2 cells")
             offer.offer_id = offer_id = self._next_id("to")
             self.graph.add_offer(offer, self.secrets)
             self.transfer_offers[offer_id] = offer
@@ -220,8 +219,8 @@ class TosServer:
                 self.request_pool, row, request.contact
             )
         else:
-            request.pickup, request.dropoff = crypto.unmask_layout(
-                [request.pickup, request.dropoff], transfer.TRANSFER_QUERY, self.secrets
+            (request.pickup,), (request.dropoff,) = crypto.unmask_layout(
+                [[request.pickup], [request.dropoff]], transfer.TRANSFER_QUERY, self.secrets
             )
             request.request_id = request_id = self._next_id("tr")
             self.transfer_requests[request_id] = request

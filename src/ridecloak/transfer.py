@@ -193,11 +193,9 @@ def build_transfer_offer(
         raise ValueError(f"a transfer offer takes 2 to {params.max_items} cells, got {len(cells)}")
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
-    vectors = [encode_cell(c, t, params.id_bits, params.time_bits) for c, t in cells]
-    indexes = crypto.encrypt_layout(
-        [v for v in vectors for _ in TRANSFER_CELL], TRANSFER_CELL * len(cells), keysets, rng
-    )
-    pairs = [TransferCellCipher(p, m) for p, m in zip(indexes[::2], indexes[1::2])]
+    vectors = np.stack([encode_cell(c, t, params.id_bits, params.time_bits) for c, t in cells])
+    plus, minus = crypto.encrypt_layout([vectors, vectors], TRANSFER_CELL, keysets, rng)
+    pairs = [TransferCellCipher(p, m) for p, m in zip(plus, minus)]
     return TransferOffer(offer_id, capacity, pairs, contact)
 
 
@@ -212,9 +210,9 @@ def build_transfer_request(
     rng: np.random.Generator | MaskStock,
     contact: bytes = b"",
 ) -> TransferRequest:
-    vectors = [encode_cell(c, t, params.id_bits, params.time_bits) for c, t in (pickup, dropoff)]
-    enc = crypto.encrypt_layout(vectors, TRANSFER_QUERY, keysets, rng)
-    return TransferRequest(request_id, enc[0], enc[1], preference, contact)
+    vectors = [[encode_cell(c, t, params.id_bits, params.time_bits)] for c, t in (pickup, dropoff)]
+    (pickup_index,), (dropoff_index,) = crypto.encrypt_layout(vectors, TRANSFER_QUERY, keysets, rng)
+    return TransferRequest(request_id, pickup_index, dropoff_index, preference, contact)
 
 
 @dataclass
@@ -339,9 +337,12 @@ class TransferGraph:
         """
         if offer.offer_id in self.capacity:
             raise ValueError(f"offer id {offer.offer_id!r} already in graph")
-        cleared = crypto.unmask_layout(offer.indexes(), TRANSFER_CELL * len(offer.cells), secrets)
-        pairs = enumerate(zip(cleared[::2], cleared[1::2]))
-        new_nodes = [TransferNode(offer.offer_id, pos, p, m) for pos, (p, m) in pairs]
+        plus, minus = crypto.unmask_layout(
+            [[c.plus for c in offer.cells], [c.minus for c in offer.cells]], TRANSFER_CELL, secrets
+        )
+        new_nodes = [
+            TransferNode(offer.offer_id, pos, p, m) for pos, (p, m) in enumerate(zip(plus, minus))
+        ]
         added = 0
         if self.active_mask.any():
             hits = self._hits(np.stack([n.minus.flat() for n in new_nodes])) & self.active_mask

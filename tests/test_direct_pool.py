@@ -39,6 +39,7 @@ class ReferenceServer:
         self.secrets = secrets
         self.n_hashes = config.n_hashes
         self.widths = config.widths
+        self.max_items = config.max_items
         self.rotate()
 
     def rotate(self):
@@ -52,7 +53,7 @@ class ReferenceServer:
     def ingest(self, log):
         for msg_type, item_id, payload in log:
             if msg_type is MsgType.SUBMIT_OFFER:
-                p = protocol.decode_submit_offer(payload, self.widths)
+                p = protocol.decode_submit_offer(payload, self.widths, self.max_items)
                 self.offers[item_id] = direct.DirectOffer(
                     item_id, p.capacity, p.cases, *self.unmask(p.indexes(), "driver"), p.contact
                 )

@@ -39,6 +39,7 @@ def sample_indexes(count=4, dim=16, seed=0, role="rider"):
 # The scheme widths in these tests, and a direct trip's index widths at them:
 # three filters, then time.
 WIDTHS = {"direct": 16, "transfer": 16, "time": 6}
+MAX_ITEMS = Params().max_items
 DIRECT_DIMS = (16, 16, 16, 6)
 
 
@@ -175,7 +176,7 @@ def test_direct_offer_payload_round_trip():
     assert payload == oracles.direct_offer_payload(
         3, ["route", "area"], b"call-me", oracle_blobs(offer.indexes())
     )
-    back = protocol.decode_submit_offer(payload, WIDTHS)
+    back = protocol.decode_submit_offer(payload, WIDTHS, MAX_ITEMS)
     assert isinstance(back, DirectOffer) and back.offer_id == ""
     assert (back.capacity, back.cases, back.contact) == (3, offer.cases, b"call-me")
     assert same_indexes(back.indexes(), offer.indexes())
@@ -190,7 +191,7 @@ def test_direct_offer_payload_round_trip():
     for name, blobs in wrong_blocks.items():
         with pytest.raises(ProtocolError, match="ciphertext block") as exc_info:
             protocol.decode_submit_offer(
-                oracles.direct_offer_payload(1, ["area"], b"", blobs), WIDTHS
+                oracles.direct_offer_payload(1, ["area"], b"", blobs), WIDTHS, MAX_ITEMS
             )
         assert exc_info.value.code is ErrorCode.BAD_DIMENSION, name
 
@@ -204,11 +205,31 @@ def test_transfer_offer_payload_round_trip():
         assert payload == oracles.transfer_offer_payload(
             2, b"", list(zip(oracle_blobs(plus), oracle_blobs(minus)))
         )
-        back = protocol.decode_submit_offer(payload, WIDTHS)
+        back = protocol.decode_submit_offer(payload, WIDTHS, MAX_ITEMS)
         assert isinstance(back, TransferOffer) and back.offer_id == ""
         assert (back.capacity, back.contact, len(back.cells)) == (2, b"", count)
         assert same_indexes([c.plus for c in back.cells], plus)
         assert same_indexes([c.minus for c in back.cells], minus)
+
+
+def test_transfer_offer_over_max_items_cells_is_refused_before_its_block(monkeypatch):
+    """The cell count a transfer offer announces is checked against
+    `max_items` before the block is read: an over-cap count is BAD_STATE
+    whatever follows it, and no index is decoded."""
+    cells = [(ix.to_bytes(), ix.to_bytes()) for ix in sample_indexes(3, role="driver")]
+    at_cap = oracles.transfer_offer_payload(2, b"", cells)
+    assert len(protocol.decode_submit_offer(at_cap, WIDTHS, 3).cells) == 3
+    count_at = 1 + 2 + 4  # scheme, capacity, empty contact blob
+
+    def no_block(*args):
+        raise AssertionError("a refused offer's block was read")
+
+    monkeypatch.setattr(protocol._Reader, "indexes", no_block)
+    for count, block in ((4, at_cap[count_at + 2 :]), (0xFFFF, b"")):
+        payload = at_cap[:count_at] + struct.pack("<H", count) + block
+        with pytest.raises(ProtocolError, match=f"max_items 3, got {count}") as exc_info:
+            protocol.decode_submit_offer(payload, WIDTHS, 3)
+        assert exc_info.value.code is ErrorCode.BAD_STATE
 
 
 def test_direct_request_payload_round_trip():
@@ -255,7 +276,7 @@ def test_out_of_range_fields_raise_protocol_error(offer):
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ProtocolError, match="scheme"):
-        protocol.decode_submit_offer(b"\x07", WIDTHS)
+        protocol.decode_submit_offer(b"\x07", WIDTHS, MAX_ITEMS)
     with pytest.raises(ProtocolError, match="scheme"):
         protocol.decode_submit_request(b"\x07", WIDTHS)
     with pytest.raises(ProtocolError, match="scheme"):
@@ -267,7 +288,8 @@ def test_payload_underruns_rejected():
         DirectOffer("", 1, (MatchCase.AREA,), *direct_indexes(seed=3), b"contact")
     )
     with pytest.raises(ProtocolError, match="underrun"):
-        protocol.decode_submit_offer(payload[:6], WIDTHS)  # cut inside the contact's length
+        # cut inside the contact's length
+        protocol.decode_submit_offer(payload[:6], WIDTHS, MAX_ITEMS)
     ann = protocol.encode_epoch_announce(EpochAnnounce(1, 2, 3, 4))
     with pytest.raises(ProtocolError, match="underrun"):
         protocol.decode_epoch_announce(ann[:-1])
@@ -320,16 +342,20 @@ def test_encrypted_index_round_trip(knn64):
         assert exc_info.value.code is ErrorCode.BAD_DIMENSION
 
 
+def decode_offer(payload, widths):
+    return protocol.decode_submit_offer(payload, widths, MAX_ITEMS)
+
+
 def _cell_indexes(offer):
     return [ix for c in offer.cells for ix in (c.plus, c.minus)]
 
 
 @pytest.mark.parametrize("encode, decode, trip, indexes", [
-    (protocol.encode_submit_offer, protocol.decode_submit_offer,
+    (protocol.encode_submit_offer, decode_offer,
      lambda ix: DirectOffer("", 1, (MatchCase.AREA,), *ix), DirectOffer.indexes),
     (protocol.encode_submit_request, protocol.decode_submit_request,
      lambda ix: DirectRequest("", *ix), DirectRequest.indexes),
-    (protocol.encode_submit_offer, protocol.decode_submit_offer,
+    (protocol.encode_submit_offer, decode_offer,
      lambda ix: TransferOffer("", 1, [TransferCellCipher(*ix[:2]), TransferCellCipher(*ix[2:])]),
      _cell_indexes),
     (protocol.encode_submit_request, protocol.decode_submit_request,

@@ -867,8 +867,9 @@ def test_transfer_handoff_over_wire(small_service):
     # the relayed bytes are the boarding cell's plus ciphertext as d2 sent it
     _, pos = next(node for node in records[0].path.nodes if node[0] == ids["d2"])
     frame, _ = protocol.decode_frame(d2_frame)
-    widths = small_service.server.widths
-    sent_plus = protocol.decode_submit_offer(frame.payload, widths).cells[pos].plus.to_bytes()
+    widths, max_items = small_service.server.widths, small_service.config.max_items
+    sent = protocol.decode_submit_offer(frame.payload, widths, max_items)
+    sent_plus = sent.cells[pos].plus.to_bytes()
     assert note.transfer_ciphers[0] == sent_plus
     assert sent_plus in d2_frame
 
