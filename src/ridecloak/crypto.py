@@ -513,12 +513,10 @@ def encrypt_layout(
     A layout naming a key set that `keysets` lacks is refused with
     ValueError before anything is encrypted.
     """
-    for key_set in dict.fromkeys(layout):
+    for key_set, _ in _key_set_places(layout):
         if key_set not in keysets:
             raise ValueError(f"no {key_set} key set is held")
-    return _per_key_set(
-        layout, vectors, lambda ks, rows: encrypt_indices(rows, keysets[ks], rng)
-    )
+    return _per_key_set(layout, vectors, lambda ks, rows: encrypt_indices(rows, keysets[ks], rng))
 
 
 def unmask_layout(
