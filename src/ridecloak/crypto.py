@@ -36,17 +36,18 @@ be sent, and a client's one copy out of the key file is the operand it
 encrypts with. Fixed-seed key bytes are reproducible under one BLAS
 thread count only; match records do not depend on it.
 
-A submission's layout names the (scheme, role) key set of each of its
-indexes (`direct.DIRECT_OFFER`, ...); `encrypt_layout` and `unmask_layout`
-take a batch of submissions place by place and make one `encrypt_indices`
-or `unmask_indices` call per key set of the layout.
+A submission's layout names each (scheme, role) key set it uses once,
+with the number of indexes it encrypts per submission, in block order
+(`direct.DIRECT_OFFER`, ...); `encrypt_layout` and `unmask_layout` take
+one stack per key set and make one `encrypt_indices` or `unmask_indices`
+call for each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -463,71 +464,48 @@ def unmask_indices(
 
 
 # A user key set's name, (scheme, role), and a ciphertext block's layout:
-# the key set of each of its indexes, in block order.
+# each key set it uses, named once with the indexes it encrypts per
+# submission, in block order.
 KeySetId = tuple[str, str]
-Layout = tuple[KeySetId, ...]
+Layout = tuple[tuple[KeySetId, int], ...]
 
 
-@cache
-def _key_set_places(layout: Layout) -> tuple[tuple[KeySetId, tuple[int, ...]], ...]:
-    """Each key set of `layout` with the places that use it, in first-use order."""
-    places: dict[KeySetId, list[int]] = {}
-    for place, key_set in enumerate(layout):
-        places.setdefault(key_set, []).append(place)
-    return tuple((key_set, tuple(where)) for key_set, where in places.items())
-
-
-def _per_key_set(layout: Layout, batch: list, apply) -> list:
-    """`apply(key set, its items)` once per key set of `layout`, in first-use order.
-
-    `batch[k]` holds index k of each of n submissions laid out by `layout`,
-    and the result has the same form. A key set used at one place takes
-    that place's items whole; one used at several takes theirs submission
-    by submission, in block order.
-    """
-    if len(batch) != len(layout):
-        raise ValueError(f"a block laid out for {len(layout)} indexes got {len(batch)}")
-    if len(set(map(len, batch))) > 1:
-        raise ValueError("each place of a batch must hold one index per submission")
-    out = [None] * len(layout)
-    for key_set, where in _key_set_places(layout):
-        if len(where) == 1:
-            out[where[0]] = apply(key_set, batch[where[0]])
-            continue
-        items = [item for group in zip(*[batch[p] for p in where]) for item in group]
-        results = apply(key_set, items)
-        for k, place in enumerate(where):
-            out[place] = results[k :: len(where)]
-    return out
+def _check_stacks(stacks: list, layout: Layout) -> None:
+    """Refuse, with ValueError, stacks that are not one per key set of `layout`,
+    each holding its count of rows for each of the same one or more submissions."""
+    if len(stacks) != len(layout):
+        raise ValueError(f"a layout of {len(layout)} key sets got {len(stacks)} stacks")
+    rows = [len(stack) for stack in stacks]
+    submissions = rows[0] // layout[0][1]
+    if submissions < 1 or rows != [submissions * count for _, count in layout]:
+        raise ValueError(f"stacks of {rows} rows do not fit {layout}")
 
 
 def encrypt_layout(
-    vectors: list,
+    stacks: list,
     layout: Layout,
     keysets: dict[KeySetId, UserKeySet],
     rng: np.random.Generator | MaskStock,
 ) -> list[list[EncryptedIndex]]:
-    """Binary vectors laid out by `layout`, `vectors[k]` those of its index k
-    (a list or a row stack), encrypted by one `encrypt_indices` call per key set.
-
-    A layout naming a key set that `keysets` lacks is refused with
-    ValueError before anything is encrypted.
-    """
-    for key_set, _ in _key_set_places(layout):
+    """Binary vectors encrypted by one `encrypt_indices` call per key set of `layout`:
+    `stacks[k]` (a list or a row stack) holds key set k's rows, submission by
+    submission, as does the result's item k. Stacks that do not fit the layout, or
+    a key set `keysets` lacks, are refused with ValueError before any mask is drawn."""
+    _check_stacks(stacks, layout)
+    for key_set, _ in layout:
         if key_set not in keysets:
             raise ValueError(f"no {key_set} key set is held")
-    return _per_key_set(layout, vectors, lambda ks, rows: encrypt_indices(rows, keysets[ks], rng))
+    return [encrypt_indices(rows, keysets[ks], rng) for rows, (ks, _) in zip(stacks, layout)]
 
 
 def unmask_layout(
-    indexes: list[list[EncryptedIndex]], layout: Layout, secrets: dict[str, TosSecrets]
+    stacks: list[list[EncryptedIndex]], layout: Layout, secrets: dict[str, TosSecrets]
 ) -> list[list[EncryptedIndex]]:
-    """Indexes laid out by `layout`, `indexes[k]` those of its index k, unmasked by
-    one `unmask_indices` call per key set, under its scheme's secrets and its
-    role, so every check there runs before anything is returned."""
-    return _per_key_set(
-        layout, indexes, lambda ks, batch: unmask_indices(batch, secrets[ks[0]], ks[1])
-    )
+    """Indexes unmasked by one `unmask_indices` call per key set of `layout`, under
+    its scheme's secrets and its role, `stacks[k]` and the result's item k as in
+    `encrypt_layout`. Every check runs before anything is returned."""
+    _check_stacks(stacks, layout)
+    return [unmask_indices(idx, secrets[s], role) for idx, ((s, role), _) in zip(stacks, layout)]
 
 
 def similarity_matrix(queries: list[EncryptedIndex], offers: list[EncryptedIndex]) -> np.ndarray:

@@ -7,10 +7,10 @@ intended route filter, and time vector, encoded by the `protocol.Params`
 of the user's registration. The three filters are `filter_bits` wide and
 encrypt under the "direct" key set of the user's role; the time vector is
 one-hot over `time_slots` positions and encrypts under the "time" key set,
-so no index carries padding. `DIRECT_OFFER` and `DIRECT_REQUEST` name
-these (scheme, role) key sets in block order, and both encryption and
-the pools' unmasking read them. The server matches a pair by checking, on
-unmasked indexes only:
+so no index carries padding. `DIRECT_OFFER` and `DIRECT_REQUEST` name these
+(scheme, role) key sets once each, with three and one indexes, and encryption
+and the pools' unmasking take the filters as one stack and the time as another.
+The server matches a pair by checking, on unmasked indexes only:
 
   gate 1: time similarity == 1        (same day slot)
   gate 2: pick-up similarity == n_hashes  (rider pick-up in driver area)
@@ -52,10 +52,10 @@ class MatchCase(enum.Enum):
 
 DEFAULT_CASES = (MatchCase.AREA, MatchCase.ROUTE, MatchCase.EXTENDED)
 
-# The key set of each index of a direct trip: pick-up, drop-off and route
-# filters, then the time index.
-DIRECT_OFFER: Layout = (("direct", "driver"),) * 3 + (("time", "driver"),)
-DIRECT_REQUEST: Layout = (("direct", "rider"),) * 3 + (("time", "rider"),)
+# The key sets of a direct trip's block: its pick-up, drop-off and route
+# filters, then its time index.
+DIRECT_OFFER: Layout = ((("direct", "driver"), 3), (("time", "driver"), 1))
+DIRECT_REQUEST: Layout = ((("direct", "rider"), 3), (("time", "rider"), 1))
 
 
 @dataclass
@@ -142,10 +142,10 @@ def _encrypt(
     trip's pick-up, drop-off and route cell sets as filters, then its time as a day slot."""
     if not trips:
         return []
-    *cell_sets, times = zip(*trips)
-    batch = [[_filter(c, params, epoch, salt) for c in cells] for cells in cell_sets]
-    batch.append([slot_vector(seconds, params.time_slots) for seconds in times])
-    return list(zip(*crypto.encrypt_layout(batch, layout, keysets, rng)))
+    filters = [_filter(c, params, epoch, salt) for *cell_sets, _ in trips for c in cell_sets]
+    slots = [slot_vector(seconds, params.time_slots) for *_, seconds in trips]
+    stacks = [iter(s) for s in crypto.encrypt_layout([filters, slots], layout, keysets, rng)]
+    return [tuple(next(s) for s, (_, n) in zip(stacks, layout) for _ in range(n)) for _ in trips]
 
 
 def build_offers(
@@ -198,8 +198,8 @@ class _Pool:
     """Unmasked ciphertexts of stored submissions, one row per submission.
 
     `dims` is each index kind's width, as `protocol.layout_dims` gives it
-    for a direct trip, and `layout` names the key set each index of a
-    stored submission is unmasked by. `kinds[kind]` is one contiguous
+    for a direct trip, and `layout` names the key sets, with their counts,
+    a stored submission is unmasked by. `kinds[kind]` is one contiguous
     (rows, 8*dims[kind]) float64 matrix per index kind, so a matching
     round's GEMMs read the used prefix in place. `live` marks the rows that hold a current
     submission and `seq` their arrival order. A freed row keeps its stale
@@ -241,11 +241,12 @@ class _Pool:
         anything is written, so a rejected submission leaves the pool as it
         was. A row freed by `release` is reused before the pool grows.
         """
-        cleared = crypto.unmask_layout([[idx] for idx in indexes], self.layout, secrets)
+        filters = self.layout[0][1]
+        cleared = crypto.unmask_layout([indexes[:filters], indexes[filters:]], self.layout, secrets)
         row = self._free[-1] if self._free else self.used
         if row == len(self.live):
             self._grow()
-        for dst, (idx,) in zip(self.row_parts(row), cleared):
+        for dst, idx in zip(self.row_parts(row), [idx for stack in cleared for idx in stack]):
             dst[...] = idx.parts
         if self._free:
             self._free.pop()

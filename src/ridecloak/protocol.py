@@ -12,13 +12,13 @@ failures come back as ERROR frames and leave server state unchanged.
 A SUBMIT_OFFER or SUBMIT_REQUEST payload ends in one ciphertext block:
 its encrypted indexes back to back, each as 8*dim little-endian float64
 (the eight parts, row-major), with nothing between them. No width travels.
-A layout names the (scheme, role) key set of each index, and there are
-four: `DIRECT_OFFER` and `DIRECT_REQUEST` (pick-up, drop-off, route,
-time), `TRANSFER_CELL`, once per announced cell of a transfer offer
-(plus, minus), and `TRANSFER_QUERY` (pick-up, drop-off). The decoder
-sizes every block by one rule: each index is its scheme's width in the
-caller's `Params.widths` table, and a block of any other size is refused
-with BAD_DIMENSION. All indexes are masked, and the layout also names
+A layout names each (scheme, role) key set once, with its count of indexes,
+in block order. There are four: `DIRECT_OFFER` and `DIRECT_REQUEST` (pick-up,
+drop-off and route filters, time), `TRANSFER_CELL`, once per announced cell
+of a transfer offer (plus, minus), and `TRANSFER_QUERY` (pick-up, drop-off).
+The decoder sizes every block by one rule: each index is its scheme's width
+in the caller's `Params.widths` table, and a block of any other size is
+refused with BAD_DIMENSION. All indexes are masked, and the layout also names
 the key set each is unmasked by.
 
 A KEY_BUNDLE payload is `u64 epoch | u64 salt | six u32 | u16 token count
@@ -91,12 +91,13 @@ class ProtocolError(Exception):
 
 @dataclass(frozen=True)
 class Frame:
-    """One decoded frame; `payload` is a view of the buffer it was decoded from."""
+    """One decoded frame; `payload` and `raw` are views of the buffer it was decoded from."""
 
     msg_type: MsgType
     epoch: int
     token: bytes
     payload: memoryview
+    raw: memoryview | None = None  # the whole frame, header included
 
 
 def frame_length(payload_size: int) -> int:
@@ -137,7 +138,7 @@ def decode_frame(data: bytes | memoryview) -> tuple[Frame, memoryview]:
         raise ProtocolError(ErrorCode.MALFORMED, f"unknown message type {msg_b}") from None
     token = bytes(data[13:HEADER_SIZE])
     payload = data[HEADER_SIZE : 4 + length]
-    return Frame(msg_type, epoch, token, payload), data[4 + length :]
+    return Frame(msg_type, epoch, token, payload, data[: 4 + length]), data[4 + length :]
 
 
 def read_frame(sock) -> Frame | None:
@@ -265,7 +266,7 @@ class _Reader:
     def indexes(self, layout: Layout, widths: dict[str, int]) -> list[EncryptedIndex]:
         """The rest of the payload as the ciphertext block `layout` lays out.
 
-        The block must hold one index per key set of `layout` in turn, each
+        The block must hold each key set's count of indexes in turn, each
         its scheme's `widths[scheme]` wide, else BAD_DIMENSION. The block is copied
         once, so no index keeps a view of the payload.
         """
@@ -274,7 +275,7 @@ class _Reader:
         if size != expected:
             raise ProtocolError(
                 ErrorCode.BAD_DIMENSION,
-                f"a {size}-byte ciphertext block is not {len(layout)} indexes ({expected} B)",
+                f"a {size}-byte ciphertext block is not {len(dims)} indexes ({expected} B)",
             )
         block = np.frombuffer(self.data, dtype="<f8", offset=self.pos).astype(np.float64)
         self.pos = len(self.data)
@@ -338,7 +339,7 @@ class Params:
 
 def layout_dims(layout: Layout, widths: dict[str, int]) -> tuple[int, ...]:
     """Each index's width in a block laid out by `layout`."""
-    return tuple(widths[scheme] for scheme, _ in layout)
+    return tuple(widths[scheme] for (scheme, _), count in layout for _ in range(count))
 
 
 # The layouts of the submissions each role makes.
@@ -349,9 +350,10 @@ _SCHEMES = tuple(Params().widths)
 # order, driver before rider. A driver encrypts each transfer cell under
 # ("transfer", "driver") (plus) and ("transfer", "rider") (minus).
 PLANS: dict[str, tuple[KeySetId, ...]] = {
-    role: tuple(
-        sorted(set().union(*layouts), key=lambda k: (_SCHEMES.index(k[0]), _ROLE_CODE[k[1]]))
-    )
+    role: tuple(sorted(
+        {key_set for layout in layouts for key_set, _ in layout},
+        key=lambda k: (_SCHEMES.index(k[0]), _ROLE_CODE[k[1]]),
+    ))
     for role, layouts in ROLE_LAYOUTS.items()
 }
 _PREF_CODE = {kind: i for i, kind in enumerate(PreferenceKind)}

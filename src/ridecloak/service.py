@@ -219,8 +219,8 @@ class TosServer:
                 self.request_pool, row, request.contact
             )
         else:
-            (request.pickup,), (request.dropoff,) = crypto.unmask_layout(
-                [[request.pickup], [request.dropoff]], transfer.TRANSFER_QUERY, self.secrets
+            ((request.pickup, request.dropoff),) = crypto.unmask_layout(
+                [[request.pickup, request.dropoff]], transfer.TRANSFER_QUERY, self.secrets
             )
             request.request_id = request_id = self._next_id("tr")
             self.transfer_requests[request_id] = request
@@ -335,7 +335,7 @@ class RideService:
         self.server = TosServer(config, secrets, epoch=1, salt=salt)
         self._lock = threading.RLock()
 
-    def dispatch(self, frame_bytes: bytes) -> bytes | memoryview:
+    def dispatch(self, frame_bytes: bytes | memoryview) -> bytes | memoryview:
         """Handle one frame, always returning exactly one reply frame."""
         with self._lock:
             epoch = self.server.epoch
@@ -406,9 +406,7 @@ class _FrameHandler(socketserver.BaseRequestHandler):
                 return
             if frame is None:
                 return
-            reply = self.server.ride_service.dispatch(
-                protocol.encode_frame(frame.msg_type, frame.epoch, frame.token, frame.payload)
-            )
+            reply = self.server.ride_service.dispatch(frame.raw)
             try:
                 # one write per reply: a header and payload sent apart can
                 # stall on Nagle's algorithm plus the peer's delayed ACK

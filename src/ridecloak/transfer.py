@@ -66,19 +66,27 @@ def cell_vector_bits(id_bits: int, time_bits: int) -> int:
     return 2 * id_bits + time_bits
 
 
+def encode_cells(cells, id_bits: int, time_bits: int) -> np.ndarray:
+    """Plaintext cell vectors, one row per (identifier, interval): id bits (MSB first),
+    complement, interval one-hot, the id bits unpacked at once from big-endian bytes."""
+    for identifier, interval in cells:
+        if not (0 <= identifier < (1 << id_bits)):
+            raise ValueError(f"identifier {identifier} out of range for {id_bits} bits")
+        if not (0 <= interval < time_bits):
+            raise ValueError(f"interval {interval} out of range for {time_bits} bits")
+    size = id_bits // 8 + 1
+    raw = np.frombuffer(b"".join(int(c).to_bytes(size, "big") for c, _ in cells), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(cells), size), axis=1)[:, 8 * size - id_bits :]
+    vectors = np.zeros((len(cells), cell_vector_bits(id_bits, time_bits)))
+    vectors[:, :id_bits] = bits
+    vectors[:, id_bits : 2 * id_bits] = 1 - bits
+    vectors[np.arange(len(cells)), [2 * id_bits + t for _, t in cells]] = 1.0
+    return vectors
+
+
 def encode_cell(identifier: int, interval: int, id_bits: int, time_bits: int) -> np.ndarray:
-    """Plaintext cell vector: id bits (MSB first), complement, interval one-hot."""
-    if not (0 <= identifier < (1 << id_bits)):
-        raise ValueError(f"identifier {identifier} out of range for {id_bits} bits")
-    if not (0 <= interval < time_bits):
-        raise ValueError(f"interval {interval} out of range for {time_bits} bits")
-    vec = np.zeros(cell_vector_bits(id_bits, time_bits), dtype=np.float64)
-    for i in range(id_bits):
-        bit = (identifier >> (id_bits - 1 - i)) & 1
-        vec[i] = bit
-        vec[id_bits + i] = 1 - bit
-    vec[2 * id_bits + interval] = 1.0
-    return vec
+    """One plaintext cell vector, as `encode_cells` writes it."""
+    return encode_cells([(identifier, interval)], id_bits, time_bits)[0]
 
 
 class PreferenceKind(enum.Enum):
@@ -143,11 +151,11 @@ class Preference:
 
 DEFAULT_PREFERENCE = Preference(PreferenceKind.MIN_CELLS)
 
-# The key set of each index of a transfer submission: an offer's block is
-# one TRANSFER_CELL per route cell (plus, minus), a request's one
+# The key sets of a transfer submission's block: an offer's is one
+# TRANSFER_CELL per route cell (plus, minus), a request's one
 # TRANSFER_QUERY (pick-up, drop-off).
-TRANSFER_CELL: Layout = (("transfer", "driver"), ("transfer", "rider"))
-TRANSFER_QUERY: Layout = (("transfer", "rider"),) * 2
+TRANSFER_CELL: Layout = ((("transfer", "driver"), 1), (("transfer", "rider"), 1))
+TRANSFER_QUERY: Layout = ((("transfer", "rider"), 2),)
 
 
 @dataclass
@@ -193,7 +201,7 @@ def build_transfer_offer(
         raise ValueError(f"a transfer offer takes 2 to {params.max_items} cells, got {len(cells)}")
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
-    vectors = np.stack([encode_cell(c, t, params.id_bits, params.time_bits) for c, t in cells])
+    vectors = encode_cells(cells, params.id_bits, params.time_bits)
     plus, minus = crypto.encrypt_layout([vectors, vectors], TRANSFER_CELL, keysets, rng)
     pairs = [TransferCellCipher(p, m) for p, m in zip(plus, minus)]
     return TransferOffer(offer_id, capacity, pairs, contact)
@@ -210,9 +218,9 @@ def build_transfer_request(
     rng: np.random.Generator | MaskStock,
     contact: bytes = b"",
 ) -> TransferRequest:
-    vectors = [[encode_cell(c, t, params.id_bits, params.time_bits)] for c, t in (pickup, dropoff)]
-    (pickup_index,), (dropoff_index,) = crypto.encrypt_layout(vectors, TRANSFER_QUERY, keysets, rng)
-    return TransferRequest(request_id, pickup_index, dropoff_index, preference, contact)
+    vectors = encode_cells([pickup, dropoff], params.id_bits, params.time_bits)
+    (indexes,) = crypto.encrypt_layout([vectors], TRANSFER_QUERY, keysets, rng)
+    return TransferRequest(request_id, *indexes, preference, contact)
 
 
 @dataclass
@@ -302,7 +310,7 @@ class TransferGraph:
         """
         if not queries or not self._row_ids:
             return np.zeros((len(queries), len(self._row_ids)), dtype=bool)
-        return self._hits(np.stack([q.flat() for q in queries]))
+        return self._hits(np.array([q.flat() for q in queries]))
 
     def pinned(self, hits: np.ndarray) -> list[NodeId]:
         """Active nodes among one row of pin() hits, in insertion order."""
@@ -345,14 +353,14 @@ class TransferGraph:
         ]
         added = 0
         if self.active_mask.any():
-            hits = self._hits(np.stack([n.minus.flat() for n in new_nodes])) & self.active_mask
+            hits = self._hits(np.array([n.minus.flat() for n in new_nodes])) & self.active_mask
             for i, j in zip(*np.nonzero(hits)):
                 u = new_nodes[int(i)].node_id
                 v = self._row_ids[int(j)]
                 self.transfer_adj.setdefault(u, []).append(v)
                 self.transfer_adj.setdefault(v, []).append(u)
                 added += 1
-        rows = self._append_rows(np.stack([n.plus.flat() for n in new_nodes]))
+        rows = self._append_rows(np.array([n.plus.flat() for n in new_nodes]))
         self._offer_rows[offer.offer_id] = rows
         for node in new_nodes:
             self.nodes[node.node_id] = node

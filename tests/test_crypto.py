@@ -545,6 +545,39 @@ def test_mask_stock_serves_each_mask_once(knn64):
     assert not np.array_equal(twice[0].parts, twice[1].parts)
 
 
+def test_encrypt_layout_refuses_stacks_that_do_not_fit_before_any_encryption(knn64, monkeypatch):
+    """The wrong number of stacks, unequal submission counts, a count that does
+    not divide, or no submission: ValueError before any `encrypt_indices` call,
+    with the MaskStock untouched."""
+    layout = ((("wide", "driver"), 3), (("narrow", "rider"), 1))
+    keysets = {("wide", "driver"): knn64.driver, ("narrow", "rider"): knn64.rider}
+    stock = crypto.MaskStock(np.random.default_rng(8))
+
+    def rows(n):
+        return np.zeros((n, knn64.dim))
+
+    two = crypto.encrypt_layout([rows(6), rows(2)], layout, keysets, stock)  # fits: two submissions
+    assert [len(stack) for stack in two] == [6, 2]
+    held = {keys: masks.copy() for keys, masks in stock.stocks.items()}
+    state = stock.rng.bit_generator.state
+    calls = []
+    monkeypatch.setattr(crypto, "encrypt_indices", lambda *args: calls.append(args))
+    bad = {
+        "one stack": [rows(3)],
+        "three stacks": [rows(3), rows(1), rows(1)],
+        "unequal submissions": [rows(6), rows(1)],
+        "count does not divide": [rows(4), rows(1)],
+        "no submission": [rows(0), rows(0)],
+    }
+    for name, stacks in bad.items():
+        with pytest.raises(ValueError):
+            crypto.encrypt_layout(stacks, layout, keysets, stock)
+        assert not calls, name
+        assert stock.rng.bit_generator.state == state, name
+        assert stock.stocks.keys() == held.keys(), name
+        assert all(np.array_equal(stock.stocks[k], held[k]) for k in held), name
+
+
 def test_same_key_file_and_seed_give_the_same_bytes_through_a_stock(knn64):
     blob = crypto.key_material_to_bytes(knn64.driver)
     vectors = np.random.default_rng(3).integers(0, 2, (5, knn64.dim)).astype(float)

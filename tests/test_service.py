@@ -1,5 +1,6 @@
 import socket
 import struct
+import threading
 import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
@@ -384,13 +385,16 @@ def test_transfer_offer_of_more_than_max_items_cells_is_refused(small_service):
 
 
 def test_layouts_fix_the_plan_and_the_key_set_of_every_encryption(small_service, monkeypatch):
-    """Each role's plan is the distinct key sets of its layouts, in set-up
-    scheme order, driver first; a registration holds exactly its plan; and
-    each submission kind encrypts once per key set of its layout, in the
-    order the layout first uses them."""
+    """A layout names each of its key sets once, with its indexes per
+    submission; each role's plan is the distinct key sets of its layouts,
+    in set-up scheme order, driver first; a registration holds exactly its
+    plan; and each submission kind encrypts once per key set of its layout,
+    in layout order, that key set's count of rows per submission."""
     schemes = list(small_service.config.widths)
     for role, layouts in protocol.ROLE_LAYOUTS.items():
-        used = {key_set for layout in layouts for key_set in layout}
+        for layout in layouts:
+            assert len({key_set for key_set, _ in layout}) == len(layout), layout
+        used = {key_set for layout in layouts for key_set, _ in layout}
         order = sorted(used, key=lambda k: (schemes.index(k[0]), ["driver", "rider"].index(k[1])))
         assert protocol.PLANS[role] == tuple(order)
     assert protocol.PLANS["driver"] == (
@@ -409,20 +413,22 @@ def test_layouts_fix_the_plan_and_the_key_set_of_every_encryption(small_service,
     real = crypto.encrypt_indices
 
     def recording(vectors, keys, rng):
-        calls.append((keys.dim, keys.role))
+        calls.append((keys.dim, keys.role, len(vectors)))
         return real(vectors, keys, rng)
 
     monkeypatch.setattr(crypto, "encrypt_indices", recording)
-    kinds = [
-        (direct.DIRECT_OFFER, lambda: driver.submit_direct_offer(OFFER)),
-        (direct.DIRECT_REQUEST, lambda: rider.submit_direct_request(REQUEST)),
-        (transfer.TRANSFER_CELL, lambda: driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], 2)),
-        (transfer.TRANSFER_QUERY, lambda: rider.submit_transfer_request((1, 1), (3, 1))),
+    kinds = [  # layout, submissions in one call, submit
+        (direct.DIRECT_OFFER, 2, lambda: driver.submit_direct_offers([OFFER] * 2)),
+        (direct.DIRECT_REQUEST, 1, lambda: rider.submit_direct_request(REQUEST)),
+        (transfer.TRANSFER_CELL, 3, lambda: driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], 2)),
+        (transfer.TRANSFER_QUERY, 1, lambda: rider.submit_transfer_request((1, 1), (3, 1))),
     ]
-    for layout, submit in kinds:
+    for layout, submissions, submit in kinds:
         calls.clear()
         submit()
-        assert calls == [(widths[scheme], role) for scheme, role in dict.fromkeys(layout)]
+        assert calls == [
+            (widths[scheme], role, submissions * count) for (scheme, role), count in layout
+        ]
 
 
 def server_state(svc):
@@ -963,6 +969,56 @@ def over_socket(svc):
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+def test_socket_server_dispatches_each_frame_as_received(small_service, monkeypatch):
+    """The handler hands `dispatch` the buffer it read, so the server frames its
+    replies and nothing else (no request is encoded again), and each frame of a
+    pipelined stream gets exactly one reply."""
+    server_encodes, dispatched = [], []
+    real_encode, real_dispatch = protocol.encode_frame, RideService.dispatch
+
+    def encode(msg_type, *rest):
+        if threading.current_thread() is not threading.main_thread():
+            server_encodes.append(msg_type)
+        return real_encode(msg_type, *rest)
+
+    def dispatch(self, frame_bytes):
+        dispatched.append(MsgType(frame_bytes[4]))
+        return real_dispatch(self, frame_bytes)
+
+    monkeypatch.setattr(protocol, "encode_frame", encode)
+    monkeypatch.setattr(RideService, "dispatch", dispatch)
+    with over_socket(small_service) as transport:
+        driver, rider = ServiceClient(transport, rng=7), ServiceClient(transport, rng=8)
+        driver.register("driver")
+        rider.register("rider")
+        driver.submit_direct_offer(OFFER)
+        driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
+        request_id = rider.submit_direct_request(REQUEST)
+        rider.submit_transfer_request((1, 1), (3, 1))
+        rider.poll([request_id])
+        rider.sync_epoch()
+    assert len(dispatched) == 8
+    # the authority frames a KEY_BUNDLE itself; every other reply is one encode_frame
+    assert server_encodes == [t for t in dispatched if t is not MsgType.REGISTER_USER]
+
+    server_encodes.clear()
+    epoch = small_service.server.epoch
+    frames = [
+        (MsgType.EPOCH_ANNOUNCE, protocol.ZERO_TOKEN),
+        (MsgType.KEY_BUNDLE, protocol.ZERO_TOKEN),  # clients do not send these
+        (MsgType.SUBMIT_OFFER, b"\x01" * protocol.TOKEN_SIZE),  # no such token
+        (MsgType.EPOCH_ANNOUNCE, protocol.ZERO_TOKEN),
+    ]
+    with over_socket(small_service) as transport:
+        transport.sock.sendall(b"".join(real_encode(t, epoch, token, b"") for t, token in frames))
+        transport.sock.shutdown(socket.SHUT_WR)
+        replies = []
+        while (reply := protocol.read_frame(transport.sock)) is not None:
+            replies.append(reply.msg_type)
+    assert replies == [MsgType.EPOCH_ANNOUNCE, MsgType.ERROR, MsgType.ERROR, MsgType.EPOCH_ANNOUNCE]
+    assert server_encodes == replies
 
 
 def recorded_session(monkeypatch, connect):

@@ -40,6 +40,30 @@ def test_encode_cell_layout():
     assert vec.tolist() == [0, 0, 1, 1, 0, 1, 0]
 
 
+def loop_encoded_cell(identifier, interval, id_bits, time_bits):
+    """A cell vector written bit by bit, as `encode_cell` once did."""
+    vec = np.zeros(transfer.cell_vector_bits(id_bits, time_bits))
+    for i in range(id_bits):
+        bit = (identifier >> (id_bits - 1 - i)) & 1
+        vec[i] = bit
+        vec[id_bits + i] = 1 - bit
+    vec[2 * id_bits + interval] = 1.0
+    return vec
+
+
+def test_encode_cell_equals_the_bit_loop():
+    """Every identifier and interval at id_bits 6, and identifiers past 64 bits."""
+    cells = list(itertools.product(range(1 << 6), range(4)))
+    want = np.array([loop_encoded_cell(c, t, 6, 4) for c, t in cells])
+    assert np.array_equal(transfer.encode_cells(cells, 6, 4), want)
+    for c, t in cells:
+        assert np.array_equal(transfer.encode_cell(c, t, 6, 4), loop_encoded_cell(c, t, 6, 4))
+    for identifier in (0, 1, 2**64 + 5, 2**70 - 1):
+        assert np.array_equal(
+            transfer.encode_cell(identifier, 2, 70, 3), loop_encoded_cell(identifier, 2, 70, 3)
+        )
+
+
 def test_encode_cell_dot_separates_exactly():
     """dot == id_bits+1 exactly when identifier and interval both agree."""
     k, l = 4, 3
