@@ -57,6 +57,8 @@ if TYPE_CHECKING:  # protocol imports this module
 
 # Paths one band search enumerates before it stops and flags truncation.
 DEFAULT_PATH_LIMIT = 10_000
+# Swaps the ASCII digits 0 and 1: a cell vector's complemented id bits.
+_FLIP = bytes.maketrans(b"01", b"10")
 
 NodeId = tuple[str, int]
 
@@ -68,20 +70,18 @@ def cell_vector_bits(id_bits: int, time_bits: int) -> int:
 
 def encode_cells(cells, id_bits: int, time_bits: int) -> np.ndarray:
     """Plaintext cell vectors, one row per (identifier, interval): id bits (MSB first),
-    complement, interval one-hot, the id bits unpacked at once from big-endian bytes."""
+    complement, interval one-hot, formatted as ASCII digits and converted in one numpy call."""
+    rows = []
     for identifier, interval in cells:
         if not (0 <= identifier < (1 << id_bits)):
             raise ValueError(f"identifier {identifier} out of range for {id_bits} bits")
         if not (0 <= interval < time_bits):
             raise ValueError(f"interval {interval} out of range for {time_bits} bits")
-    size = id_bits // 8 + 1
-    raw = np.frombuffer(b"".join(int(c).to_bytes(size, "big") for c, _ in cells), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(cells), size), axis=1)[:, 8 * size - id_bits :]
-    vectors = np.zeros((len(cells), cell_vector_bits(id_bits, time_bits)))
-    vectors[:, :id_bits] = bits
-    vectors[:, id_bits : 2 * id_bits] = 1 - bits
-    vectors[np.arange(len(cells)), [2 * id_bits + t for _, t in cells]] = 1.0
-    return vectors
+        bits = format(identifier, "b").zfill(id_bits).encode()
+        one_hot = b"0" * interval + b"1" + b"0" * (time_bits - 1 - interval)
+        rows += (bits, bits.translate(_FLIP), one_hot)
+    digits = np.frombuffer(b"".join(rows), np.uint8)
+    return digits.reshape(len(cells), cell_vector_bits(id_bits, time_bits)) - 48.0  # ord("0")
 
 
 def encode_cell(identifier: int, interval: int, id_bits: int, time_bits: int) -> np.ndarray:

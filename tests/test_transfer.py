@@ -41,7 +41,7 @@ def test_encode_cell_layout():
 
 
 def loop_encoded_cell(identifier, interval, id_bits, time_bits):
-    """A cell vector written bit by bit, as `encode_cell` once did."""
+    """The reference: a cell vector written bit by bit."""
     vec = np.zeros(transfer.cell_vector_bits(id_bits, time_bits))
     for i in range(id_bits):
         bit = (identifier >> (id_bits - 1 - i)) & 1
