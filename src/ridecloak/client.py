@@ -89,7 +89,7 @@ class Registration:
     role: str
     epoch: int
     salt: int
-    keysets: dict[KeySetId, UserKeySet]  # the role's plan, by (scheme, role)
+    keysets: dict[KeySetId, UserKeySet]  # the role's plan, by (scheme, role): views of its frame
     tokens: list[bytes]
     params: protocol.Params
     masks: crypto.MaskStock  # drawn from the client's generator; dropped on registering again
@@ -148,6 +148,12 @@ class ServiceClient:
     # -- registration and epochs ----------------------------------------------
 
     def register(self, role: str) -> Registration:
+        """Register as `role`; the key sets are read-only views of the KEY_BUNDLE frame received.
+
+        A bundle the client cannot use, such as one whose key blocks are not
+        8-aligned in memory, is refused with ProtocolError and leaves the
+        previous registration as it was.
+        """
         frame = self._request(MsgType.REGISTER_USER, protocol.encode_register(role))
         if frame.msg_type != MsgType.KEY_BUNDLE:
             raise ProtocolError(ErrorCode.BAD_STATE, f"expected KEY_BUNDLE, got {frame.msg_type.name}")

@@ -29,12 +29,13 @@ next step reads: set-up frees each master mask pair once its two bases
 are built, and a derivation drops each share pair once its four parts
 are computed. Master keys and server secrets exist only in
 memory; the one key file format holds a user key set: its operand, the
-(dim, 8*dim) matrix encryption reads, and its split pattern, with no
-header, since its reader takes the role and width from the registration
-plan (`protocol.PLANS`). A derivation writes the operand where it will
-be sent, and a client's one copy out of the key file is the operand it
-encrypts with. Fixed-seed key bytes are reproducible under one BLAS
-thread count only; match records do not depend on it.
+(dim, 8*dim) matrix encryption reads, and its split pattern, zero-padded
+to a multiple of 8 bytes, with no header, since its reader takes the role
+and width from the registration plan (`protocol.PLANS`). A derivation
+writes the operand where it will be sent, and a client encrypts with
+read-only views of the key file it received: nothing copies a key.
+Fixed-seed key bytes are reproducible under one BLAS thread count only;
+match records do not depend on it.
 
 A submission's layout names each (scheme, role) key set it uses once,
 with the number of indexes it encrypts per submission, in block order
@@ -138,9 +139,10 @@ class UserKeySet:
     The operand is a (dim, 8*dim) float64 matrix whose row k holds row k of
     each key operand M_i in part order, where M_i is part i transposed for a
     driver (part_i @ half is half @ part_i.T) and part i itself for a rider.
-    It is the key file's layout (`user_key_file`) and what encryption reads.
-    A key set compares, and hashes, by identity: a client's `MaskStock`
-    keeps one stock per key set it holds.
+    It is the key file's layout (`user_key_file`) and what encryption reads;
+    a client's is a read-only view of the key file it received. A key set
+    compares, and hashes, by identity: a client's `MaskStock` keeps one
+    stock per key set it holds.
     """
 
     role: str  # "driver" or "rider"
@@ -227,7 +229,7 @@ class KeyDeriver:
     carry no condition bound and are never inverted. The first pair feeds
     parts 0-3 and the second parts 4-7, so a derivation holds one pair at
     a time: beyond its output, at most 3 * dim^2 values (the pair and one
-    LU factor, or one part's write-back copy when the output is unaligned).
+    LU factor).
     """
 
     dim: int
@@ -242,10 +244,13 @@ class KeyDeriver:
     def derive(self, role: str, rng: np.random.Generator, out: np.ndarray | None = None) -> UserKeySet:
         """A fresh key set for `role`, its operand `out` or a new array.
 
-        `out`, a (dim, 8*dim) float64 array such as a key file's operand
-        (`user_key_file`), need not be aligned. Each part is computed
-        straight into its column block: share.T @ base.T, the transpose of
-        base @ share, for a driver, share @ base for a rider.
+        `out` is a (dim, 8*dim) float64 array such as a key file's operand
+        (`user_key_file`). Each part is computed straight into its column
+        block: share.T @ base.T, the transpose of base @ share, for a
+        driver, share @ base for a rider. The authority's key files are
+        8-aligned in their frame, so each GEMM writes in place; into an
+        unaligned `out`, numpy writes each part through a (dim, dim)
+        write-back copy.
         """
         if role not in _ROLES:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")
@@ -519,43 +524,59 @@ def similarity_matrix(queries: list[EncryptedIndex], offers: list[EncryptedIndex
 
 # ---------------------------------------------------------------------------
 # Key file format (user key sets only): the key operand (`UserKeySet.operand`)
-# as little-endian float64 row-major, then the 0/1 split pattern as raw bytes.
-# Nothing else: whoever reads a key file knows its role and width from the
-# key-set plan.
+# as little-endian float64 row-major, then the 0/1 split pattern as raw bytes,
+# zero-padded to a multiple of 8 bytes so that key files laid back to back
+# from an 8-aligned start stay aligned. Nothing else: whoever reads a key
+# file knows its role and width from the key-set plan.
 # ---------------------------------------------------------------------------
 
 
 def user_key_file_size(dim: int) -> int:
-    """Byte length of the key file of a width-`dim` user key set."""
-    return PART_COUNT * dim * dim * 8 + dim
+    """Byte length of the key file of a width-`dim` user key set, a multiple of 8."""
+    return PART_COUNT * dim * dim * 8 + -(-dim // 8) * 8
+
+
+def _key_file_views(data: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operand, split pattern and padding of a width-`dim` key file, views of the uint8 array `data`."""
+    size = user_key_file_size(dim)
+    if data.shape != (size,):
+        raise ValueError(f"user key file of width {dim} takes {size} bytes, got {data.shape}")
+    start = PART_COUNT * dim * dim * 8
+    operand = data[:start].view("<f8").reshape(dim, PART_COUNT * dim)
+    return operand, data[start : start + dim], data[start + dim :]
 
 
 def user_key_file(slot: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Writable views of a width-`dim` key file laid out in the uint8 buffer `slot`.
 
-    Returns the operand, a (dim, 8*dim) little-endian float64 array that
-    need not be aligned, and the split pattern, for the caller to fill.
+    Zeroes the pattern's padding and returns the operand, a (dim, 8*dim)
+    little-endian float64 array, aligned where `slot` is, and the split
+    pattern, for the caller to fill.
     """
-    size = user_key_file_size(dim)
-    if slot.shape != (size,):
-        raise ValueError(f"user key file of width {dim} takes {size} bytes, got {slot.shape}")
-    return slot[: size - dim].view("<f8").reshape(dim, PART_COUNT * dim), slot[size - dim :]
+    operand, pattern, pad = _key_file_views(slot, dim)
+    pad[:] = 0
+    return operand, pattern
 
 
 def key_material_to_bytes(keys: UserKeySet) -> bytes:
     """The key file of a user key set, laid out by `user_key_file`."""
-    return keys.operand.astype("<f8", copy=False).tobytes() + keys.split_pattern.astype(np.uint8).tobytes()
+    slot = np.empty(user_key_file_size(keys.dim), dtype=np.uint8)
+    operand, pattern = user_key_file(slot, keys.dim)
+    operand[:], pattern[:] = keys.operand, keys.split_pattern
+    return slot.tobytes()
 
 
-def key_material_from_bytes(blob: bytes | memoryview, role: str, dim: int) -> UserKeySet:
+def key_material_from_bytes(blob: bytes | memoryview | np.ndarray, role: str, dim: int) -> UserKeySet:
     """The `role` user key set of width `dim` in a whole key file held in any bytes-like object.
 
-    The operand is copied out of `blob` in one piece, into an aligned
-    array of its own.
+    Copies nothing: the operand and the split pattern are read-only views
+    of `blob`. A blob of the wrong size, an operand that is not 8-aligned
+    in memory, or a nonzero padding byte is refused with ValueError.
     """
-    size = user_key_file_size(dim)
-    if len(blob) != size:
-        raise ValueError(f"user key file of width {dim} must be {size} bytes, got {len(blob)}")
-    operand = np.frombuffer(blob, "<f8", PART_COUNT * dim * dim).reshape(dim, PART_COUNT * dim).copy()
-    pattern = np.frombuffer(blob, np.uint8, dim, size - dim).copy()
+    operand, pattern, pad = _key_file_views(np.frombuffer(blob, np.uint8), dim)
+    if not operand.flags.aligned:
+        raise ValueError("user key file operand is not 8-aligned in memory")
+    if pad.any():
+        raise ValueError("user key file padding must be zero")
+    operand.flags.writeable = pattern.flags.writeable = False
     return UserKeySet(role, operand, pattern)

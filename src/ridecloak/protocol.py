@@ -22,17 +22,21 @@ refused with BAD_DIMENSION. All indexes are masked, and the layout also names
 the key set each is unmasked by.
 
 A KEY_BUNDLE payload is `u64 epoch | u64 salt | six u32 | u16 token count
-| tokens | key blocks`. The six u32 are a `Params` in field order, and a
-header that breaks `Params`' rule is refused with BAD_STATE. The key
-blocks are the registered role's plan (`PLANS`) back to back, to the end
-of the payload: the distinct key sets of the role's layouts, by scheme
-in `Params.widths` order, driver before rider. Each is a key file
-(`crypto.user_key_file`), the (d, 8*d) little-endian float64 operand
-that encryption reads, then d split-pattern bytes, with d its scheme's
-width at the header's widths. The authority derives into a block, and a
-client copies its operand out whole. No name, length or role travels
-with a key block: both ends hold the plan, and `key_blocks` cuts a
-payload's blocks by it.
+| tokens | u8 reserved (0) | key blocks`. The six u32 are a `Params` in
+field order, and a header that breaks `Params`' rule, or a nonzero
+reserved byte, is refused with BAD_STATE. The reserved byte puts the key
+blocks 88 + 32*T bytes into the frame, T the token count: 8-aligned from
+the frame's first byte. The key blocks are the registered role's plan
+(`PLANS`) back to back, to the end of the payload: the distinct key sets
+of the role's layouts, by scheme in `Params.widths` order, driver before
+rider. Each is a key file (`crypto.user_key_file`), the (d, 8*d)
+little-endian float64 operand that encryption reads, then d split-pattern
+bytes zero-padded to a multiple of 8, with d its scheme's width at the
+header's widths, so every block stays aligned. The authority derives into
+a block, and a client keeps read-only views of the blocks of the frame it
+received as its key sets. No name, length or role travels with a key
+block: both ends hold the plan, and `key_blocks` cuts a payload's blocks
+by it.
 """
 
 from __future__ import annotations
@@ -394,7 +398,7 @@ def key_blocks_size(role: str, widths: dict[str, int]) -> int:
 def key_bundle_size(role: str, params: Params, tokens: int) -> int:
     """Payload bytes of a `role` KEY_BUNDLE with `tokens` tokens at `params`."""
     fields = 8 + 8 + 4 * len(dataclasses.fields(Params)) + 2  # epoch, salt, params, token count
-    return fields + TOKEN_SIZE * tokens + key_blocks_size(role, params.widths)
+    return fields + TOKEN_SIZE * tokens + 1 + key_blocks_size(role, params.widths)
 
 
 def key_blocks(
@@ -424,8 +428,9 @@ def key_bundle_frame(b: KeyBundle, blocks_size: int) -> tuple[np.ndarray, np.nda
     """Lay out a whole KEY_BUNDLE reply frame in one buffer, key blocks unwritten.
 
     Writes the frame header (with `b.epoch` and the zero token), the bundle
-    fields and the tokens. Returns the frame and a writable uint8 view of
-    its last `blocks_size` bytes, where the key blocks go.
+    fields, the tokens and the reserved byte. Returns the frame and a
+    writable uint8 view of its last `blocks_size` bytes, where the key
+    blocks go, 8-aligned in memory.
     """
     w = _Writer().u64(b.epoch).u64(b.salt)
     for f in dataclasses.fields(Params):
@@ -435,7 +440,7 @@ def key_bundle_frame(b: KeyBundle, blocks_size: int) -> tuple[np.ndarray, np.nda
         if len(token) != TOKEN_SIZE:
             raise ValueError("token size")
         w.raw(token)
-    body = w.bytes()
+    body = w.u8(0).bytes()
     head = _frame_header(MsgType.KEY_BUNDLE, b.epoch, ZERO_TOKEN, len(body) + blocks_size) + body
     # numpy, not bytearray: see read_frame
     frame = np.empty(len(head) + blocks_size, dtype=np.uint8)
@@ -456,6 +461,8 @@ def decode_key_bundle(payload: bytes | memoryview) -> tuple[KeyBundle, memoryvie
     epoch, salt = r.u64(), r.u64()
     values = {f.name: r.u32() for f in dataclasses.fields(Params)}
     tokens = [r.raw(TOKEN_SIZE) for _ in range(r.u16())]
+    if r.u8():
+        raise ProtocolError(ErrorCode.BAD_STATE, "the KEY_BUNDLE reserved byte must be zero")
     try:
         params = Params(**values)
     except ValueError as exc:

@@ -101,7 +101,8 @@ class TrustedAuthority:
         The bundle and the frame header carry the `epoch` and `salt` the
         server passes in. Returns (frame, token digests). The frame is laid
         out first, and each key set is derived straight into its key block,
-        so every key byte is written once.
+        8-aligned in the frame, so every key byte is written once and in
+        place.
         """
         if role not in protocol.PLANS:
             raise ValueError(f"role must be 'driver' or 'rider', got {role!r}")

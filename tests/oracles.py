@@ -449,9 +449,11 @@ def dense_encrypt(vectors, parts, pattern, role, rng):
 def user_key_file(parts, pattern, role):
     """A user key set's key file: the (d, 8d) operand whose row k holds row
     k of each part (transposed for a driver), as little-endian float64
-    row-major, then the split pattern, one byte per entry."""
+    row-major, then the split pattern, one byte per entry, then zero bytes
+    up to a multiple of 8."""
     operand = np.hstack([np.transpose(p) if role == "driver" else p for p in parts])
-    return np.asarray(operand, dtype="<f8").tobytes(order="C") + bytes(int(v) for v in pattern)
+    pad = (8 - len(pattern) % 8) % 8
+    return np.asarray(operand, dtype="<f8").tobytes(order="C") + bytes(int(v) for v in pattern) + bytes(pad)
 
 
 def key_bundle_frame(epoch, fields, key_files, tokens):
@@ -461,9 +463,9 @@ def key_bundle_frame(epoch, fields, key_files, tokens):
     time_slots, max_items); key_files: the key files in plan order.
     Frame: u32 length | u8 msg_type (2) | u64 epoch | 32-byte token |
     payload. Payload: u64 epoch, u64 salt, six u32, u16 token count, the
-    32-byte tokens, then the key files back to back.
+    32-byte tokens, one zero byte, then the key files back to back.
     """
-    payload = struct.pack("<QQIIIIIIH", *fields, len(tokens)) + b"".join(tokens)
+    payload = struct.pack("<QQIIIIIIH", *fields, len(tokens)) + b"".join(tokens) + b"\x00"
     payload += b"".join(key_files)
     return struct.pack("<IBQ", 1 + 8 + 32 + len(payload), 2, epoch) + bytes(32) + payload
 

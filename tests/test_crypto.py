@@ -393,9 +393,9 @@ def test_key_setup_peaks_within_six_matrices_of_what_it_keeps():
 def test_derivation_holds_one_share_pair_at_a_time():
     """Deriving into a key-file slot peaks at one share pair and an LU factor.
 
-    At offset 3 the slot is unaligned, as the authority's key blocks are
-    (they start 87 + 32·T bytes into the frame), and each part's GEMM adds
-    a write-back copy.
+    At offset 0 the slot is aligned, as the authority's key blocks are
+    (they start 88 + 32·T bytes into the frame), and each part's GEMM
+    writes in place; at offset 3 each adds a write-back copy.
     """
     derivers, _ = crypto.generate_keys({"direct": MEMORY_DIM}, np.random.default_rng(2))
     size = crypto.user_key_file_size(MEMORY_DIM)
@@ -410,6 +410,8 @@ def test_derivation_holds_one_share_pair_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * MATRIX_BYTES, (offset, role)
+        if offset == 0:
+            assert peak <= 2.5 * MATRIX_BYTES, role
 
 
 def test_key_blob_must_be_exact_and_patterns_binary(knn64):
@@ -426,18 +428,43 @@ def test_key_blob_must_be_exact_and_patterns_binary(knn64):
         crypto.UserKeySet("rider", knn64.rider.operand, np.full(knn64.dim, 7, np.uint8))
 
 
+@pytest.mark.parametrize("dim", [1, 8, 47, 48])
+def test_key_files_pad_their_pattern_to_a_multiple_of_eight(dim):
+    """A key file ends in its pattern and zero bytes up to a multiple of 8, which
+    `user_key_file` writes; a nonzero pad byte is refused on reading."""
+    rng = np.random.default_rng(dim)
+    derivers, _ = crypto.generate_keys({"scheme": dim}, rng)
+    keys = derivers["scheme"].derive("rider", rng)
+    size = crypto.user_key_file_size(dim)
+    assert size % 8 == 0 and 0 <= size - 64 * dim * dim - dim < 8
+    slot = np.full(size, 0xFF, dtype=np.uint8)
+    operand, pattern = crypto.user_key_file(slot, dim)
+    operand[:], pattern[:] = keys.operand, keys.split_pattern
+    blob = crypto.key_material_to_bytes(keys)
+    assert slot.tobytes() == blob == oracles.user_key_file(keys.parts, keys.split_pattern, "rider")
+    for pad in range(64 * dim * dim + dim, size):
+        bad = bytearray(blob)
+        bad[pad] = 1
+        with pytest.raises(ValueError, match="padding"):
+            crypto.key_material_from_bytes(bytes(bad), "rider", dim)
+
+
 def test_loaded_key_set_is_one_stacked_operand(knn64):
-    """A key set read from a key file is the file's operand copied into one aligned
-    C-contiguous (d, 8d) array of its own; its parts are read-only views of it."""
+    """A key set read from a key file is read-only views of the file: one aligned
+    C-contiguous (d, 8d) operand, whose parts are views of it, and the pattern.
+    A file whose operand is not 8-aligned in memory is refused."""
     dim = knn64.dim
     for stored in (knn64.driver, knn64.rider):
         blob = crypto.key_material_to_bytes(stored)
-        frame = bytearray(3) + blob  # a key block sits unaligned in its frame
-        loaded = crypto.key_material_from_bytes(memoryview(frame)[3:], stored.role, dim)
+        frame = np.zeros(8 + len(blob), dtype=np.uint8)
+        frame[8:] = np.frombuffer(blob, np.uint8)  # a key block sits 8-aligned in its frame
+        loaded = crypto.key_material_from_bytes(memoryview(frame)[8:], stored.role, dim)
         operand = loaded.operand
         assert operand.shape == (dim, crypto.PART_COUNT * dim)
         assert operand.tobytes() == blob[: crypto.PART_COUNT * dim * dim * 8]
-        assert operand.flags.c_contiguous and operand.flags.aligned and operand.flags.owndata
+        assert operand.flags.c_contiguous and operand.flags.aligned and not operand.flags.owndata
+        for held in (operand, loaded.split_pattern):
+            assert np.shares_memory(held, frame) and not held.flags.writeable
         assert all(np.shares_memory(part, operand) and not part.flags.writeable for part in loaded.parts)
         blocks = operand.reshape(dim, crypto.PART_COUNT, dim)
         for i, (part, want) in enumerate(zip(loaded.parts, stored.parts)):
@@ -446,6 +473,9 @@ def test_loaded_key_set_is_one_stacked_operand(knn64):
             key_operand = want.T if stored.role == "driver" else want
             np.testing.assert_array_equal(blocks[:, i, :], key_operand)
         assert crypto.key_material_to_bytes(loaded) == blob
+        unaligned = bytearray(3) + blob
+        with pytest.raises(ValueError, match="aligned"):
+            crypto.key_material_from_bytes(memoryview(unaligned)[3:], stored.role, dim)
     for bad in (np.zeros((dim, 8 * dim - 1)), np.zeros((dim + 1, 8 * dim)), np.zeros(8 * dim * dim)):
         with pytest.raises(ValueError, match="operand"):
             crypto.UserKeySet("rider", bad, knn64.rider.split_pattern)

@@ -160,10 +160,16 @@ def test_key_bundle_round_trip(knn64):
         tokens=[bytes([i]) * 32 for i in range(5)],
     )
     key_file = crypto.key_material_to_bytes(knn64.rider)
-    back, blocks = protocol.decode_key_bundle(protocol.encode_key_bundle(bundle, key_file * 2))
+    payload = protocol.encode_key_bundle(bundle, key_file * 2)
+    back, blocks = protocol.decode_key_bundle(payload)
     assert back == bundle and bytes(blocks) == key_file * 2
+    # the key blocks are 8-aligned from the frame's first byte, not the payload's
+    frame, _ = protocol.decode_frame(protocol.encode_frame(MsgType.KEY_BUNDLE, 4, ZERO_TOKEN, payload))
+    _, blocks = protocol.decode_key_bundle(frame.payload)
+    assert len(frame.raw) - len(blocks) == 88 + 32 * len(bundle.tokens)
     keys = crypto.key_material_from_bytes(blocks[: len(key_file)], "rider", 64)
     assert keys.role == "rider" and keys.dim == 64
+    assert np.shares_memory(keys.operand, np.frombuffer(frame.raw, np.uint8))
     with pytest.raises(ValueError, match="token"):
         protocol.encode_key_bundle(KeyBundle(1, 1, Params(64, 4, 6, 4, 48, 60), [b"short"]), b"")
 

@@ -1,3 +1,4 @@
+import math
 import socket
 import struct
 import threading
@@ -100,12 +101,12 @@ def test_register_roles_and_key_shapes(small_service):
 
 def bundle_formula_bytes(config, role):
     """A KEY_BUNDLE reply's size as README "File formats" gives it: with T
-    tokens, 87 + 32*T + sum(64*d^2 + d) B over the widths d of the role's
-    key sets, F = filter_bits, W = 2*id_bits + time_bits and S = time_slots:
-    (F, W, W, S) for a driver, (F, W, S) for a rider."""
+    tokens, 88 + 32*T + sum(64*d^2 + ⌈d/8⌉*8) B over the widths d of the
+    role's key sets, F = filter_bits, W = 2*id_bits + time_bits and
+    S = time_slots: (F, W, W, S) for a driver, (F, W, S) for a rider."""
     f, w, s = config.filter_bits, 2 * config.id_bits + config.time_bits, config.time_slots
     dims = (f, w, w, s) if role == "driver" else (f, w, s)
-    return 87 + 32 * config.tokens_per_bundle + sum(64 * d * d + d for d in dims)
+    return 88 + 32 * config.tokens_per_bundle + sum(64 * d * d + math.ceil(d / 8) * 8 for d in dims)
 
 
 @pytest.mark.parametrize("widths", [
@@ -761,7 +762,7 @@ def test_paper_width_key_bundles_fit_a_frame():
         role: protocol.frame_length(protocol.key_bundle_size(role, config, config.tokens_per_bundle))
         for role in protocol.PLANS
     }
-    assert sizes["driver"] == 268_868_961 > sizes["rider"]
+    assert sizes["driver"] == 268_868_964 > sizes["rider"]
     assert sizes["driver"] <= protocol.MAX_FRAME_SIZE
 
 
@@ -1239,9 +1240,9 @@ def corrupt_key_bundles(reply):
     framing = [data[: len(data) * k // 8] for k in range(8)] + [data + b"\x00"]
     framing += [reframed(reply, payload[: len(payload) * k // 8]) for k in range(8)]
     framing.append(reframed(reply, payload + b"\x00"))
-    # 40 bytes of fields, the token count and the tokens, then the first key block
+    # 40 bytes of fields, the token count, the tokens and the reserved byte, then the first key block
     (tokens,) = struct.unpack_from("<H", payload, 40)
-    first_end = 42 + 32 * tokens + crypto.user_key_file_size(SMALL_CONFIG["filter_bits"])
+    first_end = 43 + 32 * tokens + crypto.user_key_file_size(SMALL_CONFIG["filter_bits"])
     bad_pattern = bytearray(payload)
     bad_pattern[first_end - 1] = 7
     return framing, [reframed(reply, bytes(bad_pattern))]
@@ -1262,6 +1263,81 @@ def test_register_refuses_corrupt_key_bundles(small_service):
             assert err.value.code is ErrorCode.BAD_STATE
             assert "('direct', 'rider')" in str(err.value)
         assert rider.registration is before and before.tokens == tokens
+
+
+# transfer cells of 2*5 + 7 = 17 bits: their key files carry 7 pad bytes
+PADDED_CONFIG = SMALL_CONFIG | dict(id_bits=5, time_bits=7)
+
+
+class FrameKeeper:
+    """A transport that keeps the last reply frame it handed back."""
+
+    def __init__(self, transport):
+        self.transport = transport
+        self.frame = None
+
+    def request(self, data):
+        self.frame = self.transport.request(data)
+        return self.frame
+
+
+@pytest.mark.parametrize("connect", [loopback, over_socket])
+def test_registered_key_sets_are_read_only_views_of_the_received_frame(connect):
+    svc = RideService(ServiceConfig(**PADDED_CONFIG), seed=4)
+    with connect(svc) as transport:
+        keeper = FrameKeeper(transport)
+        for role in ("driver", "rider"):
+            reg = ServiceClient(keeper, rng=5).register(role)
+            frame = np.frombuffer(keeper.frame.raw, np.uint8)
+            for key_set, keys in reg.keysets.items():
+                for held in (keys.operand, keys.split_pattern):
+                    assert np.shares_memory(held, frame), key_set
+                    assert not held.flags.writeable, key_set
+                    assert held.flags.aligned and held.flags.c_contiguous, key_set
+
+
+def test_encrypting_a_trip_allocates_no_operand_sized_temporary(small_service):
+    """A trip encrypted from a fresh MaskStock draws its masks with one GEMM
+    over the operand, which is read in place, never copied."""
+    (driver,) = make_clients(small_service, roles=("driver",))
+    reg = driver.registration
+    operand_bytes = reg.keysets["direct", "driver"].operand.nbytes
+    direct.build_offers([OFFER], reg.keysets, reg.params, reg.epoch, reg.salt, reg.masks)
+    masks = crypto.MaskStock(np.random.default_rng(6))
+    tracemalloc.start()
+    try:
+        direct.build_offers([OFFER], reg.keysets, reg.params, reg.epoch, reg.salt, masks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < operand_bytes / 4
+
+
+def test_register_refuses_bad_padding_or_a_misaligned_block_and_keeps_its_registration():
+    svc = RideService(ServiceConfig(**PADDED_CONFIG), seed=4)
+    (rider,) = make_clients(svc, roles=("rider",))
+    before = rider.registration
+    tokens = list(before.tokens)
+    reply = bytes(svc.dispatch(register_frame("rider")))
+    (count,) = struct.unpack_from("<H", reply, protocol.HEADER_SIZE + 40)
+    reserved = protocol.HEADER_SIZE + 42 + 32 * count
+    assert reserved + 1 == 88 + 32 * count
+    # the rider's second key file is its 17-bit transfer set; its last byte is padding
+    transfer_end = reserved + 1 + sum(crypto.user_key_file_size(d) for d in (320, 17))
+    cases = {"reserved byte": reserved, "padding": transfer_end - 1}
+    for message, at in cases.items():
+        bad = bytearray(reply)
+        bad[at] = 1
+        cases[message] = bytes(bad)
+    cases["aligned"] = memoryview(bytearray(1) + reply)[1:]
+    for message, bad in cases.items():
+        rider.transport = replying(bad)
+        with pytest.raises(ProtocolError, match=message) as err:
+            rider.register("rider")
+        assert err.value.code is ErrorCode.BAD_STATE
+        assert rider.registration is before and before.tokens == tokens
+    rider.transport = replying(reply)
+    assert rider.register("rider") is not before
 
 
 def bundle_reply(reg, config, key_files, **fields):

@@ -17,6 +17,12 @@ def test_two_runs_print_the_same_labelled_lines(monkeypatch):
     first, second = tool.digest_lines(), tool.digest_lines()
     assert first == second
     labels = [line.rsplit(" ", 1)[0] for line in first]
-    assert labels == ["key_blocks driver", "key_blocks rider", *tool.PAYLOADS]
+    assert labels == [
+        "key_blocks driver", "key_set driver direct-driver", "key_set driver transfer-driver",
+        "key_set driver transfer-rider", "key_set driver time-driver",
+        "key_blocks rider", "key_set rider direct-rider", "key_set rider transfer-rider",
+        "key_set rider time-rider",
+        *tool.PAYLOADS,
+    ]
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in first)
     assert len({line.rsplit(" ", 1)[1] for line in first}) == len(first)

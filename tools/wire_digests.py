@@ -7,10 +7,14 @@ on one BLAS thread, under which fixed-seed key bytes are reproducible. A
 service at filter_bits=320, n_hashes=4, id_bits=6, time_bits=4 and seed
 701 registers a driver and a rider over `LoopbackTransport`. The tool
 prints one line per bundle's key blocks (tokens are random, so the rest of
-the bundle is left out), then one line per submission payload, the frame
-after its header: a batch of two direct offers, a batch of two direct
-requests, a 3-cell transfer offer and a transfer request. Two checkouts
-that print the same lines put the same bytes on the wire.
+the bundle is left out), each followed by one line per key set the client
+loaded from them (`Registration.keysets`, labelled by scheme and role):
+the digest of its operand bytes, then its split pattern. Then it prints
+one line per submission payload, the frame after its header: a batch of
+two direct offers, a batch of two direct requests, a 3-cell transfer
+offer and a transfer request. Two checkouts that print the same lines put
+the same bytes on the wire; equal key-set lines mean equal key values even
+where the key-block layout differs.
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ def digest_lines() -> list[str]:
         client.register(role)
         _, blocks = protocol.decode_key_bundle(recorder.exchanges[-1][1].payload)
         lines.append(f"key_blocks {role} {_sha(blocks)}")
+        for (scheme, key_role), keys in client.registration.keysets.items():
+            values = keys.operand.tobytes() + keys.split_pattern.tobytes()
+            lines.append(f"key_set {role} {scheme}-{key_role} {_sha(values)}")
     start = len(recorder.exchanges)
     driver.submit_direct_offers(OFFERS)
     rider.submit_direct_requests(REQUESTS)
