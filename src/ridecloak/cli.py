@@ -13,7 +13,9 @@ flushes each line it prints, so a log file keeps them however the server
 stops. The workload-shape flags of `workload` and `bench` default to the
 fields of `sim.ExperimentConfig`. `submit` registers its driver and
 rider and registers again whenever their tokens run out, so a workload
-of any size is submitted whole.
+of any size is submitted whole. A `bench` sweep is the list of
+`ExperimentConfig`s that `cmd_bench` states and runs in order, one CSV
+row per config.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .client import ServerError, ServiceClient, SocketTransport, TokenError
 from .protocol import Params, ProtocolError
 from .service import RideService, ServiceConfig, SocketServer
 from .sim import (
+    SCHEMES,
     ExperimentConfig,
     ServicePool,
     ccrs_size_model,
@@ -35,10 +38,6 @@ from .sim import (
     save_workload,
     submit_offers,
     submit_requests,
-    sweep_cell_count,
-    sweep_matrix,
-    sweep_request_prefixes,
-    sweep_time_bits,
     write_metrics_csv,
 )
 
@@ -126,41 +125,62 @@ def _emit(reports, path: str | None) -> None:
             stream.close()
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+def _square_side(count: int) -> int:
+    side = int(round(count ** 0.5))
+    if side * side != count:
+        raise ValueError(f"cell_count {count} is not a square grid")
+    return side
 
 
 def cmd_bench(args) -> int:
+    # A sweep is the list of configs below, run in order through one pool;
+    # each run generates its own seeded workload. A workload depends on
+    # neither `scheme` nor `time_bits`, and requests are drawn after every
+    # offer, so `n_requests=k` gives the first k requests of any larger run.
+    # Runs with an equal service config and seed share one cached service
+    # only while they are consecutive, so the seed is the outer loop
+    # wherever the swept value leaves the service unchanged.
     base = ExperimentConfig(**_args(args, _SHAPE_ARGS), **_args(args, _CRYPTO_ARGS))
-    seeds = _parse_ints(args.seeds)
-    pool = ServicePool()
+    seeds = [int(seed) for seed in args.seeds.split(",")]
+    values = [float(v) if args.sweep == "fpp" else int(v) for v in args.values.split(",")]
     if args.sweep == "requests":
-        reports = sweep_request_prefixes(
-            replace(base, scheme=args.scheme), _parse_ints(args.values), seeds, pool
-        )
+        configs = [
+            replace(base, scheme=args.scheme, seed=seed, n_requests=count)
+            for seed in seeds
+            for count in values
+        ]
     elif args.sweep == "offers":
-        reports = sweep_matrix(
-            base, _parse_ints(args.values), (args.n_requests,), seeds, pool=pool
-        )
+        configs = [
+            replace(base, scheme=scheme, n_offers=count, seed=seed)
+            for seed in seeds
+            for count in values
+            for scheme in SCHEMES
+        ]
     elif args.sweep == "cells":
-        reports = sweep_cell_count(base, _parse_ints(args.values), seeds, pool)
-        for count in _parse_ints(args.values):
+        sides = [_square_side(count) for count in values]
+        configs = [
+            replace(base, scheme="direct", rows=side, cols=side, seed=seed)
+            for seed in seeds
+            for side in sides
+        ]
+        for count in values:
             print(f"# ccrs_size_model({count}) = {ccrs_size_model(count)} bytes", file=sys.stderr)
     elif args.sweep == "time-bits":
-        reports = sweep_time_bits(base, _parse_ints(args.values), seeds, pool)
+        configs = [
+            replace(base, scheme="transfer", seed=seed, time_bits=bits)
+            for seed in seeds
+            for bits in values
+        ]
     elif args.sweep == "fpp":
-        sized = [sizing(args.max_items, float(v)) for v in args.values.split(",")]
-        reports = [
-            run_experiment(
-                replace(base, scheme="direct", filter_bits=bits, n_hashes=hashes, seed=seed),
-                pool=pool,
-            )
-            for bits, hashes in sized
+        configs = [
+            replace(base, scheme="direct", filter_bits=bits, n_hashes=hashes, seed=seed)
+            for bits, hashes in (sizing(args.max_items, fpp) for fpp in values)
             for seed in seeds
         ]
     else:
         raise ValueError(f"unknown sweep {args.sweep!r}")
-    _emit(reports, args.csv)
+    pool = ServicePool()
+    _emit([run_experiment(config, pool=pool) for config in configs], args.csv)
     return 0
 
 

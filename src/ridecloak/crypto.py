@@ -199,11 +199,6 @@ class EncryptedIndex:
 
     parts: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.parts = np.ascontiguousarray(self.parts, dtype=np.float64)
-        if self.parts.ndim != 2 or self.parts.shape[0] != PART_COUNT:
-            raise ValueError(f"parts must be ({PART_COUNT}, dim), got {self.parts.shape}")
-
     @property
     def dim(self) -> int:
         return self.parts.shape[1]

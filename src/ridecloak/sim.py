@@ -5,7 +5,9 @@ grid of cells, drivers with self-avoiding walk routes, and riders whose
 trips are anchored to driver routes with a configurable hit rate so that
 matchability is controlled rather than left to chance. Experiments drive
 the real client/server stack over the loopback transport and report
-metrics as CSV rows.
+metrics as CSV rows. A sweep is the list of `ExperimentConfig`s that
+`ridecloak bench` runs in order through `run_experiment` and one
+`ServicePool`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import csv
 import hashlib
 import struct
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -743,82 +745,3 @@ def run_experiment(
         vehicle_service_rate=matched / n_off if n_off else 0.0,
         fpp_events=fpp_events,
     )
-
-
-# --- sweeps ---------------------------------------------------------------------
-# A sweep runs its configs in order through one pool; each run generates
-# its own seeded workload. A workload depends on neither `scheme` nor
-# `time_bits`, and requests are drawn after every offer, so
-# `n_requests=k` gives the first k requests of any larger run.
-
-
-def sweep_matrix(
-    base: ExperimentConfig,
-    offers_list: tuple[int, ...],
-    requests_list: tuple[int, ...],
-    seeds: tuple[int, ...],
-    pool: ServicePool | None = None,
-) -> list[MetricsReport]:
-    """Success-rate comparison grid; both schemes see the same workloads."""
-    pool = pool or ServicePool()
-    return [
-        run_experiment(
-            replace(base, scheme=scheme, n_offers=n_offers, n_requests=n_requests, seed=seed),
-            pool=pool,
-        )
-        for seed in seeds
-        for n_offers in offers_list
-        for n_requests in requests_list
-        for scheme in SCHEMES
-    ]
-
-
-def sweep_cell_count(
-    base: ExperimentConfig,
-    cell_counts: tuple[int, ...] = (400, 1600, 6400),
-    seeds: tuple[int, ...] = (0, 1, 2),
-    pool: ServicePool | None = None,
-) -> list[MetricsReport]:
-    """City-size sweep for the communication-overhead comparison."""
-    sides = []
-    for count in cell_counts:
-        side = int(round(count ** 0.5))
-        if side * side != count:
-            raise ValueError(f"cell_count {count} is not a square grid")
-        sides.append(side)
-    pool = pool or ServicePool()
-    return [
-        run_experiment(replace(base, scheme="direct", rows=side, cols=side, seed=seed), pool=pool)
-        for seed in seeds
-        for side in sides
-    ]
-
-
-def sweep_time_bits(
-    base: ExperimentConfig,
-    values: tuple[int, ...] = (25, 50, 100, 200),
-    seeds: tuple[int, ...] = (0, 1, 2),
-    pool: ServicePool | None = None,
-) -> list[MetricsReport]:
-    """Time-resolution sweep on a fixed workload per seed (transfer scheme)."""
-    pool = pool or ServicePool()
-    return [
-        run_experiment(replace(base, scheme="transfer", seed=seed, time_bits=bits), pool=pool)
-        for seed in seeds
-        for bits in values
-    ]
-
-
-def sweep_request_prefixes(
-    base: ExperimentConfig,
-    counts: tuple[int, ...],
-    seeds: tuple[int, ...] = (0,),
-    pool: ServicePool | None = None,
-) -> list[MetricsReport]:
-    """Request-count sweep on prefixes of one request stream per seed."""
-    pool = pool or ServicePool()
-    return [
-        run_experiment(replace(base, seed=seed, n_requests=count), pool=pool)
-        for seed in seeds
-        for count in counts
-    ]

@@ -84,11 +84,6 @@ def encode_cells(cells, id_bits: int, time_bits: int) -> np.ndarray:
     return digits.reshape(len(cells), cell_vector_bits(id_bits, time_bits)) - 48.0  # ord("0")
 
 
-def encode_cell(identifier: int, interval: int, id_bits: int, time_bits: int) -> np.ndarray:
-    """One plaintext cell vector, as `encode_cells` writes it."""
-    return encode_cells([(identifier, interval)], id_bits, time_bits)[0]
-
-
 class PreferenceKind(enum.Enum):
     MIN_CELLS = "min-cells"
     MIN_TRANSFERS = "min-transfers"
@@ -499,13 +494,12 @@ def _band_paths(
     sources: list[NodeId],
     destinations: list[NodeId],
     primary: str,
-    limit: int,
 ) -> tuple[list[PathResult], bool]:
     """Every simple path minimizing the primary count (secondary unweighted)."""
     weights = {"route": 1.0, "transfer": 0.0} if primary == "cells" else {"route": 0.0, "transfer": 1.0}
     adj = _weighted_adjacency(graph, weights)
     dist, preds = modified_dijkstra(adj, sources)
-    raw, truncated = enumerate_paths(preds, dist, sources, destinations, limit)
+    raw, truncated = enumerate_paths(preds, dist, sources, destinations)
     return [annotate_path(nodes) for nodes in raw], truncated
 
 
@@ -514,7 +508,6 @@ def find_paths(
     sources: list[NodeId],
     destinations: list[NodeId],
     preference: Preference,
-    limit: int = DEFAULT_PATH_LIMIT,
 ) -> SearchOutcome:
     """Candidate set and deterministic selection for a preference.
 
@@ -528,7 +521,7 @@ def find_paths(
         return SearchOutcome(None, [], sources, destinations)
 
     minimised = _KIND_RULES[preference.kind][0]
-    bands = [_band_paths(graph, sources, destinations, count, limit) for count in minimised]
+    bands = [_band_paths(graph, sources, destinations, count) for count in minimised]
     candidates = bands[0][0]
     for paths, _ in bands[1:]:
         also_minimal = {p.nodes for p in paths}
@@ -551,7 +544,6 @@ def search(
     graph: TransferGraph,
     request: TransferRequest,
     pins: np.ndarray,
-    limit: int = DEFAULT_PATH_LIMIT,
 ) -> SearchOutcome:
     """Match a rider: pin source/destination nodes, then run the preference.
 
@@ -560,7 +552,7 @@ def search(
     """
     sources = graph.pinned(pins[0])
     destinations = graph.pinned(pins[1])
-    return find_paths(graph, sources, destinations, request.preference, limit)
+    return find_paths(graph, sources, destinations, request.preference)
 
 
 def update_graph(graph: TransferGraph, path: PathResult) -> list[str]:

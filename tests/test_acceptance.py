@@ -284,8 +284,18 @@ def test_criterion_7_scheme_trends():
     matrix = []
     cells = []
     for seed in (0, 1, 2):
-        matrix += sim.sweep_matrix(base, (10, 30), (10, 30), seeds=(seed,), pool=pool)
-        cells += sim.sweep_cell_count(base, (400, 1600, 6400), seeds=(seed,), pool=pool)
+        matrix += [
+            sim.run_experiment(
+                replace(base, scheme=scheme, n_offers=o, n_requests=q, seed=seed), pool=pool
+            )
+            for o in (10, 30)
+            for q in (10, 30)
+            for scheme in sim.SCHEMES
+        ]
+        cells += [  # 400, 1600 and 6400 cells
+            sim.run_experiment(replace(base, rows=side, cols=side, seed=seed), pool=pool)
+            for side in (20, 40, 80)
+        ]
     rates = {
         (r.scheme, r.n_offers, r.n_requests, r.seed): r.success_rate for r in matrix
     }
@@ -302,7 +312,11 @@ def test_criterion_7_scheme_trends():
     model_ratio = sim.ccrs_size_model(6400) / sim.ccrs_size_model(400)
 
     narrow = replace(base, filter_bits=256, n_hashes=4)
-    ltab = sim.sweep_time_bits(narrow, (25, 50, 100, 200), seeds=(0, 1, 2), pool=pool)
+    ltab = [
+        sim.run_experiment(replace(narrow, scheme="transfer", seed=seed, time_bits=bits), pool=pool)
+        for seed in (0, 1, 2)
+        for bits in (25, 50, 100, 200)
+    ]
     chains = {
         seed: [
             r.vehicle_service_rate

@@ -74,29 +74,43 @@ def test_match_command_transfer_to_stdout(tmp_path, capsys):
     assert len(rows) == 1 and rows[0]["scheme"] == "transfer"
 
 
-def test_bench_requests_sweep(tmp_path):
+BENCH_ARGS = [
+    "--seeds", "0,1", "--rows", "8", "--cols", "8", "--offers", "3", "--requests", "4",
+    *SMALL_ARGS,
+]
+
+
+def sweep_rows(seeds, values, schemes):
+    """(seed, scheme, swept value) per row: seed by seed, each value under each scheme."""
+    return [(s, scheme, v) for s in seeds for v in values for scheme in schemes]
+
+
+# sweep -> (--values, the swept CSV column, (seed, scheme, value) per row)
+BENCH_SWEEPS = {
+    "requests": ("2,4", "n_requests", sweep_rows("01", ("2", "4"), ("transfer",))),
+    "offers": ("2,3", "n_offers", sweep_rows("01", ("2", "3"), sim.SCHEMES)),
+    "cells": ("100,144", "cell_count", sweep_rows("01", ("100", "144"), ("direct",))),
+    "time-bits": ("4,8", "time_bits", sweep_rows("01", ("4", "8"), ("transfer",))),
+    # sizing(60, 0.1) and sizing(60, 0.01) give 320 and 576 filter bits; value by value
+    "fpp": ("0.1,0.01", "filter_bits", [
+        ("0", "direct", "320"), ("1", "direct", "320"),
+        ("0", "direct", "576"), ("1", "direct", "576"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("sweep", BENCH_SWEEPS)
+def test_bench_sweep(tmp_path, capsys, sweep):
+    values, column, expected = BENCH_SWEEPS[sweep]
     csv_path = tmp_path / "sweep.csv"
-    code = main([
-        "bench", "requests", "--values", "2,4", "--seeds", "0",
-        "--rows", "8", "--cols", "8", "--offers", "3", "--requests", "4",
-        "--csv", str(csv_path), *SMALL_ARGS,
-    ])
+    code = main(["bench", sweep, "--values", values, "--csv", str(csv_path), *BENCH_ARGS])
     assert code == 0
-    rows = list(csv.DictReader(open(csv_path, encoding="utf-8")))
-    assert [int(r["n_requests"]) for r in rows] == [2, 4]
-    assert all(r["scheme"] == "transfer" for r in rows)
-
-
-def test_bench_cells_sweep(tmp_path, capsys):
-    csv_path = tmp_path / "cells.csv"
-    code = main([
-        "bench", "cells", "--values", "400", "--seeds", "0",
-        "--offers", "3", "--requests", "4", "--csv", str(csv_path), *SMALL_ARGS,
-    ])
-    assert code == 0
-    assert "ccrs_size_model(400) = 102400 bytes" in capsys.readouterr().err
-    rows = list(csv.DictReader(open(csv_path, encoding="utf-8")))
-    assert len(rows) == 1 and int(rows[0]["cell_count"]) == 400
+    rows = list(csv.DictReader(csv_path.read_text(encoding="utf-8").splitlines()))
+    assert [(r["seed"], r["scheme"], r[column]) for r in rows] == expected
+    if sweep == "cells":
+        err = capsys.readouterr().err
+        assert "ccrs_size_model(100) = 25600 bytes" in err
+        assert "ccrs_size_model(144) = 36864 bytes" in err
 
 
 def test_usage_errors_exit_2():

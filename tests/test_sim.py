@@ -321,7 +321,9 @@ def test_submission_refuses_a_registration_without_tokens(small_service, monkeyp
 
 def test_summary_bytes_flat_while_full_vectors_grow(pool):
     base = replace(SMALL_EXPERIMENT, route_len_range=(3, 5), n_offers=4, n_requests=4)
-    reports = sim.sweep_cell_count(base, cell_counts=(16, 64, 256), seeds=(0,), pool=pool)
+    reports = [  # 16, 64 and 256 cells
+        sim.run_experiment(replace(base, rows=side, cols=side), pool=pool) for side in (4, 8, 16)
+    ]
     sizes = [r.bytes_per_offer for r in reports]
     assert max(sizes) - min(sizes) <= 0.01 * min(sizes)
     assert sim.ccrs_size_model(256) / sim.ccrs_size_model(16) == 16.0
@@ -337,7 +339,9 @@ def test_ccrs_size_model_values():
 
 def test_transfer_service_rate_grows_with_requests(pool):
     base = replace(SMALL_EXPERIMENT, scheme="transfer", n_offers=5)
-    reports = sim.sweep_request_prefixes(base, counts=(3, 6, 9, 12), seeds=(0,), pool=pool)
+    reports = [
+        sim.run_experiment(replace(base, n_requests=count), pool=pool) for count in (3, 6, 9, 12)
+    ]
     rates = [r.vehicle_service_rate for r in reports]
     assert rates == sorted(rates)
     assert [r.n_requests for r in reports] == [3, 6, 9, 12]
@@ -345,7 +349,9 @@ def test_transfer_service_rate_grows_with_requests(pool):
 
 def test_transfer_service_rate_falls_with_finer_time_slots(pool):
     base = replace(SMALL_EXPERIMENT, scheme="transfer", n_offers=6, n_requests=12)
-    reports = sim.sweep_time_bits(base, values=(4, 8, 16), seeds=(0,), pool=pool)
+    reports = [
+        sim.run_experiment(replace(base, time_bits=bits), pool=pool) for bits in (4, 8, 16)
+    ]
     rates = [r.vehicle_service_rate for r in reports]
     assert rates == sorted(rates, reverse=True)
 

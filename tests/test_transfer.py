@@ -34,10 +34,10 @@ def make_graph(env, routes, capacities=None):
 
 
 def test_encode_cell_layout():
-    vec = transfer.encode_cell(5, 0, id_bits=3, time_bits=2)
-    assert vec.tolist() == [1, 0, 1, 0, 1, 0, 1, 0]
-    vec = transfer.encode_cell(0, 1, id_bits=2, time_bits=3)
-    assert vec.tolist() == [0, 0, 1, 1, 0, 1, 0]
+    vec = transfer.encode_cells([(5, 0)], id_bits=3, time_bits=2)
+    assert vec.tolist() == [[1, 0, 1, 0, 1, 0, 1, 0]]
+    vec = transfer.encode_cells([(0, 1)], id_bits=2, time_bits=3)
+    assert vec.tolist() == [[0, 0, 1, 1, 0, 1, 0]]
 
 
 def loop_encoded_cell(identifier, interval, id_bits, time_bits):
@@ -57,35 +57,38 @@ def test_encode_cell_equals_the_bit_loop():
     want = np.array([loop_encoded_cell(c, t, 6, 4) for c, t in cells])
     assert np.array_equal(transfer.encode_cells(cells, 6, 4), want)
     for c, t in cells:
-        assert np.array_equal(transfer.encode_cell(c, t, 6, 4), loop_encoded_cell(c, t, 6, 4))
+        one = transfer.encode_cells([(c, t)], 6, 4)
+        assert np.array_equal(one, [loop_encoded_cell(c, t, 6, 4)])
     for identifier in (0, 1, 2**64 + 5, 2**70 - 1):
         assert np.array_equal(
-            transfer.encode_cell(identifier, 2, 70, 3), loop_encoded_cell(identifier, 2, 70, 3)
+            transfer.encode_cells([(identifier, 2)], 70, 3)[0],
+            loop_encoded_cell(identifier, 2, 70, 3),
         )
 
 
 def test_encode_cell_dot_separates_exactly():
     """dot == id_bits+1 exactly when identifier and interval both agree."""
     k, l = 4, 3
-    for a, b in itertools.product(range(1 << k), repeat=2):
-        for i, j in itertools.product(range(l), repeat=2):
-            dot = transfer.encode_cell(a, i, k, l) @ transfer.encode_cell(b, j, k, l)
-            if a == b and i == j:
-                assert dot == k + 1
-            elif a == b:
-                assert dot == k
-            else:
-                assert dot <= k - 1 + (i == j)
-                assert dot < k + 1
+    cells = list(itertools.product(range(1 << k), range(l)))
+    vectors = transfer.encode_cells(cells, k, l)
+    for (x, (a, i)), (y, (b, j)) in itertools.product(enumerate(cells), repeat=2):
+        dot = vectors[x] @ vectors[y]
+        if a == b and i == j:
+            assert dot == k + 1
+        elif a == b:
+            assert dot == k
+        else:
+            assert dot <= k - 1 + (i == j)
+            assert dot < k + 1
 
 
 def test_encode_cell_range_checks():
     with pytest.raises(ValueError, match="identifier"):
-        transfer.encode_cell(8, 0, id_bits=3, time_bits=2)
+        transfer.encode_cells([(8, 0)], id_bits=3, time_bits=2)
     with pytest.raises(ValueError, match="identifier"):
-        transfer.encode_cell(-1, 0, id_bits=3, time_bits=2)
+        transfer.encode_cells([(-1, 0)], id_bits=3, time_bits=2)
     with pytest.raises(ValueError, match="interval"):
-        transfer.encode_cell(0, 2, id_bits=3, time_bits=2)
+        transfer.encode_cells([(0, 2)], id_bits=3, time_bits=2)
 
 
 def test_offer_build_validation(transfer_env):
@@ -396,7 +399,7 @@ def uncached_adjacency(graph, weights):
 
 
 def unmasked_queries(env, cells, seed):
-    vectors = np.stack([transfer.encode_cell(c, t, env.id_bits, env.time_bits) for c, t in cells])
+    vectors = transfer.encode_cells(cells, env.id_bits, env.time_bits)
     rng = np.random.default_rng(seed)
     return crypto.unmask_indices(crypto.encrypt_indices(vectors, env.rider, rng), env.secrets, "rider")
 
@@ -513,7 +516,7 @@ def grid_walk(rng, side=4):
     return [(c, interval) for c in walk]
 
 
-def reference_round(graph, requests, limit):
+def reference_round(graph, requests):
     """Serve requests one at a time: per-request pinning, adjacency rebuilt per pass."""
     records = []
     for request_id, request in requests.items():
@@ -522,7 +525,6 @@ def reference_round(graph, requests, limit):
             brute_force_pins(graph, request.pickup),
             brute_force_pins(graph, request.dropoff),
             request.preference,
-            limit,
         )
         if outcome.selected is None:
             continue
@@ -560,7 +562,7 @@ def test_round_matching_equals_per_request_reference(transfer_env, monkeypatch, 
     got = server.run_transfer_matching()
     with monkeypatch.context() as patch:
         patch.setattr(transfer, "_weighted_adjacency", uncached_adjacency)
-        want = reference_round(graph, requests, transfer.DEFAULT_PATH_LIMIT)
+        want = reference_round(graph, requests)
     assert got == want
     assert server.graph.exhausted == graph.exhausted
     assert server.graph.capacity == graph.capacity
