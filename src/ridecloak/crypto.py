@@ -1,10 +1,12 @@
 """Matrix-masked inner-product encryption for trip vectors.
 
 Offers are encrypted under driver-role key sets, requests under rider-role
-ones; an index is its eight masked parts. Once the matching server unmasks
-each batch under the role that encrypted it, the sum of the eight part-wise
-dot products telescopes to the exact inner product of the two plaintext
-binary vectors, and nothing else about them is revealed. Indexes produced under
+ones; an index is its eight masked parts. The matching server holds one
+matrix per scheme, the match mask: it multiplies each rider-role batch by
+it and stores driver-role parts as sent. Then the sum of the eight
+part-wise dot products of a rider-role and a driver-role index telescopes
+to the exact inner product of the two plaintext binary vectors, and
+nothing else about them is revealed. Indexes produced under
 different user key sets derived from the same master keys remain mutually
 comparable, which is what lets the server match strangers' trips.
 
@@ -120,16 +122,18 @@ def _invertible_shares(total: np.ndarray, rng: np.random.Generator) -> tuple[np.
 
 @dataclass
 class TosSecrets:
-    """Matching-server secrets for one vector width: the two matrices it unmasks with.
+    """Matching-server secret for one vector width: the match mask.
 
-    index_mask unmasks driver-role (offer) parts from the left,
-    query_mask_inv rider-role (query) parts from the right; until then,
-    indexes from different users are not comparable.
+    The query mask's inverse times the index mask, the two factors a
+    similarity of a rider-role (query) and a driver-role (offer) index
+    needs, multiplied once at set-up. Rider-role parts are multiplied by
+    it from the right; driver-role parts are kept as sent. Until then,
+    indexes from different users are not comparable, and the server
+    cannot unmask a driver-role index on its own.
     """
 
     dim: int
-    index_mask: np.ndarray
-    query_mask_inv: np.ndarray
+    match_mask: np.ndarray
 
 
 @dataclass(eq=False)
@@ -278,15 +282,18 @@ def _scheme_keys(
 ) -> tuple[KeyDeriver, TosSecrets]:
     """One scheme's KeyDeriver and TosSecrets from its ten master pairs.
 
-    Draws the query mask, then the index mask. Each mask pair is taken out
-    of `pairs` as its driver base (index_mask^-1 times the part's inverse)
-    and rider base (the part times query_mask) are built, so it is freed
-    once they are.
+    Draws the query mask, then the index mask, and multiplies the match
+    mask (query_mask^-1 @ index_mask) before any base, so neither factor
+    outlives this call. Each mask pair is taken out of `pairs` as its
+    driver base (index_mask^-1 times the part's inverse) and rider base
+    (the part times query_mask) are built, so it is freed once they are.
     """
     (blend_a, blend_a_inv), (blend_b, blend_b_inv) = pairs[:2]
     del pairs[:2]
     query_mask, query_mask_inv = _random_invertible(dim, rng)
     index_mask, index_mask_inv = _random_invertible(dim, rng)
+    match_mask = query_mask_inv @ index_mask
+    del query_mask_inv, index_mask
     driver_bases, rider_bases = [], []
     while pairs:
         part, inv = pairs.pop(0)
@@ -296,7 +303,7 @@ def _scheme_keys(
         dim, split_pattern, blend_a, blend_b, blend_a_inv, blend_b_inv,
         tuple(driver_bases), tuple(rider_bases),
     )
-    return deriver, TosSecrets(dim, index_mask, query_mask_inv)
+    return deriver, TosSecrets(dim, match_mask)
 
 
 def generate_keys(
@@ -428,13 +435,15 @@ def encrypt_indices(
 
 
 def unmasked_part_bound(dim: int) -> float:
-    """Largest magnitude an unmasked part may have at width `dim`.
+    """Largest magnitude a stored part may have at width `dim`.
 
-    A similarity sums the 8*dim products of two indexes' parts; with every
-    part within this bound each product is at most finfo.max / (16*dim), so
-    every partial sum stays below half the float64 limit. The factor 2 is
-    headroom for rounding: with finfo.max / (8*dim), two indexes at the
-    bound already overflow at width 768.
+    A similarity sums the 8*dim products of a rider-role index's parts,
+    times the match mask, and a driver-role index's parts as sent; with
+    every part within this bound each product is at most
+    finfo.max / (16*dim), so every partial sum stays below half the
+    float64 limit. The factor 2 is headroom for rounding: with
+    finfo.max / (8*dim), two indexes at the bound already overflow at
+    width 768.
     """
     return math.sqrt(np.finfo(np.float64).max / (2 * PART_COUNT * dim))
 
@@ -442,11 +451,16 @@ def unmasked_part_bound(dim: int) -> float:
 def unmask_indices(
     indexes: list[EncryptedIndex], secrets: TosSecrets, role: str
 ) -> list[EncryptedIndex]:
-    """Apply the server secret of `role` (driver: `index_mask`, rider: `query_mask_inv`) to a batch.
+    """A batch in the form the server stores and matches: rider-role parts
+    times `match_mask`, driver-role parts as they are.
 
-    This is the one finiteness gate: a NaN, an infinity or a cleared part
-    beyond `unmasked_part_bound` raises ValueError, as does a wrong width;
-    a role other than "driver" or "rider" raises KeyError.
+    This is the one finiteness gate, on the stored parts, the operands of
+    every similarity: a NaN, an infinity or a stored part beyond
+    `unmasked_part_bound` raises ValueError, as does a wrong width; a role
+    other than "driver" or "rider" raises KeyError. A driver-role batch
+    takes no product: it is stacked only for the check, which costs less
+    than one check per index for many narrow ones, and the result holds
+    the same index objects.
     """
     if not indexes:
         return []
@@ -454,13 +468,15 @@ def unmask_indices(
         if idx.dim != secrets.dim:
             raise ValueError(f"index dim {idx.dim} != secrets dim {secrets.dim}")
     stacked = np.concatenate([idx.parts for idx in indexes], axis=0)
-    # Parts are stored as rows, so the driver's left-multiplication transposes.
-    mask = {"driver": secrets.index_mask.T, "rider": secrets.query_mask_inv}[role]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        cleared = stacked @ mask
-    if not (np.abs(cleared) <= unmasked_part_bound(secrets.dim)).all():
-        raise ValueError("unmasked index parts are not finite or exceed the magnitude bound")
-    return [EncryptedIndex(block) for block in cleared.reshape(len(indexes), PART_COUNT, secrets.dim)]
+    rider = {"driver": False, "rider": True}[role]
+    if rider:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            stacked = stacked @ secrets.match_mask
+    if not (np.abs(stacked) <= unmasked_part_bound(secrets.dim)).all():
+        raise ValueError("stored index parts are not finite or exceed the magnitude bound")
+    if not rider:
+        return list(indexes)
+    return [EncryptedIndex(block) for block in stacked.reshape(len(indexes), PART_COUNT, secrets.dim)]
 
 
 # A user key set's name, (scheme, role), and a ciphertext block's layout:
@@ -501,15 +517,16 @@ def encrypt_layout(
 def unmask_layout(
     stacks: list[list[EncryptedIndex]], layout: Layout, secrets: dict[str, TosSecrets]
 ) -> list[list[EncryptedIndex]]:
-    """Indexes unmasked by one `unmask_indices` call per key set of `layout`, under
-    its scheme's secrets and its role, `stacks[k]` and the result's item k as in
-    `encrypt_layout`. Every check runs before anything is returned."""
+    """Indexes in stored form from one `unmask_indices` call per key set of `layout`,
+    under its scheme's secrets and its role, `stacks[k]` and the result's item k as
+    in `encrypt_layout`. Every check runs before anything is returned."""
     _check_stacks(stacks, layout)
     return [unmask_indices(idx, secrets[s], role) for idx, ((s, role), _) in zip(stacks, layout)]
 
 
 def similarity_matrix(queries: list[EncryptedIndex], offers: list[EncryptedIndex]) -> np.ndarray:
-    """out[i, j] = plaintext(q_i) . plaintext(o_j) of unmasked rider-role q, driver-role o."""
+    """out[i, j] = plaintext(q_i) . plaintext(o_j) of rider-role q and driver-role o,
+    both in the form `unmask_indices` returns."""
     if not queries or not offers:
         return np.zeros((len(queries), len(offers)))
     q = np.stack([idx.flat() for idx in queries])

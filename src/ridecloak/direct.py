@@ -10,7 +10,8 @@ one-hot over `time_slots` positions and encrypts under the "time" key set,
 so no index carries padding. `DIRECT_OFFER` and `DIRECT_REQUEST` name these
 (scheme, role) key sets once each, with three and one indexes, and encryption
 and the pools' unmasking take the filters as one stack and the time as another.
-The server matches a pair by checking, on unmasked indexes only:
+The server matches a pair by checking, on indexes in stored form only
+(request parts times the match mask, offer parts as sent):
 
   gate 1: time similarity == 1        (same day slot)
   gate 2: pick-up similarity == n_hashes  (rider pick-up in driver area)
@@ -22,8 +23,8 @@ The server matches a pair by checking, on unmasked indexes only:
 Integer-valued gates are tested within +-0.5, which absorbs the numeric
 noise of the encryption round trip. The server keeps its offers and pending
 requests in two columnar pools (`OfferPool`, `RequestPool`): each masked
-submission enters through the pool's `admit`, which unmasks it straight
-into a row, and `match_all` reads the pools in place.
+submission enters through the pool's `admit`, which writes it in stored
+form straight into a row, and `match_all` reads the pools in place.
 """
 
 from __future__ import annotations
@@ -195,7 +196,7 @@ POOL_ROWS = 16  # rows a new pool allocates; it doubles whenever it fills up
 
 
 class _Pool:
-    """Unmasked ciphertexts of stored submissions, one row per submission.
+    """Stored ciphertexts of submissions, one row per submission.
 
     `dims` is each index kind's width, as `protocol.layout_dims` gives it
     for a direct trip, and `layout` names the key sets, with their counts,
@@ -233,7 +234,8 @@ class _Pool:
     def _fill(
         self, indexes: list[EncryptedIndex], secrets: dict[str, TosSecrets], item_id: str
     ) -> int:
-        """Unmask one submission's four masked indexes into a row made the newest live row.
+        """Write one submission's four masked indexes, in stored form, into a row made the
+        newest live row.
 
         `secrets` maps each scheme to the server's secrets; the pool's
         `layout` picks the scheme and role of each index. Unmasking checks

@@ -19,7 +19,7 @@ of a transfer offer (plus, minus), and `TRANSFER_QUERY` (pick-up, drop-off).
 The decoder sizes every block by one rule: each index is its scheme's width
 in the caller's `Params.widths` table, and a block of any other size is
 refused with BAD_DIMENSION. All indexes are masked, and the layout also names
-the key set each is unmasked by.
+the key set each is brought to stored form by (`crypto.unmask_layout`).
 
 A KEY_BUNDLE payload is `u64 epoch | u64 salt | six u32 | u16 token count
 | tokens | u8 reserved (0) | key blocks`. The six u32 are a `Params` in

@@ -5,9 +5,11 @@ Two parties, kept structurally separate:
 * TrustedAuthority holds one KeyDeriver per scheme and derives per-user
   key sets, which it sends with the config's `protocol.Params`. It never
   sees trips, and holds no server secret and no epoch.
-* TosServer owns the epoch and its salt, and holds only the two matrices
-  per scheme it unmasks with, consumed-token bookkeeping, unmasked
-  ciphertexts, and opaque contact blobs. It never holds user key sets,
+* TosServer owns the epoch and its salt, and holds only the one matrix
+  per scheme its similarities need (`TosSecrets.match_mask`),
+  consumed-token bookkeeping, ciphertexts in stored form (rider-role
+  parts times that matrix, driver-role parts as sent), and opaque
+  contact blobs. It never holds user key sets,
   key derivers, split patterns, plaintext cells, or Bloom filters; tests
   assert that no such type is reachable from its state.
 

@@ -21,8 +21,8 @@ exhausted offer. A rider's request pins source nodes (cells matching the
 pick-up index) and destination nodes (matching the drop-off index); path
 search honors the rider's preference over traversed cells and transfers.
 
-The graph keeps every node's unmasked plus index as one row of a
-contiguous (N, 8*dim) matrix, in insertion order, grown by doubling, with
+The graph keeps every node's plus index, as the driver sent it, as one
+row of a contiguous (N, 8*dim) matrix, in insertion order, grown by doubling, with
 an active-row mask that exhaustion clears. Inserting an offer compares
 its minus indexes against that matrix in one GEMM. A matching round
 pins every pending request in one GEMM too (TransferGraph.pin) and hands
@@ -247,7 +247,12 @@ class SearchOutcome:
 
 
 class TransferGraph:
-    """Server-side graph of unmasked offer cells."""
+    """Server-side graph of offer cells.
+
+    Plus indexes are stored as sent, minus indexes and pinned queries
+    (rider-role) as `crypto.unmask_indices` returns them, times the match
+    mask, so each of their products is a plaintext similarity.
+    """
 
     def __init__(self, id_bits: int):
         self.id_bits = id_bits
@@ -297,7 +302,7 @@ class TransferGraph:
         return kernels.hits(sims, self.match_target)
 
     def pin(self, queries: list[EncryptedIndex]) -> np.ndarray:
-        """Match unmasked rider-role queries against every stored row, active or not.
+        """Match rider-role queries, in stored form, against every stored row, active or not.
 
         Returns a (len(queries), N) boolean array. The similarities do not
         change while the graph only loses active rows, so a round pins all
@@ -329,7 +334,7 @@ class TransferGraph:
         return range(start, stop)
 
     def add_offer(self, offer: TransferOffer, secrets: dict[str, TosSecrets]) -> int:
-        """Unmask and insert one offer; returns the number of transfer edges added.
+        """Check and insert one offer; returns the number of transfer edges added.
 
         `secrets` maps each scheme to the server's secrets; `TRANSFER_CELL`
         picks the scheme and role of each cell's plus and minus index.

@@ -367,7 +367,9 @@ def key_setup(dims, rng):
     eight mask pairs) and the split pattern; then, per scheme, the query
     mask and the index mask. Returns per scheme a dict of the deriver's
     arrays (driver bases index_mask^-1 @ mask^-1, rider bases mask @
-    query_mask) and the server's two.
+    query_mask) and the server's one, the match mask
+    query_mask^-1 @ index_mask, with the two factors the server must not
+    hold.
     """
     masters = {
         scheme: (
@@ -387,6 +389,7 @@ def key_setup(dims, rng):
             blend_a_inv=blend_a_inv, blend_b_inv=blend_b_inv,
             driver_bases=[index_mask_inv @ inv for _, inv in masks],
             rider_bases=[mask @ query_mask for mask, _ in masks],
+            match_mask=query_mask_inv @ index_mask,
             index_mask=index_mask, query_mask_inv=query_mask_inv,
         )
     return keys

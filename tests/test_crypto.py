@@ -152,7 +152,7 @@ def test_dimension_mismatch_rejected(knn64):
     rng = np.random.default_rng(6)
     with pytest.raises(ValueError, match="width"):
         support.encrypt_index(np.ones(knn64.dim + 1), knn64.rider, rng)
-    other = crypto.TosSecrets(32, np.eye(32), np.eye(32))
+    other = crypto.TosSecrets(32, np.eye(32))
     idx = support.encrypt_index(np.ones(knn64.dim), knn64.rider, rng)
     with pytest.raises(ValueError, match="dim"):
         support.unmask_index(idx, other, "rider")
@@ -293,6 +293,21 @@ def test_similarities_do_not_depend_on_share_conditioning(monkeypatch):
     assert error.max() <= TOL
 
 
+@pytest.mark.parametrize("dim", [320, 768])
+def test_similarities_through_the_match_mask_keep_their_headroom(dim):
+    """40 x 40 pairs of 5 %-dense binary vectors at the two direct widths:
+    rider-role parts times the match mask against driver-role parts as sent
+    are within TOL of the exact integers, far inside the gates' 0.5."""
+    env = support.make_crypto_env(dim, 4000 + dim)
+    rng = np.random.default_rng(dim)
+    q = (rng.random((40, dim)) < 0.05).astype(float)
+    p = (rng.random((40, dim)) < 0.05).astype(float)
+    queries = crypto.unmask_indices(crypto.encrypt_indices(q, env.rider, rng), env.secrets, "rider")
+    offers = crypto.unmask_indices(crypto.encrypt_indices(p, env.driver, rng), env.secrets, "driver")
+    error = np.abs(crypto.similarity_matrix(queries, offers) - q @ p.T)
+    assert error.max() <= TOL
+
+
 def test_distinct_user_key_sets(knn64):
     a = knn64.deriver.derive("rider", np.random.default_rng(1))
     b = knn64.deriver.derive("rider", np.random.default_rng(2))
@@ -361,10 +376,7 @@ def test_key_setup_and_derivation_match_the_reference_bit_for_bit(seed):
         assert same_bytes([getattr(deriver, n) for n in names], [ref[n] for n in names])
         assert same_bytes(deriver.driver_bases, ref["driver_bases"])
         assert same_bytes(deriver.rider_bases, ref["rider_bases"])
-        assert same_bytes(
-            [secrets[scheme].index_mask, secrets[scheme].query_mask_inv],
-            [ref["index_mask"], ref["query_mask_inv"]],
-        )
+        assert same_bytes([secrets[scheme].match_mask], [ref["match_mask"]])
         for role in ("driver", "rider"):
             assert same_bytes(deriver.derive(role, rng).parts, oracles.derive(ref, role, ref_rng))
             slot = np.zeros(crypto.user_key_file_size(dim) + 3, dtype=np.uint8)[3:]
@@ -623,7 +635,7 @@ def test_same_key_file_and_seed_give_the_same_bytes_through_a_stock(knn64):
 @pytest.mark.parametrize("dim", [16, 768])
 def test_unmask_bound_inclusive_and_checked_before_writing(dim):
     eye = np.eye(dim)
-    secrets = crypto.TosSecrets(dim, eye, eye)  # unmasking leaves the parts as they are
+    secrets = crypto.TosSecrets(dim, eye)  # unmasking leaves the parts as they are
     bound = crypto.unmasked_part_bound(dim)
     assert bound == math.sqrt(np.finfo(np.float64).max / (16 * dim))
     row, column = (

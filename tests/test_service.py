@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import socket
 import struct
@@ -560,6 +561,57 @@ def test_impossible_ciphertexts_rejected_without_state_change(small_service, cor
         reply_bytes = small_service.dispatch(frame)
         assert protocol.decode_frame(reply_bytes)[1] == b""
         assert error_code(reply_bytes) is REPLY_CODES[corrupt]
+        assert server_state(small_service) == before
+
+
+def part_beside_bound(blob, direction):
+    """The middle part set to the float next to its width's stored-part bound, toward `direction`."""
+    parts = np.frombuffer(blob, dtype="<f8").copy()
+    bound = crypto.unmasked_part_bound(len(parts) // crypto.PART_COUNT)
+    parts[len(parts) // 2] = np.nextafter(bound, direction)
+    return parts.astype("<f8").tobytes()
+
+
+def test_driver_role_parts_are_gated_as_stored(small_service):
+    """A direct offer, and a transfer offer's plus index, with one part just
+    above its width's bound are refused (MALFORMED) and change nothing; with
+    the part just under it, the same offers are admitted."""
+    driver, rider = make_clients(small_service)
+    driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
+    for direction, admitted in ((np.inf, False), (0.0, True)):
+        direct_offer, _, bad_plus, _, _ = corrupted_frames(driver, rider, part_beside_bound, direction)
+        for frame in (direct_offer, bad_plus):
+            before = server_state(small_service)
+            reply_bytes = small_service.dispatch(frame)
+            if admitted:
+                assert protocol.decode_frame(reply_bytes)[0].msg_type is MsgType.SUBMIT_OFFER
+            else:
+                assert error_code(reply_bytes) is ErrorCode.MALFORMED
+                assert server_state(small_service) == before
+
+
+def test_rider_role_parts_are_gated_after_the_match_mask(small_service):
+    """A direct request's and a transfer request's index whose parts are under
+    the bound on the wire, but whose product with the match mask is not, is
+    refused (MALFORMED) and changes nothing."""
+    driver, rider = make_clients(small_service)
+    driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
+    masks = {s.dim: s.match_mask for s in small_service.server.secrets.values()}
+    assert len(masks) == len(small_service.server.secrets)  # a width names its scheme
+
+    def over_after_mask(blob, _value):
+        dim = len(blob) // (8 * crypto.PART_COUNT)
+        mask, bound = masks[dim], crypto.unmasked_part_bound(dim)
+        column = np.abs(mask).sum(axis=0).argmax()
+        parts = np.zeros((crypto.PART_COUNT, dim))
+        parts[0] = np.nextafter(bound, 0.0) * np.sign(mask[:, column])
+        assert (np.abs(parts) < bound).all() and np.abs(parts @ mask).max() > bound
+        return parts.astype("<f8").tobytes()
+
+    _, direct_request, _, _, transfer_request = corrupted_frames(driver, rider, over_after_mask, None)
+    for frame in (direct_request, transfer_request):
+        before = server_state(small_service)
+        assert error_code(small_service.dispatch(frame)) is ErrorCode.MALFORMED
         assert server_state(small_service) == before
 
 
@@ -1183,19 +1235,73 @@ def test_authority_holds_only_what_a_derivation_reads():
 
 
 def test_authority_and_server_share_no_array():
-    """The server keeps two secret matrices per scheme, and no buffer is the authority's too."""
+    """The server keeps one secret matrix per scheme, and no buffer is the authority's too."""
     svc = RideService(ServiceConfig(**SMALL_CONFIG), seed=3)
     for role in ("driver", "rider"):
         svc.dispatch(register_frame(role))
     assert not set(array_buffers(svc.authority)) & set(array_buffers(svc.server))
     secrets = svc.server.secrets
     for scheme in secrets.values():
-        assert sum(array_buffers(scheme).values()) == 2 * scheme.dim**2 * 8
+        assert sum(array_buffers(scheme).values()) == scheme.dim**2 * 8
     assert {name: scheme.dim for name, scheme in secrets.items()} == {
         "direct": SMALL_CONFIG["filter_bits"],
         "transfer": 2 * SMALL_CONFIG["id_bits"] + SMALL_CONFIG["time_bits"],
         "time": SMALL_CONFIG["time_slots"],
     }
+
+
+def test_the_server_holds_the_match_mask_and_neither_factor():
+    """`TosSecrets` is a width and the match mask, and no buffer reachable from
+    the server holds a row or a column of the index mask or of the query
+    mask's inverse: set-up multiplies them and keeps neither."""
+    assert [f.name for f in dataclasses.fields(crypto.TosSecrets)] == ["dim", "match_mask"]
+    config = ServiceConfig(**SMALL_CONFIG)
+    svc = RideService(config, seed=21)
+    rng = np.random.default_rng(21)
+    rng.integers(0, 2**63)  # the service draws its first salt first
+    reference = oracles.key_setup(config.widths, rng)
+    driver, rider = make_clients(svc)
+    driver.submit_direct_offer(OFFER)
+    driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
+    rider.submit_direct_request(REQUEST)
+    rider.submit_transfer_request((1, 1), (3, 1))
+    svc.run_matching()
+    buffers = []
+    for obj in oracles.reachable_instances(svc.server):
+        root = buffer_root(obj) if isinstance(obj, (np.ndarray, memoryview)) else obj
+        if isinstance(root, np.ndarray):
+            buffers.append(root.tobytes())
+        elif isinstance(root, (bytes, bytearray)):
+            buffers.append(bytes(root))
+    for scheme, ref in reference.items():
+        assert svc.server.secrets[scheme].match_mask.tobytes() == ref["match_mask"].tobytes()
+        for factor in (ref["index_mask"], ref["query_mask_inv"]):
+            for line in (factor[0].tobytes(), factor[:, 0].tobytes()):
+                assert not any(line in buffer for buffer in buffers), scheme
+
+
+def test_driver_role_rows_are_stored_as_sent(small_service):
+    """A direct offer's pool row, and a transfer offer's plus rows in the graph
+    store, are byte for byte the parts of the driver's frame."""
+    sent = {}
+    driver = ServiceClient(RecordingLoopback(small_service, sent), rng=100)
+    driver.register("driver")
+    srv = small_service.server
+
+    def sent_offer():
+        frame, _ = protocol.decode_frame(sent[MsgType.SUBMIT_OFFER])
+        return protocol.decode_submit_offer(frame.payload, srv.widths, srv.config.max_items)
+
+    driver.submit_direct_offer(OFFER)
+    (entry,) = srv.direct_offers.values()
+    assert [kind[entry.row].tobytes() for kind in srv.offer_pool.kinds] == [
+        idx.parts.tobytes() for idx in sent_offer().indexes()
+    ]
+    driver.submit_transfer_offer([(1, 1), (2, 1), (3, 1)], capacity=2)
+    graph = srv.graph
+    assert graph._plus[: len(graph._row_ids)].tobytes() == b"".join(
+        cell.plus.parts.tobytes() for cell in sent_offer().cells
+    )
 
 
 def test_register_builds_its_reply_in_one_buffer():

@@ -22,7 +22,7 @@ def test_two_runs_print_the_same_labelled_lines(monkeypatch):
         "key_set driver transfer-rider", "key_set driver time-driver",
         "key_blocks rider", "key_set rider direct-rider", "key_set rider transfer-rider",
         "key_set rider time-rider",
-        *tool.PAYLOADS,
+        *tool.PAYLOADS, "similarities",
     ]
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in first)
     assert len({line.rsplit(" ", 1)[1] for line in first}) == len(first)

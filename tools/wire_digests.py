@@ -12,9 +12,15 @@ loaded from them (`Registration.keysets`, labelled by scheme and role):
 the digest of its operand bytes, then its split pattern. Then it prints
 one line per submission payload, the frame after its header: a batch of
 two direct offers, a batch of two direct requests, a 3-cell transfer
-offer and a transfer request. Two checkouts that print the same lines put
-the same bytes on the wire; equal key-set lines mean equal key values even
-where the key-block layout differs.
+offer and a transfer request. Last, one `similarities` line: the digest of
+the rounded integer similarities the server computes from what it stored,
+every stored request row against every stored offer row for each pair of
+index kinds a matching round compares (time, pick-up, drop-off against
+drop-off and route, route against drop-off), and the transfer request's two
+stored indexes against every stored plus row, the products its pinning
+tests. Two checkouts that print the same lines put the same bytes on the
+wire and match the same integers; equal key-set lines mean equal key values
+even where the key-block layout differs.
 """
 
 from __future__ import annotations
@@ -27,7 +33,10 @@ from pathlib import Path
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ridecloak import protocol  # noqa: E402
+import numpy as np  # noqa: E402
+
+from ridecloak import kernels, protocol  # noqa: E402
+from ridecloak.direct import DROPOFF, PICKUP, ROUTE, TIME  # noqa: E402
 from ridecloak.client import LoopbackTransport, ServiceClient  # noqa: E402
 from ridecloak.direct import OfferSpec, RequestSpec  # noqa: E402
 from ridecloak.service import RideService, ServiceConfig  # noqa: E402
@@ -48,6 +57,8 @@ PAYLOADS = (
     "direct_offer 1", "direct_offer 2", "direct_request 1", "direct_request 2",
     "transfer_offer", "transfer_request",
 )
+# (request kind, offer kind) of each similarity a direct matching round takes
+KIND_PAIRS = ((TIME, TIME), (PICKUP, PICKUP), (DROPOFF, DROPOFF), (DROPOFF, ROUTE), (ROUTE, DROPOFF))
 
 
 class _Recorder:
@@ -67,9 +78,25 @@ def _sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _similarities(server) -> bytes:
+    """The stored similarities `digest_lines` names, rounded to int64, shape first."""
+    offers, requests = server.offer_pool, server.request_pool
+    sims = [
+        kernels.cross_dots(requests.kinds[r][: requests.used], offers.kinds[o][: offers.used])
+        for r, o in KIND_PAIRS
+    ]
+    plus = np.stack([node.plus.flat() for node in server.graph.nodes.values()])
+    for request in server.transfer_requests.values():
+        sims.append(kernels.cross_dots(np.stack([request.pickup.flat(), request.dropoff.flat()]), plus))
+    return b"".join(
+        np.array(s.shape, dtype="<i8").tobytes() + np.rint(s).astype("<i8").tobytes() for s in sims
+    )
+
+
 def digest_lines() -> list[str]:
     """The labelled digest lines of one fixed-seed session."""
-    recorder = _Recorder(LoopbackTransport(RideService(ServiceConfig(**CONFIG), seed=SEED)))
+    service = RideService(ServiceConfig(**CONFIG), seed=SEED)
+    recorder = _Recorder(LoopbackTransport(service))
     driver, rider = ServiceClient(recorder, rng=SEED), ServiceClient(recorder, rng=SEED + 1)
     lines = []
     for role, client in (("driver", driver), ("rider", rider)):
@@ -88,6 +115,7 @@ def digest_lines() -> list[str]:
     if len(sent) != len(PAYLOADS):
         raise RuntimeError(f"expected {len(PAYLOADS)} submissions, sent {len(sent)}")
     lines += [f"{label} {_sha(data[protocol.HEADER_SIZE:])}" for label, data in zip(PAYLOADS, sent)]
+    lines.append(f"similarities {_sha(_similarities(service.server))}")
     return lines
 
 
