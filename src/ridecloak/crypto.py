@@ -127,9 +127,9 @@ class TosSecrets:
     The query mask's inverse times the index mask, the two factors a
     similarity of a rider-role (query) and a driver-role (offer) index
     needs, multiplied once at set-up. Rider-role parts are multiplied by
-    it from the right; driver-role parts are kept as sent. Until then,
-    indexes from different users are not comparable, and the server
-    cannot unmask a driver-role index on its own.
+    it from the right; driver-role parts are kept as sent. Before that
+    product, indexes from different users are not comparable, and with
+    it alone the server cannot unmask a driver-role index.
     """
 
     dim: int

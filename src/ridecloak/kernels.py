@@ -1,8 +1,9 @@
 """The matching hot kernels: inner products of stored ciphertext rows.
 
 Every similarity the server computes is a sum of 8-part dot products of a
-rider-role row, times the match mask, and a driver-role row as sent; both shapes it needs are numpy reductions here, next to the
-integer gate that tests them. Callers go through the module attribute
+rider-role row, times the match mask, and a driver-role row as sent; both
+shapes it needs are numpy reductions here, next to the integer gate that
+tests them. Callers go through the module attribute
 (kernels.cross_dots(...)) so that a tracer can wrap the functions by name.
 """
 

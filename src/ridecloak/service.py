@@ -9,9 +9,9 @@ Two parties, kept structurally separate:
   per scheme its similarities need (`TosSecrets.match_mask`),
   consumed-token bookkeeping, ciphertexts in stored form (rider-role
   parts times that matrix, driver-role parts as sent), and opaque
-  contact blobs. It never holds user key sets,
-  key derivers, split patterns, plaintext cells, or Bloom filters; tests
-  assert that no such type is reachable from its state.
+  contact blobs. It never holds user key sets, key derivers, split
+  patterns, plaintext cells, or Bloom filters; tests assert that no such
+  type is reachable from its state.
 
 RideService hands the derivers of `crypto.generate_keys` to the authority
 and its secrets to the server, and wires the two behind one frame

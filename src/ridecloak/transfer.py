@@ -22,8 +22,8 @@ pick-up index) and destination nodes (matching the drop-off index); path
 search honors the rider's preference over traversed cells and transfers.
 
 The graph keeps every node's plus index, as the driver sent it, as one
-row of a contiguous (N, 8*dim) matrix, in insertion order, grown by doubling, with
-an active-row mask that exhaustion clears. Inserting an offer compares
+row of a contiguous (N, 8*dim) matrix, in insertion order, grown by
+doubling, with an active-row mask that exhaustion clears. Inserting an offer compares
 its minus indexes against that matrix in one GEMM. A matching round
 pins every pending request in one GEMM too (TransferGraph.pin) and hands
 each search its two hit rows; search ANDs them with the active mask as it

@@ -36,9 +36,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from ridecloak import kernels, protocol  # noqa: E402
-from ridecloak.direct import DROPOFF, PICKUP, ROUTE, TIME  # noqa: E402
 from ridecloak.client import LoopbackTransport, ServiceClient  # noqa: E402
-from ridecloak.direct import OfferSpec, RequestSpec  # noqa: E402
+from ridecloak.direct import DROPOFF, PICKUP, ROUTE, TIME, OfferSpec, RequestSpec  # noqa: E402
 from ridecloak.service import RideService, ServiceConfig  # noqa: E402
 
 SEED = 701
