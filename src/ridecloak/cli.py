@@ -4,7 +4,7 @@ No command writes or reads key material. `serve` generates the master
 keys and server secrets in memory from `--seed`, redrawing any whose
 condition number exceeds 1e6 and keeping the inverse each check computed.
 Clients receive their key sets by registering; a registration inverts
-nothing, and checks a user's key shares only for invertibility, by LU.
+and checks nothing: a user's key shares need only sum to their master.
 
 `serve` has one flag per `ServiceConfig` field, and `match` and `bench`
 one per `protocol.Params` field; each defaults to the field's default.

@@ -21,10 +21,12 @@ All matrices are double precision with entries drawn uniformly from
 [-1, 1]. Master keys and server secrets are redrawn (at most 8 attempts)
 while their 1-norm condition number exceeds 1e6, and the inverse the
 accepting check computes is the one used, so no secret matrix is
-inverted twice. A user's additive key shares are never inverted: a share
-pair is redrawn only when one LU factorization shows a share singular,
-with no condition bound, because the similarity error does not depend on
-how well a share is conditioned. `generate_keys`, the one set-up call,
+inverted twice. A user key set needs only the sum property: the two
+additive shares of each blend matrix (or, for a driver, of its inverse)
+sum to it. The eight parts telescope through each pair's sum, so a
+similarity is exact whether a share is singular or not, and no index is
+ever decrypted through a share. So a share pair is drawn once, with no
+invertibility or condition check. `generate_keys`, the one set-up call,
 gives the authority a KeyDeriver and the server a TosSecrets per scheme,
 and the two share no array. Set-up and derivation hold only what their
 next step reads: set-up frees each master mask pair once its two bases
@@ -74,7 +76,7 @@ _RIDER_SHARE_ORDER = (0, 0, 1, 1)
 
 
 class KeyGenerationError(RuntimeError):
-    """Raised when no acceptable matrix or share pair is drawn within MAX_DRAWS."""
+    """Raised when no well-conditioned master key or server secret is drawn within MAX_DRAWS."""
 
 
 def _well_conditioned(mat: np.ndarray) -> np.ndarray | None:
@@ -95,29 +97,6 @@ def _random_invertible(dim: int, rng: np.random.Generator) -> tuple[np.ndarray, 
         if inv is not None:
             return cand, inv
     raise KeyGenerationError(f"no invertible {dim}x{dim} draw within {MAX_DRAWS} attempts")
-
-
-def _invertible(mat: np.ndarray) -> bool:
-    """Whether one LU factorization of `mat` shows it invertible."""
-    sign, logabsdet = np.linalg.slogdet(mat)
-    return bool(sign != 0 and np.isfinite(logabsdet))
-
-
-def _invertible_shares(total: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Split `total` into two invertible matrices summing to it.
-
-    `first` is uniform on [-1, 1] and `second = total - first`. The pair
-    is redrawn (at most MAX_DRAWS times) until an LU factorization shows
-    both invertible. There is no condition bound: no share is ever
-    inverted, and the similarity error does not depend on how well a
-    share is conditioned (tests/test_crypto.py checks this at cond_1 >= 1e10).
-    """
-    for _ in range(MAX_DRAWS):
-        first = rng.uniform(-1.0, 1.0, total.shape)
-        second = total - first
-        if _invertible(first) and _invertible(second):
-            return first, second
-    raise KeyGenerationError(f"no invertible additive share pair within {MAX_DRAWS} draws")
 
 
 @dataclass
@@ -223,12 +202,11 @@ class KeyDeriver:
     It holds only what a derivation reads: the split pattern, the two blend
     matrices with their inverses and the 16 bases `generate_keys` computes,
     (4 + 16) * dim^2 values. A derivation splits each blend matrix (riders)
-    or its inverse (drivers) into two additive shares, accepted once an LU
-    factorization shows each invertible; unlike the master keys, shares
-    carry no condition bound and are never inverted. The first pair feeds
-    parts 0-3 and the second parts 4-7, so a derivation holds one pair at
-    a time: beyond its output, at most 3 * dim^2 values (the pair and one
-    LU factor).
+    or its inverse (drivers) into two additive shares: the first uniform on
+    [-1, 1], the second the total minus it. A key set needs only that sum,
+    so unlike the master keys, shares are never checked or inverted. The
+    first pair feeds parts 0-3 and the second parts 4-7, so a derivation
+    holds one pair at a time: beyond its output, at most 2 * dim^2 values.
     """
 
     dim: int
@@ -265,14 +243,15 @@ class KeyDeriver:
             totals = (self.blend_a, self.blend_b)
             bases, order = self.rider_bases, _RIDER_SHARE_ORDER
         for half, total in enumerate(totals):
-            shares = _invertible_shares(total, rng)
+            first = rng.uniform(-1.0, 1.0, total.shape)
+            shares = (first, total - first)
             for i, k in enumerate(order, half * len(order)):
                 block = operand[:, i * dim : (i + 1) * dim]
                 if driver:
                     np.matmul(shares[k].T, bases[i].T, out=block)
                 else:
                     np.matmul(shares[k], bases[i], out=block)
-            del shares  # this pair goes before the next is drawn
+            del first, shares  # this pair goes before the next is drawn
         return UserKeySet(role, operand, self.split_pattern.copy())
 
 
