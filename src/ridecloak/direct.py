@@ -22,9 +22,11 @@ The server matches a pair by checking, on indexes in stored form only
 
 Integer-valued gates are tested within +-0.5, which absorbs the numeric
 noise of the encryption round trip. The server keeps its offers and pending
-requests in two columnar pools (`OfferPool`, `RequestPool`): each masked
+requests in two columnar `Pool`s, told apart by their layout: each masked
 submission enters through the pool's `admit`, which writes it in stored
-form straight into a row, and `match_all` reads the pools in place.
+form straight into a row with its seats (a request has one), and
+`match_all` reads the pools in place. `Pool.take_seat` frees a row when its
+last seat is taken, so the pools hold only live submissions.
 """
 
 from __future__ import annotations
@@ -195,26 +197,33 @@ CASES = tuple(MatchCase)  # a case's code, in the pools and on the wire, is its 
 POOL_ROWS = 16  # rows a new pool allocates; it doubles whenever it fills up
 
 
-class _Pool:
-    """Stored ciphertexts of submissions, one row per submission.
+class Pool:
+    """Stored ciphertexts of offers or of pending requests, one row per submission.
 
     `dims` is each index kind's width, as `protocol.layout_dims` gives it
-    for a direct trip, and `layout` names the key sets, with their counts,
-    a stored submission is unmasked by. `kinds[kind]` is one contiguous
-    (rows, 8*dims[kind]) float64 matrix per index kind, so a matching
-    round's GEMMs read the used prefix in place. `live` marks the rows that hold a current
-    submission and `seq` their arrival order. A freed row keeps its stale
+    for a direct trip, and `layout` (`DIRECT_OFFER` or `DIRECT_REQUEST`)
+    names the key sets, with their counts, a stored submission is unmasked
+    by. `kinds[kind]` is one contiguous (rows, 8*dims[kind]) float64 matrix
+    per index kind, so a matching round's GEMMs read the used prefix in
+    place. Per row, `live` marks a current submission, `seq` its arrival
+    order, `remaining` its seats left (a request has one) and `cases` the
+    codes of the drop-off cases an offer accepts, in the driver's order,
+    padded with -1 (a request has none). A row is freed when its last seat
+    is taken, so every live row has a seat left; a freed row keeps its stale
     ciphertext, masked out by `live`, until the next submission overwrites
     it or the pool is cleared.
     """
 
-    _row_arrays = ("live", "seq")  # per-row arrays that grow and clear with `kinds`
+    _row_arrays = ("live", "seq", "remaining", "cases")  # grow and clear with `kinds`
 
-    def __init__(self, dims: tuple[int, ...], rows: int = POOL_ROWS):
+    def __init__(self, dims: tuple[int, ...], layout: Layout, rows: int = POOL_ROWS):
         self.dims = tuple(dims)
+        self.layout = layout
         self.kinds = [np.zeros((rows, crypto.PART_COUNT * dim)) for dim in self.dims]
         self.live = np.zeros(rows, dtype=bool)
         self.seq = np.zeros(rows, dtype=np.int64)
+        self.remaining = np.zeros(rows, dtype=np.int64)
+        self.cases = np.zeros((rows, len(CASES)), dtype=np.int8)
         self.ids: list[str | None] = [None] * rows
         self.used = 0  # rows [0, used) were written since the last clear
         self._free: list[int] = []
@@ -231,18 +240,25 @@ class _Pool:
         """(8, dim) views of one row's pick-up, drop-off, route and time parts."""
         return [m[row].reshape(crypto.PART_COUNT, -1) for m in self.kinds]
 
-    def _fill(
-        self, indexes: list[EncryptedIndex], secrets: dict[str, TosSecrets], item_id: str
+    def admit(
+        self,
+        indexes: list[EncryptedIndex],
+        secrets: dict[str, TosSecrets],
+        item_id: str,
+        seats: int = 1,
+        cases=(),
     ) -> int:
-        """Write one submission's four masked indexes, in stored form, into a row made the
-        newest live row.
+        """Store one masked submission (pick-up, drop-off, route, time) in stored form as
+        the newest live row; returns its row.
 
         `secrets` maps each scheme to the server's secrets; the pool's
         `layout` picks the scheme and role of each index. Unmasking checks
         the count, widths and magnitudes of the whole submission before
         anything is written, so a rejected submission leaves the pool as it
-        was. A row freed by `release` is reused before the pool grows.
+        was. A freed row is reused before the pool grows.
         """
+        # a repeated case can never decide a match, so only first mentions count
+        codes = list(dict.fromkeys(CASES.index(c) for c in cases))
         filters = self.layout[0][1]
         cleared = crypto.unmask_layout([indexes[:filters], indexes[filters:]], self.layout, secrets)
         row = self._free[-1] if self._free else self.used
@@ -258,7 +274,19 @@ class _Pool:
         self.seq[row] = self._arrivals
         self._arrivals += 1
         self.ids[row] = item_id
+        self.remaining[row] = seats
+        self.cases[row] = codes + [-1] * (len(CASES) - len(codes))
         return row
+
+    def take_seat(self, row: int) -> bool:
+        """Take one seat of a live row; True when it was the last, and the row is freed."""
+        self.remaining[row] -= 1
+        if self.remaining[row]:
+            return False
+        self.live[row] = False
+        self.ids[row] = None
+        self._free.append(row)
+        return True
 
     def _grow(self) -> None:
         rows = 2 * len(self.live)
@@ -274,7 +302,14 @@ class _Pool:
         self.ids.extend([None] * (rows - len(self.ids)))
 
     def clear(self) -> None:
-        """Empty the pool in place, zeroing every row used since the last clear."""
+        """Empty the pool in place, zeroing every row used since the last clear.
+
+        Rotation clears rather than building new pools: the grown
+        allocation is reused, and new pools at every rotation measured
+        worse on `direct-crowd` (4 alternating pairs: `peak_rss_mb` 220.8 →
+        254.8, `trips_per_s` 600.5 → 585.0, `offer_submit_ms.p90` 1.082 →
+        1.148 ms; the new pools won no pair on any of the three).
+        """
         for m in self.kinds:
             m[: self.used] = 0.0
         for name in self._row_arrays:
@@ -285,63 +320,11 @@ class _Pool:
         self._arrivals = 0
 
 
-class OfferPool(_Pool):
-    """Stored offers, with each row's seats left and accepted cases.
-
-    `cases[row]` lists the codes of the accepted drop-off cases in the
-    driver's order, padded with -1.
-    """
-
-    layout = DIRECT_OFFER
-    _row_arrays = ("live", "seq", "remaining", "cases")
-
-    def __init__(self, dims: tuple[int, ...], rows: int = POOL_ROWS):
-        super().__init__(dims, rows)
-        self.remaining = np.zeros(rows, dtype=np.int64)
-        self.cases = np.zeros((rows, len(CASES)), dtype=np.int8)
-
-    def admit(
-        self,
-        indexes: list[EncryptedIndex],
-        secrets: dict[str, TosSecrets],
-        offer_id: str,
-        capacity: int,
-        cases,
-    ) -> int:
-        """Store one masked offer (pick-up, drop-off, route, time); returns its row."""
-        # a repeated case can never decide a match, so only first mentions count
-        codes = list(dict.fromkeys(CASES.index(c) for c in cases))
-        row = self._fill(indexes, secrets, offer_id)
-        self.remaining[row] = capacity
-        self.cases[row] = codes + [-1] * (len(CASES) - len(codes))
-        return row
-
-    def open_rows(self) -> np.ndarray:
-        return self.live[: self.used] & (self.remaining[: self.used] > 0)
-
-
-class RequestPool(_Pool):
-    """Pending requests; a row freed by a match takes the next request."""
-
-    layout = DIRECT_REQUEST
-
-    def admit(
-        self, indexes: list[EncryptedIndex], secrets: dict[str, TosSecrets], request_id: str
-    ) -> int:
-        """Store one masked request (pick-up, drop-off, route, time); returns its row."""
-        return self._fill(indexes, secrets, request_id)
-
-    def release(self, row: int) -> None:
-        self.live[row] = False
-        self.ids[row] = None
-        self._free.append(row)
-
-
 @dataclass(eq=False)
 class PoolEntry:
     """A stored submission: its contact blob and the pool row of its indexes."""
 
-    pool: _Pool
+    pool: Pool
     row: int
     contact: bytes = b""
 
@@ -351,7 +334,7 @@ class PoolEntry:
 
 
 def gated_pairs(
-    offers: OfferPool, requests: RequestPool, n_hashes: int
+    offers: Pool, requests: Pool, n_hashes: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(request row, offer row, case code) of every open pair that passes all gates.
 
@@ -377,14 +360,15 @@ def gated_pairs(
     return ri[found], oj[found], codes[found]
 
 
-def match_all(offers: OfferPool, requests: RequestPool, n_hashes: int) -> list[DirectMatch]:
+def match_all(offers: Pool, requests: Pool, n_hashes: int) -> list[DirectMatch]:
     """Greedy assignment: requests in arrival order, first feasible offer.
 
     Offers are tried in arrival order and each serves at most its seats
     left. The pools are only read.
     """
-    if not isinstance(offers, OfferPool) or not isinstance(requests, RequestPool):
-        raise TypeError("match_all takes an OfferPool and a RequestPool")
+    layouts = (getattr(offers, "layout", None), getattr(requests, "layout", None))
+    if layouts != (DIRECT_OFFER, DIRECT_REQUEST):
+        raise TypeError("match_all takes an offer pool and a request pool")
     if not offers or not requests:
         return []
     if offers.dims != requests.dims:

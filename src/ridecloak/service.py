@@ -141,8 +141,10 @@ class TosServer:
         self.salt = salt
         self.unused_tokens: set[bytes] = set()
         self.widths = widths = config.widths
-        self.offer_pool = direct.OfferPool(protocol.layout_dims(direct.DIRECT_OFFER, widths))
-        self.request_pool = direct.RequestPool(protocol.layout_dims(direct.DIRECT_REQUEST, widths))
+        self.offer_pool, self.request_pool = (
+            direct.Pool(protocol.layout_dims(layout, widths), layout)
+            for layout in (direct.DIRECT_OFFER, direct.DIRECT_REQUEST)
+        )
         self.direct_offers: dict[str, direct.PoolEntry] = {}
         self.direct_requests: dict[str, direct.PoolEntry] = {}
         self.graph = transfer.TransferGraph(config.id_bits)
@@ -166,7 +168,7 @@ class TosServer:
 
     @property
     def direct_remaining(self) -> dict[str, int]:
-        """Seats left per stored direct offer."""
+        """Seats left per live direct offer; an offer whose last seat is taken is dropped."""
         seats = self.offer_pool.remaining
         return {oid: int(seats[e.row]) for oid, e in self.direct_offers.items()}
 
@@ -256,8 +258,9 @@ class TosServer:
         for match in matches:
             offer = self.direct_offers[match.offer_id]
             request = self.direct_requests.pop(match.request_id)
-            self.offer_pool.remaining[offer.row] -= 1
-            self.request_pool.release(request.row)
+            if self.offer_pool.take_seat(offer.row):
+                del self.direct_offers[match.offer_id]
+            self.request_pool.take_seat(request.row)
             self._queue(
                 protocol.DirectNotification(
                     match.request_id, match.offer_id, match.case, offer.contact
@@ -366,10 +369,7 @@ class RideService:
 
     def _register(self, frame: Frame) -> np.ndarray:
         role = protocol.decode_register(frame.payload)
-        try:
-            reply, digests = self.authority.register(role, self.server.epoch, self.server.salt)
-        except ValueError as exc:
-            raise ProtocolError(ErrorCode.MALFORMED, str(exc)) from None
+        reply, digests = self.authority.register(role, self.server.epoch, self.server.salt)
         self.server.add_token_digests(digests)
         return reply
 

@@ -449,8 +449,9 @@ def enumerate_paths(
 ) -> tuple[list[tuple[NodeId, ...]], bool]:
     """All distinct minimal simple paths from any source to a nearest destination.
 
-    Backtracks the predecessor DAG; an on-path visited set guards against
-    the cycles that zero-weight ties can introduce. Stops with a truncation
+    Backtracks the predecessor DAG depth first on an explicit stack, so a
+    path of any length fits; an on-path visited set guards against the
+    cycles that zero-weight ties can introduce. Stops with a truncation
     flag after `limit` paths.
     """
     reachable = [d for d in destinations if d in dist]
@@ -460,32 +461,30 @@ def enumerate_paths(
     targets = [d for d in reachable if dist[d] <= best + 1e-9]
     source_set = set(sources)
     paths: list[tuple[NodeId, ...]] = []
-    truncated = False
+    tail: list[NodeId] = []  # the path so far, destination first
+    on_path: set[NodeId] = set()
+    stack: list = []  # per node of `tail`, an iterator over its untried predecessors
 
-    def backtrack(node: NodeId, tail: list[NodeId], on_path: set[NodeId]) -> bool:
-        if len(paths) >= limit:
-            return False
-        if node in source_set:
+    def enter(node: NodeId) -> bool:
+        """Extend the path to `node`; False once `limit` paths are held."""
+        tail.append(node)
+        on_path.add(node)
+        if len(paths) < limit and node in source_set:
             paths.append(tuple(reversed(tail)))
-            if len(paths) >= limit:
-                return False
-        for p in preds.get(node, ()):
-            if p in on_path:
-                continue
-            tail.append(p)
-            on_path.add(p)
-            keep_going = backtrack(p, tail, on_path)
-            on_path.discard(p)
-            tail.pop()
-            if not keep_going:
-                return False
-        return True
+        stack.append(iter(preds.get(node, ())))
+        return len(paths) < limit
 
     for dest in targets:
-        if not backtrack(dest, [dest], {dest}):
-            truncated = True
-            break
-    return paths, truncated
+        if not enter(dest):
+            return paths, True
+        while stack:
+            p = next(stack[-1], None)
+            if p is None:
+                stack.pop()
+                on_path.discard(tail.pop())
+            elif p not in on_path and not enter(p):
+                return paths, True
+    return paths, False
 
 
 def annotate_path(nodes: tuple[NodeId, ...]) -> PathResult:

@@ -258,6 +258,46 @@ def min_weight_paths(adjacency, sources, destinations):
     return {p for p, w in paths if w <= best + 1e-9}
 
 
+def recursive_paths(preds, dist, sources, destinations, limit):
+    """The recursive backtracker `transfer.enumerate_paths` replaced: (paths, truncated).
+
+    One Python frame per path node, so a path longer than the recursion
+    limit raises RecursionError; the path order and the truncation rule are
+    the reference the iterative search keeps.
+    """
+    reachable = [d for d in destinations if d in dist]
+    if not reachable:
+        return [], False
+    best = min(dist[d] for d in reachable)
+    targets = [d for d in reachable if dist[d] <= best + 1e-9]
+    source_set = set(sources)
+    paths = []
+
+    def backtrack(node, tail, on_path):
+        if len(paths) >= limit:
+            return False
+        if node in source_set:
+            paths.append(tuple(reversed(tail)))
+            if len(paths) >= limit:
+                return False
+        for p in preds.get(node, ()):
+            if p in on_path:
+                continue
+            tail.append(p)
+            on_path.add(p)
+            keep_going = backtrack(p, tail, on_path)
+            on_path.discard(p)
+            tail.pop()
+            if not keep_going:
+                return False
+        return True
+
+    for dest in targets:
+        if not backtrack(dest, [dest], {dest}):
+            return paths, True
+    return paths, False
+
+
 def _mixed_adjacency(route_edges, transfer_edges, wr, wt):
     adj = {}
     for u, v in route_edges:

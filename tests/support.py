@@ -81,10 +81,10 @@ def admit_pools(env, offers, requests):
     Each one enters through the pool's `admit`, in list order, as the
     server's own submissions do.
     """
-    offer_pool = direct.OfferPool(env.dims)
+    offer_pool = direct.Pool(env.dims, direct.DIRECT_OFFER)
     for o in offers:
         offer_pool.admit(o.indexes(), env.secrets, o.offer_id, o.capacity, o.cases)
-    request_pool = direct.RequestPool(env.dims)
+    request_pool = direct.Pool(env.dims, direct.DIRECT_REQUEST)
     for r in requests:
         request_pool.admit(r.indexes(), env.secrets, r.request_id)
     return offer_pool, request_pool

@@ -133,7 +133,7 @@ def test_match_all_respects_capacity_and_order(direct_env):
 
 def test_match_all_empty_inputs(direct_env):
     assert direct.match_all(*admit_pools(direct_env, [], []), 4) == []
-    with pytest.raises(TypeError, match="OfferPool"):
+    with pytest.raises(TypeError, match="an offer pool and a request pool"):
         direct.match_all([], [], 4)
 
 

@@ -138,7 +138,7 @@ def test_pooled_rounds_equal_object_list_reference(seed):
     srv = svc.server
     ref = ReferenceServer(svc.server.secrets, svc.config)
     rng = np.random.default_rng(seed)
-    seen = dict(carried=False, exhausted=False, reused=False, grown=False)
+    seen = dict(carried=False, exhausted=False, reused=False, offer_reused=False, grown=False)
     for round_no in range(6):
         if round_no % 3 == 0:  # a new epoch every three rounds
             if round_no:
@@ -152,6 +152,7 @@ def test_pooled_rounds_equal_object_list_reference(seed):
         rider.submit_direct_requests(request_batch(rng, sum(batches, []), round_no))
         ref.ingest(log)
         seen["reused"] |= rows_out_of_arrival_order(srv.request_pool)
+        seen["offer_reused"] |= rows_out_of_arrival_order(srv.offer_pool)
 
         want_records, want_notes = ref.round()
         assert svc.run_matching() == want_records
@@ -160,12 +161,12 @@ def test_pooled_rounds_equal_object_list_reference(seed):
             (driver if rid in ref.offers else rider).poll([rid])
         assert srv.notifications == {}
         assert set(srv.direct_requests) == set(ref.requests)
-        assert srv.direct_remaining == ref.seats
+        assert srv.direct_remaining == {oid: n for oid, n in ref.seats.items() if n}
 
         seen["carried"] |= any(r.request_id in carried for r in want_records)
         seen["exhausted"] |= 0 in ref.seats.values()
         seen["grown"] |= min(len(srv.offer_pool.live), len(srv.request_pool.live)) > direct.POOL_ROWS
-    assert seen == dict(carried=True, exhausted=True, reused=True, grown=True)
+    assert seen == dict(carried=True, exhausted=True, reused=True, offer_reused=True, grown=True)
 
 
 def test_case_similarities_only_for_gated_open_pairs(direct_env, monkeypatch):
@@ -183,10 +184,11 @@ def test_case_similarities_only_for_gated_open_pairs(direct_env, monkeypatch):
     ]
     # close one offer that passes some gates and free one request row that does
     i0, j0 = gated[0]
-    offer_pool.remaining[j0] = 0
+    while not offer_pool.take_seat(j0):
+        pass
     open_o.discard(j0)
     i1 = next(i for i, j in gated if j != j0)
-    request_pool.release(i1)
+    assert request_pool.take_seat(i1)
     open_r.discard(i1)
 
     scored = []
@@ -202,7 +204,7 @@ def test_pool_growth_and_row_reuse(direct_env):
     env = direct_env
     _, requests = random_scenario(3, n_offers=2, n_requests=5)
     _, built_r = encrypt_scenario(env, [], requests)
-    pool = direct.RequestPool(env.dims, rows=2)
+    pool = direct.Pool(env.dims, direct.DIRECT_REQUEST, rows=2)
     for k, request in enumerate(built_r):
         assert pool.admit(request.indexes(), env.secrets, request.request_id) == k
     assert len(pool.live) == 8 and pool.used == 5 and len(pool) == 5
@@ -210,15 +212,50 @@ def test_pool_growth_and_row_reuse(direct_env):
         got = pool.row_parts(k)
         want = unmask_direct(request.indexes(), env.secrets, "rider")
         assert all(np.array_equal(a, b.parts) for a, b in zip(got, want))
-    pool.release(1)
+    assert pool.take_seat(1)
     assert len(pool) == 4 and pool.admit(built_r[0].indexes(), env.secrets, "late") == 1
     assert pool.ids[1] == "late" and pool.seq[1] > pool.seq[4] and pool.used == 5
+
+
+def test_last_seat_frees_an_offer_row(direct_env):
+    env = direct_env
+    offers, _ = random_scenario(4, n_offers=2, n_requests=1)
+    built_o, _ = encrypt_scenario(env, offers, [])
+    pool = direct.Pool(env.dims, direct.DIRECT_OFFER, rows=2)
+    for o in built_o:
+        pool.admit(o.indexes(), env.secrets, o.offer_id, 2, o.cases)
+    assert not pool.take_seat(0)
+    assert pool.live[0] and pool.ids[0] == built_o[0].offer_id and pool.remaining[0] == 1
+    assert pool.take_seat(0)
+    assert not pool.live[0] and pool.ids[0] is None and len(pool) == 1
+    o = built_o[0]
+    assert pool.admit(o.indexes(), env.secrets, "late", 3, o.cases) == 0
+    assert pool.remaining[0] == 3 and pool.seq[0] > pool.seq[1] and pool.used == 2
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_long_epoch_pools_hold_only_live_submissions(k):
+    """Round after round in one epoch, k one-seat offers meet k requests that match them:
+    the pools never use more than k rows, and no served trip stays stored."""
+    from test_service import OFFER, REQUEST, make_clients
+
+    svc = RideService(ServiceConfig(**SMALL_CONFIG, tokens_per_bundle=64 * k), seed=k)
+    driver, rider = make_clients(svc)
+    srv = svc.server
+    for _ in range(60):
+        driver.submit_direct_offers([replace(OFFER, capacity=1)] * k)
+        rider.submit_direct_requests([REQUEST] * k)
+        assert len(svc.run_matching()) == k
+        assert srv.offer_pool.used <= k and srv.request_pool.used <= k
+        assert srv.direct_offers == {} and srv.direct_requests == {}
+        assert srv.direct_remaining == {}
+    assert srv.epoch == 1
 
 
 def pool_state(pool):
     return (
         pool.used, pool.live.tobytes(), list(pool.ids), list(pool._free),
-        [m.tobytes() for m in pool.kinds],
+        pool.remaining.tobytes(), pool.cases.tobytes(), [m.tobytes() for m in pool.kinds],
     )
 
 
@@ -227,8 +264,8 @@ def test_pool_rejects_bad_submissions_without_state_change(direct_env):
     env = direct_env
     offers, requests = random_scenario(5, n_offers=3, n_requests=3)
     built_o, built_r = encrypt_scenario(env, offers, requests)
-    offer_pool = direct.OfferPool(env.dims, rows=2)
-    request_pool = direct.RequestPool(env.dims, rows=2)
+    offer_pool = direct.Pool(env.dims, direct.DIRECT_OFFER, rows=2)
+    request_pool = direct.Pool(env.dims, direct.DIRECT_REQUEST, rows=2)
     for o, r in zip(built_o[:2], built_r[:2]):  # both pools full: one more row would grow them
         offer_pool.admit(o.indexes(), env.secrets, o.offer_id, o.capacity, o.cases)
         request_pool.admit(r.indexes(), env.secrets, r.request_id)
@@ -240,7 +277,7 @@ def test_pool_rejects_bad_submissions_without_state_change(direct_env):
     ]
     for free_row in (False, True):
         if free_row:
-            request_pool.release(0)
+            request_pool.take_seat(0)
         for pool, good, admit in admits:
             bad = {
                 "wrong width": [replace(ix, parts=ix.parts[:, :-1]) for ix in good],

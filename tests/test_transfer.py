@@ -231,6 +231,35 @@ def test_enumeration_matches_brute_force_on_random_digraphs():
         assert set(got) == oracles.min_weight_paths(adj, sources, destinations)
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 1000])
+def test_enumeration_equals_the_recursive_reference(limit):
+    """Same paths in the same order, and the same truncation flag, as the recursive
+    backtracker, on random predecessor graphs that may hold cycles."""
+    rng = np.random.default_rng(47 + limit)
+    flags = set()
+    for _ in range(200):
+        n = int(rng.integers(3, 9))
+        preds = {
+            v: [u for u in rng.permutation(n).tolist() if u != v and rng.random() < 0.4]
+            for v in range(n)
+        }
+        dist = {v: float(rng.integers(0, 2)) for v in range(n) if rng.random() < 0.9}
+        sources = rng.choice(n, size=int(rng.integers(1, 3)), replace=False).tolist()
+        destinations = rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist()
+        want = oracles.recursive_paths(preds, dist, sources, destinations, limit)
+        assert transfer.enumerate_paths(preds, dist, sources, destinations, limit) == want
+        flags.add(want[1])
+    assert (True in flags) == (limit < 1000)  # small limits do truncate
+
+
+def test_enumeration_follows_a_path_longer_than_the_recursion_limit():
+    """A 2,000-node chain, the length of about 34 chained 60-cell offers."""
+    n = 2000
+    preds = {v: [v - 1] for v in range(1, n)}
+    dist = {v: float(v) for v in range(n)}
+    assert transfer.enumerate_paths(preds, dist, [0], [n - 1]) == ([tuple(range(n))], False)
+
+
 def random_routes(rng, n_offers=4):
     routes = {}
     for d in range(n_offers):
