@@ -460,30 +460,28 @@ def enumerate_paths(
     best = min(dist[d] for d in reachable)
     targets = [d for d in reachable if dist[d] <= best + 1e-9]
     source_set = set(sources)
+    if limit <= 0:
+        return [], True
     paths: list[tuple[NodeId, ...]] = []
     tail: list[NodeId] = []  # the path so far, destination first
     on_path: set[NodeId] = set()
-    stack: list = []  # per node of `tail`, an iterator over its untried predecessors
-
-    def enter(node: NodeId) -> bool:
-        """Extend the path to `node`; False once `limit` paths are held."""
+    stack = [iter(targets)]  # untried predecessors of each node of `tail`, targets first
+    while stack:
+        for node in stack[-1]:
+            if node not in on_path:
+                break
+        else:
+            stack.pop()
+            if tail:
+                on_path.discard(tail.pop())
+            continue
         tail.append(node)
         on_path.add(node)
-        if len(paths) < limit and node in source_set:
+        if node in source_set:
             paths.append(tuple(reversed(tail)))
-        stack.append(iter(preds.get(node, ())))
-        return len(paths) < limit
-
-    for dest in targets:
-        if not enter(dest):
-            return paths, True
-        while stack:
-            p = next(stack[-1], None)
-            if p is None:
-                stack.pop()
-                on_path.discard(tail.pop())
-            elif p not in on_path and not enter(p):
+            if len(paths) >= limit:
                 return paths, True
+        stack.append(iter(preds.get(node, ())))
     return paths, False
 
 
